@@ -1,104 +1,145 @@
-"""Exact dense linear algebra over a field.
+"""Exact sparse linear algebra over a field.
 
-Vectors are lists of field elements.  rref produces the canonical reduced
-row echelon form (pivot entries 1, pivot columns cleared, rows sorted by
-pivot), which is what makes Subspace equality a plain tuple comparison.
+Callers pass and receive dense sequences of field elements; inside, a row
+is a dict {column: value} holding only its nonzero entries.  Over F_p the
+values are plain ints in [0, p), over Q they are Fractions.  One step,
+_axpy (row -= c * other row, touching only the other row's nonzeros), does
+all the elimination: rref, reduce_by_rref, coords_in_rref, nullspace and
+SpanTracker are built on it.
 
-For rationals there is a fraction-free forward pass (rows rescaled to
-primitive integer vectors after each elimination step) that keeps numerator
-growth down on larger instances; both paths return identical output.
+rref produces the canonical reduced row echelon form (pivot entries 1,
+pivot columns cleared, rows sorted by pivot), which is what makes Subspace
+equality a plain tuple comparison.  That form is unique for the row space,
+so it does not depend on the order of elimination.  Its dense rows hold
+the field's own zero object in every zero position.
 """
 
-from fractions import Fraction
-from math import gcd
-
-from .fields import QQ
+from .fields import FpElement, PrimeField, QQ
 
 
-def _first_nonzero(row):
-    for j, v in enumerate(row):
-        if v:
-            return j
-    return None
+def _modulus(field):
+    """p over F_p, None over Q."""
+    return field.p if isinstance(field, PrimeField) else None
 
 
-def _primitive(row):
-    """Rescale a rational row to coprime integers (sign-normalized)."""
-    den = 1
-    for v in row:
-        if v:
-            den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 1)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
+def _entry_kind(x):
+    """(modulus, zero) for the field a vector entry x belongs to."""
+    if isinstance(x, FpElement):
+        return x.p, FpElement(x.p, 0)
+    return None, QQ.zero
 
 
-def rref(rows, field, fraction_free=None):
+def _sparse(row, zero, p):
+    """Nonzero entries of a dense row of field elements, as {col: value}.
+
+    Entries that are the zero object itself are skipped before their truth
+    value is asked, which is most of them."""
+    if p is None:
+        return {j: x for j, x in enumerate(row) if x is not zero and x}
+    return {j: x.v for j, x in enumerate(row) if x is not zero and x.v}
+
+
+def _dense(row, ncols, zero, p):
+    out = [zero] * ncols
+    if p is None:
+        for j, v in row.items():
+            out[j] = v
+    else:
+        for j, v in row.items():
+            out[j] = FpElement(p, v)
+    return out
+
+
+def _axpy(vec, c, row, p):
+    """vec -= c * row in place; entries that cancel are dropped.
+
+    A column missing from vec cannot cancel (c and the row's entries are
+    nonzero), so del only ever meets a present key."""
+    get = vec.get
+    if p is None:
+        for j, b in row.items():
+            s = get(j, 0) - c * b
+            if s:
+                vec[j] = s
+            else:
+                del vec[j]
+    else:
+        for j, b in row.items():
+            s = (get(j, 0) - c * b) % p
+            if s:
+                vec[j] = s
+            else:
+                del vec[j]
+
+
+def _normalize(vec, c, p):
+    """vec scaled by 1/c (c nonzero), as a new dict."""
+    inv = pow(c, -1, p) if p else QQ.one / c
+    if p is None:
+        return {j: v * inv for j, v in vec.items()}
+    return {j: v * inv % p for j, v in vec.items()}
+
+
+def rref(rows, field):
     """Canonical RREF.  Returns (rows, pivots), rows sorted by pivot column.
 
-    fraction_free defaults to automatic: enabled over Q when the instance is
-    big enough to care.
-    """
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    if fraction_free is None:
-        fraction_free = field == QQ and len(mat) * ncols > 4000
-    if fraction_free and field == QQ:
-        mat = [_primitive(r) for r in mat]
-
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel is None:
+    Gauss-Jordan one row at a time: the echelon so far is kept fully
+    reduced, so each incoming row needs one pass over its pivot columns,
+    and a new pivot row clears its column from the rows already held."""
+    p = _modulus(field)
+    zero = field.zero
+    echelon = {}        # pivot column -> sparse row with 1 at the pivot
+    ncols = None
+    for r in rows:
+        vec = _sparse(r, zero, p)
+        if not vec:
             continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = field.one / mat[rank][col]
-        if inv != field.one:
-            mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
-                if fraction_free and i > rank and field == QQ:
-                    mat[i] = _primitive(mat[i]) if any(mat[i]) else mat[i]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
+        if ncols is None:
+            ncols = len(r)
+        # entries of vec at pivot columns do not change while reducing,
+        # because every held row is zero at every other pivot column
+        for j in [j for j in vec if j in echelon]:
+            _axpy(vec, vec[j], echelon[j], p)
+        if not vec:
+            continue
+        lead = min(vec)
+        if vec[lead] != 1:
+            vec = _normalize(vec, vec[lead], p)
+        for held in echelon.values():
+            c = held.get(lead)
+            if c is not None:
+                _axpy(held, c, vec, p)
+        echelon[lead] = vec
+        if len(echelon) == ncols:
             break
-    return [tuple(r) for r in mat[:rank]], pivots
+    pivots = sorted(echelon)
+    return [tuple(_dense(echelon[j], ncols, zero, p)) for j in pivots], pivots
+
+
+def _residual(vec, rows, pivots):
+    """Sparse residual of vec modulo canonical RREF rows, with the modulus
+    and zero object of vec's field."""
+    p, zero = _entry_kind(vec[0]) if len(vec) else (None, QQ.zero)
+    res = _sparse(vec, zero, p)
+    for row, q in zip(rows, pivots):
+        # rows are zero at each other's pivots, so res[q] is still vec[q]
+        c = res.get(q)
+        if c is not None:
+            _axpy(res, c, _sparse(row, zero, p), p)
+    return res, p, zero
 
 
 def reduce_by_rref(vec, rows, pivots):
     """Residual of vec modulo the row space (rows must be canonical RREF)."""
-    v = list(vec)
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    return v
+    res, p, zero = _residual(vec, rows, pivots)
+    return _dense(res, len(vec), zero, p)
 
 
 def coords_in_rref(vec, rows, pivots):
     """Coefficients of vec over RREF rows, or None if not in the span."""
-    coeffs = [vec[p] for p in pivots]
-    residual = reduce_by_rref(vec, rows, pivots)
-    if any(residual):
+    if _residual(vec, rows, pivots)[0]:
         return None
-    return coeffs
+    return [vec[p] for p in pivots]
 
 
 def nullspace(rows, field):
@@ -109,17 +150,19 @@ def nullspace(rows, field):
     ncols = len(rows[0])
     red, pivots = rref(rows, field)
     pivset = set(pivots)
-    basis = []
+    zero = field.zero
+    basis = {}
     for j in range(ncols):
-        if j in pivset:
-            continue
-        v = [field.zero] * ncols
-        v[j] = field.one
-        for row, p in zip(red, pivots):
-            if row[j]:
-                v[p] = -row[j]
-        basis.append(tuple(v))
-    return basis
+        if j not in pivset:
+            basis[j] = [zero] * ncols
+            basis[j][j] = field.one
+    for row, p in zip(red, pivots):
+        for j, x in enumerate(row):
+            # rref's rows hold the zero object itself; the only nonzero
+            # pivot-column entry of a row is its own pivot
+            if x is not zero and j != p:
+                basis[j][p] = -x
+    return [tuple(v) for v in basis.values()]
 
 
 def kernel_combos(vectors, field):
@@ -142,48 +185,53 @@ class SpanTracker:
     """Incremental span with expression of members as tagged combinations.
 
     add() keeps rows forward-reduced (leading column unique per row), so
-    express() can read off the combination while reducing.
+    express() can read off the combination while reducing.  Rows and
+    combinations are sparse and hold the kernel's values (ints mod p over
+    F_p); express() hands back field elements.
     """
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self.rows = {}      # leading column -> (vector, combo dict)
+        self._p = _modulus(field)
+        self.rows = {}      # leading column -> (sparse row, sparse combo)
 
     def _reduce(self, vec, combo):
-        vec = list(vec)
-        while True:
-            lead = _first_nonzero(vec)
-            if lead is None or lead not in self.rows:
-                return vec, combo, lead
-            row, rcombo = self.rows[lead]
+        """Reduce vec and its combo in place, lowest column first, until
+        the leading column is not held; returns it (None when vec is 0)."""
+        p = self._p
+        while vec:
+            lead = min(vec)
+            held = self.rows.get(lead)
+            if held is None:
+                return lead
+            row, rcombo = held
             c = vec[lead]
-            vec = [a - c * b for a, b in zip(vec, row)]
-            for tag, coef in rcombo.items():
-                s = combo.get(tag, self.field.zero) - c * coef
-                if s:
-                    combo[tag] = s
-                else:
-                    combo.pop(tag, None)
-        # unreachable
+            _axpy(vec, c, row, p)
+            _axpy(combo, c, rcombo, p)
+        return None
 
     def add(self, vec, tag):
         """Insert a tagged vector; True if it enlarged the span."""
-        vec, combo, lead = self._reduce(vec, {tag: self.field.one})
+        p = self._p
+        vec = _sparse(vec, self.field.zero, p)
+        combo = {tag: 1 if p else self.field.one}
+        lead = self._reduce(vec, combo)
         if lead is None:
             return False
-        inv = self.field.one / vec[lead]
-        vec = [v * inv for v in vec]
-        combo = {t: c * inv for t, c in combo.items()}
-        self.rows[lead] = (tuple(vec), combo)
+        c = vec[lead]
+        self.rows[lead] = (_normalize(vec, c, p), _normalize(combo, c, p))
         return True
 
     def express(self, vec):
         """{tag: coeff} with vec = sum coeff * tagged vector, or None."""
-        vec, combo, lead = self._reduce(vec, {})
-        if lead is not None:
+        p = self._p
+        combo = {}
+        if self._reduce(_sparse(vec, self.field.zero, p), combo) is not None:
             return None
-        return {t: -c for t, c in combo.items()}
+        if p is None:
+            return {t: -c for t, c in combo.items()}
+        return {t: FpElement(p, -c) for t, c in combo.items()}
 
     @property
     def dim(self):

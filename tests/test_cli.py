@@ -210,3 +210,20 @@ def test_prime_field_runs(capsys):
     payload = json.loads(out)
     assert payload["field"] == "Fp:5"
     assert payload["hilbert"]["values"] == [1, 3, 6, 9, 12, 15, 18]
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "--depth", "-1"),
+    ("gr", "--depth", "-1"),
+    ("ranks", "--depth", "-2"),
+    ("certify", "--depth", "-1"),
+    ("chain", "--steps", "-1"),
+    ("dualize", "--degcap", "-1"),
+    ("quotient-iso", "--degcap", "-5"),
+    ("quotient-iso", "--max-len", "-1"),
+])
+def test_negative_window_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "non-negative" in err

@@ -1,0 +1,182 @@
+"""Properties of the echelon kernel on random sparse integer matrices.
+
+Every check runs over Q, a small prime and a prime just below 2^31 (where
+eliminating small integers soon yields residues of full size).  Ranks
+over Q are also compared with the independent accumulator in
+tests/oracle.py.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from grfilt.fields import QQ, PrimeField
+from grfilt.linalg import (SpanTracker, coords_in_rref, kernel_combos,
+                           nullspace, reduce_by_rref, rref)
+
+FIELDS = [QQ, PrimeField(101), PrimeField(2147483647)]
+
+common = settings(max_examples=60, deadline=None)
+
+
+def entry(fld, n):
+    """n as a field element; a zero is usually the field's zero object,
+    sometimes an equal but distinct one, as callers may pass either."""
+    if n == 0:
+        return fld.zero
+    if n == 100:
+        return fld.of(0)
+    return fld.of(n)
+
+
+@st.composite
+def matrices(draw, max_rows=7, max_cols=7):
+    """(field, rows): mostly-zero integer rows, as tuples of elements."""
+    fld = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(0, max_rows))
+    value = st.one_of(st.just(0), st.just(0), st.just(0), st.just(100),
+                      st.integers(-4, 4))
+    rows = draw(st.lists(st.lists(value, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return fld, [tuple(entry(fld, n) for n in r) for r in rows]
+
+
+def combine(fld, coeffs, vectors, ncols):
+    out = [fld.zero] * ncols
+    for c, v in zip(coeffs, vectors):
+        out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
+def assert_canonical(fld, rows, pivots, ncols):
+    assert list(pivots) == sorted(set(pivots))
+    assert len(rows) == len(pivots) <= ncols
+    for row, p in zip(rows, pivots):
+        assert isinstance(row, tuple) and len(row) == ncols
+        assert row[p] == fld.one
+        assert all(x is fld.zero for x in row[:p])
+        for x in row:
+            assert x is fld.zero or (x and type(x) is type(fld.one))
+    for i, p in enumerate(pivots):
+        assert all(rows[k][p] is fld.zero
+                   for k in range(len(rows)) if k != i)
+
+
+@common
+@given(matrices())
+def test_rref_is_canonical(case):
+    fld, rows = case
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = rref(rows, fld)
+    assert_canonical(fld, red, pivots, ncols)
+    if fld == QQ:
+        ech = oracle.Echelon()
+        for r in rows:
+            ech.add({j: x for j, x in enumerate(r) if x})
+        assert len(pivots) == ech.dim
+
+
+@common
+@given(matrices(), st.data())
+def test_rref_ignores_order_scale_repeats_and_zero_rows(case, data):
+    fld, rows = case
+    if not rows:
+        return
+    ncols = len(rows[0])
+    expected = rref(rows, fld)
+    scales = data.draw(st.lists(st.integers(1, 6), min_size=len(rows),
+                                max_size=len(rows)))
+    scaled = [tuple(fld.of(s) * x for x in r)
+              for s, r in zip(scales, rows)]
+    shuffled = data.draw(st.permutations(scaled + rows[:2]))
+    zero_row = tuple([fld.zero] * ncols)
+    mixed = []
+    for r in shuffled:
+        mixed += [zero_row, r]
+    assert rref(mixed, fld) == expected
+
+
+@common
+@given(matrices())
+def test_input_rows_reduce_to_zero_and_have_coordinates(case):
+    fld, rows = case
+    if not rows:
+        return
+    ncols = len(rows[0])
+    red, pivots = rref(rows, fld)
+    for r in rows:
+        assert not any(reduce_by_rref(r, red, pivots))
+        coeffs = coords_in_rref(r, red, pivots)
+        assert coeffs is not None
+        assert combine(fld, coeffs, red, ncols) == list(r)
+    for j in set(range(ncols)) - set(pivots):
+        unit = [fld.zero] * ncols
+        unit[j] = fld.one
+        assert reduce_by_rref(unit, red, pivots) == unit
+        assert coords_in_rref(unit, red, pivots) is None
+
+
+@common
+@given(matrices())
+def test_nullspace_is_annihilated_with_full_dimension(case):
+    fld, rows = case
+    if not rows:
+        return
+    ncols = len(rows[0])
+    basis = nullspace(rows, fld)
+    rank = len(rref(rows, fld)[1])
+    assert len(basis) == ncols - rank
+    assert len(rref(basis, fld)[1]) == len(basis)
+    for v in basis:
+        for r in rows:
+            assert combine(fld, v, [[x] for x in r], 1) == [fld.zero]
+    combos = kernel_combos([list(r) for r in rows], fld)
+    for c in combos:
+        assert not any(combine(fld, c, rows, ncols))
+
+
+@common
+@given(matrices())
+def test_span_tracker_expresses_what_it_was_given(case):
+    fld, rows = case
+    if not rows:
+        return
+    ncols = len(rows[0])
+    tracker = SpanTracker(fld, ncols)
+    added = [tracker.add(r, i) for i, r in enumerate(rows)]
+    pivots = rref(rows, fld)[1]
+    assert tracker.dim == sum(added) == len(pivots)
+    for r in rows:
+        combo = tracker.express(r)
+        assert combo is not None
+        assert all(added[t] for t in combo)
+        terms = [rows[t] for t in combo]
+        assert combine(fld, list(combo.values()), terms, ncols) == list(r)
+    for j in set(range(ncols)) - set(pivots):
+        unit = [fld.zero] * ncols
+        unit[j] = fld.one
+        assert tracker.express(unit) is None
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
+def test_edge_cases(fld):
+    zero, one = fld.zero, fld.one
+    assert rref([], fld) == ([], [])
+    assert rref([(zero, zero), (fld.of(0), zero)], fld) == ([], [])
+    column = [(fld.of(3),), (zero,), (fld.of(-2),)]
+    assert rref(column, fld) == ([(one,)], [0])
+    assert nullspace(column, fld) == []
+    assert nullspace([(zero,)], fld) == [(one,)]
+    assert nullspace([(zero, zero)], fld) == [(one, zero), (zero, one)]
+    with pytest.raises(ValueError):
+        nullspace([], fld)
+    assert kernel_combos([], fld) == []
+    assert kernel_combos([(), ()], fld) == [(one, zero), (zero, one)]
+    assert reduce_by_rref([fld.of(5)], [], []) == [fld.of(5)]
+    assert coords_in_rref([zero], [], []) == []
+    tracker = SpanTracker(fld, 1)
+    assert tracker.express((zero,)) == {}
+    assert not tracker.add((zero,), "z")
+    assert tracker.add((fld.of(2),), "a")
+    assert tracker.express((fld.of(6),)) == {"a": fld.of(3)}
