@@ -16,7 +16,7 @@ as the rank itself.
 
 from dataclasses import dataclass
 
-from .linalg import SpanTracker, kernel_combos
+from .linalg import SpanTracker, combine_rows, kernel_combos
 from .linspace import (Subspace, restrict_degree, intersect, sum_spaces,
                        zero_space, span, DegreeOverflowError)
 
@@ -223,14 +223,9 @@ def torsion_window(action, max_power=None):
             m = action.apply(m)
         images.append(list(amb.encode(m)))
     combos = kernel_combos(images, amb.field)
-    vecs = []
-    for c in combos:
-        vec = [amb.field.zero] * amb.dim
-        for coef, row in zip(c, domain.rows):
-            if coef:
-                vec = [a + coef * b for a, b in zip(vec, row)]
-        vecs.append(vec)
-    return Subspace.from_vectors(amb, vecs)
+    return Subspace.from_vectors(
+        amb, [combine_rows(c, domain.rows, amb.dim, amb.field)
+              for c in combos])
 
 
 def slope_table(action, depth):

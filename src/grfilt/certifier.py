@@ -13,9 +13,11 @@ Dossiers bundle the certificate with its supporting facts for the
 triangular worked example: the one-sided ranks feeding (s, t), the induced
 quotient Hilbert table, the divergence of one one-sided good filtration
 against the intrinsic one (with the other side matching exactly), and a
-strictly ascending chain of one-sided ideals in the associated graded.
-The ascending filtration is obstructed on the left; the weak-adic one on
-the right; the two-sided dossier checks the swap is consistent.
+strictly ascending chain of one-sided ideals in the associated graded,
+rechecked by verify_chain_report.  The ascending filtration is obstructed
+on the left; the weak-adic one on the right; the two-sided dossier checks
+the swap is consistent, and counts a chain as strict only when its
+recheck passes too.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
                          induced_quotient_filtration,
                          induced_good_filtration,
                          intrinsic_module_filtration, equivalence_offset)
-from .graded import GradedTrunc, ideal_chain_witness
+from .graded import GradedTrunc, ideal_chain_witness, verify_chain_report
 from .bimodule import BimoduleSpec, free_rank
 from .workbench import make
 
@@ -155,6 +157,8 @@ class ObstructionDossier:
     chain: object
     probe: dict
     verdict: str
+    # verify_chain_report's recheck of the chain; not part of the payload
+    chain_reverified: bool
 
     def to_json(self):
         return {"case": self.case, "s": self.s, "t": self.t,
@@ -248,7 +252,8 @@ def assemble_growth_dossier(case, depth=8, field=QQ):
                f"intrinsic one; ranks {s} against {t}; {matching_side} "
                f"side matches exactly)")
     return ObstructionDossier(case, s, t, ranks, table, cert, offsets,
-                              chain, probe, verdict)
+                              chain, probe, verdict,
+                              verify_chain_report(gr, classes, chain))
 
 
 @dataclass(frozen=True)
@@ -276,8 +281,9 @@ def assemble_two_sided(depth=8, field=QQ):
                               for d in (asc, adi)),
         "sides_swap": ("left-side" in asc.verdict
                        and "right-side" in adi.verdict),
-        "both_chains_strict": (asc.chain.strictly_ascending
-                               and adi.chain.strictly_ascending),
+        "both_chains_strict": all(d.chain.strictly_ascending
+                                  and d.chain_reverified
+                                  for d in (asc, adi)),
         "divergence_witnessed": (not asc.offsets["diverging"].equivalent
                                  and not adi.offsets["diverging"].equivalent),
         "matching_sides_exact": (asc.offsets["matching"].offset == 0

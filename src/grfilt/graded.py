@@ -9,11 +9,28 @@ arithmetic is exact.
 Products of pieces land in the piece at the summed degree.  Asking for a
 product outside the window raises WindowExceeded rather than truncating,
 and relation checks report exactly which degrees they covered.
+
+There are two product paths with equal values.  lift_mul is the
+definition: lift both cosets to their canonical representative matrices,
+multiply in the ambient ring, and take the class of the product.  mul
+reads a structure-constant table instead.  Its entry (m, i, n, j) is the
+product of basis coset i of piece m with basis coset j of piece n, as
+coordinates in piece m + n; it is filled through lift_mul the first time
+it is asked for and kept for the life of the GradedTrunc (a few hundred
+entries for the windows the toolkit builds).  mul(e1, e2) is the bilinear
+sum over the nonzero coordinates of e1 and e2, so each basis product is
+lifted and multiplied once however many products it enters.
+
+ideal_chain_witness builds its ideals with mul and grows one echelon per
+degree as generators are added.  verify_chain_report uses lift_mul alone
+and keeps pieces of its own, so a wrong table entry or a slip in the
+producer cannot vouch for itself: a certificate is rechecked by a path
+other than the one that produced it.
 """
 
 from dataclasses import dataclass
 
-from .linalg import reduce_by_rref, rref
+from .linalg import SpanTracker, combine_rows, rref
 from .linspace import complement_section
 from .filtration import WindowExceeded
 
@@ -51,6 +68,7 @@ class GradedTrunc:
         for m in self.degrees:
             self.sections[m] = complement_section(filt.layer(m),
                                                   filt.layer(m - 1))
+        self._table = {}    # (m, i, n, j) -> coords in piece m + n
 
     def piece(self, m):
         if m not in self.sections:
@@ -86,22 +104,46 @@ class GradedTrunc:
         coords = self.piece(m).coords_of(rem)
         if coords is None:
             raise ValueError("reduction escaped the echelon complement")
-        return GrElement(m, coords)
+        return GrElement(m, tuple(coords))
 
     def lift(self, el):
         """Canonical representative matrix of a coset."""
         sec = self.piece(el.degree)
-        vec = [self.ambient.field.zero] * self.ambient.dim
-        for c, row in zip(el.coords, sec.rows):
-            if c:
-                vec = [a + c * b for a, b in zip(vec, row)]
-        return self.ambient.decode(vec)
+        amb = self.ambient
+        return amb.decode(combine_rows(el.coords, sec.rows, amb.dim,
+                                       amb.field))
 
-    def mul(self, e1, e2):
+    def lift_mul(self, e1, e2):
+        """Product by definition: lift, multiply in the ambient, reduce."""
         target = e1.degree + e2.degree
         self.piece(target)
         prod = self.ambient.mul(self.lift(e1), self.lift(e2))
         return self.class_of(prod, target)
+
+    def mul(self, e1, e2):
+        """Product from the structure-constant table (same values as
+        lift_mul)."""
+        m, n = e1.degree, e2.degree
+        dim = self.piece(m + n).dim
+        coeffs, rows = [], []
+        for i, a in enumerate(e1.coords):
+            if not a:
+                continue
+            for j, b in enumerate(e2.coords):
+                if b:
+                    coeffs.append(a * b)
+                    rows.append(self._structure_constant(m, i, n, j))
+        return GrElement(m + n, tuple(
+            combine_rows(coeffs, rows, dim, self.ambient.field)))
+
+    def _structure_constant(self, m, i, n, j):
+        key = (m, i, n, j)
+        entry = self._table.get(key)
+        if entry is None:
+            entry = self.lift_mul(self.piece_basis(m)[i],
+                                  self.piece_basis(n)[j]).coords
+            self._table[key] = entry
+        return entry
 
     def generator_classes(self, pres):
         """Principal symbols of the presentation's generators."""
@@ -111,13 +153,16 @@ class GradedTrunc:
     def one(self):
         return self.class_of(self.ambient.one(), 0)
 
-    def word(self, classes, letters):
-        """Product of generator symbols; [] gives the unit coset."""
+    def word(self, classes, letters, product=None):
+        """Product of generator symbols; [] gives the unit coset.
+
+        product defaults to mul; verifiers pass lift_mul."""
         if not letters:
             return self.one()
+        product = product or self.mul
         out = classes[letters[0]]
         for nm in letters[1:]:
-            out = self.mul(out, classes[nm])
+            out = product(out, classes[nm])
         return out
 
     def to_json(self):
@@ -226,29 +271,14 @@ class ChainReport:
                 "window": list(self.window)}
 
 
-def _graded_ideal_pieces(gr, gens, side):
-    """Piece-by-piece span of the one-sided ideal generated by gens."""
-    pieces = {}
-    for m in gr.degrees:
-        vecs = []
-        for g in gens:
-            rest = m - g.degree
-            if rest not in gr.sections:
-                continue
-            for u in gr.piece_basis(rest):
-                prod = gr.mul(u, g) if side == "left" else gr.mul(g, u)
-                vecs.append(list(prod.coords))
-        if vecs:
-            rows, pivots = rref(vecs, gr.ambient.field)
-        else:
-            rows, pivots = (), ()
-        pieces[m] = (rows, pivots)
-    return pieces
-
-
-def _piece_member(piece, coords):
-    rows, pivots = piece
-    return not any(reduce_by_rref(list(coords), rows, pivots))
+def _generator_products(gr, g, side, m, product):
+    """Coordinates of u*g (left) or g*u (right) in piece m, for u over the
+    basis cosets of the piece that lands these products in degree m."""
+    rest = m - g.degree
+    if rest not in gr.sections:
+        return []
+    return [(product(u, g) if side == "left" else product(g, u)).coords
+            for u in gr.piece_basis(rest)]
 
 
 def ideal_chain_witness(gr, classes, words, side="left"):
@@ -257,41 +287,59 @@ def ideal_chain_witness(gr, classes, words, side="left"):
 
     Step k uses words[0..k].  The witness for strictness at step k is the
     new generator itself: it must lie outside the previous ideal's piece at
-    its own degree.  Dimensions are totals over the window.
+    its own degree.  Dimensions are totals over the window.  The ideal is
+    one echelon per degree; step k tests its generator against them, then
+    inserts only that generator's products.
     """
     gens = [gr.word(classes, list(w)) for w in words]
+    fld = gr.ambient.field
+    pieces = {m: SpanTracker(fld, gr.piece(m).dim) for m in gr.degrees}
     dims = []
     witnesses = []
     strict = True
-    prev_pieces = None
-    for k in range(len(gens)):
-        pieces = _graded_ideal_pieces(gr, gens[:k + 1], side)
-        total = sum(len(rows) for rows, _ in pieces.values())
-        dims.append(total)
+    for k, g in enumerate(gens):
         if k > 0:
-            g = gens[k]
-            inside = _piece_member(prev_pieces[g.degree], g.coords) \
-                if g.degree in prev_pieces else False
-            if inside:
+            if pieces[g.degree].express(g.coords) is not None:
                 strict = False
             else:
                 witnesses.append({"step": k, "degree": g.degree,
                                   "word": list(words[k])})
-        prev_pieces = pieces
+        for m, piece in pieces.items():
+            for t, coords in enumerate(
+                    _generator_products(gr, g, side, m, gr.mul)):
+                piece.add(coords, (k, t))
+        dims.append(sum(piece.dim for piece in pieces.values()))
     return ChainReport(side, tuple(tuple(w) for w in words), tuple(dims),
                        strict, tuple(witnesses),
                        (gr.degrees[0], gr.degrees[-1]))
 
 
 def verify_chain_report(gr, classes, report):
-    """Recheck every witness of a chain report from scratch."""
-    words = [list(w) for w in report.words]
-    gens = [gr.word(classes, w) for w in words]
+    """Recheck every witness of a chain report from scratch.
+
+    Words and products come from lift_mul only, never from the product
+    table or the producer's echelons.  Only the witnessed degrees are
+    built: each keeps its own echelon, extended by the generators added
+    since its previous witness.  Witness steps must increase.
+    """
+    gens = [gr.word(classes, list(w), gr.lift_mul) for w in report.words]
+    fld = gr.ambient.field
+    pieces = {}     # degree -> (echelon, generators inserted so far)
+    last = 0
     for wit in report.witnesses:
         k = wit["step"]
-        pieces = _graded_ideal_pieces(gr, gens[:k], report.side)
+        if not last < k < len(gens):
+            return False
+        last = k
         g = gens[k]
-        if g.degree in pieces and _piece_member(pieces[g.degree], g.coords):
+        piece, done = pieces.get(g.degree) or (
+            SpanTracker(fld, gr.piece(g.degree).dim), 0)
+        for i in range(done, k):
+            for t, coords in enumerate(_generator_products(
+                    gr, gens[i], report.side, g.degree, gr.lift_mul)):
+                piece.add(coords, (i, t))
+        pieces[g.degree] = (piece, k)
+        if piece.express(g.coords) is not None:
             return False
     return True
 

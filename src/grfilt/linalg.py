@@ -5,7 +5,8 @@ is a dict {column: value} holding only its nonzero entries.  Over F_p the
 values are plain ints in [0, p), over Q they are Fractions.  One step,
 _axpy (row -= c * other row, touching only the other row's nonzeros), does
 all the elimination: rref, reduce_by_rref, coords_in_rref, nullspace and
-SpanTracker are built on it.
+SpanTracker are built on it, and so is combine_rows, the one place that
+forms linear combinations of dense rows for callers.
 
 rref produces the canonical reduced row echelon form (pivot entries 1,
 pivot columns cleared, rows sorted by pivot), which is what makes Subspace
@@ -78,6 +79,21 @@ def _normalize(vec, c, p):
     if p is None:
         return {j: v * inv for j, v in vec.items()}
     return {j: v * inv % p for j, v in vec.items()}
+
+
+def combine_rows(coeffs, rows, ncols, field):
+    """sum coeffs[i] * rows[i] as a dense list of ncols field elements.
+
+    Only nonzero coefficients and the rows' nonzero entries are touched."""
+    p = _modulus(field)
+    zero = field.zero
+    acc = {}
+    for c, row in zip(coeffs, rows):
+        if c is zero or not c:
+            continue
+        # _axpy subtracts, so hand it -c in the kernel's representation
+        _axpy(acc, -c if p is None else p - c.v, _sparse(row, zero, p), p)
+    return _dense(acc, ncols, zero, p)
 
 
 def rref(rows, field):

@@ -18,7 +18,8 @@ truncation.
 """
 
 from .fields import QQ
-from .linalg import (kernel_combos, rref, reduce_by_rref, coords_in_rref)
+from .linalg import (combine_rows, kernel_combos, rref, reduce_by_rref,
+                     coords_in_rref)
 from .poly import Poly, PolyMatrix
 
 
@@ -310,15 +311,10 @@ def restrict_degree(u, maxdeg):
     tails = [row[k:] for row in u.rows]
     if not any(any(t) for t in tails):
         return u
-    combos = kernel_combos([list(t) for t in tails], u.ambient.field)
-    vecs = []
-    for c in combos:
-        vec = [u.ambient.field.zero] * u.ambient.dim
-        for coef, row in zip(c, u.rows):
-            if coef:
-                vec = [a + coef * b for a, b in zip(vec, row)]
-        vecs.append(vec)
-    return Subspace.from_vectors(u.ambient, vecs)
+    amb = u.ambient
+    combos = kernel_combos([list(t) for t in tails], amb.field)
+    return Subspace.from_vectors(
+        amb, [combine_rows(c, u.rows, amb.dim, amb.field) for c in combos])
 
 
 def complement_section(sup, sub):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .fields import QQ
 from .linalg import rref
 from .linspace import Ambient, QuotientContext
-from .filtration import AlgebraPresentation, two_sided_closure
+from .filtration import (AlgebraPresentation, two_sided_closure,
+                         WindowExceeded)
 from .poly import Poly, PolyMatrix
 
 
@@ -326,9 +327,15 @@ def quotient_iso_check(sys_a, sys_b, pairs, max_len=4):
     (value in A concatenated with value in B).  The correspondence extends
     to a well-defined bijective multiplicative linear map between the word
     spans iff the joint span has the same dimension as each side alone.
+    With max_len < 1 the span holds only the unit and says nothing, so
+    that window raises WindowExceeded instead of passing.
     """
     if sys_a.ambient.field != sys_b.ambient.field:
         raise ValueError("systems must share a coefficient field")
+    if max_len < 1:
+        raise WindowExceeded(
+            f"words up to length {max_len} span only the unit; the "
+            f"comparison needs max_len >= 1")
     fld = sys_a.ambient.field
     level = [(sys_a.one, sys_b.one)]
     all_words = list(level)

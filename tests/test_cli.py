@@ -137,6 +137,19 @@ def test_certify_two_sided_default(capsys):
     assert payload["consistent"] is True
 
 
+def test_certify_two_sided_fails_when_a_chain_does_not_reverify(
+        capsys, monkeypatch):
+    import grfilt.certifier
+    monkeypatch.setattr(grfilt.certifier, "verify_chain_report",
+                        lambda gr, classes, report: False)
+    code, out, _ = run(capsys, "--format", "json", "certify")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["consistent"] is False
+    assert payload["checks"]["both_chains_strict"] is False
+    assert payload["verified"] is False
+
+
 def test_certify_single_case_lists_witnesses(capsys):
     code, out, _ = run(capsys, "certify", "--case", "ascending",
                        "--depth", "8")
@@ -191,6 +204,13 @@ def test_quotient_iso(capsys):
     payload = json.loads(out)
     assert payload["consistent"] is True
     assert payload["dim_a"] == payload["dim_b"] == payload["dim_joint"]
+
+
+def test_quotient_iso_unit_only_window_is_inconclusive(capsys):
+    code, out, err = run(capsys, "quotient-iso", "--max-len", "0")
+    assert code == 2
+    assert out == ""
+    assert "span only the unit" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

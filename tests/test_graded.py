@@ -1,11 +1,19 @@
 """Associated graded pieces, symbol arithmetic, relations, chains."""
 
-import pytest
+from functools import lru_cache
 
-from grfilt.filtration import WindowExceeded
-from grfilt.graded import (GradedTrunc, check_relation, sandwich_zero_sweep,
-                           spanning_check, ideal_chain_witness,
-                           verify_chain_report, rees_dims, ChainReport)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from grfilt.fields import QQ, PrimeField
+from grfilt.filtration import (WindowExceeded, standard_filtration,
+                               weak_adic_filtration)
+from grfilt.graded import (GradedTrunc, GrElement, check_relation,
+                           sandwich_zero_sweep, spanning_check,
+                           ideal_chain_witness, verify_chain_report,
+                           rees_dims, ChainReport)
+from grfilt.linalg import reduce_by_rref, rref
+from grfilt.workbench import make
 
 
 RIGHT_MODULE_PATTERNS = (((), "alpha", ()),
@@ -116,3 +124,154 @@ def test_chain_flat_when_generator_already_inside(gr12, classes12):
 def test_rees_dims_are_partial_sums(filt12, adic10):
     assert rees_dims(filt12, 4) == [1, 4, 10, 19, 31]
     assert rees_dims(adic10, 3) == [20, 39, 56, 71]
+
+
+def test_classes_hash_and_match_products(gr12, classes12, ring_r):
+    amb = ring_r.ambient
+    alpha, beta = ring_r.el("alpha"), ring_r.el("beta")
+    cls = gr12.class_of(amb.mul(alpha, beta), 2)
+    assert isinstance(cls.coords, tuple)
+    prod = gr12.mul(classes12["alpha"], classes12["beta"])
+    assert {cls: "ab"}[prod] == "ab"
+    assert hash(prod) == hash(cls)
+
+
+# ---------------------------------------- product table against lifting
+
+@lru_cache(maxsize=None)
+def small_gr(field_name, kind):
+    fld = QQ if field_name == "Q" else PrimeField(101)
+    if kind == "standard":
+        ring = make("R_2x2", degcap=18, field=fld)
+        return GradedTrunc(standard_filtration(ring.pres, 8))
+    ring = make("R_prime", degcap=8, field=fld)
+    return GradedTrunc(weak_adic_filtration(ring.pres, 6))
+
+
+@st.composite
+def coset_pairs(draw):
+    gr = small_gr(draw(st.sampled_from(("Q", "Fp:101"))),
+                  draw(st.sampled_from(("standard", "weak-adic"))))
+    fld = gr.ambient.field
+
+    def coset():
+        m = draw(st.sampled_from(gr.degrees))
+        return GrElement(m, tuple(
+            fld.of(draw(st.integers(-3, 3))) for _ in range(gr.piece(m).dim)))
+    return gr, coset(), coset()
+
+
+@settings(max_examples=150, deadline=None)
+@given(coset_pairs())
+def test_table_product_equals_lifted_product(case):
+    gr, e1, e2 = case
+    if e1.degree + e2.degree in gr.sections:
+        assert gr.mul(e1, e2) == gr.lift_mul(e1, e2)
+    else:
+        with pytest.raises(WindowExceeded):
+            gr.mul(e1, e2)
+        with pytest.raises(WindowExceeded):
+            gr.lift_mul(e1, e2)
+
+
+# --------------------------------------- chains against a prefix rebuild
+
+def rebuilt_pieces(gr, gens, side):
+    """The per-prefix construction the incremental chain replaced: the
+    piece-by-piece span of the one-sided ideal generated by gens, built
+    from nothing, with lifted products."""
+    pieces = {}
+    for m in gr.degrees:
+        vecs = []
+        for g in gens:
+            rest = m - g.degree
+            if rest not in gr.sections:
+                continue
+            for u in gr.piece_basis(rest):
+                prod = gr.lift_mul(u, g) if side == "left" \
+                    else gr.lift_mul(g, u)
+                vecs.append(list(prod.coords))
+        if vecs:
+            rows, pivots = rref(vecs, gr.ambient.field)
+        else:
+            rows, pivots = (), ()
+        pieces[m] = (rows, pivots)
+    return pieces
+
+
+def rebuilt_chain(gr, classes, words, side):
+    gens = [gr.word(classes, list(w), gr.lift_mul) for w in words]
+    dims, witnesses, strict, prev = [], [], True, None
+    for k in range(len(gens)):
+        pieces = rebuilt_pieces(gr, gens[:k + 1], side)
+        dims.append(sum(len(rows) for rows, _ in pieces.values()))
+        if k > 0:
+            rows, pivots = prev[gens[k].degree]
+            if not any(reduce_by_rref(list(gens[k].coords), rows, pivots)):
+                strict = False
+            else:
+                witnesses.append({"step": k, "degree": gens[k].degree,
+                                  "word": list(words[k])})
+        prev = pieces
+    return tuple(dims), tuple(witnesses), strict
+
+
+CHAIN_CASES = [
+    ("standard", "left", [["beta"] + ["alpha"] * i for i in range(5)]),
+    ("standard", "right", [["alpha"] * i + ["beta"] for i in range(5)]),
+    ("standard", "right", [["beta"], ["beta", "alpha"], ["alpha"]]),
+    ("standard", "left", [["alpha"], ["beta"], ["alpha", "alpha"]]),
+    ("adic", "right", [["alpha"] * i + ["beta"] for i in range(5)]),
+    ("adic", "left", [["beta"] + ["alpha"] * i for i in range(5)]),
+    ("adic", "left", [["alpha"], ["beta", "alpha"], []]),
+]
+
+
+@pytest.mark.parametrize("kind,side,words", CHAIN_CASES)
+def test_incremental_chain_matches_prefix_rebuild(
+        kind, side, words, gr12, classes12, gr_adic, classes_adic):
+    gr, classes = ((gr12, classes12) if kind == "standard"
+                   else (gr_adic, classes_adic))
+    rep = ideal_chain_witness(gr, classes, words, side=side)
+    dims, witnesses, strict = rebuilt_chain(gr, classes, words, side)
+    assert rep.ideal_dims == dims
+    assert rep.witnesses == witnesses
+    assert rep.strictly_ascending == strict
+    assert verify_chain_report(gr, classes, rep) is True
+
+
+def test_chain_verifier_never_uses_the_product_table(
+        gr12, classes12, monkeypatch):
+    words = [["beta"] + ["alpha"] * i for i in range(3)]
+    rep = ideal_chain_witness(gr12, classes12, words, side="left")
+    fake = ChainReport(rep.side, (("alpha",),) + rep.words[1:],
+                       rep.ideal_dims, rep.strictly_ascending,
+                       rep.witnesses, rep.window)
+
+    def table_product(*_):
+        raise AssertionError("verifier reached GradedTrunc.mul")
+    monkeypatch.setattr(GradedTrunc, "mul", table_product)
+    assert verify_chain_report(gr12, classes12, rep)
+    assert not verify_chain_report(gr12, classes12, fake)
+
+
+def test_chain_verifier_rejects_misordered_witnesses(gr12, classes12):
+    words = [["beta"] + ["alpha"] * i for i in range(4)]
+    rep = ideal_chain_witness(gr12, classes12, words, side="left")
+    for witnesses in (rep.witnesses[::-1],
+                      ({"step": 0, "degree": 1, "word": ["beta"]},),
+                      ({"step": 4, "degree": 5, "word": ["beta"]},)):
+        bad = ChainReport(rep.side, rep.words, rep.ideal_dims,
+                          rep.strictly_ascending, witnesses, rep.window)
+        assert not verify_chain_report(gr12, classes12, bad)
+
+
+def test_chain_verifier_rejects_a_forged_witness(gr12, classes12):
+    # beta*alpha lies in the right ideal of beta, so no witness exists
+    words = [["beta"], ["beta", "alpha"]]
+    rep = ideal_chain_witness(gr12, classes12, words, side="right")
+    assert rep.witnesses == ()
+    forged = ChainReport(rep.side, rep.words, rep.ideal_dims, True,
+                         ({"step": 1, "degree": 2,
+                           "word": ["beta", "alpha"]},), rep.window)
+    assert not verify_chain_report(gr12, classes12, forged)

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from grfilt.fields import QQ, PrimeField
-from grfilt.linalg import (SpanTracker, coords_in_rref, kernel_combos,
-                           nullspace, reduce_by_rref, rref)
+from grfilt.linalg import (SpanTracker, combine_rows, coords_in_rref,
+                           kernel_combos, nullspace, reduce_by_rref, rref)
 
 FIELDS = [QQ, PrimeField(101), PrimeField(2147483647)]
 
@@ -157,6 +157,19 @@ def test_span_tracker_expresses_what_it_was_given(case):
         unit = [fld.zero] * ncols
         unit[j] = fld.one
         assert tracker.express(unit) is None
+
+
+@common
+@given(matrices(), st.data())
+def test_combine_rows_matches_dense_accumulation(case, data):
+    fld, rows = case
+    ncols = len(rows[0]) if rows else data.draw(st.integers(0, 4))
+    coeffs = [entry(fld, data.draw(st.sampled_from((0, 100, -2, 1, 3))))
+              for _ in rows]
+    out = combine_rows(coeffs, rows, ncols, fld)
+    assert isinstance(out, list) and len(out) == ncols
+    assert out == combine(fld, coeffs, rows, ncols)
+    assert all(x is fld.zero or x for x in out)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
