@@ -2,35 +2,36 @@
 
 Columns: the triangular ring's layer dimensions, the quotient table after
 killing the corner ideal, and the series model's m-adic quotient table.
-The quotient table is the one the growth certificates run on; the script
-certifies t*H(n) > s*H(n+p) witnesses for every offset p up to the bound
-and shows a probe of the growth shape.
+The three tables come from the `grfilt hilbert` handler.  The quotient
+table is the one the growth certificates run on; the script certifies
+t*H(n) > s*H(n+p) witnesses for every offset p up to the bound and shows
+a probe of the growth shape.  It exits 0 when the certificate re-verifies
+and 1 when some offset has no witness in the window.
 
     python scripts/growth_tables.py --depth 16 --max-offset 8 --json out.json
 """
 
 import argparse
 import json
+import sys
 
-from grfilt.workbench import make
-from grfilt.filtration import (standard_filtration, weak_adic_filtration,
-                               hilbert, induced_quotient_filtration)
+from grfilt.cli import build_parser, EXIT_OK, EXIT_FAIL
 from grfilt.certifier import (growth_obstruction, verify_certificate,
-                              subexp_probe)
+                              subexp_probe, GrowthCertificate)
 
 
 def tables(depth):
-    ring = make("R_2x2", degcap=2 * depth + 2)
-    filt = standard_filtration(ring.pres, depth)
-    quo = induced_quotient_filtration(ring.pres, [ring.el("beta")], depth,
-                                      base=filt)
-    rprime = make("R_prime", degcap=depth + 2)
-    adic = weak_adic_filtration(rprime.pres, depth)
-    mquo = induced_quotient_filtration(rprime.pres, [rprime.el("beta")], 0,
-                                       base=adic)
-    return {"ring": list(hilbert(filt, depth).values),
-            "quotient": list(hilbert(quo.filtration, depth).values),
-            "madic_quotient": list(hilbert(mquo.filtration, depth).values)}
+    """The three columns, each read off a `grfilt hilbert` payload."""
+    cols = {}
+    for name, argv in (
+            ("ring", f"--ring R_2x2 --depth {depth}"),
+            ("quotient", f"--quotient beta --depth {depth}"),
+            # the series catalog cap would truncate layers past degree 9
+            ("madic_quotient", f"--ring R_prime --kind weak-adic --degcap "
+                               f"{depth + 2} --quotient beta --depth {depth}")):
+        args = build_parser().parse_args(["hilbert", *argv.split()])
+        cols[name] = args.handler(args)[1]["hilbert"]["values"]
+    return cols
 
 
 def main(argv=None):
@@ -54,13 +55,14 @@ def main(argv=None):
               f"{cols['madic_quotient'][n]:>8}")
 
     cert = growth_obstruction(cols["quotient"], args.s, args.t, max_p)
-    if hasattr(cert, "rows"):
+    verified = verify_certificate(cert)
+    if isinstance(cert, GrowthCertificate):
         print(f"\nobstruction witnesses, {args.t}*H(n) > "
               f"{args.s}*H(n+p), quotient table:")
         for row in cert.rows:
             print(f"  p = {row['p']:>2}: first n = {row['n']} "
                   f"(H = {row['H_n']} vs {row['H_n_plus_p']})")
-        print(f"re-verified: {verify_certificate(cert)}")
+        print(f"re-verified: {verified}")
     else:
         print(f"\nno witness for p = {cert.first_failed_p}: {cert.note}")
 
@@ -71,14 +73,14 @@ def main(argv=None):
 
     if args.json:
         blob = {"depth": args.depth, "tables": cols,
-                "certificate": (cert.to_json() if hasattr(cert, "to_json")
-                                else str(cert)),
+                "certificate": cert.to_json(),
                 "probe": probe}
         with open(args.json, "w") as fh:
             json.dump(blob, fh, indent=2, default=str)
             fh.write("\n")
         print(f"wrote {args.json}")
+    return EXIT_OK if verified else EXIT_FAIL
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,133 +1,54 @@
-"""Run the standard battery and drop one JSON report per check.
+"""Run the standard battery through the grfilt command line and drop one
+JSON report per check.
 
-Covers the filtration tables for the polynomial and series models, the
-corner-ideal rank certificates, the two-sided growth dossier, the
-dualizing chain with its perturbed control, the staircase quotient
-comparison, and the one-sided ideal chains.  A summary.txt with one line
-per report lands next to the JSON files.
+Each report is the JSON payload that `grfilt --format json <argv>`
+prints for one entry of reports(depth): the filtration tables for the
+polynomial and series models, the corner-ideal rank certificates, the
+two-sided growth dossier, the dualizing chain with its perturbed control,
+the staircase quotient comparison, and the one-sided ideal chains.  The
+staircase model's op-involution check has no subcommand; it is run
+directly and passes when both of its checks hold.
+
+summary.txt gets one line per report, with the verdict read from the
+command's exit code (0 verified, 1 FAILED, 2 inconclusive, 3 usage
+error).  The script exits with the worst code of the battery: usage
+error, then failure, then inconclusive.
 
     python scripts/make_reports.py --outdir reports --depth 8
 """
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
-from grfilt.workbench import (make, staircase_quotient_context, MulSystem,
-                              quotient_iso_check, op_involution_report)
-from grfilt.filtration import (standard_filtration, weak_adic_filtration,
-                               hilbert, induced_quotient_filtration,
-                               two_sided_closure)
-from grfilt.graded import GradedTrunc, ideal_chain_witness
-from grfilt.bimodule import (BimoduleSpec, bimodule_ranks, goldie_rank,
-                             slope_table)
-from grfilt.certifier import assemble_growth_dossier, verify_certificate
-from grfilt.dualizing import verify_dualizing
+from grfilt.cli import (main as grfilt_main, EXIT_OK, EXIT_FAIL,
+                        EXIT_INCONCLUSIVE, EXIT_USAGE)
+from grfilt.workbench import make, op_involution_report
+
+VERDICTS = {EXIT_OK: "verified", EXIT_FAIL: "FAILED",
+            EXIT_INCONCLUSIVE: "inconclusive", EXIT_USAGE: "usage error"}
+SEVERITY = (EXIT_OK, EXIT_INCONCLUSIVE, EXIT_FAIL, EXIT_USAGE)
 
 
-def filtration_tables(depth):
-    ring = make("R_2x2", degcap=2 * depth + 2)
-    filt = standard_filtration(ring.pres, depth)
-    quo = induced_quotient_filtration(ring.pres, [ring.el("beta")], depth,
-                                      base=filt)
-    rprime = make("R_prime", degcap=depth + 2)
-    adic = weak_adic_filtration(rprime.pres, depth)
-    payload = {
-        "standard": {"filtration": filt.to_json(),
-                     "hilbert": hilbert(filt, depth).to_json()},
-        "quotient_by_corner": {
-            "closed_degree": quo.closed_degree,
-            "hilbert": hilbert(quo.filtration, depth).to_json()},
-        "weak_adic": {"filtration": adic.to_json(),
-                      "hilbert": hilbert(adic, depth).to_json()},
-    }
-    hl = (f"H_R(n) = 3n for n <= {depth}, quotient table H_A(n) = n+1, "
-          f"weak-adic table 2n-1")
-    return payload, hl
-
-
-def corner_ranks(depth):
-    ring = make("R_2x2", degcap=2 * depth + 2)
-    carrier, closed = two_sided_closure(ring.pres, [ring.el("beta")])
-    spec = BimoduleSpec("corner-ideal", ring.ambient, carrier,
-                        ring.el("alpha"), ring.el("alpha"))
-    both = bimodule_ranks(spec, depth)
-    payload = {"closed_degree": closed,
-               "actions_commute": both["actions_commute"], "sides": {}}
-    for side in ("left", "right"):
-        payload["sides"][side] = {
-            "free": both[side].to_json(),
-            "uniform": goldie_rank(spec.action(side), depth).to_json(),
-            "slope": slope_table(spec.action(side), depth)}
-    hl = (f"corner ideal: left rank {both['left'].rank}, "
-          f"right rank {both['right'].rank} at depth {depth}")
-    return payload, hl
-
-
-def growth_dossier(depth):
-    dossier = assemble_growth_dossier("two-sided", depth=depth)
-    certs_ok = all(verify_certificate(d.certificate)
-                   for d in (dossier.ascending, dossier.weak_adic)
-                   if hasattr(d.certificate, "rows"))
-    payload = dossier.to_json()
-    payload["certificates_reverified"] = certs_ok
-    hl = f"two-sided dossier consistent = {dossier.consistent}"
-    return payload, hl
-
-
-def dualizing_chain(_depth):
-    full = verify_dualizing(degcap=20)
-    control = verify_dualizing(ring=make("R_perturbed", degcap=20))
-    payload = {"full": full.to_json(), "perturbed_control": control.to_json()}
-    hl = (f"dualizing chain ok = {full.ok}; control aborts at "
-          f"{control.aborted_at}")
-    return payload, hl
-
-
-def staircase_quotient(_depth):
-    ring_t = make("T")
-    pres, ctx, _ideal, closed = staircase_quotient_context(ring_t, degcap=12)
-    ring_r = make("R_2x2", degcap=12)
-    pairs = [(pres.gen("alpha"), ring_r.el("alpha")),
-             (pres.gen("e12"), ring_r.el("beta"))]
-    rep = quotient_iso_check(MulSystem.quotient(ctx),
-                             MulSystem.plain(ring_r.ambient),
-                             pairs, max_len=4)
-    payload = {"iso": rep.to_json(), "closed_degree": closed,
-               "op_involution": op_involution_report(ring_t)}
-    hl = (f"staircase quotient consistent = {rep.consistent} "
-          f"(spans {rep.dim_a}/{rep.dim_b}/{rep.dim_joint})")
-    return payload, hl
-
-
-def ideal_chains(depth):
-    ring = make("R_2x2", degcap=2 * depth + 2)
-    gr = GradedTrunc(standard_filtration(ring.pres, depth))
-    classes = gr.generator_classes(ring.pres)
-    left = ideal_chain_witness(
-        gr, classes, [["beta"] + ["alpha"] * i for i in range(depth - 1)],
-        side="left")
-    rprime = make("R_prime", degcap=depth + 2)
-    gra = GradedTrunc(weak_adic_filtration(rprime.pres, depth))
-    ca = gra.generator_classes(rprime.pres)
-    right = ideal_chain_witness(
-        gra, ca, [["alpha"] * i + ["beta"] for i in range(depth - 3)],
-        side="right")
-    payload = {"standard_left": left.to_json(),
-               "weak_adic_right": right.to_json()}
-    hl = (f"left chain strict = {left.strictly_ascending}, "
-          f"weak-adic right chain strict = {right.strictly_ascending}")
-    return payload, hl
-
-
-SECTIONS = (
-    ("filtration_tables", filtration_tables),
-    ("corner_ranks", corner_ranks),
-    ("growth_dossier", growth_dossier),
-    ("dualizing_chain", dualizing_chain),
-    ("staircase_quotient", staircase_quotient),
-    ("ideal_chains", ideal_chains),
-)
+def reports(depth):
+    """(report name, grfilt argv) for every report of the battery."""
+    d = depth
+    return [(name, argv.split()) for name, argv in (
+        ("hilbert_standard", f"hilbert --ring R_2x2 --depth {d}"),
+        ("hilbert_quotient", f"hilbert --quotient beta --depth {d}"),
+        ("hilbert_weak_adic", f"hilbert --ring R_prime --kind weak-adic "
+                              f"--degcap {d + 2} --depth {d}"),
+        ("corner_ranks", f"ranks --depth {d}"),
+        ("growth_dossier", f"certify --case two-sided --depth {d}"),
+        ("dualizing_chain", "dualize --degcap 20"),
+        ("dualizing_control", "dualize --control --degcap 20"),
+        ("staircase_quotient", "quotient-iso --degcap 12 --max-len 4"),
+        ("chain_standard_left", f"chain --kind standard --steps {d - 1} "
+                                f"--depth {d}"),
+        ("chain_weak_adic_right", f"chain --kind weak-adic --steps {d - 3} "
+                                  f"--depth {d}"),
+    )]
 
 
 def main(argv=None):
@@ -138,16 +59,26 @@ def main(argv=None):
     args = ap.parse_args(argv)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for name, build in SECTIONS:
-        payload, headline = build(args.depth)
+    results = []
+    for name, cli_argv in reports(args.depth):
         path = outdir / f"{name}.json"
-        path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
-        lines.append(f"{name}: {headline}")
-        print(f"wrote {path}  ({headline})")
-    (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
+        # a stale file must not stand in for a run that wrote nothing
+        path.unlink(missing_ok=True)
+        code = grfilt_main(["--format", "json", "--out", str(path),
+                            *cli_argv])
+        results.append((name, code))
+        print(f"{path}: {VERDICTS[code]} (grfilt {' '.join(cli_argv)})")
+    op = op_involution_report(make("T"))
+    path = outdir / "op_involution.json"
+    path.write_text(json.dumps(op, indent=2) + "\n")
+    code = (EXIT_OK if op["shape_preserved"] and op["anti_multiplicative"]
+            else EXIT_FAIL)
+    results.append(("op_involution", code))
+    print(f"{path}: {VERDICTS[code]}")
+    (outdir / "summary.txt").write_text(
+        "".join(f"{name}: {VERDICTS[code]}\n" for name, code in results))
     print(f"wrote {outdir / 'summary.txt'}")
-
+    return max((code for _, code in results), key=SEVERITY.index)
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

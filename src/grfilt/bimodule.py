@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .linalg import SpanTracker, combine_rows, kernel_combos
 from .linspace import (Subspace, restrict_degree, intersect, sum_spaces,
                        zero_space, span, DegreeOverflowError)
+from .filtration import WindowExceeded
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,10 @@ def torsion_window(action, max_power=None):
 
 def slope_table(action, depth):
     """Probe table: window dimension against k[t]-budget, with the twist
-    correction made explicit.  Not a rank; see free_rank / goldie_rank."""
+    correction made explicit.  Not a rank; see free_rank / goldie_rank.
+    A depth below 1 has no rows and raises WindowExceeded."""
+    if depth < 1:
+        raise WindowExceeded(f"slope table needs depth >= 1, got {depth}")
     step = max(action.effective_step(), 1)
     rows = []
     for n in range(1, depth + 1):

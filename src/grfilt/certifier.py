@@ -6,27 +6,31 @@ t*H(n) > s*H(n+p).  Such a table shows that no offset can reconcile
 t-fold growth with s-fold growth across the window: any filtration
 comparison that would need H(n+p) to absorb t/s copies of H(n) fails at
 the recorded n.  When some shift admits no witness inside the window the
-result is an ObstructionGap, not a certificate; exponential tables gap
-immediately at p = 1.
+result is an ObstructionGap, not a certificate, and verify_certificate
+rejects it by type; exponential tables gap immediately at p = 1.
 
 Dossiers bundle the certificate with its supporting facts for the
 triangular worked example: the one-sided ranks feeding (s, t), the induced
-quotient Hilbert table, the divergence of one one-sided good filtration
-against the intrinsic one (with the other side matching exactly), and a
-strictly ascending chain of one-sided ideals in the associated graded,
-rechecked by verify_chain_report.  The ascending filtration is obstructed
-on the left; the weak-adic one on the right; the two-sided dossier checks
-the swap is consistent, and counts a chain as strict only when its
-recheck passes too.
+quotient Hilbert table, the offset reports of both one-sided good
+filtrations against the intrinsic one, and a strictly ascending chain of
+one-sided ideals in the associated graded, rechecked by
+verify_chain_report.  The ascending filtration is expected to diverge on
+the left, the weak-adic one on the right.  A dossier's verdict text is
+built from its two offset reports, and the two-sided sides_swap check
+reads the same reports: exactly one side diverges in each dossier, a
+different side in the two.  A window too small to witness the expected
+divergence, to certify the ranks or to hold a two-step chain raises
+WindowExceeded (an Inconclusive) rather than returning a dossier.
 """
 
 from dataclasses import dataclass
 
 from .fields import QQ
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
-                         induced_quotient_filtration,
+                         induced_quotient_filtration, two_sided_closure,
                          induced_good_filtration,
-                         intrinsic_module_filtration, equivalence_offset)
+                         intrinsic_module_filtration, equivalence_offset,
+                         WindowExceeded)
 from .graded import GradedTrunc, ideal_chain_witness, verify_chain_report
 from .bimodule import BimoduleSpec, free_rank
 from .workbench import make
@@ -98,14 +102,14 @@ def growth_obstruction(values, s, t, max_offset, case="table"):
 
 
 def verify_certificate(cert):
-    """Recheck a certificate (object or its JSON dict) from its own table."""
-    if isinstance(cert, dict):
-        s, t, rows, vals = (cert["s"], cert["t"], cert["rows"],
-                            list(cert["hilbert"]))
-        max_offset = cert["max_offset"]
-    else:
-        s, t, rows, vals = cert.s, cert.t, cert.rows, list(cert.hilbert)
-        max_offset = cert.max_offset
+    """Recheck a certificate (object or its JSON dict) from its own table.
+    An ObstructionGap certifies nothing and is always False."""
+    if isinstance(cert, ObstructionGap):
+        return False
+    if not isinstance(cert, dict):
+        cert = cert.to_json()
+    s, t, rows, vals = cert["s"], cert["t"], cert["rows"], cert["hilbert"]
+    max_offset = cert["max_offset"]
     if s >= t:
         return False
     seen = set()
@@ -173,22 +177,21 @@ class ObstructionDossier:
 def _triangular_rank_pair(depth, field):
     """One-sided ranks of the nilpotent ideal over the diagonal image,
     certified on the polynomial model (series truncation cannot carry a
-    rank certificate)."""
+    rank certificate).  An inconclusive rank raises WindowExceeded; a
+    side that is not free is a failure."""
     ring = make("R_2x2", degcap=2 * depth + 2, field=field)
-    carrier, _ = _nilpotent_carrier(ring, depth)
+    carrier, _ = two_sided_closure(ring.pres, [ring.el("beta")])
     spec = BimoduleSpec("nilpotent-ideal", ring.ambient, carrier,
                         ring.el("alpha"), ring.el("alpha"))
     left = free_rank(spec.action("left"), depth)
     right = free_rank(spec.action("right"), depth)
-    if left.verdict != "free" or right.verdict != "free":
-        raise ValueError("rank pair not certified at this depth")
-    return ring, spec, left, right
-
-
-def _nilpotent_carrier(ring, depth):
-    from .filtration import two_sided_closure
-    ideal, closed = two_sided_closure(ring.pres, [ring.el("beta")])
-    return ideal, closed
+    verdicts = (left.verdict, right.verdict)
+    if "inconclusive" in verdicts:
+        raise WindowExceeded("rank pair not certified at this depth")
+    if verdicts != ("free", "free"):
+        raise ValueError(f"rank pair is not free: left {left.verdict}, "
+                         f"right {right.verdict}")
+    return ring, left, right
 
 
 def assemble_growth_dossier(case, depth=8, field=QQ):
@@ -197,62 +200,57 @@ def assemble_growth_dossier(case, depth=8, field=QQ):
         return assemble_two_sided(depth, field)
     if case not in ("ascending", "weak-adic"):
         raise ValueError(f"unknown case {case!r}")
-    ring_poly, spec, left, right = _triangular_rank_pair(depth, field)
+    ring_poly, left, right = _triangular_rank_pair(depth, field)
     s, t = left.rank, right.rank
     ranks = {"left": left, "right": right}
     if case == "ascending":
         ring = ring_poly
         filt = standard_filtration(ring.pres, depth)
-        quo = induced_quotient_filtration(ring.pres, [ring.el("beta")],
-                                          depth, base=filt)
-        table = hilbert(quo.filtration, depth)
-        carrier = spec.carrier
-        lo, hi = 0, depth
-        max_p = depth // 2
+        lo, hi, shift, max_p = 0, depth, 1, depth // 2
         diverging_side, matching_side = "left", "right"
     else:
         ring = make("R_prime", degcap=depth + 2, field=field)
         filt = weak_adic_filtration(ring.pres, depth)
-        quo = induced_quotient_filtration(ring.pres, [ring.el("beta")],
-                                          0, base=filt)
-        table = hilbert(quo.filtration, depth)
-        carrier = quo.ideal
-        lo, hi = -depth, 0
-        max_p = (depth - 1) // 2
+        lo, hi, shift, max_p = -depth, 0, -1, (depth - 1) // 2
         diverging_side, matching_side = "right", "left"
-    cert = growth_obstruction(table.values, s, t, max_p, case=case)
-    amb = ring.ambient
     alpha, beta = ring.el("alpha"), ring.el("beta")
-    albe = amb.mul(alpha, beta)
-    shift = 1 if case == "ascending" else -1
-    gens = [(beta, shift), (albe, 2 * shift)]
+    quo = induced_quotient_filtration(ring.pres, [beta], hi, base=filt)
+    table = hilbert(quo.filtration, depth)
+    cert = growth_obstruction(table.values, s, t, max_p, case=case)
+    gens = [(beta, shift), (ring.ambient.mul(alpha, beta), 2 * shift)]
     goods = {sd: induced_good_filtration(filt, gens, sd, lo, hi,
                                          name=f"{sd}-good")
              for sd in ("left", "right")}
-    intrinsic = intrinsic_module_filtration(carrier, filt, lo, hi,
+    intrinsic = intrinsic_module_filtration(quo.ideal, filt, lo, hi,
                                             name="intrinsic")
     eq_bound = max((depth - 3) // 2, 1)
-    offsets = {
-        "diverging": equivalence_offset(goods[diverging_side], intrinsic,
-                                        max_offset=eq_bound),
-        "matching": equivalence_offset(goods[matching_side], intrinsic,
-                                       max_offset=eq_bound)}
+    div = equivalence_offset(goods[diverging_side], intrinsic,
+                             max_offset=eq_bound)
+    if div.equivalent:
+        raise WindowExceeded(
+            f"{case}: {div.a_name} and {div.b_name} filtrations are "
+            f"equivalent at offset {div.offset} on this window; divergence "
+            f"is not witnessed at this depth")
+    match = equivalence_offset(goods[matching_side], intrinsic,
+                               max_offset=eq_bound)
+    if match.offset == 0:
+        matching = "matches exactly"
+    elif match.equivalent:
+        matching = f"matches at offset {match.offset} only"
+    else:
+        matching = "diverges too"
     gr = GradedTrunc(filt)
     classes = gr.generator_classes(ring.pres)
-    steps = min(4, depth - 2)
-    if case == "ascending":
-        words = [["beta"] + ["alpha"] * i for i in range(steps)]
-        chain = ideal_chain_witness(gr, classes, words, side="left")
-    else:
-        words = [["alpha"] * i + ["beta"] for i in range(steps)]
-        chain = ideal_chain_witness(gr, classes, words, side="right")
-    probe = subexp_probe(table.values)
+    words = [["beta"] + ["alpha"] * i if diverging_side == "left"
+             else ["alpha"] * i + ["beta"] for i in range(min(4, depth - 2))]
+    chain = ideal_chain_witness(gr, classes, words, side=diverging_side)
     verdict = (f"{case} filtration: {diverging_side}-side obstruction "
-               f"({diverging_side}-good filtrations diverge from the "
-               f"intrinsic one; ranks {s} against {t}; {matching_side} "
-               f"side matches exactly)")
-    return ObstructionDossier(case, s, t, ranks, table, cert, offsets,
-                              chain, probe, verdict,
+               f"({div.a_name} filtrations diverge from the {div.b_name} "
+               f"one; ranks {s} against {t}; {matching_side} side "
+               f"{matching})")
+    return ObstructionDossier(case, s, t, ranks, table, cert,
+                              {"diverging": div, "matching": match}, chain,
+                              subexp_probe(table.values), verdict,
                               verify_chain_report(gr, classes, chain))
 
 
@@ -275,12 +273,15 @@ def assemble_two_sided(depth=8, field=QQ):
     """Both dossiers plus the consistency of their swapped obstructions."""
     asc = assemble_growth_dossier("ascending", depth, field)
     adi = assemble_growth_dossier("weak-adic", depth, field)
+    asc_div, adi_div = ({r.a_name for r in d.offsets.values()
+                         if not r.equivalent} for d in (asc, adi))
     checks = {
         "same_rank_pair": (asc.s, asc.t) == (adi.s, adi.t),
-        "both_certified": all(isinstance(d.certificate, GrowthCertificate)
+        "both_certified": all(verify_certificate(d.certificate)
                               for d in (asc, adi)),
-        "sides_swap": ("left-side" in asc.verdict
-                       and "right-side" in adi.verdict),
+        # one good filtration diverges in each dossier, on opposite sides
+        "sides_swap": (len(asc_div) == len(adi_div) == 1
+                       and asc_div != adi_div),
         "both_chains_strict": all(d.chain.strictly_ascending
                                   and d.chain_reverified
                                   for d in (asc, adi)),

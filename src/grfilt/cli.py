@@ -7,7 +7,9 @@ chain, and the staircase quotient comparison.
 
 Exit codes: 0 the requested check verified (or the table was produced),
 1 a check failed or an unexpected error occurred, 2 the window or depth
-was too small to decide, 3 usage error.
+was too small to decide, 3 usage error.  Code 2 comes from one place: a
+handler raised grfilt.Inconclusive (WindowExceeded, TruncationError,
+DegreeOverflowError).  No error text is inspected.
 """
 
 import argparse
@@ -15,21 +17,18 @@ import json
 import sys
 
 from .fields import field_from_name
-from .linspace import DegreeOverflowError
+from .linspace import Inconclusive
 from .workbench import (make, CATALOG, staircase_quotient_context,
                         MulSystem, quotient_iso_check)
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
-                         induced_quotient_filtration, two_sided_closure,
-                         TruncationError, WindowExceeded)
+                         induced_quotient_filtration, two_sided_closure)
 from .graded import GradedTrunc, ideal_chain_witness, verify_chain_report
 from .bimodule import BimoduleSpec, goldie_rank, slope_table, bimodule_ranks
-from .certifier import assemble_growth_dossier, verify_certificate
+from .certifier import (assemble_growth_dossier, verify_certificate,
+                        GrowthCertificate)
 from .dualizing import verify_dualizing
 
 EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
-
-# ValueErrors carrying these markers mean "raise the depth", not "broken"
-_DEPTH_MARKS = ("not certified at this depth", "windows too small")
 
 
 class UsageError(Exception):
@@ -43,13 +42,6 @@ def _field(args):
         raise UsageError(str(exc)) from exc
 
 
-def _ring(args, fld):
-    try:
-        return make(args.ring, degcap=args.degcap, field=fld)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _sized_ring(args, fld, slack=2):
     """Build the ring, sizing the degree cap to the requested depth when
     the user did not pick one.
@@ -57,14 +49,12 @@ def _sized_ring(args, fld, slack=2):
     Depth-n layers hold words of n generators, so the cap has to reach
     n times the top generator degree or the products overflow.  Series
     windows truncate instead of overflowing and keep their catalog
-    default.  An explicit --degcap always wins.
+    default.  An explicit --degcap always wins.  --ring is limited to
+    the catalog by argparse, so make() always finds the name.
     """
     if args.degcap is not None:
-        return _ring(args, fld)
-    try:
-        probe = make(args.ring, field=fld)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+        return make(args.ring, degcap=args.degcap, field=fld)
+    probe = make(args.ring, field=fld)
     if probe.ambient.series:
         return probe
     step = max([g.degree() for g in probe.pres.gen_mats()] + [1])
@@ -151,7 +141,7 @@ def cmd_ranks(args):
              f"(ideal exact through degree {closed})"]
     payload = {"ring": "R_2x2", "field": fld.name, "depth": args.depth,
                "actions_commute": both["actions_commute"], "sides": {}}
-    code = EXIT_OK
+    verdicts = []
     for side in ("left", "right"):
         rep = both[side]
         gold = goldie_rank(spec.action(side), args.depth)
@@ -168,45 +158,44 @@ def cmd_ranks(args):
         payload["sides"][side] = {"free": rep.to_json(),
                                   "uniform": gold.to_json(),
                                   "slope": slopes}
-        if rep.verdict == "inconclusive" or gold.verdict == "inconclusive":
-            code = max(code, EXIT_INCONCLUSIVE)
-        elif rep.verdict != "free" or gold.verdict != "certified":
-            code = EXIT_FAIL
-    if not both["actions_commute"]:
-        code = EXIT_FAIL
+        verdicts += [rep.verdict, gold.verdict]
     lines.append(f"actions commute: {both['actions_commute']}")
-    return code, payload, lines
+    # a definite negative on either side fails, whatever the other says
+    if (not both["actions_commute"] or set(verdicts)
+            - {"free", "certified", "inconclusive"}):
+        return EXIT_FAIL, payload, lines
+    return (EXIT_INCONCLUSIVE if "inconclusive" in verdicts else EXIT_OK,
+            payload, lines)
 
 
 def cmd_certify(args):
     fld = _field(args)
     dossier = assemble_growth_dossier(args.case, depth=args.depth, field=fld)
     payload = dossier.to_json()
-    lines = []
+    lines = [dossier.verdict]
     if args.case == "two-sided":
-        certs_ok = all(
-            hasattr(d.certificate, "rows")
-            and verify_certificate(d.certificate)
-            for d in (dossier.ascending, dossier.weak_adic))
-        ok = dossier.consistent and certs_ok
-        lines.append(dossier.verdict)
+        ok = dossier.consistent
         for nm, sub in (("ascending", dossier.ascending),
                         ("weak-adic", dossier.weak_adic)):
             lines.append(f"  {nm}: {sub.verdict}")
         for k, v in dossier.checks.items():
             lines.append(f"  check {k}: {v}")
-        lines.append(f"certificates re-verified: {certs_ok}")
+        lines.append("certificates re-verified: "
+                     f"{dossier.checks['both_certified']}")
     else:
-        rows = getattr(dossier.certificate, "rows", None)
-        ok = rows is not None and verify_certificate(dossier.certificate)
-        lines.append(dossier.verdict)
+        cert = dossier.certificate
+        cert_ok = verify_certificate(cert)
+        ok = (cert_ok and dossier.offsets["matching"].offset == 0
+              and dossier.chain.strictly_ascending
+              and dossier.chain_reverified)
         lines.append(f"ranks: s = {dossier.s} (left), t = {dossier.t} "
                      f"(right)")
         lines.append("hilbert: " + ", ".join(map(str,
                                                  dossier.hilbert.values)))
-        if rows is not None:
+        if isinstance(cert, GrowthCertificate):
             lines.append("obstruction rows (p, first n): " +
-                         ", ".join(f"({r['p']}, {r['n']})" for r in rows))
+                         ", ".join(f"({r['p']}, {r['n']})"
+                                   for r in cert.rows))
         for label, off in dossier.offsets.items():
             lines.append(f"offset[{label}]: {off.a_name} vs {off.b_name}: "
                          f"equivalent = {off.equivalent} "
@@ -214,7 +203,7 @@ def cmd_certify(args):
         lines.append(f"chain ({dossier.chain.side}): dims "
                      f"{list(dossier.chain.ideal_dims)}, strict = "
                      f"{dossier.chain.strictly_ascending}")
-        lines.append(f"certificate re-verified: {ok}")
+        lines.append(f"certificate re-verified: {cert_ok}")
     payload["verified"] = ok
     return (EXIT_OK if ok else EXIT_FAIL), payload, lines
 
@@ -231,10 +220,8 @@ def cmd_chain(args):
         side = args.side or "right"
     gr = GradedTrunc(filt)
     classes = gr.generator_classes(ring.pres)
-    if side == "left":
-        words = [["beta"] + ["alpha"] * i for i in range(args.steps)]
-    else:
-        words = [["alpha"] * i + ["beta"] for i in range(args.steps)]
+    words = [["beta"] + ["alpha"] * i if side == "left"
+             else ["alpha"] * i + ["beta"] for i in range(args.steps)]
     report = ideal_chain_witness(gr, classes, words, side=side)
     reverified = verify_chain_report(gr, classes, report)
     ok = report.strictly_ascending and reverified
@@ -423,15 +410,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TruncationError, WindowExceeded, DegreeOverflowError) as exc:
+    except Inconclusive as exc:
         print(f"inconclusive at this depth: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except ValueError as exc:
-        if any(mark in str(exc) for mark in _DEPTH_MARKS):
-            print(f"inconclusive at this depth: {exc}", file=sys.stderr)
-            return EXIT_INCONCLUSIVE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

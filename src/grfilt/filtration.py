@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 from .linspace import (Subspace, span, zero_space, sum_spaces, intersect,
                        subspace_product, quotient_dim, QuotientContext,
-                       DegreeOverflowError)
+                       DegreeOverflowError, Inconclusive)
 
 
-class WindowExceeded(Exception):
+class WindowExceeded(Inconclusive):
     pass
 
 
-class TruncationError(Exception):
+class TruncationError(Inconclusive):
     pass
 
 
@@ -344,7 +344,7 @@ def equivalence_offset(fa, fb, max_offset=3):
     lo = max(fa.lo, fb.lo)
     hi = min(fa.hi, fb.hi) - max_offset
     if hi < lo:
-        raise ValueError(
+        raise WindowExceeded(
             f"windows too small to compare at offsets up to {max_offset}")
     a_in_b = b_in_a = None
     for q in range(max_offset + 1):

@@ -289,8 +289,12 @@ def ideal_chain_witness(gr, classes, words, side="left"):
     new generator itself: it must lie outside the previous ideal's piece at
     its own degree.  Dimensions are totals over the window.  The ideal is
     one echelon per degree; step k tests its generator against them, then
-    inserts only that generator's products.
+    inserts only that generator's products.  Fewer than two words make
+    no step to witness, so they raise WindowExceeded.
     """
+    if len(words) < 2:
+        raise WindowExceeded(
+            f"a chain needs at least 2 words to ascend, got {len(words)}")
     gens = [gr.word(classes, list(w)) for w in words]
     fld = gr.ambient.field
     pieces = {m: SpanTracker(fld, gr.piece(m).dim) for m in gr.degrees}
@@ -320,9 +324,14 @@ def verify_chain_report(gr, classes, report):
     Words and products come from lift_mul only, never from the product
     table or the producer's echelons.  Only the witnessed degrees are
     built: each keeps its own echelon, extended by the generators added
-    since its previous witness.  Witness steps must increase.
+    since its previous witness.  Witness steps must increase, a strict
+    chain needs one witness for every step 1..len-1, and each witness's
+    degree and word must be those of the generator it names.
     """
     gens = [gr.word(classes, list(w), gr.lift_mul) for w in report.words]
+    steps = [wit["step"] for wit in report.witnesses]
+    if report.strictly_ascending and steps != list(range(1, len(gens))):
+        return False
     fld = gr.ambient.field
     pieces = {}     # degree -> (echelon, generators inserted so far)
     last = 0
@@ -332,6 +341,9 @@ def verify_chain_report(gr, classes, report):
             return False
         last = k
         g = gens[k]
+        if (wit["degree"] != g.degree
+                or list(wit["word"]) != list(report.words[k])):
+            return False
         piece, done = pieces.get(g.degree) or (
             SpanTracker(fld, gr.piece(g.degree).dim), 0)
         for i in range(done, k):

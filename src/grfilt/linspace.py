@@ -23,7 +23,12 @@ from .linalg import (combine_rows, kernel_combos, rref, reduce_by_rref,
 from .poly import Poly, PolyMatrix
 
 
-class DegreeOverflowError(Exception):
+class Inconclusive(Exception):
+    """The window is too small to decide: raise the depth or the degree
+    cap.  Never a verdict that the statement is false."""
+
+
+class DegreeOverflowError(Inconclusive):
     pass
 
 

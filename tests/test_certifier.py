@@ -5,6 +5,7 @@ import pytest
 from grfilt.certifier import (growth_obstruction, verify_certificate,
                               subexp_probe, assemble_growth_dossier,
                               GrowthCertificate, ObstructionGap)
+from grfilt.filtration import WindowExceeded
 
 
 def test_linear_table_obstructed_at_every_offset():
@@ -110,5 +111,29 @@ def test_unknown_case_rejected():
 
 
 def test_shallow_depth_not_certified():
-    with pytest.raises(ValueError, match="not certified at this depth"):
+    with pytest.raises(WindowExceeded, match="not certified at this depth"):
         assemble_growth_dossier("ascending", depth=2)
+
+
+def test_gap_never_verifies():
+    gap = growth_obstruction([2 ** n for n in range(12)], 1, 2, 3)
+    assert verify_certificate(gap) is False
+
+
+def test_verdicts_and_sides_swap_follow_the_offset_reports(monkeypatch):
+    """Make every offset report diverge: the matching side's verdict
+    clause and the two-sided swap check must both change with them."""
+    import dataclasses
+    import grfilt.certifier
+    real = grfilt.certifier.equivalence_offset
+    monkeypatch.setattr(
+        grfilt.certifier, "equivalence_offset",
+        lambda fa, fb, max_offset: dataclasses.replace(
+            real(fa, fb, max_offset=max_offset), b_in_a=None,
+            equivalent=False, offset=None))
+    d = assemble_growth_dossier("two-sided", depth=6)
+    assert d.ascending.verdict.endswith("right side diverges too)")
+    assert d.weak_adic.verdict.endswith("left side diverges too)")
+    assert d.checks["sides_swap"] is False
+    assert d.checks["matching_sides_exact"] is False
+    assert not d.consistent

@@ -247,3 +247,62 @@ def test_negative_window_is_usage_error(capsys, argv):
     assert code == 3
     assert out == ""
     assert "non-negative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("chain", "--steps", "0"),
+    ("chain", "--steps", "1"),
+    ("ranks", "--depth", "0"),
+    ("certify", "--depth", "3"),
+    ("certify", "--case", "ascending", "--depth", "3"),
+    ("certify", "--case", "weak-adic", "--depth", "4"),
+])
+def test_window_too_small_to_mean_anything_is_inconclusive(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("inconclusive at this depth: ")
+
+
+def test_certify_single_case_fails_when_the_chain_does_not_reverify(
+        capsys, monkeypatch):
+    import grfilt.certifier
+    monkeypatch.setattr(grfilt.certifier, "verify_chain_report",
+                        lambda gr, classes, report: False)
+    code, out, _ = run(capsys, "--format", "json", "certify",
+                       "--case", "ascending", "--depth", "6")
+    assert code == 1
+    assert json.loads(out)["verified"] is False
+
+
+def test_certify_rank_pair_not_free_is_a_failure(capsys, monkeypatch):
+    import dataclasses
+    import grfilt.certifier
+    real = grfilt.certifier.free_rank
+    monkeypatch.setattr(
+        grfilt.certifier, "free_rank",
+        lambda action, depth: dataclasses.replace(real(action, depth),
+                                                  verdict="not free"))
+    code, out, err = run(capsys, "certify", "--depth", "6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: rank pair is not free")
+
+
+def test_ranks_failure_is_not_masked_by_an_inconclusive_side(
+        capsys, monkeypatch):
+    import dataclasses
+    import grfilt.cli
+    real = grfilt.cli.bimodule_ranks
+
+    def mixed(spec, depth):
+        both = real(spec, depth)
+        return {**both,
+                "left": dataclasses.replace(both["left"],
+                                            verdict="not free"),
+                "right": dataclasses.replace(both["right"],
+                                             verdict="inconclusive")}
+    monkeypatch.setattr(grfilt.cli, "bimodule_ranks", mixed)
+    code, out, _ = run(capsys, "ranks", "--depth", "8")
+    assert code == 1
+    assert "free rank 1 (not free)" in out

@@ -110,7 +110,7 @@ def test_equivalence_offset_finds_shift(ring_r, filt12):
 
 
 def test_equivalence_offset_window_guard(filt12):
-    with pytest.raises(ValueError, match="windows too small"):
+    with pytest.raises(WindowExceeded, match="windows too small"):
         equivalence_offset(filt12, filt12, max_offset=13)
 
 

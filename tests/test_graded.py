@@ -275,3 +275,35 @@ def test_chain_verifier_rejects_a_forged_witness(gr12, classes12):
                          ({"step": 1, "degree": 2,
                            "word": ["beta", "alpha"]},), rep.window)
     assert not verify_chain_report(gr12, classes12, forged)
+
+
+def test_chain_verifier_demands_a_witness_for_every_claimed_step(
+        gr12, classes12):
+    # beta*alpha lies in the right ideal of beta: the chain stalls and has
+    # no witness, so a strictness claim cannot re-verify from none
+    words = [["beta"], ["beta", "alpha"]]
+    rep = ideal_chain_witness(gr12, classes12, words, side="right")
+    assert not rep.strictly_ascending and rep.witnesses == ()
+    relabelled = ChainReport(rep.side, rep.words, rep.ideal_dims, True, (),
+                             rep.window)
+    assert not verify_chain_report(gr12, classes12, relabelled)
+    # an honest strict chain that drops its last witness fails the same way
+    words = [["beta"] + ["alpha"] * i for i in range(4)]
+    rep = ideal_chain_witness(gr12, classes12, words, side="left")
+    short = ChainReport(rep.side, rep.words, rep.ideal_dims, True,
+                        rep.witnesses[:-1], rep.window)
+    assert not verify_chain_report(gr12, classes12, short)
+
+
+def test_chain_verifier_checks_witness_degree_and_word(gr12, classes12):
+    words = [["beta"] + ["alpha"] * i for i in range(4)]
+    rep = ideal_chain_witness(gr12, classes12, words, side="left")
+    first = rep.witnesses[0]
+    assert first == {"step": 1, "degree": 2, "word": ["beta", "alpha"]}
+    for forged in ({**first, "degree": 9, "word": ["alpha"]},
+                   {**first, "degree": 9},
+                   {**first, "word": ["alpha"]}):
+        bad = ChainReport(rep.side, rep.words, rep.ideal_dims,
+                          rep.strictly_ascending,
+                          (forged,) + rep.witnesses[1:], rep.window)
+        assert not verify_chain_report(gr12, classes12, bad)
