@@ -101,13 +101,19 @@ def growth_obstruction(values, s, t, max_offset, case="table"):
         f"{t}-fold growth outruns {s}-fold growth at every shift")
 
 
+_CERT_KEYS = frozenset(("s", "t", "rows", "hilbert", "max_offset"))
+
+
 def verify_certificate(cert):
     """Recheck a certificate (object or its JSON dict) from its own table.
-    An ObstructionGap certifies nothing and is always False."""
+    An ObstructionGap, or a payload without a certificate's fields (such
+    as a gap's JSON), certifies nothing and is always False."""
     if isinstance(cert, ObstructionGap):
         return False
     if not isinstance(cert, dict):
         cert = cert.to_json()
+    if not _CERT_KEYS <= cert.keys():
+        return False
     s, t, rows, vals = cert["s"], cert["t"], cert["rows"], cert["hilbert"]
     max_offset = cert["max_offset"]
     if s >= t:

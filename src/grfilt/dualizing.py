@@ -27,6 +27,11 @@ Each stage either verifies its claim on the window or aborts the chain,
 and the report records the stage name it stopped at.  The perturbed ring
 (corner generator moved up one degree) is the intended control: it passes
 (i) and (ii) with shifted data and fails (iii).
+
+A stage whose own degree window holds only constants (its bound is below
+1), or whose rank scan is inconclusive, raises WindowExceeded instead of
+reporting: for the triangular ring every cap below 8 is undecided, not
+verified, and for the control every cap below 6.
 """
 
 from dataclasses import dataclass
@@ -36,6 +41,7 @@ from .poly import Poly, PolyMatrix
 from .linalg import SpanTracker, kernel_combos, rref
 from .linspace import (Subspace, PolyTupleSpace, DegreeOverflowError,
                        span, sum_spaces, prefix_space, restrict_degree)
+from .filtration import WindowExceeded
 from .workbench import make, diagonal_embed
 from .bimodule import ModuleAction, free_rank
 
@@ -44,6 +50,14 @@ STAGES = ("free-module-structure", "cyclic-dual-generator",
 
 # rings the window recipe knows; the value is the lowest corner degree
 _CORNER_LO = {"R_2x2": 0, "R_perturbed": 1}
+
+
+def _require_window(stage, what, bound):
+    """Refuse a stage whose degree window holds only constants: checked
+    there, its claim would pass without testing any degree bookkeeping."""
+    if bound < 1:
+        raise WindowExceeded(
+            f"{stage}: {what} is {bound}, below 1; raise the degree cap")
 
 
 def _xpow(field, k):
@@ -122,6 +136,9 @@ def free_structure_report(ring, center, window, depth=None):
         act = ModuleAction(f"{ring.name} over diagonal", amb, window,
                            center.actor(), side)
         reps[side] = free_rank(act, depth)
+        if reps[side].verdict == "inconclusive":
+            raise WindowExceeded(f"{STAGES[0]}: the {side} rank scan is "
+                                 f"inconclusive at depth {depth}")
     ok = all(r.verdict == "free" for r in reps.values())
     return FreeStructureReport(ring.name, reps["left"], reps["right"], ok)
 
@@ -249,6 +266,7 @@ def cyclic_presentation(hom, window, expected_ann, acceptance_degree):
     window is then computed exactly and compared with the expected right
     ideal, which exhibits the dual as the cyclic module ring/ideal.
     """
+    _require_window(STAGES[1], "the acceptance degree", acceptance_degree)
     st = hom.structure
     amb = st.ambient
     space = hom.space
@@ -446,6 +464,7 @@ def end_ring(ring, window, ideal, generators, predicted=None,
     fld = amb.field
     ide_rep, ide = idealizer(ring, window, ideal, generators, predicted)
     dcap = (ide_rep.window_degree - 1) // 2
+    _require_window(STAGES[2], "the domain degree", dcap)
     required = (amb.degcap // 2 if required_through is None
                 else required_through)
     domain = restrict_degree(window, dcap)
@@ -555,6 +574,9 @@ def dual_identification(ring, window, ideal, left_struct, center,
     req_p = cap // 2 if required_presentation is None else \
         required_presentation
     req_o = cap // 4 if required_onto is None else required_onto
+    rho_cap = 3
+    a_cap = cap - (2 * rho_cap + 1)
+    _require_window(STAGES[3], "the left-action degree", a_cap)
     hom1 = HomModule(left_struct, cap + 1)
     space = hom1.space
     z, one, x = Poly.zero(1), Poly.const(1, fld.one), _xpow(fld, 1)
@@ -596,8 +618,6 @@ def dual_identification(ring, window, ideal, left_struct, center,
     psi_kernel_matches = psi_kernel == ideal
     psi_onto_through = _span_through(space, psi_imgs, cap)
 
-    rho_cap = 3
-    a_cap = cap - (2 * rho_cap + 1)
     left_ok = True
     checked = skipped = 0
     for rho in restrict_degree(window, rho_cap).basis_matrices():

@@ -74,14 +74,38 @@ class FpElement:
         return f"{self.v}~{self.p}"
 
 
-def _is_prime(p):
-    if p < 2:
+# Miller-Rabin with the thirteen prime bases up to 41 has no strong
+# pseudoprime below this bound (Sorenson and Webster, Math. Comp. 86,
+# 2017), so the test is exact there; bases up to 37 alone are exact only
+# below 3.2e23
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin primality test for n < MR_EXACT_BELOW."""
+    if n >= MR_EXACT_BELOW:
+        raise ValueError(f"{n} is too large: primality is decided exactly "
+                         f"only below {MR_EXACT_BELOW}")
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

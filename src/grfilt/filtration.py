@@ -7,6 +7,17 @@ the span of all products of at most n generators.  A weak-adic filtration
 on a ring with a distinguished ideal m puts Gamma_i = R for i >= 0 and
 Gamma_{-i} = m^i, so its stored layers sit at indices lo..0.
 
+Layers are grown, not rebuilt.  The standard layers satisfy
+
+    Gamma_n = Gamma_{n-1} + C_{n-1} G,
+
+where G is the generator set and C_{n-1} the canonical basis rows of
+Gamma_{n-1} whose pivots Gamma_{n-2} lacks: Gamma_{n-1} is Gamma_{n-2}
+plus the span of C_{n-1}, and Gamma_{n-2} G already lies in Gamma_{n-1}.
+So each layer multiplies only the new part of the one before and inserts
+the products into a copy of that layer's sparse echelon.  The weak-adic
+powers satisfy m^i = span(m^{i-1} G); see weak_adic_filtration.
+
 Layers outside the computed window are reported honestly: below an
 ascending window they are zero, above it (or below a weak-adic window) the
 accessor raises WindowExceeded rather than guessing.  Quotient layers that
@@ -132,21 +143,36 @@ def hilbert(filt, upto):
     return HilbertTable(filt.kind, tuple(vals), name=filt.name)
 
 
+def _next_layer(amb, gens, before, cur):
+    """Gamma_{n+1} from Gamma_{n-1} = before and Gamma_n = cur.
+
+    Only the new part, the rows of cur whose pivots before lacks, is
+    multiplied, decoded from its sparse form; the products go straight
+    into a copy of cur's echelon.  This overflows the degree cap exactly
+    when multiplying all of cur would: cur is before plus the span of the
+    new part, and before G lies in cur, inside the cap."""
+    new = [amb.decode_sparse(row) for q, row in cur.echelon.items()
+           if q not in before.echelon]
+    return cur.extend(amb.encode_sparse(amb.mul(m, g))
+                      for m in new for g in gens)
+
+
 def standard_filtration(pres, upto):
-    """Gamma_n = span of products of at most n generators (Gamma_0 = k)."""
+    """Gamma_n = span of products of at most n generators (Gamma_0 = k),
+    grown as Gamma_n = Gamma_{n-1} + C_{n-1} G (see the module notes)."""
     amb = pres.ambient
     gens = pres.gen_mats()
+    zero = zero_space(amb)
     layers = {0: span(amb, [amb.one()])}
     for n in range(1, upto + 1):
-        prev = layers[n - 1]
-        prods = [amb.mul(m, g) for m in prev.basis_matrices() for g in gens]
-        layers[n] = Subspace.from_vectors(
-            amb, list(prev.rows) + [amb.encode(p) for p in prods])
+        layers[n] = _next_layer(amb, gens, layers.get(n - 2, zero),
+                                layers[n - 1])
     return Filtration("ascending", amb, layers, name=f"standard:{pres.name}")
 
 
 def full_span(pres, maxiter=200):
-    """Span of all words in the generators, closed under multiplication.
+    """Span of all words in the generators, closed under multiplication:
+    the standard layers from Gamma_1 on, grown until one adds nothing.
 
     Stabilizes for series ambients (finite dimensional); in polynomial mode
     a word exceeding the degree cap raises DegreeOverflowError instead of
@@ -154,15 +180,20 @@ def full_span(pres, maxiter=200):
     """
     amb = pres.ambient
     gens = pres.gen_mats()
-    cur = span(amb, [amb.one()] + gens)
+    before, cur = span(amb, [amb.one()]), span(amb, [amb.one()] + gens)
     for _ in range(maxiter):
-        prods = [amb.mul(m, g) for m in cur.basis_matrices() for g in gens]
-        nxt = Subspace.from_vectors(
-            amb, list(cur.rows) + [amb.encode(p) for p in prods])
+        nxt = _next_layer(amb, gens, before, cur)
         if nxt.dim == cur.dim:
             return nxt
-        cur = nxt
+        before, cur = cur, nxt
     raise TruncationError("word closure did not stabilize; raise maxiter")
+
+
+def _times_gens(amb, sub, gens):
+    """span(sub G), from products entering the echelon as sparse rows."""
+    return zero_space(amb).extend(amb.encode_sparse(amb.mul(b, g))
+                                  for b in sub.basis_matrices()
+                                  for g in gens)
 
 
 def weak_adic_filtration(pres, depth):
@@ -170,24 +201,29 @@ def weak_adic_filtration(pres, depth):
     generated by the presentation's generators.
 
     Built over a series ambient only.  The ideal is assembled as the left
-    ideal sum(R g) and then checked to be closed under right multiplication
-    by the generators; a failure raises ValueError.
+    ideal m = sum(R g) and then checked to be closed under right
+    multiplication by the generators; a failure raises ValueError.  Since
+    R is spanned by words in the generators, that check makes m a right
+    ideal, and then so is every power m^{i-1} = m^{i-2} m.  As m = R G
+    with 1 in R, the powers are built as
+
+        m^i = m^{i-1} m = (m^{i-1} R) G = span(m^{i-1} G),
+
+    multiplying by the generators and not by the whole basis of m.
     """
     amb = pres.ambient
     if not amb.series:
         raise ValueError("weak-adic filtrations need a series ambient")
     ring = full_span(pres)
     gens = pres.gen_mats()
-    m1 = Subspace.from_vectors(
-        amb, [amb.encode(amb.mul(b, g))
-              for b in ring.basis_matrices() for g in gens])
+    m1 = _times_gens(amb, ring, gens)
     for b in m1.basis_matrices():
         for g in gens:
             if not m1.member(amb.mul(b, g)):
                 raise ValueError("generated left ideal is not two-sided")
     layers = {0: ring, -1: m1}
     for i in range(2, depth + 1):
-        layers[-i] = subspace_product(layers[-(i - 1)], m1)
+        layers[-i] = _times_gens(amb, layers[-(i - 1)], gens)
     return Filtration("weak-adic", amb, layers,
                       name=f"weak-adic:{pres.name}")
 
@@ -209,8 +245,7 @@ def two_sided_closure(pres, seeds):
     cur = span(amb, seeds)
     frontier = cur.basis_matrices()
     while frontier:
-        fresh = []
-        rows = list(cur.rows)
+        fresh = {}      # encoding -> product, in order of discovery
         for m in frontier:
             for g in gens:
                 for left, right in ((g, m), (m, g)):
@@ -218,14 +253,13 @@ def two_sided_closure(pres, seeds):
                         p = amb.mul(left, right)
                     except DegreeOverflowError:
                         continue
-                    if not cur.member(p) and all(
-                            amb.encode(p) != amb.encode(q) for q in fresh):
-                        fresh.append(p)
+                    vec = amb.encode(p)
+                    if vec not in fresh and not cur.member_vec(vec):
+                        fresh[vec] = p
         if not fresh:
             break
-        cur = Subspace.from_vectors(
-            amb, rows + [amb.encode(p) for p in fresh])
-        frontier = fresh
+        cur = cur.extend(amb.encode_sparse(p) for p in fresh.values())
+        frontier = list(fresh.values())
     closed_degree = amb.degcap if amb.series else amb.degcap - gmax
     return cur, closed_degree
 

@@ -1,25 +1,29 @@
 """Exact sparse linear algebra over a field.
 
-Callers pass and receive dense sequences of field elements; inside, a row
-is a dict {column: value} holding only its nonzero entries.  Over F_p the
-values are plain ints in [0, p), over Q they are Fractions.  One step,
-_axpy (row -= c * other row, touching only the other row's nonzeros), does
-all the elimination: rref, reduce_by_rref, coords_in_rref, nullspace and
-SpanTracker are built on it, and so is combine_rows, the one place that
-forms linear combinations of dense rows for callers.
+Inside, a row is a dict {column: value} holding only its nonzero entries.
+Over F_p the values are plain ints in [0, p), over Q they are Fractions;
+modulus(field) names the representation (p, or None over Q), sparse_row
+and dense_row convert to and from dense sequences of field elements.  One
+step, _axpy (row -= c * other row, touching only the other row's
+nonzeros), does all the elimination, and one helper built on it,
+insert_row, grows a canonical echelon {pivot column: row} by one row.
+rref, reduce_by_rref, coords_in_rref, nullspace and SpanTracker are built
+on _axpy, and so is combine_rows, the one place that forms linear
+combinations of dense rows for callers.
 
-rref produces the canonical reduced row echelon form (pivot entries 1,
-pivot columns cleared, rows sorted by pivot), which is what makes Subspace
+The echelon insert_row keeps is the canonical reduced row echelon form
+(pivot entries 1, pivot columns cleared), which is what makes Subspace
 equality a plain tuple comparison.  That form is unique for the row space,
-so it does not depend on the order of elimination.  Its dense rows hold
-the field's own zero object in every zero position.
+so it does not depend on the order of elimination or of insertion.  rref
+returns it as dense rows sorted by pivot, holding the field's own zero
+object in every zero position.
 """
 
 from .fields import FpElement, PrimeField, QQ
 
 
-def _modulus(field):
-    """p over F_p, None over Q."""
+def modulus(field):
+    """The kernel's representation of field: p over F_p, None over Q."""
     return field.p if isinstance(field, PrimeField) else None
 
 
@@ -49,6 +53,16 @@ def _dense(row, ncols, zero, p):
         for j, v in row.items():
             out[j] = FpElement(p, v)
     return out
+
+
+def sparse_row(row, field):
+    """A dense row of field elements as a kernel row {col: value}."""
+    return _sparse(row, field.zero, modulus(field))
+
+
+def dense_row(row, ncols, field):
+    """A kernel row as a dense list of ncols field elements."""
+    return _dense(row, ncols, field.zero, modulus(field))
 
 
 def _axpy(vec, c, row, p):
@@ -85,7 +99,7 @@ def combine_rows(coeffs, rows, ncols, field):
     """sum coeffs[i] * rows[i] as a dense list of ncols field elements.
 
     Only nonzero coefficients and the rows' nonzero entries are touched."""
-    p = _modulus(field)
+    p = modulus(field)
     zero = field.zero
     acc = {}
     for c, row in zip(coeffs, rows):
@@ -96,13 +110,43 @@ def combine_rows(coeffs, rows, ncols, field):
     return _dense(acc, ncols, zero, p)
 
 
+def reduce_row(vec, echelon, p):
+    """vec modulo a canonical echelon {pivot: row}, in place; returns vec.
+
+    One pass over the pivot columns vec starts with suffices: entries of
+    vec at pivot columns do not change while reducing, because every held
+    row is zero at every other pivot column."""
+    for j in [j for j in vec if j in echelon]:
+        _axpy(vec, vec[j], echelon[j], p)
+    return vec
+
+
+def insert_row(echelon, vec, p):
+    """Insert the kernel row vec (consumed) into the canonical echelon
+    {pivot: row}, in place.  True if it enlarged the span.
+
+    Gauss-Jordan: vec is reduced against the held rows, scaled to 1 at
+    its lowest column, and that column is cleared from the held rows, so
+    the echelon stays fully reduced and needs one pass per insertion."""
+    reduce_row(vec, echelon, p)
+    if not vec:
+        return False
+    lead = min(vec)
+    if vec[lead] != 1:
+        vec = _normalize(vec, vec[lead], p)
+    for held in echelon.values():
+        c = held.get(lead)
+        if c is not None:
+            _axpy(held, c, vec, p)
+    echelon[lead] = vec
+    return True
+
+
 def rref(rows, field):
     """Canonical RREF.  Returns (rows, pivots), rows sorted by pivot column.
 
-    Gauss-Jordan one row at a time: the echelon so far is kept fully
-    reduced, so each incoming row needs one pass over its pivot columns,
-    and a new pivot row clears its column from the rows already held."""
-    p = _modulus(field)
+    The dense rows are inserted one at a time into an empty echelon."""
+    p = modulus(field)
     zero = field.zero
     echelon = {}        # pivot column -> sparse row with 1 at the pivot
     ncols = None
@@ -112,20 +156,7 @@ def rref(rows, field):
             continue
         if ncols is None:
             ncols = len(r)
-        # entries of vec at pivot columns do not change while reducing,
-        # because every held row is zero at every other pivot column
-        for j in [j for j in vec if j in echelon]:
-            _axpy(vec, vec[j], echelon[j], p)
-        if not vec:
-            continue
-        lead = min(vec)
-        if vec[lead] != 1:
-            vec = _normalize(vec, vec[lead], p)
-        for held in echelon.values():
-            c = held.get(lead)
-            if c is not None:
-                _axpy(held, c, vec, p)
-        echelon[lead] = vec
+        insert_row(echelon, vec, p)
         if len(echelon) == ncols:
             break
     pivots = sorted(echelon)
@@ -209,7 +240,7 @@ class SpanTracker:
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self._p = _modulus(field)
+        self._p = modulus(field)
         self.rows = {}      # leading column -> (sparse row, sparse combo)
 
     def _reduce(self, vec, combo):

@@ -8,8 +8,9 @@ that order "all elements of degree <= m" is a coordinate prefix, which keeps
 degree filtrations nested by construction and makes greedy lowest-degree
 searches canonical.
 
-Subspaces store their reduced-row-echelon basis; two subspaces are equal iff
-the stored bases are identical tuples.
+Subspaces store their reduced-row-echelon basis as the linear-algebra
+kernel's sparse echelon and grow by inserting rows into a copy of it; two
+subspaces are equal iff their canonical bases are identical tuples.
 
 Degree-cap overflow is a hard error in polynomial mode.  In series mode the
 ambient is the quotient ring modulo all monomials of degree > degcap, so
@@ -17,9 +18,11 @@ products reduce instead of erroring; that is the ring structure, not silent
 truncation.
 """
 
-from .fields import QQ
-from .linalg import (combine_rows, kernel_combos, rref, reduce_by_rref,
-                     coords_in_rref)
+from functools import cached_property
+
+from .fields import QQ, FpElement
+from .linalg import (combine_rows, dense_row, insert_row, kernel_combos,
+                     modulus, reduce_row, rref, sparse_row)
 from .poly import Poly, PolyMatrix
 
 
@@ -56,6 +59,7 @@ class Ambient:
         self.degcap = degcap
         self.field = field
         self.series = series
+        self._p = modulus(field)
         self.monomials = _monomials(arity, degcap)
         self.coords = [(e, i, j)
                        for e in self.monomials
@@ -95,12 +99,15 @@ class Ambient:
     def one(self):
         return PolyMatrix.identity(self.n, self.arity, self.field.one)
 
-    def encode(self, mat):
+    def encode_sparse(self, mat):
+        """The coordinates of mat as a kernel row {index: value}, read
+        straight from its entries' terms."""
         if mat.n != self.n or mat.arity != self.arity:
             raise ValueError("matrix does not live in this ambient")
         if self.series:
             mat = mat.truncate(self.degcap)
-        vec = [self.field.zero] * self.dim
+        p = self._p
+        row = {}
         for i in range(self.n):
             for j in range(self.n):
                 for e, c in mat.entry(i, j).terms.items():
@@ -109,17 +116,24 @@ class Ambient:
                         raise DegreeOverflowError(
                             f"monomial {e} at entry ({i},{j}) exceeds "
                             f"degcap {self.degcap}")
-                    vec[k] = c
-        return tuple(vec)
+                    row[k] = c if p is None else c.v
+        return row
 
-    def decode(self, vec):
+    def encode(self, mat):
+        return tuple(dense_row(self.encode_sparse(mat), self.dim, self.field))
+
+    def decode_sparse(self, row):
+        """The matrix with the coordinates of a kernel row."""
+        p = self._p
         entries = [[{} for _ in range(self.n)] for _ in range(self.n)]
-        for k, c in enumerate(vec):
-            if c:
-                e, i, j = self.coords[k]
-                entries[i][j][e] = c
+        for k, c in row.items():
+            e, i, j = self.coords[k]
+            entries[i][j][e] = c if p is None else FpElement(p, c)
         return PolyMatrix([[Poly(self.arity, entries[i][j])
                             for j in range(self.n)] for i in range(self.n)])
+
+    def decode(self, vec):
+        return self.decode_sparse(sparse_row(vec, self.field))
 
     def mul(self, a, b):
         c = a * b
@@ -144,6 +158,7 @@ class PolyTupleSpace:
         self.degcap = degcap
         self.field = field
         self.series = False
+        self._p = modulus(field)
         self.coords = [((d,), i, 0)
                        for d in range(degcap + 1) for i in range(r)]
         self.index = {(d, i): k
@@ -168,79 +183,121 @@ class PolyTupleSpace:
             return 0
         return (min(maxdeg, self.degcap) + 1) * self.r
 
-    def encode(self, polys):
+    def encode_sparse(self, polys):
         if len(polys) != self.r:
             raise ValueError(f"expected a {self.r}-tuple")
-        vec = [self.field.zero] * self.dim
-        for i, p in enumerate(polys):
-            if p.arity != 1:
+        p = self._p
+        row = {}
+        for i, poly in enumerate(polys):
+            if poly.arity != 1:
                 raise ValueError("tuple entries must be one-variable")
-            for (d,), c in p.terms.items():
+            for (d,), c in poly.terms.items():
                 if d > self.degcap:
                     raise DegreeOverflowError(
                         f"degree {d} exceeds tuple-space cap {self.degcap}")
-                vec[self.index[(d, i)]] = c
-        return tuple(vec)
+                row[self.index[(d, i)]] = c if p is None else c.v
+        return row
+
+    def encode(self, polys):
+        return tuple(dense_row(self.encode_sparse(polys), self.dim,
+                               self.field))
+
+    def decode_sparse(self, row):
+        p = self._p
+        terms = [{} for _ in range(self.r)]
+        for k, c in row.items():
+            (d,), i, _ = self.coords[k]
+            terms[i][(d,)] = c if p is None else FpElement(p, c)
+        return tuple(Poly(1, t) for t in terms)
 
     def decode(self, vec):
-        terms = [{} for _ in range(self.r)]
-        for k, c in enumerate(vec):
-            if c:
-                (d,), i, _ = self.coords[k]
-                terms[i][(d,)] = c
-        return tuple(Poly(1, t) for t in terms)
+        return self.decode_sparse(sparse_row(vec, self.field))
 
 
 class Subspace:
-    """Canonical subspace of an ambient coordinate space."""
+    """Canonical subspace of an ambient coordinate space.
 
-    def __init__(self, ambient, rows, pivots):
+    The basis is held as the kernel's canonical sparse echelon, echelon =
+    {pivot: row} (see grfilt.linalg), and every query reduces against it.
+    rows, the same basis as dense tuples sorted by pivot, is built from
+    the echelon on first use; equality, hashing, the digests and the JSON
+    payloads read that view.  A Subspace is never changed once built:
+    extend() inserts into a copy of the echelon.  from_vectors, and span
+    on top of it, take dense input through rref, the dense boundary of
+    the kernel; extend takes kernel rows and is how layers grow.
+    """
+
+    def __init__(self, ambient, echelon):
         self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
+        self.echelon = echelon
+        self.pivots = tuple(sorted(echelon))
+        self._p = modulus(ambient.field)
+
+    @cached_property
+    def rows(self):
+        amb = self.ambient
+        return tuple(tuple(dense_row(self.echelon[q], amb.dim, amb.field))
+                     for q in self.pivots)
 
     @classmethod
     def from_vectors(cls, ambient, vectors):
-        rows, pivots = rref(list(vectors), ambient.field)
-        return cls(ambient, rows, pivots)
+        field = ambient.field
+        rows, pivots = rref(list(vectors), field)
+        return cls(ambient, {q: sparse_row(r, field)
+                             for q, r in zip(pivots, rows)})
 
-    @classmethod
-    def from_matrices(cls, ambient, mats):
-        return cls.from_vectors(ambient, [ambient.encode(m) for m in mats])
+    def extend(self, rows):
+        """Span of this subspace and the given kernel rows (consumed),
+        built by inserting them into a copy of this echelon."""
+        p = self._p
+        echelon = {q: dict(r) for q, r in self.echelon.items()}
+        for row in rows:
+            insert_row(echelon, row, p)
+        return Subspace(self.ambient, echelon)
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
+
+    def residual(self, row):
+        """A kernel row (consumed) modulo this subspace."""
+        return reduce_row(row, self.echelon, self._p)
 
     def reduce(self, vec):
-        return reduce_by_rref(vec, self.rows, self.pivots)
+        field = self.ambient.field
+        return dense_row(self.residual(sparse_row(vec, field)), len(vec),
+                         field)
 
     def member_vec(self, vec):
-        return not any(self.reduce(vec))
+        return not self.residual(sparse_row(vec, self.ambient.field))
 
     def member(self, mat):
-        return self.member_vec(self.ambient.encode(mat))
+        return not self.residual(self.ambient.encode_sparse(mat))
 
     def coords_of(self, vec):
-        return coords_in_rref(vec, self.rows, self.pivots)
+        """Coefficients of vec over the canonical basis, or None."""
+        if not self.member_vec(vec):
+            return None
+        return [vec[q] for q in self.pivots]
 
     def contains(self, other):
         if other.ambient != self.ambient:
             raise ValueError("subspaces live in different ambients")
-        return all(self.member_vec(r) for r in other.rows)
+        return not any(self.residual(dict(r))
+                       for r in other.echelon.values())
 
     def basis_matrices(self):
-        return [self.ambient.decode(r) for r in self.rows]
+        return [self.ambient.decode_sparse(self.echelon[q])
+                for q in self.pivots]
 
     def maxdeg(self):
-        """Largest total degree appearing in any basis vector (-1 if zero)."""
-        best = -1
-        for r in self.rows:
-            for k in range(len(r) - 1, -1, -1):
-                if r[k]:
-                    best = max(best, sum(self.ambient.coords[k][0]))
-                    break
-        return best
+        """Largest total degree appearing in any basis vector (-1 if zero).
+        Coordinates are degree-major, so it is the degree of the last
+        column any row reaches."""
+        if not self.echelon:
+            return -1
+        last = max(max(r) for r in self.echelon.values())
+        return sum(self.ambient.coords[last][0])
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.ambient == self.ambient
@@ -254,28 +311,35 @@ class Subspace:
 
 
 def span(ambient, mats):
-    return Subspace.from_matrices(ambient, mats)
+    return Subspace.from_vectors(ambient, [ambient.encode(m) for m in mats])
 
 
 def zero_space(ambient):
-    return Subspace(ambient, [], [])
+    return Subspace(ambient, {})
 
 
 def sum_spaces(u, v):
     _match(u, v)
-    return Subspace.from_vectors(u.ambient, list(u.rows) + list(v.rows))
+    return u.extend(dict(r) for r in v.echelon.values())
 
 
 def intersect(u, v):
-    """Zassenhaus intersection of two subspaces."""
+    """Zassenhaus intersection of two subspaces: the echelon of the joint
+    rows (r, r) for r in u and (r, 0) for r in v holds a basis of the
+    intersection in the second halves of its rows whose first half is
+    zero."""
     _match(u, v)
     d = u.ambient.dim
-    zero = u.ambient.field.zero
-    joint = [list(r) + list(r) for r in u.rows]
-    joint += [list(r) + [zero] * d for r in v.rows]
-    red, _ = rref(joint, u.ambient.field)
-    vecs = [r[d:] for r in red if not any(r[:d])]
-    return Subspace.from_vectors(u.ambient, vecs)
+    joint = {}
+    for r in u.echelon.values():
+        row = dict(r)
+        row.update((d + j, x) for j, x in r.items())
+        insert_row(joint, row, u._p)
+    for r in v.echelon.values():
+        insert_row(joint, dict(r), u._p)
+    return zero_space(u.ambient).extend(
+        {j - d: x for j, x in row.items()}
+        for q, row in joint.items() if q >= d)
 
 
 def subspace_product(u, v):
@@ -298,14 +362,9 @@ def quotient_dim(u, v):
 
 def prefix_space(ambient, maxdeg):
     """All matrices with entries of total degree <= maxdeg."""
-    k = ambient.prefix_dim(maxdeg)
-    zero, one = ambient.field.zero, ambient.field.one
-    rows = []
-    for idx in range(k):
-        r = [zero] * ambient.dim
-        r[idx] = one
-        rows.append(tuple(r))
-    return Subspace(ambient, rows, list(range(k)))
+    one = ambient.field.one if modulus(ambient.field) is None else 1
+    return Subspace(ambient, {k: {k: one}
+                              for k in range(ambient.prefix_dim(maxdeg))})
 
 
 def restrict_degree(u, maxdeg):
@@ -330,10 +389,8 @@ def complement_section(sup, sub):
     """
     if not sup.contains(sub):
         raise ContainmentError("section: second space not inside first")
-    dead = set(sub.pivots)
-    rows = [r for r, p in zip(sup.rows, sup.pivots) if p not in dead]
-    pivots = [p for p in sup.pivots if p not in dead]
-    return Subspace(sup.ambient, rows, pivots)
+    return Subspace(sup.ambient, {q: r for q, r in sup.echelon.items()
+                                  if q not in sub.echelon})
 
 
 class QuotientContext:
@@ -348,15 +405,13 @@ class QuotientContext:
         self.ambient = ambient
         self.ideal = ideal
 
-    def reduce_vec(self, vec):
-        return self.ideal.reduce(vec)
-
     def reduce_mat(self, mat):
-        return self.ambient.decode(self.reduce_vec(self.ambient.encode(mat)))
+        amb = self.ambient
+        return amb.decode_sparse(self.ideal.residual(amb.encode_sparse(mat)))
 
     def image(self, sub):
-        return Subspace.from_vectors(
-            self.ambient, [self.reduce_vec(r) for r in sub.rows])
+        return zero_space(self.ambient).extend(
+            self.ideal.residual(dict(r)) for r in sub.echelon.values())
 
     def mul(self, a, b):
         return self.reduce_mat(self.ambient.mul(a, b))

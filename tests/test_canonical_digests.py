@@ -3,9 +3,16 @@
 Each digest is a sha256 of repr((index, rows, pivots)) over every layer
 (or graded section) in index order, so it fixes the canonical echelon
 bases value for value and type for type, not only their dimensions.  The
-digests were recorded with the dense Gauss-Jordan elimination that
-preceded the sparse kernel; a change to the echelon code that moves any
-of them changes Subspace equality, hashes and JSON payloads.
+standard-filtration and graded digests were recorded with the dense
+Gauss-Jordan elimination that preceded the sparse kernel; the weak-adic,
+word-closure and ideal-closure digests with the layer builders that
+re-eliminated every earlier row at each step.  A change to the echelon
+code or to the layer builders that moves any of them changes Subspace
+equality, hashes and JSON payloads.
+
+A key is (field, what, n): n is the depth of a filtration or graded
+truncation, and the degree cap of a word closure ("full_span") or of an
+ideal closure ("closure <seed>").
 """
 
 import hashlib
@@ -13,7 +20,8 @@ import hashlib
 import pytest
 
 from grfilt.fields import field_from_name
-from grfilt.filtration import standard_filtration
+from grfilt.filtration import (full_span, standard_filtration,
+                               two_sided_closure, weak_adic_filtration)
 from grfilt.graded import GradedTrunc
 from grfilt.workbench import make
 
@@ -34,6 +42,18 @@ DIGESTS = {
         "0be86f2ec58509a191ff0a49564475214b553e8485f853c70d88b393000275b2",
     ("Fp:101", "gr R_2x2", 8):
         "22dba3579f6ec800481f979f8725ea0412e338a6348d7d3c3279f80c6ffc3f74",
+    ("Q", "weak-adic R_prime", 8):
+        "ecd156dcd7282a02ae4d539dae300e952d8a5a23eec5b793da1e8dbfdded5846",
+    ("Q", "full_span R_prime", 9):
+        "67e54f3b2d4bf9ef8ab31c6420357629fdda12fb8595b265414639879d716aad",
+    ("Q", "closure beta R_2x2", 18):
+        "f6e37d0c50161b259f5528719dacf13c76e2d5ca5b0e589d45482e97ed50fe06",
+    ("Fp:101", "weak-adic R_prime", 8):
+        "e6554b5fb2e1249da2ae05902e3b21023cd0df2a3f429797557c385505158689",
+    ("Fp:101", "full_span R_prime", 9):
+        "f76b33426377a7269626088508297b803b4171797a70e08fba1725ac24deaad5",
+    ("Fp:101", "closure beta R_2x2", 18):
+        "fe7441b30ae3ace804fa625c3bb0e0e92f2e958403bcf7b822ce517d5eafb8fa",
 }
 
 
@@ -52,13 +72,25 @@ def digest(spaces):
     return h.hexdigest()
 
 
+def spaces_of(what, n, fld):
+    """The pinned spaces of one key, by index."""
+    words = what.split()
+    if words[0] == "gr":
+        return GradedTrunc(sized_filtration(words[1], n, fld)).sections
+    if words[0] == "weak-adic":
+        return weak_adic_filtration(make(words[1], field=fld).pres,
+                                    n).layers
+    if words[0] == "full_span":
+        return {0: full_span(make(words[1], degcap=n, field=fld).pres)}
+    if words[0] == "closure":
+        ring = make(words[2], degcap=n, field=fld)
+        ideal, _ = two_sided_closure(ring.pres, [ring.el(words[1])])
+        return {0: ideal}
+    return sized_filtration(what, n, fld).layers
+
+
 @pytest.mark.parametrize("key", sorted(DIGESTS), ids=lambda k: " ".join(
     map(str, k)))
 def test_canonical_bases_are_pinned(key):
-    field, what, depth = key
-    fld = field_from_name(field)
-    if what.startswith("gr "):
-        spaces = GradedTrunc(sized_filtration(what[3:], depth, fld)).sections
-    else:
-        spaces = sized_filtration(what, depth, fld).layers
-    assert digest(spaces) == DIGESTS[key]
+    field, what, n = key
+    assert digest(spaces_of(what, n, field_from_name(field))) == DIGESTS[key]

@@ -120,6 +120,13 @@ def test_gap_never_verifies():
     assert verify_certificate(gap) is False
 
 
+def test_gap_payload_never_verifies():
+    # the JSON of a gap has no rows; a verifier reading JSON alone must
+    # reject it, not crash on the missing key
+    gap = growth_obstruction([2 ** n for n in range(12)], 1, 2, 3)
+    assert verify_certificate(gap.to_json()) is False
+
+
 def test_verdicts_and_sides_swap_follow_the_offset_reports(monkeypatch):
     """Make every offset report diverge: the matching side's verdict
     clause and the two-sided swap check must both change with them."""

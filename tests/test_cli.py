@@ -198,6 +198,23 @@ def test_dualize_control_demands_abort(capsys):
     assert "control satisfied: True" in out
 
 
+@pytest.mark.parametrize("control, floor", [(False, 8), (True, 6)])
+def test_dualize_below_the_window_floor_is_inconclusive(capsys, control,
+                                                        floor):
+    # the floor is the smallest cap at which every stage the run reaches
+    # checks a degree window beyond the constants; the control run stops
+    # at stage three, whose window opens earlier than stage four's
+    flags = ["--control"] if control else []
+    code, out, _ = run(capsys, "dualize", *flags, "--degcap", str(floor))
+    assert code == 0
+    assert out.endswith(": True\n")
+    for cap in range(floor):
+        code, out, err = run(capsys, "dualize", *flags, "--degcap",
+                             str(cap))
+        assert (code, out) == (2, "")
+        assert "inconclusive" in err
+
+
 def test_quotient_iso(capsys):
     code, out, _ = run(capsys, "--format", "json", "quotient-iso")
     assert code == 0

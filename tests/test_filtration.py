@@ -15,7 +15,7 @@ from grfilt.filtration import (standard_filtration, weak_adic_filtration,
                                equivalence_offset, verify_filtration_axioms,
                                is_good, Filtration, TruncationError,
                                WindowExceeded)
-from grfilt.linspace import zero_space
+from grfilt.linspace import DegreeOverflowError, zero_space
 
 
 def test_standard_dims_match_oracle_freeze(filt12):
@@ -54,6 +54,20 @@ def test_two_sided_closure_of_corner(ring_r):
     # all corner polynomials up to the cap: beta, alpha*beta, beta*alpha, ...
     assert ideal.dim == ring_r.ambient.degcap + 1
     assert ideal.member(ring_r.el("xe12"))
+
+
+@pytest.mark.parametrize("name, cap, depth", [
+    ("R_2x2", 9, 5), ("S", 5, 3), ("T", 7, 4), ("C_diag", 7, 4)])
+def test_undersized_cap_overflows_at_the_first_word_beyond_it(name, cap,
+                                                              depth):
+    # depth-n words reach n times the top generator degree; the first
+    # depth whose words pass the cap raises, the one before it does not
+    pres = make(name, degcap=cap).pres
+    assert standard_filtration(pres, depth - 1).hi == depth - 1
+    with pytest.raises(DegreeOverflowError):
+        standard_filtration(pres, depth)
+    with pytest.raises(DegreeOverflowError):
+        full_span(pres)
 
 
 def test_weak_adic_dims_match_oracle_freeze(adic10):
