@@ -76,7 +76,7 @@ def main(argv=None):
                 "certificate": cert.to_json(),
                 "probe": probe}
         with open(args.json, "w") as fh:
-            json.dump(blob, fh, indent=2, default=str)
+            json.dump(blob, fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.json}")
     return EXIT_OK if verified else EXIT_FAIL

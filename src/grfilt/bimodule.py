@@ -14,24 +14,19 @@ therefore exposed as a probe with the correction factor spelled out, never
 as the rank itself.
 """
 
-from dataclasses import dataclass
-
 from .linalg import SpanTracker, combine_rows, kernel_combos
 from .linspace import (Subspace, restrict_degree, intersect, sum_spaces,
                        zero_space, span, DegreeOverflowError)
 from .filtration import WindowExceeded
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ModuleAction:
-    name: str
-    ambient: object
-    carrier: Subspace
-    actor: object
-    side: str
-    ctx: object = None
+class ModuleAction(Record):
+    fields = ("name", "ambient", "carrier", "actor", "side", "ctx")
+    defaults = {"ctx": None}
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
 
@@ -82,27 +77,11 @@ class ModuleAction:
         return best
 
 
-@dataclass(frozen=True)
-class RankReport:
-    name: str
-    side: str
-    verdict: str
-    rank: object
-    depth: int
-    effective_step: int
-    generator_degrees: tuple
-    generators: tuple
-    relation: object
-    spanned_through: int
-
-    def to_json(self):
-        return {"name": self.name, "side": self.side,
-                "verdict": self.verdict, "rank": self.rank,
-                "depth": self.depth,
-                "effective_step": self.effective_step,
-                "generator_degrees": list(self.generator_degrees),
-                "relation": self.relation,
-                "spanned_through": self.spanned_through}
+class RankReport(Record):
+    fields = ("name", "side", "verdict", "rank", "depth", "effective_step",
+              "generator_degrees", "generators", "relation",
+              "spanned_through")
+    hidden = ("generators",)
 
 
 def free_rank(action, depth):
@@ -249,28 +228,10 @@ def slope_table(action, depth):
                     "actions by the step factor"}
 
 
-@dataclass(frozen=True)
-class GoldieReport:
-    name: str
-    side: str
-    verdict: str
-    rank: object
-    family_degrees: tuple
-    family: tuple
-    essential_ok: bool
-    budget_ok: bool
-    regular_ok: bool
-    depth: int
-    slope: dict
-
-    def to_json(self):
-        return {"name": self.name, "side": self.side,
-                "verdict": self.verdict, "rank": self.rank,
-                "family_degrees": list(self.family_degrees),
-                "essential_ok": self.essential_ok,
-                "budget_ok": self.budget_ok,
-                "regular_ok": self.regular_ok,
-                "depth": self.depth, "slope": self.slope}
+class GoldieReport(Record):
+    fields = ("name", "side", "verdict", "rank", "family_degrees", "family",
+              "essential_ok", "budget_ok", "regular_ok", "depth", "slope")
+    hidden = ("family",)
 
 
 def goldie_rank(action, depth):
@@ -351,15 +312,11 @@ def verify_goldie_certificate(action, report):
     return True
 
 
-@dataclass(frozen=True)
-class BimoduleSpec:
+class BimoduleSpec(Record):
     """A carrier with commuting left and right k[t]-actions."""
-    name: str
-    ambient: object
-    carrier: Subspace
-    left_actor: object
-    right_actor: object
-    ctx: object = None
+    fields = ("name", "ambient", "carrier", "left_actor", "right_actor",
+              "ctx")
+    defaults = {"ctx": None}
 
     def action(self, side):
         actor = self.left_actor if side == "left" else self.right_actor

@@ -23,8 +23,6 @@ divergence, to certify the ranks or to hold a two-step chain raises
 WindowExceeded (an Inconclusive) rather than returning a dossier.
 """
 
-from dataclasses import dataclass
-
 from .fields import QQ
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
                          induced_quotient_filtration, two_sided_closure,
@@ -34,38 +32,15 @@ from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
 from .graded import GradedTrunc, ideal_chain_witness, verify_chain_report
 from .bimodule import BimoduleSpec, free_rank
 from .workbench import make
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GrowthCertificate:
-    s: int
-    t: int
-    case: str
-    max_offset: int
-    rows: tuple
-    hilbert: tuple
-    verdict: str
-
-    def to_json(self):
-        return {"s": self.s, "t": self.t, "case": self.case,
-                "max_offset": self.max_offset,
-                "rows": [dict(r) for r in self.rows],
-                "hilbert": list(self.hilbert), "verdict": self.verdict}
+class GrowthCertificate(Record):
+    fields = ("s", "t", "case", "max_offset", "rows", "hilbert", "verdict")
 
 
-@dataclass(frozen=True)
-class ObstructionGap:
-    s: int
-    t: int
-    case: str
-    first_failed_p: int
-    hilbert: tuple
-    note: str
-
-    def to_json(self):
-        return {"s": self.s, "t": self.t, "case": self.case,
-                "first_failed_p": self.first_failed_p,
-                "hilbert": list(self.hilbert), "note": self.note}
+class ObstructionGap(Record):
+    fields = ("s", "t", "case", "first_failed_p", "hilbert", "note")
 
 
 def growth_obstruction(values, s, t, max_offset, case="table"):
@@ -155,29 +130,11 @@ def subexp_probe(values):
 
 # ------------------------------------------------------------------ dossiers
 
-@dataclass(frozen=True)
-class ObstructionDossier:
-    case: str
-    s: int
-    t: int
-    ranks: dict
-    hilbert: object
-    certificate: object
-    offsets: dict
-    chain: object
-    probe: dict
-    verdict: str
+class ObstructionDossier(Record):
+    fields = ("case", "s", "t", "ranks", "hilbert", "certificate",
+              "offsets", "chain", "probe", "verdict", "chain_reverified")
     # verify_chain_report's recheck of the chain; not part of the payload
-    chain_reverified: bool
-
-    def to_json(self):
-        return {"case": self.case, "s": self.s, "t": self.t,
-                "ranks": {k: v.to_json() for k, v in self.ranks.items()},
-                "hilbert": self.hilbert.to_json(),
-                "certificate": self.certificate.to_json(),
-                "offsets": {k: v.to_json() for k, v in self.offsets.items()},
-                "chain": self.chain.to_json(), "probe": self.probe,
-                "verdict": self.verdict}
+    hidden = ("chain_reverified",)
 
 
 def _triangular_rank_pair(depth, field):
@@ -234,7 +191,7 @@ def assemble_growth_dossier(case, depth=8, field=QQ):
                              max_offset=eq_bound)
     if div.equivalent:
         raise WindowExceeded(
-            f"{case}: {div.a_name} and {div.b_name} filtrations are "
+            f"{case}: {div.a} and {div.b} filtrations are "
             f"equivalent at offset {div.offset} on this window; divergence "
             f"is not witnessed at this depth")
     match = equivalence_offset(goods[matching_side], intrinsic,
@@ -251,7 +208,7 @@ def assemble_growth_dossier(case, depth=8, field=QQ):
              else ["alpha"] * i + ["beta"] for i in range(min(4, depth - 2))]
     chain = ideal_chain_witness(gr, classes, words, side=diverging_side)
     verdict = (f"{case} filtration: {diverging_side}-side obstruction "
-               f"({div.a_name} filtrations diverge from the {div.b_name} "
+               f"({div.a} filtrations diverge from the {div.b} "
                f"one; ranks {s} against {t}; {matching_side} side "
                f"{matching})")
     return ObstructionDossier(case, s, t, ranks, table, cert,
@@ -260,26 +217,15 @@ def assemble_growth_dossier(case, depth=8, field=QQ):
                               verify_chain_report(gr, classes, chain))
 
 
-@dataclass(frozen=True)
-class TwoSidedDossier:
-    ascending: ObstructionDossier
-    weak_adic: ObstructionDossier
-    consistent: bool
-    checks: dict
-    verdict: str
-
-    def to_json(self):
-        return {"ascending": self.ascending.to_json(),
-                "weak_adic": self.weak_adic.to_json(),
-                "consistent": self.consistent, "checks": dict(self.checks),
-                "verdict": self.verdict}
+class TwoSidedDossier(Record):
+    fields = ("ascending", "weak_adic", "consistent", "checks", "verdict")
 
 
 def assemble_two_sided(depth=8, field=QQ):
     """Both dossiers plus the consistency of their swapped obstructions."""
     asc = assemble_growth_dossier("ascending", depth, field)
     adi = assemble_growth_dossier("weak-adic", depth, field)
-    asc_div, adi_div = ({r.a_name for r in d.offsets.values()
+    asc_div, adi_div = ({r.a for r in d.offsets.values()
                          if not r.equivalent} for d in (asc, adi))
     checks = {
         "same_rank_pair": (asc.s, asc.t) == (adi.s, adi.t),

@@ -197,7 +197,7 @@ def cmd_certify(args):
                          ", ".join(f"({r['p']}, {r['n']})"
                                    for r in cert.rows))
         for label, off in dossier.offsets.items():
-            lines.append(f"offset[{label}]: {off.a_name} vs {off.b_name}: "
+            lines.append(f"offset[{label}]: {off.a} vs {off.b}: "
                          f"equivalent = {off.equivalent} "
                          f"(a_in_b = {off.a_in_b}, b_in_a = {off.b_in_a})")
         lines.append(f"chain ({dossier.chain.side}): dims "
@@ -389,7 +389,7 @@ def build_parser():
 
 def _emit(args, payload, lines):
     if args.format == "json":
-        text = json.dumps(payload, indent=2, default=str)
+        text = json.dumps(payload, indent=2)
     else:
         text = "\n".join(lines)
     if args.out:

@@ -34,8 +34,6 @@ reporting: for the triangular ring every cap below 8 is undecided, not
 verified, and for the control every cap below 6.
 """
 
-from dataclasses import dataclass
-
 from .fields import QQ
 from .poly import Poly, PolyMatrix
 from .linalg import SpanTracker, kernel_combos, rref
@@ -44,6 +42,7 @@ from .linspace import (Subspace, PolyTupleSpace, DegreeOverflowError,
 from .filtration import WindowExceeded
 from .workbench import make, diagonal_embed
 from .bimodule import ModuleAction, free_rank
+from .record import Record, jsonable
 
 STAGES = ("free-module-structure", "cyclic-dual-generator",
           "endomorphism-ring", "dual-identification")
@@ -88,15 +87,14 @@ def ring_window(ring):
     return span(amb, mats)
 
 
-@dataclass(frozen=True)
-class CenterEmbedding:
+class CenterEmbedding(Record):
     """The commutative diagonal subring C = {diag(c(x), c(x^2))} = k[x].
 
     Not the center of the triangular ring (only scalars commute with the
     corner); what the chain uses is that the ring is module-finite and
     free over C on both sides.
     """
-    ambient: object
+    fields = ("ambient",)
 
     def embed(self, c):
         return diagonal_embed(self.ambient, c)
@@ -113,16 +111,8 @@ class CenterEmbedding:
 
 # ------------------------------------------------------- free C-structure
 
-@dataclass(frozen=True)
-class FreeStructureReport:
-    ring: str
-    left: object
-    right: object
-    ok: bool
-
-    def to_json(self):
-        return {"ring": self.ring, "ok": self.ok,
-                "left": self.left.to_json(), "right": self.right.to_json()}
+class FreeStructureReport(Record):
+    fields = ("ring", "ok", "left", "right")
 
 
 def free_structure_report(ring, center, window, depth=None):
@@ -140,7 +130,7 @@ def free_structure_report(ring, center, window, depth=None):
             raise WindowExceeded(f"{STAGES[0]}: the {side} rank scan is "
                                  f"inconclusive at depth {depth}")
     ok = all(r.verdict == "free" for r in reps.values())
-    return FreeStructureReport(ring.name, reps["left"], reps["right"], ok)
+    return FreeStructureReport(ring.name, ok, reps["left"], reps["right"])
 
 
 class FreeModuleStructure:
@@ -222,26 +212,10 @@ class HomModule:
 
 # ------------------------------------------------------ stage (ii): cyclic
 
-@dataclass(frozen=True)
-class CyclicReport:
-    ring: str
-    candidates: tuple
-    generator_index: object
-    orbit_dim: int
-    acceptance_degree: int
-    annihilator_dim: int
-    annihilator_matches: bool
-    dims_consistent: bool
-    ok: bool
-
-    def to_json(self):
-        return {"ring": self.ring, "candidates": list(self.candidates),
-                "generator_index": self.generator_index,
-                "orbit_dim": self.orbit_dim,
-                "acceptance_degree": self.acceptance_degree,
-                "annihilator_dim": self.annihilator_dim,
-                "annihilator_matches": self.annihilator_matches,
-                "dims_consistent": self.dims_consistent, "ok": self.ok}
+class CyclicReport(Record):
+    fields = ("ring", "candidates", "generator_index", "orbit_dim",
+              "acceptance_degree", "annihilator_dim", "annihilator_matches",
+              "dims_consistent", "ok")
 
 
 def _combo_vectors(amb, combos, basis):
@@ -318,30 +292,10 @@ def nilpotent_generator(pres):
 
 # --------------------------------------------- stage (iii): endomorphisms
 
-@dataclass(frozen=True)
-class IdealizerReport:
-    ring: str
-    window_degree: int
-    ideal_dim: int
-    idealizer_dim: int
-    ideal_inside: bool
-    right_closed: bool
-    right_closed_pairs: tuple
-    product_closed: bool
-    product_pairs: tuple
-    matches_predicted: object
-    ok: bool
-
-    def to_json(self):
-        return {"ring": self.ring, "window_degree": self.window_degree,
-                "ideal_dim": self.ideal_dim,
-                "idealizer_dim": self.idealizer_dim,
-                "ideal_inside": self.ideal_inside,
-                "right_closed": self.right_closed,
-                "right_closed_pairs": list(self.right_closed_pairs),
-                "product_closed": self.product_closed,
-                "product_pairs": list(self.product_pairs),
-                "matches_predicted": self.matches_predicted, "ok": self.ok}
+class IdealizerReport(Record):
+    fields = ("ring", "window_degree", "ideal_dim", "idealizer_dim",
+              "ideal_inside", "right_closed", "right_closed_pairs",
+              "product_closed", "product_pairs", "matches_predicted", "ok")
 
 
 def _product_stability(amb, budget, left_mats, right_mats, member):
@@ -424,31 +378,11 @@ def corner_double(mat, field):
     return PolyMatrix([[f2, g2], [Poly.zero(1), f2.substitute({0: xx})]])
 
 
-@dataclass(frozen=True)
-class EndRingReport:
-    ring: str
-    idealizer: IdealizerReport
-    domain_degree: int
-    unital: bool
-    lands_in_idealizer: bool
-    multiplicative: bool
-    multiplicative_pairs: tuple
-    injective: bool
-    kernel_witness: object
-    surjective_through: int
-    required_through: int
-    ok: bool
-
-    def to_json(self):
-        return {"ring": self.ring, "idealizer": self.idealizer.to_json(),
-                "domain_degree": self.domain_degree, "unital": self.unital,
-                "lands_in_idealizer": self.lands_in_idealizer,
-                "multiplicative": self.multiplicative,
-                "multiplicative_pairs": list(self.multiplicative_pairs),
-                "injective": self.injective,
-                "kernel_witness": self.kernel_witness,
-                "surjective_through": self.surjective_through,
-                "required_through": self.required_through, "ok": self.ok}
+class EndRingReport(Record):
+    fields = ("ring", "idealizer", "domain_degree", "unital",
+              "lands_in_idealizer", "multiplicative", "multiplicative_pairs",
+              "injective", "kernel_witness", "surjective_through",
+              "required_through", "ok")
 
 
 def end_ring(ring, window, ideal, generators, predicted=None,
@@ -508,34 +442,11 @@ def end_ring(ring, window, ideal, generators, predicted=None,
 
 # ------------------------------------------ stage (iv): dual identification
 
-@dataclass(frozen=True)
-class DualIdentificationReport:
-    ring: str
-    presents_through: int
-    presentation_kernel_matches: bool
-    psi_kills_ideal: bool
-    psi_kernel_matches: bool
-    psi_onto_through: int
-    left_equivariant: bool
-    left_pairs: tuple
-    right_c_equivariant: bool
-    required_presentation: int
-    required_onto: int
-    ok: bool
-
-    def to_json(self):
-        return {"ring": self.ring,
-                "presents_through": self.presents_through,
-                "presentation_kernel_matches":
-                    self.presentation_kernel_matches,
-                "psi_kills_ideal": self.psi_kills_ideal,
-                "psi_kernel_matches": self.psi_kernel_matches,
-                "psi_onto_through": self.psi_onto_through,
-                "left_equivariant": self.left_equivariant,
-                "left_pairs": list(self.left_pairs),
-                "right_c_equivariant": self.right_c_equivariant,
-                "required_presentation": self.required_presentation,
-                "required_onto": self.required_onto, "ok": self.ok}
+class DualIdentificationReport(Record):
+    fields = ("ring", "presents_through", "presentation_kernel_matches",
+              "psi_kills_ideal", "psi_kernel_matches", "psi_onto_through",
+              "left_equivariant", "left_pairs", "right_c_equivariant",
+              "required_presentation", "required_onto", "ok")
 
 
 def slot_shift(mat, field):
@@ -651,16 +562,9 @@ def dual_identification(ring, window, ideal, left_struct, center,
 
 # ------------------------------------------------------------ full chain
 
-@dataclass(frozen=True)
-class DualizingReport:
-    ring: str
-    degcap: int
-    free: object
-    cyclic: object
-    endo: object
-    ident: object
-    aborted_at: object
-    ok: bool
+class DualizingReport(Record):
+    fields = ("ring", "degcap", "free", "cyclic", "endo", "ident",
+              "aborted_at", "ok")
 
     def stage_results(self):
         out = []
@@ -672,12 +576,11 @@ class DualizingReport:
         return out
 
     def to_json(self):
-        reps = {"free": self.free, "cyclic": self.cyclic,
-                "endo": self.endo, "ident": self.ident}
+        stages = {"free": self.free, "cyclic": self.cyclic,
+                  "endo": self.endo, "ident": self.ident}
         return {"ring": self.ring, "degcap": self.degcap,
-                "stages": {k: (None if r is None else r.to_json())
-                           for k, r in reps.items()},
-                "stage_results": [list(s) for s in self.stage_results()],
+                "stages": jsonable(stages),
+                "stage_results": jsonable(self.stage_results()),
                 "aborted_at": self.aborted_at, "ok": self.ok}
 
 

@@ -25,11 +25,10 @@ would need ideal saturation beyond the trusted degree raise
 TruncationError; rebuild with a larger degree cap.
 """
 
-from dataclasses import dataclass
-
-from .linspace import (Subspace, span, zero_space, sum_spaces, intersect,
+from .linspace import (span, zero_space, sum_spaces, intersect,
                        subspace_product, quotient_dim, QuotientContext,
                        DegreeOverflowError, Inconclusive)
+from .record import Record
 
 
 class WindowExceeded(Inconclusive):
@@ -40,16 +39,14 @@ class TruncationError(Inconclusive):
     pass
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(Record):
     """A named list of generators inside an ambient matrix ring.  The unit
     is always implicit."""
 
-    name: str
-    ambient: object
-    gens: tuple
+    fields = ("name", "ambient", "gens")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         for _, g in self.gens:
             self.ambient.encode(g)
 
@@ -115,18 +112,11 @@ class Filtration:
                 f"window=[{self.lo},{self.hi}])")
 
 
-@dataclass(frozen=True)
-class HilbertTable:
-    kind: str
-    values: tuple
-    name: str = ""
+class HilbertTable(Record):
+    fields = ("kind", "name", "values")
 
     def value(self, n):
         return self.values[n]
-
-    def to_json(self):
-        return {"kind": self.kind, "name": self.name,
-                "values": list(self.values)}
 
 
 def hilbert(filt, upto):
@@ -140,7 +130,7 @@ def hilbert(filt, upto):
     else:
         vals = [quotient_dim(filt.layer(0), filt.layer(-n))
                 for n in range(upto + 1)]
-    return HilbertTable(filt.kind, tuple(vals), name=filt.name)
+    return HilbertTable(filt.kind, filt.name, tuple(vals))
 
 
 def _next_layer(amb, gens, before, cur):
@@ -264,12 +254,8 @@ def two_sided_closure(pres, seeds):
     return cur, closed_degree
 
 
-@dataclass(frozen=True)
-class QuotientFiltration:
-    filtration: Filtration
-    context: QuotientContext
-    ideal: Subspace
-    closed_degree: int
+class QuotientFiltration(Record):
+    fields = ("filtration", "context", "ideal", "closed_degree")
 
 
 def induced_quotient_filtration(pres, seeds, upto, base=None):
@@ -338,22 +324,10 @@ def intrinsic_module_filtration(module_span, ring_filt, lo, hi, name=""):
     return Filtration(ring_filt.kind, ring_filt.ambient, layers, name=name)
 
 
-@dataclass(frozen=True)
-class OffsetReport:
-    a_name: str
-    b_name: str
-    a_in_b: object
-    b_in_a: object
-    equivalent: bool
-    offset: object
-    max_offset: int
-    pairs_checked: int
-
-    def to_json(self):
-        return {"a": self.a_name, "b": self.b_name, "a_in_b": self.a_in_b,
-                "b_in_a": self.b_in_a, "equivalent": self.equivalent,
-                "offset": self.offset, "max_offset": self.max_offset,
-                "pairs_checked": self.pairs_checked}
+class OffsetReport(Record):
+    """a and b are the names of the two compared filtrations."""
+    fields = ("a", "b", "a_in_b", "b_in_a", "equivalent", "offset",
+              "max_offset", "pairs_checked")
 
 
 def _contains_at_offset(fa, fb, q, lo, hi):
@@ -395,22 +369,9 @@ def equivalence_offset(fa, fb, max_offset=3):
                         max_offset, hi - lo + 1)
 
 
-@dataclass(frozen=True)
-class GoodnessReport:
-    side: str
-    submultiplicative_ok: bool
-    first_violation: object
-    stable_from: object
-    pairs_checked: int
-    pairs_skipped: int
-
-    def to_json(self):
-        return {"side": self.side,
-                "submultiplicative_ok": self.submultiplicative_ok,
-                "first_violation": self.first_violation,
-                "stable_from": self.stable_from,
-                "pairs_checked": self.pairs_checked,
-                "pairs_skipped": self.pairs_skipped}
+class GoodnessReport(Record):
+    fields = ("side", "submultiplicative_ok", "first_violation",
+              "stable_from", "pairs_checked", "pairs_skipped")
 
 
 def _action_product(ring_layer, mod_layer, side):
@@ -473,24 +434,13 @@ def is_good(ring_filt, mod_filt, side="left"):
     return GoodnessReport(side, ok, violation, stable_from, checked, skipped)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    nested_ok: bool
-    unit_ok: bool
-    multiplicative_ok: bool
-    pairs_checked: int
-    pairs_skipped: int
-    detail: object
+class AxiomReport(Record):
+    fields = ("nested_ok", "unit_ok", "multiplicative_ok", "pairs_checked",
+              "pairs_skipped", "detail")
 
     @property
     def ok(self):
         return self.nested_ok and self.unit_ok and self.multiplicative_ok
-
-    def to_json(self):
-        return {"nested_ok": self.nested_ok, "unit_ok": self.unit_ok,
-                "multiplicative_ok": self.multiplicative_ok,
-                "pairs_checked": self.pairs_checked,
-                "pairs_skipped": self.pairs_skipped, "detail": self.detail}
 
 
 def verify_filtration_axioms(filt, unital=True):

@@ -28,17 +28,14 @@ producer cannot vouch for itself: a certificate is rechecked by a path
 other than the one that produced it.
 """
 
-from dataclasses import dataclass
-
 from .linalg import SpanTracker, combine_rows, rref
 from .linspace import complement_section
 from .filtration import WindowExceeded
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GrElement:
-    degree: int
-    coords: tuple
+class GrElement(Record):
+    fields = ("degree", "coords")
 
     def is_zero(self):
         return not any(self.coords)
@@ -200,18 +197,8 @@ def sandwich_zero_sweep(gr, classes, name):
     return True, checked
 
 
-@dataclass(frozen=True)
-class SpanningReport:
-    patterns: tuple
-    degrees: tuple
-    covered: tuple
-    all_covered: bool
-
-    def to_json(self):
-        return {"patterns": [list(map(list, p)) for p in self.patterns],
-                "degrees": list(self.degrees),
-                "covered": list(self.covered),
-                "all_covered": self.all_covered}
+class SpanningReport(Record):
+    fields = ("patterns", "degrees", "covered", "all_covered")
 
 
 def spanning_check(gr, classes, patterns, degrees=None):
@@ -253,22 +240,9 @@ def spanning_check(gr, classes, patterns, degrees=None):
 
 # ------------------------------------------------------------ ideal chains
 
-@dataclass(frozen=True)
-class ChainReport:
-    side: str
-    words: tuple
-    ideal_dims: tuple
-    strictly_ascending: bool
-    witnesses: tuple
-    window: tuple
-
-    def to_json(self):
-        return {"side": self.side,
-                "words": [list(w) for w in self.words],
-                "ideal_dims": list(self.ideal_dims),
-                "strictly_ascending": self.strictly_ascending,
-                "witnesses": [dict(w) for w in self.witnesses],
-                "window": list(self.window)}
+class ChainReport(Record):
+    fields = ("side", "words", "ideal_dims", "strictly_ascending",
+              "witnesses", "window")
 
 
 def _generator_products(gr, g, side, m, product):

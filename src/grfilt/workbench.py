@@ -10,14 +10,13 @@ series=True and degree cap d is M_n(k[x]/(x^(d+1))), so products reduce
 modulo x^(d+1) by ring structure rather than by silent truncation.
 """
 
-from dataclasses import dataclass
-
 from .fields import QQ
 from .linalg import rref
 from .linspace import Ambient, QuotientContext
 from .filtration import (AlgebraPresentation, two_sided_closure,
                          WindowExceeded)
 from .poly import Poly, PolyMatrix
+from .record import Record
 
 
 CATALOG = ("R_2x2", "S", "T", "R_prime", "R_hat", "C_diag")
@@ -53,15 +52,10 @@ def _sub_x_squared(p, series_cap=None):
     return q
 
 
-@dataclass
-class ExampleRing:
-    name: str
-    ambient: Ambient
-    pres: AlgebraPresentation
-    description: str
-    elements: dict
-    shape_member: object
-    in_catalog: bool = True
+class ExampleRing(Record):
+    fields = ("name", "ambient", "pres", "description", "elements",
+              "shape_member", "in_catalog")
+    defaults = {"in_catalog": True}
 
     def el(self, name):
         return self.elements[name]
@@ -287,19 +281,9 @@ def right_ideal_escape_witness(ring):
     return prod, in_rows_12
 
 
-@dataclass(frozen=True)
-class IsoReport:
-    consistent: bool
-    dim_a: int
-    dim_b: int
-    dim_joint: int
-    words_checked: int
-    max_len: int
-
-    def to_json(self):
-        return {"consistent": self.consistent, "dim_a": self.dim_a,
-                "dim_b": self.dim_b, "dim_joint": self.dim_joint,
-                "words_checked": self.words_checked, "max_len": self.max_len}
+class IsoReport(Record):
+    fields = ("consistent", "dim_a", "dim_b", "dim_joint", "words_checked",
+              "max_len")
 
 
 class MulSystem:

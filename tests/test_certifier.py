@@ -130,14 +130,13 @@ def test_gap_payload_never_verifies():
 def test_verdicts_and_sides_swap_follow_the_offset_reports(monkeypatch):
     """Make every offset report diverge: the matching side's verdict
     clause and the two-sided swap check must both change with them."""
-    import dataclasses
     import grfilt.certifier
     real = grfilt.certifier.equivalence_offset
     monkeypatch.setattr(
         grfilt.certifier, "equivalence_offset",
-        lambda fa, fb, max_offset: dataclasses.replace(
-            real(fa, fb, max_offset=max_offset), b_in_a=None,
-            equivalent=False, offset=None))
+        lambda fa, fb, max_offset: real(
+            fa, fb, max_offset=max_offset).replace(
+            b_in_a=None, equivalent=False, offset=None))
     d = assemble_growth_dossier("two-sided", depth=6)
     assert d.ascending.verdict.endswith("right side diverges too)")
     assert d.weak_adic.verdict.endswith("left side diverges too)")

@@ -293,13 +293,12 @@ def test_certify_single_case_fails_when_the_chain_does_not_reverify(
 
 
 def test_certify_rank_pair_not_free_is_a_failure(capsys, monkeypatch):
-    import dataclasses
     import grfilt.certifier
     real = grfilt.certifier.free_rank
     monkeypatch.setattr(
         grfilt.certifier, "free_rank",
-        lambda action, depth: dataclasses.replace(real(action, depth),
-                                                  verdict="not free"))
+        lambda action, depth: real(action, depth).replace(
+            verdict="not free"))
     code, out, err = run(capsys, "certify", "--depth", "6")
     assert code == 1
     assert out == ""
@@ -308,17 +307,14 @@ def test_certify_rank_pair_not_free_is_a_failure(capsys, monkeypatch):
 
 def test_ranks_failure_is_not_masked_by_an_inconclusive_side(
         capsys, monkeypatch):
-    import dataclasses
     import grfilt.cli
     real = grfilt.cli.bimodule_ranks
 
     def mixed(spec, depth):
         both = real(spec, depth)
         return {**both,
-                "left": dataclasses.replace(both["left"],
-                                            verdict="not free"),
-                "right": dataclasses.replace(both["right"],
-                                             verdict="inconclusive")}
+                "left": both["left"].replace(verdict="not free"),
+                "right": both["right"].replace(verdict="inconclusive")}
     monkeypatch.setattr(grfilt.cli, "bimodule_ranks", mixed)
     code, out, _ = run(capsys, "ranks", "--depth", "8")
     assert code == 1
