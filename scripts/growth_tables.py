@@ -26,9 +26,10 @@ def tables(depth):
     for name, argv in (
             ("ring", f"--ring R_2x2 --depth {depth}"),
             ("quotient", f"--quotient beta --depth {depth}"),
-            # the series catalog cap would truncate layers past degree 9
-            ("madic_quotient", f"--ring R_prime --kind weak-adic --degcap "
-                               f"{depth + 2} --quotient beta --depth {depth}")):
+            # the series catalog cap 9 saturates the powers past depth 10
+            ("madic_quotient",
+             f"--ring R_prime --kind weak-adic --degcap {depth + 2} "
+             f"--quotient beta --depth {depth}")):
         args = build_parser().parse_args(["hilbert", *argv.split()])
         cols[name] = args.handler(args)[1]["hilbert"]["values"]
     return cols

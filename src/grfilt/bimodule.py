@@ -14,7 +14,7 @@ therefore exposed as a probe with the correction factor spelled out, never
 as the rank itself.
 """
 
-from .linalg import SpanTracker, combine_rows, kernel_combos
+from .linalg import SpanTracker, kernel_combos, kernel_rows
 from .linspace import (Subspace, restrict_degree, intersect, sum_spaces,
                        zero_space, span, DegreeOverflowError)
 from .filtration import WindowExceeded
@@ -148,17 +148,15 @@ def verify_rank_certificate(action, report):
         orbit = action.power_orbit(gens[gi], max_power=k)
         if len(orbit) <= k:
             return False
-        vec = list(amb.encode(orbit[k]))
+        rest = orbit[k]
         if rel["kind"] == "nilpotent":
-            return not any(vec)
-        if not any(vec):
+            return rest.is_zero()
+        if rest.is_zero():
             return False
         for j, l, cs in rel["combo"]:
             c = _coeff_from_str(amb.field, cs)
-            other = action.power_orbit(gens[j], max_power=l)[l]
-            ov = amb.encode(other)
-            vec = [a - c * b for a, b in zip(vec, ov)]
-        return not any(vec)
+            rest = rest - action.power_orbit(gens[j], max_power=l)[l].scale(c)
+        return rest.is_zero()
     if report.verdict != "free":
         return True
     tracker = SpanTracker(amb.field, amb.dim)
@@ -201,11 +199,9 @@ def torsion_window(action, max_power=None):
         m = b
         for _ in range(max_power):
             m = action.apply(m)
-        images.append(list(amb.encode(m)))
-    combos = kernel_combos(images, amb.field)
+        images.append(amb.encode(m))
     return Subspace.from_vectors(
-        amb, [combine_rows(c, domain.rows, amb.dim, amb.field)
-              for c in combos])
+        amb, kernel_rows(images, domain.rows, amb.field))
 
 
 def slope_table(action, depth):

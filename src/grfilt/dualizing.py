@@ -34,9 +34,11 @@ reporting: for the triangular ring every cap below 8 is undecided, not
 verified, and for the control every cap below 6.
 """
 
+from functools import partial
+
 from .fields import QQ
 from .poly import Poly, PolyMatrix
-from .linalg import SpanTracker, kernel_combos, rref
+from .linalg import SpanTracker, kernel_rows, rref
 from .linspace import (Subspace, PolyTupleSpace, DegreeOverflowError,
                        span, sum_spaces, prefix_space, restrict_degree)
 from .filtration import WindowExceeded
@@ -218,19 +220,6 @@ class CyclicReport(Record):
               "dims_consistent", "ok")
 
 
-def _combo_vectors(amb, combos, basis):
-    """Turn kernel combinations over a matrix basis into ambient vectors."""
-    encoded = [amb.encode(b) for b in basis]
-    out = []
-    for combo in combos:
-        vec = [amb.field.zero] * amb.dim
-        for c, enc in zip(combo, encoded):
-            if c:
-                vec = [u + c * v for u, v in zip(vec, enc)]
-        out.append(vec)
-    return out
-
-
 def cyclic_presentation(hom, window, expected_ann, acceptance_degree):
     """Stage (ii): deterministic cyclic-generator search in the dual.
 
@@ -263,7 +252,7 @@ def cyclic_presentation(hom, window, expected_ann, acceptance_degree):
     phi = hom.dual_basis()[chosen]
     images = [space.encode(hom.act(phi, b)) for b in basis]
     ann = Subspace.from_vectors(
-        amb, _combo_vectors(amb, kernel_combos(images, amb.field), basis))
+        amb, kernel_rows(images, window.rows, amb.field))
     matches = ann == expected_ann
     consistent = window.dim - ann.dim == chosen_orbit.dim
     return CyclicReport(st.ring.name, tuple(tried), chosen, chosen_orbit.dim,
@@ -318,6 +307,15 @@ def _product_stability(amb, budget, left_mats, right_mats, member):
     return ok, (checked, skipped)
 
 
+def _covered_through(sub, part, limit):
+    """Largest m <= limit with part(0), ..., part(m) inside sub; -1 when
+    part(0) is not."""
+    for m in range(limit + 1):
+        if not sub.contains(part(m)):
+            return m - 1
+    return limit
+
+
 def idealizer(ring, window, ideal, generators, predicted=None):
     """{r in window : r * generators inside the ideal}, exactly.
 
@@ -336,7 +334,7 @@ def idealizer(ring, window, ideal, generators, predicted=None):
             stacked.extend(ideal.reduce(amb.encode(amb.mul(b, g))))
         images.append(tuple(stacked))
     ide = Subspace.from_vectors(
-        amb, _combo_vectors(amb, kernel_combos(images, amb.field), basis))
+        amb, kernel_rows(images, domain.rows, amb.field))
     inside = ide.contains(restrict_degree(ideal, wcap))
     ring_gens = [g for _, g in ring.pres.gens]
     right_closed, rc_pairs = _product_stability(
@@ -407,12 +405,9 @@ def end_ring(ring, window, ideal, generators, predicted=None,
     lands = all(ide.member(m) for m in images)
     unital = corner_double(PolyMatrix.identity(2, 1, fld.one), fld) == \
         PolyMatrix.identity(2, 1, fld.one)
-    reduced = [tuple(ideal.reduce(amb.encode(m))) for m in images]
-    combos = kernel_combos(reduced, fld)
-    witness = None
-    if combos:
-        vec = _combo_vectors(amb, combos[:1], basis)[0]
-        witness = repr(amb.decode(vec))
+    reduced = [ideal.reduce(amb.encode(m)) for m in images]
+    kernel = kernel_rows(reduced, domain.rows, fld)
+    witness = repr(amb.decode(kernel[0])) if kernel else None
     mult_ok = True
     checked = skipped = 0
     for a in basis:
@@ -427,16 +422,12 @@ def end_ring(ring, window, ideal, generators, predicted=None,
                 amb.mul(corner_double(a, fld), corner_double(b, fld))
             if not ideal.member(diff):
                 mult_ok = False
-    covered = sum_spaces(span(amb, images), ideal)
-    through = -1
-    for m in range(amb.degcap + 1):
-        if not covered.contains(restrict_degree(ide, m)):
-            break
-        through = m
-    ok = (ide_rep.ok and unital and lands and mult_ok and not combos
+    through = _covered_through(sum_spaces(span(amb, images), ideal),
+                               lambda m: restrict_degree(ide, m), amb.degcap)
+    ok = (ide_rep.ok and unital and lands and mult_ok and not kernel
           and through >= required)
     return EndRingReport(ring.name, ide_rep, dcap, unital, lands, mult_ok,
-                         (checked, skipped), not combos, witness, through,
+                         (checked, skipped), not kernel, witness, through,
                          required, ok)
 
 
@@ -455,17 +446,6 @@ def slot_shift(mat, field):
     u = Poly(1, {((d - 1) // 2,): c
                  for (d,), c in mat.entry(0, 1).terms.items() if d % 2})
     return (u, mat.entry(0, 0))
-
-
-def _span_through(space, vectors, limit):
-    """Largest m <= limit with every degree-m prefix vector in the span."""
-    sub = Subspace.from_vectors(space, vectors)
-    through = -1
-    for m in range(limit + 1):
-        if not sub.contains(prefix_space(space, m)):
-            break
-        through = m
-    return through
 
 
 def dual_identification(ring, window, ideal, left_struct, center,
@@ -496,38 +476,28 @@ def dual_identification(ring, window, ideal, left_struct, center,
 
     imgs = [space.encode(hom1.act(phi1, b)) for b in basis] + \
            [space.encode(hom1.act(phi2, b)) for b in basis]
-    presents_through = _span_through(space, imgs, cap)
+    prefix = partial(prefix_space, space)
+    presents_through = _covered_through(
+        Subspace.from_vectors(space, imgs), prefix, cap)
 
-    combos = kernel_combos(imgs, fld)
-    kvecs = []
-    pair_dim = 2 * amb.dim
-    encoded = [amb.encode(b) for b in basis]
-    for combo in combos:
-        vec = [fld.zero] * pair_dim
-        for pos, c in enumerate(combo):
-            if not c:
-                continue
-            slot, which = divmod(pos, len(basis))
-            base = slot * amb.dim
-            for i, v in enumerate(encoded[which]):
-                vec[base + i] = vec[base + i] + c * v
-        kvecs.append(vec)
-    evecs = []
-    for j in range(_CORNER_LO[ring.name], cap):
-        r1 = amb.encode(_corner(_xpow(fld, j + 1)))
-        r2 = amb.encode(_corner(_xpow(fld, j)))
-        evecs.append(list(r1) + list(r2))
+    zeros = (fld.zero,) * amb.dim
+    kvecs = kernel_rows(imgs, [r + zeros for r in window.rows]
+                        + [zeros + r for r in window.rows], fld)
+    evecs = [amb.encode(_corner(_xpow(fld, j + 1)))
+             + amb.encode(_corner(_xpow(fld, j)))
+             for j in range(_CORNER_LO[ring.name], cap)]
     kred, _ = rref(kvecs, fld)
     ered, _ = rref(evecs, fld)
-    kernel_matches = [tuple(r) for r in kred] == [tuple(r) for r in ered]
+    kernel_matches = kred == ered
 
     kills = all(not any(space.encode(slot_shift(b, fld)))
                 for b in ideal.basis_matrices())
     psi_imgs = [space.encode(slot_shift(b, fld)) for b in basis]
     psi_kernel = Subspace.from_vectors(
-        amb, _combo_vectors(amb, kernel_combos(psi_imgs, fld), basis))
+        amb, kernel_rows(psi_imgs, window.rows, fld))
     psi_kernel_matches = psi_kernel == ideal
-    psi_onto_through = _span_through(space, psi_imgs, cap)
+    psi_onto_through = _covered_through(
+        Subspace.from_vectors(space, psi_imgs), prefix, cap)
 
     left_ok = True
     checked = skipped = 0

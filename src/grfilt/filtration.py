@@ -200,6 +200,11 @@ def weak_adic_filtration(pres, depth):
         m^i = m^{i-1} m = (m^{i-1} R) G = span(m^{i-1} G),
 
     multiplying by the generators and not by the whole basis of m.
+
+    The series window models a ring whose powers m^i never vanish, so a
+    zero m^i with i <= depth is the truncation speaking: the window is
+    saturated from there on and H(n) would stall at dim R.  That raises
+    WindowExceeded; raise the degree cap.
     """
     amb = pres.ambient
     if not amb.series:
@@ -214,6 +219,12 @@ def weak_adic_filtration(pres, depth):
     layers = {0: ring, -1: m1}
     for i in range(2, depth + 1):
         layers[-i] = _times_gens(amb, layers[-(i - 1)], gens)
+    zero = [i for i in range(1, depth + 1) if not layers[-i].dim]
+    if zero:
+        raise WindowExceeded(
+            f"m^{zero[0]} is zero in the series window of degree cap "
+            f"{amb.degcap}, by truncation and not in the ring; raise the "
+            f"degree cap for depth {depth}")
     return Filtration("weak-adic", amb, layers,
                       name=f"weak-adic:{pres.name}")
 
@@ -330,12 +341,14 @@ class OffsetReport(Record):
               "max_offset", "pairs_checked")
 
 
-def _contains_at_offset(fa, fb, q, lo, hi):
-    """Whether A_n <= B_{n+q} for every n in the fixed range."""
-    for n in range(lo, hi + 1):
-        if not fb.layer(n + q).contains(fa.layer(n)):
-            return False
-    return True
+def _least_offset(fa, fb, max_offset, lo, hi):
+    """Least q <= max_offset with A_n <= B_{n+q} for every n in the fixed
+    range [lo, hi], or None."""
+    for q in range(max_offset + 1):
+        if all(fb.layer(n + q).contains(fa.layer(n))
+               for n in range(lo, hi + 1)):
+            return q
+    return None
 
 
 def equivalence_offset(fa, fb, max_offset=3):
@@ -354,15 +367,8 @@ def equivalence_offset(fa, fb, max_offset=3):
     if hi < lo:
         raise WindowExceeded(
             f"windows too small to compare at offsets up to {max_offset}")
-    a_in_b = b_in_a = None
-    for q in range(max_offset + 1):
-        if _contains_at_offset(fa, fb, q, lo, hi):
-            a_in_b = q
-            break
-    for q in range(max_offset + 1):
-        if _contains_at_offset(fb, fa, q, lo, hi):
-            b_in_a = q
-            break
+    a_in_b = _least_offset(fa, fb, max_offset, lo, hi)
+    b_in_a = _least_offset(fb, fa, max_offset, lo, hi)
     equivalent = a_in_b is not None and b_in_a is not None
     return OffsetReport(fa.name, fb.name, a_in_b, b_in_a, equivalent,
                         max(a_in_b, b_in_a) if equivalent else None,

@@ -5,11 +5,19 @@ Over F_p the values are plain ints in [0, p), over Q they are Fractions;
 modulus(field) names the representation (p, or None over Q), sparse_row
 and dense_row convert to and from dense sequences of field elements.  One
 step, _axpy (row -= c * other row, touching only the other row's
-nonzeros), does all the elimination, and one helper built on it,
-insert_row, grows a canonical echelon {pivot column: row} by one row.
-rref, reduce_by_rref, coords_in_rref, nullspace and SpanTracker are built
-on _axpy, and so is combine_rows, the one place that forms linear
-combinations of dense rows for callers.
+nonzeros), does all the elimination, and one engine built on it,
+insert_row with reduce_row, grows a canonical echelon {pivot column: row}
+by one row.  rref inserts its input rows into an empty echelon
+(reduce_by_rref and coords_in_rref query the dense rows it returns), and
+SpanTracker is the same echelon with one more column per tag: the vector
+added under a tag is held as (vector, unit at the tag's column), so
+reducing a member leaves minus its combination in the tag columns.
+
+combine_rows is the one place that forms linear combinations of dense
+rows for callers, and kernel_rows the one place that maps a kernel back
+to rows: the kernel of rows[i] -> images[i] is the span of sum c_i
+rows[i] over the kernel combinations c of the images (kernel_combos,
+through nullspace).
 
 The echelon insert_row keeps is the canonical reduced row echelon form
 (pivot entries 1, pivot columns cleared), which is what makes Subspace
@@ -228,57 +236,53 @@ def kernel_combos(vectors, field):
     return nullspace(rows, field)
 
 
-class SpanTracker:
-    """Incremental span with expression of members as tagged combinations.
+def kernel_rows(images, rows, field):
+    """The kernel of the map sending rows[i] to images[i], as dense rows:
+    each kernel combination c of the images gives sum c_i * rows[i]."""
+    return [combine_rows(c, rows, len(rows[0]), field)
+            for c in kernel_combos(images, field)]
 
-    add() keeps rows forward-reduced (leading column unique per row), so
-    express() can read off the combination while reducing.  Rows and
-    combinations are sparse and hold the kernel's values (ints mod p over
-    F_p); express() hands back field elements.
+
+class SpanTracker:
+    """Incremental span that expresses members as tagged combinations.
+
+    A tagged echelon: the vector v added under the i-th tag is held as the
+    row (v, e_i) of an insert_row echelon, e_i the unit in column
+    ncols + i.  add() stores a row only if something below ncols survives
+    its reduction, so every pivot lies below ncols, and express(w) is one
+    reduce_row of (w, 0), which leaves (0, -c) exactly when w = sum c_i
+    v_i.  The held vectors are independent, so c is unique.  Tags must be
+    distinct; express() hands back field elements.
     """
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
         self._p = modulus(field)
-        self.rows = {}      # leading column -> (sparse row, sparse combo)
-
-    def _reduce(self, vec, combo):
-        """Reduce vec and its combo in place, lowest column first, until
-        the leading column is not held; returns it (None when vec is 0)."""
-        p = self._p
-        while vec:
-            lead = min(vec)
-            held = self.rows.get(lead)
-            if held is None:
-                return lead
-            row, rcombo = held
-            c = vec[lead]
-            _axpy(vec, c, row, p)
-            _axpy(combo, c, rcombo, p)
-        return None
+        self.rows = {}      # pivot column (< ncols) -> tagged kernel row
+        self.tags = []      # tags[i] labels column ncols + i
 
     def add(self, vec, tag):
         """Insert a tagged vector; True if it enlarged the span."""
         p = self._p
-        vec = _sparse(vec, self.field.zero, p)
-        combo = {tag: 1 if p else self.field.one}
-        lead = self._reduce(vec, combo)
-        if lead is None:
+        row = _sparse(vec, self.field.zero, p)
+        row[self.ncols + len(self.tags)] = 1 if p else self.field.one
+        if min(reduce_row(row, self.rows, p)) >= self.ncols:
             return False
-        c = vec[lead]
-        self.rows[lead] = (_normalize(vec, c, p), _normalize(combo, c, p))
+        self.tags.append(tag)
+        insert_row(self.rows, row, p)
         return True
 
     def express(self, vec):
         """{tag: coeff} with vec = sum coeff * tagged vector, or None."""
         p = self._p
-        combo = {}
-        if self._reduce(_sparse(vec, self.field.zero, p), combo) is not None:
+        row = reduce_row(_sparse(vec, self.field.zero, p), self.rows, p)
+        n = self.ncols
+        if row and min(row) < n:
             return None
         if p is None:
-            return {t: -c for t, c in combo.items()}
-        return {t: FpElement(p, -c) for t, c in combo.items()}
+            return {self.tags[j - n]: -c for j, c in row.items()}
+        return {self.tags[j - n]: FpElement(p, -c) for j, c in row.items()}
 
     @property
     def dim(self):

@@ -21,8 +21,8 @@ truncation.
 from functools import cached_property
 
 from .fields import QQ, FpElement
-from .linalg import (combine_rows, dense_row, insert_row, kernel_combos,
-                     modulus, reduce_row, rref, sparse_row)
+from .linalg import (dense_row, insert_row, kernel_rows, modulus,
+                     reduce_row, rref, sparse_row)
 from .poly import Poly, PolyMatrix
 
 
@@ -375,10 +375,8 @@ def restrict_degree(u, maxdeg):
     tails = [row[k:] for row in u.rows]
     if not any(any(t) for t in tails):
         return u
-    amb = u.ambient
-    combos = kernel_combos([list(t) for t in tails], amb.field)
     return Subspace.from_vectors(
-        amb, [combine_rows(c, u.rows, amb.dim, amb.field) for c in combos])
+        u.ambient, kernel_rows(tails, u.rows, u.ambient.field))
 
 
 def complement_section(sup, sub):

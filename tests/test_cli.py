@@ -53,6 +53,51 @@ def test_hilbert_weak_adic_series_ring(capsys):
     assert payload["hilbert"]["values"] == [0, 1, 3, 5, 7, 9, 11]
 
 
+@pytest.mark.parametrize("cap", [9, 10, 11, 12])
+def test_weak_adic_depths_are_exact_or_refused(capsys, cap):
+    # H(n) = 2n - 1 while m^n is nonzero, which it is through cap + 1;
+    # gr's pieces m^i/m^(i+1) have dimension 2 below degree 0
+    for depth in range(cap + 4):
+        code, out, err = run(capsys, "--format", "json", "hilbert",
+                             "--ring", "R_prime", "--kind", "weak-adic",
+                             "--depth", str(depth), "--degcap", str(cap))
+        assert code == (0 if depth <= cap + 1 else 2)
+        if code == 0:
+            values = json.loads(out)["hilbert"]["values"]
+            assert values == [0] + [2 * n - 1 for n in range(1, depth + 1)]
+        else:
+            assert out == "" and "is zero in the series window" in err
+    for depth in range(2, cap + 4):
+        code, out, err = run(capsys, "--format", "json", "gr",
+                             "--ring", "R_prime", "--kind", "weak-adic",
+                             "--depth", str(depth), "--degcap", str(cap))
+        assert code == (0 if depth <= cap + 1 else 2)
+        if code == 0:
+            dims = json.loads(out)["gr"]["piece_dims"]
+            assert dims == {str(-i): 2 if i else 1 for i in range(depth)}
+        else:
+            assert out == "" and "is zero in the series window" in err
+
+
+def test_certify_weak_adic_on_a_saturated_window_is_inconclusive(
+        capsys, monkeypatch):
+    # the dossier sizes its series cap to depth + 2; a cap of depth - 3
+    # kills m^(depth - 1) by truncation
+    import grfilt.certifier
+    real = grfilt.certifier.make
+
+    def small_cap(name, degcap, field):
+        if name == "R_prime":
+            degcap -= 5
+        return real(name, degcap=degcap, field=field)
+    monkeypatch.setattr(grfilt.certifier, "make", small_cap)
+    code, out, err = run(capsys, "certify", "--case", "weak-adic",
+                         "--depth", "8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("inconclusive at this depth: m^7 is zero")
+
+
 def test_hilbert_depth_past_default_cap(capsys):
     # without --degcap the cap follows the depth, so this succeeds
     code, out, _ = run(capsys, "--format", "json", "hilbert",
@@ -273,6 +318,9 @@ def test_negative_window_is_usage_error(capsys, argv):
     ("certify", "--depth", "3"),
     ("certify", "--case", "ascending", "--depth", "3"),
     ("certify", "--case", "weak-adic", "--depth", "4"),
+    # at the catalog cap 9, m^11 is zero only by truncation
+    ("hilbert", "--ring", "R_prime", "--kind", "weak-adic", "--depth", "14"),
+    ("gr", "--ring", "R_prime", "--kind", "weak-adic", "--depth", "14"),
 ])
 def test_window_too_small_to_mean_anything_is_inconclusive(capsys, argv):
     code, out, err = run(capsys, *argv)

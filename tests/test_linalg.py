@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from grfilt.fields import QQ, PrimeField
 from grfilt.linalg import (SpanTracker, combine_rows, coords_in_rref,
-                           kernel_combos, nullspace, reduce_by_rref, rref)
+                           kernel_combos, kernel_rows, nullspace,
+                           reduce_by_rref, rref)
 
 FIELDS = [QQ, PrimeField(101), PrimeField(2147483647)]
 
@@ -134,11 +135,23 @@ def test_nullspace_is_annihilated_with_full_dimension(case):
     combos = kernel_combos([list(r) for r in rows], fld)
     for c in combos:
         assert not any(combine(fld, c, rows, ncols))
+    # the map sends the i-th unit e_i to rows[i]; its graph rows
+    # (e_i, rows[i]) let each kernel row show its own image, which is 0
+    n = len(rows)
+    graph = [tuple(fld.one if j == i else fld.zero for j in range(n)) + r
+             for i, r in enumerate(rows)]
+    kernel = kernel_rows(rows, graph, fld)
+    assert len(kernel) == n - rank
+    assert len(rref(kernel, fld)[1]) == len(kernel)
+    for k in kernel:
+        assert len(k) == n + ncols
+        assert not any(k[n:])
+        assert combine(fld, k[:n], rows, ncols) == [fld.zero] * ncols
 
 
 @common
-@given(matrices())
-def test_span_tracker_expresses_what_it_was_given(case):
+@given(matrices(), st.data())
+def test_span_tracker_expresses_what_it_was_given(case, data):
     fld, rows = case
     if not rows:
         return
@@ -147,6 +160,20 @@ def test_span_tracker_expresses_what_it_was_given(case):
     added = [tracker.add(r, i) for i, r in enumerate(rows)]
     pivots = rref(rows, fld)[1]
     assert tracker.dim == sum(added) == len(pivots)
+    # zero and dependent adds, interleaved, are refused and change nothing
+    zero_row = tuple([fld.zero] * ncols)
+    extra = data.draw(st.permutations(rows[:3] + [zero_row] * 2))
+    assert not any(tracker.add(r, ("extra", i))
+                   for i, r in enumerate(extra))
+    assert tracker.dim == len(pivots)
+    # the accepted vectors are independent, so a combination of them is
+    # expressed as exactly that combination
+    kept = [t for t, ok in enumerate(added) if ok]
+    coeffs = [entry(fld, data.draw(st.sampled_from((0, 100, -3, 1, 2))))
+              for _ in kept]
+    target = combine(fld, coeffs, [rows[t] for t in kept], ncols)
+    assert tracker.express(target) == {t: c for t, c in zip(kept, coeffs)
+                                       if c}
     for r in rows:
         combo = tracker.express(r)
         assert combo is not None
