@@ -14,9 +14,9 @@ therefore exposed as a probe with the correction factor spelled out, never
 as the rank itself.
 """
 
-from .linalg import SpanTracker, kernel_combos, kernel_rows
-from .linspace import (Subspace, restrict_degree, intersect, sum_spaces,
-                       zero_space, span, DegreeOverflowError)
+from .linalg import SpanTracker
+from .linspace import (restrict_degree, intersect, sum_spaces, zero_space,
+                       span, DegreeOverflowError)
 from .filtration import WindowExceeded
 from .record import Record
 
@@ -145,6 +145,11 @@ def verify_rank_certificate(action, report):
             return False
         gens = list(report.generators)
         gi, k = rel["generator"], rel["power"]
+        # every combo term comes before (gi, k) in the scan's order
+        if not (0 <= gi < len(gens) and k >= 0 and all(
+                0 <= j < gi or (j == gi and 0 <= l < k)
+                for j, l, _ in rel["combo"])):
+            return False
         orbit = action.power_orbit(gens[gi], max_power=k)
         if len(orbit) <= k:
             return False
@@ -199,9 +204,8 @@ def torsion_window(action, max_power=None):
         m = b
         for _ in range(max_power):
             m = action.apply(m)
-        images.append(amb.encode(m))
-    return Subspace.from_vectors(
-        amb, kernel_rows(images, domain.rows, amb.field))
+        images.append(amb.encode_sparse(m))
+    return domain.kernel(images, amb.dim)
 
 
 def slope_table(action, depth):
@@ -247,39 +251,31 @@ def goldie_rank(action, depth):
             "element is torsion by truncation and the certificate is empty")
     dt = max(action.actor.degree(), 1)
     domain = restrict_degree(action.carrier, amb.degcap - dt)
-    regular_ok = True
-    if domain.dim:
-        images = [list(amb.encode(action.apply(b)))
-                  for b in domain.basis_matrices()]
-        if kernel_combos(images, amb.field):
-            regular_ok = False
-    if not regular_ok:
+    images = [amb.encode_sparse(action.apply(b))
+              for b in domain.basis_matrices()]
+    if domain.kernel(images, amb.dim).dim:
         return GoldieReport(action.name, action.side,
                             "not certified: actor has a kernel on the "
                             "window", None, (), (), False, False, False,
                             depth, slope_table(action, depth))
-    family = []
-    orbit_spans = []
-    total = zero_space(amb)
-    budget_ok = True
     basis = [b for b in action.carrier.basis_matrices()
              if b.degree() <= depth]
     basis.sort(key=lambda m: m.degree())
-    for b in basis:
-        orbit = action.power_orbit(b)
-        sb = span(amb, orbit)
-        if intersect(total, sb).dim == 0:
+    orbits = [action.power_orbit(b) for b in basis]
+    spans = [span(amb, orbit) for orbit in orbits]
+    family = []
+    total = zero_space(amb)
+    budget_ok = True
+    # an orbit span meets total trivially exactly when the sum is direct
+    for b, orbit, sb in zip(basis, orbits, spans):
+        grown = sum_spaces(total, sb)
+        if grown.dim == total.dim + sb.dim:
             family.append(b)
-            orbit_spans.append(sb)
-            total = sum_spaces(total, sb)
+            total = grown
             if len(orbit) < 2:
                 budget_ok = False
-    essential_ok = True
-    for b in basis:
-        sb = span(amb, action.power_orbit(b))
-        if intersect(total, sb).dim == 0:
-            essential_ok = False
-            break
+    essential_ok = all(sum_spaces(total, sb).dim < total.dim + sb.dim
+                       for sb in spans)
     verdict = "certified" if (essential_ok and budget_ok) else "inconclusive"
     return GoldieReport(action.name, action.side, verdict,
                         len(family) if verdict == "certified" else None,
@@ -289,10 +285,15 @@ def goldie_rank(action, depth):
 
 
 def verify_goldie_certificate(action, report):
-    """Recheck pairwise directness and essentiality of a stored family."""
+    """Recheck pairwise directness and essentiality of a stored family of
+    carrier elements of degree <= depth whose size is the rank."""
     if report.verdict != "certified":
         return True
     amb = action.ambient
+    if report.rank != len(report.family) or not all(
+            m.degree() <= report.depth and action.carrier.member(m)
+            for m in report.family):
+        return False
     total = zero_space(amb)
     for m in report.family:
         sb = span(amb, action.power_orbit(m))

@@ -97,7 +97,7 @@ def verify_certificate(cert):
     for row in rows:
         p, n = row["p"], row["n"]
         seen.add(p)
-        if n + p >= len(vals):
+        if not 0 <= n < len(vals) - p:
             return False
         if row["H_n"] != vals[n] or row["H_n_plus_p"] != vals[n + p]:
             return False

@@ -39,8 +39,8 @@ from functools import partial
 from .fields import QQ
 from .poly import Poly, PolyMatrix
 from .linalg import SpanTracker, kernel_rows, rref
-from .linspace import (Subspace, PolyTupleSpace, DegreeOverflowError,
-                       span, sum_spaces, prefix_space, restrict_degree)
+from .linspace import (Subspace, PolyTupleSpace, DegreeOverflowError, span,
+                       sum_spaces, prefix_space, restrict_degree, zero_space)
 from .filtration import WindowExceeded
 from .workbench import make, diagonal_embed
 from .bimodule import ModuleAction, free_rank
@@ -70,23 +70,29 @@ def _corner(p):
     return PolyMatrix([[z, p], [z, z]])
 
 
-def ring_window(ring):
-    """Every shape element of the ring whose encoding fits the cap.
-
-    Knows R_2x2 (corner k[x] e12) and R_perturbed (corner x k[x] e12).
-    The diagonal part diag(f, f(x^2)) fits only for deg f <= cap/2.
-    """
+def _diagonal_corner_span(ring, step):
+    """Span of diag(x^(step k), x^(2 step k)) for every k that fits the
+    cap and of the whole corner the ring allows."""
     amb = ring.ambient
     if ring.name not in _CORNER_LO:
         raise KeyError(f"no window recipe for {ring.name!r}")
     if amb.series:
         raise ValueError("dualizing chain runs in polynomial mode only")
     fld = amb.field
-    mats = [diagonal_embed(amb, _xpow(fld, k))
-            for k in range(amb.degcap // 2 + 1)]
+    mats = [diagonal_embed(amb, _xpow(fld, step * k))
+            for k in range(amb.degcap // (2 * step) + 1)]
     mats += [_corner(_xpow(fld, j))
              for j in range(_CORNER_LO[ring.name], amb.degcap + 1)]
     return span(amb, mats)
+
+
+def ring_window(ring):
+    """Every shape element of the ring whose encoding fits the cap.
+
+    Knows R_2x2 (corner k[x] e12) and R_perturbed (corner x k[x] e12).
+    The diagonal part diag(f, f(x^2)) fits only for deg f <= cap/2.
+    """
+    return _diagonal_corner_span(ring, 1)
 
 
 class CenterEmbedding(Record):
@@ -231,15 +237,14 @@ def cyclic_presentation(hom, window, expected_ann, acceptance_degree):
     """
     _require_window(STAGES[1], "the acceptance degree", acceptance_degree)
     st = hom.structure
-    amb = st.ambient
     space = hom.space
     basis = window.basis_matrices()
     target = prefix_space(space, acceptance_degree)
     tried = []
     chosen = chosen_orbit = None
     for idx, phi in enumerate(hom.dual_basis()):
-        vecs = [space.encode(hom.act(phi, b)) for b in basis]
-        orbit = Subspace.from_vectors(space, vecs)
+        images = [space.encode_sparse(hom.act(phi, b)) for b in basis]
+        orbit = zero_space(space).extend(dict(r) for r in images)
         hit = orbit.contains(target)
         tried.append({"candidate": idx, "orbit_dim": orbit.dim,
                       "target_dim": target.dim, "accepted": hit})
@@ -249,10 +254,7 @@ def cyclic_presentation(hom, window, expected_ann, acceptance_degree):
     if chosen is None:
         return CyclicReport(st.ring.name, tuple(tried), None, 0,
                             acceptance_degree, 0, False, False, False)
-    phi = hom.dual_basis()[chosen]
-    images = [space.encode(hom.act(phi, b)) for b in basis]
-    ann = Subspace.from_vectors(
-        amb, kernel_rows(images, window.rows, amb.field))
+    ann = window.kernel(images, space.dim)
     matches = ann == expected_ann
     consistent = window.dim - ann.dim == chosen_orbit.dim
     return CyclicReport(st.ring.name, tuple(tried), chosen, chosen_orbit.dim,
@@ -329,12 +331,12 @@ def idealizer(ring, window, ideal, generators, predicted=None):
     basis = domain.basis_matrices()
     images = []
     for b in basis:
-        stacked = []
-        for g in generators:
-            stacked.extend(ideal.reduce(amb.encode(amb.mul(b, g))))
-        images.append(tuple(stacked))
-    ide = Subspace.from_vectors(
-        amb, kernel_rows(images, domain.rows, amb.field))
+        stacked = {}
+        for i, g in enumerate(generators):
+            res = ideal.residual(amb.encode_sparse(amb.mul(b, g)))
+            stacked.update((i * amb.dim + j, x) for j, x in res.items())
+        images.append(stacked)
+    ide = domain.kernel(images, len(generators) * amb.dim)
     inside = ide.contains(restrict_degree(ideal, wcap))
     ring_gens = [g for _, g in ring.pres.gens]
     right_closed, rc_pairs = _product_stability(
@@ -352,13 +354,7 @@ def idealizer(ring, window, ideal, generators, predicted=None):
 
 def predicted_idealizer(ring):
     """Even diagonal part, arbitrary corner: [[h(x^2), g], [0, h(x^4)]]."""
-    amb = ring.ambient
-    fld = amb.field
-    mats = [diagonal_embed(amb, _xpow(fld, 2 * k))
-            for k in range(amb.degcap // 4 + 1)]
-    mats += [_corner(_xpow(fld, j))
-             for j in range(_CORNER_LO[ring.name], amb.degcap + 1)]
-    return span(amb, mats)
+    return _diagonal_corner_span(ring, 2)
 
 
 def corner_double(mat, field):
@@ -405,9 +401,9 @@ def end_ring(ring, window, ideal, generators, predicted=None,
     lands = all(ide.member(m) for m in images)
     unital = corner_double(PolyMatrix.identity(2, 1, fld.one), fld) == \
         PolyMatrix.identity(2, 1, fld.one)
-    reduced = [ideal.reduce(amb.encode(m)) for m in images]
-    kernel = kernel_rows(reduced, domain.rows, fld)
-    witness = repr(amb.decode(kernel[0])) if kernel else None
+    kernel = domain.kernel(
+        [ideal.residual(amb.encode_sparse(m)) for m in images], amb.dim)
+    witness = repr(kernel.basis_matrices()[0]) if kernel.dim else None
     mult_ok = True
     checked = skipped = 0
     for a in basis:
@@ -424,10 +420,10 @@ def end_ring(ring, window, ideal, generators, predicted=None,
                 mult_ok = False
     through = _covered_through(sum_spaces(span(amb, images), ideal),
                                lambda m: restrict_degree(ide, m), amb.degcap)
-    ok = (ide_rep.ok and unital and lands and mult_ok and not kernel
+    ok = (ide_rep.ok and unital and lands and mult_ok and not kernel.dim
           and through >= required)
     return EndRingReport(ring.name, ide_rep, dcap, unital, lands, mult_ok,
-                         (checked, skipped), not kernel, witness, through,
+                         (checked, skipped), not kernel.dim, witness, through,
                          required, ok)
 
 
@@ -492,12 +488,10 @@ def dual_identification(ring, window, ideal, left_struct, center,
 
     kills = all(not any(space.encode(slot_shift(b, fld)))
                 for b in ideal.basis_matrices())
-    psi_imgs = [space.encode(slot_shift(b, fld)) for b in basis]
-    psi_kernel = Subspace.from_vectors(
-        amb, kernel_rows(psi_imgs, window.rows, fld))
-    psi_kernel_matches = psi_kernel == ideal
+    psi_imgs = [space.encode_sparse(slot_shift(b, fld)) for b in basis]
+    psi_kernel_matches = window.kernel(psi_imgs, space.dim) == ideal
     psi_onto_through = _covered_through(
-        Subspace.from_vectors(space, psi_imgs), prefix, cap)
+        zero_space(space).extend(psi_imgs), prefix, cap)
 
     left_ok = True
     checked = skipped = 0

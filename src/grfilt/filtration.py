@@ -246,7 +246,7 @@ def two_sided_closure(pres, seeds):
     cur = span(amb, seeds)
     frontier = cur.basis_matrices()
     while frontier:
-        fresh = {}      # encoding -> product, in order of discovery
+        fresh = {}      # sparse encoding -> product, in discovery order
         for m in frontier:
             for g in gens:
                 for left, right in ((g, m), (m, g)):
@@ -254,9 +254,10 @@ def two_sided_closure(pres, seeds):
                         p = amb.mul(left, right)
                     except DegreeOverflowError:
                         continue
-                    vec = amb.encode(p)
-                    if vec not in fresh and not cur.member_vec(vec):
-                        fresh[vec] = p
+                    row = amb.encode_sparse(p)
+                    key = frozenset(row.items())
+                    if key not in fresh and cur.residual(row):
+                        fresh[key] = p
         if not fresh:
             break
         cur = cur.extend(amb.encode_sparse(p) for p in fresh.values())

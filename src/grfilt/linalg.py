@@ -13,11 +13,13 @@ SpanTracker is the same echelon with one more column per tag: the vector
 added under a tag is held as (vector, unit at the tag's column), so
 reducing a member leaves minus its combination in the tag columns.
 
-combine_rows is the one place that forms linear combinations of dense
-rows for callers, and kernel_rows the one place that maps a kernel back
-to rows: the kernel of rows[i] -> images[i] is the span of sum c_i
-rows[i] over the kernel combinations c of the images (kernel_combos,
-through nullspace).
+joint_kernel is the one kernel route: it inserts the joint rows (a_i,
+b_i) into one insert_row echelon and reads the canonical RREF of {sum c_i
+b_i : sum c_i a_i = 0} off the rows whose pivot lies in the second part.
+kernel_rows (the kernel of rows[i] -> images[i]), kernel_combos (the
+kernel rows of the unit rows) and nullspace (kernel_combos of the columns)
+are its dense faces.  combine_rows forms linear combinations of dense rows
+for callers.
 
 The echelon insert_row keeps is the canonical reduced row echelon form
 (pivot entries 1, pivot columns cleared), which is what makes Subspace
@@ -197,50 +199,49 @@ def coords_in_rref(vec, rows, pivots):
     return [vec[p] for p in pivots]
 
 
-def nullspace(rows, field):
-    """Basis of {x : M x = 0} where rows are the equations of M."""
-    if not rows:
-        raise ValueError("nullspace needs at least the column count; pass "
-                         "explicit rows (possibly zero rows)")
-    ncols = len(rows[0])
-    red, pivots = rref(rows, field)
-    pivset = set(pivots)
-    zero = field.zero
-    basis = {}
-    for j in range(ncols):
-        if j not in pivset:
-            basis[j] = [zero] * ncols
-            basis[j][j] = field.one
-    for row, p in zip(red, pivots):
-        for j, x in enumerate(row):
-            # rref's rows hold the zero object itself; the only nonzero
-            # pivot-column entry of a row is its own pivot
-            if x is not zero and j != p:
-                basis[j][p] = -x
-    return [tuple(v) for v in basis.values()]
+def joint_kernel(pairs, width, p):
+    """{sum c_i b_i : sum c_i a_i = 0} for kernel-row pairs (a_i, b_i),
+    every a_i below column width, as its canonical RREF sorted by pivot.
 
-
-def kernel_combos(vectors, field):
-    """Combinations c with sum c_i * vectors_i = 0 (vectors as columns)."""
-    if not vectors:
-        return []
-    ncoords = len(vectors[0])
-    if ncoords == 0:
-        out = []
-        for i in range(len(vectors)):
-            v = [field.zero] * len(vectors)
-            v[i] = field.one
-            out.append(tuple(v))
-        return out
-    rows = [[v[i] for v in vectors] for i in range(ncoords)]
-    return nullspace(rows, field)
+    The joint rows (a_i, b_i shifted by width) go into one insert_row
+    echelon; its rows with pivot at or past width are zero in the first
+    part, and their second parts span the kernel, fully reduced."""
+    echelon = {}
+    for a, b in pairs:
+        row = dict(a)
+        row.update((width + j, x) for j, x in b.items())
+        insert_row(echelon, row, p)
+    return [{j - width: x for j, x in echelon[q].items()}
+            for q in sorted(echelon) if q >= width]
 
 
 def kernel_rows(images, rows, field):
-    """The kernel of the map sending rows[i] to images[i], as dense rows:
-    each kernel combination c of the images gives sum c_i * rows[i]."""
-    return [combine_rows(c, rows, len(rows[0]), field)
-            for c in kernel_combos(images, field)]
+    """The kernel of the map sending rows[i] to images[i], as dense rows
+    in canonical RREF."""
+    if not rows:
+        return []
+    pairs = [(sparse_row(a, field), sparse_row(r, field))
+             for a, r in zip(images, rows)]
+    return [dense_row(r, len(rows[0]), field)
+            for r in joint_kernel(pairs, len(images[0]), modulus(field))]
+
+
+def kernel_combos(vectors, field):
+    """Combinations c with sum c_i * vectors_i = 0 (vectors as columns),
+    as tuples: the kernel of the unit rows mapped to the vectors."""
+    n = len(vectors)
+    units = [[field.one if j == i else field.zero for j in range(n)]
+             for i in range(n)]
+    return [tuple(c) for c in kernel_rows(vectors, units, field)]
+
+
+def nullspace(rows, field):
+    """Basis of {x : M x = 0} where rows are the equations of M: the
+    kernel combinations of the columns of M."""
+    if not rows:
+        raise ValueError("nullspace needs at least the column count; pass "
+                         "explicit rows (possibly zero rows)")
+    return kernel_combos(list(zip(*rows)), field)
 
 
 class SpanTracker:

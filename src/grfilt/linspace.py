@@ -21,7 +21,7 @@ truncation.
 from functools import cached_property
 
 from .fields import QQ, FpElement
-from .linalg import (dense_row, insert_row, kernel_rows, modulus,
+from .linalg import (dense_row, insert_row, joint_kernel, modulus,
                      reduce_row, rref, sparse_row)
 from .poly import Poly, PolyMatrix
 
@@ -286,6 +286,14 @@ class Subspace:
         return not any(self.residual(dict(r))
                        for r in other.echelon.values())
 
+    def kernel(self, images, width):
+        """Kernel of the map sending the i-th canonical basis row, in
+        pivot order, to the kernel row images[i] (columns below width),
+        read off one joint_kernel."""
+        rows = joint_kernel(zip(images, map(self.echelon.get, self.pivots)),
+                            width, self._p)
+        return Subspace(self.ambient, {min(r): r for r in rows})
+
     def basis_matrices(self):
         return [self.ambient.decode_sparse(self.echelon[q])
                 for q in self.pivots]
@@ -324,22 +332,14 @@ def sum_spaces(u, v):
 
 
 def intersect(u, v):
-    """Zassenhaus intersection of two subspaces: the echelon of the joint
-    rows (r, r) for r in u and (r, 0) for r in v holds a basis of the
-    intersection in the second halves of its rows whose first half is
-    zero."""
+    """Zassenhaus intersection of two subspaces: the kernel of the joint
+    rows (r, r) for r in u and (r, 0) for r in v, whose second parts sum
+    to an element of u that is also in v."""
     _match(u, v)
-    d = u.ambient.dim
-    joint = {}
-    for r in u.echelon.values():
-        row = dict(r)
-        row.update((d + j, x) for j, x in r.items())
-        insert_row(joint, row, u._p)
-    for r in v.echelon.values():
-        insert_row(joint, dict(r), u._p)
-    return zero_space(u.ambient).extend(
-        {j - d: x for j, x in row.items()}
-        for q, row in joint.items() if q >= d)
+    pairs = [(r, r) for r in u.echelon.values()]
+    pairs += [(r, {}) for r in v.echelon.values()]
+    return Subspace(u.ambient, {
+        min(r): r for r in joint_kernel(pairs, u.ambient.dim, u._p)})
 
 
 def subspace_product(u, v):
@@ -368,15 +368,14 @@ def prefix_space(ambient, maxdeg):
 
 
 def restrict_degree(u, maxdeg):
-    """Subspace of elements of u with entry degrees <= maxdeg."""
+    """Subspace of elements of u with entry degrees <= maxdeg: the kernel
+    of cutting u's basis rows down to their columns of higher degree."""
     k = u.ambient.prefix_dim(maxdeg)
-    if k >= u.ambient.dim:
+    tails = [{j: x for j, x in u.echelon[q].items() if j >= k}
+             for q in u.pivots]
+    if not any(tails):
         return u
-    tails = [row[k:] for row in u.rows]
-    if not any(any(t) for t in tails):
-        return u
-    return Subspace.from_vectors(
-        u.ambient, kernel_rows(tails, u.rows, u.ambient.field))
+    return u.kernel(tails, u.ambient.dim)
 
 
 def complement_section(sup, sub):

@@ -127,3 +127,37 @@ def test_bimodule_ranks_bundle(corner_spec):
     both = bimodule_ranks(spec, 8)
     assert both["actions_commute"]
     assert both["left"].rank == 1 and both["right"].rank == 2
+
+
+@pytest.mark.parametrize("combo", [[[0, 0, "1"]], [[0, -1, "1"]]],
+                         ids=["self", "negative-power"])
+def test_verifier_rejects_relation_outside_scan_order(corner_spec, combo):
+    # "g = g" is no relation: a combo may only use orbit vectors the scan
+    # met before the colliding one
+    ring, spec = corner_spec
+    act = spec.action("left")
+    rep = free_rank(act, 8)
+    relation = {"kind": "collision", "generator": 0, "power": 0,
+                "combo": combo}
+    forged = type(rep)(rep.name, rep.side, "not free", None, rep.depth,
+                       rep.effective_step, rep.generator_degrees,
+                       rep.generators, relation, rep.spanned_through)
+    assert not verify_rank_certificate(act, forged)
+
+
+def test_goldie_verifier_rejects_wrong_rank_and_foreign_family(corner_spec):
+    ring, spec = corner_spec
+    act = spec.action("left")
+    rep = goldie_rank(act, 8)
+    assert verify_goldie_certificate(act, rep)
+
+    def forged(rank, family):
+        return type(rep)(rep.name, rep.side, rep.verdict, rank,
+                         tuple(m.degree() for m in family), family,
+                         rep.essential_ok, rep.budget_ok, rep.regular_ok,
+                         rep.depth, rep.slope)
+
+    assert not verify_goldie_certificate(act, forged(7, rep.family))
+    # the identity is not in the corner ideal
+    outside = (ring.ambient.one(),) + rep.family
+    assert not verify_goldie_certificate(act, forged(len(outside), outside))

@@ -143,3 +143,14 @@ def test_verdicts_and_sides_swap_follow_the_offset_reports(monkeypatch):
     assert d.checks["sides_swap"] is False
     assert d.checks["matching_sides_exact"] is False
     assert not d.consistent
+
+
+def test_verifier_rejects_negative_witness_index():
+    # 2^n absorbs every shift, so no certificate exists; rows with n = -p
+    # would read H(-p) from the end of the table
+    vals = [2 ** n for n in range(10)]
+    assert isinstance(growth_obstruction(vals, 1, 2, 3), ObstructionGap)
+    forged = {"s": 1, "t": 2, "max_offset": 3, "hilbert": vals,
+              "rows": [{"p": p, "n": -p, "H_n": vals[-p],
+                        "H_n_plus_p": vals[0]} for p in (1, 2, 3)]}
+    assert not verify_certificate(forged)

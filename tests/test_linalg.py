@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from grfilt.fields import QQ, PrimeField
 from grfilt.linalg import (SpanTracker, combine_rows, coords_in_rref,
-                           kernel_combos, kernel_rows, nullspace,
-                           reduce_by_rref, rref)
+                           dense_row, joint_kernel, kernel_combos,
+                           kernel_rows, modulus, nullspace, reduce_by_rref,
+                           rref, sparse_row)
 
 FIELDS = [QQ, PrimeField(101), PrimeField(2147483647)]
 
@@ -50,6 +51,14 @@ def combine(fld, coeffs, vectors, ncols):
     return out
 
 
+def oracle_rank(rows):
+    """Rank of rows over Q by the independent accumulator."""
+    ech = oracle.Echelon()
+    for r in rows:
+        ech.add({j: x for j, x in enumerate(r) if x})
+    return ech.dim
+
+
 def assert_canonical(fld, rows, pivots, ncols):
     assert list(pivots) == sorted(set(pivots))
     assert len(rows) == len(pivots) <= ncols
@@ -72,10 +81,7 @@ def test_rref_is_canonical(case):
     red, pivots = rref(rows, fld)
     assert_canonical(fld, red, pivots, ncols)
     if fld == QQ:
-        ech = oracle.Echelon()
-        for r in rows:
-            ech.add({j: x for j, x in enumerate(r) if x})
-        assert len(pivots) == ech.dim
+        assert len(pivots) == oracle_rank(rows)
 
 
 @common
@@ -147,6 +153,30 @@ def test_nullspace_is_annihilated_with_full_dimension(case):
         assert len(k) == n + ncols
         assert not any(k[n:])
         assert combine(fld, k[:n], rows, ncols) == [fld.zero] * ncols
+
+
+@common
+@given(matrices(), st.data())
+def test_joint_kernel_is_the_rref_of_the_kernel(case, data):
+    # each row splits into a first part (a) and a second part (b); the
+    # kernel {sum c_i b_i : sum c_i a_i = 0} lies in the joint span as
+    # (0, k), and its dimension is rank(joint) - rank(first parts)
+    fld, rows = case
+    ncols = len(rows[0]) if rows else 0
+    width = data.draw(st.integers(0, ncols))
+    pairs = [(sparse_row(r[:width], fld), sparse_row(r[width:], fld))
+             for r in rows]
+    kernel = joint_kernel(pairs, width, modulus(fld))
+    dense = [tuple(dense_row(k, ncols - width, fld)) for k in kernel]
+    assert_canonical(fld, dense, [min(k) for k in kernel], ncols - width)
+    joint, pivots = rref(rows, fld)
+    for k in dense:
+        lifted = [fld.zero] * width + list(k)
+        assert coords_in_rref(lifted, joint, pivots) is not None
+    first = [r[:width] for r in rows]
+    assert len(kernel) == len(pivots) - len(rref(first, fld)[1])
+    if fld == QQ:
+        assert len(kernel) == oracle_rank(rows) - oracle_rank(first)
 
 
 @common

@@ -1,8 +1,9 @@
 """Coordinate spaces and canonical subspace arithmetic."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grfilt.fields import QQ
+from grfilt.fields import QQ, PrimeField
 from grfilt.poly import Poly, PolyMatrix
 from grfilt.linspace import (Ambient, PolyTupleSpace, Subspace,
                              DegreeOverflowError, ContainmentError,
@@ -100,6 +101,37 @@ def test_prefix_and_restrict(amb):
     cut = restrict_degree(u, 2)
     assert cut.dim == 1 and cut.member(corner(xp(1)))
     assert u.maxdeg() == 4 and cut.maxdeg() == 1
+
+
+@st.composite
+def span_pairs(draw):
+    """Two random spans of sparse small-integer vectors in one ambient."""
+    fld = draw(st.sampled_from([QQ, PrimeField(101),
+                                PrimeField(2147483647)]))
+    amb = Ambient(2, 1, 3, fld)
+    value = st.one_of(st.just(0), st.just(0), st.just(0), st.just(0),
+                      st.integers(-3, 3))
+    vectors = st.lists(st.lists(value, min_size=amb.dim, max_size=amb.dim),
+                       max_size=6)
+
+    def subspace(rows):
+        return Subspace.from_vectors(
+            amb, [tuple(fld.of(x) for x in r) for r in rows])
+
+    return amb, subspace(draw(vectors)), subspace(draw(vectors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(span_pairs())
+def test_degree_cut_intersection_and_sum_agree(case):
+    amb, u, v = case
+    # two routes to the same space: a kernel of cut tails, and a
+    # Zassenhaus intersection with the degree prefix
+    for m in range(-1, amb.degcap + 1):
+        assert restrict_degree(u, m) == intersect(u, prefix_space(amb, m))
+    meet = intersect(u, v)
+    assert u.contains(meet) and v.contains(meet)
+    assert meet.dim + sum_spaces(u, v).dim == u.dim + v.dim
 
 
 def test_complement_section_pivots(amb):
