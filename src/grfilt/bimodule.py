@@ -106,14 +106,13 @@ def free_rank(action, depth):
              if b.degree() <= depth]
     basis.sort(key=lambda m: m.degree())
     for b in basis:
-        vb = amb.encode(b)
-        if tracker.express(vb) is not None:
+        if tracker.express(amb.encode_sparse(b)) is not None:
             continue
         gi = len(gens)
         gens.append(b)
         for k, mat in enumerate(action.power_orbit(b)):
-            v = amb.encode(mat)
-            if not any(v):
+            v = amb.encode_sparse(mat)
+            if not v:
                 relation = relation or {
                     "kind": "nilpotent", "generator": gi, "power": k,
                     "combo": []}
@@ -160,7 +159,11 @@ def verify_rank_certificate(action, report):
             return False
         for j, l, cs in rel["combo"]:
             c = _coeff_from_str(amb.field, cs)
-            rest = rest - action.power_orbit(gens[j], max_power=l)[l].scale(c)
+            term = action.power_orbit(gens[j], max_power=l)
+            # no term: a power past the orbit's end, or no coefficient
+            if c is None or len(term) <= l:
+                return False
+            rest = rest - term[l].scale(c)
         return rest.is_zero()
     if report.verdict != "free":
         return True
@@ -168,8 +171,8 @@ def verify_rank_certificate(action, report):
     expected = 0
     for gi, g in enumerate(report.generators):
         for k, mat in enumerate(action.power_orbit(g)):
-            v = amb.encode(mat)
-            if not any(v):
+            v = amb.encode_sparse(mat)
+            if not v:
                 return False
             if not tracker.add(v, (gi, k)):
                 return False
@@ -177,14 +180,19 @@ def verify_rank_certificate(action, report):
     if tracker.dim != expected:
         return False
     window = restrict_degree(action.carrier, report.spanned_through)
-    return all(tracker.express(r) is not None for r in window.rows)
+    return all(tracker.express(r) is not None
+               for r in window.echelon.values())
 
 
 def _coeff_from_str(field, s):
-    if field.name == "Q":
-        from fractions import Fraction
-        return Fraction(s)
-    return field.of(int(s.split("~")[0]))
+    """The coefficient str(c) spells, or None if s spells none."""
+    try:
+        if field.name == "Q":
+            from fractions import Fraction
+            return Fraction(s)
+        return field.of(int(s.split("~")[0]))
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
+        return None
 
 
 def torsion_window(action, max_power=None):

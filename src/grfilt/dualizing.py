@@ -38,8 +38,9 @@ from functools import partial
 
 from .fields import QQ
 from .poly import Poly, PolyMatrix
-from .linalg import SpanTracker, kernel_rows, rref
-from .linspace import (Subspace, PolyTupleSpace, DegreeOverflowError, span,
+from .linalg import (SpanTracker, joint_kernel, joint_row, modulus,
+                     row_echelon)
+from .linspace import (PolyTupleSpace, DegreeOverflowError, span,
                        sum_spaces, prefix_space, restrict_degree, zero_space)
 from .filtration import WindowExceeded
 from .workbench import make, diagonal_embed
@@ -167,14 +168,14 @@ class FreeModuleStructure:
             k = 0
             while True:
                 try:
-                    self._tracker.add(amb.encode(w), (i, k))
+                    self._tracker.add(amb.encode_sparse(w), (i, k))
                     w = amb.mul(t, w) if side == "left" else amb.mul(w, t)
                 except DegreeOverflowError:
                     break
                 k += 1
 
     def solve(self, mat):
-        combo = self._tracker.express(self.ambient.encode(mat))
+        combo = self._tracker.express(self.ambient.encode_sparse(mat))
         if combo is None:
             raise ValueError("element is outside the free C-span window")
         out = [Poly.zero(1) for _ in range(self.rank)]
@@ -470,24 +471,26 @@ def dual_identification(ring, window, ideal, left_struct, center,
     phi1, phi2 = (z, one), (z, -x)
     basis = window.basis_matrices()
 
-    imgs = [space.encode(hom1.act(phi1, b)) for b in basis] + \
-           [space.encode(hom1.act(phi2, b)) for b in basis]
+    imgs = [space.encode_sparse(hom1.act(phi, b))
+            for phi in (phi1, phi2) for b in basis]
     prefix = partial(prefix_space, space)
     presents_through = _covered_through(
-        Subspace.from_vectors(space, imgs), prefix, cap)
+        zero_space(space).extend(map(dict, imgs)), prefix, cap)
 
-    zeros = (fld.zero,) * amb.dim
-    kvecs = kernel_rows(imgs, [r + zeros for r in window.rows]
-                        + [zeros + r for r in window.rows], fld)
-    evecs = [amb.encode(_corner(_xpow(fld, j + 1)))
-             + amb.encode(_corner(_xpow(fld, j)))
-             for j in range(_CORNER_LO[ring.name], cap)]
-    kred, _ = rref(kvecs, fld)
-    ered, _ = rref(evecs, fld)
-    kernel_matches = kred == ered
+    # the relation module (kernel of (b, 0) -> b.phi1, (0, b) -> b.phi2)
+    # against the span of the (x^(j+1) e12, x^j e12), as canonical echelons
+    p, n = modulus(fld), amb.dim
+    rows = [window.echelon[q] for q in window.pivots]
+    kernel = joint_kernel(
+        zip(imgs, rows + [joint_row({}, r, n) for r in rows]), space.dim, p)
+    expected = row_echelon(
+        (joint_row(amb.encode_sparse(_corner(_xpow(fld, j + 1))),
+                   amb.encode_sparse(_corner(_xpow(fld, j))), n)
+         for j in range(_CORNER_LO[ring.name], cap)), p)
+    kernel_matches = {min(r): r for r in kernel} == expected
 
-    kills = all(not any(space.encode(slot_shift(b, fld)))
-                for b in ideal.basis_matrices())
+    kills = not any(space.encode_sparse(slot_shift(b, fld))
+                    for b in ideal.basis_matrices())
     psi_imgs = [space.encode_sparse(slot_shift(b, fld)) for b in basis]
     psi_kernel_matches = window.kernel(psi_imgs, space.dim) == ideal
     psi_onto_through = _covered_through(
@@ -504,16 +507,16 @@ def dual_identification(ring, window, ideal, left_struct, center,
                 skipped += 1
                 continue
             checked += 1
-            lhs = space.encode(slot_shift(prod, fld))
-            rhs = space.encode(hom1.act(slot_shift(a, fld), rho))
+            lhs = space.encode_sparse(slot_shift(prod, fld))
+            rhs = space.encode_sparse(hom1.act(slot_shift(a, fld), rho))
             if lhs != rhs:
                 left_ok = False
     t = center.actor()
     right_ok = True
     for a in restrict_degree(window, cap - t.degree()).basis_matrices():
         u, f = slot_shift(a, fld)
-        lhs = space.encode(slot_shift(amb.mul(a, t), fld))
-        if lhs != space.encode((u * x, f * x)):
+        lhs = space.encode_sparse(slot_shift(amb.mul(a, t), fld))
+        if lhs != space.encode_sparse((u * x, f * x)):
             right_ok = False
     ok = (presents_through >= req_p and kernel_matches and kills
           and psi_kernel_matches and psi_onto_through >= req_o

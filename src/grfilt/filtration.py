@@ -48,7 +48,7 @@ class AlgebraPresentation(Record):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         for _, g in self.gens:
-            self.ambient.encode(g)
+            self.ambient.encode_sparse(g)
 
     def gen(self, name):
         for nm, g in self.gens:

@@ -1,10 +1,12 @@
 """Associated graded of a filtration, truncated to the computed window.
 
 The degree-m piece is Gamma_m / Gamma_{m-1}.  Cosets are represented by
-canonical vectors: reduce a layer element against the RREF basis of the
-layer below, then express it in the echelon complement of that layer.  Two
-elements of the same coset always produce identical coordinates, so piece
-arithmetic is exact.
+canonical coordinates: reduce a layer element's kernel row against the
+echelon of the layer below, and read the remainder's entries at the
+pivots of that layer's echelon complement.  Two elements of the same
+coset always produce identical coordinates, so piece arithmetic is exact.
+The coordinates are a kernel row inside this module and a dense tuple of
+field elements in GrElement.coords.
 
 Products of pieces land in the piece at the summed degree.  Asking for a
 product outside the window raises WindowExceeded rather than truncating,
@@ -15,11 +17,12 @@ definition: lift both cosets to their canonical representative matrices,
 multiply in the ambient ring, and take the class of the product.  mul
 reads a structure-constant table instead.  Its entry (m, i, n, j) is the
 product of basis coset i of piece m with basis coset j of piece n, as
-coordinates in piece m + n; it is filled through lift_mul the first time
-it is asked for and kept for the life of the GradedTrunc (a few hundred
-entries for the windows the toolkit builds).  mul(e1, e2) is the bilinear
-sum over the nonzero coordinates of e1 and e2, so each basis product is
-lifted and multiplied once however many products it enters.
+coordinates in piece m + n; it is filled the first time it is asked for,
+by multiplying the two basis rows' matrices, and kept for the life of the
+GradedTrunc (a few hundred entries for the windows the toolkit builds).
+mul(e1, e2) is the bilinear sum over the nonzero coordinates of e1 and
+e2, so each basis product is lifted and multiplied once however many
+products it enters.
 
 ideal_chain_witness builds its ideals with mul and grows one echelon per
 degree as generators are added.  verify_chain_report uses lift_mul alone
@@ -28,7 +31,8 @@ producer cannot vouch for itself: a certificate is rechecked by a path
 other than the one that produced it.
 """
 
-from .linalg import SpanTracker, combine_rows, rref
+from .linalg import (SpanTracker, combine_rows, dense_row, modulus,
+                     row_echelon, sparse_row)
 from .linspace import complement_section
 from .filtration import WindowExceeded
 from .record import Record
@@ -65,7 +69,8 @@ class GradedTrunc:
         for m in self.degrees:
             self.sections[m] = complement_section(filt.layer(m),
                                                   filt.layer(m - 1))
-        self._table = {}    # (m, i, n, j) -> coords in piece m + n
+        self._p = modulus(self.ambient.field)
+        self._table = {}    # (m, i, n, j) -> coset row in piece m + n
 
     def piece(self, m):
         if m not in self.sections:
@@ -78,37 +83,38 @@ class GradedTrunc:
         return {m: self.sections[m].dim for m in self.degrees}
 
     def piece_basis(self, m):
-        sec = self.piece(m)
-        zero, one = self.ambient.field.zero, self.ambient.field.one
-        out = []
-        for i in range(sec.dim):
-            coords = [zero] * sec.dim
-            coords[i] = one
-            out.append(GrElement(m, tuple(coords)))
-        return out
+        one = 1 if self._p else self.ambient.field.one
+        return [self._element(m, {i: one}) for i in range(self.piece(m).dim)]
 
     def zero(self, m):
-        return GrElement(m, (self.ambient.field.zero,) * self.piece(m).dim)
+        return self._element(m, {})
 
     def class_of(self, mat, m):
         """Coset of a layer-m element in the degree-m piece."""
-        vec = self.ambient.encode(mat)
-        lay = self.filt.layer(m)
-        if not lay.member_vec(vec):
+        return self._element(m, self._coset(
+            self.ambient.encode_sparse(mat), m))
+
+    def _coset(self, row, m):
+        """Coset coordinates {i: c} in piece m of a layer-m kernel row
+        (consumed): its remainder modulo layer m - 1 is the combination
+        of the complement's rows with its own entries at their pivots."""
+        if self.filt.layer(m).residual(dict(row)):
             raise ValueError(f"element does not lie in layer {m}")
-        below = self.filt.layer(m - 1)
-        rem = below.reduce(vec)
-        coords = self.piece(m).coords_of(rem)
-        if coords is None:
-            raise ValueError("reduction escaped the echelon complement")
-        return GrElement(m, tuple(coords))
+        rem = self.filt.layer(m - 1).residual(row)
+        return {i: rem[q] for i, q in enumerate(self.piece(m).pivots)
+                if q in rem}
+
+    def _element(self, m, row):
+        return GrElement(m, tuple(dense_row(row, self.piece(m).dim,
+                                            self.ambient.field)))
 
     def lift(self, el):
         """Canonical representative matrix of a coset."""
         sec = self.piece(el.degree)
-        amb = self.ambient
-        return amb.decode(combine_rows(el.coords, sec.rows, amb.dim,
-                                       amb.field))
+        coeffs = sparse_row(el.coords, self.ambient.field)
+        return self.ambient.decode_sparse(combine_rows(
+            {sec.pivots[i]: c for i, c in coeffs.items()}, sec.echelon,
+            self._p))
 
     def lift_mul(self, e1, e2):
         """Product by definition: lift, multiply in the ambient, reduce."""
@@ -121,26 +127,26 @@ class GradedTrunc:
         """Product from the structure-constant table (same values as
         lift_mul)."""
         m, n = e1.degree, e2.degree
-        dim = self.piece(m + n).dim
-        coeffs, rows = [], []
-        for i, a in enumerate(e1.coords):
-            if not a:
-                continue
-            for j, b in enumerate(e2.coords):
-                if b:
-                    coeffs.append(a * b)
-                    rows.append(self._structure_constant(m, i, n, j))
-        return GrElement(m + n, tuple(
-            combine_rows(coeffs, rows, dim, self.ambient.field)))
+        self.piece(m + n)
+        fld, p = self.ambient.field, self._p
+        a, b = sparse_row(e1.coords, fld), sparse_row(e2.coords, fld)
+        coeffs = {(i, j): x * y % p if p else x * y
+                  for i, x in a.items() for j, y in b.items()}
+        rows = {(i, j): self._structure_constant(m, i, n, j)
+                for i, j in coeffs}
+        return self._element(m + n, combine_rows(coeffs, rows, p))
 
     def _structure_constant(self, m, i, n, j):
+        """Coset row of (basis coset i of piece m) * (basis coset j of
+        piece n), lifted and multiplied once."""
         key = (m, i, n, j)
-        entry = self._table.get(key)
-        if entry is None:
-            entry = self.lift_mul(self.piece_basis(m)[i],
-                                  self.piece_basis(n)[j]).coords
-            self._table[key] = entry
-        return entry
+        if key not in self._table:
+            amb = self.ambient
+            a, b = (amb.decode_sparse(sec.echelon[sec.pivots[k]])
+                    for sec, k in ((self.piece(m), i), (self.piece(n), j)))
+            self._table[key] = self._coset(
+                amb.encode_sparse(amb.mul(a, b)), m + n)
+        return self._table[key]
 
     def generator_classes(self, pres):
         """Principal symbols of the presentation's generators."""
@@ -225,15 +231,8 @@ def spanning_check(gr, classes, patterns, degrees=None):
             el = gr.word(classes, word)
             if el.degree != m:
                 raise ValueError("pattern degree bookkeeping is off")
-            vecs.append(list(el.coords))
-        if sec.dim == 0:
-            covered.append(True)
-            continue
-        if not vecs:
-            covered.append(False)
-            continue
-        dim = len(rref(vecs, gr.ambient.field)[0])
-        covered.append(dim == sec.dim)
+            vecs.append(sparse_row(el.coords, gr.ambient.field))
+        covered.append(len(row_echelon(vecs, gr._p, sec.dim)) == sec.dim)
     return SpanningReport(tuple(tuple(map(tuple, p)) for p in patterns),
                           tuple(degrees), tuple(covered), all(covered))
 
@@ -246,12 +245,14 @@ class ChainReport(Record):
 
 
 def _generator_products(gr, g, side, m, product):
-    """Coordinates of u*g (left) or g*u (right) in piece m, for u over the
+    """Coset rows of u*g (left) or g*u (right) in piece m, for u over the
     basis cosets of the piece that lands these products in degree m."""
     rest = m - g.degree
     if rest not in gr.sections:
         return []
-    return [(product(u, g) if side == "left" else product(g, u)).coords
+    fld = gr.ambient.field
+    return [sparse_row((product(u, g) if side == "left"
+                        else product(g, u)).coords, fld)
             for u in gr.piece_basis(rest)]
 
 
@@ -277,15 +278,16 @@ def ideal_chain_witness(gr, classes, words, side="left"):
     strict = True
     for k, g in enumerate(gens):
         if k > 0:
-            if pieces[g.degree].express(g.coords) is not None:
+            row = sparse_row(g.coords, fld)
+            if pieces[g.degree].express(row) is not None:
                 strict = False
             else:
                 witnesses.append({"step": k, "degree": g.degree,
                                   "word": list(words[k])})
         for m, piece in pieces.items():
-            for t, coords in enumerate(
+            for t, row in enumerate(
                     _generator_products(gr, g, side, m, gr.mul)):
-                piece.add(coords, (k, t))
+                piece.add(row, (k, t))
         dims.append(sum(piece.dim for piece in pieces.values()))
     return ChainReport(side, tuple(tuple(w) for w in words), tuple(dims),
                        strict, tuple(witnesses),
@@ -321,11 +323,11 @@ def verify_chain_report(gr, classes, report):
         piece, done = pieces.get(g.degree) or (
             SpanTracker(fld, gr.piece(g.degree).dim), 0)
         for i in range(done, k):
-            for t, coords in enumerate(_generator_products(
+            for t, row in enumerate(_generator_products(
                     gr, gens[i], report.side, g.degree, gr.lift_mul)):
-                piece.add(coords, (i, t))
+                piece.add(row, (i, t))
         pieces[g.degree] = (piece, k)
-        if piece.express(g.coords) is not None:
+        if piece.express(sparse_row(g.coords, fld)) is not None:
             return False
     return True
 

@@ -1,32 +1,32 @@
 """Exact sparse linear algebra over a field.
 
-Inside, a row is a dict {column: value} holding only its nonzero entries.
-Over F_p the values are plain ints in [0, p), over Q they are Fractions;
-modulus(field) names the representation (p, or None over Q), sparse_row
-and dense_row convert to and from dense sequences of field elements.  One
-step, _axpy (row -= c * other row, touching only the other row's
-nonzeros), does all the elimination, and one engine built on it,
-insert_row with reduce_row, grows a canonical echelon {pivot column: row}
-by one row.  rref inserts its input rows into an empty echelon
-(reduce_by_rref and coords_in_rref query the dense rows it returns), and
-SpanTracker is the same echelon with one more column per tag: the vector
-added under a tag is held as (vector, unit at the tag's column), so
-reducing a member leaves minus its combination in the tag columns.
+A row is a kernel row: a dict {column: value} holding only its nonzero
+entries.  Over F_p the values are plain ints in [0, p), over Q they are
+Fractions; modulus(field) names the representation (p, or None over Q).
+Kernel rows are the one row format between grfilt's modules.  One step,
+_axpy (row -= c * other row, touching only the other row's nonzeros),
+does all the elimination, and one engine built on it, insert_row with
+reduce_row, grows a canonical echelon {pivot column: row} by one row.
+row_echelon inserts rows into an empty echelon; combine_rows forms the
+combination sum c * rows[i] of a coefficient row {i: c}.  SpanTracker is
+the same echelon with one more column per tag: the row added under a tag
+is held as (row, unit at the tag's column), so reducing a member leaves
+minus its combination in the tag columns.
 
 joint_kernel is the one kernel route: it inserts the joint rows (a_i,
 b_i) into one insert_row echelon and reads the canonical RREF of {sum c_i
 b_i : sum c_i a_i = 0} off the rows whose pivot lies in the second part.
-kernel_rows (the kernel of rows[i] -> images[i]), kernel_combos (the
-kernel rows of the unit rows) and nullspace (kernel_combos of the columns)
-are its dense faces.  combine_rows forms linear combinations of dense rows
-for callers.
 
 The echelon insert_row keeps is the canonical reduced row echelon form
 (pivot entries 1, pivot columns cleared), which is what makes Subspace
-equality a plain tuple comparison.  That form is unique for the row space,
-so it does not depend on the order of elimination or of insertion.  rref
-returns it as dense rows sorted by pivot, holding the field's own zero
-object in every zero position.
+equality a plain comparison.  That form is unique for the row space, so
+it does not depend on the order of elimination or of insertion.
+
+Dense rows (sequences of field elements, holding the field's own zero
+object in every zero position) enter and leave only through sparse_row
+and dense_row.  rref, the dense face of row_echelon, returns dense rows
+sorted by pivot; reduce_by_rref and coords_in_rref query them, and
+kernel_rows, kernel_combos and nullspace are dense faces of joint_kernel.
 """
 
 from .fields import FpElement, PrimeField, QQ
@@ -105,19 +105,15 @@ def _normalize(vec, c, p):
     return {j: v * inv % p for j, v in vec.items()}
 
 
-def combine_rows(coeffs, rows, ncols, field):
-    """sum coeffs[i] * rows[i] as a dense list of ncols field elements.
+def combine_rows(coeffs, rows, p):
+    """The kernel row sum c * rows[i] over the entries i: c of coeffs.
 
-    Only nonzero coefficients and the rows' nonzero entries are touched."""
-    p = modulus(field)
-    zero = field.zero
+    coeffs is a kernel row (its values nonzero); rows is indexed by its
+    keys, a list or a dict, and only the rows it names are read."""
     acc = {}
-    for c, row in zip(coeffs, rows):
-        if c is zero or not c:
-            continue
-        # _axpy subtracts, so hand it -c in the kernel's representation
-        _axpy(acc, -c if p is None else p - c.v, _sparse(row, zero, p), p)
-    return _dense(acc, ncols, zero, p)
+    for i, c in coeffs.items():
+        _axpy(acc, -c, rows[i], p)
+    return acc
 
 
 def reduce_row(vec, echelon, p):
@@ -152,23 +148,25 @@ def insert_row(echelon, vec, p):
     return True
 
 
-def rref(rows, field):
-    """Canonical RREF.  Returns (rows, pivots), rows sorted by pivot column.
-
-    The dense rows are inserted one at a time into an empty echelon."""
-    p = modulus(field)
-    zero = field.zero
-    echelon = {}        # pivot column -> sparse row with 1 at the pivot
-    ncols = None
-    for r in rows:
-        vec = _sparse(r, zero, p)
-        if not vec:
-            continue
-        if ncols is None:
-            ncols = len(r)
+def row_echelon(rows, p, ncols=None):
+    """The canonical echelon {pivot: row} of the kernel rows (consumed),
+    inserted one at a time; insertion stops once ncols pivots are held,
+    so len() of it is the rank."""
+    echelon = {}
+    for vec in rows:
         insert_row(echelon, vec, p)
         if len(echelon) == ncols:
             break
+    return echelon
+
+
+def rref(rows, field):
+    """Canonical RREF of a list of dense rows.  Returns (rows, pivots),
+    rows sorted by pivot column."""
+    p = modulus(field)
+    zero = field.zero
+    ncols = len(rows[0]) if rows else 0
+    echelon = row_echelon((_sparse(r, zero, p) for r in rows), p, ncols)
     pivots = sorted(echelon)
     return [tuple(_dense(echelon[j], ncols, zero, p)) for j in pivots], pivots
 
@@ -199,6 +197,13 @@ def coords_in_rref(vec, rows, pivots):
     return [vec[p] for p in pivots]
 
 
+def joint_row(a, b, width):
+    """The kernel row (a, b): a below column width, b shifted past it."""
+    row = dict(a)
+    row.update((width + j, x) for j, x in b.items())
+    return row
+
+
 def joint_kernel(pairs, width, p):
     """{sum c_i b_i : sum c_i a_i = 0} for kernel-row pairs (a_i, b_i),
     every a_i below column width, as its canonical RREF sorted by pivot.
@@ -206,11 +211,7 @@ def joint_kernel(pairs, width, p):
     The joint rows (a_i, b_i shifted by width) go into one insert_row
     echelon; its rows with pivot at or past width are zero in the first
     part, and their second parts span the kernel, fully reduced."""
-    echelon = {}
-    for a, b in pairs:
-        row = dict(a)
-        row.update((width + j, x) for j, x in b.items())
-        insert_row(echelon, row, p)
+    echelon = row_echelon((joint_row(a, b, width) for a, b in pairs), p)
     return [{j - width: x for j, x in echelon[q].items()}
             for q in sorted(echelon) if q >= width]
 
@@ -245,29 +246,31 @@ def nullspace(rows, field):
 
 
 class SpanTracker:
-    """Incremental span that expresses members as tagged combinations.
+    """Incremental span of kernel rows that expresses members as tagged
+    combinations.
 
-    A tagged echelon: the vector v added under the i-th tag is held as the
+    A tagged echelon: the row v added under the i-th tag is held as the
     row (v, e_i) of an insert_row echelon, e_i the unit in column
     ncols + i.  add() stores a row only if something below ncols survives
     its reduction, so every pivot lies below ncols, and express(w) is one
     reduce_row of (w, 0), which leaves (0, -c) exactly when w = sum c_i
-    v_i.  The held vectors are independent, so c is unique.  Tags must be
-    distinct; express() hands back field elements.
+    v_i.  The held rows are independent, so c is unique.  Tags must be
+    distinct; add and express leave their argument as it was, and
+    express() hands back field elements.
     """
 
     def __init__(self, field, ncols):
-        self.field = field
         self.ncols = ncols
         self._p = modulus(field)
+        self._one = 1 if self._p else field.one
         self.rows = {}      # pivot column (< ncols) -> tagged kernel row
         self.tags = []      # tags[i] labels column ncols + i
 
     def add(self, vec, tag):
-        """Insert a tagged vector; True if it enlarged the span."""
+        """Insert a tagged kernel row; True if it enlarged the span."""
         p = self._p
-        row = _sparse(vec, self.field.zero, p)
-        row[self.ncols + len(self.tags)] = 1 if p else self.field.one
+        row = dict(vec)
+        row[self.ncols + len(self.tags)] = self._one
         if min(reduce_row(row, self.rows, p)) >= self.ncols:
             return False
         self.tags.append(tag)
@@ -275,9 +278,9 @@ class SpanTracker:
         return True
 
     def express(self, vec):
-        """{tag: coeff} with vec = sum coeff * tagged vector, or None."""
+        """{tag: coeff} with vec = sum coeff * tagged row, or None."""
         p = self._p
-        row = reduce_row(_sparse(vec, self.field.zero, p), self.rows, p)
+        row = reduce_row(dict(vec), self.rows, p)
         n = self.ncols
         if row and min(row) < n:
             return None

@@ -8,9 +8,11 @@ that order "all elements of degree <= m" is a coordinate prefix, which keeps
 degree filtrations nested by construction and makes greedy lowest-degree
 searches canonical.
 
-Subspaces store their reduced-row-echelon basis as the linear-algebra
-kernel's sparse echelon and grow by inserting rows into a copy of it; two
-subspaces are equal iff their canonical bases are identical tuples.
+Elements cross into the linear-algebra kernel as kernel rows {coordinate:
+value} (encode_sparse, decode_sparse).  Subspaces store their
+reduced-row-echelon basis as the kernel's sparse echelon and grow by
+inserting rows into a copy of it; two subspaces are equal iff their
+canonical bases are identical tuples.
 
 Degree-cap overflow is a hard error in polynomial mode.  In series mode the
 ambient is the quotient ring modulo all monomials of degree > degcap, so
@@ -198,10 +200,6 @@ class PolyTupleSpace:
                 row[self.index[(d, i)]] = c if p is None else c.v
         return row
 
-    def encode(self, polys):
-        return tuple(dense_row(self.encode_sparse(polys), self.dim,
-                               self.field))
-
     def decode_sparse(self, row):
         p = self._p
         terms = [{} for _ in range(self.r)]
@@ -209,9 +207,6 @@ class PolyTupleSpace:
             (d,), i, _ = self.coords[k]
             terms[i][(d,)] = c if p is None else FpElement(p, c)
         return tuple(Poly(1, t) for t in terms)
-
-    def decode(self, vec):
-        return self.decode_sparse(sparse_row(vec, self.field))
 
 
 class Subspace:
@@ -222,9 +217,9 @@ class Subspace:
     rows, the same basis as dense tuples sorted by pivot, is built from
     the echelon on first use; equality, hashing, the digests and the JSON
     payloads read that view.  A Subspace is never changed once built:
-    extend() inserts into a copy of the echelon.  from_vectors, and span
-    on top of it, take dense input through rref, the dense boundary of
-    the kernel; extend takes kernel rows and is how layers grow.
+    extend() inserts into a copy of the echelon.  Queries and extend take
+    kernel rows; from_vectors, and span on top of it, are the one dense
+    entry, through rref.
     """
 
     def __init__(self, ambient, echelon):
@@ -263,22 +258,8 @@ class Subspace:
         """A kernel row (consumed) modulo this subspace."""
         return reduce_row(row, self.echelon, self._p)
 
-    def reduce(self, vec):
-        field = self.ambient.field
-        return dense_row(self.residual(sparse_row(vec, field)), len(vec),
-                         field)
-
-    def member_vec(self, vec):
-        return not self.residual(sparse_row(vec, self.ambient.field))
-
     def member(self, mat):
         return not self.residual(self.ambient.encode_sparse(mat))
-
-    def coords_of(self, vec):
-        """Coefficients of vec over the canonical basis, or None."""
-        if not self.member_vec(vec):
-            return None
-        return [vec[q] for q in self.pivots]
 
     def contains(self, other):
         if other.ambient != self.ambient:

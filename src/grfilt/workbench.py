@@ -11,7 +11,7 @@ modulo x^(d+1) by ring structure rather than by silent truncation.
 """
 
 from .fields import QQ
-from .linalg import rref
+from .linalg import joint_row, modulus, row_echelon
 from .linspace import Ambient, QuotientContext
 from .filtration import (AlgebraPresentation, two_sided_closure,
                          WindowExceeded)
@@ -327,12 +327,13 @@ def quotient_iso_check(sys_a, sys_b, pairs, max_len=4):
         level = [(sys_a.mul(a, ga), sys_b.mul(b, gb))
                  for (a, b) in level for (ga, gb) in pairs]
         all_words.extend(level)
-    vecs_a = [sys_a.ambient.encode(a) for a, _ in all_words]
-    vecs_b = [sys_b.ambient.encode(b) for _, b in all_words]
-    joint = [tuple(va) + tuple(vb) for va, vb in zip(vecs_a, vecs_b)]
-    dim_a = len(rref(list(vecs_a), fld)[0])
-    dim_b = len(rref(list(vecs_b), fld)[0])
-    dim_joint = len(rref(joint, fld)[0])
+    amb_a, amb_b, p = sys_a.ambient, sys_b.ambient, modulus(fld)
+    vecs_a = [amb_a.encode_sparse(a) for a, _ in all_words]
+    vecs_b = [amb_b.encode_sparse(b) for _, b in all_words]
+    joint = [joint_row(va, vb, amb_a.dim) for va, vb in zip(vecs_a, vecs_b)]
+    dim_a = len(row_echelon(vecs_a, p, amb_a.dim))
+    dim_b = len(row_echelon(vecs_b, p, amb_b.dim))
+    dim_joint = len(row_echelon(joint, p, amb_a.dim + amb_b.dim))
     consistent = dim_joint == dim_a == dim_b
     return IsoReport(consistent, dim_a, dim_b, dim_joint,
                      len(all_words), max_len)

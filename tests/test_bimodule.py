@@ -145,6 +145,27 @@ def test_verifier_rejects_relation_outside_scan_order(corner_spec, combo):
     assert not verify_rank_certificate(act, forged)
 
 
+@pytest.mark.parametrize("combo", [[[0, 50, "1"]], [[0, 0, "one"]],
+                                   [[0, 0, "1/0"]]],
+                         ids=["power-past-orbit", "unreadable-coefficient",
+                              "zero-denominator"])
+def test_verifier_rejects_relation_naming_no_orbit_vector(corner_spec,
+                                                          combo):
+    # the terms come before (1, 0) in scan order, but the first names a
+    # power the orbit of generator 0 never reaches and the others a
+    # coefficient that spells no field element: False, not an exception
+    ring, spec = corner_spec
+    act = spec.action("right")
+    rep = free_rank(act, 8)
+    assert rep.rank == 2
+    relation = {"kind": "collision", "generator": 1, "power": 0,
+                "combo": combo}
+    forged = type(rep)(rep.name, rep.side, "not free", None, rep.depth,
+                       rep.effective_step, rep.generator_degrees,
+                       rep.generators, relation, rep.spanned_through)
+    assert not verify_rank_certificate(act, forged)
+
+
 def test_goldie_verifier_rejects_wrong_rank_and_foreign_family(corner_spec):
     ring, spec = corner_spec
     act = spec.action("left")

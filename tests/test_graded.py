@@ -174,6 +174,27 @@ def test_table_product_equals_lifted_product(case):
             gr.lift_mul(e1, e2)
 
 
+@st.composite
+def coset_families(draw):
+    """(gr, one coset of random coordinates in every piece)."""
+    gr = small_gr(draw(st.sampled_from(("Q", "Fp:101"))),
+                  draw(st.sampled_from(("standard", "weak-adic"))))
+    fld = gr.ambient.field
+    return gr, [GrElement(m, tuple(
+        fld.of(draw(st.integers(-60, 60))) for _ in range(gr.piece(m).dim)))
+        for m in gr.degrees]
+
+
+@settings(max_examples=60, deadline=None)
+@given(coset_families())
+def test_class_of_inverts_lift_on_every_piece(case):
+    gr, cosets = case
+    for e in cosets:
+        rep = gr.lift(e)
+        assert gr.filt.layer(e.degree).member(rep)
+        assert gr.class_of(rep, e.degree) == e
+
+
 # --------------------------------------- chains against a prefix rebuild
 
 def rebuilt_pieces(gr, gens, side):

@@ -14,7 +14,7 @@ from grfilt.fields import QQ, PrimeField
 from grfilt.linalg import (SpanTracker, combine_rows, coords_in_rref,
                            dense_row, joint_kernel, kernel_combos,
                            kernel_rows, modulus, nullspace, reduce_by_rref,
-                           rref, sparse_row)
+                           row_echelon, rref, sparse_row)
 
 FIELDS = [QQ, PrimeField(101), PrimeField(2147483647)]
 
@@ -186,13 +186,15 @@ def test_span_tracker_expresses_what_it_was_given(case, data):
     if not rows:
         return
     ncols = len(rows[0])
+    sparse = [sparse_row(r, fld) for r in rows]
     tracker = SpanTracker(fld, ncols)
-    added = [tracker.add(r, i) for i, r in enumerate(rows)]
+    added = [tracker.add(r, i) for i, r in enumerate(sparse)]
+    # add and express leave their kernel rows as they were
+    assert sparse == [sparse_row(r, fld) for r in rows]
     pivots = rref(rows, fld)[1]
     assert tracker.dim == sum(added) == len(pivots)
     # zero and dependent adds, interleaved, are refused and change nothing
-    zero_row = tuple([fld.zero] * ncols)
-    extra = data.draw(st.permutations(rows[:3] + [zero_row] * 2))
+    extra = data.draw(st.permutations(sparse[:3] + [{}] * 2))
     assert not any(tracker.add(r, ("extra", i))
                    for i, r in enumerate(extra))
     assert tracker.dim == len(pivots)
@@ -202,18 +204,19 @@ def test_span_tracker_expresses_what_it_was_given(case, data):
     coeffs = [entry(fld, data.draw(st.sampled_from((0, 100, -3, 1, 2))))
               for _ in kept]
     target = combine(fld, coeffs, [rows[t] for t in kept], ncols)
-    assert tracker.express(target) == {t: c for t, c in zip(kept, coeffs)
-                                       if c}
-    for r in rows:
-        combo = tracker.express(r)
+    assert tracker.express(sparse_row(target, fld)) == {
+        t: c for t, c in zip(kept, coeffs) if c}
+    for r, v in zip(rows, sparse):
+        combo = tracker.express(v)
         assert combo is not None
         assert all(added[t] for t in combo)
         terms = [rows[t] for t in combo]
         assert combine(fld, list(combo.values()), terms, ncols) == list(r)
+    assert sparse == [sparse_row(r, fld) for r in rows]
     for j in set(range(ncols)) - set(pivots):
         unit = [fld.zero] * ncols
         unit[j] = fld.one
-        assert tracker.express(unit) is None
+        assert tracker.express(sparse_row(unit, fld)) is None
 
 
 @common
@@ -223,10 +226,31 @@ def test_combine_rows_matches_dense_accumulation(case, data):
     ncols = len(rows[0]) if rows else data.draw(st.integers(0, 4))
     coeffs = [entry(fld, data.draw(st.sampled_from((0, 100, -2, 1, 3))))
               for _ in rows]
-    out = combine_rows(coeffs, rows, ncols, fld)
-    assert isinstance(out, list) and len(out) == ncols
-    assert out == combine(fld, coeffs, rows, ncols)
-    assert all(x is fld.zero or x for x in out)
+    sparse = [sparse_row(r, fld) for r in rows]
+    out = combine_rows(sparse_row(coeffs, fld), sparse, modulus(fld))
+    assert dense_row(out, ncols, fld) == combine(fld, coeffs, rows, ncols)
+    # a kernel row: nonzero values in the kernel's representation
+    assert all(out.values()) and all(0 <= j < ncols for j in out)
+    if modulus(fld):
+        assert all(type(v) is int and v < fld.p for v in out.values())
+    # rows indexed by dict keys read only the rows the coefficients name
+    named = {i: r for i, r in enumerate(sparse) if coeffs[i]}
+    assert combine_rows(sparse_row(coeffs, fld), named,
+                        modulus(fld)) == out
+
+
+@common
+@given(matrices())
+def test_row_echelon_is_the_rref(case):
+    fld, rows = case
+    ncols = len(rows[0]) if rows else 0
+    echelon = row_echelon([sparse_row(r, fld) for r in rows], modulus(fld))
+    red, pivots = rref(rows, fld)
+    assert sorted(echelon) == pivots
+    assert [tuple(dense_row(echelon[q], ncols, fld)) for q in pivots] == red
+    # stopping once ncols pivots are held leaves the rank unchanged
+    assert len(row_echelon([sparse_row(r, fld) for r in rows],
+                           modulus(fld), ncols)) == len(pivots)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
@@ -246,7 +270,9 @@ def test_edge_cases(fld):
     assert reduce_by_rref([fld.of(5)], [], []) == [fld.of(5)]
     assert coords_in_rref([zero], [], []) == []
     tracker = SpanTracker(fld, 1)
-    assert tracker.express((zero,)) == {}
-    assert not tracker.add((zero,), "z")
-    assert tracker.add((fld.of(2),), "a")
-    assert tracker.express((fld.of(6),)) == {"a": fld.of(3)}
+    assert tracker.express({}) == {}
+    assert not tracker.add({}, "z")
+    assert tracker.add(sparse_row((fld.of(2),), fld), "a")
+    assert tracker.express(sparse_row((fld.of(6),), fld)) == {"a": fld.of(3)}
+    assert combine_rows({}, [], modulus(fld)) == {}
+    assert row_echelon([], modulus(fld)) == {}

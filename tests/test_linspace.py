@@ -68,8 +68,8 @@ def test_membership_and_reduce(amb):
     u = span(amb, [corner(xp(1)), corner(xp(3))])
     assert u.member(corner(xp(1) + xp(3)))
     assert not u.member(corner(xp(2)))
-    red = u.reduce(amb.encode(corner(xp(3) + xp(2))))
-    assert amb.decode(red) == corner(xp(2))
+    red = u.residual(amb.encode_sparse(corner(xp(3) + xp(2))))
+    assert amb.decode_sparse(red) == corner(xp(2))
 
 
 def test_sum_intersect_product(amb):
@@ -156,21 +156,23 @@ def test_quotient_context_canonical_representatives(amb):
 def test_tuple_space_roundtrip_and_prefix():
     sp = PolyTupleSpace(3, 5)
     polys = (xp(2), Poly.zero(1), xp(5) + xp(0))
-    vec = sp.encode(polys)
-    assert sp.decode(vec) == polys
+    row = sp.encode_sparse(polys)
+    assert sp.decode_sparse(row) == polys
+    assert len(row) == 3 and all(row.values())
     assert sp.prefix_dim(1) == 6
     assert sp.dim == 18
     with pytest.raises(DegreeOverflowError):
-        sp.encode((xp(6), Poly.zero(1), Poly.zero(1)))
+        sp.encode_sparse((xp(6), Poly.zero(1), Poly.zero(1)))
     with pytest.raises(ValueError):
-        sp.encode((xp(1),))
+        sp.encode_sparse((xp(1),))
 
 
 def test_tuple_space_supports_subspace_ops():
     sp = PolyTupleSpace(2, 4)
-    u = Subspace.from_vectors(sp, [sp.encode((xp(0), xp(1))),
-                                   sp.encode((xp(0), Poly.zero(1)))])
+    u = zero_space(sp).extend([sp.encode_sparse((xp(0), xp(1))),
+                               sp.encode_sparse((xp(0), Poly.zero(1)))])
     assert u.dim == 2
     cut = restrict_degree(u, 0)
     assert cut.dim == 1
-    assert cut.member_vec(sp.encode((xp(0), Poly.zero(1))))
+    assert not cut.residual(sp.encode_sparse((xp(0), Poly.zero(1))))
+    assert cut.residual(sp.encode_sparse((xp(1), Poly.zero(1))))
