@@ -14,33 +14,36 @@ therefore exposed as a probe with the correction factor spelled out, never
 as the rank itself.
 """
 
-from .linalg import SpanTracker
+from functools import cached_property
+
+from .linalg import SpanTracker, combine_rows, modulus
 from .linspace import (restrict_degree, intersect, sum_spaces, zero_space,
-                       span, DegreeOverflowError)
+                       DegreeOverflowError)
 from .filtration import WindowExceeded
 from .record import Record
 
 
 class ModuleAction(Record):
-    fields = ("name", "ambient", "carrier", "actor", "side", "ctx")
-    defaults = {"ctx": None}
+    """A k[t]-action on a carrier; the actor t is a matrix, and apply and
+    power_orbit take and give kernel rows."""
+    fields = ("name", "ambient", "carrier", "actor", "side")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
 
-    def apply(self, mat):
-        if self.side == "left":
-            out = self.ambient.mul(self.actor, mat)
-        else:
-            out = self.ambient.mul(mat, self.actor)
-        if self.ctx is not None:
-            out = self.ctx.reduce_mat(out)
-        return out
+    @cached_property
+    def _actor_row(self):
+        return self.ambient.encode_sparse(self.actor)
 
-    def power_orbit(self, mat, max_power=None):
-        """[mat, t*mat, t^2*mat, ...] while products stay representable.
+    def apply(self, row):
+        if self.side == "left":
+            return self.ambient.mul(self._actor_row, row)
+        return self.ambient.mul(row, self._actor_row)
+
+    def power_orbit(self, row, max_power=None):
+        """[row, t*row, t^2*row, ...] while products stay representable.
 
         Degree-raising actors stop at the degree cap on their own.  The
         default bound of ambient dim + 1 applications covers the rest:
@@ -50,30 +53,27 @@ class ModuleAction(Record):
         """
         if max_power is None:
             max_power = self.ambient.dim + 1
-        out = [mat]
-        k = 0
-        while k < max_power:
+        out = [row]
+        for _ in range(max_power):
             try:
-                nxt = self.apply(out[-1])
+                out.append(self.apply(out[-1]))
             except DegreeOverflowError:
                 break
-            if nxt.is_zero():
-                out.append(nxt)
+            if not out[-1]:
                 break
-            out.append(nxt)
-            k += 1
         return out
 
     def effective_step(self):
         """Observed degree increase of one application on the carrier."""
+        amb = self.ambient
         best = 0
-        for b in self.carrier.basis_matrices():
+        for b in self.carrier.basis_rows():
             try:
                 img = self.apply(b)
             except DegreeOverflowError:
                 continue
-            if not img.is_zero():
-                best = max(best, img.degree() - b.degree())
+            if img:
+                best = max(best, amb.degree(img) - amb.degree(b))
         return best
 
 
@@ -102,16 +102,13 @@ def free_rank(action, depth):
     gens = []
     relation = None
     step = action.effective_step()
-    basis = [b for b in action.carrier.basis_matrices()
-             if b.degree() <= depth]
-    basis.sort(key=lambda m: m.degree())
+    basis = _scan_basis(action, depth)
     for b in basis:
-        if tracker.express(amb.encode_sparse(b)) is not None:
+        if tracker.express(b) is not None:
             continue
         gi = len(gens)
         gens.append(b)
-        for k, mat in enumerate(action.power_orbit(b)):
-            v = amb.encode_sparse(mat)
+        for k, v in enumerate(action.power_orbit(b)):
             if not v:
                 relation = relation or {
                     "kind": "nilpotent", "generator": gi, "power": k,
@@ -126,62 +123,83 @@ def free_rank(action, depth):
                 break
     if relation is not None:
         verdict, rank = "not free", None
-    elif gens and gens[-1].degree() > depth - max(step, 1):
+    elif gens and amb.degree(gens[-1]) > depth - max(step, 1):
         verdict, rank = "inconclusive", None
     else:
         verdict, rank = "free", len(gens)
     return RankReport(action.name, action.side, verdict, rank, depth,
-                      step, tuple(g.degree() for g in gens),
-                      tuple(gens), relation, depth)
+                      step, tuple(map(amb.degree, gens)),
+                      tuple(map(amb.decode_sparse, gens)), relation, depth)
+
+
+def _scan_basis(action, depth):
+    """The carrier's basis rows of degree <= depth, by degree (stable)."""
+    amb = action.ambient
+    return sorted((b for b in action.carrier.basis_rows()
+                   if amb.degree(b) <= depth), key=amb.degree)
 
 
 def verify_rank_certificate(action, report):
-    """Recheck a rank report's claims from its stored data."""
+    """Recheck a rank report's claims from its stored data.  A relation
+    of the wrong shape is a false claim, not an error."""
     amb = action.ambient
+    if report.verdict not in ("free", "not free"):
+        return True
+    gens = [amb.encode_sparse(g) for g in report.generators]
     if report.verdict == "not free":
-        rel = report.relation
+        rel = _read_relation(report.relation, amb.field, len(gens))
         if rel is None:
             return False
-        gens = list(report.generators)
-        gi, k = rel["generator"], rel["power"]
-        # every combo term comes before (gi, k) in the scan's order
-        if not (0 <= gi < len(gens) and k >= 0 and all(
-                0 <= j < gi or (j == gi and 0 <= l < k)
-                for j, l, _ in rel["combo"])):
-            return False
+        kind, gi, k, combo = rel
         orbit = action.power_orbit(gens[gi], max_power=k)
         if len(orbit) <= k:
             return False
-        rest = orbit[k]
-        if rel["kind"] == "nilpotent":
-            return rest.is_zero()
-        if rest.is_zero():
+        if kind == "nilpotent":
+            return not orbit[k]
+        if not orbit[k]:
             return False
-        for j, l, cs in rel["combo"]:
-            c = _coeff_from_str(amb.field, cs)
+        p = modulus(amb.field)
+        coeffs, rows = {0: 1 if p else amb.field.one}, [orbit[k]]
+        for j, l, c in combo:
             term = action.power_orbit(gens[j], max_power=l)
-            # no term: a power past the orbit's end, or no coefficient
-            if c is None or len(term) <= l:
+            # a power past the orbit's end names no orbit vector
+            if len(term) <= l:
                 return False
-            rest = rest - term[l].scale(c)
-        return rest.is_zero()
-    if report.verdict != "free":
-        return True
+            if c:
+                coeffs[len(rows)] = -c.v % p if p else -c
+                rows.append(term[l])
+        return not combine_rows(coeffs, rows, p)
+    # the orbits are independent exactly when every row enlarges the span
     tracker = SpanTracker(amb.field, amb.dim)
-    expected = 0
-    for gi, g in enumerate(report.generators):
-        for k, mat in enumerate(action.power_orbit(g)):
-            v = amb.encode_sparse(mat)
-            if not v:
-                return False
+    for gi, g in enumerate(gens):
+        for k, v in enumerate(action.power_orbit(g)):
             if not tracker.add(v, (gi, k)):
                 return False
-            expected += 1
-    if tracker.dim != expected:
-        return False
     window = restrict_degree(action.carrier, report.spanned_through)
     return all(tracker.express(r) is not None
                for r in window.echelon.values())
+
+
+def _read_relation(rel, field, ngens):
+    """(kind, generator, power, [(j, l, c)]) from a relation whose keys,
+    types and terms have the shape free_rank writes and whose terms come
+    before (generator, power) in the scan's order; None otherwise."""
+    def index(v):
+        return type(v) is int and v >= 0
+    if not isinstance(rel, dict) or rel.get("kind") not in (
+            "nilpotent", "collision"):
+        return None
+    gi, k, combo = rel.get("generator"), rel.get("power"), rel.get("combo")
+    if not (index(gi) and gi < ngens and index(k)
+            and isinstance(combo, (list, tuple)) and all(
+                isinstance(t, (list, tuple)) and len(t) == 3
+                for t in combo)):
+        return None
+    terms = [(j, l, _coeff_from_str(field, cs)) for j, l, cs in combo]
+    if not all(index(j) and index(l) and (j < gi or (j == gi and l < k))
+               and c is not None for j, l, c in terms):
+        return None
+    return rel["kind"], gi, k, terms
 
 
 def _coeff_from_str(field, s):
@@ -208,11 +226,10 @@ def torsion_window(action, max_power=None):
     if domain.dim == 0:
         return zero_space(amb)
     images = []
-    for b in domain.basis_matrices():
-        m = b
+    for m in domain.basis_rows():
         for _ in range(max_power):
             m = action.apply(m)
-        images.append(amb.encode_sparse(m))
+        images.append(m)
     return domain.kernel(images, amb.dim)
 
 
@@ -259,18 +276,15 @@ def goldie_rank(action, depth):
             "element is torsion by truncation and the certificate is empty")
     dt = max(action.actor.degree(), 1)
     domain = restrict_degree(action.carrier, amb.degcap - dt)
-    images = [amb.encode_sparse(action.apply(b))
-              for b in domain.basis_matrices()]
+    images = [action.apply(b) for b in domain.basis_rows()]
     if domain.kernel(images, amb.dim).dim:
         return GoldieReport(action.name, action.side,
                             "not certified: actor has a kernel on the "
                             "window", None, (), (), False, False, False,
                             depth, slope_table(action, depth))
-    basis = [b for b in action.carrier.basis_matrices()
-             if b.degree() <= depth]
-    basis.sort(key=lambda m: m.degree())
+    basis = _scan_basis(action, depth)
     orbits = [action.power_orbit(b) for b in basis]
-    spans = [span(amb, orbit) for orbit in orbits]
+    spans = [_span_of(amb, orbit) for orbit in orbits]
     family = []
     total = zero_space(amb)
     budget_ok = True
@@ -287,7 +301,8 @@ def goldie_rank(action, depth):
     verdict = "certified" if (essential_ok and budget_ok) else "inconclusive"
     return GoldieReport(action.name, action.side, verdict,
                         len(family) if verdict == "certified" else None,
-                        tuple(m.degree() for m in family), tuple(family),
+                        tuple(map(amb.degree, family)),
+                        tuple(map(amb.decode_sparse, family)),
                         essential_ok, budget_ok, True, depth,
                         slope_table(action, depth))
 
@@ -304,29 +319,29 @@ def verify_goldie_certificate(action, report):
         return False
     total = zero_space(amb)
     for m in report.family:
-        sb = span(amb, action.power_orbit(m))
+        sb = _span_of(amb, action.power_orbit(amb.encode_sparse(m)))
         if intersect(total, sb).dim != 0:
             return False
         total = sum_spaces(total, sb)
-    for b in action.carrier.basis_matrices():
-        if b.degree() > report.depth:
-            continue
-        sb = span(amb, action.power_orbit(b))
-        if intersect(total, sb).dim == 0:
+    for b in _scan_basis(action, report.depth):
+        if intersect(total, _span_of(amb, action.power_orbit(b))).dim == 0:
             return False
     return True
 
 
+def _span_of(amb, rows):
+    """The span of kernel rows that are read, not consumed."""
+    return zero_space(amb).extend(map(dict, rows))
+
+
 class BimoduleSpec(Record):
     """A carrier with commuting left and right k[t]-actions."""
-    fields = ("name", "ambient", "carrier", "left_actor", "right_actor",
-              "ctx")
-    defaults = {"ctx": None}
+    fields = ("name", "ambient", "carrier", "left_actor", "right_actor")
 
     def action(self, side):
         actor = self.left_actor if side == "left" else self.right_actor
         return ModuleAction(f"{self.name}:{side}", self.ambient,
-                            self.carrier, actor, side, self.ctx)
+                            self.carrier, actor, side)
 
 
 def bimodule_ranks(spec, depth):
@@ -335,7 +350,7 @@ def bimodule_ranks(spec, depth):
     left = spec.action("left")
     right = spec.action("right")
     commute_ok = True
-    for b in spec.carrier.basis_matrices():
+    for b in spec.carrier.basis_rows():
         try:
             one_way = right.apply(left.apply(b))
             other = left.apply(right.apply(b))

@@ -180,7 +180,7 @@ def assemble_growth_dossier(case, depth=8, field=QQ):
     quo = induced_quotient_filtration(ring.pres, [beta], hi, base=filt)
     table = hilbert(quo.filtration, depth)
     cert = growth_obstruction(table.values, s, t, max_p, case=case)
-    gens = [(beta, shift), (ring.ambient.mul(alpha, beta), 2 * shift)]
+    gens = [(beta, shift), (alpha * beta, 2 * shift)]
     goods = {sd: induced_good_filtration(filt, gens, sd, lo, hi,
                                          name=f"{sd}-good")
              for sd in ("left", "right")}

@@ -148,34 +148,28 @@ class FreeModuleStructure:
     side "left" decomposes elements as sum sigma(c_i) * v_i, side "right"
     as sum v_i * sigma(c_i).  solve() recovers the coordinate tuple from
     the tagged span of the ladders v_i * sigma(x^k); it covers the whole
-    window exactly when the basis passed the stage (i) scan.
+    window exactly when the basis passed the stage (i) scan.  The basis
+    is given as matrices and kept as kernel rows.
     """
 
     def __init__(self, ring, center, side, basis):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.ring = ring
-        self.ambient = ring.ambient
+        self.ambient = amb = ring.ambient
         self.center = center
         self.side = side
-        self.basis = tuple(basis)
+        self.basis = tuple(map(amb.encode_sparse, basis))
         self.rank = len(self.basis)
-        amb = self.ambient
-        t = center.actor()
+        ladder = ModuleAction("ladder", amb, None, center.actor(), side)
         self._tracker = SpanTracker(amb.field, amb.dim)
         for i, v in enumerate(self.basis):
-            w = v
-            k = 0
-            while True:
-                try:
-                    self._tracker.add(amb.encode_sparse(w), (i, k))
-                    w = amb.mul(t, w) if side == "left" else amb.mul(w, t)
-                except DegreeOverflowError:
-                    break
-                k += 1
+            for k, w in enumerate(ladder.power_orbit(v)):
+                self._tracker.add(w, (i, k))
 
-    def solve(self, mat):
-        combo = self._tracker.express(self.ambient.encode_sparse(mat))
+    def solve(self, row):
+        """The coordinate tuple of a kernel row."""
+        combo = self._tracker.express(row)
         if combo is None:
             raise ValueError("element is outside the free C-span window")
         out = [Poly.zero(1) for _ in range(self.rank)]
@@ -191,7 +185,7 @@ class HomModule:
     right structure carries a right action, (phi.a)(v_j) = phi(a v_j);
     the dual of the left structure a left one, (a.phi)(w_j) = phi(w_j a).
     Either way act() routes the translated basis through solve() and
-    pairs the coordinate matrix with phi.
+    pairs the coordinate matrix with phi; a is a kernel row.
     """
 
     def __init__(self, structure, space_cap):
@@ -239,7 +233,7 @@ def cyclic_presentation(hom, window, expected_ann, acceptance_degree):
     _require_window(STAGES[1], "the acceptance degree", acceptance_degree)
     st = hom.structure
     space = hom.space
-    basis = window.basis_matrices()
+    basis = window.basis_rows()
     target = prefix_space(space, acceptance_degree)
     tried = []
     chosen = chosen_orbit = None
@@ -265,13 +259,14 @@ def cyclic_presentation(hom, window, expected_ann, acceptance_degree):
 
 def right_ideal_window(amb, gen, window):
     """Window of the right ideal gen * ring (products that fit the cap)."""
-    mats = []
-    for b in window.basis_matrices():
+    g = amb.encode_sparse(gen)
+    rows = []
+    for b in window.basis_rows():
         try:
-            mats.append(amb.mul(gen, b))
+            rows.append(amb.mul(g, b))
         except DegreeOverflowError:
             continue
-    return span(amb, mats)
+    return zero_space(amb).extend(rows)
 
 
 def nilpotent_generator(pres):
@@ -290,8 +285,8 @@ class IdealizerReport(Record):
               "product_closed", "product_pairs", "matches_predicted", "ok")
 
 
-def _product_stability(amb, budget, left_mats, right_mats, member):
-    """Survey a.b in member() for all degree-feasible pairs.
+def _product_stability(amb, budget, left_rows, right_rows, sub):
+    """Survey a.b in sub for all degree-feasible pairs of kernel rows.
 
     Pairs whose degree sum exceeds the budget are skipped, not failed;
     beyond the budget a membership test against a window span would
@@ -299,13 +294,13 @@ def _product_stability(amb, budget, left_mats, right_mats, member):
     """
     checked = skipped = 0
     ok = True
-    for a in left_mats:
-        for b in right_mats:
-            if a.degree() + b.degree() > budget:
+    for a in left_rows:
+        for b in right_rows:
+            if amb.degree(a) + amb.degree(b) > budget:
                 skipped += 1
                 continue
             checked += 1
-            if not member(amb.mul(a, b)):
+            if sub.residual(amb.mul(a, b)):
                 ok = False
     return ok, (checked, skipped)
 
@@ -329,21 +324,20 @@ def idealizer(ring, window, ideal, generators, predicted=None):
     amb = ring.ambient
     wcap = amb.degcap - max(g.degree() for g in generators)
     domain = restrict_degree(window, wcap)
-    basis = domain.basis_matrices()
+    gen_rows = [amb.encode_sparse(g) for g in generators]
     images = []
-    for b in basis:
+    for b in domain.basis_rows():
         stacked = {}
-        for i, g in enumerate(generators):
-            res = ideal.residual(amb.encode_sparse(amb.mul(b, g)))
+        for i, g in enumerate(gen_rows):
+            res = ideal.residual(amb.mul(b, g))
             stacked.update((i * amb.dim + j, x) for j, x in res.items())
         images.append(stacked)
     ide = domain.kernel(images, len(generators) * amb.dim)
     inside = ide.contains(restrict_degree(ideal, wcap))
-    ring_gens = [g for _, g in ring.pres.gens]
     right_closed, rc_pairs = _product_stability(
-        amb, amb.degcap, ideal.basis_matrices(), ring_gens, ideal.member)
+        amb, amb.degcap, ideal.basis_rows(), ring.pres.gen_rows, ideal)
     closed, pc_pairs = _product_stability(
-        amb, wcap, ide.basis_matrices(), ide.basis_matrices(), ide.member)
+        amb, wcap, ide.basis_rows(), ide.basis_rows(), ide)
     matches = (None if predicted is None
                else ide == restrict_degree(predicted, wcap))
     ok = (inside and right_closed and closed
@@ -366,11 +360,9 @@ def corner_double(mat, field):
     is a ring homomorphism on the nose; stage (iii) checks it induces an
     isomorphism onto idealizer/ideal.
     """
-    x = _xpow(field, 1)
-    xx = Poly.monomial(1, (2,), field.one)
-    f2 = mat.entry(0, 0).substitute({0: xx})
-    g2 = x * mat.entry(0, 1).substitute({0: xx})
-    return PolyMatrix([[f2, g2], [Poly.zero(1), f2.substitute({0: xx})]])
+    f, g = mat.entry(0, 0), mat.entry(0, 1)
+    return PolyMatrix([[f.dilate(2), _xpow(field, 1) * g.dilate(2)],
+                       [Poly.zero(1), f.dilate(4)]])
 
 
 class EndRingReport(Record):
@@ -407,17 +399,16 @@ def end_ring(ring, window, ideal, generators, predicted=None,
     witness = repr(kernel.basis_matrices()[0]) if kernel.dim else None
     mult_ok = True
     checked = skipped = 0
-    for a in basis:
-        for b in basis:
+    # the degree bounds keep both sides inside the cap
+    for a, ca in zip(basis, images):
+        for b, cb in zip(basis, images):
             da, db = a.degree(), b.degree()
             if 2 * (da + db) + 1 > amb.degcap or \
                     (2 * da + 1) + (2 * db + 1) > amb.degcap:
                 skipped += 1
                 continue
             checked += 1
-            diff = corner_double(amb.mul(a, b), fld) - \
-                amb.mul(corner_double(a, fld), corner_double(b, fld))
-            if not ideal.member(diff):
+            if not ideal.member(corner_double(a * b, fld) - ca * cb):
                 mult_ok = False
     through = _covered_through(sum_spaces(span(amb, images), ideal),
                                lambda m: restrict_degree(ide, m), amb.degcap)
@@ -472,7 +463,7 @@ def dual_identification(ring, window, ideal, left_struct, center,
     basis = window.basis_matrices()
 
     imgs = [space.encode_sparse(hom1.act(phi, b))
-            for phi in (phi1, phi2) for b in basis]
+            for phi in (phi1, phi2) for b in window.basis_rows()]
     prefix = partial(prefix_space, space)
     presents_through = _covered_through(
         zero_space(space).extend(map(dict, imgs)), prefix, cap)
@@ -498,24 +489,24 @@ def dual_identification(ring, window, ideal, left_struct, center,
 
     left_ok = True
     checked = skipped = 0
-    for rho in restrict_degree(window, rho_cap).basis_matrices():
+    rhos = restrict_degree(window, rho_cap)
+    for rho, rho_row in zip(rhos.basis_matrices(), rhos.basis_rows()):
         sig = corner_double(rho, fld)
         for a in restrict_degree(window, a_cap).basis_matrices():
-            try:
-                prod = amb.mul(sig, a)
-            except DegreeOverflowError:
+            prod = sig * a
+            if prod.degree() > cap:
                 skipped += 1
                 continue
             checked += 1
             lhs = space.encode_sparse(slot_shift(prod, fld))
-            rhs = space.encode_sparse(hom1.act(slot_shift(a, fld), rho))
+            rhs = space.encode_sparse(hom1.act(slot_shift(a, fld), rho_row))
             if lhs != rhs:
                 left_ok = False
     t = center.actor()
     right_ok = True
     for a in restrict_degree(window, cap - t.degree()).basis_matrices():
         u, f = slot_shift(a, fld)
-        lhs = space.encode_sparse(slot_shift(amb.mul(a, t), fld))
+        lhs = space.encode_sparse(slot_shift(a * t, fld))
         if lhs != space.encode_sparse((u * x, f * x)):
             right_ok = False
     ok = (presents_through >= req_p and kernel_matches and kills

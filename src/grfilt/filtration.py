@@ -25,7 +25,9 @@ would need ideal saturation beyond the trusted degree raise
 TruncationError; rebuild with a larger degree cap.
 """
 
-from .linspace import (span, zero_space, sum_spaces, intersect,
+from functools import cached_property
+
+from .linspace import (span, zero_space, intersect,
                        subspace_product, quotient_dim, QuotientContext,
                        DegreeOverflowError, Inconclusive)
 from .record import Record
@@ -47,8 +49,12 @@ class AlgebraPresentation(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        for _, g in self.gens:
-            self.ambient.encode_sparse(g)
+        self.gen_rows   # encoding checks that every generator fits
+
+    @cached_property
+    def gen_rows(self):
+        """The generators as kernel rows, encoded once."""
+        return [self.ambient.encode_sparse(g) for _, g in self.gens]
 
     def gen(self, name):
         for nm, g in self.gens:
@@ -137,21 +143,19 @@ def _next_layer(amb, gens, before, cur):
     """Gamma_{n+1} from Gamma_{n-1} = before and Gamma_n = cur.
 
     Only the new part, the rows of cur whose pivots before lacks, is
-    multiplied, decoded from its sparse form; the products go straight
-    into a copy of cur's echelon.  This overflows the degree cap exactly
+    multiplied by the generator rows; the products go straight into a
+    copy of cur's echelon.  This overflows the degree cap exactly
     when multiplying all of cur would: cur is before plus the span of the
     new part, and before G lies in cur, inside the cap."""
-    new = [amb.decode_sparse(row) for q, row in cur.echelon.items()
-           if q not in before.echelon]
-    return cur.extend(amb.encode_sparse(amb.mul(m, g))
-                      for m in new for g in gens)
+    new = [row for q, row in cur.echelon.items() if q not in before.echelon]
+    return cur.extend(amb.mul(m, g) for m in new for g in gens)
 
 
 def standard_filtration(pres, upto):
     """Gamma_n = span of products of at most n generators (Gamma_0 = k),
     grown as Gamma_n = Gamma_{n-1} + C_{n-1} G (see the module notes)."""
     amb = pres.ambient
-    gens = pres.gen_mats()
+    gens = pres.gen_rows
     zero = zero_space(amb)
     layers = {0: span(amb, [amb.one()])}
     for n in range(1, upto + 1):
@@ -169,8 +173,9 @@ def full_span(pres, maxiter=200):
     being dropped.
     """
     amb = pres.ambient
-    gens = pres.gen_mats()
-    before, cur = span(amb, [amb.one()]), span(amb, [amb.one()] + gens)
+    gens = pres.gen_rows
+    before = span(amb, [amb.one()])
+    cur = before.extend(dict(g) for g in gens)
     for _ in range(maxiter):
         nxt = _next_layer(amb, gens, before, cur)
         if nxt.dim == cur.dim:
@@ -180,9 +185,8 @@ def full_span(pres, maxiter=200):
 
 
 def _times_gens(amb, sub, gens):
-    """span(sub G), from products entering the echelon as sparse rows."""
-    return zero_space(amb).extend(amb.encode_sparse(amb.mul(b, g))
-                                  for b in sub.basis_matrices()
+    """span(sub G), the products of its basis and generator rows."""
+    return zero_space(amb).extend(amb.mul(b, g) for b in sub.basis_rows()
                                   for g in gens)
 
 
@@ -210,11 +214,11 @@ def weak_adic_filtration(pres, depth):
     if not amb.series:
         raise ValueError("weak-adic filtrations need a series ambient")
     ring = full_span(pres)
-    gens = pres.gen_mats()
+    gens = pres.gen_rows
     m1 = _times_gens(amb, ring, gens)
-    for b in m1.basis_matrices():
+    for b in m1.basis_rows():
         for g in gens:
-            if not m1.member(amb.mul(b, g)):
+            if m1.residual(amb.mul(b, g)):
                 raise ValueError("generated left ideal is not two-sided")
     layers = {0: ring, -1: m1}
     for i in range(2, depth + 1):
@@ -241,27 +245,24 @@ def two_sided_closure(pres, seeds):
     monomial-shaped ideals this toolkit works with.
     """
     amb = pres.ambient
-    gens = pres.gen_mats()
-    gmax = max(g.degree() for g in gens)
+    gens = pres.gen_rows
+    gmax = max(amb.degree(g) for g in gens)
     cur = span(amb, seeds)
-    frontier = cur.basis_matrices()
+    frontier = cur.basis_rows()
     while frontier:
-        fresh = {}      # sparse encoding -> product, in discovery order
+        fresh = {}      # frozen row -> product row, in discovery order
         for m in frontier:
             for g in gens:
                 for left, right in ((g, m), (m, g)):
                     try:
-                        p = amb.mul(left, right)
+                        row = amb.mul(left, right)
                     except DegreeOverflowError:
                         continue
-                    row = amb.encode_sparse(p)
                     key = frozenset(row.items())
-                    if key not in fresh and cur.residual(row):
-                        fresh[key] = p
-        if not fresh:
-            break
-        cur = cur.extend(amb.encode_sparse(p) for p in fresh.values())
+                    if key not in fresh and cur.residual(dict(row)):
+                        fresh[key] = row
         frontier = list(fresh.values())
+        cur = cur.extend(dict(r) for r in frontier)
     closed_degree = amb.degcap if amb.series else amb.degcap - gmax
     return cur, closed_degree
 
@@ -294,18 +295,6 @@ def induced_quotient_filtration(pres, seeds, upto, base=None):
     return QuotientFiltration(out, ctx, ideal, closed_degree)
 
 
-def translate(sub, mat, side):
-    """Span of b*mat (side 'right') or mat*b (side 'left') over basis b."""
-    amb = sub.ambient
-    if side == "left":
-        prods = [amb.mul(mat, b) for b in sub.basis_matrices()]
-    elif side == "right":
-        prods = [amb.mul(b, mat) for b in sub.basis_matrices()]
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return span(amb, prods)
-
-
 def induced_good_filtration(ring_filt, generators, side, lo, hi, name=""):
     """Module filtration Omega_n = sum_i Gamma_{n-s_i} m_i.
 
@@ -315,17 +304,13 @@ def induced_good_filtration(ring_filt, generators, side, lo, hi, name=""):
     its window raises WindowExceeded.
     """
     amb = ring_filt.ambient
+    rows = [(amb.encode_sparse(mat), shift) for mat, shift in generators]
     layers = {}
     for n in range(lo, hi + 1):
-        acc = zero_space(amb)
-        for mat, shift in generators:
-            gam = ring_filt.layer(n - shift)
-            if side == "left":
-                part = translate(gam, mat, "right")
-            else:
-                part = translate(gam, mat, "left")
-            acc = sum_spaces(acc, part)
-        layers[n] = acc
+        layers[n] = zero_space(amb).extend(
+            amb.mul(b, m) if side == "left" else amb.mul(m, b)
+            for m, shift in rows
+            for b in ring_filt.layer(n - shift).basis_rows())
     return Filtration(ring_filt.kind, amb, layers, name=name)
 
 

@@ -14,21 +14,22 @@ and relation checks report exactly which degrees they covered.
 
 There are two product paths with equal values.  lift_mul is the
 definition: lift both cosets to their canonical representative matrices,
-multiply in the ambient ring, and take the class of the product.  mul
-reads a structure-constant table instead.  Its entry (m, i, n, j) is the
-product of basis coset i of piece m with basis coset j of piece n, as
-coordinates in piece m + n; it is filled the first time it is asked for,
-by multiplying the two basis rows' matrices, and kept for the life of the
-GradedTrunc (a few hundred entries for the windows the toolkit builds).
+multiply them as matrices (PolyMatrix's own product), and take the class
+of the product.  mul reads a structure-constant table instead.  Its entry
+(m, i, n, j) is the product of basis coset i of piece m with basis coset
+j of piece n, as coordinates in piece m + n; it is filled the first time
+it is asked for, by multiplying the two basis rows with Ambient.mul, and
+kept for the life of the GradedTrunc (a few hundred entries for the
+windows the toolkit builds).
 mul(e1, e2) is the bilinear sum over the nonzero coordinates of e1 and
-e2, so each basis product is lifted and multiplied once however many
-products it enters.
+e2, so each basis product is multiplied once however many products it
+enters.
 
 ideal_chain_witness builds its ideals with mul and grows one echelon per
 degree as generators are added.  verify_chain_report uses lift_mul alone
 and keeps pieces of its own, so a wrong table entry or a slip in the
 producer cannot vouch for itself: a certificate is rechecked by a path
-other than the one that produced it.
+other than the one that produced it, down to the product of the ring.
 """
 
 from .linalg import (SpanTracker, combine_rows, dense_row, modulus,
@@ -117,11 +118,11 @@ class GradedTrunc:
             self._p))
 
     def lift_mul(self, e1, e2):
-        """Product by definition: lift, multiply in the ambient, reduce."""
+        """Product by definition: lift, multiply the matrices, reduce.
+        class_of encodes the product under the ambient's window rule."""
         target = e1.degree + e2.degree
         self.piece(target)
-        prod = self.ambient.mul(self.lift(e1), self.lift(e2))
-        return self.class_of(prod, target)
+        return self.class_of(self.lift(e1) * self.lift(e2), target)
 
     def mul(self, e1, e2):
         """Product from the structure-constant table (same values as
@@ -138,14 +139,12 @@ class GradedTrunc:
 
     def _structure_constant(self, m, i, n, j):
         """Coset row of (basis coset i of piece m) * (basis coset j of
-        piece n), lifted and multiplied once."""
+        piece n), multiplied once."""
         key = (m, i, n, j)
         if key not in self._table:
-            amb = self.ambient
-            a, b = (amb.decode_sparse(sec.echelon[sec.pivots[k]])
+            a, b = (sec.echelon[sec.pivots[k]]
                     for sec, k in ((self.piece(m), i), (self.piece(n), j)))
-            self._table[key] = self._coset(
-                amb.encode_sparse(amb.mul(a, b)), m + n)
+            self._table[key] = self._coset(self.ambient.mul(a, b), m + n)
         return self._table[key]
 
     def generator_classes(self, pres):

@@ -8,11 +8,14 @@ that order "all elements of degree <= m" is a coordinate prefix, which keeps
 degree filtrations nested by construction and makes greedy lowest-degree
 searches canonical.
 
-Elements cross into the linear-algebra kernel as kernel rows {coordinate:
-value} (encode_sparse, decode_sparse).  Subspaces store their
-reduced-row-echelon basis as the kernel's sparse echelon and grow by
-inserting rows into a copy of it; two subspaces are equal iff their
-canonical bases are identical tuples.
+Elements live in the linear-algebra kernel as kernel rows {coordinate:
+value}; matrices cross in and out only where entries are read
+(encode_sparse, decode_sparse).  The coordinate (e, i, j) is the basis
+element x^e E_ij, so Ambient.mul multiplies two kernel rows by index
+arithmetic, x^e E_ij * x^f E_jl = x^(e+f) E_il, with no matrix built.
+Subspaces store their reduced-row-echelon basis as the kernel's sparse
+echelon and grow by inserting rows into a copy of it; two subspaces are
+equal iff their canonical bases are identical tuples.
 
 Degree-cap overflow is a hard error in polynomial mode.  In series mode the
 ambient is the quotient ring modulo all monomials of degree > degcap, so
@@ -68,15 +71,17 @@ class Ambient:
                        for i in range(n) for j in range(n)]
         self.index = {c: k for k, c in enumerate(self.coords)}
         self.dim = len(self.coords)
-        self._prefix = {}
-        running = 0
-        deg = 0
+        self._prefix = [n * n * sum(sum(e) <= d for e in self.monomials)
+                        for d in range(degcap + 1)]
+        # mul's keys: x^e E_ij is (v n + i) n + j with v = e0 b + e1 and
+        # b past every exponent sum, so the key of x^(e+f) E_il is the sum
+        # of a left part (v n + i) n and a right part v(f) n^2 + l
+        self._left, self._right, self._slot = [], [], {}
         for k, (e, i, j) in enumerate(self.coords):
-            while sum(e) > deg:
-                self._prefix[deg] = running
-                deg += 1
-            running = k + 1
-        self._prefix[deg] = running
+            v = (e[0] * (2 * degcap + 1) + sum(e[1:])) * n * n
+            self._left.append((j, v + i * n))
+            self._right.append((i, v + j))
+            self._slot[v + i * n + j] = k
 
     def key(self):
         return (self.n, self.arity, self.degcap, self.field, self.series)
@@ -137,14 +142,40 @@ class Ambient:
     def decode(self, vec):
         return self.decode_sparse(sparse_row(vec, self.field))
 
+    def degree(self, row):
+        """Total degree of a kernel row; -1 for the zero row.
+        Coordinates are degree-major, so it is its last column's."""
+        return sum(self.coords[max(row)][0]) if row else -1
+
     def mul(self, a, b):
-        c = a * b
-        if self.series:
-            return c.truncate(self.degcap)
-        if c.degree() > self.degcap:
-            raise DegreeOverflowError(
-                f"product degree {c.degree()} exceeds degcap {self.degcap}")
-        return c
+        """The product of two kernel rows, as a new kernel row, by index
+        arithmetic on the matrix-unit basis.
+
+        The window rule is the one encode_sparse applies to a matrix: a
+        term past the degree cap is dropped in series mode (the ring is
+        the quotient by those monomials) and, in polynomial mode, raises
+        DegreeOverflowError if it survives cancellation."""
+        p, left = self._p, self._left
+        right = {}
+        for k, y in b.items():
+            i, v = self._right[k]
+            right.setdefault(i, []).append((v, y))
+        acc = {}
+        for k, x in a.items():
+            j, u = left[k]
+            for v, y in right.get(j, ()):
+                acc[u + v] = acc.get(u + v, 0) + x * y
+        out = {}
+        for key, c in acc.items():
+            k = self._slot.get(key)
+            if p is not None:
+                c %= p
+            if c and k is not None:
+                out[k] = c
+            elif c and not self.series:
+                raise DegreeOverflowError(
+                    f"a product term exceeds degcap {self.degcap}")
+        return out
 
 
 class PolyTupleSpace:
@@ -275,18 +306,19 @@ class Subspace:
                             width, self._p)
         return Subspace(self.ambient, {min(r): r for r in rows})
 
+    def basis_rows(self):
+        """The canonical basis in pivot order, as the echelon's own kernel
+        rows: read them, never consume them."""
+        return [self.echelon[q] for q in self.pivots]
+
     def basis_matrices(self):
         return [self.ambient.decode_sparse(self.echelon[q])
                 for q in self.pivots]
 
     def maxdeg(self):
-        """Largest total degree appearing in any basis vector (-1 if zero).
-        Coordinates are degree-major, so it is the degree of the last
-        column any row reaches."""
-        if not self.echelon:
-            return -1
-        last = max(max(r) for r in self.echelon.values())
-        return sum(self.ambient.coords[last][0])
+        """Largest total degree of a basis row (-1 if zero)."""
+        return max(map(self.ambient.degree, self.echelon.values()),
+                   default=-1)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.ambient == self.ambient
@@ -327,10 +359,8 @@ def subspace_product(u, v):
     """Span of all pairwise products of basis elements."""
     _match(u, v)
     amb = u.ambient
-    mats_u = u.basis_matrices()
-    mats_v = v.basis_matrices()
-    prods = [amb.mul(a, b) for a in mats_u for b in mats_v]
-    return span(amb, prods)
+    return zero_space(amb).extend(amb.mul(a, b) for a in u.basis_rows()
+                                  for b in v.basis_rows())
 
 
 def quotient_dim(u, v):
@@ -373,9 +403,9 @@ def complement_section(sup, sub):
 
 class QuotientContext:
     """Projection along an ideal: canonical representatives, image spaces,
-    and reduced multiplication.  Representatives are ambient vectors with the
+    and reduced multiplication.  Representatives are kernel rows with the
     ideal's pivot coordinates cleared, so images of equal cosets are equal
-    vectors."""
+    rows."""
 
     def __init__(self, ambient, ideal):
         if ideal.ambient != ambient:
@@ -383,16 +413,13 @@ class QuotientContext:
         self.ambient = ambient
         self.ideal = ideal
 
-    def reduce_mat(self, mat):
-        amb = self.ambient
-        return amb.decode_sparse(self.ideal.residual(amb.encode_sparse(mat)))
-
     def image(self, sub):
         return zero_space(self.ambient).extend(
             self.ideal.residual(dict(r)) for r in sub.echelon.values())
 
     def mul(self, a, b):
-        return self.reduce_mat(self.ambient.mul(a, b))
+        """The representative of the product of two kernel rows."""
+        return self.ideal.residual(self.ambient.mul(a, b))
 
 
 def _match(u, v):

@@ -94,34 +94,16 @@ class Poly:
                     terms.pop(e, None)
         return Poly(self.arity, terms)
 
-    def __pow__(self, k):
-        if k < 1:
-            raise ValueError("Poly powers need k >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
     def scale(self, c):
         if not c:
             return Poly.zero(self.arity)
         return Poly(self.arity, {e: c * v for e, v in self.terms.items()})
 
-    def substitute(self, mapping):
-        """Ring-map images of variables: mapping[i] replaces variable i.
-
-        Unmapped variables are left alone.  This computes an algebra
-        homomorphism, e.g. {0: x**2} sends f(x) to f(x^2).
-        """
-        out = Poly.zero(self.arity)
-        for e, c in self.terms.items():
-            kept = tuple(0 if i in mapping else k for i, k in enumerate(e))
-            factor = Poly(self.arity, {kept: c})
-            for i, k in enumerate(e):
-                if i in mapping and k > 0:
-                    factor = factor * (mapping[i] ** k)
-            out = out + factor
-        return out
+    def dilate(self, k):
+        """f(x) -> f(x^k), any other variable left alone: the algebra map
+        multiplying the first exponent of every term by k >= 1."""
+        return Poly(self.arity, {(e[0] * k,) + e[1:]: c
+                                 for e, c in self.terms.items()})
 
     def truncate(self, maxdeg):
         """Drop all terms of total degree above maxdeg."""
@@ -222,22 +204,12 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(out)
 
-    def scale(self, factor):
-        if isinstance(factor, Poly):
-            return PolyMatrix([[factor * p for p in r] for r in self.rows])
-        return PolyMatrix([[p.scale(factor) for p in r] for r in self.rows])
-
-    def substitute(self, mapping):
-        return PolyMatrix([[p.substitute(mapping) for p in r]
-                           for r in self.rows])
+    def scale(self, c):
+        return PolyMatrix([[p.scale(c) for p in r] for r in self.rows])
 
     def truncate(self, maxdeg):
         return PolyMatrix([[p.truncate(maxdeg) for p in r]
                            for r in self.rows])
-
-    def transpose(self):
-        return PolyMatrix([[self.rows[j][i] for j in range(self.n)]
-                           for i in range(self.n)])
 
     def degree(self):
         """Max total degree over entries; -1 for the zero matrix."""

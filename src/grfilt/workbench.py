@@ -43,13 +43,8 @@ def _y0_part(p):
 
 
 def _sub_x_squared(p, series_cap=None):
-    if p.is_zero():
-        return p
-    one = next(c / c for c in p.terms.values())
-    q = p.substitute({0: Poly.variable(p.arity, 0, one) ** 2})
-    if series_cap is not None:
-        q = q.truncate(series_cap)
-    return q
+    q = p.dilate(2)
+    return q if series_cap is None else q.truncate(series_cap)
 
 
 class ExampleRing(Record):
@@ -234,16 +229,16 @@ def op_involution_report(ring, word_len=3):
     products on all generator pairs."""
     amb = ring.ambient
     gens = ring.pres.gen_mats()
-    words = [amb.one()]
-    frontier = [amb.one()]
+    words = [amb.encode_sparse(amb.one())]
+    frontier = list(words)
     for _ in range(word_len):
-        frontier = [amb.mul(w, g) for w in frontier for g in gens]
+        frontier = [amb.mul(w, g) for w in frontier
+                    for g in ring.pres.gen_rows]
         words.extend(frontier)
-    shape_ok = all(ring.shape_member(op_transpose(w)) for w in words)
-    anti_ok = all(
-        op_transpose(amb.mul(a, b)) == amb.mul(op_transpose(b),
-                                               op_transpose(a))
-        for a in gens for b in gens)
+    shape_ok = all(ring.shape_member(op_transpose(amb.decode_sparse(w)))
+                   for w in words)
+    anti_ok = all(op_transpose(a * b) == op_transpose(b) * op_transpose(a)
+                  for a in gens for b in gens)
     return {"shape_preserved": shape_ok, "anti_multiplicative": anti_ok,
             "words_checked": len(words)}
 
@@ -274,9 +269,7 @@ def right_ideal_escape_witness(ring):
     Left-multiplying e13 by y*e31 lands in row 3, while the right ideal
     generated by e13 and e23 lives entirely in rows 1 and 2.
     """
-    amb = ring.ambient
-    ye31 = ring.el("ye31")
-    prod = amb.mul(ye31, ring.el("e13"))
+    prod = ring.el("ye31") * ring.el("e13")
     in_rows_12 = all(prod.entry(2, j).is_zero() for j in range(3))
     return prod, in_rows_12
 
@@ -287,8 +280,9 @@ class IsoReport(Record):
 
 
 class MulSystem:
-    """Evaluation context for words: an ambient plus a product map, which
-    for quotient systems reduces into canonical representatives."""
+    """Evaluation context for words: an ambient plus a product map on
+    kernel rows, which for quotient systems reduces into canonical
+    representatives."""
 
     def __init__(self, ambient, one, mul):
         self.ambient = ambient
@@ -297,19 +291,23 @@ class MulSystem:
 
     @classmethod
     def plain(cls, ambient):
-        return cls(ambient, ambient.one(), ambient.mul)
+        return cls(ambient, ambient.encode_sparse(ambient.one()),
+                   ambient.mul)
 
     @classmethod
     def quotient(cls, ctx):
-        return cls(ctx.ambient, ctx.reduce_mat(ctx.ambient.one()), ctx.mul)
+        amb = ctx.ambient
+        return cls(amb, ctx.ideal.residual(amb.encode_sparse(amb.one())),
+                   ctx.mul)
 
 
 def quotient_iso_check(sys_a, sys_b, pairs, max_len=4):
     """Does elt_a -> elt_b extend to an algebra isomorphism of word spans?
 
-    Evaluates every word in both systems and spans the joined vectors
-    (value in A concatenated with value in B).  The correspondence extends
-    to a well-defined bijective multiplicative linear map between the word
+    Evaluates every word in both systems, from the generator pairs given
+    as matrices, and spans the joined kernel rows (value in A
+    concatenated with value in B).  The correspondence extends to a
+    well-defined bijective multiplicative linear map between the word
     spans iff the joint span has the same dimension as each side alone.
     With max_len < 1 the span holds only the unit and says nothing, so
     that window raises WindowExceeded instead of passing.
@@ -320,19 +318,19 @@ def quotient_iso_check(sys_a, sys_b, pairs, max_len=4):
         raise WindowExceeded(
             f"words up to length {max_len} span only the unit; the "
             f"comparison needs max_len >= 1")
-    fld = sys_a.ambient.field
+    amb_a, amb_b = sys_a.ambient, sys_b.ambient
+    pairs = [(amb_a.encode_sparse(ga), amb_b.encode_sparse(gb))
+             for ga, gb in pairs]
     level = [(sys_a.one, sys_b.one)]
     all_words = list(level)
     for _ in range(max_len):
         level = [(sys_a.mul(a, ga), sys_b.mul(b, gb))
                  for (a, b) in level for (ga, gb) in pairs]
         all_words.extend(level)
-    amb_a, amb_b, p = sys_a.ambient, sys_b.ambient, modulus(fld)
-    vecs_a = [amb_a.encode_sparse(a) for a, _ in all_words]
-    vecs_b = [amb_b.encode_sparse(b) for _, b in all_words]
-    joint = [joint_row(va, vb, amb_a.dim) for va, vb in zip(vecs_a, vecs_b)]
-    dim_a = len(row_echelon(vecs_a, p, amb_a.dim))
-    dim_b = len(row_echelon(vecs_b, p, amb_b.dim))
+    p = modulus(amb_a.field)
+    joint = [joint_row(a, b, amb_a.dim) for a, b in all_words]
+    dim_a = len(row_echelon((dict(a) for a, _ in all_words), p, amb_a.dim))
+    dim_b = len(row_echelon((dict(b) for _, b in all_words), p, amb_b.dim))
     dim_joint = len(row_echelon(joint, p, amb_a.dim + amb_b.dim))
     consistent = dim_joint == dim_a == dim_b
     return IsoReport(consistent, dim_a, dim_b, dim_joint,

@@ -159,4 +159,4 @@ def test_9_randomized_invariant_suites_pass():
     test_properties.test_random_action_reports_reverify()
     test_properties.test_growth_certificates_verify()
     test_properties.test_tampered_growth_certificates_fail()
-    test_properties.test_substitution_is_an_algebra_map()
+    test_properties.test_dilation_is_an_algebra_map()

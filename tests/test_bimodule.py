@@ -166,6 +166,25 @@ def test_verifier_rejects_relation_naming_no_orbit_vector(corner_spec,
     assert not verify_rank_certificate(act, forged)
 
 
+@pytest.mark.parametrize("change", [
+    {"generator": "1"}, {"combo": [["0", 0, "1"]]}, {"combo": [[0, 0]]},
+    {"power": "0"}, {"combo": "x"}],
+    ids=["text-generator", "text-term-index", "short-term", "text-power",
+         "text-combo"])
+def test_verifier_rejects_malformed_relation(corner_spec, change):
+    # keys of the wrong type or terms of the wrong shape: False, not an
+    # exception from the scan-order check or from unpacking
+    ring, spec = corner_spec
+    act = spec.action("right")
+    rep = free_rank(act, 8)
+    relation = {"kind": "collision", "generator": 1, "power": 0,
+                "combo": [[0, 0, "1"]], **change}
+    forged = type(rep)(rep.name, rep.side, "not free", None, rep.depth,
+                       rep.effective_step, rep.generator_degrees,
+                       rep.generators, relation, rep.spanned_through)
+    assert not verify_rank_certificate(act, forged)
+
+
 def test_goldie_verifier_rejects_wrong_rank_and_foreign_family(corner_spec):
     ring, spec = corner_spec
     act = spec.action("left")

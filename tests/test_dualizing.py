@@ -118,10 +118,10 @@ def test_corner_double_is_multiplicative():
     ring = make("R_2x2", degcap=20)
     amb = ring.ambient
     a, b = ring.el("alpha"), ring.el("beta")
-    pairs = [(a, b), (b, a), (a, a), (amb.mul(a, b), b)]
+    pairs = [(a, b), (b, a), (a, a), (a * b, b)]
     for u, v in pairs:
-        lhs = corner_double(amb.mul(u, v), QQ)
-        rhs = amb.mul(corner_double(u, QQ), corner_double(v, QQ))
+        lhs = corner_double(u * v, QQ)
+        rhs = corner_double(u, QQ) * corner_double(v, QQ)
         assert lhs == rhs
     assert corner_double(amb.one(), QQ) == amb.one()
 
@@ -145,6 +145,7 @@ def test_free_structure_from_parts():
     hom = HomModule(st, ring.ambient.degcap)
     assert len(hom.dual_basis()) == 3
     amb = ring.ambient
-    coords = st.solve(amb.mul(ring.el("alpha"), ring.el("beta")))
+    coords = st.solve(amb.mul(amb.encode_sparse(ring.el("alpha")),
+                              amb.encode_sparse(ring.el("beta"))))
     # alpha*beta = x e12 sits in the odd corner slot
     assert [repr(c) for c in coords] == ["0", "0", "1"]

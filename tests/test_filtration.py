@@ -131,9 +131,8 @@ def test_equivalence_offset_window_guard(filt12):
 def test_good_filtration_divergence(ring_r, filt12):
     """The left-good filtration on the corner ideal falls strictly behind
     the intrinsic one, with no uniform catch-up offset in the window."""
-    amb = ring_r.ambient
     beta = ring_r.el("beta")
-    albe = amb.mul(ring_r.el("alpha"), beta)
+    albe = ring_r.el("alpha") * beta
     carrier, _ = two_sided_closure(ring_r.pres, [beta])
     gens = [(beta, 1), (albe, 2)]
     left = induced_good_filtration(filt12, gens, "left", 0, 12,

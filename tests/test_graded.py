@@ -34,9 +34,8 @@ def test_weak_adic_piece_dims(gr_adic):
 
 
 def test_class_is_coset_invariant(gr12, ring_r):
-    amb = ring_r.ambient
     beta = ring_r.el("beta")
-    ab = amb.mul(ring_r.el("alpha"), beta)  # x e12, lies in layer 2
+    ab = ring_r.el("alpha") * beta  # x e12, lies in layer 2
     rep = gr12.class_of(ab, 2)
     # shifting by a layer-1 element does not move the degree-2 coset
     shifted = ab + beta
@@ -127,9 +126,8 @@ def test_rees_dims_are_partial_sums(filt12, adic10):
 
 
 def test_classes_hash_and_match_products(gr12, classes12, ring_r):
-    amb = ring_r.ambient
     alpha, beta = ring_r.el("alpha"), ring_r.el("beta")
-    cls = gr12.class_of(amb.mul(alpha, beta), 2)
+    cls = gr12.class_of(alpha * beta, 2)
     assert isinstance(cls.coords, tuple)
     prod = gr12.mul(classes12["alpha"], classes12["beta"])
     assert {cls: "ab"}[prod] == "ab"

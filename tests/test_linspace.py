@@ -1,5 +1,7 @@
 """Coordinate spaces and canonical subspace arithmetic."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from grfilt.linspace import (Ambient, PolyTupleSpace, Subspace,
                              intersect, subspace_product, quotient_dim,
                              prefix_space, restrict_degree,
                              complement_section)
+from grfilt.workbench import CATALOG, make
 
 
 def xp(k):
@@ -45,17 +48,69 @@ def test_encode_overflow_is_hard_error(amb):
     with pytest.raises(DegreeOverflowError):
         amb.encode(corner(xp(7)))
     with pytest.raises(DegreeOverflowError):
-        amb.mul(corner(xp(4)).scale(QQ.one), PolyMatrix(
-            [[xp(3), Poly.zero(1)], [Poly.zero(1), xp(6)]]))
+        amb.mul(amb.encode_sparse(corner(xp(4))), amb.encode_sparse(
+            PolyMatrix([[xp(3), Poly.zero(1)], [Poly.zero(1), xp(6)]])))
 
 
 def test_series_mode_reduces_instead():
     samb = Ambient(2, 1, 6, series=True)
-    a = PolyMatrix([[xp(4), Poly.zero(1)], [Poly.zero(1), xp(4)]])
-    prod = samb.mul(a, a)  # x^8 dies in the quotient by degree > 6
-    assert prod.is_zero()
+    a = samb.encode_sparse(
+        PolyMatrix([[xp(4), Poly.zero(1)], [Poly.zero(1), xp(4)]]))
+    assert samb.mul(a, a) == {}  # x^8 dies in the quotient by degree > 6
     assert samb.encode(corner(xp(9))) == samb.encode(corner(Poly.zero(1)))
 
+
+
+@lru_cache(maxsize=None)
+def catalog_ambient(name, field_name):
+    fld = QQ if field_name == "Q" else PrimeField(101)
+    return make(name, field=fld).ambient
+
+
+@st.composite
+def row_pairs(draw):
+    """Two kernel rows of a catalog ambient, mostly of low degree so that
+    products fit the cap as often as they overflow it."""
+    amb = catalog_ambient(draw(st.sampled_from(CATALOG)),
+                          draw(st.sampled_from(("Q", "Fp:101"))))
+    one = amb.field.one
+
+    def row():
+        top = amb.prefix_dim(draw(st.integers(0, amb.degcap)))
+        keys = draw(st.lists(st.integers(0, top - 1), max_size=6))
+        vals = [amb.field.of(draw(st.integers(1, 5))) * (
+            one if draw(st.booleans()) else -one) for _ in keys]
+        return {k: c if amb.field.name == "Q" else c.v
+                for k, c in zip(keys, vals)}
+    return amb, row(), row()
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_pairs())
+def test_row_product_matches_matrix_product(case):
+    # the index-arithmetic product against PolyMatrix's own product, with
+    # the window rule encode_sparse applies to the matrix
+    amb, a, b = case
+    try:
+        expected = amb.encode_sparse(
+            amb.decode_sparse(a) * amb.decode_sparse(b))
+    except DegreeOverflowError:
+        with pytest.raises(DegreeOverflowError):
+            amb.mul(a, b)
+    else:
+        assert amb.mul(a, b) == expected
+
+
+def test_row_product_cancellation_at_the_cap():
+    # x^4 (E11 + E12) times x^3 (E11 - E21) is x^7 E11 - x^7 E11 = 0: the
+    # terms past the cap cancel, so nothing overflows
+    amb = Ambient(2, 1, 6)
+    x4, x3, z = xp(4), xp(3), Poly.zero(1)
+    a = amb.encode_sparse(PolyMatrix([[x4, x4], [z, z]]))
+    b = amb.encode_sparse(PolyMatrix([[x3, z], [-x3, z]]))
+    assert amb.mul(a, b) == {}
+    with pytest.raises(DegreeOverflowError):
+        amb.mul(a, amb.encode_sparse(PolyMatrix([[x3, z], [x3, z]])))
 
 def test_subspace_canonical_under_generating_set(amb):
     u = span(amb, [corner(xp(0) + xp(1)), corner(xp(1))])
@@ -148,8 +203,10 @@ def test_quotient_context_canonical_representatives(amb):
     ctx = QuotientContext(amb, ideal)
     a = PolyMatrix([[xp(1), xp(3)], [Poly.zero(1), xp(2)]])
     b = PolyMatrix([[xp(1), xp(5)], [Poly.zero(1), xp(2)]])
-    # equal cosets reduce to identical matrices
-    assert ctx.reduce_mat(a) == ctx.reduce_mat(b)
+    # equal cosets reduce to identical representative rows
+    one = amb.encode_sparse(amb.one())
+    assert ctx.mul(amb.encode_sparse(a), one) == \
+        ctx.mul(amb.encode_sparse(b), one)
     assert ctx.image(span(amb, [a, b])).dim == 1
 
 
