@@ -16,7 +16,7 @@ as the rank itself.
 
 from functools import cached_property
 
-from .linalg import SpanTracker, combine_rows, modulus
+from .linalg import SpanTracker, combine_rows
 from .linspace import (restrict_degree, intersect, sum_spaces, zero_space,
                        DegreeOverflowError)
 from .filtration import WindowExceeded
@@ -119,7 +119,8 @@ def free_rank(action, depth):
                 relation = relation or {
                     "kind": "collision", "generator": gi, "power": k,
                     "combo": sorted(
-                        [[j, l, str(c)] for (j, l), c in combo.items()])}
+                        [[j, l, amb.field.text(c)]
+                         for (j, l), c in combo.items()])}
                 break
     if relation is not None:
         verdict, rank = "not free", None
@@ -158,17 +159,16 @@ def verify_rank_certificate(action, report):
             return not orbit[k]
         if not orbit[k]:
             return False
-        p = modulus(amb.field)
-        coeffs, rows = {0: 1 if p else amb.field.one}, [orbit[k]]
+        coeffs, rows = {0: amb.field.one}, [orbit[k]]
         for j, l, c in combo:
             term = action.power_orbit(gens[j], max_power=l)
             # a power past the orbit's end names no orbit vector
             if len(term) <= l:
                 return False
             if c:
-                coeffs[len(rows)] = -c.v % p if p else -c
+                coeffs[len(rows)] = amb.field.of(-c)
                 rows.append(term[l])
-        return not combine_rows(coeffs, rows, p)
+        return not combine_rows(coeffs, rows, amb.field.p)
     # the orbits are independent exactly when every row enlarges the span
     tracker = SpanTracker(amb.field, amb.dim)
     for gi, g in enumerate(gens):
@@ -182,8 +182,9 @@ def verify_rank_certificate(action, report):
 
 def _read_relation(rel, field, ngens):
     """(kind, generator, power, [(j, l, c)]) from a relation whose keys,
-    types and terms have the shape free_rank writes and whose terms come
-    before (generator, power) in the scan's order; None otherwise."""
+    types and terms have the shape free_rank writes (coefficients spelled
+    by field.text) and whose terms come before (generator, power) in the
+    scan's order; None otherwise."""
     def index(v):
         return type(v) is int and v >= 0
     if not isinstance(rel, dict) or rel.get("kind") not in (
@@ -195,22 +196,14 @@ def _read_relation(rel, field, ngens):
                 isinstance(t, (list, tuple)) and len(t) == 3
                 for t in combo)):
         return None
-    terms = [(j, l, _coeff_from_str(field, cs)) for j, l, cs in combo]
-    if not all(index(j) and index(l) and (j < gi or (j == gi and l < k))
-               and c is not None for j, l, c in terms):
-        return None
-    return rel["kind"], gi, k, terms
-
-
-def _coeff_from_str(field, s):
-    """The coefficient str(c) spells, or None if s spells none."""
     try:
-        if field.name == "Q":
-            from fractions import Fraction
-            return Fraction(s)
-        return field.of(int(s.split("~")[0]))
+        terms = [(j, l, field.parse(cs)) for j, l, cs in combo]
     except (AttributeError, TypeError, ValueError, ZeroDivisionError):
         return None
+    if not all(index(j) and index(l) and (j < gi or (j == gi and l < k))
+               for j, l, _ in terms):
+        return None
+    return rel["kind"], gi, k, terms
 
 
 def torsion_window(action, max_power=None):

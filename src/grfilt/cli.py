@@ -23,7 +23,7 @@ from .workbench import (make, CATALOG, staircase_quotient_context,
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
                          induced_quotient_filtration, two_sided_closure)
 from .graded import GradedTrunc, ideal_chain_witness, verify_chain_report
-from .bimodule import BimoduleSpec, goldie_rank, slope_table, bimodule_ranks
+from .bimodule import BimoduleSpec, goldie_rank, bimodule_ranks
 from .certifier import (assemble_growth_dossier, verify_certificate,
                         GrowthCertificate)
 from .dualizing import verify_dualizing
@@ -145,7 +145,7 @@ def cmd_ranks(args):
     for side in ("left", "right"):
         rep = both[side]
         gold = goldie_rank(spec.action(side), args.depth)
-        slopes = slope_table(spec.action(side), args.depth)
+        slopes = gold.slope
         lines.append(
             f"{side:>5}: free rank {rep.rank} ({rep.verdict}), generator "
             f"degrees {list(rep.generator_degrees)}, step "

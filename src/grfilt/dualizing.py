@@ -38,8 +38,7 @@ from functools import partial
 
 from .fields import QQ
 from .poly import Poly, PolyMatrix
-from .linalg import (SpanTracker, joint_kernel, joint_row, modulus,
-                     row_echelon)
+from .linalg import SpanTracker, joint_kernel, joint_row, row_echelon
 from .linspace import (PolyTupleSpace, DegreeOverflowError, span,
                        sum_spaces, prefix_space, restrict_degree, zero_space)
 from .filtration import WindowExceeded
@@ -63,11 +62,11 @@ def _require_window(stage, what, bound):
 
 
 def _xpow(field, k):
-    return Poly.monomial(1, (k,), field.one)
+    return Poly.monomial(field, 1, (k,), field.one)
 
 
 def _corner(p):
-    z = Poly.zero(1)
+    z = Poly.zero(p.field, 1)
     return PolyMatrix([[z, p], [z, z]])
 
 
@@ -172,9 +171,10 @@ class FreeModuleStructure:
         combo = self._tracker.express(row)
         if combo is None:
             raise ValueError("element is outside the free C-span window")
-        out = [Poly.zero(1) for _ in range(self.rank)]
+        fld = self.ambient.field
+        out = [Poly.zero(fld, 1) for _ in range(self.rank)]
         for (i, k), c in combo.items():
-            out[i] = out[i] + Poly.monomial(1, (k,), c)
+            out[i] = out[i] + Poly.monomial(fld, 1, (k,), c)
         return tuple(out)
 
 
@@ -195,7 +195,7 @@ class HomModule:
 
     def dual_basis(self):
         fld = self.structure.ambient.field
-        one, z = Poly.const(1, fld.one), Poly.zero(1)
+        one, z = Poly.const(fld, 1, fld.one), Poly.zero(fld, 1)
         r = self.structure.rank
         return [tuple(one if j == i else z for j in range(r))
                 for i in range(r)]
@@ -203,7 +203,7 @@ class HomModule:
     def act(self, phi, a):
         st = self.structure
         amb = st.ambient
-        out = [Poly.zero(1)] * st.rank
+        out = [Poly.zero(amb.field, 1)] * st.rank
         for j, v in enumerate(st.basis):
             w = amb.mul(a, v) if st.side == "right" else amb.mul(v, a)
             coords = st.solve(w)
@@ -362,7 +362,7 @@ def corner_double(mat, field):
     """
     f, g = mat.entry(0, 0), mat.entry(0, 1)
     return PolyMatrix([[f.dilate(2), _xpow(field, 1) * g.dilate(2)],
-                       [Poly.zero(1), f.dilate(4)]])
+                       [Poly.zero(field, 1), f.dilate(4)]])
 
 
 class EndRingReport(Record):
@@ -392,8 +392,7 @@ def end_ring(ring, window, ideal, generators, predicted=None,
     basis = domain.basis_matrices()
     images = [corner_double(b, fld) for b in basis]
     lands = all(ide.member(m) for m in images)
-    unital = corner_double(PolyMatrix.identity(2, 1, fld.one), fld) == \
-        PolyMatrix.identity(2, 1, fld.one)
+    unital = corner_double(amb.one(), fld) == amb.one()
     kernel = domain.kernel(
         [ideal.residual(amb.encode_sparse(m)) for m in images], amb.dim)
     witness = repr(kernel.basis_matrices()[0]) if kernel.dim else None
@@ -431,8 +430,9 @@ class DualIdentificationReport(Record):
 def slot_shift(mat, field):
     """(f, g) -> (u, f) with g = g_ev(x^2) + x u(x^2): the corner's odd
     slot moves to the front, the diagonal slot to the back."""
-    u = Poly(1, {((d - 1) // 2,): c
-                 for (d,), c in mat.entry(0, 1).terms.items() if d % 2})
+    u = Poly(field, 1, {((d - 1) // 2,): c
+                        for (d,), c in mat.entry(0, 1).terms.items()
+                        if d % 2})
     return (u, mat.entry(0, 0))
 
 
@@ -458,7 +458,7 @@ def dual_identification(ring, window, ideal, left_struct, center,
     _require_window(STAGES[3], "the left-action degree", a_cap)
     hom1 = HomModule(left_struct, cap + 1)
     space = hom1.space
-    z, one, x = Poly.zero(1), Poly.const(1, fld.one), _xpow(fld, 1)
+    z, one, x = Poly.zero(fld, 1), Poly.const(fld, 1, fld.one), _xpow(fld, 1)
     phi1, phi2 = (z, one), (z, -x)
     basis = window.basis_matrices()
 
@@ -470,7 +470,7 @@ def dual_identification(ring, window, ideal, left_struct, center,
 
     # the relation module (kernel of (b, 0) -> b.phi1, (0, b) -> b.phi2)
     # against the span of the (x^(j+1) e12, x^j e12), as canonical echelons
-    p, n = modulus(fld), amb.dim
+    p, n = fld.p, amb.dim
     rows = [window.echelon[q] for q in window.pivots]
     kernel = joint_kernel(
         zip(imgs, rows + [joint_row({}, r, n) for r in rows]), space.dim, p)
@@ -490,9 +490,10 @@ def dual_identification(ring, window, ideal, left_struct, center,
     left_ok = True
     checked = skipped = 0
     rhos = restrict_degree(window, rho_cap)
+    acts = restrict_degree(window, a_cap).basis_matrices()
     for rho, rho_row in zip(rhos.basis_matrices(), rhos.basis_rows()):
         sig = corner_double(rho, fld)
-        for a in restrict_degree(window, a_cap).basis_matrices():
+        for a in acts:
             prod = sig * a
             if prod.degree() > cap:
                 skipped += 1

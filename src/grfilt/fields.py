@@ -1,9 +1,11 @@
-"""Coefficient fields: exact rationals (default) and odd prime fields.
+"""Coefficient fields: exact rationals (default) and prime fields.
 
-Field elements are ordinary objects supporting +, -, *, /, ==, bool; the
-field object itself only hands out zero, one, and of(int).  Everything
-downstream does exact arithmetic through these operators, so swapping the
-field never touches the linear algebra.
+An element of Q is a Fraction; an element of F_p is a plain int in
+[0, p).  A field hands out zero, one and of(n), and carries p, its
+characteristic: None over Q, so code that reduces mod p branches on p
+alone.  text(c) spells an element for payloads and reprs, str(Fraction)
+over Q and "v~p" over F_p; parse(s) reads back exactly the strings
+text writes and raises on any other input.
 """
 
 from fractions import Fraction
@@ -11,11 +13,21 @@ from fractions import Fraction
 
 class RationalField:
     name = "Q"
+    p = None
     zero = Fraction(0)
     one = Fraction(1)
 
     def of(self, n):
         return Fraction(n)
+
+    def text(self, c):
+        return str(c)
+
+    def parse(self, s):
+        c = Fraction(s)
+        if str(c) != s:
+            raise ValueError(f"{s!r} is not the text of an element of Q")
+        return c
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -28,50 +40,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-class FpElement:
-    __slots__ = ("p", "v")
-
-    def __init__(self, p, v):
-        self.p = p
-        self.v = v % p
-
-    def _check(self, other):
-        if not isinstance(other, FpElement) or other.p != self.p:
-            raise TypeError("mixed-field arithmetic")
-        return other
-
-    def __add__(self, other):
-        return FpElement(self.p, self.v + self._check(other).v)
-
-    def __sub__(self, other):
-        return FpElement(self.p, self.v - self._check(other).v)
-
-    def __mul__(self, other):
-        return FpElement(self.p, self.v * self._check(other).v)
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.p, self.v * pow(o.v, self.p - 2, self.p))
-
-    def __neg__(self):
-        return FpElement(self.p, -self.v)
-
-    def __eq__(self, other):
-        return (isinstance(other, FpElement) and other.p == self.p
-                and other.v == self.v)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __repr__(self):
-        return f"{self.v}~{self.p}"
 
 
 # Miller-Rabin with the thirteen prime bases up to 41 has no strong
@@ -115,11 +83,21 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"Fp:{p}"
-        self.zero = FpElement(p, 0)
-        self.one = FpElement(p, 1)
+        self.zero = 0
+        self.one = 1
 
     def of(self, n):
-        return FpElement(self.p, n)
+        return n % self.p
+
+    def text(self, c):
+        return f"{c}~{self.p}"
+
+    def parse(self, s):
+        c = int(s.split("~")[0]) % self.p
+        if self.text(c) != s:
+            raise ValueError(f"{s!r} is not the text of an element of "
+                             f"{self.name}")
+        return c
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

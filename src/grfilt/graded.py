@@ -6,7 +6,8 @@ echelon of the layer below, and read the remainder's entries at the
 pivots of that layer's echelon complement.  Two elements of the same
 coset always produce identical coordinates, so piece arithmetic is exact.
 The coordinates are a kernel row inside this module and a dense tuple of
-field elements in GrElement.coords.
+field elements (Fractions over Q, ints in [0, p) over F_p) in
+GrElement.coords; equal cosets have equal GrElements.
 
 Products of pieces land in the piece at the summed degree.  Asking for a
 product outside the window raises WindowExceeded rather than truncating,
@@ -32,8 +33,8 @@ producer cannot vouch for itself: a certificate is rechecked by a path
 other than the one that produced it, down to the product of the ring.
 """
 
-from .linalg import (SpanTracker, combine_rows, dense_row, modulus,
-                     row_echelon, sparse_row)
+from .linalg import (SpanTracker, combine_rows, dense_row, row_echelon,
+                     sparse_row)
 from .linspace import complement_section
 from .filtration import WindowExceeded
 from .record import Record
@@ -44,16 +45,6 @@ class GrElement(Record):
 
     def is_zero(self):
         return not any(self.coords)
-
-    def scale(self, c):
-        return GrElement(self.degree, tuple(c * v for v in self.coords))
-
-    def add(self, other):
-        if other.degree != self.degree:
-            raise ValueError("cannot add pieces of different degrees")
-        return GrElement(self.degree,
-                         tuple(a + b for a, b in zip(self.coords,
-                                                     other.coords)))
 
 
 class GradedTrunc:
@@ -70,7 +61,7 @@ class GradedTrunc:
         for m in self.degrees:
             self.sections[m] = complement_section(filt.layer(m),
                                                   filt.layer(m - 1))
-        self._p = modulus(self.ambient.field)
+        self._p = self.ambient.field.p
         self._table = {}    # (m, i, n, j) -> coset row in piece m + n
 
     def piece(self, m):
@@ -84,7 +75,7 @@ class GradedTrunc:
         return {m: self.sections[m].dim for m in self.degrees}
 
     def piece_basis(self, m):
-        one = 1 if self._p else self.ambient.field.one
+        one = self.ambient.field.one
         return [self._element(m, {i: one}) for i in range(self.piece(m).dim)]
 
     def zero(self, m):
@@ -173,13 +164,12 @@ class GradedTrunc:
 
 
 def check_relation(gr, classes, word_a, word_b=None):
-    """Whether two words in the symbols agree (or word_a vanishes)."""
+    """Whether two words in the symbols agree (or word_a vanishes).
+    Coset coordinates are canonical, so agreeing is being equal."""
     ea = gr.word(classes, list(word_a))
     if word_b is None:
         return ea.is_zero()
-    eb = gr.word(classes, list(word_b))
-    return ea.degree == eb.degree and ea.add(eb.scale(
-        -gr.ambient.field.one)).is_zero()
+    return ea == gr.word(classes, list(word_b))
 
 
 def sandwich_zero_sweep(gr, classes, name):

@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over a field.
 
 A row is a kernel row: a dict {column: value} holding only its nonzero
-entries.  Over F_p the values are plain ints in [0, p), over Q they are
-Fractions; modulus(field) names the representation (p, or None over Q).
-Kernel rows are the one row format between grfilt's modules.  One step,
-_axpy (row -= c * other row, touching only the other row's nonzeros),
-does all the elimination, and one engine built on it, insert_row with
-reduce_row, grows a canonical echelon {pivot column: row} by one row.
+entries.  The values are the field's own elements (grfilt.fields): ints
+in [0, p) over F_p, Fractions over Q; the functions here take field.p,
+None over Q, to say which.  Kernel rows are the one row format between
+grfilt's modules.  One step, _axpy (row -= c * other row, touching only
+the other row's nonzeros), does all the elimination, and one engine
+built on it, insert_row with reduce_row, grows a canonical echelon
+{pivot column: row} by one row.
 row_echelon inserts rows into an empty echelon; combine_rows forms the
 combination sum c * rows[i] of a coefficient row {i: c}.  SpanTracker is
 the same echelon with one more column per tag: the row added under a tag
@@ -22,57 +23,31 @@ The echelon insert_row keeps is the canonical reduced row echelon form
 equality a plain comparison.  That form is unique for the row space, so
 it does not depend on the order of elimination or of insertion.
 
-Dense rows (sequences of field elements, holding the field's own zero
-object in every zero position) enter and leave only through sparse_row
-and dense_row.  rref, the dense face of row_echelon, returns dense rows
-sorted by pivot; reduce_by_rref and coords_in_rref query them, and
-kernel_rows, kernel_combos and nullspace are dense faces of joint_kernel.
+Dense rows (sequences of field elements, field.zero in every zero
+position) enter and leave only through sparse_row and dense_row.  rref,
+the dense face of row_echelon, returns dense rows sorted by pivot;
+reduce_by_rref and coords_in_rref query them, and kernel_rows,
+kernel_combos and nullspace are dense faces of joint_kernel.
 """
 
-from .fields import FpElement, PrimeField, QQ
-
-
-def modulus(field):
-    """The kernel's representation of field: p over F_p, None over Q."""
-    return field.p if isinstance(field, PrimeField) else None
-
-
-def _entry_kind(x):
-    """(modulus, zero) for the field a vector entry x belongs to."""
-    if isinstance(x, FpElement):
-        return x.p, FpElement(x.p, 0)
-    return None, QQ.zero
-
-
-def _sparse(row, zero, p):
-    """Nonzero entries of a dense row of field elements, as {col: value}.
-
-    Entries that are the zero object itself are skipped before their truth
-    value is asked, which is most of them."""
-    if p is None:
-        return {j: x for j, x in enumerate(row) if x is not zero and x}
-    return {j: x.v for j, x in enumerate(row) if x is not zero and x.v}
-
-
-def _dense(row, ncols, zero, p):
-    out = [zero] * ncols
-    if p is None:
-        for j, v in row.items():
-            out[j] = v
-    else:
-        for j, v in row.items():
-            out[j] = FpElement(p, v)
-    return out
+from .fields import QQ
 
 
 def sparse_row(row, field):
-    """A dense row of field elements as a kernel row {col: value}."""
-    return _sparse(row, field.zero, modulus(field))
+    """A dense row of field elements as a kernel row {col: value}.
+
+    Entries that are field.zero itself are skipped before their truth
+    value is asked, which is most of them."""
+    zero = field.zero
+    return {j: x for j, x in enumerate(row) if x is not zero and x}
 
 
 def dense_row(row, ncols, field):
     """A kernel row as a dense list of ncols field elements."""
-    return _dense(row, ncols, field.zero, modulus(field))
+    out = [field.zero] * ncols
+    for j, v in row.items():
+        out[j] = v
+    return out
 
 
 def _axpy(vec, c, row, p):
@@ -163,36 +138,33 @@ def row_echelon(rows, p, ncols=None):
 def rref(rows, field):
     """Canonical RREF of a list of dense rows.  Returns (rows, pivots),
     rows sorted by pivot column."""
-    p = modulus(field)
-    zero = field.zero
     ncols = len(rows[0]) if rows else 0
-    echelon = row_echelon((_sparse(r, zero, p) for r in rows), p, ncols)
+    echelon = row_echelon((sparse_row(r, field) for r in rows), field.p,
+                          ncols)
     pivots = sorted(echelon)
-    return [tuple(_dense(echelon[j], ncols, zero, p)) for j in pivots], pivots
+    return ([tuple(dense_row(echelon[j], ncols, field)) for j in pivots],
+            pivots)
 
 
-def _residual(vec, rows, pivots):
-    """Sparse residual of vec modulo canonical RREF rows, with the modulus
-    and zero object of vec's field."""
-    p, zero = _entry_kind(vec[0]) if len(vec) else (None, QQ.zero)
-    res = _sparse(vec, zero, p)
+def _residual(vec, rows, pivots, field):
+    """Sparse residual of vec modulo canonical RREF rows."""
+    res = sparse_row(vec, field)
     for row, q in zip(rows, pivots):
         # rows are zero at each other's pivots, so res[q] is still vec[q]
         c = res.get(q)
         if c is not None:
-            _axpy(res, c, _sparse(row, zero, p), p)
-    return res, p, zero
+            _axpy(res, c, sparse_row(row, field), field.p)
+    return res
 
 
-def reduce_by_rref(vec, rows, pivots):
+def reduce_by_rref(vec, rows, pivots, field):
     """Residual of vec modulo the row space (rows must be canonical RREF)."""
-    res, p, zero = _residual(vec, rows, pivots)
-    return _dense(res, len(vec), zero, p)
+    return dense_row(_residual(vec, rows, pivots, field), len(vec), field)
 
 
-def coords_in_rref(vec, rows, pivots):
+def coords_in_rref(vec, rows, pivots, field):
     """Coefficients of vec over RREF rows, or None if not in the span."""
-    if _residual(vec, rows, pivots)[0]:
+    if _residual(vec, rows, pivots, field):
         return None
     return [vec[p] for p in pivots]
 
@@ -224,7 +196,7 @@ def kernel_rows(images, rows, field):
     pairs = [(sparse_row(a, field), sparse_row(r, field))
              for a, r in zip(images, rows)]
     return [dense_row(r, len(rows[0]), field)
-            for r in joint_kernel(pairs, len(images[0]), modulus(field))]
+            for r in joint_kernel(pairs, len(images[0]), field.p)]
 
 
 def kernel_combos(vectors, field):
@@ -255,14 +227,13 @@ class SpanTracker:
     its reduction, so every pivot lies below ncols, and express(w) is one
     reduce_row of (w, 0), which leaves (0, -c) exactly when w = sum c_i
     v_i.  The held rows are independent, so c is unique.  Tags must be
-    distinct; add and express leave their argument as it was, and
-    express() hands back field elements.
+    distinct; add and express leave their argument as it was.
     """
 
     def __init__(self, field, ncols):
         self.ncols = ncols
-        self._p = modulus(field)
-        self._one = 1 if self._p else field.one
+        self._p = field.p
+        self._one = field.one
         self.rows = {}      # pivot column (< ncols) -> tagged kernel row
         self.tags = []      # tags[i] labels column ncols + i
 
@@ -284,9 +255,8 @@ class SpanTracker:
         n = self.ncols
         if row and min(row) < n:
             return None
-        if p is None:
-            return {self.tags[j - n]: -c for j, c in row.items()}
-        return {self.tags[j - n]: FpElement(p, -c) for j, c in row.items()}
+        return {self.tags[j - n]: -c % p if p else -c
+                for j, c in row.items()}
 
     @property
     def dim(self):

@@ -15,7 +15,7 @@ element x^e E_ij, so Ambient.mul multiplies two kernel rows by index
 arithmetic, x^e E_ij * x^f E_jl = x^(e+f) E_il, with no matrix built.
 Subspaces store their reduced-row-echelon basis as the kernel's sparse
 echelon and grow by inserting rows into a copy of it; two subspaces are
-equal iff their canonical bases are identical tuples.
+equal iff their canonical echelons are equal.
 
 Degree-cap overflow is a hard error in polynomial mode.  In series mode the
 ambient is the quotient ring modulo all monomials of degree > degcap, so
@@ -23,11 +23,9 @@ products reduce instead of erroring; that is the ring structure, not silent
 truncation.
 """
 
-from functools import cached_property
-
-from .fields import QQ, FpElement
-from .linalg import (dense_row, insert_row, joint_kernel, modulus,
-                     reduce_row, rref, sparse_row)
+from .fields import QQ
+from .linalg import (dense_row, insert_row, joint_kernel, reduce_row, rref,
+                     sparse_row)
 from .poly import Poly, PolyMatrix
 
 
@@ -64,7 +62,7 @@ class Ambient:
         self.degcap = degcap
         self.field = field
         self.series = series
-        self._p = modulus(field)
+        self._p = field.p
         self.monomials = _monomials(arity, degcap)
         self.coords = [(e, i, j)
                        for e in self.monomials
@@ -104,16 +102,16 @@ class Ambient:
         return self._prefix[min(maxdeg, self.degcap)]
 
     def one(self):
-        return PolyMatrix.identity(self.n, self.arity, self.field.one)
+        return PolyMatrix.identity(self.field, self.n, self.arity)
 
     def encode_sparse(self, mat):
         """The coordinates of mat as a kernel row {index: value}, read
         straight from its entries' terms."""
-        if mat.n != self.n or mat.arity != self.arity:
+        if (mat.n != self.n or mat.arity != self.arity
+                or mat.field != self.field):
             raise ValueError("matrix does not live in this ambient")
         if self.series:
             mat = mat.truncate(self.degcap)
-        p = self._p
         row = {}
         for i in range(self.n):
             for j in range(self.n):
@@ -123,7 +121,7 @@ class Ambient:
                         raise DegreeOverflowError(
                             f"monomial {e} at entry ({i},{j}) exceeds "
                             f"degcap {self.degcap}")
-                    row[k] = c if p is None else c.v
+                    row[k] = c
         return row
 
     def encode(self, mat):
@@ -131,12 +129,11 @@ class Ambient:
 
     def decode_sparse(self, row):
         """The matrix with the coordinates of a kernel row."""
-        p = self._p
         entries = [[{} for _ in range(self.n)] for _ in range(self.n)]
         for k, c in row.items():
             e, i, j = self.coords[k]
-            entries[i][j][e] = c if p is None else FpElement(p, c)
-        return PolyMatrix([[Poly(self.arity, entries[i][j])
+            entries[i][j][e] = c
+        return PolyMatrix([[Poly(self.field, self.arity, entries[i][j])
                             for j in range(self.n)] for i in range(self.n)])
 
     def decode(self, vec):
@@ -191,7 +188,6 @@ class PolyTupleSpace:
         self.degcap = degcap
         self.field = field
         self.series = False
-        self._p = modulus(field)
         self.coords = [((d,), i, 0)
                        for d in range(degcap + 1) for i in range(r)]
         self.index = {(d, i): k
@@ -219,51 +215,42 @@ class PolyTupleSpace:
     def encode_sparse(self, polys):
         if len(polys) != self.r:
             raise ValueError(f"expected a {self.r}-tuple")
-        p = self._p
         row = {}
         for i, poly in enumerate(polys):
-            if poly.arity != 1:
-                raise ValueError("tuple entries must be one-variable")
+            if poly.arity != 1 or poly.field != self.field:
+                raise ValueError("tuple entries must be one-variable, "
+                                 "over this space's field")
             for (d,), c in poly.terms.items():
                 if d > self.degcap:
                     raise DegreeOverflowError(
                         f"degree {d} exceeds tuple-space cap {self.degcap}")
-                row[self.index[(d, i)]] = c if p is None else c.v
+                row[self.index[(d, i)]] = c
         return row
 
     def decode_sparse(self, row):
-        p = self._p
         terms = [{} for _ in range(self.r)]
         for k, c in row.items():
             (d,), i, _ = self.coords[k]
-            terms[i][(d,)] = c if p is None else FpElement(p, c)
-        return tuple(Poly(1, t) for t in terms)
+            terms[i][(d,)] = c
+        return tuple(Poly(self.field, 1, t) for t in terms)
 
 
 class Subspace:
     """Canonical subspace of an ambient coordinate space.
 
     The basis is held as the kernel's canonical sparse echelon, echelon =
-    {pivot: row} (see grfilt.linalg), and every query reduces against it.
-    rows, the same basis as dense tuples sorted by pivot, is built from
-    the echelon on first use; equality, hashing, the digests and the JSON
-    payloads read that view.  A Subspace is never changed once built:
-    extend() inserts into a copy of the echelon.  Queries and extend take
-    kernel rows; from_vectors, and span on top of it, are the one dense
-    entry, through rref.
+    {pivot: row} (see grfilt.linalg); every query reduces against it, and
+    equality compares it, since it is unique for the span.  A Subspace is
+    never changed once built: extend() inserts into a copy of the
+    echelon.  Queries and extend take kernel rows; from_vectors, and span
+    on top of it, are the one dense entry, through rref.
     """
 
     def __init__(self, ambient, echelon):
         self.ambient = ambient
         self.echelon = echelon
         self.pivots = tuple(sorted(echelon))
-        self._p = modulus(ambient.field)
-
-    @cached_property
-    def rows(self):
-        amb = self.ambient
-        return tuple(tuple(dense_row(self.echelon[q], amb.dim, amb.field))
-                     for q in self.pivots)
+        self._p = ambient.field.p
 
     @classmethod
     def from_vectors(cls, ambient, vectors):
@@ -322,10 +309,10 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.ambient == self.ambient
-                and other.rows == self.rows)
+                and other.echelon == self.echelon)
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.pivots))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient!r})"
@@ -373,7 +360,7 @@ def quotient_dim(u, v):
 
 def prefix_space(ambient, maxdeg):
     """All matrices with entries of total degree <= maxdeg."""
-    one = ambient.field.one if modulus(ambient.field) is None else 1
+    one = ambient.field.one
     return Subspace(ambient, {k: {k: one}
                               for k in range(ambient.prefix_dim(maxdeg))})
 

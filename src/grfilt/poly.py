@@ -1,19 +1,24 @@
 """Sparse exact polynomials and square polynomial matrices.
 
 A Poly is a sparse map from exponent vectors (length = arity, 1 or 2) to
-nonzero field elements.  A PolyMatrix is an n x n grid of Polys of equal
-arity.  Both are immutable value objects: every operation returns a fresh
-instance and never mutates inputs, so they can be hashed, cached, and shared
-freely.  Coefficient arithmetic is whatever the field elements implement;
-nothing here ever constructs a bare int coefficient.
+nonzero coefficients in its field: Fractions over Q, ints in [0, p) over
+F_p (see grfilt.fields).  The constructor reduces every coefficient mod
+p and drops the zero ones, so the operators below only add and multiply
+and leave that to it.  A PolyMatrix is an n x n grid of Polys of equal
+arity and field.  Both are immutable value objects: every operation
+returns a fresh instance and never mutates inputs, so they can be
+hashed, cached, and shared freely.  Arithmetic across two fields raises
+TypeError.
 """
 
 
 class Poly:
-    __slots__ = ("arity", "terms")
+    __slots__ = ("field", "arity", "terms")
 
-    def __init__(self, arity, terms=None):
+    def __init__(self, field, arity, terms=None):
+        self.field = field
         self.arity = arity
+        p = field.p
         clean = {}
         if terms:
             for e, c in terms.items():
@@ -21,6 +26,8 @@ class Poly:
                     raise ValueError(f"exponent {e} has wrong arity")
                 if any(k < 0 for k in e):
                     raise ValueError(f"negative exponent in {e}")
+                if p is not None:
+                    c %= p
                 if c:
                     clean[tuple(e)] = c
         self.terms = clean
@@ -28,22 +35,22 @@ class Poly:
     # -------------------------------------------------------- constructors
 
     @classmethod
-    def zero(cls, arity):
-        return cls(arity, {})
+    def zero(cls, field, arity):
+        return cls(field, arity, {})
 
     @classmethod
-    def const(cls, arity, c):
-        return cls(arity, {(0,) * arity: c})
+    def const(cls, field, arity, c):
+        return cls(field, arity, {(0,) * arity: c})
 
     @classmethod
-    def variable(cls, arity, index, one):
+    def variable(cls, field, arity, index):
         e = [0] * arity
         e[index] = 1
-        return cls(arity, {tuple(e): one})
+        return cls(field, arity, {tuple(e): field.one})
 
     @classmethod
-    def monomial(cls, arity, expo, c):
-        return cls(arity, {tuple(expo): c})
+    def monomial(cls, field, arity, expo, c):
+        return cls(field, arity, {tuple(expo): c})
 
     # -------------------------------------------------------------- queries
 
@@ -65,19 +72,15 @@ class Poly:
         self._match(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Poly(self.arity, terms)
+            terms[e] = terms.get(e, 0) + c
+        return Poly(self.field, self.arity, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly(self.arity, {e: -c for e, c in self.terms.items()})
+        return Poly(self.field, self.arity,
+                    {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         self._match(other)
@@ -85,29 +88,22 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e)
-                prod = c1 * c2
-                s = prod if s is None else s + prod
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.arity, terms)
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Poly(self.field, self.arity, terms)
 
     def scale(self, c):
-        if not c:
-            return Poly.zero(self.arity)
-        return Poly(self.arity, {e: c * v for e, v in self.terms.items()})
+        return Poly(self.field, self.arity,
+                    {e: c * v for e, v in self.terms.items()})
 
     def dilate(self, k):
         """f(x) -> f(x^k), any other variable left alone: the algebra map
         multiplying the first exponent of every term by k >= 1."""
-        return Poly(self.arity, {(e[0] * k,) + e[1:]: c
-                                 for e, c in self.terms.items()})
+        return Poly(self.field, self.arity, {(e[0] * k,) + e[1:]: c
+                                             for e, c in self.terms.items()})
 
     def truncate(self, maxdeg):
         """Drop all terms of total degree above maxdeg."""
-        return Poly(self.arity,
+        return Poly(self.field, self.arity,
                     {e: c for e, c in self.terms.items() if sum(e) <= maxdeg})
 
     # ------------------------------------------------------------- plumbing
@@ -115,16 +111,18 @@ class Poly:
     def _match(self, other):
         if not isinstance(other, Poly) or other.arity != self.arity:
             raise TypeError("arity mismatch")
+        if other.field != self.field:
+            raise TypeError("mixed-field arithmetic")
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.arity == self.arity
-                and other.terms == self.terms)
+                and other.field == self.field and other.terms == self.terms)
 
     def __bool__(self):
         return bool(self.terms)
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.field, self.arity, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -132,13 +130,13 @@ class Poly:
         names = "xy"
         bits = []
         for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[e]
+            c = self.field.text(self.terms[e])
             mono = "".join(
                 f"{names[i]}" + (f"^{k}" if k > 1 else "")
                 for i, k in enumerate(e) if k)
             if not mono:
-                bits.append(str(c))
-            elif str(c) == "1":
+                bits.append(c)
+            elif c == "1":
                 bits.append(mono)
             else:
                 bits.append(f"{c}*{mono}")
@@ -146,31 +144,27 @@ class Poly:
 
 
 class PolyMatrix:
-    __slots__ = ("n", "arity", "rows")
+    __slots__ = ("n", "arity", "field", "rows")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        arity = rows[0][0].arity
+        arity, field = rows[0][0].arity, rows[0][0].field
         for r in rows:
             for p in r:
-                if p.arity != arity:
-                    raise ValueError("mixed arities in matrix")
+                if p.arity != arity or p.field != field:
+                    raise ValueError("mixed arities or fields in matrix")
         self.n = n
         self.arity = arity
+        self.field = field
         self.rows = rows
 
     @classmethod
-    def zero(cls, n, arity):
-        z = Poly.zero(arity)
-        return cls([[z] * n for _ in range(n)])
-
-    @classmethod
-    def identity(cls, n, arity, one):
-        z = Poly.zero(arity)
-        c = Poly.const(arity, one)
+    def identity(cls, field, n, arity):
+        z = Poly.zero(field, arity)
+        c = Poly.const(field, arity, field.one)
         return cls([[c if i == j else z for j in range(n)] for i in range(n)])
 
     def entry(self, i, j):
@@ -194,7 +188,7 @@ class PolyMatrix:
         for i in range(n):
             row = []
             for j in range(n):
-                acc = Poly.zero(self.arity)
+                acc = Poly.zero(self.field, self.arity)
                 for k in range(n):
                     p = self.rows[i][k]
                     q = other.rows[k][j]
@@ -222,6 +216,8 @@ class PolyMatrix:
         if (not isinstance(other, PolyMatrix) or other.n != self.n
                 or other.arity != self.arity):
             raise TypeError("matrix shape/arity mismatch")
+        if other.field != self.field:
+            raise TypeError("mixed-field arithmetic")
 
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix) and other.n == self.n

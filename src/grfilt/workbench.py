@@ -11,7 +11,7 @@ modulo x^(d+1) by ring structure rather than by silent truncation.
 """
 
 from .fields import QQ
-from .linalg import joint_row, modulus, row_echelon
+from .linalg import joint_row, row_echelon
 from .linspace import Ambient, QuotientContext
 from .filtration import (AlgebraPresentation, two_sided_closure,
                          WindowExceeded)
@@ -23,23 +23,24 @@ CATALOG = ("R_2x2", "S", "T", "R_prime", "R_hat", "C_diag")
 
 
 def _unit_mat(n, arity, i, j, p):
-    z = Poly.zero(arity)
+    z = Poly.zero(p.field, arity)
     rows = [[z] * n for _ in range(n)]
     rows[i][j] = p
     return PolyMatrix(rows)
 
 
 def _xvar(arity, fld):
-    return Poly.variable(arity, 0, fld.one)
+    return Poly.variable(fld, arity, 0)
 
 
 def _yvar(arity, fld):
-    return Poly.variable(arity, 1, fld.one)
+    return Poly.variable(fld, arity, 1)
 
 
 def _y0_part(p):
     """Terms of a two-variable polynomial with no y factor."""
-    return Poly(p.arity, {e: c for e, c in p.terms.items() if e[1] == 0})
+    return Poly(p.field, p.arity,
+                {e: c for e, c in p.terms.items() if e[1] == 0})
 
 
 def _sub_x_squared(p, series_cap=None):
@@ -112,9 +113,9 @@ def make(name, degcap=None, field=QQ):
     if name in ("R_2x2", "R_perturbed"):
         cap = 12 if degcap is None else degcap
         amb = Ambient(2, 1, cap, field)
-        x = _xvar(1, field)
-        alpha = PolyMatrix([[x, Poly.zero(1)], [Poly.zero(1), x * x]])
-        beta = _unit_mat(2, 1, 0, 1, Poly.const(1, field.one))
+        x, z = _xvar(1, field), Poly.zero(field, 1)
+        alpha = PolyMatrix([[x, z], [z, x * x]])
+        beta = _unit_mat(2, 1, 0, 1, Poly.const(field, 1, field.one))
         xbeta = _unit_mat(2, 1, 0, 1, x)
         if name == "R_2x2":
             pres = AlgebraPresentation(
@@ -138,9 +139,9 @@ def make(name, degcap=None, field=QQ):
         cap = 6 if degcap is None else degcap
         amb = Ambient(2, 2, cap, field)
         x, y = _xvar(2, field), _yvar(2, field)
-        z = Poly.zero(2)
+        z = Poly.zero(field, 2)
         alpha = PolyMatrix([[x, z], [z, x * x]])
-        beta = _unit_mat(2, 2, 0, 1, Poly.const(2, field.one))
+        beta = _unit_mat(2, 2, 0, 1, Poly.const(field, 2, field.one))
         ygens = [(f"ye{i + 1}{j + 1}", _unit_mat(2, 2, i, j, y))
                  for i in range(2) for j in range(2)]
         pres = AlgebraPresentation(
@@ -154,9 +155,9 @@ def make(name, degcap=None, field=QQ):
         cap = 6 if degcap is None else degcap
         amb = Ambient(3, 2, cap, field)
         x, y = _xvar(2, field), _yvar(2, field)
-        z = Poly.zero(2)
+        z = Poly.zero(field, 2)
         alpha = PolyMatrix([[x, z, z], [z, x * x, z], [z, z, x]])
-        one2 = Poly.const(2, field.one)
+        one2 = Poly.const(field, 2, field.one)
         eij = {(i, j): _unit_mat(3, 2, i, j, one2)
                for (i, j) in ((0, 1), (0, 2), (1, 2))}
         ygens = [(f"ye{i + 1}{j + 1}", _unit_mat(3, 2, i, j, y))
@@ -175,9 +176,9 @@ def make(name, degcap=None, field=QQ):
     if name in ("R_prime", "R_hat"):
         cap = 9 if degcap is None else degcap
         amb = Ambient(2, 1, cap, field, series=True)
-        x = _xvar(1, field)
-        alpha = PolyMatrix([[x, Poly.zero(1)], [Poly.zero(1), x * x]])
-        beta = _unit_mat(2, 1, 0, 1, Poly.const(1, field.one))
+        x, z = _xvar(1, field), Poly.zero(field, 1)
+        alpha = PolyMatrix([[x, z], [z, x * x]])
+        beta = _unit_mat(2, 1, 0, 1, Poly.const(field, 1, field.one))
         pres = AlgebraPresentation(name, amb, (("alpha", alpha),
                                                ("beta", beta)))
         what = ("localized at the ideal (alpha, beta)"
@@ -191,8 +192,8 @@ def make(name, degcap=None, field=QQ):
     if name == "C_diag":
         cap = 12 if degcap is None else degcap
         amb = Ambient(2, 1, cap, field)
-        x = _xvar(1, field)
-        c = PolyMatrix([[x, Poly.zero(1)], [Poly.zero(1), x * x]])
+        x, z = _xvar(1, field), Poly.zero(field, 1)
+        c = PolyMatrix([[x, z], [z, x * x]])
         pres = AlgebraPresentation("C_diag", amb, (("c", c),))
         return ExampleRing(
             name, amb, pres,
@@ -206,7 +207,7 @@ def make(name, degcap=None, field=QQ):
 
 def diagonal_embed(amb, c):
     """Embed a one-variable polynomial as diag(c(x), c(x^2))."""
-    z = Poly.zero(c.arity)
+    z = Poly.zero(c.field, c.arity)
     return PolyMatrix([[c, z], [z, _sub_x_squared(
         c, amb.degcap if amb.series else None)]])
 
@@ -258,7 +259,8 @@ def collapse_to_one_variable(mat):
         for p in row:
             if any(e[1] for e in p.terms):
                 raise ValueError("matrix still involves y")
-            new.append(Poly(1, {(e[0],): c for e, c in p.terms.items()}))
+            new.append(Poly(p.field, 1,
+                            {(e[0],): c for e, c in p.terms.items()}))
         out.append(new)
     return PolyMatrix(out)
 
@@ -327,7 +329,7 @@ def quotient_iso_check(sys_a, sys_b, pairs, max_len=4):
         level = [(sys_a.mul(a, ga), sys_b.mul(b, gb))
                  for (a, b) in level for (ga, gb) in pairs]
         all_words.extend(level)
-    p = modulus(amb_a.field)
+    p = amb_a.field.p
     joint = [joint_row(a, b, amb_a.dim) for a, b in all_words]
     dim_a = len(row_echelon((dict(a) for a, _ in all_words), p, amb_a.dim))
     dim_b = len(row_echelon((dict(b) for _, b in all_words), p, amb_b.dim))

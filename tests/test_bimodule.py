@@ -2,6 +2,7 @@
 
 import pytest
 
+from grfilt.fields import PrimeField
 from grfilt.workbench import make
 from grfilt.filtration import two_sided_closure
 from grfilt.bimodule import (ModuleAction, BimoduleSpec, free_rank,
@@ -182,6 +183,32 @@ def test_verifier_rejects_malformed_relation(corner_spec, change):
     forged = type(rep)(rep.name, rep.side, "not free", None, rep.depth,
                        rep.effective_step, rep.generator_degrees,
                        rep.generators, relation, rep.spanned_through)
+    assert not verify_rank_certificate(act, forged)
+
+
+@pytest.fixture(scope="module")
+def fp_collision():
+    # the unipotent shift t = 2 + beta over F_101: t^2 = 4t - 4
+    ring = make("R_2x2", degcap=18, field=PrimeField(101))
+    amb = ring.ambient
+    actor = amb.one().scale(amb.field.of(2)) + ring.el("beta")
+    act = ModuleAction("unipotent-shift", amb, span(amb, [amb.one()]),
+                       actor, "left")
+    return act, free_rank(act, 6)
+
+
+def test_prime_field_relation_is_spelled_and_reread(fp_collision):
+    act, rep = fp_collision
+    assert rep.relation["combo"] == [[0, 0, "97~101"], [0, 1, "4~101"]]
+    assert verify_rank_certificate(act, rep)
+
+
+@pytest.mark.parametrize("text", ["97", "97~7", "198~101", "97~101 ", 97])
+def test_verifier_rejects_misspelled_prime_coefficient(fp_collision, text):
+    # the right value in a spelling text(c) never writes is no relation
+    act, rep = fp_collision
+    combo = [[0, 0, text], [0, 1, "4~101"]]
+    forged = rep.replace(relation={**rep.relation, "combo": combo})
     assert not verify_rank_certificate(act, forged)
 
 

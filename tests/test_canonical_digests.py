@@ -2,7 +2,11 @@
 
 Each digest is a sha256 of repr((index, rows, pivots)) over every layer
 (or graded section) in index order, so it fixes the canonical echelon
-bases value for value and type for type, not only their dimensions.  The
+bases value for value and type for type, not only their dimensions.
+rows is the basis as dense tuples in pivot order, rendered here from the
+echelon as the digests were recorded: Fraction reprs over Q, and over
+F_p each value spelled v~p, as F_p elements printed when they were
+objects.  The
 standard-filtration and graded digests were recorded with the dense
 Gauss-Jordan elimination that preceded the sparse kernel; the weak-adic,
 word-closure and ideal-closure digests with the layer builders that
@@ -23,6 +27,7 @@ from grfilt.fields import field_from_name
 from grfilt.filtration import (full_span, standard_filtration,
                                two_sided_closure, weak_adic_filtration)
 from grfilt.graded import GradedTrunc
+from grfilt.linalg import dense_row
 from grfilt.workbench import make
 
 DIGESTS = {
@@ -65,10 +70,29 @@ def sized_filtration(name, depth, fld):
     return standard_filtration(ring.pres, depth)
 
 
+class Spelled:
+    """A value whose repr is the given text."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+
+def dense_rows(sub):
+    fld = sub.ambient.field
+    rows = [dense_row(sub.echelon[q], sub.ambient.dim, fld)
+            for q in sub.pivots]
+    if fld.p is not None:
+        rows = [[Spelled(fld.text(v)) for v in r] for r in rows]
+    return tuple(map(tuple, rows))
+
+
 def digest(spaces):
     h = hashlib.sha256()
     for key, sub in sorted(spaces.items()):
-        h.update(repr((key, sub.rows, sub.pivots)).encode())
+        h.update(repr((key, dense_rows(sub), sub.pivots)).encode())
     return h.hexdigest()
 
 

@@ -168,6 +168,25 @@ def test_ranks_certifies_one_and_two(capsys):
     assert payload["actions_commute"] is True
 
 
+def test_ranks_builds_each_slope_table_once(capsys, monkeypatch):
+    # goldie_rank stores each side's slope table; the payload reuses it
+    import grfilt.bimodule
+    import grfilt.cli
+    real, calls = grfilt.bimodule.slope_table, []
+
+    def counted(action, depth):
+        calls.append(action.side)
+        return real(action, depth)
+    monkeypatch.setattr(grfilt.bimodule, "slope_table", counted)
+    monkeypatch.setattr(grfilt.cli, "slope_table", counted, raising=False)
+    code, out, _ = run(capsys, "--format", "json", "ranks", "--depth", "6")
+    assert code == 0
+    assert sorted(calls) == ["left", "right"]
+    sides = json.loads(out)["sides"]
+    assert all(sides[s]["slope"] == sides[s]["uniform"]["slope"]
+               for s in ("left", "right"))
+
+
 def test_ranks_shallow_depth_is_inconclusive(capsys):
     code, out, _ = run(capsys, "ranks", "--depth", "1")
     assert code == 2

@@ -127,11 +127,11 @@ def test_corner_double_is_multiplicative():
 
 
 def test_slot_shift_splits_odd_part():
-    x = Poly.variable(1, 0, QQ.one)
+    x = Poly.variable(QQ, 1, 0)
     g = x + x * x + x * x * x  # odd part x + x^3 = x(1 + x^2)
-    m = PolyMatrix([[x * x, g], [Poly.zero(1), Poly.zero(1)]])
+    m = PolyMatrix([[x * x, g], [Poly.zero(QQ, 1), Poly.zero(QQ, 1)]])
     u, f = slot_shift(m, QQ)
-    assert u == Poly(1, {(0,): QQ.one, (1,): QQ.one})
+    assert u == Poly(QQ, 1, {(0,): QQ.one, (1,): QQ.one})
     assert f == x * x
 
 

@@ -226,7 +226,8 @@ def rebuilt_chain(gr, classes, words, side):
         dims.append(sum(len(rows) for rows, _ in pieces.values()))
         if k > 0:
             rows, pivots = prev[gens[k].degree]
-            if not any(reduce_by_rref(list(gens[k].coords), rows, pivots)):
+            if not any(reduce_by_rref(list(gens[k].coords), rows, pivots,
+                                      gr.ambient.field)):
                 strict = False
             else:
                 witnesses.append({"step": k, "degree": gens[k].degree,

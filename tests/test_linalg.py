@@ -13,7 +13,7 @@ import oracle
 from grfilt.fields import QQ, PrimeField
 from grfilt.linalg import (SpanTracker, combine_rows, coords_in_rref,
                            dense_row, joint_kernel, kernel_combos,
-                           kernel_rows, modulus, nullspace, reduce_by_rref,
+                           kernel_rows, nullspace, reduce_by_rref,
                            row_echelon, rref, sparse_row)
 
 FIELDS = [QQ, PrimeField(101), PrimeField(2147483647)]
@@ -23,7 +23,8 @@ common = settings(max_examples=60, deadline=None)
 
 def entry(fld, n):
     """n as a field element; a zero is usually the field's zero object,
-    sometimes an equal but distinct one, as callers may pass either."""
+    sometimes an equal but distinct one (over Q), as callers may pass
+    either."""
     if n == 0:
         return fld.zero
     if n == 100:
@@ -47,7 +48,7 @@ def matrices(draw, max_rows=7, max_cols=7):
 def combine(fld, coeffs, vectors, ncols):
     out = [fld.zero] * ncols
     for c, v in zip(coeffs, vectors):
-        out = [a + c * b for a, b in zip(out, v)]
+        out = [fld.of(a + c * b) for a, b in zip(out, v)]
     return out
 
 
@@ -94,7 +95,7 @@ def test_rref_ignores_order_scale_repeats_and_zero_rows(case, data):
     expected = rref(rows, fld)
     scales = data.draw(st.lists(st.integers(1, 6), min_size=len(rows),
                                 max_size=len(rows)))
-    scaled = [tuple(fld.of(s) * x for x in r)
+    scaled = [tuple(fld.of(s * x) for x in r)
               for s, r in zip(scales, rows)]
     shuffled = data.draw(st.permutations(scaled + rows[:2]))
     zero_row = tuple([fld.zero] * ncols)
@@ -113,15 +114,15 @@ def test_input_rows_reduce_to_zero_and_have_coordinates(case):
     ncols = len(rows[0])
     red, pivots = rref(rows, fld)
     for r in rows:
-        assert not any(reduce_by_rref(r, red, pivots))
-        coeffs = coords_in_rref(r, red, pivots)
+        assert not any(reduce_by_rref(r, red, pivots, fld))
+        coeffs = coords_in_rref(r, red, pivots, fld)
         assert coeffs is not None
         assert combine(fld, coeffs, red, ncols) == list(r)
     for j in set(range(ncols)) - set(pivots):
         unit = [fld.zero] * ncols
         unit[j] = fld.one
-        assert reduce_by_rref(unit, red, pivots) == unit
-        assert coords_in_rref(unit, red, pivots) is None
+        assert reduce_by_rref(unit, red, pivots, fld) == unit
+        assert coords_in_rref(unit, red, pivots, fld) is None
 
 
 @common
@@ -166,13 +167,13 @@ def test_joint_kernel_is_the_rref_of_the_kernel(case, data):
     width = data.draw(st.integers(0, ncols))
     pairs = [(sparse_row(r[:width], fld), sparse_row(r[width:], fld))
              for r in rows]
-    kernel = joint_kernel(pairs, width, modulus(fld))
+    kernel = joint_kernel(pairs, width, fld.p)
     dense = [tuple(dense_row(k, ncols - width, fld)) for k in kernel]
     assert_canonical(fld, dense, [min(k) for k in kernel], ncols - width)
     joint, pivots = rref(rows, fld)
     for k in dense:
         lifted = [fld.zero] * width + list(k)
-        assert coords_in_rref(lifted, joint, pivots) is not None
+        assert coords_in_rref(lifted, joint, pivots, fld) is not None
     first = [r[:width] for r in rows]
     assert len(kernel) == len(pivots) - len(rref(first, fld)[1])
     if fld == QQ:
@@ -227,16 +228,16 @@ def test_combine_rows_matches_dense_accumulation(case, data):
     coeffs = [entry(fld, data.draw(st.sampled_from((0, 100, -2, 1, 3))))
               for _ in rows]
     sparse = [sparse_row(r, fld) for r in rows]
-    out = combine_rows(sparse_row(coeffs, fld), sparse, modulus(fld))
+    out = combine_rows(sparse_row(coeffs, fld), sparse, fld.p)
     assert dense_row(out, ncols, fld) == combine(fld, coeffs, rows, ncols)
     # a kernel row: nonzero values in the kernel's representation
     assert all(out.values()) and all(0 <= j < ncols for j in out)
-    if modulus(fld):
+    if fld.p:
         assert all(type(v) is int and v < fld.p for v in out.values())
     # rows indexed by dict keys read only the rows the coefficients name
     named = {i: r for i, r in enumerate(sparse) if coeffs[i]}
     assert combine_rows(sparse_row(coeffs, fld), named,
-                        modulus(fld)) == out
+                        fld.p) == out
 
 
 @common
@@ -244,13 +245,13 @@ def test_combine_rows_matches_dense_accumulation(case, data):
 def test_row_echelon_is_the_rref(case):
     fld, rows = case
     ncols = len(rows[0]) if rows else 0
-    echelon = row_echelon([sparse_row(r, fld) for r in rows], modulus(fld))
+    echelon = row_echelon([sparse_row(r, fld) for r in rows], fld.p)
     red, pivots = rref(rows, fld)
     assert sorted(echelon) == pivots
     assert [tuple(dense_row(echelon[q], ncols, fld)) for q in pivots] == red
     # stopping once ncols pivots are held leaves the rank unchanged
     assert len(row_echelon([sparse_row(r, fld) for r in rows],
-                           modulus(fld), ncols)) == len(pivots)
+                           fld.p, ncols)) == len(pivots)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
@@ -267,12 +268,12 @@ def test_edge_cases(fld):
         nullspace([], fld)
     assert kernel_combos([], fld) == []
     assert kernel_combos([(), ()], fld) == [(one, zero), (zero, one)]
-    assert reduce_by_rref([fld.of(5)], [], []) == [fld.of(5)]
-    assert coords_in_rref([zero], [], []) == []
+    assert reduce_by_rref([fld.of(5)], [], [], fld) == [fld.of(5)]
+    assert coords_in_rref([zero], [], [], fld) == []
     tracker = SpanTracker(fld, 1)
     assert tracker.express({}) == {}
     assert not tracker.add({}, "z")
     assert tracker.add(sparse_row((fld.of(2),), fld), "a")
     assert tracker.express(sparse_row((fld.of(6),), fld)) == {"a": fld.of(3)}
-    assert combine_rows({}, [], modulus(fld)) == {}
-    assert row_echelon([], modulus(fld)) == {}
+    assert combine_rows({}, [], fld.p) == {}
+    assert row_echelon([], fld.p) == {}

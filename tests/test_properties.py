@@ -187,10 +187,10 @@ def test_tampered_growth_certificates_fail(a, b, t, mode, data):
 
 
 def poly_from(coeffs):
-    out = Poly.zero(1)
+    out = Poly.zero(FLD, 1)
     for e, c in enumerate(coeffs):
         if c:
-            out = out + Poly.monomial(1, (e,), FLD.of(c))
+            out = out + Poly.monomial(FLD, 1, (e,), FLD.of(c))
     return out
 
 

@@ -1,12 +1,12 @@
 """The Record base class and jsonable, the one JSON encoder."""
 
 import argparse
+from fractions import Fraction
 
 import pytest
 
 from grfilt.bimodule import ModuleAction
 from grfilt.cli import _emit
-from grfilt.fields import field_from_name
 from grfilt.record import Record, jsonable
 
 
@@ -85,7 +85,7 @@ def test_jsonable_reaches_records_inside_tuples_and_dicts():
 
 def test_emit_refuses_a_value_json_cannot_encode(capsys):
     args = argparse.Namespace(format="json", out=None)
-    three = field_from_name("Fp:101").of(3)
+    # F_p coefficients are JSON ints now; an exact fraction is not
     with pytest.raises(TypeError):
-        _emit(args, {"coefficient": three}, [])
+        _emit(args, {"coefficient": Fraction(1, 3)}, [])
     assert capsys.readouterr().out == ""

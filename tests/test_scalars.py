@@ -1,0 +1,153 @@
+"""One scalar currency: F_p values are ints in [0, p) everywhere.
+
+Poly terms, kernel rows from encode_sparse, Ambient.mul and insert_row,
+and dense rows from rref and dense_row all hold plain ints reduced mod p
+over F_p.  Arithmetic never mixes two fields, and each field's text
+encoder and parser are inverse to each other.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from grfilt.fields import QQ, PrimeField
+from grfilt.linalg import dense_row, insert_row, rref
+from grfilt.linspace import Ambient
+from grfilt.poly import Poly, PolyMatrix
+
+F7, F101 = PrimeField(7), PrimeField(101)
+
+common = settings(max_examples=80, deadline=None)
+
+
+def assert_reduced(values, p):
+    for v in values:
+        assert type(v) is int and 0 <= v < p
+
+
+@st.composite
+def polys(draw, fld, max_degree=3):
+    """A one-variable Poly over fld from raw ints, negative and past p."""
+    coeffs = draw(st.dictionaries(st.integers(0, max_degree),
+                                  st.integers(-3 * fld.p, 3 * fld.p),
+                                  max_size=4))
+    return Poly(fld, 1, {(e,): c for e, c in coeffs.items()})
+
+
+@st.composite
+def poly_cases(draw):
+    fld = draw(st.sampled_from((F7, F101)))
+    return (fld, draw(polys(fld)), draw(polys(fld)),
+            draw(st.integers(-200, 200)))
+
+
+@common
+@given(poly_cases())
+def test_poly_terms_are_reduced_ints(case):
+    fld, f, g, c = case
+    for h in (f, g, f + g, f - g, -f, f * g, f.scale(c), f.dilate(2),
+              (f * g).truncate(3)):
+        assert_reduced(h.terms.values(), fld.p)
+        assert all(h.terms.values())
+
+
+def test_a_sum_that_is_a_multiple_of_p_cancels():
+    x = Poly.variable(F7, 1, 0)
+    one = Poly.const(F7, 1, F7.one)
+    power = one
+    for _ in range(7):
+        power = power * (one + x)
+    # the middle binomial coefficients of (1 + x)^7 are multiples of 7
+    assert power == one + x * x * x * x * x * x * x
+    assert power.terms == {(0,): 1, (7,): 1}
+
+
+@st.composite
+def matrix_cases(draw):
+    fld = draw(st.sampled_from((F7, F101)))
+    amb = Ambient(2, 1, 6, fld)
+
+    def matrix():
+        return PolyMatrix([[draw(polys(fld)) for _ in range(2)]
+                           for _ in range(2)])
+    return amb, [matrix() for _ in range(draw(st.integers(1, 4)))]
+
+
+@common
+@given(matrix_cases())
+def test_kernel_and_dense_rows_hold_reduced_ints(case):
+    amb, mats = case
+    p = amb.field.p
+    rows = [amb.encode_sparse(m) for m in mats]
+    for row in rows:
+        assert_reduced(row.values(), p)
+    for a in rows:
+        for b in rows:
+            assert_reduced(amb.mul(a, b).values(), p)
+    echelon = {}
+    for row in rows:
+        insert_row(echelon, dict(row), p)
+        for held in echelon.values():
+            assert_reduced(held.values(), p)
+    dense = [dense_row(row, amb.dim, amb.field) for row in rows]
+    for row in dense:
+        assert_reduced(row, p)
+    red, _ = rref(dense, amb.field)
+    for row in red:
+        assert_reduced(row, p)
+    for m in mats:
+        assert amb.decode_sparse(amb.encode_sparse(m)) == m
+
+
+@pytest.mark.parametrize("other", [QQ, F101], ids=["Q", "Fp:101"])
+def test_arithmetic_across_fields_raises(other):
+    f = Poly.variable(F7, 1, 0)
+    g = Poly.variable(other, 1, 0)
+    for op in (lambda: f + g, lambda: f - g, lambda: f * g):
+        with pytest.raises(TypeError):
+            op()
+    assert f != g
+    a = PolyMatrix.identity(F7, 2, 1)
+    b = PolyMatrix.identity(other, 2, 1)
+    with pytest.raises(TypeError):
+        a * b
+    with pytest.raises(ValueError):
+        PolyMatrix([[f, Poly.zero(F7, 1)], [Poly.zero(other, 1), f]])
+
+
+def test_an_ambient_refuses_a_matrix_over_another_field():
+    with pytest.raises(ValueError):
+        Ambient(2, 1, 4, F101).encode_sparse(PolyMatrix.identity(F7, 2, 1))
+
+
+@common
+@given(st.fractions())
+def test_rational_text_round_trips(c):
+    assert QQ.parse(QQ.text(c)) == c
+
+
+@common
+@given(st.sampled_from((F7, F101, PrimeField(2147483629))),
+       st.integers(-10 ** 12, 10 ** 12))
+def test_prime_text_round_trips(fld, n):
+    c = fld.of(n)
+    assert fld.text(c) == f"{c}~{fld.p}"
+    assert fld.parse(fld.text(c)) == c
+
+
+@pytest.mark.parametrize("fld, text", [
+    (QQ, "2/4"), (QQ, " 1/2"), (QQ, "0.5"), (QQ, "one"), (QQ, "1/0"),
+    (QQ, 1), (F101, "3"), (F101, "3~7"), (F101, "104~101"),
+    (F101, "-1~101"), (F101, "03~101"), (F101, 3), (F101, "x~101")])
+def test_parse_refuses_what_text_never_writes(fld, text):
+    with pytest.raises((AttributeError, TypeError, ValueError,
+                        ZeroDivisionError)):
+        fld.parse(text)
+
+
+def test_prime_field_hands_out_ints():
+    assert (F101.zero, F101.one, F101.of(-1)) == (0, 1, 100)
+    assert all(type(v) is int for v in (F101.zero, F101.one, F101.of(7)))
+    assert (QQ.p, F101.p) == (None, 101)
+    assert QQ.of(3) == Fraction(3)

@@ -27,13 +27,13 @@ def test_generators_and_short_words_satisfy_shape(name):
 def test_shape_rejects_outsiders():
     ring = make("R_2x2")
     amb = ring.ambient
-    x = Poly.variable(1, 0, QQ.one)
+    x = Poly.variable(QQ, 1, 0)
     bad = diagonal_embed(amb, x)
     rows = [list(r) for r in bad.rows]
     rows[1][1] = x  # diag(x, x), breaking the f(x^2) tie
     from grfilt.poly import PolyMatrix
     assert not ring.shape_member(PolyMatrix(rows))
-    lower = PolyMatrix([[Poly.zero(1), Poly.zero(1)], [x, Poly.zero(1)]])
+    lower = PolyMatrix([[Poly.zero(QQ, 1), Poly.zero(QQ, 1)], [x, Poly.zero(QQ, 1)]])
     assert not ring.shape_member(lower)
 
 
@@ -46,7 +46,7 @@ def test_perturbed_ring_excluded_from_catalog():
 
 def test_diagonal_embed_multiplication():
     amb = make("R_2x2").ambient
-    x = Poly.variable(1, 0, QQ.one)
+    x = Poly.variable(QQ, 1, 0)
     c1 = diagonal_embed(amb, x)
     c2 = diagonal_embed(amb, x * x + x)
     assert amb.mul(amb.encode_sparse(c1), amb.encode_sparse(c2)) == \
