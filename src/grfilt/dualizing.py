@@ -37,10 +37,10 @@ verified, and for the control every cap below 6.
 from functools import partial
 
 from .fields import QQ
-from .poly import Poly, PolyMatrix
+from .poly import Poly
 from .linalg import SpanTracker, joint_kernel, joint_row, row_echelon
-from .linspace import (PolyTupleSpace, DegreeOverflowError, span,
-                       sum_spaces, prefix_space, restrict_degree, zero_space)
+from .linspace import (PolyTupleSpace, DegreeOverflowError, prefix_space,
+                       restrict_degree, zero_space)
 from .filtration import WindowExceeded
 from .workbench import make, diagonal_embed
 from .bimodule import ModuleAction, free_rank
@@ -61,13 +61,10 @@ def _require_window(stage, what, bound):
             f"{stage}: {what} is {bound}, below 1; raise the degree cap")
 
 
-def _xpow(field, k):
-    return Poly.monomial(field, 1, (k,), field.one)
-
-
-def _corner(p):
-    z = Poly.zero(p.field, 1)
-    return PolyMatrix([[z, p], [z, z]])
+def _basis_sum(amb, *coords):
+    """The kernel row of the sum of the basis elements x^e E_ij named by
+    their coordinates (e, i, j)."""
+    return amb.row((c, amb.field.one) for c in coords)
 
 
 def _diagonal_corner_span(ring, step):
@@ -78,12 +75,11 @@ def _diagonal_corner_span(ring, step):
         raise KeyError(f"no window recipe for {ring.name!r}")
     if amb.series:
         raise ValueError("dualizing chain runs in polynomial mode only")
-    fld = amb.field
-    mats = [diagonal_embed(amb, _xpow(fld, step * k))
+    rows = [_basis_sum(amb, ((step * k,), 0, 0), ((2 * step * k,), 1, 1))
             for k in range(amb.degcap // (2 * step) + 1)]
-    mats += [_corner(_xpow(fld, j))
+    rows += [_basis_sum(amb, ((j,), 0, 1))
              for j in range(_CORNER_LO[ring.name], amb.degcap + 1)]
-    return span(amb, mats)
+    return zero_space(amb).extend(rows)
 
 
 def ring_window(ring):
@@ -104,17 +100,10 @@ class CenterEmbedding(Record):
     """
     fields = ("ambient",)
 
-    def embed(self, c):
-        return diagonal_embed(self.ambient, c)
-
-    def project(self, mat):
-        c = mat.entry(0, 0)
-        if self.embed(c) != mat:
-            raise ValueError("matrix is not in the diagonal subring")
-        return c
-
     def actor(self):
-        return self.embed(_xpow(self.ambient.field, 1))
+        """x in C, the matrix diag(x, x^2)."""
+        amb = self.ambient
+        return diagonal_embed(amb, Poly.variable(amb.field, 1, 0))
 
 
 # ------------------------------------------------------- free C-structure
@@ -145,8 +134,8 @@ class FreeModuleStructure:
     """The ring window as a free C-module on an explicit ordered basis.
 
     side "left" decomposes elements as sum sigma(c_i) * v_i, side "right"
-    as sum v_i * sigma(c_i).  solve() recovers the coordinate tuple from
-    the tagged span of the ladders v_i * sigma(x^k); it covers the whole
+    as sum v_i * sigma(c_i).  solve() recovers the coefficients from the
+    tagged span of the ladders v_i * sigma(x^k); it covers the whole
     window exactly when the basis passed the stage (i) scan.  The basis
     is given as matrices and kept as kernel rows.
     """
@@ -167,25 +156,25 @@ class FreeModuleStructure:
                 self._tracker.add(w, (i, k))
 
     def solve(self, row):
-        """The coordinate tuple of a kernel row."""
+        """The combination {(slot, power): c} of a kernel row: the row is
+        the sum of c times v_slot and sigma(x^power), multiplied on this
+        structure's side."""
         combo = self._tracker.express(row)
         if combo is None:
             raise ValueError("element is outside the free C-span window")
-        fld = self.ambient.field
-        out = [Poly.zero(fld, 1) for _ in range(self.rank)]
-        for (i, k), c in combo.items():
-            out[i] = out[i] + Poly.monomial(fld, 1, (k,), c)
-        return tuple(out)
+        return combo
 
 
 class HomModule:
-    """C-linear dual Hom_C(M, C) of a free structure, as coordinate tuples.
+    """C-linear dual Hom_C(M, C) of a free structure, as tuple-space rows.
 
-    An element is (phi(v_1), ..., phi(v_r)) in k[x]^r.  The dual of the
-    right structure carries a right action, (phi.a)(v_j) = phi(a v_j);
-    the dual of the left structure a left one, (a.phi)(w_j) = phi(w_j a).
-    Either way act() routes the translated basis through solve() and
-    pairs the coordinate matrix with phi; a is a kernel row.
+    An element is (phi(v_1), ..., phi(v_r)) in k[x]^r, held as a kernel
+    row of the PolyTupleSpace `space`: x^d in slot i is coordinate
+    d * r + i.  The dual of the right structure carries a right action,
+    (phi.a)(v_j) = phi(a v_j); the dual of the left structure a left one,
+    (a.phi)(w_j) = phi(w_j a).  Either way act() routes the translated
+    basis through solve() and pairs each coefficient c x^k of slot i with
+    phi's terms in slot i; a is a kernel row of the ring's ambient.
     """
 
     def __init__(self, structure, space_cap):
@@ -194,23 +183,23 @@ class HomModule:
                                     structure.ambient.field)
 
     def dual_basis(self):
-        fld = self.structure.ambient.field
-        one, z = Poly.const(fld, 1, fld.one), Poly.zero(fld, 1)
-        r = self.structure.rank
-        return [tuple(one if j == i else z for j in range(r))
-                for i in range(r)]
+        one = self.structure.ambient.field.one
+        return [self.space.row([((0, i), one)])
+                for i in range(self.structure.rank)]
 
     def act(self, phi, a):
         st = self.structure
         amb = st.ambient
-        out = [Poly.zero(amb.field, 1)] * st.rank
+        slots = {}      # slot i -> phi's terms (degree, value) there
+        for k, x in phi.items():
+            d, i = divmod(k, st.rank)
+            slots.setdefault(i, []).append((d, x))
+        terms = []
         for j, v in enumerate(st.basis):
             w = amb.mul(a, v) if st.side == "right" else amb.mul(v, a)
-            coords = st.solve(w)
-            for i in range(st.rank):
-                if not (coords[i].is_zero() or phi[i].is_zero()):
-                    out[j] = out[j] + phi[i] * coords[i]
-        return tuple(out)
+            for (i, k), c in st.solve(w).items():
+                terms += [((d + k, j), x * c) for d, x in slots.get(i, ())]
+        return self.space.row(terms)
 
 
 # ------------------------------------------------------ stage (ii): cyclic
@@ -238,7 +227,7 @@ def cyclic_presentation(hom, window, expected_ann, acceptance_degree):
     tried = []
     chosen = chosen_orbit = None
     for idx, phi in enumerate(hom.dual_basis()):
-        images = [space.encode_sparse(hom.act(phi, b)) for b in basis]
+        images = [hom.act(phi, b) for b in basis]
         orbit = zero_space(space).extend(dict(r) for r in images)
         hit = orbit.contains(target)
         tried.append({"candidate": idx, "orbit_dim": orbit.dim,
@@ -352,17 +341,25 @@ def predicted_idealizer(ring):
     return _diagonal_corner_span(ring, 2)
 
 
-def corner_double(mat, field):
-    """Candidate map (f, g) -> [[f(x^2), x g(x^2)], [0, f(x^4)]].
+def corner_double(amb, row):
+    """Candidate map (f, g) -> [[f(x^2), x g(x^2)], [0, f(x^4)]] on a
+    kernel row of the ring, as an index map: x^d E_00 goes to x^(2d) E_00
+    + x^(4d) E_11 and x^d E_01 to x^(2d+1) E_01; the bottom row is read
+    from f alone.
 
     The diagonal slot rides the degree-doubling identification of the
     diagonal subring twice; the corner slot lands on the odd part.  This
     is a ring homomorphism on the nose; stage (iii) checks it induces an
     isomorphism onto idealizer/ideal.
     """
-    f, g = mat.entry(0, 0), mat.entry(0, 1)
-    return PolyMatrix([[f.dilate(2), _xpow(field, 1) * g.dilate(2)],
-                       [Poly.zero(field, 1), f.dilate(4)]])
+    terms = []
+    for k, c in row.items():
+        (d,), i, j = amb.coords[k]
+        if (i, j) == (0, 0):
+            terms += [(((2 * d,), 0, 0), c), (((4 * d,), 1, 1), c)]
+        elif (i, j) == (0, 1):
+            terms.append((((2 * d + 1,), 0, 1), c))
+    return amb.row(terms)
 
 
 class EndRingReport(Record):
@@ -382,34 +379,36 @@ def end_ring(ring, window, ideal, generators, predicted=None,
     ideal, and to hit every idealizer class through the stated degree.
     """
     amb = ring.ambient
-    fld = amb.field
     ide_rep, ide = idealizer(ring, window, ideal, generators, predicted)
     dcap = (ide_rep.window_degree - 1) // 2
     _require_window(STAGES[2], "the domain degree", dcap)
     required = (amb.degcap // 2 if required_through is None
                 else required_through)
     domain = restrict_degree(window, dcap)
-    basis = domain.basis_matrices()
-    images = [corner_double(b, fld) for b in basis]
-    lands = all(ide.member(m) for m in images)
-    unital = corner_double(amb.one(), fld) == amb.one()
-    kernel = domain.kernel(
-        [ideal.residual(amb.encode_sparse(m)) for m in images], amb.dim)
+    basis = domain.basis_rows()
+    images = [corner_double(amb, b) for b in basis]
+    lands = not any(ide.residual(dict(m)) for m in images)
+    one = amb.encode_sparse(amb.one())
+    unital = corner_double(amb, one) == one
+    kernel = domain.kernel([ideal.residual(dict(m)) for m in images],
+                           amb.dim)
     witness = repr(kernel.basis_matrices()[0]) if kernel.dim else None
     mult_ok = True
     checked = skipped = 0
-    # the degree bounds keep both sides inside the cap
+    # the degree bounds keep both sides inside the cap; two rows are equal
+    # modulo the ideal when their residuals are
     for a, ca in zip(basis, images):
         for b, cb in zip(basis, images):
-            da, db = a.degree(), b.degree()
+            da, db = amb.degree(a), amb.degree(b)
             if 2 * (da + db) + 1 > amb.degcap or \
                     (2 * da + 1) + (2 * db + 1) > amb.degcap:
                 skipped += 1
                 continue
             checked += 1
-            if not ideal.member(corner_double(a * b, fld) - ca * cb):
+            if (ideal.residual(corner_double(amb, amb.mul(a, b)))
+                    != ideal.residual(amb.mul(ca, cb))):
                 mult_ok = False
-    through = _covered_through(sum_spaces(span(amb, images), ideal),
+    through = _covered_through(ideal.extend(map(dict, images)),
                                lambda m: restrict_degree(ide, m), amb.degcap)
     ok = (ide_rep.ok and unital and lands and mult_ok and not kernel.dim
           and through >= required)
@@ -427,13 +426,20 @@ class DualIdentificationReport(Record):
               "required_presentation", "required_onto", "ok")
 
 
-def slot_shift(mat, field):
+def slot_shift(amb, space, row):
     """(f, g) -> (u, f) with g = g_ev(x^2) + x u(x^2): the corner's odd
-    slot moves to the front, the diagonal slot to the back."""
-    u = Poly(field, 1, {((d - 1) // 2,): c
-                        for (d,), c in mat.entry(0, 1).terms.items()
-                        if d % 2})
-    return (u, mat.entry(0, 0))
+    slot moves to the front, the diagonal slot to the back.  An index map
+    from a kernel row of the ring to a row of the 2-tuple space: x^d E_01
+    with d odd goes to x^((d-1)/2) in slot 0, x^d E_00 to x^d in slot 1,
+    and the other terms are dropped."""
+    terms = []
+    for k, c in row.items():
+        (d,), i, j = amb.coords[k]
+        if (i, j) == (0, 0):
+            terms.append(((d, 1), c))
+        elif (i, j) == (0, 1) and d % 2:
+            terms.append((((d - 1) // 2, 0), c))
+    return space.row(terms)
 
 
 def dual_identification(ring, window, ideal, left_struct, center,
@@ -448,7 +454,7 @@ def dual_identification(ring, window, ideal, left_struct, center,
     action of the diagonal subring.
     """
     amb = ring.ambient
-    fld = amb.field
+    one = amb.field.one
     cap = amb.degcap
     req_p = cap // 2 if required_presentation is None else \
         required_presentation
@@ -458,57 +464,56 @@ def dual_identification(ring, window, ideal, left_struct, center,
     _require_window(STAGES[3], "the left-action degree", a_cap)
     hom1 = HomModule(left_struct, cap + 1)
     space = hom1.space
-    z, one, x = Poly.zero(fld, 1), Poly.const(fld, 1, fld.one), _xpow(fld, 1)
-    phi1, phi2 = (z, one), (z, -x)
-    basis = window.basis_matrices()
+    phi1, phi2 = space.row([((0, 1), one)]), space.row([((1, 1), -one)])
+    basis = window.basis_rows()
 
-    imgs = [space.encode_sparse(hom1.act(phi, b))
-            for phi in (phi1, phi2) for b in window.basis_rows()]
+    imgs = [hom1.act(phi, b) for phi in (phi1, phi2) for b in basis]
     prefix = partial(prefix_space, space)
     presents_through = _covered_through(
         zero_space(space).extend(map(dict, imgs)), prefix, cap)
 
     # the relation module (kernel of (b, 0) -> b.phi1, (0, b) -> b.phi2)
     # against the span of the (x^(j+1) e12, x^j e12), as canonical echelons
-    p, n = fld.p, amb.dim
-    rows = [window.echelon[q] for q in window.pivots]
+    p, n = amb.field.p, amb.dim
     kernel = joint_kernel(
-        zip(imgs, rows + [joint_row({}, r, n) for r in rows]), space.dim, p)
+        zip(imgs, basis + [joint_row({}, r, n) for r in basis]), space.dim,
+        p)
     expected = row_echelon(
-        (joint_row(amb.encode_sparse(_corner(_xpow(fld, j + 1))),
-                   amb.encode_sparse(_corner(_xpow(fld, j))), n)
+        (joint_row(_basis_sum(amb, ((j + 1,), 0, 1)),
+                   _basis_sum(amb, ((j,), 0, 1)), n)
          for j in range(_CORNER_LO[ring.name], cap)), p)
     kernel_matches = {min(r): r for r in kernel} == expected
 
-    kills = not any(space.encode_sparse(slot_shift(b, fld))
-                    for b in ideal.basis_matrices())
-    psi_imgs = [space.encode_sparse(slot_shift(b, fld)) for b in basis]
+    kills = not any(slot_shift(amb, space, b) for b in ideal.basis_rows())
+    psi_imgs = [slot_shift(amb, space, b) for b in basis]
     psi_kernel_matches = window.kernel(psi_imgs, space.dim) == ideal
     psi_onto_through = _covered_through(
         zero_space(space).extend(psi_imgs), prefix, cap)
 
     left_ok = True
     checked = skipped = 0
-    rhos = restrict_degree(window, rho_cap)
-    acts = restrict_degree(window, a_cap).basis_matrices()
-    for rho, rho_row in zip(rhos.basis_matrices(), rhos.basis_rows()):
-        sig = corner_double(rho, fld)
+    acts = restrict_degree(window, a_cap).basis_rows()
+    for rho in restrict_degree(window, rho_cap).basis_rows():
+        sig = corner_double(amb, rho)
         for a in acts:
-            prod = sig * a
-            if prod.degree() > cap:
+            try:
+                prod = amb.mul(sig, a)
+            except DegreeOverflowError:
                 skipped += 1
                 continue
             checked += 1
-            lhs = space.encode_sparse(slot_shift(prod, fld))
-            rhs = space.encode_sparse(hom1.act(slot_shift(a, fld), rho_row))
-            if lhs != rhs:
+            lhs = slot_shift(amb, space, prod)
+            if lhs != hom1.act(slot_shift(amb, space, a), rho):
                 left_ok = False
-    t = center.actor()
+    t = amb.encode_sparse(center.actor())
     right_ok = True
-    for a in restrict_degree(window, cap - t.degree()).basis_matrices():
-        u, f = slot_shift(a, fld)
-        lhs = space.encode_sparse(slot_shift(a * t, fld))
-        if lhs != space.encode_sparse((u * x, f * x)):
+    r = space.r
+    # times t, the tuple (u, f) becomes (u x, f x)
+    for a in restrict_degree(window, cap - amb.degree(t)).basis_rows():
+        lhs = slot_shift(amb, space, amb.mul(a, t))
+        rhs = space.row(((k // r + 1, k % r), c)
+                        for k, c in slot_shift(amb, space, a).items())
+        if lhs != rhs:
             right_ok = False
     ok = (presents_through >= req_p and kernel_matches and kills
           and psi_kernel_matches and psi_onto_through >= req_o

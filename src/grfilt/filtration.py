@@ -121,9 +121,6 @@ class Filtration:
 class HilbertTable(Record):
     fields = ("kind", "name", "values")
 
-    def value(self, n):
-        return self.values[n]
-
 
 def hilbert(filt, upto):
     """Hilbert function of a filtration.

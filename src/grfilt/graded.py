@@ -5,9 +5,10 @@ canonical coordinates: reduce a layer element's kernel row against the
 echelon of the layer below, and read the remainder's entries at the
 pivots of that layer's echelon complement.  Two elements of the same
 coset always produce identical coordinates, so piece arithmetic is exact.
-The coordinates are a kernel row inside this module and a dense tuple of
-field elements (Fractions over Q, ints in [0, p) over F_p) in
-GrElement.coords; equal cosets have equal GrElements.
+The coordinates are a kernel row {i: c}, and GrElement.coords holds the
+same row frozen as its (i, c) pairs sorted by i, every c nonzero
+(Fractions over Q, ints in [0, p) over F_p); equal cosets have equal
+GrElements, and dict(el.coords) is the row again.
 
 Products of pieces land in the piece at the summed degree.  Asking for a
 product outside the window raises WindowExceeded rather than truncating,
@@ -33,8 +34,7 @@ producer cannot vouch for itself: a certificate is rechecked by a path
 other than the one that produced it, down to the product of the ring.
 """
 
-from .linalg import (SpanTracker, combine_rows, dense_row, row_echelon,
-                     sparse_row)
+from .linalg import SpanTracker, combine_rows, row_echelon
 from .linspace import complement_section
 from .filtration import WindowExceeded
 from .record import Record
@@ -44,7 +44,7 @@ class GrElement(Record):
     fields = ("degree", "coords")
 
     def is_zero(self):
-        return not any(self.coords)
+        return not self.coords
 
 
 class GradedTrunc:
@@ -78,9 +78,6 @@ class GradedTrunc:
         one = self.ambient.field.one
         return [self._element(m, {i: one}) for i in range(self.piece(m).dim)]
 
-    def zero(self, m):
-        return self._element(m, {})
-
     def class_of(self, mat, m):
         """Coset of a layer-m element in the degree-m piece."""
         return self._element(m, self._coset(
@@ -97,16 +94,13 @@ class GradedTrunc:
                 if q in rem}
 
     def _element(self, m, row):
-        return GrElement(m, tuple(dense_row(row, self.piece(m).dim,
-                                            self.ambient.field)))
+        return GrElement(m, tuple(sorted(row.items())))
 
     def lift(self, el):
         """Canonical representative matrix of a coset."""
         sec = self.piece(el.degree)
-        coeffs = sparse_row(el.coords, self.ambient.field)
         return self.ambient.decode_sparse(combine_rows(
-            {sec.pivots[i]: c for i, c in coeffs.items()}, sec.echelon,
-            self._p))
+            {sec.pivots[i]: c for i, c in el.coords}, sec.echelon, self._p))
 
     def lift_mul(self, e1, e2):
         """Product by definition: lift, multiply the matrices, reduce.
@@ -120,10 +114,9 @@ class GradedTrunc:
         lift_mul)."""
         m, n = e1.degree, e2.degree
         self.piece(m + n)
-        fld, p = self.ambient.field, self._p
-        a, b = sparse_row(e1.coords, fld), sparse_row(e2.coords, fld)
+        p = self._p
         coeffs = {(i, j): x * y % p if p else x * y
-                  for i, x in a.items() for j, y in b.items()}
+                  for i, x in e1.coords for j, y in e2.coords}
         rows = {(i, j): self._structure_constant(m, i, n, j)
                 for i, j in coeffs}
         return self._element(m + n, combine_rows(coeffs, rows, p))
@@ -220,7 +213,7 @@ def spanning_check(gr, classes, patterns, degrees=None):
             el = gr.word(classes, word)
             if el.degree != m:
                 raise ValueError("pattern degree bookkeeping is off")
-            vecs.append(sparse_row(el.coords, gr.ambient.field))
+            vecs.append(dict(el.coords))
         covered.append(len(row_echelon(vecs, gr._p, sec.dim)) == sec.dim)
     return SpanningReport(tuple(tuple(map(tuple, p)) for p in patterns),
                           tuple(degrees), tuple(covered), all(covered))
@@ -239,9 +232,8 @@ def _generator_products(gr, g, side, m, product):
     rest = m - g.degree
     if rest not in gr.sections:
         return []
-    fld = gr.ambient.field
-    return [sparse_row((product(u, g) if side == "left"
-                        else product(g, u)).coords, fld)
+    return [dict((product(u, g) if side == "left"
+                  else product(g, u)).coords)
             for u in gr.piece_basis(rest)]
 
 
@@ -267,8 +259,7 @@ def ideal_chain_witness(gr, classes, words, side="left"):
     strict = True
     for k, g in enumerate(gens):
         if k > 0:
-            row = sparse_row(g.coords, fld)
-            if pieces[g.degree].express(row) is not None:
+            if pieces[g.degree].express(dict(g.coords)) is not None:
                 strict = False
             else:
                 witnesses.append({"step": k, "degree": g.degree,
@@ -316,7 +307,7 @@ def verify_chain_report(gr, classes, report):
                     gr, gens[i], report.side, g.degree, gr.lift_mul)):
                 piece.add(row, (i, t))
         pieces[g.degree] = (piece, k)
-        if piece.express(sparse_row(g.coords, fld)) is not None:
+        if piece.express(dict(g.coords)) is not None:
             return False
     return True
 

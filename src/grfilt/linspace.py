@@ -9,8 +9,10 @@ degree filtrations nested by construction and makes greedy lowest-degree
 searches canonical.
 
 Elements live in the linear-algebra kernel as kernel rows {coordinate:
-value}; matrices cross in and out only where entries are read
-(encode_sparse, decode_sparse).  The coordinate (e, i, j) is the basis
+value}.  Each space has one constructor, row(terms), which sums terms,
+drops the ones that cancel and applies the window rule below; matrices
+cross in and out only where entries are read (encode_sparse, a call to
+row, and decode_sparse).  The coordinate (e, i, j) is the basis
 element x^e E_ij, so Ambient.mul multiplies two kernel rows by index
 arithmetic, x^e E_ij * x^f E_jl = x^(e+f) E_il, with no matrix built.
 Subspaces store their reduced-row-echelon basis as the kernel's sparse
@@ -104,25 +106,31 @@ class Ambient:
     def one(self):
         return PolyMatrix.identity(self.field, self.n, self.arity)
 
+    def row(self, terms):
+        """The kernel row of the terms (coordinate (e, i, j), value),
+        summed, under the window rule: a term that cancels is dropped, and
+        one past the degree cap is dropped in series mode and, in
+        polynomial mode, raises DegreeOverflowError."""
+        out = {}
+        for (e, i, j), c in _summed(terms, self._p):
+            k = self.index.get((e, i, j))
+            if k is not None:
+                out[k] = c
+            elif not self.series:
+                raise DegreeOverflowError(
+                    f"monomial {e} at entry ({i},{j}) exceeds "
+                    f"degcap {self.degcap}")
+        return out
+
     def encode_sparse(self, mat):
         """The coordinates of mat as a kernel row {index: value}, read
         straight from its entries' terms."""
         if (mat.n != self.n or mat.arity != self.arity
                 or mat.field != self.field):
             raise ValueError("matrix does not live in this ambient")
-        if self.series:
-            mat = mat.truncate(self.degcap)
-        row = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                for e, c in mat.entry(i, j).terms.items():
-                    k = self.index.get((e, i, j))
-                    if k is None:
-                        raise DegreeOverflowError(
-                            f"monomial {e} at entry ({i},{j}) exceeds "
-                            f"degcap {self.degcap}")
-                    row[k] = c
-        return row
+        return self.row(((e, i, j), c)
+                        for i in range(self.n) for j in range(self.n)
+                        for e, c in mat.entry(i, j).terms.items())
 
     def encode(self, mat):
         return tuple(dense_row(self.encode_sparse(mat), self.dim, self.field))
@@ -148,10 +156,10 @@ class Ambient:
         """The product of two kernel rows, as a new kernel row, by index
         arithmetic on the matrix-unit basis.
 
-        The window rule is the one encode_sparse applies to a matrix: a
-        term past the degree cap is dropped in series mode (the ring is
-        the quotient by those monomials) and, in polynomial mode, raises
-        DegreeOverflowError if it survives cancellation."""
+        The window rule is row's: a term past the degree cap is dropped in
+        series mode (the ring is the quotient by those monomials) and, in
+        polynomial mode, raises DegreeOverflowError if it survives
+        cancellation."""
         p, left = self._p, self._left
         right = {}
         for k, y in b.items():
@@ -180,18 +188,15 @@ class PolyTupleSpace:
 
     Duck-types the parts of Ambient that Subspace needs, with the same
     degree-major coordinate order, so degree windows stay coordinate
-    prefixes.  Used for Hom-module elements (tuples of coefficients over a
-    commutative coefficient ring identified with k[x])."""
+    prefixes: the term x^d in slot s is the coordinate d * r + s.  Used
+    for Hom-module elements (tuples of coefficients over a commutative
+    coefficient ring identified with k[x]), which live as kernel rows
+    from row() on."""
 
     def __init__(self, r, degcap, field=QQ):
         self.r = r
         self.degcap = degcap
         self.field = field
-        self.series = False
-        self.coords = [((d,), i, 0)
-                       for d in range(degcap + 1) for i in range(r)]
-        self.index = {(d, i): k
-                      for k, ((d,), i, _) in enumerate(self.coords)}
         self.dim = (degcap + 1) * r
 
     def key(self):
@@ -212,27 +217,32 @@ class PolyTupleSpace:
             return 0
         return (min(maxdeg, self.degcap) + 1) * self.r
 
-    def encode_sparse(self, polys):
-        if len(polys) != self.r:
-            raise ValueError(f"expected a {self.r}-tuple")
-        row = {}
-        for i, poly in enumerate(polys):
-            if poly.arity != 1 or poly.field != self.field:
-                raise ValueError("tuple entries must be one-variable, "
-                                 "over this space's field")
-            for (d,), c in poly.terms.items():
-                if d > self.degcap:
-                    raise DegreeOverflowError(
-                        f"degree {d} exceeds tuple-space cap {self.degcap}")
-                row[self.index[(d, i)]] = c
-        return row
+    def row(self, terms):
+        """The kernel row of the terms ((degree, slot), value), summed; a
+        term that cancels is dropped, and one past the cap raises
+        DegreeOverflowError."""
+        out = {}
+        for (d, s), c in _summed(terms, self.field.p):
+            if not 0 <= s < self.r:
+                raise ValueError(f"slot {s} outside a {self.r}-tuple")
+            if d > self.degcap:
+                raise DegreeOverflowError(
+                    f"degree {d} exceeds tuple-space cap {self.degcap}")
+            out[d * self.r + s] = c
+        return out
 
-    def decode_sparse(self, row):
-        terms = [{} for _ in range(self.r)]
-        for k, c in row.items():
-            (d,), i, _ = self.coords[k]
-            terms[i][(d,)] = c
-        return tuple(Poly(self.field, 1, t) for t in terms)
+
+def _summed(terms, p):
+    """The (coordinate, value) terms with equal coordinates summed,
+    reduced mod p when p is given, and the zero sums dropped."""
+    acc = {}
+    for k, c in terms:
+        acc[k] = acc.get(k, 0) + c
+    for k, c in acc.items():
+        if p is not None:
+            c %= p
+        if c:
+            yield k, c
 
 
 class Subspace:

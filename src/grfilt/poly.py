@@ -201,10 +201,6 @@ class PolyMatrix:
     def scale(self, c):
         return PolyMatrix([[p.scale(c) for p in r] for r in self.rows])
 
-    def truncate(self, maxdeg):
-        return PolyMatrix([[p.truncate(maxdeg) for p in r]
-                           for r in self.rows])
-
     def degree(self):
         """Max total degree over entries; -1 for the zero matrix."""
         return max(p.degree() for r in self.rows for p in r)

@@ -12,7 +12,7 @@ from grfilt.graded import (GradedTrunc, GrElement, check_relation,
                            sandwich_zero_sweep, spanning_check,
                            ideal_chain_witness, verify_chain_report,
                            rees_dims, ChainReport)
-from grfilt.linalg import reduce_by_rref, rref
+from grfilt.linalg import dense_row, reduce_by_rref, rref
 from grfilt.workbench import make
 
 
@@ -136,6 +136,12 @@ def test_classes_hash_and_match_products(gr12, classes12, ring_r):
 
 # ---------------------------------------- product table against lifting
 
+def coset(m, values):
+    """The GrElement of piece m with dense coordinates values: its coords
+    are the (index, value) pairs of the nonzero values, sorted."""
+    return GrElement(m, tuple((i, c) for i, c in enumerate(values) if c))
+
+
 @lru_cache(maxsize=None)
 def small_gr(field_name, kind):
     fld = QQ if field_name == "Q" else PrimeField(101)
@@ -152,11 +158,11 @@ def coset_pairs(draw):
                   draw(st.sampled_from(("standard", "weak-adic"))))
     fld = gr.ambient.field
 
-    def coset():
+    def draw_coset():
         m = draw(st.sampled_from(gr.degrees))
-        return GrElement(m, tuple(
-            fld.of(draw(st.integers(-3, 3))) for _ in range(gr.piece(m).dim)))
-    return gr, coset(), coset()
+        return coset(m, [fld.of(draw(st.integers(-3, 3)))
+                         for _ in range(gr.piece(m).dim)])
+    return gr, draw_coset(), draw_coset()
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,7 +170,11 @@ def coset_pairs(draw):
 def test_table_product_equals_lifted_product(case):
     gr, e1, e2 = case
     if e1.degree + e2.degree in gr.sections:
-        assert gr.mul(e1, e2) == gr.lift_mul(e1, e2)
+        prod = gr.mul(e1, e2)
+        assert prod == gr.lift_mul(e1, e2)
+        # coords are the coset row's pairs, sorted, every value nonzero
+        keys = [i for i, _ in prod.coords]
+        assert keys == sorted(set(keys)) and all(c for _, c in prod.coords)
     else:
         with pytest.raises(WindowExceeded):
             gr.mul(e1, e2)
@@ -178,9 +188,9 @@ def coset_families(draw):
     gr = small_gr(draw(st.sampled_from(("Q", "Fp:101"))),
                   draw(st.sampled_from(("standard", "weak-adic"))))
     fld = gr.ambient.field
-    return gr, [GrElement(m, tuple(
-        fld.of(draw(st.integers(-60, 60))) for _ in range(gr.piece(m).dim)))
-        for m in gr.degrees]
+    return gr, [coset(m, [fld.of(draw(st.integers(-60, 60)))
+                          for _ in range(gr.piece(m).dim)])
+                for m in gr.degrees]
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,7 +219,8 @@ def rebuilt_pieces(gr, gens, side):
             for u in gr.piece_basis(rest):
                 prod = gr.lift_mul(u, g) if side == "left" \
                     else gr.lift_mul(g, u)
-                vecs.append(list(prod.coords))
+                vecs.append(dense_row(dict(prod.coords),
+                                      gr.piece(m).dim, gr.ambient.field))
         if vecs:
             rows, pivots = rref(vecs, gr.ambient.field)
         else:
@@ -226,8 +237,10 @@ def rebuilt_chain(gr, classes, words, side):
         dims.append(sum(len(rows) for rows, _ in pieces.values()))
         if k > 0:
             rows, pivots = prev[gens[k].degree]
-            if not any(reduce_by_rref(list(gens[k].coords), rows, pivots,
-                                      gr.ambient.field)):
+            fld = gr.ambient.field
+            vec = dense_row(dict(gens[k].coords),
+                            gr.piece(gens[k].degree).dim, fld)
+            if not any(reduce_by_rref(vec, rows, pivots, fld)):
                 strict = False
             else:
                 witnesses.append({"step": k, "degree": gens[k].degree,

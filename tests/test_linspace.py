@@ -60,6 +60,19 @@ def test_series_mode_reduces_instead():
     assert samb.encode(corner(xp(9))) == samb.encode(corner(Poly.zero(QQ, 1)))
 
 
+def test_ambient_row_sums_terms_under_the_window_rule(amb):
+    one = QQ.one
+    corner7 = ((7,), 0, 1)
+    k = amb.index[((2,), 1, 1)]
+    assert amb.row([(((2,), 1, 1), one), (((2,), 1, 1), one)]) == {k: 2}
+    # a term past the cap that cancels is no overflow
+    assert amb.row([(corner7, one), (corner7, -one)]) == {}
+    with pytest.raises(DegreeOverflowError):
+        amb.row([(corner7, one)])
+    samb = Ambient(2, 1, 6, series=True)
+    assert samb.row([(corner7, one), (((0,), 0, 0), one)]) == {0: one}
+
+
 
 @lru_cache(maxsize=None)
 def catalog_ambient(name, field_name):
@@ -210,24 +223,27 @@ def test_quotient_context_canonical_representatives(amb):
 
 def test_tuple_space_roundtrip_and_prefix():
     sp = PolyTupleSpace(3, 5)
-    polys = (xp(2), Poly.zero(QQ, 1), xp(5) + xp(0))
-    row = sp.encode_sparse(polys)
-    assert sp.decode_sparse(row) == polys
-    assert len(row) == 3 and all(row.values())
+    # (x^2, 0, x^5 + 1): x^d in slot s is coordinate d * r + s
+    row = sp.row([((2, 0), QQ.one), ((5, 2), QQ.one), ((0, 2), QQ.one)])
+    assert row == {6: QQ.one, 17: QQ.one, 2: QQ.one}
+    # equal coordinates sum, and a sum that cancels is dropped
+    assert sp.row([((1, 1), QQ.one), ((1, 1), QQ.one), ((0, 0), QQ.one),
+                   ((0, 0), -QQ.one)]) == {4: QQ.of(2)}
     assert sp.prefix_dim(1) == 6
     assert sp.dim == 18
     with pytest.raises(DegreeOverflowError):
-        sp.encode_sparse((xp(6), Poly.zero(QQ, 1), Poly.zero(QQ, 1)))
+        sp.row([((6, 0), QQ.one)])
     with pytest.raises(ValueError):
-        sp.encode_sparse((xp(1),))
+        sp.row([((1, 3), QQ.one)])
 
 
 def test_tuple_space_supports_subspace_ops():
     sp = PolyTupleSpace(2, 4)
-    u = zero_space(sp).extend([sp.encode_sparse((xp(0), xp(1))),
-                               sp.encode_sparse((xp(0), Poly.zero(QQ, 1)))])
+    one = QQ.one
+    u = zero_space(sp).extend([sp.row([((0, 0), one), ((1, 1), one)]),
+                               sp.row([((0, 0), one)])])
     assert u.dim == 2
     cut = restrict_degree(u, 0)
     assert cut.dim == 1
-    assert not cut.residual(sp.encode_sparse((xp(0), Poly.zero(QQ, 1))))
-    assert cut.residual(sp.encode_sparse((xp(1), Poly.zero(QQ, 1))))
+    assert not cut.residual(sp.row([((0, 0), one)]))
+    assert cut.residual(sp.row([((1, 0), one)]))
