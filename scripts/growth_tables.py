@@ -5,8 +5,9 @@ killing the corner ideal, and the series model's m-adic quotient table.
 The three tables come from the `grfilt hilbert` handler.  The quotient
 table is the one the growth certificates run on; the script certifies
 t*H(n) > s*H(n+p) witnesses for every offset p up to the bound and shows
-a probe of the growth shape.  It exits 0 when the certificate re-verifies
-and 1 when some offset has no witness in the window.
+a probe of the growth shape.  It exits 0 when the certificate re-verifies,
+1 when some offset has no witness in the window, and 2 when the window is
+too small to certify anything (an offset bound below 1).
 
     python scripts/growth_tables.py --depth 16 --max-offset 8 --json out.json
 """
@@ -15,7 +16,8 @@ import argparse
 import json
 import sys
 
-from grfilt.cli import build_parser, EXIT_OK, EXIT_FAIL
+from grfilt import Inconclusive
+from grfilt.cli import build_parser, EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE
 from grfilt.certifier import (growth_obstruction, verify_certificate,
                               subexp_probe, GrowthCertificate)
 
@@ -55,7 +57,11 @@ def main(argv=None):
         print(f"{n:>4} {cols['ring'][n]:>8} {cols['quotient'][n]:>8} "
               f"{cols['madic_quotient'][n]:>8}")
 
-    cert = growth_obstruction(cols["quotient"], args.s, args.t, max_p)
+    try:
+        cert = growth_obstruction(cols["quotient"], args.s, args.t, max_p)
+    except Inconclusive as exc:
+        print(f"inconclusive at this window: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     verified = verify_certificate(cert)
     if isinstance(cert, GrowthCertificate):
         print(f"\nobstruction witnesses, {args.t}*H(n) > "

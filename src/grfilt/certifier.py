@@ -49,12 +49,15 @@ def growth_obstruction(values, s, t, max_offset, case="table"):
     values: trusted Hilbert numbers H(0..N).  For each p the witness is the
     FIRST n with t*H(n) > s*H(n+p); if some p has none inside the window,
     an ObstructionGap is returned with that p.  Requires s < t: with
-    s >= t the inequality family is not a growth statement at all.
+    s >= t the inequality family is not a growth statement at all.  A
+    bound max_offset < 1 certifies no shift and raises WindowExceeded.
     """
     if s >= t:
         raise ValueError("s < t required")
     if s < 1:
         raise ValueError("ranks must be positive")
+    if max_offset < 1:
+        raise WindowExceeded(f"offset bound {max_offset} certifies no shift")
     vals = list(values)
     rows = []
     for p in range(1, max_offset + 1):
@@ -81,8 +84,9 @@ _CERT_KEYS = frozenset(("s", "t", "rows", "hilbert", "max_offset"))
 
 def verify_certificate(cert):
     """Recheck a certificate (object or its JSON dict) from its own table.
-    An ObstructionGap, or a payload without a certificate's fields (such
-    as a gap's JSON), certifies nothing and is always False."""
+    An ObstructionGap, a payload without a certificate's fields (such as
+    a gap's JSON) or one whose max_offset is not an int >= 1 certifies
+    nothing and is always False."""
     if isinstance(cert, ObstructionGap):
         return False
     if not isinstance(cert, dict):
@@ -91,7 +95,7 @@ def verify_certificate(cert):
         return False
     s, t, rows, vals = cert["s"], cert["t"], cert["rows"], cert["hilbert"]
     max_offset = cert["max_offset"]
-    if s >= t:
+    if s >= t or type(max_offset) is not int or max_offset < 1:
         return False
     seen = set()
     for row in rows:

@@ -15,8 +15,11 @@ where G is the generator set and C_{n-1} the canonical basis rows of
 Gamma_{n-1} whose pivots Gamma_{n-2} lacks: Gamma_{n-1} is Gamma_{n-2}
 plus the span of C_{n-1}, and Gamma_{n-2} G already lies in Gamma_{n-1}.
 So each layer multiplies only the new part of the one before and inserts
-the products into a copy of that layer's sparse echelon.  The weak-adic
-powers satisfy m^i = span(m^{i-1} G); see weak_adic_filtration.
+the products into a copy of that layer's sparse echelon.  The same rule,
+repeated by _closure until a round adds nothing, grows the word span
+(full_span) and the two-sided ideal of seeds (two_sided_closure, whose
+step multiplies by G on both sides and skips products past the cap).  The
+weak-adic powers satisfy m^i = span(m^{i-1} G); see weak_adic_filtration.
 
 Layers outside the computed window are reported honestly: below an
 ascending window they are zero, above it (or below a weak-adic window) the
@@ -56,6 +59,10 @@ class AlgebraPresentation(Record):
         """The generators as kernel rows, encoded once."""
         return [self.ambient.encode_sparse(g) for _, g in self.gens]
 
+    def times_gens(self, row):
+        """The products row g of a kernel row by the generator rows g."""
+        return [self.ambient.mul(row, g) for g in self.gen_rows]
+
     def gen(self, name):
         for nm, g in self.gens:
             if nm == name:
@@ -64,9 +71,6 @@ class AlgebraPresentation(Record):
 
     def gen_mats(self):
         return [g for _, g in self.gens]
-
-    def gen_names(self):
-        return [nm for nm, _ in self.gens]
 
 
 class Filtration:
@@ -136,55 +140,53 @@ def hilbert(filt, upto):
     return HilbertTable(filt.kind, filt.name, tuple(vals))
 
 
-def _next_layer(amb, gens, before, cur):
-    """Gamma_{n+1} from Gamma_{n-1} = before and Gamma_n = cur.
+def _next_layer(before, cur, step):
+    """cur plus step(row) for each row of cur whose pivot before lacks.
 
-    Only the new part, the rows of cur whose pivots before lacks, is
-    multiplied by the generator rows; the products go straight into a
-    copy of cur's echelon.  This overflows the degree cap exactly
-    when multiplying all of cur would: cur is before plus the span of the
-    new part, and before G lies in cur, inside the cap."""
+    With before = Gamma_{n-1}, cur = Gamma_n and step row -> row G this
+    is Gamma_{n+1}: cur is before plus those new rows, and step(before)
+    lies in cur.  A step that overflows the degree cap on cur does so on
+    a new row, as the part past the cap is linear in the row.  cur's rows
+    are read as they stand: extend inserts into a copy."""
     new = [row for q, row in cur.echelon.items() if q not in before.echelon]
-    return cur.extend(amb.mul(m, g) for m in new for g in gens)
+    return cur.extend(out for row in new for out in step(row))
+
+
+def _closure(cur, step):
+    """The least span holding cur and closed under step: _next_layer
+    repeated until a round adds nothing.  It ends, because every round
+    but the last raises the dimension."""
+    before = zero_space(cur.ambient)
+    while True:
+        before, cur = cur, _next_layer(before, cur, step)
+        if cur.dim == before.dim:
+            return cur
 
 
 def standard_filtration(pres, upto):
     """Gamma_n = span of products of at most n generators (Gamma_0 = k),
     grown as Gamma_n = Gamma_{n-1} + C_{n-1} G (see the module notes)."""
     amb = pres.ambient
-    gens = pres.gen_rows
     zero = zero_space(amb)
     layers = {0: span(amb, [amb.one()])}
     for n in range(1, upto + 1):
-        layers[n] = _next_layer(amb, gens, layers.get(n - 2, zero),
-                                layers[n - 1])
+        layers[n] = _next_layer(layers.get(n - 2, zero), layers[n - 1],
+                                pres.times_gens)
     return Filtration("ascending", amb, layers, name=f"standard:{pres.name}")
 
 
-def full_span(pres, maxiter=200):
-    """Span of all words in the generators, closed under multiplication:
-    the standard layers from Gamma_1 on, grown until one adds nothing.
-
-    Stabilizes for series ambients (finite dimensional); in polynomial mode
-    a word exceeding the degree cap raises DegreeOverflowError instead of
-    being dropped.
-    """
-    amb = pres.ambient
-    gens = pres.gen_rows
-    before = span(amb, [amb.one()])
-    cur = before.extend(dict(g) for g in gens)
-    for _ in range(maxiter):
-        nxt = _next_layer(amb, gens, before, cur)
-        if nxt.dim == cur.dim:
-            return nxt
-        before, cur = cur, nxt
-    raise TruncationError("word closure did not stabilize; raise maxiter")
+def full_span(pres):
+    """Span of all words in the generators: the closure of the unit under
+    right multiplication by them.  Finite in series mode; in polynomial
+    mode a word past the degree cap raises DegreeOverflowError."""
+    return _closure(span(pres.ambient, [pres.ambient.one()]),
+                    pres.times_gens)
 
 
-def _times_gens(amb, sub, gens):
+def _times_gens(pres, sub):
     """span(sub G), the products of its basis and generator rows."""
-    return zero_space(amb).extend(amb.mul(b, g) for b in sub.basis_rows()
-                                  for g in gens)
+    return zero_space(pres.ambient).extend(
+        r for b in sub.basis_rows() for r in pres.times_gens(b))
 
 
 def weak_adic_filtration(pres, depth):
@@ -212,14 +214,14 @@ def weak_adic_filtration(pres, depth):
         raise ValueError("weak-adic filtrations need a series ambient")
     ring = full_span(pres)
     gens = pres.gen_rows
-    m1 = _times_gens(amb, ring, gens)
+    m1 = _times_gens(pres, ring)
     for b in m1.basis_rows():
         for g in gens:
             if m1.residual(amb.mul(b, g)):
                 raise ValueError("generated left ideal is not two-sided")
     layers = {0: ring, -1: m1}
     for i in range(2, depth + 1):
-        layers[-i] = _times_gens(amb, layers[-(i - 1)], gens)
+        layers[-i] = _times_gens(pres, layers[-(i - 1)])
     zero = [i for i in range(1, depth + 1) if not layers[-i].dim]
     if zero:
         raise WindowExceeded(
@@ -233,35 +235,28 @@ def weak_adic_filtration(pres, depth):
 def two_sided_closure(pres, seeds):
     """Two-sided ideal generated by the seed matrices, as a subspace.
 
-    Returns (ideal, closed_degree).  Products that would exceed the degree
-    cap are discarded, so the result is exact only through closed_degree =
-    degcap - max generator degree (everything in series mode); it is a
-    genuine subset of the ideal in all degrees.  Exactness through
-    closed_degree additionally needs the ideal to be spanned degreewise by
-    generator-times-word products of no larger degree, which holds for the
-    monomial-shaped ideals this toolkit works with.
+    Returns (ideal, closed_degree).  The ideal is the _closure of the
+    seeds under m -> g m, m g over the generator rows g, skipping products
+    that would exceed the degree cap, so it is exact only through
+    closed_degree = degcap - max generator degree (everything in series
+    mode); it is a genuine subset of the ideal in all degrees.  Exactness
+    through closed_degree additionally needs the ideal to be spanned
+    degreewise by generator-times-word products of no larger degree, which
+    holds for the monomial-shaped ideals this toolkit works with.
     """
     amb = pres.ambient
     gens = pres.gen_rows
     gmax = max(amb.degree(g) for g in gens)
-    cur = span(amb, seeds)
-    frontier = cur.basis_rows()
-    while frontier:
-        fresh = {}      # frozen row -> product row, in discovery order
-        for m in frontier:
-            for g in gens:
-                for left, right in ((g, m), (m, g)):
-                    try:
-                        row = amb.mul(left, right)
-                    except DegreeOverflowError:
-                        continue
-                    key = frozenset(row.items())
-                    if key not in fresh and cur.residual(dict(row)):
-                        fresh[key] = row
-        frontier = list(fresh.values())
-        cur = cur.extend(dict(r) for r in frontier)
+
+    def step(m):
+        for g in gens:
+            for left, right in ((g, m), (m, g)):
+                try:
+                    yield amb.mul(left, right)
+                except DegreeOverflowError:
+                    pass
     closed_degree = amb.degcap if amb.series else amb.degcap - gmax
-    return cur, closed_degree
+    return _closure(span(amb, seeds), step), closed_degree
 
 
 class QuotientFiltration(Record):

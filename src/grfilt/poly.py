@@ -48,10 +48,6 @@ class Poly:
         e[index] = 1
         return cls(field, arity, {tuple(e): field.one})
 
-    @classmethod
-    def monomial(cls, field, arity, expo, c):
-        return cls(field, arity, {tuple(expo): c})
-
     # -------------------------------------------------------------- queries
 
     def is_zero(self):
@@ -62,9 +58,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def coeff(self, expo):
-        return self.terms.get(tuple(expo))
 
     # ------------------------------------------------------------ operators
 
@@ -90,10 +83,6 @@ class Poly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
         return Poly(self.field, self.arity, terms)
-
-    def scale(self, c):
-        return Poly(self.field, self.arity,
-                    {e: c * v for e, v in self.terms.items()})
 
     def dilate(self, k):
         """f(x) -> f(x^k), any other variable left alone: the algebra map
@@ -197,9 +186,6 @@ class PolyMatrix:
                 row.append(acc)
             out.append(row)
         return PolyMatrix(out)
-
-    def scale(self, c):
-        return PolyMatrix([[p.scale(c) for p in r] for r in self.rows])
 
     def degree(self):
         """Max total degree over entries; -1 for the zero matrix."""

@@ -11,10 +11,10 @@ modulo x^(d+1) by ring structure rather than by silent truncation.
 """
 
 from .fields import QQ
-from .linalg import joint_row, row_echelon
+from .linalg import insert_row, joint_row, row_echelon
 from .linspace import Ambient, QuotientContext
-from .filtration import (AlgebraPresentation, two_sided_closure,
-                         WindowExceeded)
+from .filtration import (AlgebraPresentation, standard_filtration,
+                         two_sided_closure, WindowExceeded)
 from .poly import Poly, PolyMatrix
 from .record import Record
 
@@ -226,22 +226,19 @@ def op_transpose(mat):
 
 
 def op_involution_report(ring, word_len=3):
-    """Check tau preserves the shape on all short words and reverses
-    products on all generator pairs."""
-    amb = ring.ambient
+    """Check tau preserves the shape on all words of length <= word_len
+    and reverses products on all generator pairs.  The words span the
+    standard layer Gamma_word_len and the shape and tau are linear, so
+    the shape is checked on its basis; words_checked counts the words."""
     gens = ring.pres.gen_mats()
-    words = [amb.encode_sparse(amb.one())]
-    frontier = list(words)
-    for _ in range(word_len):
-        frontier = [amb.mul(w, g) for w in frontier
-                    for g in ring.pres.gen_rows]
-        words.extend(frontier)
-    shape_ok = all(ring.shape_member(op_transpose(amb.decode_sparse(w)))
-                   for w in words)
+    layer = standard_filtration(ring.pres, word_len).layer(word_len)
+    shape_ok = all(ring.shape_member(op_transpose(m))
+                   for m in layer.basis_matrices())
     anti_ok = all(op_transpose(a * b) == op_transpose(b) * op_transpose(a)
                   for a in gens for b in gens)
     return {"shape_preserved": shape_ok, "anti_multiplicative": anti_ok,
-            "words_checked": len(words)}
+            "words_checked": sum(len(gens) ** k
+                                 for k in range(word_len + 1))}
 
 
 # ------------------------------------------------- quotient comparison kit
@@ -306,13 +303,17 @@ class MulSystem:
 def quotient_iso_check(sys_a, sys_b, pairs, max_len=4):
     """Does elt_a -> elt_b extend to an algebra isomorphism of word spans?
 
-    Evaluates every word in both systems, from the generator pairs given
-    as matrices, and spans the joined kernel rows (value in A
-    concatenated with value in B).  The correspondence extends to a
-    well-defined bijective multiplicative linear map between the word
-    spans iff the joint span has the same dimension as each side alone.
-    With max_len < 1 the span holds only the unit and says nothing, so
-    that window raises WindowExceeded instead of passing.
+    Grows the span of the joint kernel rows (value in A concatenated with
+    value in B) of the words of length <= max_len in the generator pairs,
+    given as matrices, by the rule of grfilt.filtration: each of max_len
+    rounds multiplies only the rows the round before added, read as they
+    stood when the round began (insert_row rewrites held rows in place).
+    A word overflows the degree cap exactly when some such row does.
+    The correspondence extends to a well-defined bijective multiplicative
+    linear map between the word spans iff the joint span has the same
+    dimension as each side alone; words_checked counts the words.  With
+    max_len < 1 the span holds only the unit and says nothing, so that
+    window raises WindowExceeded instead of passing.
     """
     if sys_a.ambient.field != sys_b.ambient.field:
         raise ValueError("systems must share a coefficient field")
@@ -323,20 +324,31 @@ def quotient_iso_check(sys_a, sys_b, pairs, max_len=4):
     amb_a, amb_b = sys_a.ambient, sys_b.ambient
     pairs = [(amb_a.encode_sparse(ga), amb_b.encode_sparse(gb))
              for ga, gb in pairs]
-    level = [(sys_a.one, sys_b.one)]
-    all_words = list(level)
+    p, width = amb_a.field.p, amb_a.dim
+    echelon = {}
+    insert_row(echelon, joint_row(sys_a.one, sys_b.one, width), p)
+    new = list(echelon)
     for _ in range(max_len):
-        level = [(sys_a.mul(a, ga), sys_b.mul(b, gb))
-                 for (a, b) in level for (ga, gb) in pairs]
-        all_words.extend(level)
-    p = amb_a.field.p
-    joint = [joint_row(a, b, amb_a.dim) for a, b in all_words]
-    dim_a = len(row_echelon((dict(a) for a, _ in all_words), p, amb_a.dim))
-    dim_b = len(row_echelon((dict(b) for _, b in all_words), p, amb_b.dim))
-    dim_joint = len(row_echelon(joint, p, amb_a.dim + amb_b.dim))
-    consistent = dim_joint == dim_a == dim_b
-    return IsoReport(consistent, dim_a, dim_b, dim_joint,
-                     len(all_words), max_len)
+        halves = [_halves(echelon[q], width) for q in new]
+        before = set(echelon)
+        for a, b in halves:
+            for ga, gb in pairs:
+                insert_row(echelon, joint_row(sys_a.mul(a, ga),
+                                              sys_b.mul(b, gb), width), p)
+        new = [q for q in echelon if q not in before]
+    dim_a = sum(q < width for q in echelon)
+    dim_b = len(row_echelon(
+        (_halves(r, width)[1] for r in echelon.values()), p))
+    return IsoReport(len(echelon) == dim_a == dim_b, dim_a, dim_b,
+                     len(echelon),
+                     sum(len(pairs) ** k for k in range(max_len + 1)),
+                     max_len)
+
+
+def _halves(row, width):
+    """The parts (a, b) of a joint row, as linalg.joint_row builds it."""
+    return ({j: x for j, x in row.items() if j < width},
+            {j - width: x for j, x in row.items() if j >= width})
 
 
 def staircase_mod_y(ring_t, degcap=None, fld=QQ):

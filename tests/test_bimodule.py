@@ -63,7 +63,7 @@ def test_collision_relation_is_caught(corner_spec):
     fld = amb.field
     # t = 2 + beta satisfies (t - 2)^2 = 0, so t^2 = 4t - 4 and the orbit
     # of 1 collides at the second power
-    actor = amb.one().scale(fld.of(2)) + ring.el("beta")
+    actor = amb.one() + amb.one() + ring.el("beta")
     act = ModuleAction("unipotent-shift", amb,
                        span(amb, [amb.one()]), actor, "left")
     rep = free_rank(act, 6)
@@ -191,7 +191,7 @@ def fp_collision():
     # the unipotent shift t = 2 + beta over F_101: t^2 = 4t - 4
     ring = make("R_2x2", degcap=18, field=PrimeField(101))
     amb = ring.ambient
-    actor = amb.one().scale(amb.field.of(2)) + ring.el("beta")
+    actor = amb.one() + amb.one() + ring.el("beta")
     act = ModuleAction("unipotent-shift", amb, span(amb, [amb.one()]),
                        actor, "left")
     return act, free_rank(act, 6)

@@ -32,6 +32,21 @@ def test_rank_order_guard():
         growth_obstruction([1, 2, 3], 0, 1, 1)
 
 
+def test_an_offset_bound_below_one_certifies_nothing():
+    vals = [n + 1 for n in range(12)]
+    for bound in (0, -3):
+        with pytest.raises(WindowExceeded):
+            growth_obstruction(vals, 1, 2, bound)
+    cert = growth_obstruction(vals, 1, 2, 1).to_json()
+    assert verify_certificate(cert)
+    # an empty certificate claims every offset up to a bound below one
+    for bound in (0, -3):
+        assert not verify_certificate(dict(cert, max_offset=bound, rows=[]))
+    # the bound must be an int, not a number or text standing for one
+    for bound in (True, 1.0, "1", None):
+        assert not verify_certificate(dict(cert, max_offset=bound))
+
+
 def test_verifier_rejects_tampering():
     vals = [n + 1 for n in range(12)]
     cert = growth_obstruction(vals, 1, 2, 4).to_json()

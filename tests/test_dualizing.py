@@ -211,7 +211,7 @@ def ref_act(hom, phi, a):
         w = amb.mul(a, v) if st.side == "right" else amb.mul(v, a)
         coords = [Poly.zero(fld, 1)] * st.rank
         for (i, k), c in st.solve(w).items():
-            coords[i] = coords[i] + Poly.monomial(fld, 1, (k,), c)
+            coords[i] = coords[i] + Poly(fld, 1, {(k,): c})
         for i in range(st.rank):
             out[j] = out[j] + phi[i] * coords[i]
     return tuple(out)
@@ -260,7 +260,7 @@ def test_hom_action_matches_poly_tuple_reference(fld):
         hom = HomModule(st, amb.degcap + 1)
         phis = [tuple(x * x if i == k else one for i in range(st.rank))
                 for k in range(st.rank)]
-        phis += [tuple(Poly.zero(fld, 1) if i else -x - one.scale(3)
+        phis += [tuple(Poly.zero(fld, 1) if i else -x - Poly.const(fld, 1, fld.of(3))
                        for i in range(st.rank))]
         rows = restrict_degree(window, 6).basis_rows()
         # and one combination, so that solve's coefficients are not units

@@ -23,7 +23,7 @@ from grfilt.filtration import (Filtration, standard_filtration, hilbert,
 from grfilt.graded import GradedTrunc
 from grfilt.bimodule import ModuleAction, free_rank, verify_rank_certificate
 from grfilt.certifier import growth_obstruction, verify_certificate
-from grfilt.poly import Poly
+from grfilt.poly import Poly, PolyMatrix
 
 RING = make("R_2x2", degcap=26)
 AMB = RING.ambient
@@ -43,13 +43,20 @@ ACTOR_POOL = [RING.el("alpha"), RING.el("alpha") * RING.el("alpha"),
 common = settings(max_examples=100, deadline=None)
 
 
+def scaled(mat, c):
+    """c * mat, built entry by entry from the terms."""
+    return PolyMatrix([[Poly(p.field, p.arity,
+                             {e: c * v for e, v in p.terms.items()})
+                        for p in row] for row in mat.rows])
+
+
 def combo(space, coeffs):
     """Linear combination of a subspace's basis matrices."""
     out = None
     for c, b in zip(coeffs, space.basis_matrices()):
         if c == 0:
             continue
-        term = b.scale(FLD.of(c))
+        term = scaled(b, FLD.of(c))
         out = term if out is None else out + term
     if out is None:
         return AMB.decode([FLD.zero] * AMB.dim)
@@ -78,7 +85,7 @@ def test_products_respect_the_filtration(m, n, data):
 def test_layers_are_linear_windows(m, n, c, data):
     u = layer_element(data, m)
     v = layer_element(data, n)
-    assert FILT.layer(m).member(u.scale(FLD.of(c)))
+    assert FILT.layer(m).member(scaled(u, FLD.of(c)))
     assert FILT.layer(max(m, n)).member(u + v)
     assert FILT.layer(max(m, n)).member(u - v)
 
@@ -129,7 +136,7 @@ def test_corner_rank_certificates_reverify(side, k, depth, c):
     for _ in range(k - 1):
         actor = actor * RING.el("alpha")
     action = ModuleAction("corner scan", AMB, CORNER,
-                          actor.scale(FLD.of(c)), side)
+                          scaled(actor, FLD.of(c)), side)
     rep = free_rank(action, depth)
     assert rep.verdict == "free"
     assert rep.rank == (k if side == "left" else 2 * k)
@@ -190,7 +197,7 @@ def poly_from(coeffs):
     out = Poly.zero(FLD, 1)
     for e, c in enumerate(coeffs):
         if c:
-            out = out + Poly.monomial(FLD, 1, (e,), FLD.of(c))
+            out = out + Poly(FLD, 1, {(e,): FLD.of(c)})
     return out
 
 

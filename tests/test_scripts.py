@@ -118,6 +118,14 @@ def test_growth_tables_json_and_gap_exit(tmp_path, capsys):
     assert blob["tables"]["quotient"] == list(range(1, 8))
 
 
+def test_growth_tables_refuse_an_offset_bound_below_one(capsys):
+    # a bound of 0 certifies no shift, so the window is inconclusive
+    assert growth_tables.main(["--depth", "6", "--max-offset", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "re-verified" not in captured.out
+    assert "inconclusive" in captured.err
+
+
 @pytest.mark.parametrize("name", ["make_reports", "growth_tables"])
 def test_scripts_use_only_the_cli_and_the_certifier(name):
     text = (SCRIPTS / f"{name}.py").read_text()
