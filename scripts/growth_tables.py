@@ -6,8 +6,9 @@ The three tables come from the `grfilt hilbert` handler.  The quotient
 table is the one the growth certificates run on; the script certifies
 t*H(n) > s*H(n+p) witnesses for every offset p up to the bound and shows
 a probe of the growth shape.  It exits 0 when the certificate re-verifies,
-1 when some offset has no witness in the window, and 2 when the window is
-too small to certify anything (an offset bound below 1).
+1 when some offset has no witness in the window, 2 when the window is too
+small to certify anything (an offset bound of 0), and 3 on bad input (a
+usage error, before anything runs).
 
     python scripts/growth_tables.py --depth 16 --max-offset 8 --json out.json
 """
@@ -17,7 +18,8 @@ import json
 import sys
 
 from grfilt import Inconclusive
-from grfilt.cli import build_parser, EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE
+from grfilt.cli import (build_parser, window_arg, EXIT_OK, EXIT_FAIL,
+                        EXIT_INCONCLUSIVE, EXIT_USAGE)
 from grfilt.certifier import (growth_obstruction, verify_certificate,
                               subexp_probe, GrowthCertificate)
 
@@ -40,14 +42,20 @@ def tables(depth):
 def main(argv=None):
     ap = argparse.ArgumentParser(description="growth tables and "
                                              "obstruction certificates")
-    ap.add_argument("--depth", type=int, default=16)
+    ap.add_argument("--depth", type=window_arg, default=16)
     ap.add_argument("--s", type=int, default=1)
     ap.add_argument("--t", type=int, default=2)
-    ap.add_argument("--max-offset", type=int, default=None,
+    ap.add_argument("--max-offset", type=window_arg, default=None,
                     help="default: depth // 2")
     ap.add_argument("--json", metavar="FILE",
                     help="also write everything to FILE")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+        if not 0 < args.s < args.t:
+            ap.error(f"the ranks need 0 < s < t, got s={args.s}, "
+                     f"t={args.t}")
+    except SystemExit as exc:
+        return EXIT_OK if not exc.code else EXIT_USAGE
     max_p = args.max_offset if args.max_offset is not None \
         else args.depth // 2
 

@@ -12,7 +12,8 @@ directly and passes when both of its checks hold.
 summary.txt gets one line per report, with the verdict read from the
 command's exit code (0 verified, 1 FAILED, 2 inconclusive, 3 usage
 error).  The script exits with the worst code of the battery: usage
-error, then failure, then inconclusive.
+error, then failure, then inconclusive.  Bad flags exit 3 before anything
+runs.
 
     python scripts/make_reports.py --outdir reports --depth 8
 """
@@ -22,8 +23,8 @@ import json
 import sys
 from pathlib import Path
 
-from grfilt.cli import (main as grfilt_main, EXIT_OK, EXIT_FAIL,
-                        EXIT_INCONCLUSIVE, EXIT_USAGE)
+from grfilt.cli import (main as grfilt_main, window_arg, EXIT_OK,
+                        EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE)
 from grfilt.workbench import make, op_involution_report
 
 VERDICTS = {EXIT_OK: "verified", EXIT_FAIL: "FAILED",
@@ -32,7 +33,9 @@ SEVERITY = (EXIT_OK, EXIT_INCONCLUSIVE, EXIT_FAIL, EXIT_USAGE)
 
 
 def reports(depth):
-    """(report name, grfilt argv) for every report of the battery."""
+    """(report name, grfilt argv) for every report of the battery.  A
+    chain's step count stops at 0, so a shallow depth leaves the chain
+    inconclusive instead of handing grfilt a negative count."""
     d = depth
     return [(name, argv.split()) for name, argv in (
         ("hilbert_standard", f"hilbert --ring R_2x2 --depth {d}"),
@@ -44,10 +47,10 @@ def reports(depth):
         ("dualizing_chain", "dualize --degcap 20"),
         ("dualizing_control", "dualize --control --degcap 20"),
         ("staircase_quotient", "quotient-iso --degcap 12 --max-len 4"),
-        ("chain_standard_left", f"chain --kind standard --steps {d - 1} "
-                                f"--depth {d}"),
-        ("chain_weak_adic_right", f"chain --kind weak-adic --steps {d - 3} "
-                                  f"--depth {d}"),
+        ("chain_standard_left", f"chain --kind standard --steps "
+                                f"{max(d - 1, 0)} --depth {d}"),
+        ("chain_weak_adic_right", f"chain --kind weak-adic --steps "
+                                  f"{max(d - 3, 0)} --depth {d}"),
     )]
 
 
@@ -55,8 +58,11 @@ def main(argv=None):
     ap = argparse.ArgumentParser(
         description="run the standard battery and write JSON reports")
     ap.add_argument("--outdir", default="reports")
-    ap.add_argument("--depth", type=int, default=8)
-    args = ap.parse_args(argv)
+    ap.add_argument("--depth", type=window_arg, default=8)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_OK if not exc.code else EXIT_USAGE
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results = []

@@ -8,8 +8,8 @@ verdicts instead of extrapolating.
 
 from .fields import QQ, PrimeField, field_from_name
 from .poly import Poly
-from .linspace import (Ambient, PolyTupleSpace, Subspace, Inconclusive,
-                       DegreeOverflowError, restrict_degree, sum_spaces)
+from .linspace import (Ambient, Subspace, Inconclusive, DegreeOverflowError,
+                       restrict_degree, sum_spaces)
 from .workbench import (make, CATALOG, ExampleRing, AlgebraPresentation,
                         MulSystem, quotient_iso_check,
                         staircase_quotient_context)
@@ -28,8 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QQ", "PrimeField", "field_from_name", "Poly",
-    "Ambient", "PolyTupleSpace", "Subspace", "Inconclusive",
-    "DegreeOverflowError",
+    "Ambient", "Subspace", "Inconclusive", "DegreeOverflowError",
     "restrict_degree", "sum_spaces",
     "make", "CATALOG", "ExampleRing", "AlgebraPresentation",
     "MulSystem", "quotient_iso_check", "staircase_quotient_context",

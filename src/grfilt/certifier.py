@@ -80,28 +80,36 @@ def growth_obstruction(values, s, t, max_offset, case="table"):
 
 
 _CERT_KEYS = frozenset(("s", "t", "rows", "hilbert", "max_offset"))
+_ROW_KEYS = frozenset(("p", "n", "H_n", "H_n_plus_p"))
+
+
+def _ints(values):
+    return all(type(v) is int for v in values)
 
 
 def verify_certificate(cert):
     """Recheck a certificate (object or its JSON dict) from its own table.
-    An ObstructionGap, a payload without a certificate's fields (such as
-    a gap's JSON) or one whose max_offset is not an int >= 1 certifies
-    nothing and is always False."""
-    if isinstance(cert, ObstructionGap):
-        return False
-    if not isinstance(cert, dict):
+    Anything else certifies nothing and is False: an ObstructionGap or its
+    JSON, a payload without a certificate's shape (int s, t and
+    max_offset, a list of int Hilbert values, and a list of rows with int
+    p, n, H_n and H_n_plus_p), and one whose max_offset is below 1."""
+    if isinstance(cert, GrowthCertificate):
         cert = cert.to_json()
-    if not _CERT_KEYS <= cert.keys():
+    if not isinstance(cert, dict) or not _CERT_KEYS <= cert.keys():
         return False
     s, t, rows, vals = cert["s"], cert["t"], cert["rows"], cert["hilbert"]
     max_offset = cert["max_offset"]
-    if s >= t or type(max_offset) is not int or max_offset < 1:
+    if not (_ints((s, t, max_offset)) and s < t and max_offset >= 1
+            and isinstance(vals, list) and _ints(vals)
+            and isinstance(rows, list) and all(
+                isinstance(row, dict) and _ROW_KEYS <= row.keys()
+                and _ints(row[k] for k in _ROW_KEYS) for row in rows)):
         return False
     seen = set()
     for row in rows:
         p, n = row["p"], row["n"]
         seen.add(p)
-        if not 0 <= n < len(vals) - p:
+        if not (1 <= p <= max_offset and 0 <= n < len(vals) - p):
             return False
         if row["H_n"] != vals[n] or row["H_n_plus_p"] != vals[n + p]:
             return False

@@ -290,7 +290,7 @@ def cmd_quotient_iso(args):
 
 # ------------------------------------------------------------- plumbing
 
-def _window(text):
+def window_arg(text):
     """argparse type for depths, caps, step counts and word lengths."""
     try:
         value = int(text)
@@ -329,8 +329,8 @@ def build_parser():
     p.add_argument("--ring", choices=CATALOG, default="R_2x2")
     p.add_argument("--kind", choices=("standard", "weak-adic"),
                    default="standard")
-    p.add_argument("--depth", type=_window, default=6)
-    p.add_argument("--degcap", type=_window, default=None,
+    p.add_argument("--depth", type=window_arg, default=6)
+    p.add_argument("--degcap", type=window_arg, default=None,
                    help="ambient degree cap (default per ring)")
     p.add_argument("--quotient", metavar="ELT[,ELT..]",
                    help="pass to the quotient by the two-sided ideal "
@@ -342,21 +342,21 @@ def build_parser():
     p.add_argument("--ring", choices=CATALOG, default="R_2x2")
     p.add_argument("--kind", choices=("standard", "weak-adic"),
                    default="standard")
-    p.add_argument("--depth", type=_window, default=6)
-    p.add_argument("--degcap", type=_window, default=None)
+    p.add_argument("--depth", type=window_arg, default=6)
+    p.add_argument("--degcap", type=window_arg, default=None)
     p.set_defaults(handler=cmd_gr)
 
     p = sub.add_parser("ranks", parents=[shared],
                        help="one-sided rank certificates for the corner "
                             "ideal")
-    p.add_argument("--depth", type=_window, default=8)
+    p.add_argument("--depth", type=window_arg, default=8)
     p.set_defaults(handler=cmd_ranks)
 
     p = sub.add_parser("certify", parents=[shared],
                        help="growth-obstruction dossier")
     p.add_argument("--case", choices=("ascending", "weak-adic", "two-sided"),
                    default="two-sided")
-    p.add_argument("--depth", type=_window, default=8)
+    p.add_argument("--depth", type=window_arg, default=8)
     p.set_defaults(handler=cmd_certify)
 
     p = sub.add_parser("chain", parents=[shared],
@@ -366,13 +366,13 @@ def build_parser():
                    default="standard")
     p.add_argument("--side", choices=("left", "right"), default=None,
                    help="default: left for standard, right for weak-adic")
-    p.add_argument("--steps", type=_window, default=4)
-    p.add_argument("--depth", type=_window, default=8)
+    p.add_argument("--steps", type=window_arg, default=4)
+    p.add_argument("--depth", type=window_arg, default=8)
     p.set_defaults(handler=cmd_chain)
 
     p = sub.add_parser("dualize", parents=[shared],
                        help="four-stage dualizing-module chain")
-    p.add_argument("--degcap", type=_window, default=20)
+    p.add_argument("--degcap", type=window_arg, default=20)
     p.add_argument("--control", action="store_true",
                    help="run the perturbed ring and demand the stage-three "
                         "abort")
@@ -381,8 +381,8 @@ def build_parser():
     p = sub.add_parser("quotient-iso", parents=[shared],
                        help="staircase quotient against the triangular "
                             "ring")
-    p.add_argument("--degcap", type=_window, default=12)
-    p.add_argument("--max-len", type=_window, default=4)
+    p.add_argument("--degcap", type=window_arg, default=12)
+    p.add_argument("--max-len", type=window_arg, default=4)
     p.set_defaults(handler=cmd_quotient_iso)
     return top
 

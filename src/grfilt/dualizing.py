@@ -39,7 +39,7 @@ from functools import partial
 from .fields import QQ
 from .poly import Poly
 from .linalg import SpanTracker, joint_kernel, joint_row, row_echelon
-from .linspace import (PolyTupleSpace, DegreeOverflowError, prefix_space,
+from .linspace import (Ambient, DegreeOverflowError, prefix_space,
                        restrict_degree, zero_space)
 from .filtration import WindowExceeded
 from .workbench import make, diagonal_embed
@@ -166,39 +166,40 @@ class FreeModuleStructure:
 
 
 class HomModule:
-    """C-linear dual Hom_C(M, C) of a free structure, as tuple-space rows.
+    """C-linear dual Hom_C(M, C) of a free structure, as tuple rows.
 
     An element is (phi(v_1), ..., phi(v_r)) in k[x]^r, held as a kernel
-    row of the PolyTupleSpace `space`: x^d in slot i is coordinate
-    d * r + i.  The dual of the right structure carries a right action,
-    (phi.a)(v_j) = phi(a v_j); the dual of the left structure a left one,
-    (a.phi)(w_j) = phi(w_j a).  Either way act() routes the translated
-    basis through solve() and pairs each coefficient c x^k of slot i with
-    phi's terms in slot i; a is a kernel row of the ring's ambient.
+    row of `space`, the Ambient of 1 x r tuples: x^d in slot i is the
+    coordinate ((d,), 0, i).  The dual of the right structure carries a
+    right action, (phi.a)(v_j) = phi(a v_j); the dual of the left
+    structure a left one, (a.phi)(w_j) = phi(w_j a).  Either way act()
+    routes the translated basis through solve() and pairs each
+    coefficient c x^k of slot i with phi's terms in slot i; a is a kernel
+    row of the ring's ambient.
     """
 
     def __init__(self, structure, space_cap):
         self.structure = structure
-        self.space = PolyTupleSpace(structure.rank, space_cap,
-                                    structure.ambient.field)
+        self.space = Ambient(structure.rank, 1, space_cap,
+                             structure.ambient.field, rows=1)
 
     def dual_basis(self):
-        one = self.structure.ambient.field.one
-        return [self.space.row([((0, i), one)])
-                for i in range(self.structure.rank)]
+        """The unit functionals: the constant tuples, slot by slot."""
+        return prefix_space(self.space, 0).basis_rows()
 
     def act(self, phi, a):
         st = self.structure
         amb = st.ambient
         slots = {}      # slot i -> phi's terms (degree, value) there
         for k, x in phi.items():
-            d, i = divmod(k, st.rank)
+            (d,), _, i = self.space.coords[k]
             slots.setdefault(i, []).append((d, x))
         terms = []
         for j, v in enumerate(st.basis):
             w = amb.mul(a, v) if st.side == "right" else amb.mul(v, a)
             for (i, k), c in st.solve(w).items():
-                terms += [((d + k, j), x * c) for d, x in slots.get(i, ())]
+                terms += [(((d + k,), 0, j), x * c)
+                          for d, x in slots.get(i, ())]
         return self.space.row(terms)
 
 
@@ -429,16 +430,16 @@ class DualIdentificationReport(Record):
 def slot_shift(amb, space, row):
     """(f, g) -> (u, f) with g = g_ev(x^2) + x u(x^2): the corner's odd
     slot moves to the front, the diagonal slot to the back.  An index map
-    from a kernel row of the ring to a row of the 2-tuple space: x^d E_01
+    from a kernel row of the ring to a row of the 2-tuple ambient: x^d E_01
     with d odd goes to x^((d-1)/2) in slot 0, x^d E_00 to x^d in slot 1,
     and the other terms are dropped."""
     terms = []
     for k, c in row.items():
         (d,), i, j = amb.coords[k]
         if (i, j) == (0, 0):
-            terms.append(((d, 1), c))
+            terms.append((((d,), 0, 1), c))
         elif (i, j) == (0, 1) and d % 2:
-            terms.append((((d - 1) // 2, 0), c))
+            terms.append(((((d - 1) // 2,), 0, 0), c))
     return space.row(terms)
 
 
@@ -464,7 +465,8 @@ def dual_identification(ring, window, ideal, left_struct, center,
     _require_window(STAGES[3], "the left-action degree", a_cap)
     hom1 = HomModule(left_struct, cap + 1)
     space = hom1.space
-    phi1, phi2 = space.row([((0, 1), one)]), space.row([((1, 1), -one)])
+    phi1 = space.row([(((0,), 0, 1), one)])
+    phi2 = space.row([(((1,), 0, 1), -one)])
     basis = window.basis_rows()
 
     imgs = [hom1.act(phi, b) for phi in (phi1, phi2) for b in basis]
@@ -507,12 +509,12 @@ def dual_identification(ring, window, ideal, left_struct, center,
                 left_ok = False
     t = amb.encode_sparse(center.actor())
     right_ok = True
-    r = space.r
     # times t, the tuple (u, f) becomes (u x, f x)
     for a in restrict_degree(window, cap - amb.degree(t)).basis_rows():
         lhs = slot_shift(amb, space, amb.mul(a, t))
-        rhs = space.row(((k // r + 1, k % r), c)
-                        for k, c in slot_shift(amb, space, a).items())
+        rhs = space.row((((d + 1,), 0, s), c)
+                        for k, c in slot_shift(amb, space, a).items()
+                        for (d,), _, s in [space.coords[k]])
         if lhs != rhs:
             right_ok = False
     ok = (presents_through >= req_p and kernel_matches and kills

@@ -1,23 +1,28 @@
-"""Coordinatized truncations of matrix-polynomial rings, with canonical
-subspace arithmetic.
+"""Coordinatized truncations of matrix-polynomial rings and of their
+tuple modules, with canonical subspace arithmetic.
 
-An Ambient fixes n, the number of variables, a degree cap, and the field.
-Coordinates are (matrix entry, monomial) pairs ordered degree-major: total
+Ambient is the one coordinate space.  It fixes the shape rows x n of its
+matrices, the number of variables, a degree cap, and the field: the
+square shape n x n is a ring, and the shape 1 x r the r-tuples over k[x]
+that the dualizing chain's Hom modules live in.  Coordinates are
+(monomial, matrix entry) triples (e, i, j) ordered degree-major: total
 degree first, then graded-lex on the exponent, then entry position.  With
 that order "all elements of degree <= m" is a coordinate prefix, which keeps
 degree filtrations nested by construction and makes greedy lowest-degree
-searches canonical.
+searches canonical.  Only this module knows the index layout: callers
+spell terms as coordinates and read a column's back from coords.
 
-Elements live in the linear-algebra kernel as kernel rows {coordinate:
-value}.  Each space has one constructor, row(terms), which sums terms,
-drops the ones that cancel and applies the window rule below; matrices
-cross in and out only where entries are read (encode_sparse, a call to
-row, and decode_sparse).  The coordinate (e, i, j) is the basis
-element x^e E_ij, so Ambient.mul multiplies two kernel rows by index
-arithmetic, x^e E_ij * x^f E_jl = x^(e+f) E_il, with no matrix built.
-Subspaces store their reduced-row-echelon basis as the kernel's sparse
-echelon and grow by inserting rows into a copy of it; two subspaces are
-equal iff their canonical echelons are equal.
+Elements live in the linear-algebra kernel as kernel rows {index: value}.
+The one constructor, row(terms), sums (coordinate, value) terms; it and
+the product mul end in one window rule (values reduce mod p, terms that
+cancel are dropped, and a term past the cap is handled as below).
+Matrices cross in and out only where entries are read (encode_sparse, a
+call to row, and decode_sparse).  The coordinate (e, i, j) is the basis
+element x^e E_ij, so Ambient.mul multiplies two kernel rows of a square
+ambient by index arithmetic, x^e E_ij * x^f E_jl = x^(e+f) E_il, with no
+matrix built.  Subspaces store their reduced-row-echelon basis as the
+kernel's sparse echelon and grow by inserting rows into a copy of it; two
+subspaces are equal iff their canonical echelons are equal.
 
 Degree-cap overflow is a hard error in polynomial mode.  In series mode the
 ambient is the quotient ring modulo all monomials of degree > degcap, so
@@ -45,21 +50,27 @@ class ContainmentError(Exception):
 
 
 def _monomials(arity, degcap):
+    """Exponents of total degree <= degcap, by degree, then graded-lex."""
     if arity == 1:
         return [(d,) for d in range(degcap + 1)]
-    out = []
-    for total in range(degcap + 1):
-        for a in range(total + 1):
-            out.append((a, total - a))
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+    return [(a, total - a) for total in range(degcap + 1)
+            for a in range(total + 1)]
 
 
 class Ambient:
-    def __init__(self, n, arity, degcap, field=QQ, series=False):
+    """The coordinate space of rows x n matrices over k[x] or k[x, y]
+    truncated at a degree cap: the ring M_n(k[x]) when rows is n (the
+    default), and the r-tuples k[x]^r when rows is 1 and n is r.
+
+    The coordinate (e, i, j) is the basis element x^e E_ij, at column
+    index[(e, i, j)]; a tuple's term x^d in slot s is ((d,), 0, s), at
+    column d * r + s.  Only a square ambient has a product."""
+
+    def __init__(self, n, arity, degcap, field=QQ, series=False, rows=None):
         if arity not in (1, 2):
             raise ValueError("arity must be 1 or 2")
         self.n = n
+        self.rows = n if rows is None else rows
         self.arity = arity
         self.degcap = degcap
         self.field = field
@@ -68,11 +79,14 @@ class Ambient:
         self.monomials = _monomials(arity, degcap)
         self.coords = [(e, i, j)
                        for e in self.monomials
-                       for i in range(n) for j in range(n)]
+                       for i in range(self.rows) for j in range(n)]
         self.index = {c: k for k, c in enumerate(self.coords)}
         self.dim = len(self.coords)
-        self._prefix = [n * n * sum(sum(e) <= d for e in self.monomials)
+        self._prefix = [self.rows * n * sum(sum(e) <= d
+                                            for e in self.monomials)
                         for d in range(degcap + 1)]
+        if self.rows != n:
+            return
         # mul's keys: x^e E_ij is (v n + i) n + j with v = e0 b + e1 and
         # b past every exponent sum, so the key of x^(e+f) E_il is the sum
         # of a left part (v n + i) n and a right part v(f) n^2 + l
@@ -84,7 +98,8 @@ class Ambient:
             self._slot[v + i * n + j] = k
 
     def key(self):
-        return (self.n, self.arity, self.degcap, self.field, self.series)
+        return (self.n, self.arity, self.degcap, self.field, self.series,
+                self.rows)
 
     def __eq__(self, other):
         return isinstance(other, Ambient) and other.key() == self.key()
@@ -94,7 +109,8 @@ class Ambient:
 
     def __repr__(self):
         tag = "series" if self.series else "poly"
-        return (f"Ambient(M_{self.n}(k[{'x' if self.arity == 1 else 'x,y'}])"
+        shape = self.n if self.rows == self.n else f"{self.rows}x{self.n}"
+        return (f"Ambient(M_{shape}(k[{'x' if self.arity == 1 else 'x,y'}])"
                 f", degcap={self.degcap}, {self.field.name}, {tag})")
 
     def prefix_dim(self, maxdeg):
@@ -108,18 +124,35 @@ class Ambient:
 
     def row(self, terms):
         """The kernel row of the terms (coordinate (e, i, j), value),
-        summed, under the window rule: a term that cancels is dropped, and
-        one past the degree cap is dropped in series mode and, in
-        polynomial mode, raises DegreeOverflowError."""
-        out = {}
-        for (e, i, j), c in _summed(terms, self._p):
-            k = self.index.get((e, i, j))
+        summed, under the window rule; a coordinate outside the shape,
+        or with a negative exponent, raises ValueError."""
+        acc = {}
+        for key, c in terms:
+            acc[key] = acc.get(key, 0) + c
+        for e, i, j in [key for key in acc if key not in self.index]:
+            if not (0 <= i < self.rows and 0 <= j < self.n
+                    and len(e) == self.arity and min(e) >= 0):
+                raise ValueError(f"no coordinate {(e, i, j)} in {self!r}")
+        return self._window(acc, self.index)
+
+    def _window(self, acc, index):
+        """The window rule, from summed terms {key: value} to a kernel
+        row: a value reduces mod p and a term that cancels is dropped; a
+        key in index lands on its coordinate, and one past the degree cap
+        is dropped in series mode (the ring is the quotient by those
+        monomials) and raises DegreeOverflowError in polynomial mode."""
+        p, out = self._p, {}
+        for key, c in acc.items():
+            if p is not None:
+                c %= p
+            if not c:
+                continue
+            k = index.get(key)
             if k is not None:
                 out[k] = c
             elif not self.series:
                 raise DegreeOverflowError(
-                    f"monomial {e} at entry ({i},{j}) exceeds "
-                    f"degcap {self.degcap}")
+                    f"a term exceeds degcap {self.degcap}")
         return out
 
     def encode_sparse(self, mat):
@@ -153,14 +186,12 @@ class Ambient:
         return sum(self.coords[max(row)][0]) if row else -1
 
     def mul(self, a, b):
-        """The product of two kernel rows, as a new kernel row, by index
-        arithmetic on the matrix-unit basis.
-
-        The window rule is row's: a term past the degree cap is dropped in
-        series mode (the ring is the quotient by those monomials) and, in
-        polynomial mode, raises DegreeOverflowError if it survives
-        cancellation."""
-        p, left = self._p, self._left
+        """The product of two kernel rows of a square ambient, as a new
+        kernel row, by index arithmetic on the matrix-unit basis, under
+        the window rule."""
+        if self.rows != self.n:
+            raise ValueError(f"{self!r} has no product")
+        left = self._left
         right = {}
         for k, y in b.items():
             i, v = self._right[k]
@@ -170,79 +201,7 @@ class Ambient:
             j, u = left[k]
             for v, y in right.get(j, ()):
                 acc[u + v] = acc.get(u + v, 0) + x * y
-        out = {}
-        for key, c in acc.items():
-            k = self._slot.get(key)
-            if p is not None:
-                c %= p
-            if c and k is not None:
-                out[k] = c
-            elif c and not self.series:
-                raise DegreeOverflowError(
-                    f"a product term exceeds degcap {self.degcap}")
-        return out
-
-
-class PolyTupleSpace:
-    """Coordinate space for r-tuples of one-variable polynomials.
-
-    Duck-types the parts of Ambient that Subspace needs, with the same
-    degree-major coordinate order, so degree windows stay coordinate
-    prefixes: the term x^d in slot s is the coordinate d * r + s.  Used
-    for Hom-module elements (tuples of coefficients over a commutative
-    coefficient ring identified with k[x]), which live as kernel rows
-    from row() on."""
-
-    def __init__(self, r, degcap, field=QQ):
-        self.r = r
-        self.degcap = degcap
-        self.field = field
-        self.dim = (degcap + 1) * r
-
-    def key(self):
-        return ("tuples", self.r, self.degcap, self.field)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyTupleSpace) and other.key() == self.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return (f"PolyTupleSpace(r={self.r}, degcap={self.degcap}, "
-                f"{self.field.name})")
-
-    def prefix_dim(self, maxdeg):
-        if maxdeg < 0:
-            return 0
-        return (min(maxdeg, self.degcap) + 1) * self.r
-
-    def row(self, terms):
-        """The kernel row of the terms ((degree, slot), value), summed; a
-        term that cancels is dropped, and one past the cap raises
-        DegreeOverflowError."""
-        out = {}
-        for (d, s), c in _summed(terms, self.field.p):
-            if not 0 <= s < self.r:
-                raise ValueError(f"slot {s} outside a {self.r}-tuple")
-            if d > self.degcap:
-                raise DegreeOverflowError(
-                    f"degree {d} exceeds tuple-space cap {self.degcap}")
-            out[d * self.r + s] = c
-        return out
-
-
-def _summed(terms, p):
-    """The (coordinate, value) terms with equal coordinates summed,
-    reduced mod p when p is given, and the zero sums dropped."""
-    acc = {}
-    for k, c in terms:
-        acc[k] = acc.get(k, 0) + c
-    for k, c in acc.items():
-        if p is not None:
-            c %= p
-        if c:
-            yield k, c
+        return self._window(acc, self._slot)
 
 
 class Subspace:

@@ -12,7 +12,6 @@ coordinate vectors {(i, j, expo): Fraction} into an echelon accumulator.
 """
 
 from fractions import Fraction
-from itertools import product as iproduct
 
 ONE = Fraction(1)
 

@@ -65,6 +65,21 @@ def test_verifier_rejects_tampering():
     assert not verify_certificate(bad3)
 
 
+def test_verifier_refuses_a_malformed_payload():
+    # the shape is checked before anything is read, so none of these raises
+    vals = [n + 1 for n in range(12)]
+    cert = growth_obstruction(vals, 1, 2, 3).to_json()
+    for bad in (dict(cert, rows=[{}]),
+                dict(cert, rows=[dict(cert["rows"][0], n="0")]),
+                dict(cert, s="1"), dict(cert, rows=None),
+                dict(cert, hilbert=None), dict(cert, hilbert=["1"] * 12),
+                dict(cert, rows=[[1, 1, 2, 3]]), [cert], None):
+        assert verify_certificate(bad) is False
+    # a row whose offset is not one of the certified shifts
+    row = {"p": -1, "n": len(vals), "H_n": 0, "H_n_plus_p": 0}
+    assert verify_certificate(dict(cert, rows=cert["rows"] + [row])) is False
+
+
 def test_verifier_demands_first_witness_minimality():
     vals = [n + 1 for n in range(12)]
     cert = growth_obstruction(vals, 1, 2, 3).to_json()

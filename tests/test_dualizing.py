@@ -18,8 +18,7 @@ import pytest
 from grfilt.fields import QQ, PrimeField
 from grfilt.poly import Poly, PolyMatrix
 from grfilt.linalg import combine_rows
-from grfilt.linspace import (PolyTupleSpace, DegreeOverflowError,
-                             restrict_degree)
+from grfilt.linspace import Ambient, DegreeOverflowError, restrict_degree
 from grfilt.workbench import make
 from grfilt.dualizing import (STAGES, verify_dualizing, ring_window,
                               CenterEmbedding, free_structure_report,
@@ -157,13 +156,14 @@ def test_corner_double_is_multiplicative():
 
 def test_slot_shift_splits_odd_part():
     amb = make("R_2x2", degcap=6).ambient
-    space = PolyTupleSpace(2, 7)
+    space = Ambient(2, 1, 7, rows=1)
     x = Poly.variable(QQ, 1, 0)
     g = x + x * x + x * x * x  # odd part x + x^3 = x(1 + x^2)
     m = PolyMatrix([[x * x, g], [Poly.zero(QQ, 1), Poly.zero(QQ, 1)]])
     # (u, f) = (1 + x, x^2): slot 0 holds u, slot 1 holds f
     assert slot_shift(amb, space, amb.encode_sparse(m)) == space.row(
-        [((0, 0), QQ.one), ((1, 0), QQ.one), ((2, 1), QQ.one)])
+        [(((0,), 0, 0), QQ.one), (((1,), 0, 0), QQ.one),
+         (((2,), 0, 1), QQ.one)])
 
 
 def test_free_structure_from_parts():
@@ -218,9 +218,9 @@ def ref_act(hom, phi, a):
 
 
 def tuple_row(space, polys):
-    """The tuple-space row of a Poly tuple."""
-    return space.row(((d, s), c) for s, poly in enumerate(polys)
-                     for (d,), c in poly.terms.items())
+    """The tuple ambient's row of a Poly tuple."""
+    return space.row(((e, 0, s), c) for s, poly in enumerate(polys)
+                     for e, c in poly.terms.items())
 
 
 def encoded_or_overflow(fn):
@@ -235,7 +235,7 @@ def test_row_maps_match_matrix_references(fld):
     ring = make("R_2x2", degcap=12, field=fld)
     amb = ring.ambient
     window = ring_window(ring)
-    space = PolyTupleSpace(2, amb.degcap + 1, fld)
+    space = Ambient(2, 1, amb.degcap + 1, fld, rows=1)
     for b in window.basis_rows():
         mat = amb.decode_sparse(b)
         # past the cap both forms overflow (the doubled diagonal, f(x^4))
@@ -274,11 +274,12 @@ def test_hom_action_matches_poly_tuple_reference(fld):
 
 def test_tuple_row_applies_the_cap_and_reduces_mod_p():
     f101 = PrimeField(101)
-    sp = PolyTupleSpace(2, 5, f101)
+    sp = Ambient(2, 1, 5, f101, rows=1)
     with pytest.raises(DegreeOverflowError):
-        sp.row([((6, 0), 1)])
+        sp.row([(((6,), 0, 0), 1)])
     # terms that cancel mod p vanish, past the cap too, before the cap
     # is applied
-    assert sp.row([((1, 1), 101), ((6, 0), 50), ((6, 0), 51)]) == {}
-    assert sp.row([((1, 1), 3), ((1, 1), -1), ((0, 0), 102)]) == \
-        {1 * 2 + 1: 2, 0: 1}
+    assert sp.row([(((1,), 0, 1), 101), (((6,), 0, 0), 50),
+                   (((6,), 0, 0), 51)]) == {}
+    assert sp.row([(((1,), 0, 1), 3), (((1,), 0, 1), -1),
+                   (((0,), 0, 0), 102)]) == {1 * 2 + 1: 2, 0: 1}

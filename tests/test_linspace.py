@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from grfilt.fields import QQ, PrimeField
 from grfilt.poly import Poly, PolyMatrix
-from grfilt.linspace import (Ambient, PolyTupleSpace, Subspace,
+from grfilt.linspace import (Ambient, Subspace,
                              DegreeOverflowError, ContainmentError,
                              QuotientContext, span, zero_space, sum_spaces,
                              intersect, subspace_product, quotient_dim,
@@ -221,29 +221,133 @@ def test_quotient_context_canonical_representatives(amb):
     assert ctx.image(span(amb, [a, b])).dim == 1
 
 
+def tuple_ambient(r, degcap, field=QQ, series=False):
+    """The ambient of r-tuples over k[x]: one row of r slots."""
+    return Ambient(r, 1, degcap, field, series, rows=1)
+
+
+def slot(d, s):
+    """The coordinate of x^d in slot s of a tuple."""
+    return ((d,), 0, s)
+
+
 def test_tuple_space_roundtrip_and_prefix():
-    sp = PolyTupleSpace(3, 5)
+    sp = tuple_ambient(3, 5)
     # (x^2, 0, x^5 + 1): x^d in slot s is coordinate d * r + s
-    row = sp.row([((2, 0), QQ.one), ((5, 2), QQ.one), ((0, 2), QQ.one)])
+    row = sp.row([(slot(2, 0), QQ.one), (slot(5, 2), QQ.one),
+                  (slot(0, 2), QQ.one)])
     assert row == {6: QQ.one, 17: QQ.one, 2: QQ.one}
+    assert all(sp.index[slot(d, s)] == d * 3 + s
+               for d in range(6) for s in range(3))
     # equal coordinates sum, and a sum that cancels is dropped
-    assert sp.row([((1, 1), QQ.one), ((1, 1), QQ.one), ((0, 0), QQ.one),
-                   ((0, 0), -QQ.one)]) == {4: QQ.of(2)}
+    assert sp.row([(slot(1, 1), QQ.one), (slot(1, 1), QQ.one),
+                   (slot(0, 0), QQ.one), (slot(0, 0), -QQ.one)]) == \
+        {4: QQ.of(2)}
     assert sp.prefix_dim(1) == 6
     assert sp.dim == 18
     with pytest.raises(DegreeOverflowError):
-        sp.row([((6, 0), QQ.one)])
+        sp.row([(slot(6, 0), QQ.one)])
     with pytest.raises(ValueError):
-        sp.row([((1, 3), QQ.one)])
+        sp.row([(slot(1, 3), QQ.one)])
+    # the 1 x 3 shape is its own space, not the ring M_3
+    assert sp != Ambient(3, 1, 5) and sp == tuple_ambient(3, 5)
 
 
 def test_tuple_space_supports_subspace_ops():
-    sp = PolyTupleSpace(2, 4)
+    sp = tuple_ambient(2, 4)
     one = QQ.one
-    u = zero_space(sp).extend([sp.row([((0, 0), one), ((1, 1), one)]),
-                               sp.row([((0, 0), one)])])
+    u = zero_space(sp).extend([sp.row([(slot(0, 0), one),
+                                       (slot(1, 1), one)]),
+                               sp.row([(slot(0, 0), one)])])
     assert u.dim == 2
     cut = restrict_degree(u, 0)
     assert cut.dim == 1
-    assert not cut.residual(sp.row([((0, 0), one)]))
-    assert cut.residual(sp.row([((1, 0), one)]))
+    assert not cut.residual(sp.row([(slot(0, 0), one)]))
+    assert cut.residual(sp.row([(slot(1, 0), one)]))
+
+
+def ref_tuple_row(r, degcap, p, terms):
+    """PolyTupleSpace.row, the r-tuple space's constructor before the
+    tuple space became the 1 x r Ambient: the terms ((degree, slot),
+    value) summed, reduced mod p when p is given and the zero sums
+    dropped; x^d in slot s is coordinate d * r + s, a slot outside the
+    tuple raises ValueError and a degree past the cap
+    DegreeOverflowError."""
+    acc = {}
+    for k, c in terms:
+        acc[k] = acc.get(k, 0) + c
+    out = {}
+    for (d, s), c in acc.items():
+        if p is not None:
+            c %= p
+        if not c:
+            continue
+        if not 0 <= s < r:
+            raise ValueError(f"slot {s} outside a {r}-tuple")
+        if d > degcap:
+            raise DegreeOverflowError(f"degree {d} exceeds cap {degcap}")
+        out[d * r + s] = c
+    return out
+
+
+def row_or_overflow(fn):
+    try:
+        return fn()
+    except DegreeOverflowError:
+        return DegreeOverflowError
+
+
+@st.composite
+def tuple_terms(draw):
+    """A field, a tuple shape and ((degree, slot), value) terms, some past
+    the cap and with values repeated so that sums cancel (mod p too)."""
+    fld = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(101)]))
+    r, cap = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    key = st.tuples(st.integers(0, cap + 2), st.integers(0, r - 1))
+    value = st.sampled_from([1, -1, 2, 7, -7, 101, 3, -3])
+    terms = draw(st.lists(st.tuples(key, value), max_size=10))
+    # a term and its negative, or p copies of one term, cancel
+    if terms and draw(st.booleans()):
+        (k, c) = terms[0]
+        terms.append((k, -c) if fld.p is None else (k, (fld.p - 1) * c))
+    if fld.p is None:
+        terms = [(k, QQ.of(c)) for k, c in terms]
+    return fld, r, cap, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(tuple_terms())
+def test_tuple_rows_match_the_old_tuple_space(case):
+    fld, r, cap, terms = case
+    coord_terms = [(slot(d, s), c) for (d, s), c in terms]
+    sp = tuple_ambient(r, cap, fld)
+    assert row_or_overflow(lambda: sp.row(coord_terms)) == \
+        row_or_overflow(lambda: ref_tuple_row(r, cap, fld.p, terms))
+    # series mode drops the terms past the cap instead
+    kept = [((d, s), c) for (d, s), c in terms if d <= cap]
+    assert tuple_ambient(r, cap, fld, series=True).row(coord_terms) == \
+        ref_tuple_row(r, cap, fld.p, kept)
+
+
+@pytest.mark.parametrize("series", [False, True])
+def test_row_refuses_a_coordinate_outside_the_shape(series):
+    ring, sp = Ambient(2, 1, 4, series=series), tuple_ambient(3, 4,
+                                                                series=series)
+    for amb, bad in ((ring, ((1,), 2, 0)), (ring, ((1,), 0, 2)),
+                     (sp, ((1,), 1, 0)), (sp, ((1,), 0, 3)),
+                     # a negative degree, and a monomial of the wrong arity
+                     (ring, ((-1,), 0, 0)), (sp, ((-1,), 0, 0)),
+                     (ring, ((1, 0), 0, 0))):
+        with pytest.raises(ValueError):
+            amb.row([(bad, QQ.one)])
+        # also beside a term that is fine
+        with pytest.raises(ValueError):
+            amb.row([(((0,), 0, 0), QQ.one), (bad, QQ.one)])
+
+
+def test_a_tuple_ambient_has_no_product():
+    sp = tuple_ambient(2, 4)
+    with pytest.raises(ValueError):
+        sp.mul({0: QQ.one}, {0: QQ.one})
+    with pytest.raises(ValueError):
+        Ambient(2, 1, 4, rows=3).mul({}, {})

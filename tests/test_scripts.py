@@ -53,6 +53,15 @@ def test_inconclusive_certify_shows_in_summary_and_exit_code(tmp_path):
     assert not (tmp_path / "growth_dossier.json").exists()
 
 
+def test_a_shallow_battery_is_inconclusive_not_a_usage_error(tmp_path):
+    # depth 2 would give the weak-adic chain -1 steps, which grfilt
+    # refuses; the battery asks for 0, a window too small to decide
+    assert make_reports.main(["--outdir", str(tmp_path), "--depth", "2"]) == 2
+    verdicts = summary(tmp_path)
+    assert verdicts["chain_weak_adic_right"] == "inconclusive"
+    assert "usage error" not in verdicts.values()
+
+
 def test_a_failure_outranks_inconclusive(tmp_path, monkeypatch):
     import grfilt.cli
     monkeypatch.setattr(grfilt.cli, "verify_chain_report",
@@ -124,6 +133,31 @@ def test_growth_tables_refuse_an_offset_bound_below_one(capsys):
     captured = capsys.readouterr()
     assert "re-verified" not in captured.out
     assert "inconclusive" in captured.err
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("growth_tables", ["--depth", "6", "--s", "0"]),
+    ("growth_tables", ["--depth", "6", "--s", "2", "--t", "2"]),
+    ("growth_tables", ["--depth", "x"]),
+    ("growth_tables", ["--depth", "-1"]),
+    ("growth_tables", ["--max-offset", "-1"]),
+    ("make_reports", ["--depth", "x"]),
+    ("make_reports", ["--depth", "-1"]),
+])
+def test_bad_input_is_a_usage_error(script, argv, tmp_path, capsys):
+    # exit 3 before anything runs, with the script's own usage once: not
+    # a traceback, not argparse's 2 (which reads as inconclusive) and not
+    # the usage of the grfilt parser the script calls
+    module = {"growth_tables": growth_tables,
+              "make_reports": make_reports}[script]
+    assert module.main(["--json" if script == "growth_tables"
+                        else "--outdir", str(tmp_path / "out"),
+                        *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("usage:") == 1
+    assert "Traceback" not in captured.err and "hilbert" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["make_reports", "growth_tables"])
