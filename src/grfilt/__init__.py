@@ -11,8 +11,7 @@ from .poly import Poly
 from .linspace import (Ambient, Subspace, Inconclusive, DegreeOverflowError,
                        restrict_degree, sum_spaces)
 from .workbench import (make, CATALOG, ExampleRing, AlgebraPresentation,
-                        MulSystem, quotient_iso_check,
-                        staircase_quotient_context)
+                        quotient_iso_check, staircase_quotient_context)
 from .filtration import (Filtration, HilbertTable, hilbert,
                          standard_filtration, weak_adic_filtration,
                          two_sided_closure, induced_quotient_filtration,
@@ -31,7 +30,7 @@ __all__ = [
     "Ambient", "Subspace", "Inconclusive", "DegreeOverflowError",
     "restrict_degree", "sum_spaces",
     "make", "CATALOG", "ExampleRing", "AlgebraPresentation",
-    "MulSystem", "quotient_iso_check", "staircase_quotient_context",
+    "quotient_iso_check", "staircase_quotient_context",
     "Filtration", "HilbertTable", "hilbert",
     "standard_filtration", "weak_adic_filtration",
     "two_sided_closure", "induced_quotient_filtration",

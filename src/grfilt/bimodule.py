@@ -141,11 +141,16 @@ def _scan_basis(action, depth):
 
 
 def verify_rank_certificate(action, report):
-    """Recheck a rank report's claims from its stored data.  A relation
-    of the wrong shape is a false claim, not an error."""
+    """Recheck a rank report's claims from its stored data.  A verdict
+    free_rank never writes, a rank other than free_rank's (the number of
+    generators, or None when not free) or a relation of the wrong shape
+    is a false claim, not an error; "inconclusive" raises WindowExceeded."""
     amb = action.ambient
-    if report.verdict not in ("free", "not free"):
-        return True
+    if report.verdict == "inconclusive":
+        raise WindowExceeded("an inconclusive report claims nothing")
+    if (report.verdict, report.rank) not in (
+            ("free", len(report.generators)), ("not free", None)):
+        return False
     gens = [amb.encode_sparse(g) for g in report.generators]
     if report.verdict == "not free":
         rel = _read_relation(report.relation, amb.field, len(gens))
@@ -252,6 +257,19 @@ class GoldieReport(Record):
     hidden = ("family",)
 
 
+_KERNEL_VERDICT = "not certified: actor has a kernel on the window"
+
+
+def _has_kernel(action):
+    """Whether the actor kills some carrier element of the window where
+    its products fit the degree cap."""
+    amb = action.ambient
+    dt = max(action.actor.degree(), 1)
+    domain = restrict_degree(action.carrier, amb.degcap - dt)
+    images = [action.apply(b) for b in domain.basis_rows()]
+    return bool(domain.kernel(images, amb.dim).dim)
+
+
 def goldie_rank(action, depth):
     """Uniform rank certificate: a maximal greedy family with directly
     summed k[t]-orbits, plus the check that every window element has a
@@ -267,13 +285,9 @@ def goldie_rank(action, depth):
         raise ValueError(
             "goldie_rank needs polynomial mode; in a series ambient every "
             "element is torsion by truncation and the certificate is empty")
-    dt = max(action.actor.degree(), 1)
-    domain = restrict_degree(action.carrier, amb.degcap - dt)
-    images = [action.apply(b) for b in domain.basis_rows()]
-    if domain.kernel(images, amb.dim).dim:
-        return GoldieReport(action.name, action.side,
-                            "not certified: actor has a kernel on the "
-                            "window", None, (), (), False, False, False,
+    if _has_kernel(action):
+        return GoldieReport(action.name, action.side, _KERNEL_VERDICT,
+                            None, (), (), False, False, False,
                             depth, slope_table(action, depth))
     basis = _scan_basis(action, depth)
     orbits = [action.power_orbit(b) for b in basis]
@@ -301,10 +315,20 @@ def goldie_rank(action, depth):
 
 
 def verify_goldie_certificate(action, report):
-    """Recheck pairwise directness and essentiality of a stored family of
-    carrier elements of degree <= depth whose size is the rank."""
+    """Recheck a uniform-rank report.  The kernel verdict holds when the
+    recomputed kernel is nonzero; "certified" needs it zero and a stored
+    family of carrier elements of degree <= depth, as many as the rank,
+    with direct and essential orbits.  Any other verdict, or a rank
+    beside the kernel verdict, is False; "inconclusive" claims nothing
+    to check and raises WindowExceeded."""
+    if report.verdict == "inconclusive":
+        raise WindowExceeded("an inconclusive report claims nothing")
+    if report.verdict not in ("certified", _KERNEL_VERDICT):
+        return False
+    if _has_kernel(action):
+        return report.verdict == _KERNEL_VERDICT and report.rank is None
     if report.verdict != "certified":
-        return True
+        return False
     amb = action.ambient
     if report.rank != len(report.family) or not all(
             m.degree() <= report.depth and action.carrier.member(m)

@@ -189,8 +189,8 @@ def assemble_growth_dossier(case, depth=8, field=QQ):
         lo, hi, shift, max_p = -depth, 0, -1, (depth - 1) // 2
         diverging_side, matching_side = "right", "left"
     alpha, beta = ring.el("alpha"), ring.el("beta")
-    quo = induced_quotient_filtration(ring.pres, [beta], hi, base=filt)
-    table = hilbert(quo.filtration, depth)
+    quo = induced_quotient_filtration(ring.pres, [beta], filt)
+    table = hilbert(quo.filtration)
     cert = growth_obstruction(table.values, s, t, max_p, case=case)
     gens = [(beta, shift), (alpha * beta, 2 * shift)]
     goods = {sd: induced_good_filtration(filt, gens, sd, lo, hi,

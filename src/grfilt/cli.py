@@ -17,13 +17,14 @@ import json
 import sys
 
 from .fields import field_from_name
-from .linspace import Inconclusive
+from .linspace import Inconclusive, QuotientContext, zero_space
 from .workbench import (make, CATALOG, staircase_quotient_context,
-                        MulSystem, quotient_iso_check)
+                        quotient_iso_check)
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
                          induced_quotient_filtration, two_sided_closure)
 from .graded import GradedTrunc, ideal_chain_witness, verify_chain_report
-from .bimodule import BimoduleSpec, goldie_rank, bimodule_ranks
+from .bimodule import (BimoduleSpec, goldie_rank, bimodule_ranks,
+                       verify_rank_certificate, verify_goldie_certificate)
 from .certifier import (assemble_growth_dossier, verify_certificate,
                         GrowthCertificate)
 from .dualizing import verify_dualizing
@@ -95,8 +96,7 @@ def cmd_hilbert(args):
                     f"{ring.name} has no element {nm!r}; available: "
                     f"{', '.join(sorted(ring.elements))}")
             seeds.append(ring.el(nm))
-        upto = args.depth if filt.kind == "ascending" else 0
-        quo = induced_quotient_filtration(ring.pres, seeds, upto, base=filt)
+        quo = induced_quotient_filtration(ring.pres, seeds, filt)
         filt = quo.filtration
         lines.append(f"quotient by the two-sided ideal of "
                      f"({args.quotient}), exact through degree "
@@ -104,7 +104,7 @@ def cmd_hilbert(args):
         payload["quotient"] = {"seeds": args.quotient.split(","),
                                "closed_degree": quo.closed_degree,
                                "filtration": filt.to_json()}
-    table = hilbert(filt, args.depth)
+    table = hilbert(filt)
     lines.append("layer dims: " + _fmt_dims(filt.dims()))
     lines.append("hilbert:    " +
                  ", ".join(f"H({n}) = {v}"
@@ -141,10 +141,11 @@ def cmd_ranks(args):
              f"(ideal exact through degree {closed})"]
     payload = {"ring": "R_2x2", "field": fld.name, "depth": args.depth,
                "actions_commute": both["actions_commute"], "sides": {}}
-    verdicts = []
+    verdicts, refuted = [], []
     for side in ("left", "right"):
         rep = both[side]
-        gold = goldie_rank(spec.action(side), args.depth)
+        action = spec.action(side)
+        gold = goldie_rank(action, args.depth)
         slopes = gold.slope
         lines.append(
             f"{side:>5}: free rank {rep.rank} ({rep.verdict}), generator "
@@ -159,9 +160,20 @@ def cmd_ranks(args):
                                   "uniform": gold.to_json(),
                                   "slope": slopes}
         verdicts += [rep.verdict, gold.verdict]
+        # definite verdicts are rechecked; an inconclusive one claims
+        # nothing, and its verifier refuses it
+        for kind, verify, report in (
+                ("free", verify_rank_certificate, rep),
+                ("uniform", verify_goldie_certificate, gold)):
+            if (report.verdict != "inconclusive"
+                    and not verify(action, report)):
+                refuted.append(f"{side} {kind}")
     lines.append(f"actions commute: {both['actions_commute']}")
+    if refuted:
+        lines.append(f"refuted on recheck: {', '.join(refuted)}")
+        payload["refuted"] = refuted
     # a definite negative on either side fails, whatever the other says
-    if (not both["actions_commute"] or set(verdicts)
+    if (refuted or not both["actions_commute"] or set(verdicts)
             - {"free", "certified", "inconclusive"}):
         return EXIT_FAIL, payload, lines
     return (EXIT_INCONCLUSIVE if "inconclusive" in verdicts else EXIT_OK,
@@ -239,19 +251,15 @@ def cmd_chain(args):
 
 def cmd_dualize(args):
     fld = _field(args)
-    if args.control:
-        ring = make("R_perturbed", degcap=args.degcap, field=fld)
-        rep = verify_dualizing(ring=ring)
-        ok = rep.aborted_at == "endomorphism-ring"
-        expect = ("control run: the perturbed ring must abort at the "
-                  "endomorphism-ring stage")
-    else:
-        rep = verify_dualizing(degcap=args.degcap, field=fld)
-        ok = rep.ok
-        expect = None
+    ring = make("R_perturbed" if args.control else "R_2x2",
+                degcap=args.degcap, field=fld)
+    rep = verify_dualizing(ring)
     lines = [f"dualizing chain for {rep.ring}, degree cap {rep.degcap}"]
-    if expect:
-        lines.append(expect)
+    ok = rep.ok
+    if args.control:
+        ok = rep.aborted_at == "endomorphism-ring"
+        lines.append("control run: the perturbed ring must abort at the "
+                     "endomorphism-ring stage")
     for name, state in rep.stage_results():
         lines.append(f"  {name}: {state}")
     lines.append(f"aborted at: {rep.aborted_at}")
@@ -267,15 +275,13 @@ def cmd_dualize(args):
 
 def cmd_quotient_iso(args):
     fld = _field(args)
-    ring_t = make("T", field=fld)
-    pres, ctx, ideal, closed = staircase_quotient_context(
-        ring_t, degcap=args.degcap, fld=fld)
+    pres, ctx, closed = staircase_quotient_context(make("T", field=fld),
+                                                   args.degcap)
     ring_r = make("R_2x2", degcap=args.degcap, field=fld)
-    sys_a = MulSystem.quotient(ctx)
-    sys_b = MulSystem.plain(ring_r.ambient)
+    plain = QuotientContext(ring_r.ambient, zero_space(ring_r.ambient))
     pairs = [(pres.gen("alpha"), ring_r.el("alpha")),
              (pres.gen("e12"), ring_r.el("beta"))]
-    rep = quotient_iso_check(sys_a, sys_b, pairs, max_len=args.max_len)
+    rep = quotient_iso_check(ctx, plain, pairs, max_len=args.max_len)
     lines = [f"staircase model mod y, then mod (e13, e23), against the "
              f"triangular ring (cap {args.degcap}, words up to length "
              f"{args.max_len})",

@@ -36,13 +36,12 @@ verified, and for the control every cap below 6.
 
 from functools import partial
 
-from .fields import QQ
 from .poly import Poly
 from .linalg import SpanTracker, joint_kernel, joint_row, row_echelon
 from .linspace import (Ambient, DegreeOverflowError, prefix_space,
                        restrict_degree, zero_space)
 from .filtration import WindowExceeded
-from .workbench import make, diagonal_embed
+from .workbench import diagonal_embed
 from .bimodule import ModuleAction, free_rank
 from .record import Record, jsonable
 
@@ -91,19 +90,15 @@ def ring_window(ring):
     return _diagonal_corner_span(ring, 1)
 
 
-class CenterEmbedding(Record):
-    """The commutative diagonal subring C = {diag(c(x), c(x^2))} = k[x].
+def diagonal_x(amb):
+    """x in the diagonal subring C = {diag(c(x), c(x^2))} = k[x]: the
+    matrix diag(x, x^2) of the ambient.
 
-    Not the center of the triangular ring (only scalars commute with the
-    corner); what the chain uses is that the ring is module-finite and
-    free over C on both sides.
+    C is not the center of the triangular ring (only scalars commute with
+    the corner); what the chain uses is that the ring is module-finite
+    and free over C on both sides.
     """
-    fields = ("ambient",)
-
-    def actor(self):
-        """x in C, the matrix diag(x, x^2)."""
-        amb = self.ambient
-        return diagonal_embed(amb, Poly.variable(amb.field, 1, 0))
+    return diagonal_embed(amb, Poly.variable(amb.field, 1, 0))
 
 
 # ------------------------------------------------------- free C-structure
@@ -112,16 +107,16 @@ class FreeStructureReport(Record):
     fields = ("ring", "ok", "left", "right")
 
 
-def free_structure_report(ring, center, window, depth=None):
+def free_structure_report(ring, window, depth=None):
     """Stage (i): rank scans for the module structure over the diagonal
-    subring on both sides.  Freeness of both is what the later stages
-    consume (the duals are then free C-modules of the same ranks)."""
+    subring (acting by diagonal_x) on both sides; the later stages consume
+    freeness of both (the duals are then free C-modules of the same ranks)."""
     amb = ring.ambient
     depth = amb.degcap if depth is None else depth
     reps = {}
     for side in ("left", "right"):
         act = ModuleAction(f"{ring.name} over diagonal", amb, window,
-                           center.actor(), side)
+                           diagonal_x(amb), side)
         reps[side] = free_rank(act, depth)
         if reps[side].verdict == "inconclusive":
             raise WindowExceeded(f"{STAGES[0]}: the {side} rank scan is "
@@ -134,22 +129,21 @@ class FreeModuleStructure:
     """The ring window as a free C-module on an explicit ordered basis.
 
     side "left" decomposes elements as sum sigma(c_i) * v_i, side "right"
-    as sum v_i * sigma(c_i).  solve() recovers the coefficients from the
-    tagged span of the ladders v_i * sigma(x^k); it covers the whole
-    window exactly when the basis passed the stage (i) scan.  The basis
-    is given as matrices and kept as kernel rows.
+    as sum v_i * sigma(c_i) for sigma(x) = diagonal_x.  solve() recovers
+    the coefficients from the tagged span of the ladders v_i * sigma(x^k);
+    it covers the whole window exactly when the basis passed the stage (i)
+    scan.  The basis is given as matrices and kept as kernel rows.
     """
 
-    def __init__(self, ring, center, side, basis):
+    def __init__(self, ring, side, basis):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.ring = ring
         self.ambient = amb = ring.ambient
-        self.center = center
         self.side = side
         self.basis = tuple(map(amb.encode_sparse, basis))
         self.rank = len(self.basis)
-        ladder = ModuleAction("ladder", amb, None, center.actor(), side)
+        ladder = ModuleAction("ladder", amb, None, diagonal_x(amb), side)
         self._tracker = SpanTracker(amb.field, amb.dim)
         for i, v in enumerate(self.basis):
             for k, w in enumerate(ladder.power_orbit(v)):
@@ -211,17 +205,19 @@ class CyclicReport(Record):
               "dims_consistent", "ok")
 
 
-def cyclic_presentation(hom, window, expected_ann, acceptance_degree):
+def cyclic_presentation(hom, window, expected_ann):
     """Stage (ii): deterministic cyclic-generator search in the dual.
 
     Dual basis functionals are tried in index order; the first whose
     orbit under the ring window covers every dual tuple of coordinate
-    degree <= acceptance_degree is accepted.  Its annihilator inside the
-    window is then computed exactly and compared with the expected right
-    ideal, which exhibits the dual as the cyclic module ring/ideal.
+    degree <= acceptance_degree = (degcap // 2 - 1) // 2, for the ring's
+    degree cap, is accepted.  Its annihilator inside the window is then
+    computed exactly and compared with the expected right ideal, which
+    exhibits the dual as the cyclic module ring/ideal.
     """
-    _require_window(STAGES[1], "the acceptance degree", acceptance_degree)
     st = hom.structure
+    acceptance_degree = (st.ambient.degcap // 2 - 1) // 2
+    _require_window(STAGES[1], "the acceptance degree", acceptance_degree)
     space = hom.space
     basis = window.basis_rows()
     target = prefix_space(space, acceptance_degree)
@@ -304,12 +300,13 @@ def _covered_through(sub, part, limit):
     return limit
 
 
-def idealizer(ring, window, ideal, generators, predicted=None):
+def idealizer(ring, window, ideal, generators):
     """{r in window : r * generators inside the ideal}, exactly.
 
     For a right ideal the generator condition suffices: r(gs) = (rg)s
     stays inside once rg does, and right-closedness of the ideal window
-    is surveyed separately.  Returns (report, subspace).
+    is surveyed separately, and the result compared with
+    predicted_idealizer(ring).  Returns (report, subspace).
     """
     amb = ring.ambient
     wcap = amb.degcap - max(g.degree() for g in generators)
@@ -328,10 +325,8 @@ def idealizer(ring, window, ideal, generators, predicted=None):
         amb, amb.degcap, ideal.basis_rows(), ring.pres.gen_rows, ideal)
     closed, pc_pairs = _product_stability(
         amb, wcap, ide.basis_rows(), ide.basis_rows(), ide)
-    matches = (None if predicted is None
-               else ide == restrict_degree(predicted, wcap))
-    ok = (inside and right_closed and closed
-          and (matches is None or matches))
+    matches = ide == restrict_degree(predicted_idealizer(ring), wcap)
+    ok = inside and right_closed and closed and matches
     return IdealizerReport(ring.name, wcap, ideal.dim, ide.dim, inside,
                            right_closed, rc_pairs, closed, pc_pairs,
                            matches, ok), ide
@@ -370,21 +365,19 @@ class EndRingReport(Record):
               "required_through", "ok")
 
 
-def end_ring(ring, window, ideal, generators, predicted=None,
-             required_through=None):
+def end_ring(ring, window, ideal, generators):
     """Stage (iii): the ring maps isomorphically onto End of the cyclic
     dual, realized as idealizer/ideal.
 
     corner_double is checked to be unital, to land in the idealizer, to
     be multiplicative modulo the ideal, to have zero kernel modulo the
-    ideal, and to hit every idealizer class through the stated degree.
+    ideal, and to hit every idealizer class through degree degcap // 2.
     """
     amb = ring.ambient
-    ide_rep, ide = idealizer(ring, window, ideal, generators, predicted)
+    ide_rep, ide = idealizer(ring, window, ideal, generators)
     dcap = (ide_rep.window_degree - 1) // 2
     _require_window(STAGES[2], "the domain degree", dcap)
-    required = (amb.degcap // 2 if required_through is None
-                else required_through)
+    required = amb.degcap // 2
     domain = restrict_degree(window, dcap)
     basis = domain.basis_rows()
     images = [corner_double(amb, b) for b in basis]
@@ -443,23 +436,21 @@ def slot_shift(amb, space, row):
     return space.row(terms)
 
 
-def dual_identification(ring, window, ideal, left_struct, center,
-                        required_presentation=None, required_onto=None):
+def dual_identification(ring, window, ideal, left_struct):
     """Stage (iv): present the left dual and identify it with the cyclic
     model of the right dual.
 
     The left dual D1 is shown to be generated by the functionals (0, 1)
-    and (0, -x) with relation module generated by (x e12, e12); the map
-    slot_shift then identifies ring/ideal with D1, compatibly with the
-    left action transported through corner_double and with the right
-    action of the diagonal subring.
+    and (0, -x) with relation module generated by (x e12, e12), through
+    degree required_presentation = degcap // 2; the map slot_shift then
+    identifies ring/ideal with D1, onto through degree required_onto =
+    degcap // 4, compatibly with the left action transported through
+    corner_double and with the right action of the diagonal subring.
     """
     amb = ring.ambient
     one = amb.field.one
     cap = amb.degcap
-    req_p = cap // 2 if required_presentation is None else \
-        required_presentation
-    req_o = cap // 4 if required_onto is None else required_onto
+    req_p, req_o = cap // 2, cap // 4
     rho_cap = 3
     a_cap = cap - (2 * rho_cap + 1)
     _require_window(STAGES[3], "the left-action degree", a_cap)
@@ -507,7 +498,7 @@ def dual_identification(ring, window, ideal, left_struct, center,
             lhs = slot_shift(amb, space, prod)
             if lhs != hom1.act(slot_shift(amb, space, a), rho):
                 left_ok = False
-    t = amb.encode_sparse(center.actor())
+    t = amb.encode_sparse(diagonal_x(amb))
     right_ok = True
     # times t, the tuple (u, f) becomes (u x, f x)
     for a in restrict_degree(window, cap - amb.degree(t)).basis_rows():
@@ -550,45 +541,40 @@ class DualizingReport(Record):
                 "aborted_at": self.aborted_at, "ok": self.ok}
 
 
-def verify_dualizing(ring=None, degcap=20, field=QQ):
-    """Run the four-stage chain; stop at the first failing stage.
+def verify_dualizing(ring):
+    """Run the four-stage chain on the ring, make("R_2x2") or
+    make("R_perturbed") at some degree cap; stop at the first failing
+    stage.
 
-    With no arguments this verifies the triangular ring at a window wide
-    enough for every stage's degree bookkeeping.  Pass the perturbed ring
-    to watch stage (iii) fail: its corner candidate map collapses the
-    corner classes into the ideal.
+    The triangular ring verifies at a window wide enough for every
+    stage's degree bookkeeping (the command line's default cap is 20).
+    The perturbed ring is the control: stage (iii) fails, as its corner
+    candidate map collapses the corner classes into the ideal.
     """
-    if ring is None:
-        ring = make("R_2x2", degcap=degcap, field=field)
     amb = ring.ambient
-    center = CenterEmbedding(amb)
     window = ring_window(ring)
 
-    free_rep = free_structure_report(ring, center, window)
+    free_rep = free_structure_report(ring, window)
     if not free_rep.ok:
         return DualizingReport(ring.name, amb.degcap, free_rep, None, None,
                                None, STAGES[0], False)
-    right_st = FreeModuleStructure(ring, center, "right",
-                                   free_rep.right.generators)
-    left_st = FreeModuleStructure(ring, center, "left",
-                                  free_rep.left.generators)
+    right_st = FreeModuleStructure(ring, "right", free_rep.right.generators)
+    left_st = FreeModuleStructure(ring, "left", free_rep.left.generators)
 
     _, gen = nilpotent_generator(ring.pres)
     ideal = right_ideal_window(amb, gen, window)
     hom2 = HomModule(right_st, amb.degcap)
-    cyc = cyclic_presentation(hom2, window, ideal,
-                              (amb.degcap // 2 - 1) // 2)
+    cyc = cyclic_presentation(hom2, window, ideal)
     if not cyc.ok:
         return DualizingReport(ring.name, amb.degcap, free_rep, cyc, None,
                                None, STAGES[1], False)
 
-    endo = end_ring(ring, window, ideal, [gen],
-                    predicted=predicted_idealizer(ring))
+    endo = end_ring(ring, window, ideal, [gen])
     if not endo.ok:
         return DualizingReport(ring.name, amb.degcap, free_rep, cyc, endo,
                                None, STAGES[2], False)
 
-    ident = dual_identification(ring, window, ideal, left_st, center)
+    ident = dual_identification(ring, window, ideal, left_st)
     aborted = None if ident.ok else STAGES[3]
     return DualizingReport(ring.name, amb.degcap, free_rep, cyc, endo,
                            ident, aborted, ident.ok)

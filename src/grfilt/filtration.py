@@ -126,17 +126,18 @@ class HilbertTable(Record):
     fields = ("kind", "name", "values")
 
 
-def hilbert(filt, upto):
-    """Hilbert function of a filtration.
+def hilbert(filt):
+    """Hilbert function of a filtration, H(0..depth) for the depth of its
+    window: hi when ascending, -lo when weak-adic.
 
     Ascending: H(n) = dim Gamma_n.  Weak-adic: H(n) = dim Gamma_0/Gamma_{-n},
     so H(0) = 0 and H grows with the codimension of the ideal powers.
     """
     if filt.kind == "ascending":
-        vals = [filt.layer(n).dim for n in range(upto + 1)]
+        vals = [filt.layer(n).dim for n in range(filt.hi + 1)]
     else:
         vals = [quotient_dim(filt.layer(0), filt.layer(-n))
-                for n in range(upto + 1)]
+                for n in range(-filt.lo + 1)]
     return HilbertTable(filt.kind, filt.name, tuple(vals))
 
 
@@ -219,7 +220,8 @@ def weak_adic_filtration(pres, depth):
         for g in gens:
             if m1.residual(amb.mul(b, g)):
                 raise ValueError("generated left ideal is not two-sided")
-    layers = {0: ring, -1: m1}
+    # the window is -depth..0, so depth 0 keeps only R
+    layers = {0: ring, -1: m1} if depth else {0: ring}
     for i in range(2, depth + 1):
         layers[-i] = _times_gens(pres, layers[-(i - 1)])
     zero = [i for i in range(1, depth + 1) if not layers[-i].dim]
@@ -260,11 +262,12 @@ def two_sided_closure(pres, seeds):
 
 
 class QuotientFiltration(Record):
-    fields = ("filtration", "context", "ideal", "closed_degree")
+    fields = ("filtration", "ideal", "closed_degree")
 
 
-def induced_quotient_filtration(pres, seeds, upto, base=None):
-    """Image of the standard filtration in R/(two-sided ideal of seeds).
+def induced_quotient_filtration(pres, seeds, base):
+    """Image of the filtration base of R in R/(two-sided ideal of seeds),
+    on base's window lo..hi and of base's kind.
 
     Layer images are canonical representatives inside the same ambient.  A
     layer whose basis reaches beyond the ideal's trusted degree raises
@@ -272,19 +275,18 @@ def induced_quotient_filtration(pres, seeds, upto, base=None):
     """
     ideal, closed_degree = two_sided_closure(pres, seeds)
     ctx = QuotientContext(pres.ambient, ideal)
-    filt = base if base is not None else standard_filtration(pres, upto)
     layers = {}
-    for n in range(filt.lo, upto + 1):
-        lay = filt.layer(n)
+    for n in range(base.lo, base.hi + 1):
+        lay = base.layer(n)
         if lay.maxdeg() > closed_degree:
             raise TruncationError(
                 f"quotient layer {n} reaches degree {lay.maxdeg()} but the "
                 f"ideal is only saturated through degree {closed_degree}; "
                 f"rebuild with a larger degree cap")
         layers[n] = ctx.image(lay)
-    out = Filtration(filt.kind, pres.ambient, layers,
+    out = Filtration(base.kind, pres.ambient, layers,
                      name=f"quotient:{pres.name}")
-    return QuotientFiltration(out, ctx, ideal, closed_degree)
+    return QuotientFiltration(out, ideal, closed_degree)
 
 
 def induced_good_filtration(ring_filt, generators, side, lo, hi, name=""):
@@ -427,7 +429,7 @@ class AxiomReport(Record):
         return self.nested_ok and self.unit_ok and self.multiplicative_ok
 
 
-def verify_filtration_axioms(filt, unital=True):
+def verify_filtration_axioms(filt):
     """Nesting, unit membership, and submultiplicativity on the window."""
     amb = filt.ambient
     detail = None
@@ -437,11 +439,9 @@ def verify_filtration_axioms(filt, unital=True):
             nested_ok = False
             detail = f"layer {n} not inside layer {n + 1}"
             break
-    unit_ok = True
-    if unital:
-        unit_ok = filt.layer(0).member(amb.one())
-        if not unit_ok and detail is None:
-            detail = "unit missing from layer 0"
+    unit_ok = filt.layer(0).member(amb.one())
+    if not unit_ok and detail is None:
+        detail = "unit missing from layer 0"
     checked = skipped = 0
     mult_ok = True
     if filt.kind == "ascending":

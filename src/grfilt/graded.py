@@ -189,17 +189,15 @@ class SpanningReport(Record):
     fields = ("patterns", "degrees", "covered", "all_covered")
 
 
-def spanning_check(gr, classes, patterns, degrees=None):
+def spanning_check(gr, classes, patterns):
     """Do the pattern families span every piece in the window?
 
     A pattern (pre, star, post) denotes the elements pre * star^k * post
     for k >= 0.  This certifies statements like "the graded ring is
     generated over k[a] by {1, b, ab}" degree by degree.
     """
-    if degrees is None:
-        degrees = [m for m in gr.degrees]
     covered = []
-    for m in degrees:
+    for m in gr.degrees:
         sec = gr.piece(m)
         vecs = []
         for pre, star, post in patterns:
@@ -216,7 +214,7 @@ def spanning_check(gr, classes, patterns, degrees=None):
             vecs.append(dict(el.coords))
         covered.append(len(row_echelon(vecs, gr._p, sec.dim)) == sec.dim)
     return SpanningReport(tuple(tuple(map(tuple, p)) for p in patterns),
-                          tuple(degrees), tuple(covered), all(covered))
+                          tuple(gr.degrees), tuple(covered), all(covered))
 
 
 # ------------------------------------------------------------ ideal chains

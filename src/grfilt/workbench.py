@@ -278,36 +278,17 @@ class IsoReport(Record):
               "max_len")
 
 
-class MulSystem:
-    """Evaluation context for words: an ambient plus a product map on
-    kernel rows, which for quotient systems reduces into canonical
-    representatives."""
-
-    def __init__(self, ambient, one, mul):
-        self.ambient = ambient
-        self.one = one
-        self.mul = mul
-
-    @classmethod
-    def plain(cls, ambient):
-        return cls(ambient, ambient.encode_sparse(ambient.one()),
-                   ambient.mul)
-
-    @classmethod
-    def quotient(cls, ctx):
-        amb = ctx.ambient
-        return cls(amb, ctx.ideal.residual(amb.encode_sparse(amb.one())),
-                   ctx.mul)
-
-
-def quotient_iso_check(sys_a, sys_b, pairs, max_len=4):
+def quotient_iso_check(ctx_a, ctx_b, pairs, max_len=4):
     """Does elt_a -> elt_b extend to an algebra isomorphism of word spans?
 
-    Grows the span of the joint kernel rows (value in A concatenated with
-    value in B) of the words of length <= max_len in the generator pairs,
-    given as matrices, by the rule of grfilt.filtration: each of max_len
-    rounds multiplies only the rows the round before added, read as they
-    stood when the round began (insert_row rewrites held rows in place).
+    A and B are quotient rings given by their QuotientContexts, whose mul
+    multiplies canonical representatives; a plain ring is its quotient by
+    zero_space.  The span of the joint kernel rows (value in A
+    concatenated with value in B) of the words of length <= max_len in
+    the generator pairs, given as matrices, grows by the rule of
+    grfilt.filtration: each of max_len rounds multiplies only the rows
+    the round before added, read as they stood when the round began
+    (insert_row rewrites held rows in place).
     A word overflows the degree cap exactly when some such row does.
     The correspondence extends to a well-defined bijective multiplicative
     linear map between the word spans iff the joint span has the same
@@ -315,26 +296,28 @@ def quotient_iso_check(sys_a, sys_b, pairs, max_len=4):
     max_len < 1 the span holds only the unit and says nothing, so that
     window raises WindowExceeded instead of passing.
     """
-    if sys_a.ambient.field != sys_b.ambient.field:
-        raise ValueError("systems must share a coefficient field")
+    amb_a, amb_b = ctx_a.ambient, ctx_b.ambient
+    if amb_a.field != amb_b.field:
+        raise ValueError("quotients must share a coefficient field")
     if max_len < 1:
         raise WindowExceeded(
             f"words up to length {max_len} span only the unit; the "
             f"comparison needs max_len >= 1")
-    amb_a, amb_b = sys_a.ambient, sys_b.ambient
     pairs = [(amb_a.encode_sparse(ga), amb_b.encode_sparse(gb))
              for ga, gb in pairs]
     p, width = amb_a.field.p, amb_a.dim
+    one_a, one_b = (ctx.ideal.residual(amb.encode_sparse(amb.one()))
+                    for ctx, amb in ((ctx_a, amb_a), (ctx_b, amb_b)))
     echelon = {}
-    insert_row(echelon, joint_row(sys_a.one, sys_b.one, width), p)
+    insert_row(echelon, joint_row(one_a, one_b, width), p)
     new = list(echelon)
     for _ in range(max_len):
         halves = [_halves(echelon[q], width) for q in new]
         before = set(echelon)
         for a, b in halves:
             for ga, gb in pairs:
-                insert_row(echelon, joint_row(sys_a.mul(a, ga),
-                                              sys_b.mul(b, gb), width), p)
+                insert_row(echelon, joint_row(ctx_a.mul(a, ga),
+                                              ctx_b.mul(b, gb), width), p)
         new = [q for q in echelon if q not in before]
     dim_a = sum(q < width for q in echelon)
     dim_b = len(row_echelon(
@@ -351,27 +334,28 @@ def _halves(row, width):
             {j - width: x for j, x in row.items() if j >= width})
 
 
-def staircase_mod_y(ring_t, degcap=None, fld=QQ):
-    """The y-free model T0 of the staircase ring inside M_3(k[x]).
+def staircase_mod_y(ring_t, degcap):
+    """The y-free model T0 of the staircase ring inside M_3(k[x]), over
+    ring_t's field and with degree cap degcap.
 
     Passing to y -> 0 entrywise is the quotient by the ideal of y-multiples;
     it is multiplicative because that set absorbs products on both sides.
     """
-    cap = ring_t.ambient.degcap if degcap is None else degcap
-    amb = Ambient(3, 1, cap, fld)
+    amb = Ambient(3, 1, degcap, ring_t.ambient.field)
     gens = tuple(
         (nm, collapse_to_one_variable(y_kill(ring_t.el(nm))))
         for nm in ("alpha", "e12", "e13", "e23"))
-    pres = AlgebraPresentation("T0", amb, gens)
-    return pres
+    return AlgebraPresentation("T0", amb, gens)
 
 
-def staircase_quotient_context(ring_t, degcap=12, fld=QQ):
-    """Quotient of T0 by the two-sided ideal generated by e13 and e23.
+def staircase_quotient_context(ring_t, degcap):
+    """Quotient of T0 (staircase_mod_y) by the two-sided ideal generated
+    by e13 and e23.
 
-    Returns (presentation of T0, quotient context, ideal, closed_degree).
+    Returns (presentation of T0, quotient context, closed_degree); the
+    ideal is the context's ctx.ideal.
     """
-    pres = staircase_mod_y(ring_t, degcap, fld)
+    pres = staircase_mod_y(ring_t, degcap)
     ideal, closed = two_sided_closure(
         pres, [pres.gen("e13"), pres.gen("e23")])
-    return pres, QuotientContext(pres.ambient, ideal), ideal, closed
+    return pres, QuotientContext(pres.ambient, ideal), closed

@@ -11,7 +11,8 @@ import json
 import oracle
 import test_properties
 
-from grfilt.workbench import (make, staircase_quotient_context, MulSystem,
+from grfilt.linspace import QuotientContext, zero_space
+from grfilt.workbench import (make, staircase_quotient_context,
                               quotient_iso_check, op_involution_report)
 from grfilt.filtration import (standard_filtration, weak_adic_filtration,
                                hilbert, induced_quotient_filtration,
@@ -23,7 +24,7 @@ from grfilt.bimodule import (BimoduleSpec, free_rank, ModuleAction,
                              verify_rank_certificate)
 from grfilt.certifier import growth_obstruction, verify_certificate
 from grfilt.dualizing import (verify_dualizing, free_structure_report,
-                              CenterEmbedding, ring_window)
+                              diagonal_x, ring_window)
 
 RIGHT_PATTERNS = (((), "alpha", ()), (("beta",), "alpha", ()),
                   (("alpha", "beta"), "alpha", ()))
@@ -45,26 +46,24 @@ def test_1_corner_ideal_is_free_of_rank_one_left_and_two_right():
 
 def test_2_ring_is_free_over_the_diagonal_subring_of_rank_two_and_three():
     ring = make("R_2x2", degcap=18)
-    center = CenterEmbedding(ring.ambient)
     window = ring_window(ring)
-    rep = free_structure_report(ring, center, window, depth=8)
+    rep = free_structure_report(ring, window, depth=8)
     assert rep.ok
     assert rep.left.rank == 2 and rep.right.rank == 3
     for side, sub in (("left", rep.left), ("right", rep.right)):
         action = ModuleAction("ring over diagonal", ring.ambient, window,
-                              center.actor(), side)
+                              diagonal_x(ring.ambient), side)
         assert verify_rank_certificate(action, sub)
 
 
 def test_3_hilbert_values_match_the_independent_oracle():
     ring = make("R_2x2", degcap=26)
     filt = standard_filtration(ring.pres, 12)
-    vals = list(hilbert(filt, 12).values)
+    vals = list(hilbert(filt).values)
     assert vals == [1] + [3 * n for n in range(1, 13)]
     assert vals == oracle.r2x2_standard_dims(12)
-    quo = induced_quotient_filtration(ring.pres, [ring.el("beta")], 12,
-                                      base=filt)
-    qvals = list(hilbert(quo.filtration, 12).values)
+    quo = induced_quotient_filtration(ring.pres, [ring.el("beta")], filt)
+    qvals = list(hilbert(quo.filtration).values)
     assert qvals == [n + 1 for n in range(13)]
     assert qvals == oracle.r2x2_quotient_dims(12)
 
@@ -84,10 +83,9 @@ def test_4_graded_relations_hold_and_three_families_span():
 def test_5_growth_obstruction_certified_for_every_offset_through_ten():
     ring = make("R_2x2", degcap=44)
     filt = standard_filtration(ring.pres, 21)
-    quo = induced_quotient_filtration(ring.pres, [ring.el("beta")], 21,
-                                      base=filt)
+    quo = induced_quotient_filtration(ring.pres, [ring.el("beta")], filt)
     assert quo.closed_degree >= 2 * 21
-    vals = list(hilbert(quo.filtration, 21).values)
+    vals = list(hilbert(quo.filtration).values)
     assert vals == [n + 1 for n in range(22)]
     cert = growth_obstruction(vals, 1, 2, 10)
     assert hasattr(cert, "rows")
@@ -126,10 +124,10 @@ def test_6_one_sided_chains_ascend_in_both_graded_models():
 
 
 def test_7_dualizing_chain_verifies_and_the_perturbed_control_aborts():
-    rep = verify_dualizing(degcap=20)
+    rep = verify_dualizing(make("R_2x2", degcap=20))
     assert rep.ok and rep.aborted_at is None
     assert [state for _, state in rep.stage_results()] == ["ok"] * 4
-    bad = verify_dualizing(ring=make("R_perturbed", degcap=20))
+    bad = verify_dualizing(make("R_perturbed", degcap=20))
     assert not bad.ok
     assert bad.aborted_at == "endomorphism-ring"
     assert bad.endo is not None and not bad.endo.injective
@@ -137,13 +135,12 @@ def test_7_dualizing_chain_verifies_and_the_perturbed_control_aborts():
 
 def test_8_staircase_quotient_matches_the_triangular_ring():
     ring_t = make("T")
-    pres, ctx, ideal, closed = staircase_quotient_context(ring_t, degcap=12)
+    pres, ctx, closed = staircase_quotient_context(ring_t, degcap=12)
     ring_r = make("R_2x2", degcap=12)
     pairs = [(pres.gen("alpha"), ring_r.el("alpha")),
              (pres.gen("e12"), ring_r.el("beta"))]
-    rep = quotient_iso_check(MulSystem.quotient(ctx),
-                             MulSystem.plain(ring_r.ambient),
-                             pairs, max_len=4)
+    plain = QuotientContext(ring_r.ambient, zero_space(ring_r.ambient))
+    rep = quotient_iso_check(ctx, plain, pairs, max_len=4)
     assert rep.consistent
     assert rep.dim_a == rep.dim_b == rep.dim_joint
     invol = op_involution_report(ring_t)

@@ -4,7 +4,7 @@ import pytest
 
 from grfilt.fields import PrimeField
 from grfilt.workbench import make
-from grfilt.filtration import two_sided_closure
+from grfilt.filtration import two_sided_closure, WindowExceeded
 from grfilt.bimodule import (ModuleAction, BimoduleSpec, free_rank,
                              verify_rank_certificate, torsion_window,
                              slope_table, goldie_rank,
@@ -228,3 +228,58 @@ def test_goldie_verifier_rejects_wrong_rank_and_foreign_family(corner_spec):
     # the identity is not in the corner ideal
     outside = (ring.ambient.one(),) + rep.family
     assert not verify_goldie_certificate(act, forged(len(outside), outside))
+
+
+@pytest.mark.parametrize("side", ("left", "right"))
+def test_verifiers_refuse_forged_verdicts_and_ranks(corner_spec, side):
+    # a verdict the producer never writes, or a rank that does not fit
+    # its verdict, is a false claim
+    ring, spec = corner_spec
+    act = spec.action(side)
+    rep = free_rank(act, 8)
+    assert verify_rank_certificate(act, rep)
+    assert not verify_rank_certificate(act, rep.replace(verdict="Free",
+                                                        rank=7))
+    assert not verify_rank_certificate(act, rep.replace(rank=99))
+    gold = goldie_rank(act, 8)
+    assert verify_goldie_certificate(act, gold)
+    assert not verify_goldie_certificate(
+        act, gold.replace(verdict="Certified", rank=42))
+
+
+def test_verifier_refuses_a_rank_beside_not_free(corner_spec):
+    ring, spec = corner_spec
+    amb = ring.ambient
+    act = ModuleAction("corner-by-beta", amb,
+                       span(amb, [amb.one()]), ring.el("beta"), "right")
+    rep = free_rank(act, 4)
+    assert rep.verdict == "not free" and verify_rank_certificate(act, rep)
+    assert not verify_rank_certificate(act, rep.replace(rank=1))
+
+
+def test_goldie_kernel_verdict_is_recomputed(corner_spec):
+    ring, spec = corner_spec
+    # right multiplication by beta kills the whole corner
+    killed = ModuleAction("corner-killed", ring.ambient, spec.carrier,
+                          ring.el("beta"), "right")
+    regular = spec.action("right")
+    kernel, cert = goldie_rank(killed, 8), goldie_rank(regular, 8)
+    assert kernel.verdict.startswith("not certified")
+    assert verify_goldie_certificate(killed, kernel)
+    assert not verify_goldie_certificate(killed, kernel.replace(rank=2))
+    # the kernel claim is false for the regular actor, and a certificate
+    # is false for an actor with a kernel
+    assert not verify_goldie_certificate(regular, kernel)
+    assert not verify_goldie_certificate(killed, cert)
+
+
+def test_verifiers_refuse_an_inconclusive_report(corner_spec):
+    ring, spec = corner_spec
+    act = spec.action("right")
+    rep = free_rank(act, 1)
+    assert rep.verdict == "inconclusive"
+    with pytest.raises(WindowExceeded):
+        verify_rank_certificate(act, rep)
+    gold = goldie_rank(act, 8).replace(verdict="inconclusive", rank=None)
+    with pytest.raises(WindowExceeded):
+        verify_goldie_certificate(act, gold)

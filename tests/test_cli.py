@@ -386,3 +386,29 @@ def test_ranks_failure_is_not_masked_by_an_inconclusive_side(
     code, out, _ = run(capsys, "ranks", "--depth", "8")
     assert code == 1
     assert "free rank 1 (not free)" in out
+
+
+@pytest.mark.parametrize("forge", ("free", "uniform"))
+def test_ranks_refutes_a_forged_definite_report(capsys, monkeypatch, forge):
+    # the definite verdicts are rechecked, so a forged rank fails
+    import grfilt.cli
+    real_ranks, real_goldie = grfilt.cli.bimodule_ranks, grfilt.cli.goldie_rank
+
+    def forged_ranks(spec, depth):
+        both = real_ranks(spec, depth)
+        return {**both, "right": both["right"].replace(rank=99)}
+
+    def forged_goldie(action, depth):
+        return real_goldie(action, depth).replace(rank=42)
+    if forge == "free":
+        monkeypatch.setattr(grfilt.cli, "bimodule_ranks", forged_ranks)
+    else:
+        monkeypatch.setattr(grfilt.cli, "goldie_rank", forged_goldie)
+    refuted = (["right free"] if forge == "free" else
+               ["left uniform", "right uniform"])
+    code, out, _ = run(capsys, "ranks", "--depth", "8")
+    assert code == 1
+    assert out.splitlines()[-1] == ("refuted on recheck: "
+                                    + ", ".join(refuted))
+    code, out, _ = run(capsys, "--format", "json", "ranks", "--depth", "8")
+    assert code == 1 and json.loads(out)["refuted"] == refuted

@@ -21,10 +21,9 @@ from grfilt.linalg import combine_rows
 from grfilt.linspace import Ambient, DegreeOverflowError, restrict_degree
 from grfilt.workbench import make
 from grfilt.dualizing import (STAGES, verify_dualizing, ring_window,
-                              CenterEmbedding, free_structure_report,
-                              FreeModuleStructure, HomModule,
-                              nilpotent_generator, right_ideal_window,
-                              idealizer, predicted_idealizer, corner_double,
+                              free_structure_report, FreeModuleStructure,
+                              HomModule, nilpotent_generator,
+                              right_ideal_window, idealizer, corner_double,
                               slot_shift)
 
 FIELDS = (QQ, PrimeField(2), PrimeField(101))
@@ -33,12 +32,13 @@ FIELDS = (QQ, PrimeField(2), PrimeField(101))
 @pytest.fixture(scope="module")
 def full_report():
     """The chain at degcap 20 over each of FIELDS, in that order."""
-    return [verify_dualizing(degcap=20, field=f) for f in FIELDS]
+    return [verify_dualizing(make("R_2x2", degcap=20, field=f))
+            for f in FIELDS]
 
 
 @pytest.fixture(scope="module")
 def perturbed_report():
-    return [verify_dualizing(ring=make("R_perturbed", degcap=20, field=f))
+    return [verify_dualizing(make("R_perturbed", degcap=20, field=f))
             for f in FIELDS]
 
 
@@ -73,8 +73,7 @@ def test_idealizer_matches_predicted_shape():
     window = ring_window(ring)
     _, gen = nilpotent_generator(ring.pres)
     ideal = right_ideal_window(ring.ambient, gen, window)
-    rep, ide = idealizer(ring, window, ideal, [gen],
-                         predicted=predicted_idealizer(ring))
+    rep, ide = idealizer(ring, window, ideal, [gen])
     assert rep.ok and rep.matches_predicted
     # diag(h(x^2), h(x^4)) block: 6 dims, plus all 21 corner dims
     assert ide.dim == 27
@@ -168,11 +167,10 @@ def test_slot_shift_splits_odd_part():
 
 def test_free_structure_from_parts():
     ring = make("R_2x2", degcap=20)
-    center = CenterEmbedding(ring.ambient)
     window = ring_window(ring)
-    rep = free_structure_report(ring, center, window, depth=8)
+    rep = free_structure_report(ring, window, depth=8)
     assert rep.ok
-    st = FreeModuleStructure(ring, center, "right", rep.right.generators)
+    st = FreeModuleStructure(ring, "right", rep.right.generators)
     hom = HomModule(st, ring.ambient.degcap)
     # the unit functionals, in the tuple space's slots 0, 1, 2
     assert hom.dual_basis() == [{0: QQ.one}, {1: QQ.one}, {2: QQ.one}]
@@ -250,13 +248,11 @@ def test_row_maps_match_matrix_references(fld):
 def test_hom_action_matches_poly_tuple_reference(fld):
     ring = make("R_2x2", degcap=12, field=fld)
     amb = ring.ambient
-    center = CenterEmbedding(amb)
     window = ring_window(ring)
-    rep = free_structure_report(ring, center, window)
+    rep = free_structure_report(ring, window)
     x, one = Poly.variable(fld, 1, 0), Poly.const(fld, 1, fld.one)
     for side in ("left", "right"):
-        st = FreeModuleStructure(ring, center, side,
-                                 getattr(rep, side).generators)
+        st = FreeModuleStructure(ring, side, getattr(rep, side).generators)
         hom = HomModule(st, amb.degcap + 1)
         phis = [tuple(x * x if i == k else one for i in range(st.rank))
                 for k in range(st.rank)]

@@ -24,8 +24,28 @@ def test_standard_dims_match_oracle_freeze(filt12):
 
 
 def test_standard_hilbert_values(filt12):
-    assert list(hilbert(filt12, 12).values) == [1] + [3 * n for n in
-                                                      range(1, 13)]
+    assert list(hilbert(filt12).values) == [1] + [3 * n for n in
+                                                  range(1, 13)]
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_hilbert_reads_its_depth_from_the_window(ring_r, rprime, depth):
+    for pres, filt in (
+            (ring_r.pres, standard_filtration(ring_r.pres, depth)),
+            (rprime.pres, weak_adic_filtration(rprime.pres, depth))):
+        assert (-filt.lo, filt.hi) in ((0, depth), (depth, 0))
+        quo = induced_quotient_filtration(pres, [pres.gen("beta")], filt)
+        assert len(hilbert(filt).values) == depth + 1
+        assert len(hilbert(quo.filtration).values) == depth + 1
+
+
+def test_quotient_of_a_weak_adic_base_keeps_its_window(rprime, adic10):
+    quo = induced_quotient_filtration(rprime.pres, [rprime.el("beta")],
+                                      adic10)
+    assert quo.filtration.kind == "weak-adic"
+    assert (quo.filtration.lo, quo.filtration.hi) == (-10, 0)
+    # R_prime mod its corner is k[[x]]: H(n) = n
+    assert list(hilbert(quo.filtration).values) == list(range(11))
 
 
 def test_layer_outside_window(filt12):
@@ -36,7 +56,7 @@ def test_layer_outside_window(filt12):
 
 def test_quotient_filtration_dims(ring_r, filt12):
     quo = induced_quotient_filtration(ring_r.pres, [ring_r.el("beta")],
-                                      12, base=filt12)
+                                      filt12)
     assert list(quo.filtration.dims().values()) == list(range(1, 14))
     assert quo.closed_degree == 24
 
@@ -45,7 +65,8 @@ def test_quotient_truncation_is_refused():
     ring = make("R_2x2", degcap=8)
     # layer 4 of the standard filtration reaches degree 8 > closed 6
     with pytest.raises(TruncationError):
-        induced_quotient_filtration(ring.pres, [ring.el("beta")], 4)
+        induced_quotient_filtration(ring.pres, [ring.el("beta")],
+                                    standard_filtration(ring.pres, 4))
 
 
 def test_two_sided_closure_of_corner(ring_r):
@@ -78,7 +99,7 @@ def test_weak_adic_dims_match_oracle_freeze(adic10):
 
 def test_weak_adic_hilbert(adic10):
     # H(n) = codim of m^n: 0, 1, then odd numbers
-    assert list(hilbert(adic10, 10).values) == [0, 1] + \
+    assert list(hilbert(adic10).values) == [0, 1] + \
         [2 * n - 1 for n in range(2, 11)]
 
 

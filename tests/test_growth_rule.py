@@ -4,7 +4,7 @@ two_sided_closure, full_span, quotient_iso_check and op_involution_report
 grow their spans by multiplying only each round's new rows (see
 grfilt.filtration).  The reference functions below are the direct loops
 that rule replaces: a frontier closure over raw products, the evaluation
-of every word in both systems, and the shape check on every word.  The
+of every word in both quotients, and the shape check on every word.  The
 tests compare the grown spans with them, exceptions included, and count
 the products the grown comparison makes.
 """
@@ -15,10 +15,11 @@ import pytest
 
 from grfilt.fields import QQ, PrimeField
 from grfilt.linalg import joint_row, row_echelon
-from grfilt.linspace import DegreeOverflowError, span
+from grfilt.linspace import (DegreeOverflowError, QuotientContext, span,
+                             zero_space)
 from grfilt.filtration import (full_span, standard_filtration,
                                two_sided_closure, WindowExceeded)
-from grfilt.workbench import (CATALOG, IsoReport, MulSystem, make,
+from grfilt.workbench import (CATALOG, IsoReport, make,
                               op_involution_report, op_transpose,
                               quotient_iso_check, staircase_quotient_context)
 
@@ -54,18 +55,19 @@ def closure_reference(pres, seeds):
     return cur, closed_degree
 
 
-def iso_reference(sys_a, sys_b, pairs, max_len):
+def iso_reference(ctx_a, ctx_b, pairs, max_len):
     """The word-span comparison by evaluating every word of length <=
-    max_len in both systems."""
+    max_len in both quotients."""
     if max_len < 1:
         raise WindowExceeded("words span only the unit")
-    amb_a, amb_b = sys_a.ambient, sys_b.ambient
+    amb_a, amb_b = ctx_a.ambient, ctx_b.ambient
     pairs = [(amb_a.encode_sparse(ga), amb_b.encode_sparse(gb))
              for ga, gb in pairs]
-    level = [(sys_a.one, sys_b.one)]
+    level = [(ctx_a.ideal.residual(amb_a.encode_sparse(amb_a.one())),
+              ctx_b.ideal.residual(amb_b.encode_sparse(amb_b.one())))]
     words = list(level)
     for _ in range(max_len):
-        level = [(sys_a.mul(a, ga), sys_b.mul(b, gb))
+        level = [(ctx_a.mul(a, ga), ctx_b.mul(b, gb))
                  for (a, b) in level for (ga, gb) in pairs]
         words.extend(level)
     p = amb_a.field.p
@@ -121,9 +123,9 @@ def test_ideal_closure_matches_the_frontier_loop(name, fld):
                 == closure_reference(ring.pres, seeds))
 
 
-def _staircase_systems(cap, fld):
-    pres, ctx, _, _ = staircase_quotient_context(make("T", field=fld),
-                                                 degcap=cap, fld=fld)
+def _staircase_quotients(cap, fld):
+    pres, ctx, _ = staircase_quotient_context(make("T", field=fld),
+                                              degcap=cap)
     r = make("R_2x2", degcap=cap, field=fld)
     right = [(pres.gen("alpha"), r.el("alpha")),
              (pres.gen("e12"), r.el("beta"))]
@@ -134,7 +136,7 @@ def _staircase_systems(cap, fld):
                   (pres.gen("e12"), r.el("alpha"))],
                  [(pres.gen("alpha"), r.el("alpha")),
                   (pres.gen("alpha"), r.el("beta"))]]
-    return (MulSystem.quotient(ctx), MulSystem.plain(r.ambient),
+    return (ctx, QuotientContext(r.ambient, zero_space(r.ambient)),
             right, swapped, collapsed)
 
 
@@ -144,15 +146,15 @@ def _staircase_systems(cap, fld):
 def test_quotient_comparison_matches_every_word(fld, caps):
     seen = set()
     for cap in caps:
-        sys_a, sys_b, right, swapped, collapsed = _staircase_systems(cap,
-                                                                     fld)
+        ctx_a, ctx_b, right, swapped, collapsed = _staircase_quotients(
+            cap, fld)
         # the collapsed pairings stop at length 6, as their reference is slow
         for pairs, lens in ((right, 12), (swapped, 12), (collapsed[0], 7),
                             (collapsed[1], 7)):
             for max_len in range(lens):
-                got = outcome(quotient_iso_check, sys_a, sys_b, pairs,
+                got = outcome(quotient_iso_check, ctx_a, ctx_b, pairs,
                               max_len)
-                assert got == outcome(iso_reference, sys_a, sys_b, pairs,
+                assert got == outcome(iso_reference, ctx_a, ctx_b, pairs,
                                       max_len), (cap, max_len)
                 seen.add(got if isinstance(got, type) else
                          (got.consistent, (got.dim_a > got.dim_b)
@@ -184,16 +186,16 @@ def test_full_span_is_the_stable_standard_layer(name):
 
 
 def test_quotient_comparison_multiplies_only_new_rows():
-    sys_a, sys_b, right, _, _ = _staircase_systems(28, QQ)
+    ctx_a, ctx_b, right, _, _ = _staircase_quotients(28, QQ)
     calls = {}
-    for key, system in (("a", sys_a), ("b", sys_b)):
+    for key, ctx in (("a", ctx_a), ("b", ctx_b)):
         calls[key] = 0
 
-        def counted(x, y, key=key, mul=system.mul):
+        def counted(x, y, key=key, mul=ctx.mul):
             calls[key] += 1
             return mul(x, y)
-        system.mul = counted
-    rep = quotient_iso_check(sys_a, sys_b, right, max_len=9)
+        ctx.mul = counted
+    rep = quotient_iso_check(ctx_a, ctx_b, right, max_len=9)
     assert rep.consistent and rep.dim_joint == 27
-    # all words would take 2 + 4 + ... + 2^9 = 1022 products per system
+    # all words would take 2 + 4 + ... + 2^9 = 1022 products per quotient
     assert 0 < calls["a"] == calls["b"] <= len(right) * rep.dim_joint

@@ -14,12 +14,14 @@ written to run standalone as well as under pytest collection.
 
 import copy
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from grfilt.workbench import make
 from grfilt.linspace import span
 from grfilt.filtration import (Filtration, standard_filtration, hilbert,
-                               two_sided_closure, equivalence_offset)
+                               two_sided_closure, equivalence_offset,
+                               WindowExceeded)
 from grfilt.graded import GradedTrunc
 from grfilt.bimodule import ModuleAction, free_rank, verify_rank_certificate
 from grfilt.certifier import growth_obstruction, verify_certificate
@@ -30,7 +32,7 @@ AMB = RING.ambient
 FLD = AMB.field
 FILT = standard_filtration(RING.pres, 12)
 GR = GradedTrunc(FILT)
-HVALS = list(hilbert(FILT, 12).values)
+HVALS = list(hilbert(FILT).values)
 CORNER, _ = two_sided_closure(RING.pres, [RING.el("beta")])
 
 # pool of carrier seeds and actors for the random-action family; degrees
@@ -105,8 +107,8 @@ def test_hilbert_transport_along_offsets(q, r, m, data):
     assert ab.equivalent and ac.equivalent
     assert ab.a_in_b == q and ab.b_in_a == 0
     assert ac.a_in_b == q + r and ac.offset == q + r
-    hb = list(hilbert(fb, 12).values)
-    hc = list(hilbert(fc, 12).values)
+    hb = list(hilbert(fb).values)
+    hc = list(hilbert(fc).values)
     for vals in (hb, hc):
         assert all(a <= b for a, b in zip(vals, vals[1:]))
     for n in range(13 - q - r):
@@ -154,6 +156,11 @@ def test_random_action_reports_reverify(seed_idx, actor_idx, side, depth):
                           ACTOR_POOL[actor_idx], side)
     rep = free_rank(action, depth)
     assert rep.verdict in ("free", "not free", "inconclusive")
+    if rep.verdict == "inconclusive":
+        # it claims nothing, so the verifier refuses it
+        with pytest.raises(WindowExceeded):
+            verify_rank_certificate(action, rep)
+        return
     if rep.verdict == "free":
         assert rep.rank == len(rep.generator_degrees)
     assert verify_rank_certificate(action, rep)

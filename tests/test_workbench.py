@@ -2,11 +2,12 @@
 
 import pytest
 
-from grfilt.fields import QQ
+from grfilt.fields import QQ, PrimeField
+from grfilt.linspace import QuotientContext, zero_space
 from grfilt.workbench import (make, CATALOG, diagonal_embed, op_transpose,
                               op_involution_report, y_kill,
                               collapse_to_one_variable,
-                              right_ideal_escape_witness, MulSystem,
+                              right_ideal_escape_witness,
                               quotient_iso_check, staircase_mod_y,
                               staircase_quotient_context)
 from grfilt.poly import Poly
@@ -83,17 +84,17 @@ def test_y_kill_then_collapse():
 
 
 def test_staircase_mod_y_presents_three_nilpotents():
-    pres = staircase_mod_y(make("T"), degcap=8, fld=QQ)
+    pres = staircase_mod_y(make("T"), degcap=8)
     assert {nm for nm, _ in pres.gens} == {"alpha", "e12", "e13", "e23"}
     assert pres.ambient.arity == 1 and pres.ambient.n == 3
 
 
 def test_quotient_iso_holds_on_word_span():
     ring_t = make("T")
-    pres, ctx, ideal, closed = staircase_quotient_context(ring_t, degcap=12)
+    pres, ctx, closed = staircase_quotient_context(ring_t, degcap=12)
     r = make("R_2x2", degcap=12)
     rep = quotient_iso_check(
-        MulSystem.quotient(ctx), MulSystem.plain(r.ambient),
+        ctx, QuotientContext(r.ambient, zero_space(r.ambient)),
         [(pres.gen("alpha"), r.el("alpha")), (pres.gen("e12"), r.el("beta"))],
         max_len=4)
     assert rep.consistent
@@ -102,10 +103,24 @@ def test_quotient_iso_holds_on_word_span():
 
 def test_quotient_iso_detects_wrong_pairing():
     ring_t = make("T")
-    pres, ctx, ideal, closed = staircase_quotient_context(ring_t, degcap=12)
+    pres, ctx, closed = staircase_quotient_context(ring_t, degcap=12)
     r = make("R_2x2", degcap=12)
     rep = quotient_iso_check(
-        MulSystem.quotient(ctx), MulSystem.plain(r.ambient),
+        ctx, QuotientContext(r.ambient, zero_space(r.ambient)),
         [(pres.gen("alpha"), r.el("beta")), (pres.gen("e12"), r.el("alpha"))],
         max_len=3)
     assert not rep.consistent
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=str)
+def test_staircase_quotient_reads_the_field_of_its_ring(fld):
+    pres, ctx, closed = staircase_quotient_context(make("T", field=fld),
+                                                   degcap=12)
+    assert pres.ambient.field == ctx.ambient.field == fld
+    assert closed == 10
+    r = make("R_2x2", degcap=12, field=fld)
+    rep = quotient_iso_check(
+        ctx, QuotientContext(r.ambient, zero_space(r.ambient)),
+        [(pres.gen("alpha"), r.el("alpha")), (pres.gen("e12"), r.el("beta"))],
+        max_len=4)
+    assert rep.consistent
