@@ -4,7 +4,13 @@ for subalgebras of matrix rings over polynomial rings.
 Everything runs over an exact field (rationals or a prime field) inside a
 fixed degree window; results that depend on the window say so in their
 verdicts instead of extrapolating.
+
+The core modules load with the package; graded, bimodule, certifier and
+dualizing are compiled and run only when first touched.
 """
+
+import importlib.util
+import sys
 
 from .fields import QQ, PrimeField, field_from_name
 from .poly import Poly
@@ -16,12 +22,36 @@ from .filtration import (Filtration, HilbertTable, hilbert,
                          standard_filtration, weak_adic_filtration,
                          two_sided_closure, induced_quotient_filtration,
                          equivalence_offset, TruncationError, WindowExceeded)
-from .graded import GradedTrunc, ideal_chain_witness, verify_chain_report
-from .bimodule import (ModuleAction, BimoduleSpec, free_rank, goldie_rank,
-                       slope_table, bimodule_ranks)
-from .certifier import (assemble_growth_dossier, verify_certificate,
-                        GrowthCertificate)
-from .dualizing import verify_dualizing, DualizingReport
+
+_ON_DEMAND = {
+    "graded": ("GradedTrunc", "ideal_chain_witness", "verify_chain_report"),
+    "bimodule": ("ModuleAction", "BimoduleSpec", "free_rank", "goldie_rank",
+                 "slope_table", "bimodule_ranks"),
+    "certifier": ("assemble_growth_dossier", "verify_certificate",
+                  "GrowthCertificate"),
+    "dualizing": ("verify_dualizing", "DualizingReport"),
+}
+
+
+def _register(name):
+    """Put grfilt.<name> in sys.modules; its body runs when first used."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+graded, bimodule, certifier, dualizing = map(_register, _ON_DEMAND)
+
+
+def __getattr__(name):
+    for modname, names in _ON_DEMAND.items():
+        if name in names:
+            return getattr(globals()[modname], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
@@ -35,9 +65,5 @@ __all__ = [
     "standard_filtration", "weak_adic_filtration",
     "two_sided_closure", "induced_quotient_filtration",
     "equivalence_offset", "TruncationError", "WindowExceeded",
-    "GradedTrunc", "ideal_chain_witness", "verify_chain_report",
-    "ModuleAction", "BimoduleSpec", "free_rank", "goldie_rank",
-    "slope_table", "bimodule_ranks",
-    "assemble_growth_dossier", "verify_certificate", "GrowthCertificate",
-    "verify_dualizing", "DualizingReport",
+    *(n for names in _ON_DEMAND.values() for n in names),
 ]

@@ -17,7 +17,7 @@ as the rank itself.
 from functools import cached_property
 
 from .linalg import SpanTracker, combine_rows
-from .linspace import (restrict_degree, intersect, sum_spaces, zero_space,
+from .linspace import (restrict_degree, sum_spaces, zero_space,
                        DegreeOverflowError)
 from .filtration import WindowExceeded
 from .record import Record
@@ -334,14 +334,17 @@ def verify_goldie_certificate(action, report):
             m.degree() <= report.depth and action.carrier.member(m)
             for m in report.family):
         return False
+    # an orbit span meets total trivially exactly when the sum is direct
     total = zero_space(amb)
     for m in report.family:
         sb = _span_of(amb, action.power_orbit(amb.encode_sparse(m)))
-        if intersect(total, sb).dim != 0:
+        grown = sum_spaces(total, sb)
+        if grown.dim != total.dim + sb.dim:
             return False
-        total = sum_spaces(total, sb)
+        total = grown
     for b in _scan_basis(action, report.depth):
-        if intersect(total, _span_of(amb, action.power_orbit(b))).dim == 0:
+        sb = _span_of(amb, action.power_orbit(b))
+        if sum_spaces(total, sb).dim == total.dim + sb.dim:
             return False
     return True
 

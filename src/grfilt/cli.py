@@ -10,6 +10,11 @@ Exit codes: 0 the requested check verified (or the table was produced),
 was too small to decide, 3 usage error.  Code 2 comes from one place: a
 handler raised grfilt.Inconclusive (WindowExceeded, TruncationError,
 DegreeOverflowError).  No error text is inspected.
+
+Handlers look up graded, bimodule, certifier and dualizing names when
+called, so a job compiles only the on-demand modules its subcommand runs:
+hilbert and quotient-iso none, gr and chain graded, ranks bimodule,
+dualize dualizing and bimodule, certify all but dualizing.
 """
 
 import argparse
@@ -22,12 +27,7 @@ from .workbench import (make, CATALOG, staircase_quotient_context,
                         quotient_iso_check)
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
                          induced_quotient_filtration, two_sided_closure)
-from .graded import GradedTrunc, ideal_chain_witness, verify_chain_report
-from .bimodule import (BimoduleSpec, goldie_rank, bimodule_ranks,
-                       verify_rank_certificate, verify_goldie_certificate)
-from .certifier import (assemble_growth_dossier, verify_certificate,
-                        GrowthCertificate)
-from .dualizing import verify_dualizing
+from . import graded, bimodule, certifier, dualizing
 
 EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
 
@@ -117,7 +117,7 @@ def cmd_gr(args):
     fld = _field(args)
     ring = _sized_ring(args, fld)
     filt = _base_filtration(ring, args.kind, args.depth)
-    gr = GradedTrunc(filt)
+    gr = graded.GradedTrunc(filt)
     classes = gr.generator_classes(ring.pres)
     lines = [f"associated graded of {ring.name} ({args.kind}), "
              f"window {gr.degrees[0]}..{gr.degrees[-1]}",
@@ -134,9 +134,9 @@ def cmd_ranks(args):
     fld = _field(args)
     ring = make("R_2x2", degcap=2 * args.depth + 2, field=fld)
     carrier, closed = two_sided_closure(ring.pres, [ring.el("beta")])
-    spec = BimoduleSpec("corner-ideal", ring.ambient, carrier,
-                        ring.el("alpha"), ring.el("alpha"))
-    both = bimodule_ranks(spec, args.depth)
+    spec = bimodule.BimoduleSpec("corner-ideal", ring.ambient, carrier,
+                                 ring.el("alpha"), ring.el("alpha"))
+    both = bimodule.bimodule_ranks(spec, args.depth)
     lines = [f"corner ideal of R_2x2 over {fld.name}, depth {args.depth} "
              f"(ideal exact through degree {closed})"]
     payload = {"ring": "R_2x2", "field": fld.name, "depth": args.depth,
@@ -145,7 +145,7 @@ def cmd_ranks(args):
     for side in ("left", "right"):
         rep = both[side]
         action = spec.action(side)
-        gold = goldie_rank(action, args.depth)
+        gold = bimodule.goldie_rank(action, args.depth)
         slopes = gold.slope
         lines.append(
             f"{side:>5}: free rank {rep.rank} ({rep.verdict}), generator "
@@ -163,8 +163,8 @@ def cmd_ranks(args):
         # definite verdicts are rechecked; an inconclusive one claims
         # nothing, and its verifier refuses it
         for kind, verify, report in (
-                ("free", verify_rank_certificate, rep),
-                ("uniform", verify_goldie_certificate, gold)):
+                ("free", bimodule.verify_rank_certificate, rep),
+                ("uniform", bimodule.verify_goldie_certificate, gold)):
             if (report.verdict != "inconclusive"
                     and not verify(action, report)):
                 refuted.append(f"{side} {kind}")
@@ -182,7 +182,8 @@ def cmd_ranks(args):
 
 def cmd_certify(args):
     fld = _field(args)
-    dossier = assemble_growth_dossier(args.case, depth=args.depth, field=fld)
+    dossier = certifier.assemble_growth_dossier(args.case, depth=args.depth,
+                                                field=fld)
     payload = dossier.to_json()
     lines = [dossier.verdict]
     if args.case == "two-sided":
@@ -196,7 +197,7 @@ def cmd_certify(args):
                      f"{dossier.checks['both_certified']}")
     else:
         cert = dossier.certificate
-        cert_ok = verify_certificate(cert)
+        cert_ok = certifier.verify_certificate(cert)
         ok = (cert_ok and dossier.offsets["matching"].offset == 0
               and dossier.chain.strictly_ascending
               and dossier.chain_reverified)
@@ -204,7 +205,7 @@ def cmd_certify(args):
                      f"(right)")
         lines.append("hilbert: " + ", ".join(map(str,
                                                  dossier.hilbert.values)))
-        if isinstance(cert, GrowthCertificate):
+        if isinstance(cert, certifier.GrowthCertificate):
             lines.append("obstruction rows (p, first n): " +
                          ", ".join(f"({r['p']}, {r['n']})"
                                    for r in cert.rows))
@@ -230,12 +231,12 @@ def cmd_chain(args):
         ring = make("R_prime", degcap=args.depth + 2, field=fld)
         filt = weak_adic_filtration(ring.pres, args.depth)
         side = args.side or "right"
-    gr = GradedTrunc(filt)
+    gr = graded.GradedTrunc(filt)
     classes = gr.generator_classes(ring.pres)
     words = [["beta"] + ["alpha"] * i if side == "left"
              else ["alpha"] * i + ["beta"] for i in range(args.steps)]
-    report = ideal_chain_witness(gr, classes, words, side=side)
-    reverified = verify_chain_report(gr, classes, report)
+    report = graded.ideal_chain_witness(gr, classes, words, side=side)
+    reverified = graded.verify_chain_report(gr, classes, report)
     ok = report.strictly_ascending and reverified
     lines = [f"{side} ideal chain in gr {ring.name} ({args.kind}), "
              f"{args.steps} steps",
@@ -253,7 +254,7 @@ def cmd_dualize(args):
     fld = _field(args)
     ring = make("R_perturbed" if args.control else "R_2x2",
                 degcap=args.degcap, field=fld)
-    rep = verify_dualizing(ring)
+    rep = dualizing.verify_dualizing(ring)
     lines = [f"dualizing chain for {rep.ring}, degree cap {rep.degcap}"]
     ok = rep.ok
     if args.control:

@@ -2,14 +2,15 @@
 
 import pytest
 
-from grfilt.fields import PrimeField
+from grfilt.fields import QQ, PrimeField
 from grfilt.workbench import make
 from grfilt.filtration import two_sided_closure, WindowExceeded
 from grfilt.bimodule import (ModuleAction, BimoduleSpec, free_rank,
                              verify_rank_certificate, torsion_window,
                              slope_table, goldie_rank,
                              verify_goldie_certificate, bimodule_ranks)
-from grfilt.linspace import span, restrict_degree
+from grfilt.linspace import (span, restrict_degree, intersect, sum_spaces,
+                             zero_space)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +272,50 @@ def test_goldie_kernel_verdict_is_recomputed(corner_spec):
     # is false for an actor with a kernel
     assert not verify_goldie_certificate(regular, kernel)
     assert not verify_goldie_certificate(killed, cert)
+
+
+def goldie_by_intersect(action, report):
+    """The certified-report check as it was: directness and essentiality
+    by one Zassenhaus intersection per family member and scan orbit."""
+    amb = action.ambient
+
+    def orbit_span(row):
+        return zero_space(amb).extend(map(dict, action.power_orbit(row)))
+    total = zero_space(amb)
+    for m in report.family:
+        sb = orbit_span(amb.encode_sparse(m))
+        if intersect(total, sb).dim:
+            return False
+        total = sum_spaces(total, sb)
+    return all(intersect(total, orbit_span(b)).dim
+               for b in action.carrier.basis_rows()
+               if amb.degree(b) <= report.depth)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(101)),
+                         ids=("QQ", "GF(101)"))
+@pytest.mark.parametrize("side", ("left", "right"))
+def test_goldie_verifier_refuses_a_family_not_direct_or_not_essential(
+        side, field):
+    # the verifier tests by the dimension of a sum what the intersections
+    # tested; every forged family is refused by both
+    ring = make("R_2x2", degcap=18, field=field)
+    carrier, _ = two_sided_closure(ring.pres, [ring.el("beta")])
+    act = BimoduleSpec("corner", ring.ambient, carrier, ring.el("alpha"),
+                       ring.el("alpha")).action(side)
+    rep = goldie_rank(act, 8)
+    first = rep.family[0]
+    moved = act.actor * first if side == "left" else first * act.actor
+    families = {"stored": (rep.family, True),
+                "repeated": (rep.family + (first,), False),
+                "inside an orbit": (rep.family + (moved,), False),
+                "one short": (rep.family[:-1], False)}
+    for name, (family, holds) in families.items():
+        forged = rep.replace(rank=len(family), family=family,
+                             family_degrees=tuple(
+                                 m.degree() for m in family))
+        assert verify_goldie_certificate(act, forged) is holds, name
+        assert goldie_by_intersect(act, forged) is holds, name
 
 
 def test_verifiers_refuse_an_inconclusive_report(corner_spec):

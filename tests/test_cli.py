@@ -374,15 +374,15 @@ def test_certify_rank_pair_not_free_is_a_failure(capsys, monkeypatch):
 
 def test_ranks_failure_is_not_masked_by_an_inconclusive_side(
         capsys, monkeypatch):
-    import grfilt.cli
-    real = grfilt.cli.bimodule_ranks
+    import grfilt.bimodule
+    real = grfilt.bimodule.bimodule_ranks
 
     def mixed(spec, depth):
         both = real(spec, depth)
         return {**both,
                 "left": both["left"].replace(verdict="not free"),
                 "right": both["right"].replace(verdict="inconclusive")}
-    monkeypatch.setattr(grfilt.cli, "bimodule_ranks", mixed)
+    monkeypatch.setattr(grfilt.bimodule, "bimodule_ranks", mixed)
     code, out, _ = run(capsys, "ranks", "--depth", "8")
     assert code == 1
     assert "free rank 1 (not free)" in out
@@ -391,8 +391,9 @@ def test_ranks_failure_is_not_masked_by_an_inconclusive_side(
 @pytest.mark.parametrize("forge", ("free", "uniform"))
 def test_ranks_refutes_a_forged_definite_report(capsys, monkeypatch, forge):
     # the definite verdicts are rechecked, so a forged rank fails
-    import grfilt.cli
-    real_ranks, real_goldie = grfilt.cli.bimodule_ranks, grfilt.cli.goldie_rank
+    import grfilt.bimodule
+    real_ranks = grfilt.bimodule.bimodule_ranks
+    real_goldie = grfilt.bimodule.goldie_rank
 
     def forged_ranks(spec, depth):
         both = real_ranks(spec, depth)
@@ -401,9 +402,9 @@ def test_ranks_refutes_a_forged_definite_report(capsys, monkeypatch, forge):
     def forged_goldie(action, depth):
         return real_goldie(action, depth).replace(rank=42)
     if forge == "free":
-        monkeypatch.setattr(grfilt.cli, "bimodule_ranks", forged_ranks)
+        monkeypatch.setattr(grfilt.bimodule, "bimodule_ranks", forged_ranks)
     else:
-        monkeypatch.setattr(grfilt.cli, "goldie_rank", forged_goldie)
+        monkeypatch.setattr(grfilt.bimodule, "goldie_rank", forged_goldie)
     refuted = (["right free"] if forge == "free" else
                ["left uniform", "right uniform"])
     code, out, _ = run(capsys, "ranks", "--depth", "8")

@@ -63,8 +63,13 @@ def test_a_shallow_battery_is_inconclusive_not_a_usage_error(tmp_path):
 
 
 def test_a_failure_outranks_inconclusive(tmp_path, monkeypatch):
-    import grfilt.cli
-    monkeypatch.setattr(grfilt.cli, "verify_chain_report",
+    import grfilt.certifier
+    import grfilt.graded
+    # certifier binds verify_chain_report when its body first runs; it
+    # runs here, before the patch, which is for the chain subcommand alone
+    assert (grfilt.certifier.verify_chain_report
+            is grfilt.graded.verify_chain_report)
+    monkeypatch.setattr(grfilt.graded, "verify_chain_report",
                         lambda gr, classes, report: False)
     assert make_reports.main(["--outdir", str(tmp_path), "--depth", "4"]) == 1
     verdicts = summary(tmp_path)
