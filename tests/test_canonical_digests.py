@@ -2,11 +2,12 @@
 
 Each digest is a sha256 of repr((index, rows, pivots)) over every layer
 (or graded section) in index order, so it fixes the canonical echelon
-bases value for value and type for type, not only their dimensions.
+bases value for value, not only their dimensions.
 rows is the basis as dense tuples in pivot order, rendered here from the
-echelon as the digests were recorded: Fraction reprs over Q, and over
-F_p each value spelled v~p, as F_p elements printed when they were
-objects.  The
+echelon as the digests were recorded: over Q each value as the repr of
+the Fraction it equals, as Q elements printed when every one was a
+Fraction, and over F_p each value spelled v~p, as F_p elements printed
+when they were objects.  The
 standard-filtration and graded digests were recorded with the dense
 Gauss-Jordan elimination that preceded the sparse kernel; the weak-adic,
 word-closure and ideal-closure digests with the layer builders that
@@ -20,6 +21,7 @@ ideal closure ("closure <seed>").
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -84,9 +86,8 @@ def dense_rows(sub):
     fld = sub.ambient.field
     rows = [dense_row(sub.echelon[q], sub.ambient.dim, fld)
             for q in sub.pivots]
-    if fld.p is not None:
-        rows = [[Spelled(fld.text(v)) for v in r] for r in rows]
-    return tuple(map(tuple, rows))
+    spell = fld.text if fld.p else (lambda v: repr(Fraction(v)))
+    return tuple(tuple(Spelled(spell(v)) for v in r) for r in rows)
 
 
 def digest(spaces):
