@@ -1,24 +1,37 @@
 """Coefficient fields: exact rationals (default) and prime fields.
 
-An element of Q is a Fraction; an element of F_p is a plain int in
-[0, p).  A field hands out zero, one and of(n), and carries p, its
-characteristic: None over Q, so code that reduces mod p branches on p
-alone.  text(c) spells an element for payloads and reprs, str(Fraction)
-over Q and "v~p" over F_p; parse(s) reads back exactly the strings
-text writes and raises on any other input.
+An element of Q is a Python rational in lowest form (see lowest): an
+int when integral, else a Fraction with denominator > 1, so integral
+data runs on int arithmetic.  An element of F_p is a plain int in [0,
+p).  A field hands out zero, one and of(n), which refuses a float, and
+carries p, its characteristic: None over Q, so code that reduces mod p
+branches on p alone.  text(c) spells an element for payloads and reprs,
+str(c) over Q and "v~p" over F_p; parse(s) reads back exactly the
+strings text writes and raises on any other input.
 """
 
 from fractions import Fraction
 
 
+def lowest(x):
+    """The int or Fraction x in lowest form: an int when integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _exact(n):
+    if isinstance(n, float):
+        raise TypeError(f"{n!r} is a float, not an exact scalar")
+    return n
+
+
 class RationalField:
     name = "Q"
     p = None
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, n):
-        return Fraction(n)
+        return lowest(Fraction(_exact(n)))
 
     def text(self, c):
         return str(c)
@@ -27,7 +40,7 @@ class RationalField:
         c = Fraction(s)
         if str(c) != s:
             raise ValueError(f"{s!r} is not the text of an element of Q")
-        return c
+        return lowest(c)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -87,7 +100,7 @@ class PrimeField:
         self.one = 1
 
     def of(self, n):
-        return n % self.p
+        return _exact(n) % self.p
 
     def text(self, c):
         return f"{c}~{self.p}"

@@ -6,9 +6,9 @@ echelon of the layer below, and read the remainder's entries at the
 pivots of that layer's echelon complement.  Two elements of the same
 coset always produce identical coordinates, so piece arithmetic is exact.
 The coordinates are a kernel row {i: c}, and GrElement.coords holds the
-same row frozen as its (i, c) pairs sorted by i, every c nonzero
-(Fractions over Q, ints in [0, p) over F_p); equal cosets have equal
-GrElements, and dict(el.coords) is the row again.
+same row frozen as its (i, c) pairs sorted by i, every c nonzero (ints
+or Fractions in lowest form over Q, ints in [0, p) over F_p); equal
+cosets have equal GrElements, and dict(el.coords) is the row again.
 
 Products of pieces land in the piece at the summed degree.  Asking for a
 product outside the window raises WindowExceeded rather than truncating,

@@ -2,12 +2,12 @@
 
 A row is a kernel row: a dict {column: value} holding only its nonzero
 entries.  The values are the field's own elements (grfilt.fields): ints
-in [0, p) over F_p, Fractions over Q; the functions here take field.p,
-None over Q, to say which.  Kernel rows are the one row format between
-grfilt's modules.  One step, _axpy (row -= c * other row, touching only
-the other row's nonzeros), does all the elimination, and one engine
-built on it, insert_row with reduce_row, grows a canonical echelon
-{pivot column: row} by one row.
+in [0, p) over F_p, lowest-form ints or Fractions over Q; the functions
+here take field.p, None over Q, to say which.  Kernel rows are the one
+row format between grfilt's modules.  One step, _axpy (row -= c * other
+row, touching only the other row's nonzeros, and keeping the form), does
+all the elimination, and one engine built on it, insert_row with
+reduce_row, grows a canonical echelon {pivot column: row} by one row.
 row_echelon inserts rows into an empty echelon; combine_rows forms the
 combination sum c * rows[i] of a coefficient row {i: c}.  SpanTracker is
 the same echelon with one more column per tag: the row added under a tag
@@ -30,7 +30,9 @@ reduce_by_rref and coords_in_rref query them, and kernel_rows,
 kernel_combos and nullspace are dense faces of joint_kernel.
 """
 
-from .fields import QQ
+from fractions import Fraction
+
+from .fields import lowest
 
 
 def sparse_row(row, field):
@@ -60,7 +62,7 @@ def _axpy(vec, c, row, p):
         for j, b in row.items():
             s = get(j, 0) - c * b
             if s:
-                vec[j] = s
+                vec[j] = s if s.__class__ is int else lowest(s)
             else:
                 del vec[j]
     else:
@@ -74,10 +76,12 @@ def _axpy(vec, c, row, p):
 
 def _normalize(vec, c, p):
     """vec scaled by 1/c (c nonzero), as a new dict."""
-    inv = pow(c, -1, p) if p else QQ.one / c
-    if p is None:
-        return {j: v * inv for j, v in vec.items()}
-    return {j: v * inv % p for j, v in vec.items()}
+    if p:
+        inv = pow(c, -1, p)
+        return {j: v * inv % p for j, v in vec.items()}
+    if c == -1:
+        return {j: -v for j, v in vec.items()}
+    return {j: lowest(Fraction(v, c)) for j, v in vec.items()}
 
 
 def combine_rows(coeffs, rows, p):

@@ -1,10 +1,11 @@
 """Sparse exact polynomials and square polynomial matrices.
 
 A Poly is a sparse map from exponent vectors (length = arity, 1 or 2) to
-nonzero coefficients in its field: Fractions over Q, ints in [0, p) over
-F_p (see grfilt.fields).  The constructor reduces every coefficient mod
-p and drops the zero ones, so the operators below only add and multiply
-and leave that to it.  A PolyMatrix is an n x n grid of Polys of equal
+nonzero coefficients in its field: rationals in lowest form over Q, ints
+in [0, p) over F_p (see grfilt.fields).  The constructor reduces every
+coefficient mod p, or to lowest form, refuses a float and drops the
+zero ones, so the operators below only add and multiply and leave that
+to it.  A PolyMatrix is an n x n grid of Polys of equal
 arity and field.  Both are immutable value objects: every operation
 returns a fresh instance and never mutates inputs, so they can be
 hashed, cached, and shared freely.  Arithmetic across two fields raises
@@ -26,7 +27,9 @@ class Poly:
                     raise ValueError(f"exponent {e} has wrong arity")
                 if any(k < 0 for k in e):
                     raise ValueError(f"negative exponent in {e}")
-                if p is not None:
+                if c.__class__ is not int:
+                    c = field.of(c)
+                elif p is not None:
                     c %= p
                 if c:
                     clean[tuple(e)] = c

@@ -2,7 +2,8 @@
 
 Each digest is a sha256 of repr((index, rows, pivots)) over every layer
 (or graded section) in index order, so it fixes the canonical echelon
-bases value for value, not only their dimensions.
+bases value for value, not only their dimensions; each value's form
+(see tests/test_scalars.py) is pinned beside the digest.
 rows is the basis as dense tuples in pivot order, rendered here from the
 echelon as the digests were recorded: over Q each value as the repr of
 the Fraction it equals, as Q elements printed when every one was a
@@ -31,6 +32,7 @@ from grfilt.filtration import (full_span, standard_filtration,
 from grfilt.graded import GradedTrunc
 from grfilt.linalg import dense_row
 from grfilt.workbench import make
+from test_scalars import in_canonical_form
 
 DIGESTS = {
     ("Q", "R_2x2", 12):
@@ -118,4 +120,9 @@ def spaces_of(what, n, fld):
     map(str, k)))
 def test_canonical_bases_are_pinned(key):
     field, what, n = key
-    assert digest(spaces_of(what, n, field_from_name(field))) == DIGESTS[key]
+    fld = field_from_name(field)
+    spaces = spaces_of(what, n, fld)
+    assert digest(spaces) == DIGESTS[key]
+    # the digest spells 3 and Fraction(3) alike, so the form is pinned here
+    assert all(in_canonical_form(fld, v) for sub in spaces.values()
+               for row in sub.echelon.values() for v in row.values())

@@ -1,9 +1,13 @@
-"""One scalar currency: F_p values are ints in [0, p) everywhere.
+"""One scalar currency: F_p values are ints in [0, p) everywhere, and Q
+values are Python rationals in lowest form, an int when integral and
+otherwise a Fraction with denominator > 1.
 
 Poly terms, kernel rows from encode_sparse, Ambient.mul and insert_row,
 and dense rows from rref and dense_row all hold plain ints reduced mod p
-over F_p.  Arithmetic never mixes two fields, and each field's text
-encoder and parser are inverse to each other.
+over F_p; over Q the same values, joint_kernel echelons and
+SpanTracker.express results are in lowest form.  No field takes a float.
+Arithmetic never mixes two fields, and each field's text encoder and
+parser are inverse to each other.
 """
 
 from fractions import Fraction
@@ -12,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grfilt.fields import QQ, PrimeField
-from grfilt.linalg import dense_row, insert_row, rref
+from grfilt.linalg import (SpanTracker, dense_row, insert_row,
+                           joint_kernel, rref)
 from grfilt.linspace import Ambient
 from grfilt.poly import Poly, PolyMatrix
 
@@ -24,6 +29,19 @@ common = settings(max_examples=80, deadline=None)
 def assert_reduced(values, p):
     for v in values:
         assert type(v) is int and 0 <= v < p
+
+
+def in_canonical_form(fld, x):
+    """An int in [0, p) over F_p; over Q an int when integral, else a
+    Fraction with denominator > 1.  Never a float or a bool."""
+    if fld.p:
+        return type(x) is int and 0 <= x < fld.p
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def assert_lowest(values):
+    for v in values:
+        assert v and in_canonical_form(QQ, v), repr(v)
 
 
 @st.composite
@@ -101,6 +119,70 @@ def test_kernel_and_dense_rows_hold_reduced_ints(case):
         assert amb.decode_sparse(amb.encode_sparse(m)) == m
 
 
+# drawn through QQ.of: integers, non-unit pivots such as 2, -3 and 2/3,
+# and halves, whose sums and doubles cancel to integers
+rationals = st.builds(lambda n, d: QQ.of(Fraction(n, d)),
+                      st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def q_polys(draw, max_degree=3):
+    coeffs = draw(st.dictionaries(st.integers(0, max_degree), rationals,
+                                  max_size=4))
+    return Poly(QQ, 1, {(e,): c for e, c in coeffs.items()})
+
+
+@common
+@given(q_polys(), q_polys(), rationals)
+def test_rational_poly_terms_are_in_lowest_form(f, g, c):
+    scaled = Poly(QQ, 1, {e: c * v for e, v in f.terms.items()})
+    for h in (f, g, f + g, f - g, f + f, -f, f * g, scaled, f.dilate(2),
+              (f * g).truncate(3)):
+        assert_lowest(h.terms.values())
+    half = Fraction(1, 2)
+    assert Poly(QQ, 1, {(0,): half + half, (1,): half}).terms == {
+        (0,): 1, (1,): half}
+
+
+@common
+@given(st.lists(st.lists(q_polys(), min_size=4, max_size=4), min_size=1,
+                max_size=4))
+def test_rational_rows_and_echelons_are_in_lowest_form(entries):
+    amb = Ambient(2, 1, 6, QQ)
+    mats = [PolyMatrix([e[:2], e[2:]]) for e in entries]
+    rows = [amb.encode_sparse(m) for m in mats]
+    for row in rows:
+        assert_lowest(row.values())
+    for a in rows:
+        for b in rows:
+            assert_lowest(amb.mul(a, b).values())
+    echelon = {}
+    tracker = SpanTracker(QQ, amb.dim)
+    for i, row in enumerate(rows):
+        insert_row(echelon, dict(row), None)
+        tracker.add(row, i)
+        for held in echelon.values():
+            assert_lowest(held.values())
+    for row in rows:
+        combo = tracker.express(row)
+        assert combo is not None
+        assert_lowest(combo.values())
+    products = [amb.mul(a, b) for a in rows for b in rows]
+    for held in joint_kernel(zip(products, products[::-1]), amb.dim, None):
+        assert_lowest(held.values())
+    for m in mats:
+        assert amb.decode_sparse(amb.encode_sparse(m)) == m
+
+
+@pytest.mark.parametrize("fld", [QQ, F7], ids=["Q", "Fp:7"])
+def test_no_field_takes_a_float(fld):
+    for bad in (0.1, 2.5, 3.0):
+        with pytest.raises(TypeError):
+            fld.of(bad)
+        with pytest.raises(TypeError):
+            Poly(fld, 1, {(1,): bad})
+
+
 @pytest.mark.parametrize("other", [QQ, F101], ids=["Q", "Fp:101"])
 def test_arithmetic_across_fields_raises(other):
     f = Poly.variable(F7, 1, 0)
@@ -126,6 +208,8 @@ def test_an_ambient_refuses_a_matrix_over_another_field():
 @given(st.fractions())
 def test_rational_text_round_trips(c):
     assert QQ.parse(QQ.text(c)) == c
+    assert in_canonical_form(QQ, QQ.parse(QQ.text(c)))
+    assert in_canonical_form(QQ, QQ.of(c))
 
 
 @common
@@ -152,3 +236,12 @@ def test_prime_field_hands_out_ints():
     assert all(type(v) is int for v in (F101.zero, F101.one, F101.of(7)))
     assert (QQ.p, F101.p) == (None, 101)
     assert QQ.of(3) == Fraction(3)
+
+
+def test_rational_field_hands_out_ints_when_integral():
+    assert (QQ.zero, QQ.one, QQ.of(Fraction(6, 3)), QQ.parse("-4")) == (
+        0, 1, 2, -4)
+    assert all(type(v) is int for v in (
+        QQ.zero, QQ.one, QQ.of(Fraction(6, 3)), QQ.of(True), QQ.of("4/2"),
+        QQ.parse("-4")))
+    assert QQ.of("2/4") == Fraction(1, 2)
