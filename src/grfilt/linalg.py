@@ -81,7 +81,8 @@ def _normalize(vec, c, p):
         return {j: v * inv % p for j, v in vec.items()}
     if c == -1:
         return {j: -v for j, v in vec.items()}
-    return {j: lowest(Fraction(v, c)) for j, v in vec.items()}
+    inv = Fraction(1, c)
+    return {j: lowest(v * inv) for j, v in vec.items()}
 
 
 def combine_rows(coeffs, rows, p):

@@ -5,11 +5,10 @@ nonzero coefficients in its field: rationals in lowest form over Q, ints
 in [0, p) over F_p (see grfilt.fields).  The constructor reduces every
 coefficient mod p, or to lowest form, refuses a float and drops the
 zero ones, so the operators below only add and multiply and leave that
-to it.  A PolyMatrix is an n x n grid of Polys of equal
-arity and field.  Both are immutable value objects: every operation
-returns a fresh instance and never mutates inputs, so they can be
-hashed, cached, and shared freely.  Arithmetic across two fields raises
-TypeError.
+to it.  A PolyMatrix is an n x n grid of Polys of equal arity and
+field.  Both are immutable value objects: every operation returns a
+fresh instance and never mutates inputs, so they can be hashed, cached,
+and shared freely.  Arithmetic across two fields raises TypeError.
 """
 
 

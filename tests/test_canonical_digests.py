@@ -8,13 +8,12 @@ rows is the basis as dense tuples in pivot order, rendered here from the
 echelon as the digests were recorded: over Q each value as the repr of
 the Fraction it equals, as Q elements printed when every one was a
 Fraction, and over F_p each value spelled v~p, as F_p elements printed
-when they were objects.  The
-standard-filtration and graded digests were recorded with the dense
-Gauss-Jordan elimination that preceded the sparse kernel; the weak-adic,
-word-closure and ideal-closure digests with the layer builders that
-re-eliminated every earlier row at each step.  A change to the echelon
-code or to the layer builders that moves any of them changes Subspace
-equality, hashes and JSON payloads.
+when they were objects.  The standard-filtration and graded digests
+were recorded with the dense Gauss-Jordan elimination that preceded the
+sparse kernel; the weak-adic, word-closure and ideal-closure digests
+with the layer builders that re-eliminated every earlier row at each
+step.  A change to the echelon code or to the layer builders that moves
+any of them changes Subspace equality, hashes and JSON payloads.
 
 A key is (field, what, n): n is the depth of a filtration or graded
 truncation, and the degree cap of a word closure ("full_span") or of an
