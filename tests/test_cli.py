@@ -4,7 +4,9 @@ Everything runs in-process through main(argv): 0 verified, 1 failed,
 2 window too small to decide, 3 usage.
 """
 
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -413,3 +415,38 @@ def test_ranks_refutes_a_forged_definite_report(capsys, monkeypatch, forge):
                                     + ", ".join(refuted))
     code, out, _ = run(capsys, "--format", "json", "ranks", "--depth", "8")
     assert code == 1 and json.loads(out)["refuted"] == refuted
+
+
+# sha256 of (stdout, stderr) and the exit code of each help and usage run,
+# recorded on Python 3.11 at 80 columns: the parser may be restructured,
+# but what a user sees of it may not change
+_E = hashlib.sha256(b"").hexdigest()
+FRONT_END = {
+    "--help": (0, "5cdedb536b396554fcd19e8971bfd8301838f9b163053896248e0b3c6431d909", _E),
+    "hilbert --help": (0, "ec4c72ef55f5c7093eaa20d2ae106acae6eb82dd24d32d0ab59d24035af3f3a6", _E),
+    "gr --help": (0, "7ce66f99f5d69c6a26844edc07bf528fee78b7379eee58d6f934d6997e491442", _E),
+    "ranks --help": (0, "27a6d037e126460881be9cfa519a1da2446715fe7363716c829b8835315c308d", _E),
+    "certify --help": (0, "f14f64bbde7d081e9b3a982f1c1568ee40c6679c7055c74d1ce9f390df42c945", _E),
+    "chain --help": (0, "0586a6c4542ebefb1de5ae6fd0748f4548cd91e41da0582721fb1cdabd3a6e83", _E),
+    "dualize --help": (0, "00fabceef4dd2fd9a3b551509d25be81c0dd04ddeb67d5ccffcf25f8cd753e9f", _E),
+    "quotient-iso --help": (0, "5f1d400085faba38fc58dcc2191e7ab846f3c0e07df2d417c722b24f0d7213ba", _E),
+    "": (3, _E, "c08f007cca31613edfda5b65eb1db0db8b349732b42a53b3e15c6dff333bee68"),
+    "bogus": (3, _E, "59ab5704a3eff8494f9bea08173b513d7e5f3929e286b3b6a921bdb8d3f684c6"),
+    "hilbert --depth -1": (3, _E, "377b11e2e009f2a47287adac97f7955990ef20e8757c0169d64aabcdd755d14a"),
+    "hilbert --ring X": (3, _E, "f9c1fc2341ba19d3d070c4effb2ded50ba1169dd631a455bffff1b406f1279db"),
+    "--format xml gr": (3, _E, "f5bdedb685c0050d5ec5e5cda7030e2242fe3e28a51c6bf962ca478c323b1bd0"),
+    "gr --bogus": (3, _E, "9f34ca5ddc54edda0fa4da2f07200c1bf0118665fb5c996e0038a0b88314c69e"),
+    "chain --side up": (3, _E, "6fa7272b2eb85979eeeda2663070552a39e17409d4cc543877a0f31d00aebe86"),
+    "hilbert --depth 2 --format json --field Fp:7": (0, "a8316f5e4fcb5838c9ce9c179c7bf0da390b73d3c8828af477b792b0aa74f0af", _E),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help and error text differs between "
+                           "Python versions; the digests are from 3.11")
+@pytest.mark.parametrize("argv", FRONT_END)
+def test_front_end_output_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest()) == FRONT_END[argv]
