@@ -19,8 +19,9 @@ from functools import cached_property
 from .linalg import SpanTracker, combine_rows
 from .linspace import (restrict_degree, sum_spaces, zero_space,
                        DegreeOverflowError)
-from .filtration import WindowExceeded
+from .filtration import WindowExceeded, two_sided_closure
 from .record import Record
+from .workbench import make_for_depth
 
 
 class ModuleAction(Record):
@@ -362,6 +363,18 @@ class BimoduleSpec(Record):
         actor = self.left_actor if side == "left" else self.right_actor
         return ModuleAction(f"{self.name}:{side}", self.ambient,
                             self.carrier, actor, side)
+
+
+def corner_ideal(name, depth, field):
+    """The corner ideal of R_2x2, the two-sided ideal beta generates, as
+    a bimodule with alpha acting on both sides, on the window that holds
+    depth-n layers.  Returns the ring, the spec and the degree through
+    which the ideal is exact."""
+    ring = make_for_depth("R_2x2", depth, field=field)
+    carrier, closed = two_sided_closure(ring.pres, [ring.el("beta")])
+    alpha = ring.el("alpha")
+    return ring, BimoduleSpec(name, ring.ambient, carrier, alpha,
+                              alpha), closed
 
 
 def bimodule_ranks(spec, depth):

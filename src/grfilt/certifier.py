@@ -25,12 +25,11 @@ WindowExceeded (an Inconclusive) rather than returning a dossier.
 
 from .fields import QQ
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
-                         induced_quotient_filtration, two_sided_closure,
-                         induced_good_filtration,
+                         induced_quotient_filtration, induced_good_filtration,
                          intrinsic_module_filtration, equivalence_offset,
                          WindowExceeded)
 from .graded import GradedTrunc, ideal_chain_witness, verify_chain_report
-from .bimodule import BimoduleSpec, free_rank
+from .bimodule import corner_ideal, free_rank
 from .workbench import make
 from .record import Record
 
@@ -154,10 +153,7 @@ def _triangular_rank_pair(depth, field):
     certified on the polynomial model (series truncation cannot carry a
     rank certificate).  An inconclusive rank raises WindowExceeded; a
     side that is not free is a failure."""
-    ring = make("R_2x2", degcap=2 * depth + 2, field=field)
-    carrier, _ = two_sided_closure(ring.pres, [ring.el("beta")])
-    spec = BimoduleSpec("nilpotent-ideal", ring.ambient, carrier,
-                        ring.el("alpha"), ring.el("alpha"))
+    ring, spec, _ = corner_ideal("nilpotent-ideal", depth, field)
     left = free_rank(spec.action("left"), depth)
     right = free_rank(spec.action("right"), depth)
     verdicts = (left.verdict, right.verdict)

@@ -11,6 +11,9 @@ was too small to decide, 3 usage error.  Code 2 comes from one place: a
 handler raised grfilt.Inconclusive (WindowExceeded, TruncationError,
 DegreeOverflowError).  No error text is inspected.
 
+A subcommand is one row of SUBCOMMANDS plus its cmd_* handler; the
+global flags of GLOBAL_OPTIONS are accepted before or after it.
+
 Handlers look up graded, bimodule, certifier and dualizing names when
 called, so a job compiles only the on-demand modules its subcommand runs:
 hilbert and quotient-iso none, gr and chain graded, ranks bimodule,
@@ -23,10 +26,10 @@ import sys
 
 from .fields import field_from_name
 from .linspace import Inconclusive, QuotientContext, zero_space
-from .workbench import (make, CATALOG, staircase_quotient_context,
-                        quotient_iso_check)
+from .workbench import (make, make_for_depth, CATALOG,
+                        staircase_quotient_context, quotient_iso_check)
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
-                         induced_quotient_filtration, two_sided_closure)
+                         induced_quotient_filtration)
 from . import graded, bimodule, certifier, dualizing
 
 EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
@@ -41,25 +44,6 @@ def _field(args):
         return field_from_name(args.field)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _sized_ring(args, fld, slack=2):
-    """Build the ring, sizing the degree cap to the requested depth when
-    the user did not pick one.
-
-    Depth-n layers hold words of n generators, so the cap has to reach
-    n times the top generator degree or the products overflow.  Series
-    windows truncate instead of overflowing and keep their catalog
-    default.  An explicit --degcap always wins.  --ring is limited to
-    the catalog by argparse, so make() always finds the name.
-    """
-    if args.degcap is not None:
-        return make(args.ring, degcap=args.degcap, field=fld)
-    probe = make(args.ring, field=fld)
-    if probe.ambient.series:
-        return probe
-    step = max([g.degree() for g in probe.pres.gen_mats()] + [1])
-    return make(args.ring, degcap=step * args.depth + slack, field=fld)
 
 
 def _base_filtration(ring, kind, depth):
@@ -82,7 +66,8 @@ def _fmt_dims(dims):
 def cmd_hilbert(args):
     fld = _field(args)
     # quotient runs also need the ideal saturated past the deepest layer
-    ring = _sized_ring(args, fld, slack=4 if args.quotient else 2)
+    ring = make_for_depth(args.ring, args.depth, args.degcap, fld,
+                          slack=4 if args.quotient else 2)
     filt = _base_filtration(ring, args.kind, args.depth)
     lines = [f"{ring.name} over {fld.name}, {args.kind} filtration, "
              f"depth {args.depth}"]
@@ -115,7 +100,7 @@ def cmd_hilbert(args):
 
 def cmd_gr(args):
     fld = _field(args)
-    ring = _sized_ring(args, fld)
+    ring = make_for_depth(args.ring, args.depth, args.degcap, fld)
     filt = _base_filtration(ring, args.kind, args.depth)
     gr = graded.GradedTrunc(filt)
     classes = gr.generator_classes(ring.pres)
@@ -132,10 +117,7 @@ def cmd_gr(args):
 
 def cmd_ranks(args):
     fld = _field(args)
-    ring = make("R_2x2", degcap=2 * args.depth + 2, field=fld)
-    carrier, closed = two_sided_closure(ring.pres, [ring.el("beta")])
-    spec = bimodule.BimoduleSpec("corner-ideal", ring.ambient, carrier,
-                                 ring.el("alpha"), ring.el("alpha"))
+    _, spec, closed = bimodule.corner_ideal("corner-ideal", args.depth, fld)
     both = bimodule.bimodule_ranks(spec, args.depth)
     lines = [f"corner ideal of R_2x2 over {fld.name}, depth {args.depth} "
              f"(ideal exact through degree {closed})"]
@@ -224,13 +206,11 @@ def cmd_certify(args):
 def cmd_chain(args):
     fld = _field(args)
     if args.kind == "standard":
-        ring = make("R_2x2", degcap=2 * args.depth + 2, field=fld)
-        filt = standard_filtration(ring.pres, args.depth)
-        side = args.side or "left"
+        ring = make_for_depth("R_2x2", args.depth, field=fld)
     else:
         ring = make("R_prime", degcap=args.depth + 2, field=fld)
-        filt = weak_adic_filtration(ring.pres, args.depth)
-        side = args.side or "right"
+    filt = _base_filtration(ring, args.kind, args.depth)
+    side = args.side or ("left" if args.kind == "standard" else "right")
     gr = graded.GradedTrunc(filt)
     classes = gr.generator_classes(ring.pres)
     words = [["beta"] + ["alpha"] * i if side == "left"
@@ -309,88 +289,76 @@ def window_arg(text):
     return value
 
 
+# (flag, add_argument keywords); the global flags are accepted before the
+# subcommand and after it
+GLOBAL_OPTIONS = (
+    ("--field", dict(default="Q", metavar="Q|Fp:<p>",
+                     help="coefficient field (default Q)")),
+    ("--format", dict(choices=("text", "json"), default="text")),
+    ("--out", dict(metavar="FILE",
+                   help="write output to FILE instead of stdout")),
+)
+WINDOW_OPTIONS = (
+    ("--ring", dict(choices=CATALOG, default="R_2x2")),
+    ("--kind", dict(choices=("standard", "weak-adic"), default="standard")),
+    ("--depth", dict(type=window_arg, default=6)),
+)
+# (name, help, handler name, options); one row per subcommand
+SUBCOMMANDS = (
+    ("hilbert", "filtration layer dims and Hilbert values", "cmd_hilbert",
+     WINDOW_OPTIONS + (
+         ("--degcap", dict(type=window_arg, default=None,
+                           help="ambient degree cap (default per ring)")),
+         ("--quotient", dict(metavar="ELT[,ELT..]",
+                             help="pass to the quotient by the two-sided "
+                                  "ideal these elements generate")))),
+    ("gr", "associated graded truncation", "cmd_gr",
+     WINDOW_OPTIONS + (("--degcap", dict(type=window_arg, default=None)),)),
+    ("ranks", "one-sided rank certificates for the corner ideal",
+     "cmd_ranks", (("--depth", dict(type=window_arg, default=8)),)),
+    ("certify", "growth-obstruction dossier", "cmd_certify",
+     (("--case", dict(choices=("ascending", "weak-adic", "two-sided"),
+                      default="two-sided")),
+      ("--depth", dict(type=window_arg, default=8)))),
+    ("chain", "strictly ascending one-sided ideal chain in the graded ring",
+     "cmd_chain",
+     (("--kind", dict(choices=("standard", "weak-adic"),
+                      default="standard")),
+      ("--side", dict(choices=("left", "right"), default=None,
+                      help="default: left for standard, right for "
+                           "weak-adic")),
+      ("--steps", dict(type=window_arg, default=4)),
+      ("--depth", dict(type=window_arg, default=8)))),
+    ("dualize", "four-stage dualizing-module chain", "cmd_dualize",
+     (("--degcap", dict(type=window_arg, default=20)),
+      ("--control", dict(action="store_true",
+                         help="run the perturbed ring and demand the "
+                              "stage-three abort")))),
+    ("quotient-iso", "staircase quotient against the triangular ring",
+     "cmd_quotient_iso",
+     (("--degcap", dict(type=window_arg, default=12)),
+      ("--max-len", dict(type=window_arg, default=4)))),
+)
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="grfilt",
         description="exact filtration and rank computations for the "
                     "triangular matrix-ring family")
-    top.add_argument("--field", default="Q", metavar="Q|Fp:<p>",
-                     help="coefficient field (default Q)")
-    top.add_argument("--format", choices=("text", "json"), default="text")
-    top.add_argument("--out", metavar="FILE",
-                     help="write output to FILE instead of stdout")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from stamping its own default over a value parsed above
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--field", default=argparse.SUPPRESS,
-                        metavar="Q|Fp:<p>",
-                        help="coefficient field (default Q)")
-    shared.add_argument("--format", choices=("text", "json"),
-                        default=argparse.SUPPRESS)
-    shared.add_argument("--out", metavar="FILE", default=argparse.SUPPRESS,
-                        help="write output to FILE instead of stdout")
+    for flag, options in GLOBAL_OPTIONS:
+        top.add_argument(flag, **options)
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hilbert", parents=[shared],
-                       help="filtration layer dims and Hilbert values")
-    p.add_argument("--ring", choices=CATALOG, default="R_2x2")
-    p.add_argument("--kind", choices=("standard", "weak-adic"),
-                   default="standard")
-    p.add_argument("--depth", type=window_arg, default=6)
-    p.add_argument("--degcap", type=window_arg, default=None,
-                   help="ambient degree cap (default per ring)")
-    p.add_argument("--quotient", metavar="ELT[,ELT..]",
-                   help="pass to the quotient by the two-sided ideal "
-                        "these elements generate")
-    p.set_defaults(handler=cmd_hilbert)
-
-    p = sub.add_parser("gr", parents=[shared],
-                       help="associated graded truncation")
-    p.add_argument("--ring", choices=CATALOG, default="R_2x2")
-    p.add_argument("--kind", choices=("standard", "weak-adic"),
-                   default="standard")
-    p.add_argument("--depth", type=window_arg, default=6)
-    p.add_argument("--degcap", type=window_arg, default=None)
-    p.set_defaults(handler=cmd_gr)
-
-    p = sub.add_parser("ranks", parents=[shared],
-                       help="one-sided rank certificates for the corner "
-                            "ideal")
-    p.add_argument("--depth", type=window_arg, default=8)
-    p.set_defaults(handler=cmd_ranks)
-
-    p = sub.add_parser("certify", parents=[shared],
-                       help="growth-obstruction dossier")
-    p.add_argument("--case", choices=("ascending", "weak-adic", "two-sided"),
-                   default="two-sided")
-    p.add_argument("--depth", type=window_arg, default=8)
-    p.set_defaults(handler=cmd_certify)
-
-    p = sub.add_parser("chain", parents=[shared],
-                       help="strictly ascending one-sided ideal chain in "
-                            "the graded ring")
-    p.add_argument("--kind", choices=("standard", "weak-adic"),
-                   default="standard")
-    p.add_argument("--side", choices=("left", "right"), default=None,
-                   help="default: left for standard, right for weak-adic")
-    p.add_argument("--steps", type=window_arg, default=4)
-    p.add_argument("--depth", type=window_arg, default=8)
-    p.set_defaults(handler=cmd_chain)
-
-    p = sub.add_parser("dualize", parents=[shared],
-                       help="four-stage dualizing-module chain")
-    p.add_argument("--degcap", type=window_arg, default=20)
-    p.add_argument("--control", action="store_true",
-                   help="run the perturbed ring and demand the stage-three "
-                        "abort")
-    p.set_defaults(handler=cmd_dualize)
-
-    p = sub.add_parser("quotient-iso", parents=[shared],
-                       help="staircase quotient against the triangular "
-                            "ring")
-    p.add_argument("--degcap", type=window_arg, default=12)
-    p.add_argument("--max-len", type=window_arg, default=4)
-    p.set_defaults(handler=cmd_quotient_iso)
+    for name, help_text, handler, own in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        # SUPPRESS keeps the subparser from stamping its own default over
+        # a global flag parsed before the subcommand
+        for flag, options in GLOBAL_OPTIONS:
+            p.add_argument(flag, **{**options, "default": argparse.SUPPRESS})
+        for flag, options in own:
+            p.add_argument(flag, **options)
+        # looked up by name now, so a handler rebound after import runs
+        p.set_defaults(handler=globals()[handler])
     return top
 
 

@@ -3,7 +3,8 @@
 An element of Q is a Python rational in lowest form (see lowest): an
 int when integral, else a Fraction with denominator > 1, so integral
 data runs on int arithmetic.  An element of F_p is a plain int in [0,
-p).  A field hands out zero, one and of(n), which refuses a float, and
+p).  A field hands out zero, one and of(n), which refuses a float and
+over F_p maps a/b to a * b^-1 mod p (a ValueError when p divides b), and
 carries p, its characteristic: None over Q, so code that reduces mod p
 branches on p alone.  text(c) spells an element for payloads and reprs,
 str(c) over Q and "v~p" over F_p; parse(s) reads back exactly the
@@ -100,7 +101,9 @@ class PrimeField:
         self.one = 1
 
     def of(self, n):
-        return _exact(n) % self.p
+        if isinstance(_exact(n), Fraction):
+            return n.numerator * pow(n.denominator, -1, self.p) % self.p
+        return n % self.p
 
     def text(self, c):
         return f"{c}~{self.p}"

@@ -39,9 +39,12 @@ def sparse_row(row, field):
     """A dense row of field elements as a kernel row {col: value}.
 
     Entries that are field.zero itself are skipped before their truth
-    value is asked, which is most of them."""
-    zero = field.zero
-    return {j: x for j, x in enumerate(row) if x is not zero and x}
+    value is asked, which is most of them.  A value that is not an int
+    goes through field.of, so it leaves in the field's own form."""
+    zero, of = field.zero, field.of
+    pairs = ((j, x if x.__class__ is int else of(x))
+             for j, x in enumerate(row) if x is not zero)
+    return {j: x for j, x in pairs if x}
 
 
 def dense_row(row, ncols, field):

@@ -30,7 +30,7 @@ products reduce instead of erroring; that is the ring structure, not silent
 truncation.
 """
 
-from .fields import QQ, lowest
+from .fields import QQ
 from .linalg import (dense_row, insert_row, joint_kernel, reduce_row, rref,
                      sparse_row)
 from .poly import Poly, PolyMatrix
@@ -137,17 +137,17 @@ class Ambient:
 
     def _window(self, acc, index):
         """The window rule, from summed terms {key: value} to a kernel
-        row: a value reduces mod p, or to lowest form over Q, and a term
-        that cancels is dropped; a key in index lands on its coordinate,
-        and one past the degree cap is dropped in series mode (the ring
-        is the quotient by those monomials) and raises
-        DegreeOverflowError in polynomial mode."""
-        p, out = self._p, {}
+        row: an int reduces mod p, any other value goes through field.of
+        (a float raises TypeError), and a term that cancels is dropped; a
+        key in index lands on its coordinate, and one past the degree cap
+        is dropped in series mode (the ring is the quotient by those
+        monomials) and raises DegreeOverflowError in polynomial mode."""
+        p, of, out = self._p, self.field.of, {}
         for key, c in acc.items():
-            if p is not None:
+            if c.__class__ is not int:
+                c = of(c)
+            elif p is not None:
                 c %= p
-            elif c.__class__ is not int:
-                c = lowest(c)
             if not c:
                 continue
             k = index.get(key)

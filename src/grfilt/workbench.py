@@ -205,6 +205,21 @@ def make(name, degcap=None, field=QQ):
                    f"catalog: {', '.join(CATALOG)} (+ R_perturbed)")
 
 
+def make_for_depth(name, depth, degcap=None, field=QQ, slack=2):
+    """Build a catalog ring whose window holds depth-n filtration layers.
+
+    Depth-n layers hold words of n generators, so a polynomial window's
+    cap has to reach n times the top generator degree, plus slack, or the
+    products overflow.  Series windows truncate instead of overflowing
+    and keep their catalog default.  An explicit degcap always wins.
+    """
+    ring = make(name, degcap=degcap, field=field)
+    if degcap is not None or ring.ambient.series:
+        return ring
+    step = max([g.degree() for g in ring.pres.gen_mats()] + [1])
+    return make(name, degcap=step * depth + slack, field=field)
+
+
 def diagonal_embed(amb, c):
     """Embed a one-variable polynomial as diag(c(x), c(x^2))."""
     z = Poly.zero(c.field, c.arity)

@@ -450,3 +450,19 @@ def test_front_end_output_is_pinned(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest(),
             hashlib.sha256(err.encode()).hexdigest()) == FRONT_END[argv]
+
+
+def test_a_handler_rebound_after_import_is_the_one_parsed(monkeypatch):
+    # perfbench/child.py stamps each cli.cmd_* and perfbench/tracer.py
+    # wraps them, both after import, so build_parser must look them up
+    # when it runs
+    import grfilt.cli
+
+    def stand_in(args):
+        return 0, {}, []
+    monkeypatch.setattr(grfilt.cli, "cmd_hilbert", stand_in)
+    args = grfilt.cli.build_parser().parse_args(["hilbert"])
+    assert args.handler is stand_in
+    monkeypatch.undo()
+    args = grfilt.cli.build_parser().parse_args(["hilbert"])
+    assert args.handler is grfilt.cli.cmd_hilbert

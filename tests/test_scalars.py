@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from grfilt.fields import QQ, PrimeField
 from grfilt.linalg import (SpanTracker, dense_row, insert_row,
                            joint_kernel, rref)
-from grfilt.linspace import Ambient
+from grfilt.linspace import Ambient, Subspace
 from grfilt.poly import Poly, PolyMatrix
 
 F7, F101 = PrimeField(7), PrimeField(101)
@@ -181,6 +181,35 @@ def test_no_field_takes_a_float(fld):
             fld.of(bad)
         with pytest.raises(TypeError):
             Poly(fld, 1, {(1,): bad})
+        with pytest.raises(TypeError):
+            Ambient(2, 1, 3, fld).row([(((0,), 0, 0), bad)])
+
+
+def test_prime_field_maps_a_fraction_to_its_residue():
+    half = Fraction(1, 2)
+    # 2 * 4 = 1 mod 7, and 4 * 76 = 1 mod 101
+    assert (F7.of(half), F101.of(Fraction(-3, 4))) == (4, -3 * 76 % 101)
+    assert_reduced([F7.of(half)], 7)
+    assert Poly(F7, 1, {(0,): half, (1,): Fraction(7, 2)}).terms == {
+        (0,): 4}
+    assert Ambient(2, 1, 3, F7).row([(((0,), 0, 0), half)]) == {0: 4}
+    for bad in (Fraction(1, 7), Fraction(3, 14)):
+        with pytest.raises(ValueError):
+            F7.of(bad)
+
+
+@pytest.mark.parametrize("fld", [QQ, F7], ids=["Q", "Fp:7"])
+def test_the_dense_entry_hands_out_field_elements(fld):
+    # dense rows of unlowered rationals leave rref and from_vectors in
+    # the field's own form
+    vecs = [(Fraction(2), Fraction(6), 0), (0, Fraction(2, 2), Fraction(1, 2))]
+    rows, pivots = rref(vecs, fld)
+    assert pivots == [0, 1]
+    for row in rows:
+        assert all(v == fld.zero or in_canonical_form(fld, v) for v in row)
+    space = Subspace.from_vectors(Ambient(1, 1, 2, fld), vecs)
+    for row in space.echelon.values():
+        assert all(v and in_canonical_form(fld, v) for v in row.values())
 
 
 @pytest.mark.parametrize("other", [QQ, F101], ids=["Q", "Fp:101"])
