@@ -373,8 +373,8 @@ def corner_ideal(name, depth, field):
     ring = make_for_depth("R_2x2", depth, field=field)
     carrier, closed = two_sided_closure(ring.pres, [ring.el("beta")])
     alpha = ring.el("alpha")
-    return ring, BimoduleSpec(name, ring.ambient, carrier, alpha,
-                              alpha), closed
+    spec = BimoduleSpec(name, ring.ambient, carrier, alpha, alpha)
+    return ring, spec, closed
 
 
 def bimodule_ranks(spec, depth):

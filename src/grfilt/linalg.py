@@ -38,12 +38,11 @@ from .fields import lowest
 def sparse_row(row, field):
     """A dense row of field elements as a kernel row {col: value}.
 
-    Entries that are field.zero itself are skipped before their truth
-    value is asked, which is most of them.  A value that is not an int
-    goes through field.of, so it leaves in the field's own form."""
+    Entries that are field.zero itself, most of them, are skipped; every
+    other value goes through field.of, so it leaves in the field's own
+    form, and one that is zero there is dropped."""
     zero, of = field.zero, field.of
-    pairs = ((j, x if x.__class__ is int else of(x))
-             for j, x in enumerate(row) if x is not zero)
+    pairs = ((j, of(x)) for j, x in enumerate(row) if x is not zero)
     return {j: x for j, x in pairs if x}
 
 

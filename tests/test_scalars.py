@@ -210,6 +210,9 @@ def test_the_dense_entry_hands_out_field_elements(fld):
     space = Subspace.from_vectors(Ambient(1, 1, 2, fld), vecs)
     for row in space.echelon.values():
         assert all(v and in_canonical_form(fld, v) for v in row.values())
+    if fld.p:
+        # an int past p is reduced too: 7 is 0 mod 7
+        assert rref([(7, 1)], fld) == ([(0, 1)], [1])
 
 
 @pytest.mark.parametrize("other", [QQ, F101], ids=["Q", "Fp:101"])
