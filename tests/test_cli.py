@@ -463,6 +463,3 @@ def test_a_handler_rebound_after_import_is_the_one_parsed(monkeypatch):
     monkeypatch.setattr(grfilt.cli, "cmd_hilbert", stand_in)
     args = grfilt.cli.build_parser().parse_args(["hilbert"])
     assert args.handler is stand_in
-    monkeypatch.undo()
-    args = grfilt.cli.build_parser().parse_args(["hilbert"])
-    assert args.handler is grfilt.cli.cmd_hilbert
