@@ -2,30 +2,36 @@
 
 Columns: the triangular ring's layer dimensions, the quotient table after
 killing the corner ideal, and the series model's m-adic quotient table.
-The three tables come from the `grfilt hilbert` handler.  The quotient
+Each is read off the JSON that `grfilt hilbert` prints.  The quotient
 table is the one the growth certificates run on; the script certifies
 t*H(n) > s*H(n+p) witnesses for every offset p up to the bound and shows
 a probe of the growth shape.  It exits 0 when the certificate re-verifies,
 1 when some offset has no witness in the window, 2 when the window is too
 small to certify anything (an offset bound of 0), and 3 on bad input (a
-usage error, before anything runs).
+usage error, before anything runs, or a --json file that cannot be
+written).  A column grfilt cannot compute stops the script with grfilt's
+exit code.
 
     python scripts/growth_tables.py --depth 16 --max-offset 8 --json out.json
 """
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 
 from grfilt import Inconclusive
-from grfilt.cli import (build_parser, window_arg, EXIT_OK, EXIT_FAIL,
+from grfilt.cli import (main as grfilt_main, window_arg, EXIT_OK, EXIT_FAIL,
                         EXIT_INCONCLUSIVE, EXIT_USAGE)
 from grfilt.certifier import (growth_obstruction, verify_certificate,
                               subexp_probe, GrowthCertificate)
 
 
 def tables(depth):
-    """The three columns, each read off a `grfilt hilbert` payload."""
+    """grfilt's exit code and the three columns, each read off the JSON
+    that `grfilt hilbert` prints; the first column that exits nonzero
+    stops the run with its code and the columns read so far."""
     cols = {}
     for name, argv in (
             ("ring", f"--ring R_2x2 --depth {depth}"),
@@ -34,9 +40,14 @@ def tables(depth):
             ("madic_quotient",
              f"--ring R_prime --kind weak-adic --degcap {depth + 2} "
              f"--quotient beta --depth {depth}")):
-        args = build_parser().parse_args(["hilbert", *argv.split()])
-        cols[name] = args.handler(args)[1]["hilbert"]["values"]
-    return cols
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = grfilt_main(["--format", "json", "hilbert",
+                                *argv.split()])
+        if code != EXIT_OK:
+            return code, cols
+        cols[name] = json.loads(out.getvalue())["hilbert"]["values"]
+    return EXIT_OK, cols
 
 
 def main(argv=None):
@@ -59,7 +70,9 @@ def main(argv=None):
     max_p = args.max_offset if args.max_offset is not None \
         else args.depth // 2
 
-    cols = tables(args.depth)
+    code, cols = tables(args.depth)
+    if code != EXIT_OK:
+        return code
     print(f"{'n':>4} {'H_ring':>8} {'H_quot':>8} {'H_madic':>8}")
     for n in range(args.depth + 1):
         print(f"{n:>4} {cols['ring'][n]:>8} {cols['quotient'][n]:>8} "
@@ -90,7 +103,13 @@ def main(argv=None):
         blob = {"depth": args.depth, "tables": cols,
                 "certificate": cert.to_json(),
                 "probe": probe}
-        with open(args.json, "w") as fh:
+        try:
+            fh = open(args.json, "w")
+        except OSError as exc:
+            print(f"usage error: cannot write {args.json}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        with fh:
             json.dump(blob, fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.json}")

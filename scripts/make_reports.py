@@ -12,8 +12,8 @@ directly and passes when both of its checks hold.
 summary.txt gets one line per report, with the verdict read from the
 command's exit code (0 verified, 1 FAILED, 2 inconclusive, 3 usage
 error).  The script exits with the worst code of the battery: usage
-error, then failure, then inconclusive.  Bad flags exit 3 before anything
-runs.
+error, then failure, then inconclusive.  Bad flags and an output directory
+that cannot be made exit 3 before anything runs.
 
     python scripts/make_reports.py --outdir reports --depth 8
 """
@@ -64,7 +64,12 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_USAGE
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"usage error: cannot make {outdir}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
     results = []
     for name, cli_argv in reports(args.depth):
         path = outdir / f"{name}.json"

@@ -16,7 +16,7 @@ as the rank itself.
 
 from functools import cached_property
 
-from .linalg import SpanTracker, combine_rows
+from .linalg import SpanTracker, combine_rows, insert_row, reduce_row
 from .linspace import (restrict_degree, sum_spaces, zero_space,
                        DegreeOverflowError)
 from .filtration import WindowExceeded, two_sided_closure
@@ -176,14 +176,15 @@ def verify_rank_certificate(action, report):
                 rows.append(term[l])
         return not combine_rows(coeffs, rows, amb.field.p)
     # the orbits are independent exactly when every row enlarges the span
-    tracker = SpanTracker(amb.field, amb.dim)
-    for gi, g in enumerate(gens):
-        for k, v in enumerate(action.power_orbit(g)):
-            if not tracker.add(v, (gi, k)):
+    p = amb.field.p
+    echelon = {}
+    for g in gens:
+        for v in action.power_orbit(g):
+            if not insert_row(echelon, v, p):
                 return False
     window = restrict_degree(action.carrier, report.spanned_through)
-    return all(tracker.express(r) is not None
-               for r in window.echelon.values())
+    return not any(reduce_row(dict(r), echelon, p)
+                   for r in window.echelon.values())
 
 
 def _read_relation(rel, field, ngens):

@@ -28,7 +28,8 @@ from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
                          induced_quotient_filtration, induced_good_filtration,
                          intrinsic_module_filtration, equivalence_offset,
                          WindowExceeded)
-from .graded import GradedTrunc, ideal_chain_witness, verify_chain_report
+from .graded import (GradedTrunc, chain_sides, chain_words,
+                     ideal_chain_witness, verify_chain_report)
 from .bimodule import corner_ideal, free_rank
 from .workbench import make
 from .record import Record
@@ -177,22 +178,21 @@ def assemble_growth_dossier(case, depth=8, field=QQ):
     if case == "ascending":
         ring = ring_poly
         filt = standard_filtration(ring.pres, depth)
-        lo, hi, shift, max_p = 0, depth, 1, depth // 2
-        diverging_side, matching_side = "left", "right"
+        max_p = depth // 2
     else:
         ring = make("R_prime", degcap=depth + 2, field=field)
         filt = weak_adic_filtration(ring.pres, depth)
-        lo, hi, shift, max_p = -depth, 0, -1, (depth - 1) // 2
-        diverging_side, matching_side = "right", "left"
+        max_p = (depth - 1) // 2
+    diverging_side, matching_side = chain_sides(filt)
     alpha, beta = ring.el("alpha"), ring.el("beta")
     quo = induced_quotient_filtration(ring.pres, [beta], filt)
     table = hilbert(quo.filtration)
     cert = growth_obstruction(table.values, s, t, max_p, case=case)
-    gens = [(beta, shift), (alpha * beta, 2 * shift)]
-    goods = {sd: induced_good_filtration(filt, gens, sd, lo, hi,
-                                         name=f"{sd}-good")
+    # the module generators sit at depths 1 and 2
+    gens = [(beta, filt.sign), (alpha * beta, 2 * filt.sign)]
+    goods = {sd: induced_good_filtration(filt, gens, sd, name=f"{sd}-good")
              for sd in ("left", "right")}
-    intrinsic = intrinsic_module_filtration(quo.ideal, filt, lo, hi,
+    intrinsic = intrinsic_module_filtration(quo.ideal, filt,
                                             name="intrinsic")
     eq_bound = max((depth - 3) // 2, 1)
     div = equivalence_offset(goods[diverging_side], intrinsic,
@@ -212,8 +212,7 @@ def assemble_growth_dossier(case, depth=8, field=QQ):
         matching = "diverges too"
     gr = GradedTrunc(filt)
     classes = gr.generator_classes(ring.pres)
-    words = [["beta"] + ["alpha"] * i if diverging_side == "left"
-             else ["alpha"] * i + ["beta"] for i in range(min(4, depth - 2))]
+    words = chain_words(diverging_side, min(4, depth - 2))
     chain = ideal_chain_witness(gr, classes, words, side=diverging_side)
     verdict = (f"{case} filtration: {diverging_side}-side obstruction "
                f"({div.a} filtrations diverge from the {div.b} "

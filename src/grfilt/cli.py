@@ -64,14 +64,13 @@ def _fmt_dims(dims):
 # ----------------------------------------------------------- subcommands
 
 def cmd_hilbert(args):
-    fld = _field(args)
     # quotient runs also need the ideal saturated past the deepest layer
-    ring = make_for_depth(args.ring, args.depth, args.degcap, fld,
+    ring = make_for_depth(args.ring, args.depth, args.degcap, args.field,
                           slack=4 if args.quotient else 2)
     filt = _base_filtration(ring, args.kind, args.depth)
-    lines = [f"{ring.name} over {fld.name}, {args.kind} filtration, "
+    lines = [f"{ring.name} over {args.field.name}, {args.kind} filtration, "
              f"depth {args.depth}"]
-    payload = {"ring": ring.name, "field": fld.name,
+    payload = {"ring": ring.name, "field": args.field.name,
                "filtration": filt.to_json()}
     if args.quotient:
         seeds = []
@@ -99,8 +98,7 @@ def cmd_hilbert(args):
 
 
 def cmd_gr(args):
-    fld = _field(args)
-    ring = make_for_depth(args.ring, args.depth, args.degcap, fld)
+    ring = make_for_depth(args.ring, args.depth, args.degcap, args.field)
     filt = _base_filtration(ring, args.kind, args.depth)
     gr = graded.GradedTrunc(filt)
     classes = gr.generator_classes(ring.pres)
@@ -109,19 +107,19 @@ def cmd_gr(args):
              "piece dims: " + _fmt_dims(gr.piece_dims()),
              "generator symbols at degree "
              f"{gr.gen_degree}: {', '.join(sorted(classes))}"]
-    payload = {"ring": ring.name, "field": fld.name, "gr": gr.to_json(),
+    payload = {"ring": ring.name, "field": args.field.name, "gr": gr.to_json(),
                "symbol_degree": gr.gen_degree,
                "symbols": sorted(classes)}
     return EXIT_OK, payload, lines
 
 
 def cmd_ranks(args):
-    fld = _field(args)
-    _, spec, closed = bimodule.corner_ideal("corner-ideal", args.depth, fld)
+    _, spec, closed = bimodule.corner_ideal("corner-ideal", args.depth,
+                                            args.field)
     both = bimodule.bimodule_ranks(spec, args.depth)
-    lines = [f"corner ideal of R_2x2 over {fld.name}, depth {args.depth} "
-             f"(ideal exact through degree {closed})"]
-    payload = {"ring": "R_2x2", "field": fld.name, "depth": args.depth,
+    lines = [f"corner ideal of R_2x2 over {args.field.name}, depth "
+             f"{args.depth} (ideal exact through degree {closed})"]
+    payload = {"ring": "R_2x2", "field": args.field.name, "depth": args.depth,
                "actions_commute": both["actions_commute"], "sides": {}}
     verdicts, refuted = [], []
     for side in ("left", "right"):
@@ -163,9 +161,8 @@ def cmd_ranks(args):
 
 
 def cmd_certify(args):
-    fld = _field(args)
     dossier = certifier.assemble_growth_dossier(args.case, depth=args.depth,
-                                                field=fld)
+                                                field=args.field)
     payload = dossier.to_json()
     lines = [dossier.verdict]
     if args.case == "two-sided":
@@ -204,17 +201,15 @@ def cmd_certify(args):
 
 
 def cmd_chain(args):
-    fld = _field(args)
     if args.kind == "standard":
-        ring = make_for_depth("R_2x2", args.depth, field=fld)
+        ring = make_for_depth("R_2x2", args.depth, field=args.field)
     else:
-        ring = make("R_prime", degcap=args.depth + 2, field=fld)
+        ring = make("R_prime", degcap=args.depth + 2, field=args.field)
     filt = _base_filtration(ring, args.kind, args.depth)
-    side = args.side or ("left" if args.kind == "standard" else "right")
+    side = args.side or graded.chain_sides(filt)[0]
     gr = graded.GradedTrunc(filt)
     classes = gr.generator_classes(ring.pres)
-    words = [["beta"] + ["alpha"] * i if side == "left"
-             else ["alpha"] * i + ["beta"] for i in range(args.steps)]
+    words = graded.chain_words(side, args.steps)
     report = graded.ideal_chain_witness(gr, classes, words, side=side)
     reverified = graded.verify_chain_report(gr, classes, report)
     ok = report.strictly_ascending and reverified
@@ -231,9 +226,8 @@ def cmd_chain(args):
 
 
 def cmd_dualize(args):
-    fld = _field(args)
     ring = make("R_perturbed" if args.control else "R_2x2",
-                degcap=args.degcap, field=fld)
+                degcap=args.degcap, field=args.field)
     rep = dualizing.verify_dualizing(ring)
     lines = [f"dualizing chain for {rep.ring}, degree cap {rep.degcap}"]
     ok = rep.ok
@@ -255,10 +249,9 @@ def cmd_dualize(args):
 
 
 def cmd_quotient_iso(args):
-    fld = _field(args)
-    pres, ctx, closed = staircase_quotient_context(make("T", field=fld),
+    pres, ctx, closed = staircase_quotient_context(make("T", field=args.field),
                                                    args.degcap)
-    ring_r = make("R_2x2", degcap=args.degcap, field=fld)
+    ring_r = make("R_2x2", degcap=args.degcap, field=args.field)
     plain = QuotientContext(ring_r.ambient, zero_space(ring_r.ambient))
     pairs = [(pres.gen("alpha"), ring_r.el("alpha")),
              (pres.gen("e12"), ring_r.el("beta"))]
@@ -363,15 +356,17 @@ def build_parser():
 
 
 def _emit(args, payload, lines):
-    if args.format == "json":
-        text = json.dumps(payload, indent=2)
-    else:
-        text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    text = (json.dumps(payload, indent=2) if args.format == "json"
+            else "\n".join(lines))
+    if not args.out:
         print(text)
+        return
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
+    with fh:
+        fh.write(text + "\n")
 
 
 def main(argv=None):
@@ -381,7 +376,9 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_USAGE
     try:
+        args.field = _field(args)
         code, payload, lines = args.handler(args)
+        _emit(args, payload, lines)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -391,7 +388,6 @@ def main(argv=None):
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    _emit(args, payload, lines)
     return code
 
 

@@ -5,7 +5,14 @@ both cases.  An ascending filtration is a chain Gamma_0 <= Gamma_1 <= ...
 with Gamma_m Gamma_n <= Gamma_{m+n}; the standard one takes Gamma_n to be
 the span of all products of at most n generators.  A weak-adic filtration
 on a ring with a distinguished ideal m puts Gamma_i = R for i >= 0 and
-Gamma_{-i} = m^i, so its stored layers sit at indices lo..0.
+Gamma_{-i} = m^i, so its stored layers sit at indices lo..0.  The kind is
+read in one place, class Filtration: sign is +1 ascending and -1
+weak-adic, the degree of a generator, so depth n is layer sign * n;
+degrees are the window's ring-side indices, the n with sign * n >= 0; and
+known(n) holds in the window and past its outer edge, where an ascending
+filtration is zero (below lo) and a weak-adic one is R (above 0).  Every
+other reader takes these; only hilbert and the input dispatchers name a
+kind.
 
 Layers are grown, not rebuilt.  The standard layers satisfy
 
@@ -90,25 +97,32 @@ class Filtration:
         if kind == "weak-adic" and self.hi != 0:
             raise ValueError("weak-adic layers are indexed lo..0")
 
+    @property
+    def sign(self):
+        """+1 ascending, -1 weak-adic (see the module notes)."""
+        return 1 if self.kind == "ascending" else -1
+
+    @property
+    def degrees(self):
+        """The window's ring-side indices n, sign * n >= 0, in order."""
+        return [n for n in range(self.lo, self.hi + 1) if self.sign * n >= 0]
+
     def layer(self, n):
         if n in self.layers:
             return self.layers[n]
-        if self.kind == "ascending":
-            if n < self.lo:
-                return zero_space(self.ambient)
-        else:
-            if n > 0:
-                return self.layers[0]
+        if self.known(n):
+            # past the outer edge: zero below lo, the ring above hi = 0
+            return zero_space(self.ambient) if n < self.lo \
+                else self.layers[self.hi]
         raise WindowExceeded(
             f"layer {n} of {self.name or 'filtration'} is outside the "
             f"computed window [{self.lo}, {self.hi}]")
 
     def known(self, n):
+        """Whether layer n is in the window or past its outer edge."""
         if n in self.layers:
             return True
-        if self.kind == "ascending":
-            return n < self.lo
-        return n > 0
+        return n < self.lo if self.sign > 0 else n > self.hi
 
     def dims(self):
         return {n: self.layers[n].dim for n in sorted(self.layers)}
@@ -289,18 +303,18 @@ def induced_quotient_filtration(pres, seeds, base):
     return QuotientFiltration(out, ideal, closed_degree)
 
 
-def induced_good_filtration(ring_filt, generators, side, lo, hi, name=""):
-    """Module filtration Omega_n = sum_i Gamma_{n-s_i} m_i.
+def induced_good_filtration(ring_filt, generators, side, name=""):
+    """Module filtration Omega_n = sum_i Gamma_{n-s_i} m_i, n in lo..hi.
 
     generators: list of (matrix, shift) pairs.  side 'left' means the ring
     acts on the left, so Omega_n collects Gamma_{n-s} * m; 'right' collects
-    m * Gamma_{n-s}.  Ring layers are taken from ring_filt; asking beyond
-    its window raises WindowExceeded.
+    m * Gamma_{n-s}.  The window lo..hi and the ring layers are
+    ring_filt's; asking beyond its window raises WindowExceeded.
     """
     amb = ring_filt.ambient
     rows = [(amb.encode_sparse(mat), shift) for mat, shift in generators]
     layers = {}
-    for n in range(lo, hi + 1):
+    for n in range(ring_filt.lo, ring_filt.hi + 1):
         layers[n] = zero_space(amb).extend(
             amb.mul(b, m) if side == "left" else amb.mul(m, b)
             for m, shift in rows
@@ -308,10 +322,11 @@ def induced_good_filtration(ring_filt, generators, side, lo, hi, name=""):
     return Filtration(ring_filt.kind, amb, layers, name=name)
 
 
-def intrinsic_module_filtration(module_span, ring_filt, lo, hi, name=""):
-    """Lambda_n = M intersect Gamma_n for a module sitting inside the ring."""
+def intrinsic_module_filtration(module_span, ring_filt, name=""):
+    """Lambda_n = M intersect Gamma_n for a module sitting inside the ring,
+    on ring_filt's window."""
     layers = {n: intersect(module_span, ring_filt.layer(n))
-              for n in range(lo, hi + 1)}
+              for n in range(ring_filt.lo, ring_filt.hi + 1)}
     return Filtration(ring_filt.kind, ring_filt.ambient, layers, name=name)
 
 
@@ -360,29 +375,21 @@ class GoodnessReport(Record):
               "stable_from", "pairs_checked", "pairs_skipped")
 
 
-def _action_product(ring_layer, mod_layer, side):
-    if side == "left":
-        return subspace_product(ring_layer, mod_layer)
-    return subspace_product(mod_layer, ring_layer)
-
-
 def is_good(ring_filt, mod_filt, side="left"):
     """Check Gamma_a Omega_b <= Omega_{a+b} and locate a stability bound.
 
-    stable_from is the least module index n0 such that every checkable
-    product with the deeper argument past n0 lands exactly on the target
-    layer; None when no such bound shows up in the window.
+    stable_from is the first module index n0, scanned in the direction of
+    sign (ascending lo..hi, weak-adic 0..lo), such that every checkable
+    product with sign * a >= 1 and sign * b >= sign * n0 lands exactly on
+    the target layer; None when no such bound shows up in the window.
     """
     amb = ring_filt.ambient
-    if ring_filt.kind == "ascending":
-        ring_idx = [a for a in range(max(ring_filt.lo, 0), ring_filt.hi + 1)]
-    else:
-        ring_idx = [a for a in range(ring_filt.lo, 1)]
+    sign = ring_filt.sign
     checked = skipped = 0
     violation = None
     ok = True
     exact = {}
-    for a in ring_idx:
+    for a in ring_filt.degrees:
         ga = ring_filt.layer(a)
         for b in range(mod_filt.lo, mod_filt.hi + 1):
             if not mod_filt.known(a + b):
@@ -393,7 +400,8 @@ def is_good(ring_filt, mod_filt, side="left"):
                 skipped += 1
                 continue
             target = mod_filt.layer(a + b)
-            prod = _action_product(ga, ob, side)
+            prod = (subspace_product(ga, ob) if side == "left"
+                    else subspace_product(ob, ga))
             checked += 1
             if not target.contains(prod):
                 ok = False
@@ -403,20 +411,12 @@ def is_good(ring_filt, mod_filt, side="left"):
             exact[(a, b)] = (prod == target)
     stable_from = None
     if ok:
-        if ring_filt.kind == "ascending":
-            for n0 in range(mod_filt.lo, mod_filt.hi + 1):
-                pairs = [(a, b) for (a, b) in exact
-                         if a >= 1 and b >= n0]
-                if pairs and all(exact[p] for p in pairs):
-                    stable_from = n0
-                    break
-        else:
-            for n0 in range(0, mod_filt.lo - 1, -1):
-                pairs = [(a, b) for (a, b) in exact
-                         if a <= -1 and b <= n0]
-                if pairs and all(exact[p] for p in pairs):
-                    stable_from = n0
-                    break
+        for n0 in range(mod_filt.lo, mod_filt.hi + 1)[::sign]:
+            pairs = [(a, b) for (a, b) in exact
+                     if sign * a >= 1 and sign * b >= sign * n0]
+            if pairs and all(exact[p] for p in pairs):
+                stable_from = n0
+                break
     return GoodnessReport(side, ok, violation, stable_from, checked, skipped)
 
 
@@ -444,10 +444,7 @@ def verify_filtration_axioms(filt):
         detail = "unit missing from layer 0"
     checked = skipped = 0
     mult_ok = True
-    if filt.kind == "ascending":
-        idx = range(max(filt.lo, 0), filt.hi + 1)
-    else:
-        idx = range(filt.lo, 1)
+    idx = filt.degrees
     for m in idx:
         for n in idx:
             if not filt.known(m + n):

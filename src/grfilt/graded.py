@@ -34,7 +34,9 @@ producer cannot vouch for itself: a certificate is rechecked by a path
 other than the one that produced it, down to the product of the ring.
 """
 
-from .linalg import SpanTracker, combine_rows, row_echelon
+from itertools import accumulate
+
+from .linalg import combine_rows, insert_row, reduce_row, row_echelon
 from .linspace import complement_section
 from .filtration import WindowExceeded
 from .record import Record
@@ -51,16 +53,12 @@ class GradedTrunc:
     def __init__(self, filt):
         self.filt = filt
         self.ambient = filt.ambient
-        if filt.kind == "ascending":
-            self.degrees = list(range(max(filt.lo, 0), filt.hi + 1))
-            self.gen_degree = 1
-        else:
-            self.degrees = list(range(filt.lo + 1, 1))
-            self.gen_degree = -1
-        self.sections = {}
-        for m in self.degrees:
-            self.sections[m] = complement_section(filt.layer(m),
-                                                  filt.layer(m - 1))
+        # piece m is Gamma_m / Gamma_{m-1}, so Gamma_{m-1} must be known
+        self.degrees = [m for m in filt.degrees if filt.known(m - 1)]
+        self.gen_degree = filt.sign
+        self.sections = {m: complement_section(filt.layer(m),
+                                               filt.layer(m - 1))
+                         for m in self.degrees}
         self._p = self.ambient.field.p
         self._table = {}    # (m, i, n, j) -> coset row in piece m + n
 
@@ -224,6 +222,19 @@ class ChainReport(Record):
               "witnesses", "window")
 
 
+def chain_sides(filt):
+    """(diverging, matching): the side with an endless ascending chain of
+    one-sided ideals in gr(filt), left when ascending, then the other."""
+    return ("left", "right")[::filt.sign]
+
+
+def chain_words(side, steps):
+    """The chain's generators beta alpha^i (side left) or alpha^i beta
+    (side right) for i < steps."""
+    return [["beta"] + ["alpha"] * i if side == "left"
+            else ["alpha"] * i + ["beta"] for i in range(steps)]
+
+
 def _generator_products(gr, g, side, m, product):
     """Coset rows of u*g (left) or g*u (right) in piece m, for u over the
     basis cosets of the piece that lands these products in degree m."""
@@ -250,23 +261,22 @@ def ideal_chain_witness(gr, classes, words, side="left"):
         raise WindowExceeded(
             f"a chain needs at least 2 words to ascend, got {len(words)}")
     gens = [gr.word(classes, list(w)) for w in words]
-    fld = gr.ambient.field
-    pieces = {m: SpanTracker(fld, gr.piece(m).dim) for m in gr.degrees}
+    p = gr._p
+    pieces = {m: {} for m in gr.degrees}    # degree -> echelon
     dims = []
     witnesses = []
     strict = True
     for k, g in enumerate(gens):
         if k > 0:
-            if pieces[g.degree].express(dict(g.coords)) is not None:
+            if not reduce_row(dict(g.coords), pieces[g.degree], p):
                 strict = False
             else:
                 witnesses.append({"step": k, "degree": g.degree,
                                   "word": list(words[k])})
         for m, piece in pieces.items():
-            for t, row in enumerate(
-                    _generator_products(gr, g, side, m, gr.mul)):
-                piece.add(row, (k, t))
-        dims.append(sum(piece.dim for piece in pieces.values()))
+            for row in _generator_products(gr, g, side, m, gr.mul):
+                insert_row(piece, row, p)
+        dims.append(sum(map(len, pieces.values())))
     return ChainReport(side, tuple(tuple(w) for w in words), tuple(dims),
                        strict, tuple(witnesses),
                        (gr.degrees[0], gr.degrees[-1]))
@@ -286,7 +296,7 @@ def verify_chain_report(gr, classes, report):
     steps = [wit["step"] for wit in report.witnesses]
     if report.strictly_ascending and steps != list(range(1, len(gens))):
         return False
-    fld = gr.ambient.field
+    p = gr._p
     pieces = {}     # degree -> (echelon, generators inserted so far)
     last = 0
     for wit in report.witnesses:
@@ -298,23 +308,18 @@ def verify_chain_report(gr, classes, report):
         if (wit["degree"] != g.degree
                 or list(wit["word"]) != list(report.words[k])):
             return False
-        piece, done = pieces.get(g.degree) or (
-            SpanTracker(fld, gr.piece(g.degree).dim), 0)
+        piece, done = pieces.get(g.degree, ({}, 0))
         for i in range(done, k):
-            for t, row in enumerate(_generator_products(
-                    gr, gens[i], report.side, g.degree, gr.lift_mul)):
-                piece.add(row, (i, t))
+            for row in _generator_products(
+                    gr, gens[i], report.side, g.degree, gr.lift_mul):
+                insert_row(piece, row, p)
         pieces[g.degree] = (piece, k)
-        if piece.express(dict(g.coords)) is not None:
+        if not reduce_row(dict(g.coords), piece, p):
             return False
     return True
 
 
 def rees_dims(filt, upto):
     """Dimensions of the layered sum, degree by degree (partial sums)."""
-    out = []
-    total = 0
-    for n in range(upto + 1):
-        total += filt.layer(n if filt.kind == "ascending" else -n).dim
-        out.append(total)
-    return out
+    return list(accumulate(filt.layer(filt.sign * n).dim
+                           for n in range(upto + 1)))

@@ -306,6 +306,34 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert payload["hilbert"]["values"] == [1, 3, 6, 9, 12]
 
 
+@pytest.mark.parametrize("target", ["afile/x.json", "adir"])
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys, target):
+    # a path through a regular file, or a directory: exit 3 once the run
+    # is done, with no traceback, and nothing written or left behind
+    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "adir").mkdir()
+    code, out, err = run(capsys, "--out", str(tmp_path / target),
+                         "--format", "json", "hilbert", "--depth", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("usage error: cannot write ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert not any((tmp_path / "adir").iterdir())
+
+
+def test_handlers_receive_the_field_resolved_once(capsys, monkeypatch):
+    import grfilt.cli
+    seen = []
+
+    def stand_in(args):
+        seen.append(args.field)
+        return 0, {}, []
+    monkeypatch.setattr(grfilt.cli, "cmd_gr", stand_in)
+    assert run(capsys, "--field", "Fp:101", "gr")[0] == 0
+    assert [(fld.name, fld.p) for fld in seen] == [("Fp:101", 101)]
+
+
 def test_prime_field_runs(capsys):
     code, out, _ = run(capsys, "--field", "Fp:5", "--format", "json",
                        "hilbert", "--depth", "6")

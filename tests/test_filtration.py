@@ -156,11 +156,11 @@ def test_good_filtration_divergence(ring_r, filt12):
     albe = ring_r.el("alpha") * beta
     carrier, _ = two_sided_closure(ring_r.pres, [beta])
     gens = [(beta, 1), (albe, 2)]
-    left = induced_good_filtration(filt12, gens, "left", 0, 12,
+    left = induced_good_filtration(filt12, gens, "left",
                                    name="left-good")
-    right = induced_good_filtration(filt12, gens, "right", 0, 12,
+    right = induced_good_filtration(filt12, gens, "right",
                                     name="right-good")
-    intrinsic = intrinsic_module_filtration(carrier, filt12, 0, 12,
+    intrinsic = intrinsic_module_filtration(carrier, filt12,
                                             name="intrinsic")
     div = equivalence_offset(left, intrinsic, max_offset=2)
     assert not div.equivalent and div.a_in_b == 0 and div.b_in_a is None

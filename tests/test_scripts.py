@@ -140,6 +140,45 @@ def test_growth_tables_refuse_an_offset_bound_below_one(capsys):
     assert "inconclusive" in captured.err
 
 
+def test_a_column_grfilt_cannot_compute_stops_with_its_exit_code(
+        monkeypatch, capsys):
+    import grfilt.cli
+    from grfilt import Inconclusive
+
+    def saturated(args):
+        raise Inconclusive("window saturated")
+    monkeypatch.setattr(grfilt.cli, "cmd_hilbert", saturated)
+    assert growth_tables.main(["--depth", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "inconclusive at this depth: window saturated" in captured.err
+
+
+def test_growth_tables_unwritable_json_is_a_usage_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert growth_tables.main(["--depth", "4",
+                               "--json", str(afile / "x.json")]) == 3
+    captured = capsys.readouterr()
+    assert "usage error: cannot write " in captured.err
+    assert "Traceback" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def test_make_reports_unmakeable_outdir_is_a_usage_error(tmp_path, capsys):
+    # refused before any run: nothing printed, nothing made
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for outdir in (afile / "sub", afile):
+        assert make_reports.main(["--outdir", str(outdir),
+                                  "--depth", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: cannot make ")
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert afile.read_text() == ""
+
+
 @pytest.mark.parametrize("script, argv", [
     ("growth_tables", ["--depth", "6", "--s", "0"]),
     ("growth_tables", ["--depth", "6", "--s", "2", "--t", "2"]),
