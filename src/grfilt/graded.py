@@ -64,9 +64,9 @@ class GradedTrunc:
 
     def piece(self, m):
         if m not in self.sections:
-            raise WindowExceeded(
-                f"graded piece {m} outside window "
-                f"[{self.degrees[0]}, {self.degrees[-1]}]")
+            window = (f"[{self.degrees[0]}, {self.degrees[-1]}]"
+                      if self.degrees else "(empty)")
+            raise WindowExceeded(f"graded piece {m} outside window {window}")
         return self.sections[m]
 
     def piece_dims(self):

@@ -82,9 +82,11 @@ class Ambient:
                        for i in range(self.rows) for j in range(n)]
         self.index = {c: k for k, c in enumerate(self.coords)}
         self.dim = len(self.coords)
-        self._prefix = [self.rows * n * sum(sum(e) <= d
-                                            for e in self.monomials)
-                        for d in range(degcap + 1)]
+        # monomials run degree-major, so the last one of degree d is the
+        # count of those of degree <= d
+        self._prefix = [0] * (degcap + 1)
+        for k, e in enumerate(self.monomials, 1):
+            self._prefix[sum(e)] = self.rows * n * k
         if self.rows != n:
             return
         # mul's keys: x^e E_ij is (v n + i) n + j with v = e0 b + e1 and

@@ -107,27 +107,36 @@ def _shape_c_diag(amb):
     return check
 
 
+def _cap(degcap, default, gens):
+    """A polynomial window's degree cap: the catalog default for None, a
+    function's value at the top generator degree, or degcap itself."""
+    if degcap is None:
+        return default
+    if callable(degcap):
+        return degcap(max([g.degree() for _, g in gens] + [1]))
+    return degcap
+
+
 def make(name, degcap=None, field=QQ):
     """Build a catalog ring.  degcap defaults to a size adequate for the
-    standard windows used in the tests and reports."""
+    standard windows used in the tests and reports; a function of the top
+    generator degree sizes a polynomial window from its generators."""
     if name in ("R_2x2", "R_perturbed"):
-        cap = 12 if degcap is None else degcap
-        amb = Ambient(2, 1, cap, field)
         x, z = _xvar(1, field), Poly.zero(field, 1)
         alpha = PolyMatrix([[x, z], [z, x * x]])
         beta = _unit_mat(2, 1, 0, 1, Poly.const(field, 1, field.one))
         xbeta = _unit_mat(2, 1, 0, 1, x)
+        gens = (("alpha", alpha),
+                ("beta", beta) if name == "R_2x2" else ("xbeta", xbeta))
+        amb = Ambient(2, 1, _cap(degcap, 12, gens), field)
+        pres = AlgebraPresentation(name, amb, gens)
         if name == "R_2x2":
-            pres = AlgebraPresentation(
-                "R_2x2", amb, (("alpha", alpha), ("beta", beta)))
             return ExampleRing(
                 name, amb, pres,
                 "triangular subring {[[f(x), g(x)], [0, f(x^2)]]} of "
                 "M_2(k[x]); generators alpha = diag(x, x^2) and beta = e12",
                 {"alpha": alpha, "beta": beta, "e12": beta, "xe12": xbeta},
                 _shape_r2x2(amb))
-        pres = AlgebraPresentation(
-            "R_perturbed", amb, (("alpha", alpha), ("xbeta", xbeta)))
         return ExampleRing(
             name, amb, pres,
             "same shape with the nilpotent generator moved up one degree: "
@@ -136,24 +145,21 @@ def make(name, degcap=None, field=QQ):
              "x2e12": _unit_mat(2, 1, 0, 1, x * x)},
             _shape_r2x2(amb), in_catalog=False)
     if name == "S":
-        cap = 6 if degcap is None else degcap
-        amb = Ambient(2, 2, cap, field)
         x, y = _xvar(2, field), _yvar(2, field)
         z = Poly.zero(field, 2)
         alpha = PolyMatrix([[x, z], [z, x * x]])
         beta = _unit_mat(2, 2, 0, 1, Poly.const(field, 2, field.one))
         ygens = [(f"ye{i + 1}{j + 1}", _unit_mat(2, 2, i, j, y))
                  for i in range(2) for j in range(2)]
-        pres = AlgebraPresentation(
-            "S", amb, (("alpha", alpha), ("beta", beta)) + tuple(ygens))
+        gens = (("alpha", alpha), ("beta", beta)) + tuple(ygens)
+        amb = Ambient(2, 2, _cap(degcap, 6, gens), field)
+        pres = AlgebraPresentation("S", amb, gens)
         return ExampleRing(
             name, amb, pres,
             "two-variable thickening: triangular x-shape plus y*M_2(k[x,y])",
             {"alpha": alpha, "beta": beta, **dict(ygens)},
             _shape_s(amb))
     if name == "T":
-        cap = 6 if degcap is None else degcap
-        amb = Ambient(3, 2, cap, field)
         x, y = _xvar(2, field), _yvar(2, field)
         z = Poly.zero(field, 2)
         alpha = PolyMatrix([[x, z, z], [z, x * x, z], [z, z, x]])
@@ -162,10 +168,10 @@ def make(name, degcap=None, field=QQ):
                for (i, j) in ((0, 1), (0, 2), (1, 2))}
         ygens = [(f"ye{i + 1}{j + 1}", _unit_mat(3, 2, i, j, y))
                  for i in range(3) for j in range(3)]
-        pres = AlgebraPresentation(
-            "T", amb,
-            (("alpha", alpha), ("e12", eij[(0, 1)]), ("e13", eij[(0, 2)]),
-             ("e23", eij[(1, 2)])) + tuple(ygens))
+        gens = (("alpha", alpha), ("e12", eij[(0, 1)]), ("e13", eij[(0, 2)]),
+                ("e23", eij[(1, 2)])) + tuple(ygens)
+        amb = Ambient(3, 2, _cap(degcap, 6, gens), field)
+        pres = AlgebraPresentation("T", amb, gens)
         return ExampleRing(
             name, amb, pres,
             "3x3 staircase: diag(f(x), f(x^2), f(x)) plus free upper "
@@ -174,7 +180,9 @@ def make(name, degcap=None, field=QQ):
              "e23": eij[(1, 2)], **dict(ygens)},
             _shape_t(amb))
     if name in ("R_prime", "R_hat"):
-        cap = 9 if degcap is None else degcap
+        # a series window truncates instead of overflowing, so a sizing
+        # function leaves it at its default
+        cap = 9 if degcap is None or callable(degcap) else degcap
         amb = Ambient(2, 1, cap, field, series=True)
         x, z = _xvar(1, field), Poly.zero(field, 1)
         alpha = PolyMatrix([[x, z], [z, x * x]])
@@ -190,11 +198,11 @@ def make(name, degcap=None, field=QQ):
             {"alpha": alpha, "beta": beta, "e12": beta},
             _shape_r2x2(amb))
     if name == "C_diag":
-        cap = 12 if degcap is None else degcap
-        amb = Ambient(2, 1, cap, field)
         x, z = _xvar(1, field), Poly.zero(field, 1)
         c = PolyMatrix([[x, z], [z, x * x]])
-        pres = AlgebraPresentation("C_diag", amb, (("c", c),))
+        gens = (("c", c),)
+        amb = Ambient(2, 1, _cap(degcap, 12, gens), field)
+        pres = AlgebraPresentation("C_diag", amb, gens)
         return ExampleRing(
             name, amb, pres,
             "commutative diagonal subring {diag(c(x), c(x^2))}, isomorphic "
@@ -213,11 +221,10 @@ def make_for_depth(name, depth, degcap=None, field=QQ, slack=2):
     products overflow.  Series windows truncate instead of overflowing
     and keep their catalog default.  An explicit degcap always wins.
     """
-    ring = make(name, degcap=degcap, field=field)
-    if degcap is not None or ring.ambient.series:
-        return ring
-    step = max([g.degree() for g in ring.pres.gen_mats()] + [1])
-    return make(name, degcap=step * depth + slack, field=field)
+    def sized(step):
+        return step * depth + slack
+    return make(name, degcap=sized if degcap is None else degcap,
+                field=field)
 
 
 def diagonal_embed(amb, c):

@@ -59,6 +59,14 @@ def test_product_outside_window_raises(gr12, classes12):
         gr12.mul(deep, classes12["alpha"])
 
 
+def test_piece_outside_an_empty_window_raises(rprime):
+    # depth 0 knows no layer below 0, so there is no graded piece at all
+    gr = GradedTrunc(weak_adic_filtration(rprime.pres, 0))
+    assert gr.degrees == []
+    with pytest.raises(WindowExceeded, match="empty"):
+        gr.piece(0)
+
+
 def test_relations_in_standard_graded(gr12, classes12):
     # alpha^2 beta collapses into the layer below; beta alpha^2 does not
     assert check_relation(gr12, classes12, ["alpha", "alpha", "beta"])

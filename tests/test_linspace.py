@@ -39,6 +39,14 @@ def test_coords_are_degree_major(amb):
         assert all(sum(amb.coords[i][0]) > m for i in range(k, amb.dim))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+@pytest.mark.parametrize("name", CATALOG)
+def test_prefix_dim_counts_coordinates(name, field):
+    amb = make(name, field=field).ambient
+    for d in range(-1, amb.degcap + 2):
+        assert amb.prefix_dim(d) == sum(sum(e) <= d for e, _, _ in amb.coords)
+
+
 def test_encode_decode_roundtrip(amb):
     m = PolyMatrix([[xp(2) + xp(0), xp(5)], [Poly.zero(QQ, 1), xp(1)]])
     assert amb.decode(amb.encode(m)) == m

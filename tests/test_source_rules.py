@@ -1,0 +1,126 @@
+"""The source rules of tools/source_rules.py: each passes on this checkout,
+each flags a seeded violation at its line and spares its exemptions, and
+CI runs each as a step of its own name."""
+
+import importlib.util
+import json
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "source_rules", ROOT / "tools" / "source_rules.py")
+rules = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(rules)
+
+# rule -> (files of a small checkout, the findings the rule must report);
+# each checkout holds one violation and cases the rule must let pass
+SEEDED = {
+    "line-length": ({
+        "src/grfilt/m.py": "x = 1\ny = " + "1" * 76 + "\n",
+        "tests/test_m.py": "z = " + "1" * 90 + "\n",
+    }, ["src/grfilt/m.py:2: 80 columns"]),
+    "unused-imports": ({
+        "src/grfilt/m.py": (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "import sys  # noqa: F401\n"
+            "from .x import exported, used, unused\n"
+            "__all__ = ['exported']\n"
+            "print(os, used)\n"),
+        "tests/test_m.py": "import json\n",
+    }, ["src/grfilt/m.py:4: unused", "tests/test_m.py:1: json"]),
+    "dead-definitions": ({
+        "perfbench/layer_map.json": json.dumps(
+            {"entries": [{"functions": ["m.traced"]}]}),
+        "src/grfilt/m.py": (
+            "def used():\n    pass\n"
+            "def dead():\n    pass\n"
+            "def traced():\n    pass\n"
+            "class K:\n"
+            "    def bare(self):\n        pass\n"
+            "    def called(self):\n        pass\n"
+            "    def __repr__(self):\n        pass\n"),
+        "tests/test_m.py": (
+            "from grfilt.m import used, K\n"
+            "bare = used()\n"
+            "K().called()\n"),
+    }, ["src/grfilt/m.py:3: dead", "src/grfilt/m.py:8: bare"]),
+    "unturned-defaults": ({
+        "src/grfilt/m.py": (
+            "def f(a, b=1, *, c=2, d=3):\n    return a\n"
+            "class K:\n"
+            "    def __init__(self, x=0):\n        pass\n"
+            "    @staticmethod\n"
+            "    def s(y=0):\n        pass\n"
+            "f(0, d=1)\n"
+            "K(5)\n"),
+        "tests/test_m.py": (
+            "from grfilt.m import f as g, K\n"
+            "g(0, c=5)\n"
+            "K.s(1)\n"),
+    }, ["src/grfilt/m.py:1: f(b=...)"]),
+    "independent-oracle": ({
+        "tests/oracle.py": (
+            "import itertools\n"
+            "from fractions import Fraction\n"
+            "import grfilt.fields\n"),
+    }, ["tests/oracle.py:3: grfilt.fields"]),
+    "exact-arithmetic": ({
+        "src/grfilt/bimodule.py": (
+            "def slope_table(a, b):\n    return a / b\n"
+            "def other(a, b):\n    a //= b\n    return a, 1 / 2\n"),
+        "scripts/s.py": "print(1 / 2)\n",
+    }, ["src/grfilt/bimodule.py:5: true division"]),
+    # like the comparisons that moved into Filtration.sign and degrees
+    "filtration-kind": ({
+        "src/grfilt/filtration.py": (
+            "class Filtration:\n"
+            "    def known(self, m):\n"
+            "        return self.kind == 'ascending'\n"
+            "def hilbert(filt):\n"
+            "    return filt.kind != 'weak-adic'\n"
+            "def layer_at(filt, n):\n"
+            "    if filt.kind == 'ascending':\n"
+            "        return filt.layer(n)\n"
+            "    return filt.layer(-n)\n"),
+        "src/grfilt/cli.py": (
+            "def _base_filtration(kind):\n"
+            "    return kind == 'weak-adic'\n"),
+    }, ["src/grfilt/filtration.py:7: compares a filtration kind"]),
+}
+
+
+@pytest.fixture(scope="module")
+def checkout():
+    return rules.Source(ROOT)
+
+
+@pytest.mark.parametrize("name", rules.RULES)
+def test_rule_passes_on_checkout(checkout, name):
+    assert rules.RULES[name](checkout) == []
+
+
+def test_every_rule_is_seeded():
+    assert SEEDED.keys() == rules.RULES.keys()
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_rule_flags_seeded_violation_at_its_line(tmp_path, name):
+    files, expected = SEEDED[name]
+    for path, text in files.items():
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text)
+    assert rules.RULES[name](rules.Source(tmp_path)) == expected
+
+
+def test_each_source_rule_is_one_ci_step_of_its_name():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    steps = re.findall(r"^ +- name: (.+)\n +run: (.+)$", workflow, re.M)
+    for name in rules.RULES:
+        assert [run for step, run in steps
+                if step == name.replace("-", " ")] == [
+            f"python tools/source_rules.py {name}"]
+    assert not re.search(r"python3? - <<", workflow)

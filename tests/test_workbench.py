@@ -2,9 +2,10 @@
 
 import pytest
 
+from grfilt import workbench
 from grfilt.fields import QQ, PrimeField
-from grfilt.linspace import QuotientContext, zero_space
-from grfilt.workbench import (make, CATALOG, diagonal_embed, op_transpose,
+from grfilt.linspace import Ambient, QuotientContext, zero_space
+from grfilt.workbench import (make, make_for_depth, CATALOG, diagonal_embed, op_transpose,
                               op_involution_report, y_kill,
                               collapse_to_one_variable,
                               right_ideal_escape_witness,
@@ -23,6 +24,29 @@ def test_generators_and_short_words_satisfy_shape(name):
         for h in gens[:4]:
             words.append(amb.decode_sparse(amb.mul(g, h)))
     assert all(ring.shape_member(w) for w in words)
+
+
+@pytest.mark.parametrize("depth", range(7))
+@pytest.mark.parametrize("name", CATALOG)
+def test_make_for_depth_builds_the_sized_ring_once(monkeypatch, name, depth):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return Ambient(*args, **kwargs)
+    for slack in (2, 4):
+        expected = make(name)
+        if not expected.ambient.series:
+            step = max(g.degree() for g in expected.pres.gen_mats())
+            expected = make(name, degcap=step * depth + slack)
+        monkeypatch.setattr(workbench, "Ambient", counted)
+        ring = make_for_depth(name, depth, slack=slack)
+        monkeypatch.undo()
+        assert len(built) == 1
+        built.clear()
+        assert (ring.ambient, ring.pres, ring.elements, ring.description) \
+            == (expected.ambient, expected.pres, expected.elements,
+                expected.description)
 
 
 def test_shape_rejects_outsiders():
