@@ -166,13 +166,15 @@ def _triangular_rank_pair(depth, field):
     return ring, left, right
 
 
-def assemble_growth_dossier(case, depth=8, field=QQ):
-    """Build the complete obstruction dossier for one filtration kind."""
+def assemble_growth_dossier(case, depth=8, field=QQ, rank_pair=None):
+    """Build the complete obstruction dossier for one filtration kind.
+    rank_pair is _triangular_rank_pair(depth, field), computed here unless
+    given; assemble_two_sided computes it once for both dossiers."""
     if case == "two-sided":
         return assemble_two_sided(depth, field)
     if case not in ("ascending", "weak-adic"):
         raise ValueError(f"unknown case {case!r}")
-    ring_poly, left, right = _triangular_rank_pair(depth, field)
+    ring_poly, left, right = rank_pair or _triangular_rank_pair(depth, field)
     s, t = left.rank, right.rank
     ranks = {"left": left, "right": right}
     if case == "ascending":
@@ -229,9 +231,11 @@ class TwoSidedDossier(Record):
 
 
 def assemble_two_sided(depth=8, field=QQ):
-    """Both dossiers plus the consistency of their swapped obstructions."""
-    asc = assemble_growth_dossier("ascending", depth, field)
-    adi = assemble_growth_dossier("weak-adic", depth, field)
+    """Both dossiers, from one rank pair, plus the consistency of their
+    swapped obstructions."""
+    pair = _triangular_rank_pair(depth, field)
+    asc = assemble_growth_dossier("ascending", depth, field, pair)
+    adi = assemble_growth_dossier("weak-adic", depth, field, pair)
     asc_div, adi_div = ({r.a for r in d.offsets.values()
                          if not r.equivalent} for d in (asc, adi))
     checks = {

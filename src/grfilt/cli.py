@@ -7,9 +7,11 @@ chain, and the staircase quotient comparison.
 
 Exit codes: 0 the requested check verified (or the table was produced),
 1 a check failed or an unexpected error occurred, 2 the window or depth
-was too small to decide, 3 usage error.  Code 2 comes from one place: a
+was too small to decide, 3 usage error.  Code 2 comes from two places: a
 handler raised grfilt.Inconclusive (WindowExceeded, TruncationError,
-DegreeOverflowError).  No error text is inspected.
+DegreeOverflowError), or cmd_ranks returned it because a rank verdict is
+"inconclusive" and none is a definite negative; that run still prints its
+report and writes nothing to stderr.  No error text is inspected.
 
 A subcommand is one row of SUBCOMMANDS plus its cmd_* handler; the
 global flags of GLOBAL_OPTIONS are accepted before or after it.

@@ -17,19 +17,14 @@ and relation checks report exactly which degrees they covered.
 There are two product paths with equal values.  lift_mul is the
 definition: lift both cosets to their canonical representative matrices,
 multiply them as matrices (PolyMatrix's own product), and take the class
-of the product.  mul reads a structure-constant table instead.  Its entry
-(m, i, n, j) is the product of basis coset i of piece m with basis coset
-j of piece n, as coordinates in piece m + n; it is filled the first time
-it is asked for, by multiplying the two basis rows with Ambient.mul, and
-kept for the life of the GradedTrunc (a few hundred entries for the
-windows the toolkit builds).
-mul(e1, e2) is the bilinear sum over the nonzero coordinates of e1 and
-e2, so each basis product is multiplied once however many products it
-enters.
+of the product.  mul stays on kernel rows: it multiplies the two
+canonical representative rows once with Ambient.mul and takes the coset
+of the product.  Nothing is cached, so a GradedTrunc never changes once
+built.
 
 ideal_chain_witness builds its ideals with mul and grows one echelon per
 degree as generators are added.  verify_chain_report uses lift_mul alone
-and keeps pieces of its own, so a wrong table entry or a slip in the
+and keeps pieces of its own, so a slip in the row product or in the
 producer cannot vouch for itself: a certificate is rechecked by a path
 other than the one that produced it, down to the product of the ring.
 """
@@ -60,7 +55,6 @@ class GradedTrunc:
                                                filt.layer(m - 1))
                          for m in self.degrees}
         self._p = self.ambient.field.p
-        self._table = {}    # (m, i, n, j) -> coset row in piece m + n
 
     def piece(self, m):
         if m not in self.sections:
@@ -94,11 +88,15 @@ class GradedTrunc:
     def _element(self, m, row):
         return GrElement(m, tuple(sorted(row.items())))
 
+    def _rep(self, el):
+        """Canonical representative of a coset, as a kernel row."""
+        sec = self.piece(el.degree)
+        return combine_rows({sec.pivots[i]: c for i, c in el.coords},
+                            sec.echelon, self._p)
+
     def lift(self, el):
         """Canonical representative matrix of a coset."""
-        sec = self.piece(el.degree)
-        return self.ambient.decode_sparse(combine_rows(
-            {sec.pivots[i]: c for i, c in el.coords}, sec.echelon, self._p))
+        return self.ambient.decode_sparse(self._rep(el))
 
     def lift_mul(self, e1, e2):
         """Product by definition: lift, multiply the matrices, reduce.
@@ -108,26 +106,12 @@ class GradedTrunc:
         return self.class_of(self.lift(e1) * self.lift(e2), target)
 
     def mul(self, e1, e2):
-        """Product from the structure-constant table (same values as
-        lift_mul)."""
-        m, n = e1.degree, e2.degree
-        self.piece(m + n)
-        p = self._p
-        coeffs = {(i, j): x * y % p if p else x * y
-                  for i, x in e1.coords for j, y in e2.coords}
-        rows = {(i, j): self._structure_constant(m, i, n, j)
-                for i, j in coeffs}
-        return self._element(m + n, combine_rows(coeffs, rows, p))
-
-    def _structure_constant(self, m, i, n, j):
-        """Coset row of (basis coset i of piece m) * (basis coset j of
-        piece n), multiplied once."""
-        key = (m, i, n, j)
-        if key not in self._table:
-            a, b = (sec.echelon[sec.pivots[k]]
-                    for sec, k in ((self.piece(m), i), (self.piece(n), j)))
-            self._table[key] = self._coset(self.ambient.mul(a, b), m + n)
-        return self._table[key]
+        """Product of the two representative rows, multiplied once with
+        Ambient.mul (same values as lift_mul)."""
+        target = e1.degree + e2.degree
+        self.piece(target)
+        return self._element(target, self._coset(
+            self.ambient.mul(self._rep(e1), self._rep(e2)), target))
 
     def generator_classes(self, pres):
         """Principal symbols of the presentation's generators."""
@@ -285,10 +269,10 @@ def ideal_chain_witness(gr, classes, words, side="left"):
 def verify_chain_report(gr, classes, report):
     """Recheck every witness of a chain report from scratch.
 
-    Words and products come from lift_mul only, never from the product
-    table or the producer's echelons.  Only the witnessed degrees are
-    built: each keeps its own echelon, extended by the generators added
-    since its previous witness.  Witness steps must increase, a strict
+    Words and products come from lift_mul only, never from mul or the
+    producer's echelons.  Only the witnessed degrees are built: each
+    keeps its own echelon, extended by the generators added since its
+    previous witness.  Witness steps must increase, a strict
     chain needs one witness for every step 1..len-1, and each witness's
     degree and word must be those of the generator it names.
     """

@@ -57,12 +57,15 @@ class ExampleRing(Record):
         return self.elements[name]
 
 
-def _shape_r2x2(amb):
-    """Membership in {[[f(x), g(x)], [0, f(x^2)]]}."""
+def _shape_triangular(amb, corner=True):
+    """Membership in {[[f(x), g(x)], [0, f(x^2)]]}; without corner, g is
+    0 as well."""
     cap = amb.degcap if amb.series else None
 
     def check(mat):
         if not mat.entry(1, 0).is_zero():
+            return False
+        if not (corner or mat.entry(0, 1).is_zero()):
             return False
         f = mat.entry(0, 0)
         d = mat.entry(1, 1).truncate(cap) if cap is not None else \
@@ -91,19 +94,6 @@ def _shape_t(amb):
         if _y0_part(mat.entry(2, 2)) != f:
             return False
         return _y0_part(mat.entry(1, 1)) == _sub_x_squared(f)
-    return check
-
-
-def _shape_c_diag(amb):
-    cap = amb.degcap if amb.series else None
-
-    def check(mat):
-        if not (mat.entry(0, 1).is_zero() and mat.entry(1, 0).is_zero()):
-            return False
-        f = mat.entry(0, 0)
-        d = mat.entry(1, 1).truncate(cap) if cap is not None else \
-            mat.entry(1, 1)
-        return d == _sub_x_squared(f, cap)
     return check
 
 
@@ -136,14 +126,14 @@ def make(name, degcap=None, field=QQ):
                 "triangular subring {[[f(x), g(x)], [0, f(x^2)]]} of "
                 "M_2(k[x]); generators alpha = diag(x, x^2) and beta = e12",
                 {"alpha": alpha, "beta": beta, "e12": beta, "xe12": xbeta},
-                _shape_r2x2(amb))
+                _shape_triangular(amb))
         return ExampleRing(
             name, amb, pres,
             "same shape with the nilpotent generator moved up one degree: "
             "generators alpha and x*e12; misses the constant at e12",
             {"alpha": alpha, "beta": beta, "e12": beta, "xe12": xbeta,
              "x2e12": _unit_mat(2, 1, 0, 1, x * x)},
-            _shape_r2x2(amb), in_catalog=False)
+            _shape_triangular(amb), in_catalog=False)
     if name == "S":
         x, y = _xvar(2, field), _yvar(2, field)
         z = Poly.zero(field, 2)
@@ -196,7 +186,7 @@ def make(name, degcap=None, field=QQ):
             f"triangular ring {what}, modeled as the finite quotient over "
             f"k[x]/(x^{cap + 1})",
             {"alpha": alpha, "beta": beta, "e12": beta},
-            _shape_r2x2(amb))
+            _shape_triangular(amb))
     if name == "C_diag":
         x, z = _xvar(1, field), Poly.zero(field, 1)
         c = PolyMatrix([[x, z], [z, x * x]])
@@ -208,7 +198,7 @@ def make(name, degcap=None, field=QQ):
             "commutative diagonal subring {diag(c(x), c(x^2))}, isomorphic "
             "to k[x]; the triangular ring is module-finite over it",
             {"c": c},
-            _shape_c_diag(amb))
+            _shape_triangular(amb, corner=False))
     raise KeyError(f"unknown example ring {name!r}; "
                    f"catalog: {', '.join(CATALOG)} (+ R_perturbed)")
 

@@ -184,3 +184,20 @@ def test_verifier_rejects_negative_witness_index():
               "rows": [{"p": p, "n": -p, "H_n": vals[-p],
                         "H_n_plus_p": vals[0]} for p in (1, 2, 3)]}
     assert not verify_certificate(forged)
+
+
+def test_two_sided_dossier_computes_the_rank_pair_once(monkeypatch):
+    # both dossiers read one pair; a single case still computes its own
+    import grfilt.certifier
+    real, calls = grfilt.certifier._triangular_rank_pair, []
+
+    def counted(depth, field):
+        calls.append((depth, field.name))
+        return real(depth, field)
+    monkeypatch.setattr(grfilt.certifier, "_triangular_rank_pair", counted)
+    d = assemble_growth_dossier("two-sided", depth=6)
+    assert calls == [(6, "Q")]
+    assert d.checks["same_rank_pair"]
+    assert (d.ascending.s, d.ascending.t) == (1, 2)
+    assemble_growth_dossier("ascending", depth=6)
+    assert len(calls) == 2

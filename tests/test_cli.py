@@ -491,3 +491,13 @@ def test_a_handler_rebound_after_import_is_the_one_parsed(monkeypatch):
     monkeypatch.setattr(grfilt.cli, "cmd_hilbert", stand_in)
     args = grfilt.cli.build_parser().parse_args(["hilbert"])
     assert args.handler is stand_in
+
+
+def test_ranks_inconclusive_verdict_exits_2_with_its_report(capsys):
+    # the second source of exit 2: a returned verdict, not a raised
+    # Inconclusive, so the full payload is printed and stderr stays empty
+    code, out, err = run(capsys, "--format", "json", "ranks", "--depth", "2")
+    assert code == 2
+    assert err == ""
+    assert json.loads(out)["sides"]["right"]["free"]["verdict"] \
+        == "inconclusive"

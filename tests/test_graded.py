@@ -11,7 +11,7 @@ from grfilt.filtration import (WindowExceeded, standard_filtration,
 from grfilt.graded import (GradedTrunc, GrElement, check_relation,
                            sandwich_zero_sweep, spanning_check,
                            ideal_chain_witness, verify_chain_report,
-                           rees_dims, ChainReport)
+                           rees_dims, ChainReport, chain_words)
 from grfilt.linalg import dense_row, reduce_by_rref, rref
 from grfilt.workbench import make
 
@@ -348,3 +348,29 @@ def test_chain_verifier_checks_witness_degree_and_word(gr12, classes12):
                           rep.strictly_ascending,
                           (forged,) + rep.witnesses[1:], rep.window)
         assert not verify_chain_report(gr12, classes12, bad)
+
+
+@pytest.mark.parametrize("field_name", ("Q", "Fp:101"))
+@pytest.mark.parametrize("kind,side", (("standard", "left"),
+                                       ("weak-adic", "right")))
+def test_products_leave_the_truncation_unchanged(field_name, kind, side):
+    """mul and lift_mul hold nothing: after a chain and its recheck, every
+    attribute of the truncation is the one it was built with, and its
+    containers hold what they held."""
+    fld = QQ if field_name == "Q" else PrimeField(101)
+    if kind == "standard":
+        ring = make("R_2x2", degcap=18, field=fld)
+        gr = GradedTrunc(standard_filtration(ring.pres, 8))
+    else:
+        ring = make("R_prime", degcap=8, field=fld)
+        gr = GradedTrunc(weak_adic_filtration(ring.pres, 6))
+    classes = gr.generator_classes(ring.pres)
+
+    def state():
+        return {k: v.copy() if isinstance(v, (dict, list)) else v
+                for k, v in vars(gr).items()}
+    before = state()
+    rep = ideal_chain_witness(gr, classes, chain_words(side, 4), side=side)
+    assert rep.strictly_ascending
+    assert verify_chain_report(gr, classes, rep)
+    assert state() == before

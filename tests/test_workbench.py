@@ -11,7 +11,7 @@ from grfilt.workbench import (make, make_for_depth, CATALOG, diagonal_embed, op_
                               right_ideal_escape_witness,
                               quotient_iso_check, staircase_mod_y,
                               staircase_quotient_context)
-from grfilt.poly import Poly
+from grfilt.poly import Poly, PolyMatrix
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -60,6 +60,29 @@ def test_shape_rejects_outsiders():
     assert not ring.shape_member(PolyMatrix(rows))
     lower = PolyMatrix([[Poly.zero(QQ, 1), Poly.zero(QQ, 1)], [x, Poly.zero(QQ, 1)]])
     assert not ring.shape_member(lower)
+
+
+def test_c_diag_shape_rejects_the_corner_and_a_broken_tie():
+    ring = make("C_diag")
+    amb = ring.ambient
+    x = Poly.variable(QQ, 1, 0)
+    assert ring.shape_member(diagonal_embed(amb, x * x + x))
+    assert not ring.shape_member(make("R_2x2").el("e12"))
+    bad = [list(r) for r in diagonal_embed(amb, x).rows]
+    bad[1][1] = x  # diag(x, x), breaking the f(x^2) tie
+    assert not ring.shape_member(PolyMatrix(bad))
+
+
+def test_diagonal_shape_truncates_in_series_mode():
+    # over k[x]/(x^6), f(x^2) is compared modulo x^6 as well
+    amb = Ambient(2, 1, 5, QQ, series=True)
+    x, z = Poly.variable(QQ, 1, 0), Poly.zero(QQ, 1)
+    check = workbench._shape_triangular(amb, corner=False)
+    f = x * x * x + x
+    assert check(PolyMatrix([[f, z], [z, x * x]]))
+    assert check(PolyMatrix([[f, z], [z, f.dilate(2)]]))
+    assert not check(PolyMatrix([[f, z], [z, x]]))
+    assert not check(PolyMatrix([[f, x], [z, x * x]]))
 
 
 def test_perturbed_ring_excluded_from_catalog():

@@ -1,0 +1,89 @@
+"""Check that grfilt prints the same as another checkout, run by run.
+
+    python tools/same_outputs.py PARENT_CHECKOUT
+
+Runs one battery in this checkout and in PARENT_CHECKOUT: every job of
+perfbench/workloads.json and its warm-up, plus EDGE_JOBS, each over
+FIELDS in json and text.  Each tree runs the whole battery in one child
+interpreter with PYTHONPATH=<tree>/src, calling grfilt.cli.main in
+process, and records each run's exit code and the sha256 of its stdout
+and stderr.  Every argv whose three differ is printed, and the exit code
+is 1 if any do."""
+
+import json
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIELDS = ("Q", "Fp:101", "Fp:2147483629", "Fp:7")
+# runs that fail (1), are inconclusive (2) or misuse the command line (3)
+EDGE_JOBS = (
+    "chain --side right --steps 4",
+    "chain --kind weak-adic --side left --steps 4",
+    "ranks --depth 2",
+    "certify --depth 3",
+    "hilbert --depth 40 --degcap 12",
+    "quotient-iso --max-len 0",
+    "hilbert --kind weak-adic",
+    "hilbert --depth -1",
+    "hilbert --quotient nope",
+)
+# reads a JSON list of argvs on stdin, writes [code, stdout sha256,
+# stderr sha256] for each
+CHILD = """
+import contextlib, hashlib, io, json, sys
+from grfilt.cli import main
+out = []
+for argv in json.load(sys.stdin):
+    streams = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(streams[0]), \\
+            contextlib.redirect_stderr(streams[1]):
+        code = main(argv)
+    out.append([code] + [hashlib.sha256(s.getvalue().encode()).hexdigest()
+                         for s in streams])
+json.dump(out, sys.stdout)
+"""
+
+
+def battery():
+    """Every workload job and the warm-up, then EDGE_JOBS, each under
+    every field and format."""
+    with open(ROOT / "perfbench" / "workloads.json") as f:
+        spec = json.load(f)
+    jobs = [spec["warmup"]] + [job for w in spec["workloads"].values()
+                               for job in w["jobs"]] + list(EDGE_JOBS)
+    return [["--field", fld, "--format", fmt] + job.split()
+            for job in dict.fromkeys(jobs) for fld in FIELDS
+            for fmt in ("json", "text")]
+
+
+def run_tree(tree, argvs):
+    """[code, stdout sha256, stderr sha256] of each argv, run by the
+    grfilt under tree/src."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(tree) / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", CHILD], cwd=tree, env=env,
+                          input=json.dumps(argvs), capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def differences(tree_a, tree_b, argvs):
+    """The argvs whose exit code, stdout or stderr differ between the
+    two trees."""
+    return [argv for argv, a, b in zip(argvs, run_tree(tree_a, argvs),
+                                       run_tree(tree_b, argvs)) if a != b]
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: same_outputs.py PARENT_CHECKOUT")
+    argvs = battery()
+    diff = differences(ROOT, sys.argv[1], argvs)
+    for argv in diff:
+        print("differs: " + shlex.join(argv))
+    print(f"{len(diff)} of {len(argvs)} runs differ")
+    sys.exit(1 if diff else 0)
