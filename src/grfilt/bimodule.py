@@ -16,7 +16,7 @@ as the rank itself.
 
 from functools import cached_property
 
-from .linalg import SpanTracker, combine_rows, insert_row, reduce_row
+from .linalg import SpanTracker, combine_rows
 from .linspace import (restrict_degree, sum_spaces, zero_space,
                        DegreeOverflowError)
 from .filtration import WindowExceeded, two_sided_closure
@@ -175,16 +175,11 @@ def verify_rank_certificate(action, report):
                 coeffs[len(rows)] = amb.field.of(-c)
                 rows.append(term[l])
         return not combine_rows(coeffs, rows, amb.field.p)
-    # the orbits are independent exactly when every row enlarges the span
-    p = amb.field.p
-    echelon = {}
-    for g in gens:
-        for v in action.power_orbit(g):
-            if not insert_row(echelon, v, p):
-                return False
-    window = restrict_degree(action.carrier, report.spanned_through)
-    return not any(reduce_row(dict(r), echelon, p)
-                   for r in window.echelon.values())
+    # the orbits are independent exactly when their span has full dim
+    rows = [v for g in gens for v in action.power_orbit(g)]
+    orbits = zero_space(amb).extend(rows)
+    return orbits.dim == len(rows) and orbits.contains(
+        restrict_degree(action.carrier, report.spanned_through))
 
 
 def _read_relation(rel, field, ngens):
@@ -293,7 +288,7 @@ def goldie_rank(action, depth):
                             depth, slope_table(action, depth))
     basis = _scan_basis(action, depth)
     orbits = [action.power_orbit(b) for b in basis]
-    spans = [_span_of(amb, orbit) for orbit in orbits]
+    spans = [zero_space(amb).extend(orbit) for orbit in orbits]
     family = []
     total = zero_space(amb)
     budget_ok = True
@@ -339,21 +334,17 @@ def verify_goldie_certificate(action, report):
     # an orbit span meets total trivially exactly when the sum is direct
     total = zero_space(amb)
     for m in report.family:
-        sb = _span_of(amb, action.power_orbit(amb.encode_sparse(m)))
+        sb = zero_space(amb).extend(
+            action.power_orbit(amb.encode_sparse(m)))
         grown = sum_spaces(total, sb)
         if grown.dim != total.dim + sb.dim:
             return False
         total = grown
     for b in _scan_basis(action, report.depth):
-        sb = _span_of(amb, action.power_orbit(b))
+        sb = zero_space(amb).extend(action.power_orbit(b))
         if sum_spaces(total, sb).dim == total.dim + sb.dim:
             return False
     return True
-
-
-def _span_of(amb, rows):
-    """The span of kernel rows that are read, not consumed."""
-    return zero_space(amb).extend(map(dict, rows))
 
 
 class BimoduleSpec(Record):

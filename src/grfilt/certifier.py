@@ -28,8 +28,7 @@ from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
                          induced_quotient_filtration, induced_good_filtration,
                          intrinsic_module_filtration, equivalence_offset,
                          WindowExceeded)
-from .graded import (GradedTrunc, chain_sides, chain_words,
-                     ideal_chain_witness, verify_chain_report)
+from .graded import chain_sides, checked_chain
 from .bimodule import corner_ideal, free_rank
 from .workbench import make
 from .record import Record
@@ -212,10 +211,8 @@ def assemble_growth_dossier(case, depth=8, field=QQ, rank_pair=None):
         matching = f"matches at offset {match.offset} only"
     else:
         matching = "diverges too"
-    gr = GradedTrunc(filt)
-    classes = gr.generator_classes(ring.pres)
-    words = chain_words(diverging_side, min(4, depth - 2))
-    chain = ideal_chain_witness(gr, classes, words, side=diverging_side)
+    chain, reverified = checked_chain(filt, ring.pres, diverging_side,
+                                      min(4, depth - 2))
     verdict = (f"{case} filtration: {diverging_side}-side obstruction "
                f"({div.a} filtrations diverge from the {div.b} "
                f"one; ranks {s} against {t}; {matching_side} side "
@@ -223,7 +220,7 @@ def assemble_growth_dossier(case, depth=8, field=QQ, rank_pair=None):
     return ObstructionDossier(case, s, t, ranks, table, cert,
                               {"diverging": div, "matching": match}, chain,
                               subexp_probe(table.values), verdict,
-                              verify_chain_report(gr, classes, chain))
+                              reverified)
 
 
 class TwoSidedDossier(Record):

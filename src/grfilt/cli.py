@@ -209,11 +209,8 @@ def cmd_chain(args):
         ring = make("R_prime", degcap=args.depth + 2, field=args.field)
     filt = _base_filtration(ring, args.kind, args.depth)
     side = args.side or graded.chain_sides(filt)[0]
-    gr = graded.GradedTrunc(filt)
-    classes = gr.generator_classes(ring.pres)
-    words = graded.chain_words(side, args.steps)
-    report = graded.ideal_chain_witness(gr, classes, words, side=side)
-    reverified = graded.verify_chain_report(gr, classes, report)
+    report, reverified = graded.checked_chain(filt, ring.pres, side,
+                                              args.steps)
     ok = report.strictly_ascending and reverified
     lines = [f"{side} ideal chain in gr {ring.name} ({args.kind}), "
              f"{args.steps} steps",

@@ -109,7 +109,7 @@ class FreeStructureReport(Record):
 
 def free_structure_report(ring, window, depth=None):
     """Stage (i): rank scans for the module structure over the diagonal
-    subring (acting by diagonal_x) on both sides; the later stages consume
+    subring (acting by diagonal_x) on both sides; the later stages rely on
     freeness of both (the duals are then free C-modules of the same ranks)."""
     amb = ring.ambient
     depth = amb.degcap if depth is None else depth
@@ -225,7 +225,7 @@ def cyclic_presentation(hom, window, expected_ann):
     chosen = chosen_orbit = None
     for idx, phi in enumerate(hom.dual_basis()):
         images = [hom.act(phi, b) for b in basis]
-        orbit = zero_space(space).extend(dict(r) for r in images)
+        orbit = zero_space(space).extend(images)
         hit = orbit.contains(target)
         tried.append({"candidate": idx, "orbit_dim": orbit.dim,
                       "target_dim": target.dim, "accepted": hit})
@@ -381,11 +381,10 @@ def end_ring(ring, window, ideal, generators):
     domain = restrict_degree(window, dcap)
     basis = domain.basis_rows()
     images = [corner_double(amb, b) for b in basis]
-    lands = not any(ide.residual(dict(m)) for m in images)
+    lands = not any(map(ide.residual, images))
     one = amb.encode_sparse(amb.one())
     unital = corner_double(amb, one) == one
-    kernel = domain.kernel([ideal.residual(dict(m)) for m in images],
-                           amb.dim)
+    kernel = domain.kernel(map(ideal.residual, images), amb.dim)
     witness = repr(kernel.basis_matrices()[0]) if kernel.dim else None
     mult_ok = True
     checked = skipped = 0
@@ -394,15 +393,14 @@ def end_ring(ring, window, ideal, generators):
     for a, ca in zip(basis, images):
         for b, cb in zip(basis, images):
             da, db = amb.degree(a), amb.degree(b)
-            if 2 * (da + db) + 1 > amb.degcap or \
-                    (2 * da + 1) + (2 * db + 1) > amb.degcap:
+            if 2 * (da + db) + 2 > amb.degcap:
                 skipped += 1
                 continue
             checked += 1
             if (ideal.residual(corner_double(amb, amb.mul(a, b)))
                     != ideal.residual(amb.mul(ca, cb))):
                 mult_ok = False
-    through = _covered_through(ideal.extend(map(dict, images)),
+    through = _covered_through(ideal.extend(images),
                                lambda m: restrict_degree(ide, m), amb.degcap)
     ok = (ide_rep.ok and unital and lands and mult_ok and not kernel.dim
           and through >= required)
@@ -463,7 +461,7 @@ def dual_identification(ring, window, ideal, left_struct):
     imgs = [hom1.act(phi, b) for phi in (phi1, phi2) for b in basis]
     prefix = partial(prefix_space, space)
     presents_through = _covered_through(
-        zero_space(space).extend(map(dict, imgs)), prefix, cap)
+        zero_space(space).extend(imgs), prefix, cap)
 
     # the relation module (kernel of (b, 0) -> b.phi1, (0, b) -> b.phi2)
     # against the span of the (x^(j+1) e12, x^j e12), as canonical echelons

@@ -161,8 +161,7 @@ def _next_layer(before, cur, step):
     With before = Gamma_{n-1}, cur = Gamma_n and step row -> row G this
     is Gamma_{n+1}: cur is before plus those new rows, and step(before)
     lies in cur.  A step that overflows the degree cap on cur does so on
-    a new row, as the part past the cap is linear in the row.  cur's rows
-    are read as they stand: extend inserts into a copy."""
+    a new row, as the part past the cap is linear in the row."""
     new = [row for q, row in cur.echelon.items() if q not in before.echelon]
     return cur.extend(out for row in new for out in step(row))
 
@@ -355,8 +354,11 @@ def equivalence_offset(fa, fb, max_offset=3):
     at the window edge.  A side with no admissible q is reported as None,
     which witnesses divergence on the compared range, not a proof for all
     n.  Choose the window deep enough that the range [lo, hi] reaches past
-    where divergence is expected to show.
+    where divergence is expected to show.  A negative max_offset tests
+    no offset, so it raises ValueError rather than report divergence.
     """
+    if max_offset < 0:
+        raise ValueError(f"max_offset must be >= 0, got {max_offset}")
     lo = max(fa.lo, fb.lo)
     hi = min(fa.hi, fb.hi) - max_offset
     if hi < lo:

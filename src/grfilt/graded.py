@@ -76,10 +76,10 @@ class GradedTrunc:
             self.ambient.encode_sparse(mat), m))
 
     def _coset(self, row, m):
-        """Coset coordinates {i: c} in piece m of a layer-m kernel row
-        (consumed): its remainder modulo layer m - 1 is the combination
-        of the complement's rows with its own entries at their pivots."""
-        if self.filt.layer(m).residual(dict(row)):
+        """Coset coordinates {i: c} in piece m of a layer-m kernel row:
+        its remainder modulo layer m - 1 is the combination of the
+        complement's rows with its own entries at their pivots."""
+        if self.filt.layer(m).residual(row):
             raise ValueError(f"element does not lie in layer {m}")
         rem = self.filt.layer(m - 1).residual(row)
         return {i: rem[q] for i, q in enumerate(self.piece(m).pivots)
@@ -301,6 +301,16 @@ def verify_chain_report(gr, classes, report):
         if not reduce_row(dict(g.coords), piece, p):
             return False
     return True
+
+
+def checked_chain(filt, pres, side, steps):
+    """ideal_chain_witness's report on the chain_words(side, steps) of
+    pres's generator symbols in gr(filt), and its verify_chain_report."""
+    gr = GradedTrunc(filt)
+    classes = gr.generator_classes(pres)
+    report = ideal_chain_witness(gr, classes, chain_words(side, steps),
+                                 side=side)
+    return report, verify_chain_report(gr, classes, report)
 
 
 def rees_dims(filt, upto):

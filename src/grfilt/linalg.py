@@ -12,7 +12,9 @@ row_echelon inserts rows into an empty echelon; combine_rows forms the
 combination sum c * rows[i] of a coefficient row {i: c}.  SpanTracker is
 the same echelon with one more column per tag: the row added under a tag
 is held as (row, unit at the tag's column), so reducing a member leaves
-minus its combination in the tag columns.
+minus its combination in the tag columns.  Kernel rows are values: no
+function changes a row it did not just make, so callers and echelons
+share rows freely and none copies a row to protect it.
 
 joint_kernel is the one kernel route: it inserts the joint rows (a_i,
 b_i) into one insert_row echelon and reads the canonical RREF of {sum c_i
@@ -99,41 +101,48 @@ def combine_rows(coeffs, rows, p):
 
 
 def reduce_row(vec, echelon, p):
-    """vec modulo a canonical echelon {pivot: row}, in place; returns vec.
+    """vec modulo a canonical echelon {pivot: row}: vec itself when no
+    pivot column meets it, else a new row.
 
     One pass over the pivot columns vec starts with suffices: entries of
     vec at pivot columns do not change while reducing, because every held
     row is zero at every other pivot column."""
-    for j in [j for j in vec if j in echelon]:
-        _axpy(vec, vec[j], echelon[j], p)
-    return vec
+    hits = [j for j in vec if j in echelon]
+    out = dict(vec) if hits else vec
+    for j in hits:
+        _axpy(out, vec[j], echelon[j], p)
+    return out
 
 
 def insert_row(echelon, vec, p):
-    """Insert the kernel row vec (consumed) into the canonical echelon
-    {pivot: row}, in place.  True if it enlarged the span.
+    """Insert the kernel row vec into the canonical echelon {pivot: row},
+    in place.  True if it enlarged the span.
 
-    Gauss-Jordan: vec is reduced against the held rows, scaled to 1 at
-    its lowest column, and that column is cleared from the held rows, so
-    the echelon stays fully reduced and needs one pass per insertion."""
-    reduce_row(vec, echelon, p)
-    if not vec:
-        return False
+    Gauss-Jordan: vec is reduced against the held rows and scaled to 1 at
+    its lowest column, and each held row meeting that column is replaced
+    by a copy with it cleared, so the echelon stays fully reduced."""
+    vec = reduce_row(vec, echelon, p)
+    if vec:
+        _place(echelon, vec, p)
+    return bool(vec)
+
+
+def _place(echelon, vec, p):
+    """insert_row past the reduction: vec is nonzero and reduced."""
     lead = min(vec)
     if vec[lead] != 1:
         vec = _normalize(vec, vec[lead], p)
-    for held in echelon.values():
-        c = held.get(lead)
-        if c is not None:
-            _axpy(held, c, vec, p)
+    for q in [q for q, held in echelon.items() if lead in held]:
+        held = dict(echelon[q])
+        _axpy(held, held[lead], vec, p)
+        echelon[q] = held
     echelon[lead] = vec
-    return True
 
 
 def row_echelon(rows, p, ncols=None):
-    """The canonical echelon {pivot: row} of the kernel rows (consumed),
-    inserted one at a time; insertion stops once ncols pivots are held,
-    so len() of it is the rank."""
+    """The canonical echelon {pivot: row} of the kernel rows, inserted
+    one at a time; insertion stops once ncols pivots are held, so len()
+    of it is the rank."""
     echelon = {}
     for vec in rows:
         insert_row(echelon, vec, p)
@@ -234,8 +243,7 @@ class SpanTracker:
     its reduction, so every pivot lies below ncols, and express(w) is one
     reduce_row of (w, 0), which leaves (0, -c) exactly when w = sum c_i
     v_i.  The held rows are independent, so c is unique.  Tags must be
-    distinct; add and express leave their argument as it was.
-    """
+    distinct."""
 
     def __init__(self, field, ncols):
         self.ncols = ncols
@@ -247,18 +255,18 @@ class SpanTracker:
     def add(self, vec, tag):
         """Insert a tagged kernel row; True if it enlarged the span."""
         p = self._p
-        row = dict(vec)
-        row[self.ncols + len(self.tags)] = self._one
-        if min(reduce_row(row, self.rows, p)) >= self.ncols:
+        row = reduce_row({**vec, self.ncols + len(self.tags): self._one},
+                         self.rows, p)
+        if min(row) >= self.ncols:
             return False
         self.tags.append(tag)
-        insert_row(self.rows, row, p)
+        _place(self.rows, row, p)
         return True
 
     def express(self, vec):
         """{tag: coeff} with vec = sum coeff * tagged row, or None."""
         p = self._p
-        row = reduce_row(dict(vec), self.rows, p)
+        row = reduce_row(vec, self.rows, p)
         n = self.ncols
         if row and min(row) < n:
             return None

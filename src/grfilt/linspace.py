@@ -21,8 +21,8 @@ call to row, and decode_sparse).  The coordinate (e, i, j) is the basis
 element x^e E_ij, so Ambient.mul multiplies two kernel rows of a square
 ambient by index arithmetic, x^e E_ij * x^f E_jl = x^(e+f) E_il, with no
 matrix built.  Subspaces store their reduced-row-echelon basis as the
-kernel's sparse echelon and grow by inserting rows into a copy of it; two
-subspaces are equal iff their canonical echelons are equal.
+kernel's sparse echelon and grow by inserting rows into a copy of its
+dict; two subspaces are equal iff their canonical echelons are equal.
 
 Degree-cap overflow is a hard error in polynomial mode.  In series mode the
 ambient is the quotient ring modulo all monomials of degree > degcap, so
@@ -215,9 +215,9 @@ class Subspace:
     The basis is held as the kernel's canonical sparse echelon, echelon =
     {pivot: row} (see grfilt.linalg); every query reduces against it, and
     equality compares it, since it is unique for the span.  A Subspace is
-    never changed once built: extend() inserts into a copy of the
-    echelon.  Queries and extend take kernel rows; from_vectors, and span
-    on top of it, are the one dense entry, through rref.
+    never changed once built: extend() inserts into a new echelon dict.
+    Queries and extend take kernel rows; from_vectors, and span on top of
+    it, are the one dense entry, through rref.
     """
 
     def __init__(self, ambient, echelon):
@@ -234,10 +234,10 @@ class Subspace:
                              for q, r in zip(pivots, rows)})
 
     def extend(self, rows):
-        """Span of this subspace and the given kernel rows (consumed),
-        built by inserting them into a copy of this echelon."""
+        """Span of this subspace and the given kernel rows, built by
+        inserting them into a copy of this echelon dict."""
         p = self._p
-        echelon = {q: dict(r) for q, r in self.echelon.items()}
+        echelon = dict(self.echelon)
         for row in rows:
             insert_row(echelon, row, p)
         return Subspace(self.ambient, echelon)
@@ -247,7 +247,7 @@ class Subspace:
         return len(self.pivots)
 
     def residual(self, row):
-        """A kernel row (consumed) modulo this subspace."""
+        """A kernel row modulo this subspace."""
         return reduce_row(row, self.echelon, self._p)
 
     def member(self, mat):
@@ -256,8 +256,7 @@ class Subspace:
     def contains(self, other):
         if other.ambient != self.ambient:
             raise ValueError("subspaces live in different ambients")
-        return not any(self.residual(dict(r))
-                       for r in other.echelon.values())
+        return not any(map(self.residual, other.echelon.values()))
 
     def kernel(self, images, width):
         """Kernel of the map sending the i-th canonical basis row, in
@@ -268,8 +267,7 @@ class Subspace:
         return Subspace(self.ambient, {min(r): r for r in rows})
 
     def basis_rows(self):
-        """The canonical basis in pivot order, as the echelon's own kernel
-        rows: read them, never consume them."""
+        """The canonical basis in pivot order: the echelon's own rows."""
         return [self.echelon[q] for q in self.pivots]
 
     def basis_matrices(self):
@@ -302,7 +300,7 @@ def zero_space(ambient):
 
 def sum_spaces(u, v):
     _match(u, v)
-    return u.extend(dict(r) for r in v.echelon.values())
+    return u.extend(v.echelon.values())
 
 
 def intersect(u, v):
@@ -376,7 +374,7 @@ class QuotientContext:
 
     def image(self, sub):
         return zero_space(self.ambient).extend(
-            self.ideal.residual(dict(r)) for r in sub.echelon.values())
+            map(self.ideal.residual, sub.echelon.values()))
 
     def mul(self, a, b):
         """The representative of the product of two kernel rows."""

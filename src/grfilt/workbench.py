@@ -299,8 +299,7 @@ def quotient_iso_check(ctx_a, ctx_b, pairs, max_len=4):
     concatenated with value in B) of the words of length <= max_len in
     the generator pairs, given as matrices, grows by the rule of
     grfilt.filtration: each of max_len rounds multiplies only the rows
-    the round before added, read as they stood when the round began
-    (insert_row rewrites held rows in place).
+    the round before added, read as they stood when the round began.
     A word overflows the degree cap exactly when some such row does.
     The correspondence extends to a well-defined bijective multiplicative
     linear map between the word spans iff the joint span has the same

@@ -280,7 +280,7 @@ def goldie_by_intersect(action, report):
     amb = action.ambient
 
     def orbit_span(row):
-        return zero_space(amb).extend(map(dict, action.power_orbit(row)))
+        return zero_space(amb).extend(action.power_orbit(row))
     total = zero_space(amb)
     for m in report.family:
         sb = orbit_span(amb.encode_sparse(m))

@@ -205,8 +205,8 @@ def test_certify_two_sided_default(capsys):
 
 def test_certify_two_sided_fails_when_a_chain_does_not_reverify(
         capsys, monkeypatch):
-    import grfilt.certifier
-    monkeypatch.setattr(grfilt.certifier, "verify_chain_report",
+    import grfilt.graded
+    monkeypatch.setattr(grfilt.graded, "verify_chain_report",
                         lambda gr, classes, report: False)
     code, out, _ = run(capsys, "--format", "json", "certify")
     assert code == 1
@@ -380,8 +380,8 @@ def test_window_too_small_to_mean_anything_is_inconclusive(capsys, argv):
 
 def test_certify_single_case_fails_when_the_chain_does_not_reverify(
         capsys, monkeypatch):
-    import grfilt.certifier
-    monkeypatch.setattr(grfilt.certifier, "verify_chain_report",
+    import grfilt.graded
+    monkeypatch.setattr(grfilt.graded, "verify_chain_report",
                         lambda gr, classes, report: False)
     code, out, _ = run(capsys, "--format", "json", "certify",
                        "--case", "ascending", "--depth", "6")

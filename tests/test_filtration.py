@@ -149,6 +149,13 @@ def test_equivalence_offset_window_guard(filt12):
         equivalence_offset(filt12, filt12, max_offset=13)
 
 
+def test_equivalence_offset_refuses_a_negative_bound(filt12):
+    """No offset q in 0..max_offset exists to test, so there is no
+    divergence to report."""
+    with pytest.raises(ValueError, match="max_offset"):
+        equivalence_offset(filt12, filt12, max_offset=-1)
+
+
 def test_good_filtration_divergence(ring_r, filt12):
     """The left-good filtration on the corner ideal falls strictly behind
     the intrinsic one, with no uniform catch-up offset in the window."""

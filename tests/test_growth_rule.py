@@ -47,10 +47,10 @@ def closure_reference(pres, seeds):
                     except DegreeOverflowError:
                         continue
                     key = frozenset(row.items())
-                    if key not in fresh and cur.residual(dict(row)):
+                    if key not in fresh and cur.residual(row):
                         fresh[key] = row
         frontier = list(fresh.values())
-        cur = cur.extend(dict(r) for r in frontier)
+        cur = cur.extend(frontier)
     closed_degree = amb.degcap if amb.series else amb.degcap - gmax
     return cur, closed_degree
 
@@ -71,8 +71,8 @@ def iso_reference(ctx_a, ctx_b, pairs, max_len):
                  for (a, b) in level for (ga, gb) in pairs]
         words.extend(level)
     p = amb_a.field.p
-    dim_a = len(row_echelon((dict(a) for a, _ in words), p))
-    dim_b = len(row_echelon((dict(b) for _, b in words), p))
+    dim_a = len(row_echelon((a for a, _ in words), p))
+    dim_b = len(row_echelon((b for _, b in words), p))
     dim_joint = len(row_echelon(
         (joint_row(a, b, amb_a.dim) for a, b in words), p))
     return IsoReport(dim_joint == dim_a == dim_b, dim_a, dim_b, dim_joint,

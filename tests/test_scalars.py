@@ -106,7 +106,7 @@ def test_kernel_and_dense_rows_hold_reduced_ints(case):
             assert_reduced(amb.mul(a, b).values(), p)
     echelon = {}
     for row in rows:
-        insert_row(echelon, dict(row), p)
+        insert_row(echelon, row, p)
         for held in echelon.values():
             assert_reduced(held.values(), p)
     dense = [dense_row(row, amb.dim, amb.field) for row in rows]
@@ -159,7 +159,7 @@ def test_rational_rows_and_echelons_are_in_lowest_form(entries):
     echelon = {}
     tracker = SpanTracker(QQ, amb.dim)
     for i, row in enumerate(rows):
-        insert_row(echelon, dict(row), None)
+        insert_row(echelon, row, None)
         tracker.add(row, i)
         for held in echelon.values():
             assert_lowest(held.values())

@@ -21,7 +21,8 @@ SEEDED = {
     "line-length": ({
         "src/grfilt/m.py": "x = 1\ny = " + "1" * 76 + "\n",
         "tests/test_m.py": "z = " + "1" * 90 + "\n",
-    }, ["src/grfilt/m.py:2: 80 columns"]),
+        "tools/t.py": "# " + "-" * 79 + "\n",
+    }, ["src/grfilt/m.py:2: 80 columns", "tools/t.py:1: 81 columns"]),
     "unused-imports": ({
         "src/grfilt/m.py": (
             "from __future__ import annotations\n"

@@ -9,13 +9,13 @@ import sys
 
 
 class Source:
-    """The .py files under src/, scripts/ and tests/ of the checkout at
-    root, by path relative to root: each is read, parsed and walked once,
-    into its text and the list of its syntax nodes."""
+    """The .py files under src/, scripts/, tests/ and tools/ of the
+    checkout at root, by path relative to root: each is read, parsed and
+    walked once, into its text and the list of its syntax nodes."""
     def __init__(self, root):
         self.root = pathlib.Path(root)
         self.text = {p.relative_to(self.root): p.read_text() for p in sorted(
-            q for top in ("src", "scripts", "tests")
+            q for top in ("src", "scripts", "tests", "tools")
             for q in (self.root / top).rglob("*.py"))}
         self.nodes = {p: list(ast.walk(ast.parse(t)))
                       for p, t in self.text.items()}
@@ -35,10 +35,10 @@ def _outside(src, kinds, places):
 
 
 def line_length(src):
-    """Line count measures simplicity, so lines of src/ and scripts/ must
-    not grow past 79 columns to save it."""
+    """Line count measures simplicity, so lines of src/, scripts/ and
+    tools/ must not grow past 79 columns to save it."""
     return [f"{p}:{n}: {len(line)} columns"
-            for p in src.under("src", "scripts")
+            for p in src.under("src", "scripts", "tools")
             for n, line in enumerate(src.text[p].splitlines(), 1)
             if len(line) > 79]
 
@@ -65,8 +65,8 @@ def unused_imports(src):
 
 def dead_definitions(src):
     """Deletions leave definitions behind too: a function or class of src/
-    must be referenced by name or attribute in src/, scripts/ or tests/,
-    and a method by attribute (a bare name of the same spelling, such as a
+    must be referenced by name or attribute in a file of the Source, and
+    a method by attribute (a bare name of the same spelling, such as a
     parameter, does not count), or be traced by the benchmark, which
     names it in perfbench/layer_map.json."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -93,7 +93,7 @@ def dead_definitions(src):
 def unturned_defaults(src):
     """A default that no call changes is a constant in disguise: each
     defaulted parameter of a src/ function must be passed, by keyword or
-    by position, by some call in src/, scripts/ or tests/; a call is
+    by position, by some call in a file of the Source; a call is
     matched by its name (after "import ... as" aliases) or attribute, a
     class call by its __init__, and *args or **kwargs pass everything."""
     passed = {}     # callee name -> [(positional count or None, keywords)]
