@@ -225,7 +225,7 @@ def torsion_window(action, max_power=None):
         for _ in range(max_power):
             m = action.apply(m)
         images.append(m)
-    return domain.kernel(images, amb.dim)
+    return domain.kernel(images)
 
 
 def slope_table(action, depth):
@@ -259,12 +259,14 @@ _KERNEL_VERDICT = "not certified: actor has a kernel on the window"
 
 def _has_kernel(action):
     """Whether the actor kills some carrier element of the window where
-    its products fit the degree cap."""
-    amb = action.ambient
-    dt = max(action.actor.degree(), 1)
-    domain = restrict_degree(action.carrier, amb.degcap - dt)
-    images = [action.apply(b) for b in domain.basis_rows()]
-    return bool(domain.kernel(images, amb.dim).dim)
+    its products fit the degree cap.  Series ambients are refused:
+    truncation makes every element nilpotent under the action, so no
+    uniform-rank statement about the untruncated module can come out."""
+    if action.ambient.series:
+        raise ValueError(
+            "a uniform-rank certificate needs polynomial mode; in a series "
+            "ambient every element is torsion by truncation")
+    return bool(torsion_window(action, 1).dim)
 
 
 def goldie_rank(action, depth):
@@ -273,15 +275,10 @@ def goldie_rank(action, depth):
     nonzero multiple inside the family span (essentiality).
 
     Needs the actor to act regularly (injectively) on the window; a kernel
-    element is reported instead of a rank.  Series ambients are refused:
-    truncation makes every element nilpotent under the action, so no
-    uniform-rank statement about the untruncated module can come out.
+    element is reported instead of a rank.  Series ambients are refused
+    (see _has_kernel).
     """
     amb = action.ambient
-    if amb.series:
-        raise ValueError(
-            "goldie_rank needs polynomial mode; in a series ambient every "
-            "element is torsion by truncation and the certificate is empty")
     if _has_kernel(action):
         return GoldieReport(action.name, action.side, _KERNEL_VERDICT,
                             None, (), (), False, False, False,

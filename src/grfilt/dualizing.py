@@ -235,7 +235,7 @@ def cyclic_presentation(hom, window, expected_ann):
     if chosen is None:
         return CyclicReport(st.ring.name, tuple(tried), None, 0,
                             acceptance_degree, 0, False, False, False)
-    ann = window.kernel(images, space.dim)
+    ann = window.kernel(images)
     matches = ann == expected_ann
     consistent = window.dim - ann.dim == chosen_orbit.dim
     return CyclicReport(st.ring.name, tuple(tried), chosen, chosen_orbit.dim,
@@ -300,26 +300,20 @@ def _covered_through(sub, part, limit):
     return limit
 
 
-def idealizer(ring, window, ideal, generators):
-    """{r in window : r * generators inside the ideal}, exactly.
+def idealizer(ring, window, ideal, gen):
+    """{r in window : r * gen inside the ideal}, exactly.
 
-    For a right ideal the generator condition suffices: r(gs) = (rg)s
+    For the right ideal gen * ring, testing gen suffices: r(gs) = (rg)s
     stays inside once rg does, and right-closedness of the ideal window
     is surveyed separately, and the result compared with
     predicted_idealizer(ring).  Returns (report, subspace).
     """
     amb = ring.ambient
-    wcap = amb.degcap - max(g.degree() for g in generators)
+    wcap = amb.degcap - gen.degree()
     domain = restrict_degree(window, wcap)
-    gen_rows = [amb.encode_sparse(g) for g in generators]
-    images = []
-    for b in domain.basis_rows():
-        stacked = {}
-        for i, g in enumerate(gen_rows):
-            res = ideal.residual(amb.mul(b, g))
-            stacked.update((i * amb.dim + j, x) for j, x in res.items())
-        images.append(stacked)
-    ide = domain.kernel(images, len(generators) * amb.dim)
+    g = amb.encode_sparse(gen)
+    ide = domain.kernel(ideal.residual(amb.mul(b, g))
+                        for b in domain.basis_rows())
     inside = ide.contains(restrict_degree(ideal, wcap))
     right_closed, rc_pairs = _product_stability(
         amb, amb.degcap, ideal.basis_rows(), ring.pres.gen_rows, ideal)
@@ -365,7 +359,7 @@ class EndRingReport(Record):
               "required_through", "ok")
 
 
-def end_ring(ring, window, ideal, generators):
+def end_ring(ring, window, ideal, gen):
     """Stage (iii): the ring maps isomorphically onto End of the cyclic
     dual, realized as idealizer/ideal.
 
@@ -374,7 +368,7 @@ def end_ring(ring, window, ideal, generators):
     ideal, and to hit every idealizer class through degree degcap // 2.
     """
     amb = ring.ambient
-    ide_rep, ide = idealizer(ring, window, ideal, generators)
+    ide_rep, ide = idealizer(ring, window, ideal, gen)
     dcap = (ide_rep.window_degree - 1) // 2
     _require_window(STAGES[2], "the domain degree", dcap)
     required = amb.degcap // 2
@@ -384,7 +378,7 @@ def end_ring(ring, window, ideal, generators):
     lands = not any(map(ide.residual, images))
     one = amb.encode_sparse(amb.one())
     unital = corner_double(amb, one) == one
-    kernel = domain.kernel(map(ideal.residual, images), amb.dim)
+    kernel = domain.kernel(map(ideal.residual, images))
     witness = repr(kernel.basis_matrices()[0]) if kernel.dim else None
     mult_ok = True
     checked = skipped = 0
@@ -467,17 +461,16 @@ def dual_identification(ring, window, ideal, left_struct):
     # against the span of the (x^(j+1) e12, x^j e12), as canonical echelons
     p, n = amb.field.p, amb.dim
     kernel = joint_kernel(
-        zip(imgs, basis + [joint_row({}, r, n) for r in basis]), space.dim,
-        p)
+        zip(imgs, basis + [joint_row({}, r, n) for r in basis]), p)
     expected = row_echelon(
         (joint_row(_basis_sum(amb, ((j + 1,), 0, 1)),
                    _basis_sum(amb, ((j,), 0, 1)), n)
          for j in range(_CORNER_LO[ring.name], cap)), p)
-    kernel_matches = {min(r): r for r in kernel} == expected
+    kernel_matches = kernel == expected
 
     kills = not any(slot_shift(amb, space, b) for b in ideal.basis_rows())
     psi_imgs = [slot_shift(amb, space, b) for b in basis]
-    psi_kernel_matches = window.kernel(psi_imgs, space.dim) == ideal
+    psi_kernel_matches = window.kernel(psi_imgs) == ideal
     psi_onto_through = _covered_through(
         zero_space(space).extend(psi_imgs), prefix, cap)
 
@@ -567,7 +560,7 @@ def verify_dualizing(ring):
         return DualizingReport(ring.name, amb.degcap, free_rep, cyc, None,
                                None, STAGES[1], False)
 
-    endo = end_ring(ring, window, ideal, [gen])
+    endo = end_ring(ring, window, ideal, gen)
     if not endo.ok:
         return DualizingReport(ring.name, amb.degcap, free_rep, cyc, endo,
                                None, STAGES[2], False)

@@ -17,8 +17,10 @@ function changes a row it did not just make, so callers and echelons
 share rows freely and none copies a row to protect it.
 
 joint_kernel is the one kernel route: it inserts the joint rows (a_i,
-b_i) into one insert_row echelon and reads the canonical RREF of {sum c_i
-b_i : sum c_i a_i = 0} off the rows whose pivot lies in the second part.
+b_i), split one past the last column of any a_i, into one insert_row
+echelon and reads the canonical echelon of {sum c_i b_i : sum c_i a_i =
+0} off the rows whose pivot lies in the second part.  joint_row and
+split_joint are the one place that knows the joint-row layout.
 
 The echelon insert_row keeps is the canonical reduced row echelon form
 (pivot entries 1, pivot columns cleared), which is what makes Subspace
@@ -192,16 +194,25 @@ def joint_row(a, b, width):
     return row
 
 
-def joint_kernel(pairs, width, p):
-    """{sum c_i b_i : sum c_i a_i = 0} for kernel-row pairs (a_i, b_i),
-    every a_i below column width, as its canonical RREF sorted by pivot.
+def split_joint(row, width):
+    """The parts (a, b) of a joint row: the inverse of joint_row."""
+    return ({j: x for j, x in row.items() if j < width},
+            {j - width: x for j, x in row.items() if j >= width})
 
-    The joint rows (a_i, b_i shifted by width) go into one insert_row
-    echelon; its rows with pivot at or past width are zero in the first
-    part, and their second parts span the kernel, fully reduced."""
+
+def joint_kernel(pairs, p):
+    """{sum c_i b_i : sum c_i a_i = 0} for kernel-row pairs (a_i, b_i),
+    as its canonical echelon {pivot: row}, keyed in increasing order.
+
+    The joint rows (a_i, b_i) go into one insert_row echelon, split one
+    past the last column of any a_i; any later split gives the same
+    kernel.  Its rows with pivot at or past the split are zero in the
+    first part, and their second parts span the kernel, fully reduced."""
+    pairs = list(pairs)
+    width = max((max(a) + 1 for a, _ in pairs if a), default=0)
     echelon = row_echelon((joint_row(a, b, width) for a, b in pairs), p)
-    return [{j - width: x for j, x in echelon[q].items()}
-            for q in sorted(echelon) if q >= width]
+    return {q - width: split_joint(echelon[q], width)[1]
+            for q in sorted(echelon) if q >= width}
 
 
 def kernel_rows(images, rows, field):
@@ -212,7 +223,7 @@ def kernel_rows(images, rows, field):
     pairs = [(sparse_row(a, field), sparse_row(r, field))
              for a, r in zip(images, rows)]
     return [dense_row(r, len(rows[0]), field)
-            for r in joint_kernel(pairs, len(images[0]), field.p)]
+            for r in joint_kernel(pairs, field.p).values()]
 
 
 def kernel_combos(vectors, field):

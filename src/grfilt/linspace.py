@@ -258,13 +258,12 @@ class Subspace:
             raise ValueError("subspaces live in different ambients")
         return not any(map(self.residual, other.echelon.values()))
 
-    def kernel(self, images, width):
+    def kernel(self, images):
         """Kernel of the map sending the i-th canonical basis row, in
-        pivot order, to the kernel row images[i] (columns below width),
-        read off one joint_kernel."""
-        rows = joint_kernel(zip(images, map(self.echelon.get, self.pivots)),
-                            width, self._p)
-        return Subspace(self.ambient, {min(r): r for r in rows})
+        pivot order, to the kernel row images[i], read off one
+        joint_kernel."""
+        return Subspace(self.ambient, joint_kernel(
+            zip(images, map(self.echelon.get, self.pivots)), self._p))
 
     def basis_rows(self):
         """The canonical basis in pivot order: the echelon's own rows."""
@@ -310,8 +309,7 @@ def intersect(u, v):
     _match(u, v)
     pairs = [(r, r) for r in u.echelon.values()]
     pairs += [(r, {}) for r in v.echelon.values()]
-    return Subspace(u.ambient, {
-        min(r): r for r in joint_kernel(pairs, u.ambient.dim, u._p)})
+    return Subspace(u.ambient, joint_kernel(pairs, u._p))
 
 
 def subspace_product(u, v):
@@ -345,7 +343,7 @@ def restrict_degree(u, maxdeg):
              for q in u.pivots]
     if not any(tails):
         return u
-    return u.kernel(tails, u.ambient.dim)
+    return u.kernel(tails)
 
 
 def complement_section(sup, sub):

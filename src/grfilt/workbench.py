@@ -11,7 +11,7 @@ modulo x^(d+1) by ring structure rather than by silent truncation.
 """
 
 from .fields import QQ
-from .linalg import insert_row, joint_row, row_echelon
+from .linalg import insert_row, joint_row, row_echelon, split_joint
 from .linspace import Ambient, QuotientContext
 from .filtration import (AlgebraPresentation, standard_filtration,
                          two_sided_closure, WindowExceeded)
@@ -27,14 +27,6 @@ def _unit_mat(n, arity, i, j, p):
     rows = [[z] * n for _ in range(n)]
     rows[i][j] = p
     return PolyMatrix(rows)
-
-
-def _xvar(arity, fld):
-    return Poly.variable(fld, arity, 0)
-
-
-def _yvar(arity, fld):
-    return Poly.variable(fld, arity, 1)
 
 
 def _y0_part(p):
@@ -112,7 +104,7 @@ def make(name, degcap=None, field=QQ):
     standard windows used in the tests and reports; a function of the top
     generator degree sizes a polynomial window from its generators."""
     if name in ("R_2x2", "R_perturbed"):
-        x, z = _xvar(1, field), Poly.zero(field, 1)
+        x, z = Poly.variable(field, 1, 0), Poly.zero(field, 1)
         alpha = PolyMatrix([[x, z], [z, x * x]])
         beta = _unit_mat(2, 1, 0, 1, Poly.const(field, 1, field.one))
         xbeta = _unit_mat(2, 1, 0, 1, x)
@@ -135,7 +127,7 @@ def make(name, degcap=None, field=QQ):
              "x2e12": _unit_mat(2, 1, 0, 1, x * x)},
             _shape_triangular(amb), in_catalog=False)
     if name == "S":
-        x, y = _xvar(2, field), _yvar(2, field)
+        x, y = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1)
         z = Poly.zero(field, 2)
         alpha = PolyMatrix([[x, z], [z, x * x]])
         beta = _unit_mat(2, 2, 0, 1, Poly.const(field, 2, field.one))
@@ -150,7 +142,7 @@ def make(name, degcap=None, field=QQ):
             {"alpha": alpha, "beta": beta, **dict(ygens)},
             _shape_s(amb))
     if name == "T":
-        x, y = _xvar(2, field), _yvar(2, field)
+        x, y = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1)
         z = Poly.zero(field, 2)
         alpha = PolyMatrix([[x, z, z], [z, x * x, z], [z, z, x]])
         one2 = Poly.const(field, 2, field.one)
@@ -174,7 +166,7 @@ def make(name, degcap=None, field=QQ):
         # function leaves it at its default
         cap = 9 if degcap is None or callable(degcap) else degcap
         amb = Ambient(2, 1, cap, field, series=True)
-        x, z = _xvar(1, field), Poly.zero(field, 1)
+        x, z = Poly.variable(field, 1, 0), Poly.zero(field, 1)
         alpha = PolyMatrix([[x, z], [z, x * x]])
         beta = _unit_mat(2, 1, 0, 1, Poly.const(field, 1, field.one))
         pres = AlgebraPresentation(name, amb, (("alpha", alpha),
@@ -188,7 +180,7 @@ def make(name, degcap=None, field=QQ):
             {"alpha": alpha, "beta": beta, "e12": beta},
             _shape_triangular(amb))
     if name == "C_diag":
-        x, z = _xvar(1, field), Poly.zero(field, 1)
+        x, z = Poly.variable(field, 1, 0), Poly.zero(field, 1)
         c = PolyMatrix([[x, z], [z, x * x]])
         gens = (("c", c),)
         amb = Ambient(2, 1, _cap(degcap, 12, gens), field)
@@ -323,7 +315,7 @@ def quotient_iso_check(ctx_a, ctx_b, pairs, max_len=4):
     insert_row(echelon, joint_row(one_a, one_b, width), p)
     new = list(echelon)
     for _ in range(max_len):
-        halves = [_halves(echelon[q], width) for q in new]
+        halves = [split_joint(echelon[q], width) for q in new]
         before = set(echelon)
         for a, b in halves:
             for ga, gb in pairs:
@@ -332,17 +324,11 @@ def quotient_iso_check(ctx_a, ctx_b, pairs, max_len=4):
         new = [q for q in echelon if q not in before]
     dim_a = sum(q < width for q in echelon)
     dim_b = len(row_echelon(
-        (_halves(r, width)[1] for r in echelon.values()), p))
+        (split_joint(r, width)[1] for r in echelon.values()), p))
     return IsoReport(len(echelon) == dim_a == dim_b, dim_a, dim_b,
                      len(echelon),
                      sum(len(pairs) ** k for k in range(max_len + 1)),
                      max_len)
-
-
-def _halves(row, width):
-    """The parts (a, b) of a joint row, as linalg.joint_row builds it."""
-    return ({j: x for j, x in row.items() if j < width},
-            {j - width: x for j, x in row.items() if j >= width})
 
 
 def staircase_mod_y(ring_t, degcap):

@@ -8,7 +8,8 @@ from grfilt.filtration import two_sided_closure, WindowExceeded
 from grfilt.bimodule import (ModuleAction, BimoduleSpec, free_rank,
                              verify_rank_certificate, torsion_window,
                              slope_table, goldie_rank,
-                             verify_goldie_certificate, bimodule_ranks)
+                             verify_goldie_certificate, bimodule_ranks,
+                             GoldieReport, _KERNEL_VERDICT)
 from grfilt.linspace import (span, restrict_degree, intersect, sum_spaces,
                              zero_space)
 
@@ -122,6 +123,12 @@ def test_goldie_refuses_series_mode():
                        ring.el("alpha"), "right")
     with pytest.raises(ValueError, match="polynomial mode"):
         goldie_rank(act, 4)
+    # the verifier refuses the series carrier as well, whatever the report
+    for verdict in ("certified", _KERNEL_VERDICT):
+        report = GoldieReport(act.name, act.side, verdict, None, (), (),
+                              False, False, False, 4, None)
+        with pytest.raises(ValueError, match="polynomial mode"):
+            verify_goldie_certificate(act, report)
 
 
 def test_bimodule_ranks_bundle(corner_spec):

@@ -73,7 +73,7 @@ def test_idealizer_matches_predicted_shape():
     window = ring_window(ring)
     _, gen = nilpotent_generator(ring.pres)
     ideal = right_ideal_window(ring.ambient, gen, window)
-    rep, ide = idealizer(ring, window, ideal, [gen])
+    rep, ide = idealizer(ring, window, ideal, gen)
     assert rep.ok and rep.matches_predicted
     # diag(h(x^2), h(x^4)) block: 6 dims, plus all 21 corner dims
     assert ide.dim == 27

@@ -9,7 +9,7 @@ tests/oracle.py.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from grfilt.fields import QQ, PrimeField
@@ -170,9 +170,11 @@ def test_joint_kernel_is_the_rref_of_the_kernel(case, data):
     width = data.draw(st.integers(0, ncols))
     pairs = [(sparse_row(r[:width], fld), sparse_row(r[width:], fld))
              for r in rows]
-    kernel = joint_kernel(pairs, width, fld.p)
-    dense = [tuple(dense_row(k, ncols - width, fld)) for k in kernel]
-    assert_canonical(fld, dense, [min(k) for k in kernel], ncols - width)
+    kernel = joint_kernel(pairs, fld.p)
+    assert all(q == min(k) for q, k in kernel.items())
+    dense = [tuple(dense_row(k, ncols - width, fld))
+             for k in kernel.values()]
+    assert_canonical(fld, dense, list(kernel), ncols - width)
     joint, pivots = rref(rows, fld)
     for k in dense:
         lifted = [fld.zero] * width + list(k)
@@ -181,6 +183,52 @@ def test_joint_kernel_is_the_rref_of_the_kernel(case, data):
     assert len(kernel) == len(pivots) - len(rref(first, fld)[1])
     if fld == QQ:
         assert len(kernel) == oracle_rank(rows) - oracle_rank(first)
+
+
+def joint_kernel_reference(pairs, width, p):
+    """The kernel at a split width the caller names, past every first
+    part: the joint rows (a, b shifted by width) go into one echelon, and
+    the second parts of the rows that pivot at or past width, re-keyed,
+    are the kernel's echelon."""
+    echelon = row_echelon(
+        ({**a, **{width + j: x for j, x in b.items()}} for a, b in pairs), p)
+    return {q - width: {j - width: x for j, x in echelon[q].items()}
+            for q in sorted(echelon) if q >= width}
+
+
+@st.composite
+def row_pairs(draw):
+    """(field, first width, pairs): kernel-row pairs (a, b) with every a
+    below the first width, and sometimes every a zero."""
+    fld = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(101)]))
+    na, nb = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    value = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    zero_first = draw(st.booleans())
+
+    def kernel_row(n, values):
+        return {j: v for j, x in enumerate(draw(st.lists(
+            values, min_size=n, max_size=n))) if (v := fld.of(x))}
+    pairs = [(kernel_row(na, st.just(0) if zero_first else value),
+              kernel_row(nb, value))
+             for _ in range(draw(st.integers(0, 7)))]
+    return fld, na, pairs
+
+
+@common
+@given(row_pairs())
+@example((QQ, 0, []))
+@example((PrimeField(7), 2, [({}, {0: 1}), ({}, {}), ({}, {1: 3})]))
+def test_joint_kernel_finds_its_own_split(case):
+    # any split at or past one beyond the last first-part column gives
+    # the same kernel, which joint_kernel finds without being told
+    fld, na, pairs = case
+    derived = max((max(a) + 1 for a, _ in pairs if a), default=0)
+    kernel = joint_kernel(iter(pairs), fld.p)
+    assert list(kernel) == sorted(kernel)
+    for width in range(derived, na + 3):
+        assert joint_kernel_reference(pairs, width, fld.p) == kernel
+    if not any(a for a, _ in pairs):
+        assert kernel == row_echelon((b for _, b in pairs), fld.p)
 
 
 @common

@@ -168,7 +168,7 @@ def test_rational_rows_and_echelons_are_in_lowest_form(entries):
         assert combo is not None
         assert_lowest(combo.values())
     products = [amb.mul(a, b) for a in rows for b in rows]
-    for held in joint_kernel(zip(products, products[::-1]), amb.dim, None):
+    for held in joint_kernel(zip(products, products[::-1]), None).values():
         assert_lowest(held.values())
     for m in mats:
         assert amb.decode_sparse(amb.encode_sparse(m)) == m

@@ -33,9 +33,11 @@ SEEDED = {
             "print(os, used)\n"),
         "tests/test_m.py": "import json\n",
     }, ["src/grfilt/m.py:4: unused", "tests/test_m.py:1: json"]),
+    # a traced name exempts only its own definition: m.K.mul and o.lift
+    # leave the function mul and the method K.lift of m dead
     "dead-definitions": ({
         "perfbench/layer_map.json": json.dumps(
-            {"entries": [{"functions": ["m.traced"]}]}),
+            {"entries": [{"functions": ["m.traced", "m.K.mul", "o.lift"]}]}),
         "src/grfilt/m.py": (
             "def used():\n    pass\n"
             "def dead():\n    pass\n"
@@ -43,12 +45,16 @@ SEEDED = {
             "class K:\n"
             "    def bare(self):\n        pass\n"
             "    def called(self):\n        pass\n"
-            "    def __repr__(self):\n        pass\n"),
+            "    def __repr__(self):\n        pass\n"
+            "    def mul(self):\n        pass\n"
+            "    def lift(self):\n        pass\n"
+            "def mul():\n    pass\n"),
         "tests/test_m.py": (
             "from grfilt.m import used, K\n"
             "bare = used()\n"
             "K().called()\n"),
-    }, ["src/grfilt/m.py:3: dead", "src/grfilt/m.py:8: bare"]),
+    }, ["src/grfilt/m.py:3: dead", "src/grfilt/m.py:18: mul",
+        "src/grfilt/m.py:8: bare", "src/grfilt/m.py:16: lift"]),
     "unturned-defaults": ({
         "src/grfilt/m.py": (
             "def f(a, b=1, *, c=2, d=3):\n    return a\n"

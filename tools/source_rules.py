@@ -68,7 +68,8 @@ def dead_definitions(src):
     must be referenced by name or attribute in a file of the Source, and
     a method by attribute (a bare name of the same spelling, such as a
     parameter, does not count), or be traced by the benchmark, which
-    names it in perfbench/layer_map.json."""
+    names it in perfbench/layer_map.json as module.function or
+    module.Class.method."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     every = [n for nodes in src.nodes.values() for n in nodes]
     names = {n.id for n in every if isinstance(n, ast.Name)}
@@ -76,17 +77,18 @@ def dead_definitions(src):
               if isinstance(n, ast.alias)}
     attrs = {n.attr for n in every if isinstance(n, ast.Attribute)}
     with open(src.root / "perfbench" / "layer_map.json") as f:
-        traced = {part for e in json.load(f)["entries"]
-                  for fn in e["functions"] for part in fn.split(".")}
+        traced = {fn for e in json.load(f)["entries"]
+                  for fn in e["functions"]}
     bad = []
     for p in src.under("src"):
-        methods = {id(d) for c in src.nodes[p] if isinstance(c, ast.ClassDef)
-                   for d in c.body if isinstance(d, defs)}
+        owner = {id(d): f"{c.name}." for c in src.nodes[p]
+                 if isinstance(c, ast.ClassDef) for d in c.body}
         bad += [f"{p}:{n.lineno}: {n.name}" for n in src.nodes[p]
                 if isinstance(n, defs)
                 and not (n.name.startswith("__") and n.name.endswith("__"))
-                and n.name not in traced | attrs
-                | (set() if id(n) in methods else names)]
+                and f"{p.stem}.{owner.get(id(n), '')}{n.name}" not in traced
+                and n.name not in attrs
+                | (set() if id(n) in owner else names)]
     return bad
 
 
