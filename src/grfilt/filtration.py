@@ -37,9 +37,8 @@ TruncationError; rebuild with a larger degree cap.
 
 from functools import cached_property
 
-from .linspace import (span, zero_space, intersect,
-                       subspace_product, quotient_dim, QuotientContext,
-                       DegreeOverflowError, Inconclusive)
+from .linspace import (span, zero_space, intersect, quotient_dim,
+                       QuotientContext, DegreeOverflowError, Inconclusive)
 from .record import Record
 
 
@@ -371,95 +370,3 @@ def equivalence_offset(fa, fb, max_offset=3):
                         max(a_in_b, b_in_a) if equivalent else None,
                         max_offset, hi - lo + 1)
 
-
-class GoodnessReport(Record):
-    fields = ("side", "submultiplicative_ok", "first_violation",
-              "stable_from", "pairs_checked", "pairs_skipped")
-
-
-def is_good(ring_filt, mod_filt, side="left"):
-    """Check Gamma_a Omega_b <= Omega_{a+b} and locate a stability bound.
-
-    stable_from is the first module index n0, scanned in the direction of
-    sign (ascending lo..hi, weak-adic 0..lo), such that every checkable
-    product with sign * a >= 1 and sign * b >= sign * n0 lands exactly on
-    the target layer; None when no such bound shows up in the window.
-    """
-    amb = ring_filt.ambient
-    sign = ring_filt.sign
-    checked = skipped = 0
-    violation = None
-    ok = True
-    exact = {}
-    for a in ring_filt.degrees:
-        ga = ring_filt.layer(a)
-        for b in range(mod_filt.lo, mod_filt.hi + 1):
-            if not mod_filt.known(a + b):
-                continue
-            ob = mod_filt.layer(b)
-            if (not amb.series and
-                    ga.maxdeg() + max(ob.maxdeg(), 0) > amb.degcap):
-                skipped += 1
-                continue
-            target = mod_filt.layer(a + b)
-            prod = (subspace_product(ga, ob) if side == "left"
-                    else subspace_product(ob, ga))
-            checked += 1
-            if not target.contains(prod):
-                ok = False
-                if violation is None:
-                    violation = f"Gamma_{a} * Omega_{b} not inside " \
-                                f"Omega_{a + b}"
-            exact[(a, b)] = (prod == target)
-    stable_from = None
-    if ok:
-        for n0 in range(mod_filt.lo, mod_filt.hi + 1)[::sign]:
-            pairs = [(a, b) for (a, b) in exact
-                     if sign * a >= 1 and sign * b >= sign * n0]
-            if pairs and all(exact[p] for p in pairs):
-                stable_from = n0
-                break
-    return GoodnessReport(side, ok, violation, stable_from, checked, skipped)
-
-
-class AxiomReport(Record):
-    fields = ("nested_ok", "unit_ok", "multiplicative_ok", "pairs_checked",
-              "pairs_skipped", "detail")
-
-    @property
-    def ok(self):
-        return self.nested_ok and self.unit_ok and self.multiplicative_ok
-
-
-def verify_filtration_axioms(filt):
-    """Nesting, unit membership, and submultiplicativity on the window."""
-    amb = filt.ambient
-    detail = None
-    nested_ok = True
-    for n in range(filt.lo, filt.hi):
-        if not filt.layer(n + 1).contains(filt.layer(n)):
-            nested_ok = False
-            detail = f"layer {n} not inside layer {n + 1}"
-            break
-    unit_ok = filt.layer(0).member(amb.one())
-    if not unit_ok and detail is None:
-        detail = "unit missing from layer 0"
-    checked = skipped = 0
-    mult_ok = True
-    idx = filt.degrees
-    for m in idx:
-        for n in idx:
-            if not filt.known(m + n):
-                skipped += 1
-                continue
-            lm, ln = filt.layer(m), filt.layer(n)
-            if (not amb.series and
-                    max(lm.maxdeg(), 0) + max(ln.maxdeg(), 0) > amb.degcap):
-                skipped += 1
-                continue
-            checked += 1
-            if not filt.layer(m + n).contains(subspace_product(lm, ln)):
-                mult_ok = False
-                if detail is None:
-                    detail = f"layer {m} * layer {n} escapes layer {m + n}"
-    return AxiomReport(nested_ok, unit_ok, mult_ok, checked, skipped, detail)

@@ -11,8 +11,7 @@ or Fractions in lowest form over Q, ints in [0, p) over F_p); equal
 cosets have equal GrElements, and dict(el.coords) is the row again.
 
 Products of pieces land in the piece at the summed degree.  Asking for a
-product outside the window raises WindowExceeded rather than truncating,
-and relation checks report exactly which degrees they covered.
+product outside the window raises WindowExceeded rather than truncating.
 
 There are two product paths with equal values.  lift_mul is the
 definition: lift both cosets to their canonical representative matrices,
@@ -29,9 +28,7 @@ producer cannot vouch for itself: a certificate is rechecked by a path
 other than the one that produced it, down to the product of the ring.
 """
 
-from itertools import accumulate
-
-from .linalg import combine_rows, insert_row, reduce_row, row_echelon
+from .linalg import combine_rows, insert_row, reduce_row
 from .linspace import complement_section
 from .filtration import WindowExceeded
 from .record import Record
@@ -39,9 +36,6 @@ from .record import Record
 
 class GrElement(Record):
     fields = ("degree", "coords")
-
-    def is_zero(self):
-        return not self.coords
 
 
 class GradedTrunc:
@@ -136,67 +130,6 @@ class GradedTrunc:
     def to_json(self):
         return {"kind": self.filt.kind, "name": self.filt.name,
                 "piece_dims": self.piece_dims()}
-
-
-def check_relation(gr, classes, word_a, word_b=None):
-    """Whether two words in the symbols agree (or word_a vanishes).
-    Coset coordinates are canonical, so agreeing is being equal."""
-    ea = gr.word(classes, list(word_a))
-    if word_b is None:
-        return ea.is_zero()
-    return ea == gr.word(classes, list(word_b))
-
-
-def sandwich_zero_sweep(gr, classes, name):
-    """Check g * (every piece basis coset) * g == 0 across the window.
-
-    Returns (all_zero, products_checked); degrees whose target piece falls
-    outside the window are skipped, not assumed.
-    """
-    g = classes[name]
-    checked = 0
-    for m in gr.degrees:
-        target = g.degree + m + g.degree
-        if target not in gr.sections:
-            continue
-        for u in gr.piece_basis(m):
-            prod = gr.mul(gr.mul(g, u), g)
-            checked += 1
-            if not prod.is_zero():
-                return False, checked
-    return True, checked
-
-
-class SpanningReport(Record):
-    fields = ("patterns", "degrees", "covered", "all_covered")
-
-
-def spanning_check(gr, classes, patterns):
-    """Do the pattern families span every piece in the window?
-
-    A pattern (pre, star, post) denotes the elements pre * star^k * post
-    for k >= 0.  This certifies statements like "the graded ring is
-    generated over k[a] by {1, b, ab}" degree by degree.
-    """
-    covered = []
-    for m in gr.degrees:
-        sec = gr.piece(m)
-        vecs = []
-        for pre, star, post in patterns:
-            fixed = len(pre) + len(post)
-            k = abs(m) - fixed
-            if k < 0:
-                continue
-            word = list(pre) + [star] * k + list(post)
-            if len(word) == 0 and m != 0:
-                continue
-            el = gr.word(classes, word)
-            if el.degree != m:
-                raise ValueError("pattern degree bookkeeping is off")
-            vecs.append(dict(el.coords))
-        covered.append(len(row_echelon(vecs, gr._p, sec.dim)) == sec.dim)
-    return SpanningReport(tuple(tuple(map(tuple, p)) for p in patterns),
-                          tuple(gr.degrees), tuple(covered), all(covered))
 
 
 # ------------------------------------------------------------ ideal chains
@@ -312,8 +245,3 @@ def checked_chain(filt, pres, side, steps):
                                  side=side)
     return report, verify_chain_report(gr, classes, report)
 
-
-def rees_dims(filt, upto):
-    """Dimensions of the layered sum, degree by degree (partial sums)."""
-    return list(accumulate(filt.layer(filt.sign * n).dim
-                           for n in range(upto + 1)))

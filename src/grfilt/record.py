@@ -2,10 +2,9 @@
 
 A Record subclass declares its fields once, in `fields`.  That tuple is
 the constructor's argument order, the key order of to_json(), and what
-equality, hashing and repr compare.  `defaults` gives the values of
-fields that may be left out; `hidden` names fields that stay off the
-payload (matrices a verifier reads back, say).  Setting an attribute
-raises; replace() builds a changed copy.
+equality, hashing and repr compare.  `hidden` names fields that stay
+off the payload (matrices a verifier reads back, say).  Setting an
+attribute raises; replace() builds a changed copy.
 
 jsonable() is the only place that decides the encoding: a record becomes
 its to_json(), a tuple or list a list, a dict keeps its keys, and any
@@ -15,7 +14,6 @@ other value passes through for json.dumps to accept or refuse.
 
 class Record:
     fields = ()
-    defaults = {}
     hidden = ()
 
     def __init__(self, *args, **kwargs):
@@ -32,7 +30,7 @@ class Record:
         for key in kwargs:
             if key not in self.fields or key in given:
                 raise TypeError(f"{name}: unknown or repeated field {key!r}")
-        values = {**self.defaults, **given, **kwargs}
+        values = {**given, **kwargs}
         missing = [f for f in self.fields if f not in values]
         if missing:
             raise TypeError(f"{name} is missing {', '.join(missing)}")

@@ -42,8 +42,7 @@ def _sub_x_squared(p, series_cap=None):
 
 class ExampleRing(Record):
     fields = ("name", "ambient", "pres", "description", "elements",
-              "shape_member", "in_catalog")
-    defaults = {"in_catalog": True}
+              "shape_member")
 
     def el(self, name):
         return self.elements[name]
@@ -125,7 +124,7 @@ def make(name, degcap=None, field=QQ):
             "generators alpha and x*e12; misses the constant at e12",
             {"alpha": alpha, "beta": beta, "e12": beta, "xe12": xbeta,
              "x2e12": _unit_mat(2, 1, 0, 1, x * x)},
-            _shape_triangular(amb), in_catalog=False)
+            _shape_triangular(amb))
     if name == "S":
         x, y = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1)
         z = Poly.zero(field, 2)
@@ -264,17 +263,6 @@ def collapse_to_one_variable(mat):
                             {(e[0],): c for e, c in p.terms.items()}))
         out.append(new)
     return PolyMatrix(out)
-
-
-def right_ideal_escape_witness(ring):
-    """Product showing e13*T + e23*T is not a left ideal of T.
-
-    Left-multiplying e13 by y*e31 lands in row 3, while the right ideal
-    generated by e13 and e23 lives entirely in rows 1 and 2.
-    """
-    prod = ring.el("ye31") * ring.el("e13")
-    in_rows_12 = all(prod.entry(2, j).is_zero() for j in range(3))
-    return prod, in_rows_12
 
 
 class IsoReport(Record):

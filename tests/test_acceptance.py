@@ -10,6 +10,7 @@ import json
 
 import oracle
 import test_properties
+from paper_checks import check_relation, sandwich_zero_sweep, spanning_check
 
 from grfilt.linspace import QuotientContext, zero_space
 from grfilt.workbench import (make, staircase_quotient_context,
@@ -17,8 +18,7 @@ from grfilt.workbench import (make, staircase_quotient_context,
 from grfilt.filtration import (standard_filtration, weak_adic_filtration,
                                hilbert, induced_quotient_filtration,
                                two_sided_closure)
-from grfilt.graded import (GradedTrunc, check_relation, sandwich_zero_sweep,
-                           spanning_check, ideal_chain_witness,
+from grfilt.graded import (GradedTrunc, ideal_chain_witness,
                            verify_chain_report)
 from grfilt.bimodule import (BimoduleSpec, free_rank, ModuleAction,
                              verify_rank_certificate)

@@ -12,10 +12,10 @@ from grfilt.filtration import (standard_filtration, weak_adic_filtration,
                                induced_quotient_filtration,
                                induced_good_filtration,
                                intrinsic_module_filtration,
-                               equivalence_offset, verify_filtration_axioms,
-                               is_good, Filtration, TruncationError,
-                               WindowExceeded)
+                               equivalence_offset, Filtration,
+                               TruncationError, WindowExceeded)
 from grfilt.linspace import DegreeOverflowError, zero_space
+from paper_checks import is_good, verify_filtration_axioms
 
 
 def test_standard_dims_match_oracle_freeze(filt12):

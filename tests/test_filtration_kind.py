@@ -2,24 +2,27 @@
 and .known.
 
 The reference functions below keep the per-kind branches that layer,
-known, GradedTrunc, rees_dims, is_good, verify_filtration_axioms, the two
-module filtrations and the chain words and sides each spelled out before
-they read those properties.  The tests compare both on the catalog
-filtrations of both kinds and on hand-built ascending windows that start
-below and above 0, over Q and F_101.
+known, GradedTrunc, the two module filtrations and the chain words and
+sides each spelled out before they read those properties.  So do the
+references of rees_dims, is_good and verify_filtration_axioms, the paper
+checks that tests/paper_checks.py keeps outside the package.  The tests
+compare both on the catalog filtrations of both kinds and on hand-built
+ascending windows that start below and above 0, over Q and F_101.
 """
 
 import pytest
 
 from grfilt.fields import QQ, PrimeField
-from grfilt.filtration import (AxiomReport, Filtration, GoodnessReport,
-                               WindowExceeded, induced_good_filtration,
-                               intrinsic_module_filtration, is_good,
+from grfilt.filtration import (Filtration, WindowExceeded,
+                               induced_good_filtration,
+                               intrinsic_module_filtration,
                                standard_filtration, two_sided_closure,
-                               verify_filtration_axioms, weak_adic_filtration)
-from grfilt.graded import GradedTrunc, chain_sides, chain_words, rees_dims
+                               weak_adic_filtration)
+from grfilt.graded import GradedTrunc, chain_sides, chain_words
 from grfilt.linspace import intersect, subspace_product, zero_space
 from grfilt.workbench import make
+from paper_checks import (AxiomReport, GoodnessReport, is_good, rees_dims,
+                          verify_filtration_axioms)
 
 DEPTH = 5
 

@@ -12,7 +12,6 @@ from grfilt.record import Record, jsonable
 
 class Pair(Record):
     fields = ("left", "right", "note", "secret")
-    defaults = {"note": ""}
     hidden = ("secret",)
 
 
@@ -27,12 +26,6 @@ def test_equality_and_hash_follow_type_and_values():
     assert a != Pair(1, (2, 4), "x", None)
     assert a != Twin(1, (2, 3), "x", None)
     assert len({a, Pair(1, (2, 3), "x", None)}) == 1
-
-
-def test_defaults_fill_omitted_fields():
-    assert Pair(1, 2, secret=0).note == ""
-    assert repr(Pair(1, 2, secret=0)) == \
-        "Pair(left=1, right=2, note='', secret=0)"
 
 
 def test_setting_or_deleting_an_attribute_raises():

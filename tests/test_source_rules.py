@@ -34,7 +34,8 @@ SEEDED = {
         "tests/test_m.py": "import json\n",
     }, ["src/grfilt/m.py:4: unused", "tests/test_m.py:1: json"]),
     # a traced name exempts only its own definition: m.K.mul and o.lift
-    # leave the function mul and the method K.lift of m dead
+    # leave the function mul and the method K.lift of m dead; a test's
+    # call keeps the method K.called alive but not the function tested
     "dead-definitions": ({
         "perfbench/layer_map.json": json.dumps(
             {"entries": [{"functions": ["m.traced", "m.K.mul", "o.lift"]}]}),
@@ -48,13 +49,18 @@ SEEDED = {
             "    def __repr__(self):\n        pass\n"
             "    def mul(self):\n        pass\n"
             "    def lift(self):\n        pass\n"
-            "def mul():\n    pass\n"),
-        "tests/test_m.py": (
+            "def mul():\n    pass\n"
+            "def tested():\n    pass\n"),
+        "scripts/s.py": (
             "from grfilt.m import used, K\n"
-            "bare = used()\n"
+            "bare = used()\n"),
+        "tests/test_m.py": (
+            "from grfilt.m import K, tested\n"
+            "bare = tested()\n"
             "K().called()\n"),
     }, ["src/grfilt/m.py:3: dead", "src/grfilt/m.py:18: mul",
-        "src/grfilt/m.py:8: bare", "src/grfilt/m.py:16: lift"]),
+        "src/grfilt/m.py:20: tested", "src/grfilt/m.py:8: bare",
+        "src/grfilt/m.py:16: lift"]),
     "unturned-defaults": ({
         "src/grfilt/m.py": (
             "def f(a, b=1, *, c=2, d=3):\n    return a\n"

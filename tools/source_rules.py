@@ -64,18 +64,22 @@ def unused_imports(src):
 
 
 def dead_definitions(src):
-    """Deletions leave definitions behind too: a function or class of src/
-    must be referenced by name or attribute in a file of the Source, and
-    a method by attribute (a bare name of the same spelling, such as a
-    parameter, does not count), or be traced by the benchmark, which
-    names it in perfbench/layer_map.json as module.function or
-    module.Class.method."""
+    """Deletions leave definitions behind too, and a test alone must not
+    keep one alive: a function or class of src/ must be referenced by
+    name or attribute in a file of src/ or scripts/, and a method by
+    attribute in any file of the Source (a bare name of the same
+    spelling, such as a parameter, does not count; the match is by
+    spelling, so it cannot tell which class a caller reaches), or be
+    traced by the benchmark, which names it in perfbench/layer_map.json
+    as module.function or module.Class.method."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    every = [n for nodes in src.nodes.values() for n in nodes]
-    names = {n.id for n in every if isinstance(n, ast.Name)}
-    names |= {(n.asname or n.name).split(".")[-1] for n in every
+    run = [n for p in src.under("src", "scripts") for n in src.nodes[p]]
+    names = {n.id for n in run if isinstance(n, ast.Name)}
+    names |= {(n.asname or n.name).split(".")[-1] for n in run
               if isinstance(n, ast.alias)}
-    attrs = {n.attr for n in every if isinstance(n, ast.Attribute)}
+    names |= {n.attr for n in run if isinstance(n, ast.Attribute)}
+    attrs = {n.attr for nodes in src.nodes.values() for n in nodes
+             if isinstance(n, ast.Attribute)}
     with open(src.root / "perfbench" / "layer_map.json") as f:
         traced = {fn for e in json.load(f)["entries"]
                   for fn in e["functions"]}
@@ -87,8 +91,7 @@ def dead_definitions(src):
                 if isinstance(n, defs)
                 and not (n.name.startswith("__") and n.name.endswith("__"))
                 and f"{p.stem}.{owner.get(id(n), '')}{n.name}" not in traced
-                and n.name not in attrs
-                | (set() if id(n) in owner else names)]
+                and n.name not in (attrs if id(n) in owner else names)]
     return bad
 
 
