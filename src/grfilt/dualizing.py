@@ -2,9 +2,11 @@
 module presented by its own corner ideal.
 
 The ring R = {[[f(x), g(x)], [0, f(x^2)]]} contains the commutative
-diagonal subring C = {diag(c(x), c(x^2))}, a copy of k[x] over which R is
-a finitely generated free module on both sides (with different ranks).
-The two C-linear duals
+diagonal subring C = {diag(c(x), c(x^2))}, a copy of k[x] generated by the
+catalog's alpha = diag(x, x^2), over which R is a finitely generated free
+module on both sides (with different ranks).  C is not the center of R
+(only scalars commute with the corner); the chain uses only that R is
+free over C on both sides.  The two C-linear duals
 
     D2 = Hom_C(R_C, C),  a right R-module via (phi.a)(v) = phi(a v),
     D1 = Hom_C(_C R, C), a left  R-module via (a.phi)(w) = phi(w a),
@@ -34,14 +36,13 @@ reporting: for the triangular ring every cap below 8 is undecided, not
 verified, and for the control every cap below 6.
 """
 
+from collections import Counter
 from functools import partial
 
-from .poly import Poly
 from .linalg import SpanTracker, joint_kernel, joint_row, row_echelon
 from .linspace import (Ambient, DegreeOverflowError, prefix_space,
                        restrict_degree, zero_space)
 from .filtration import WindowExceeded
-from .workbench import diagonal_embed
 from .bimodule import ModuleAction, free_rank
 from .record import Record, jsonable
 
@@ -90,108 +91,85 @@ def ring_window(ring):
     return _diagonal_corner_span(ring, 1)
 
 
-def diagonal_x(amb):
-    """x in the diagonal subring C = {diag(c(x), c(x^2))} = k[x]: the
-    matrix diag(x, x^2) of the ambient.
-
-    C is not the center of the triangular ring (only scalars commute with
-    the corner); what the chain uses is that the ring is module-finite
-    and free over C on both sides.
-    """
-    return diagonal_embed(amb, Poly.variable(amb.field, 1, 0))
-
-
 # ------------------------------------------------------- free C-structure
 
 class FreeStructureReport(Record):
     fields = ("ring", "ok", "left", "right")
 
 
-def free_structure_report(ring, window, depth=None):
-    """Stage (i): rank scans for the module structure over the diagonal
-    subring (acting by diagonal_x) on both sides; the later stages rely on
-    freeness of both (the duals are then free C-modules of the same ranks)."""
+def free_structure_report(ring, window):
+    """Stage (i): rank scans, up to the degree cap, for the module
+    structure over the diagonal subring (acting by alpha) on both sides;
+    the later stages rely on freeness of both (the duals are then free
+    C-modules of the same ranks)."""
     amb = ring.ambient
-    depth = amb.degcap if depth is None else depth
     reps = {}
     for side in ("left", "right"):
         act = ModuleAction(f"{ring.name} over diagonal", amb, window,
-                           diagonal_x(amb), side)
-        reps[side] = free_rank(act, depth)
+                           ring.el("alpha"), side)
+        reps[side] = free_rank(act, amb.degcap)
         if reps[side].verdict == "inconclusive":
             raise WindowExceeded(f"{STAGES[0]}: the {side} rank scan is "
-                                 f"inconclusive at depth {depth}")
+                                 f"inconclusive at depth {amb.degcap}")
     ok = all(r.verdict == "free" for r in reps.values())
     return FreeStructureReport(ring.name, ok, reps["left"], reps["right"])
 
 
-class FreeModuleStructure:
-    """The ring window as a free C-module on an explicit ordered basis.
+class HomModule:
+    """C-linear dual Hom_C(M, C) of the ring window M, free over C on an
+    explicit ordered basis, as tuple rows.
 
-    side "left" decomposes elements as sum sigma(c_i) * v_i, side "right"
-    as sum v_i * sigma(c_i) for sigma(x) = diagonal_x.  solve() recovers
-    the coefficients from the tagged span of the ladders v_i * sigma(x^k);
-    it covers the whole window exactly when the basis passed the stage (i)
-    scan.  The basis is given as matrices and kept as kernel rows.
+    side "left" decomposes elements of M as sum c_i(alpha) * v_i, side
+    "right" as sum v_i * c_i(alpha); solve() recovers the coefficients
+    from the tagged span of the ladders v_i and alpha^k, and covers the
+    whole window exactly when the basis passed the stage (i) scan.  The
+    basis is given as matrices and kept as kernel rows.
+
+    An element of the dual is (phi(v_1), ..., phi(v_r)) in k[x]^r, held
+    as a kernel row of `space`, the Ambient of 1 x r tuples: x^d in slot
+    i is the coordinate ((d,), 0, i).  The right dual carries a right
+    action, (phi.a)(v_j) = phi(a v_j); the left dual a left one,
+    (a.phi)(w_j) = phi(w_j a).  Either way act() routes the translated
+    basis through solve() and pairs each coefficient c x^k of slot i with
+    phi's terms in slot i; a is a kernel row of the ring's ambient.
     """
 
-    def __init__(self, ring, side, basis):
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
+    def __init__(self, ring, side, basis, space_cap):
         self.ring = ring
         self.ambient = amb = ring.ambient
+        ladder = ModuleAction("ladder", amb, None, ring.el("alpha"), side)
         self.side = side
         self.basis = tuple(map(amb.encode_sparse, basis))
-        self.rank = len(self.basis)
-        ladder = ModuleAction("ladder", amb, None, diagonal_x(amb), side)
         self._tracker = SpanTracker(amb.field, amb.dim)
         for i, v in enumerate(self.basis):
             for k, w in enumerate(ladder.power_orbit(v)):
                 self._tracker.add(w, (i, k))
+        self.space = Ambient(len(self.basis), 1, space_cap, amb.field,
+                             rows=1)
 
     def solve(self, row):
         """The combination {(slot, power): c} of a kernel row: the row is
-        the sum of c times v_slot and sigma(x^power), multiplied on this
-        structure's side."""
+        the sum of c times v_slot and alpha^power, multiplied on this
+        module's side."""
         combo = self._tracker.express(row)
         if combo is None:
             raise ValueError("element is outside the free C-span window")
         return combo
-
-
-class HomModule:
-    """C-linear dual Hom_C(M, C) of a free structure, as tuple rows.
-
-    An element is (phi(v_1), ..., phi(v_r)) in k[x]^r, held as a kernel
-    row of `space`, the Ambient of 1 x r tuples: x^d in slot i is the
-    coordinate ((d,), 0, i).  The dual of the right structure carries a
-    right action, (phi.a)(v_j) = phi(a v_j); the dual of the left
-    structure a left one, (a.phi)(w_j) = phi(w_j a).  Either way act()
-    routes the translated basis through solve() and pairs each
-    coefficient c x^k of slot i with phi's terms in slot i; a is a kernel
-    row of the ring's ambient.
-    """
-
-    def __init__(self, structure, space_cap):
-        self.structure = structure
-        self.space = Ambient(structure.rank, 1, space_cap,
-                             structure.ambient.field, rows=1)
 
     def dual_basis(self):
         """The unit functionals: the constant tuples, slot by slot."""
         return prefix_space(self.space, 0).basis_rows()
 
     def act(self, phi, a):
-        st = self.structure
-        amb = st.ambient
+        amb = self.ambient
         slots = {}      # slot i -> phi's terms (degree, value) there
         for k, x in phi.items():
             (d,), _, i = self.space.coords[k]
             slots.setdefault(i, []).append((d, x))
         terms = []
-        for j, v in enumerate(st.basis):
-            w = amb.mul(a, v) if st.side == "right" else amb.mul(v, a)
-            for (i, k), c in st.solve(w).items():
+        for j, v in enumerate(self.basis):
+            w = amb.mul(a, v) if self.side == "right" else amb.mul(v, a)
+            for (i, k), c in self.solve(w).items():
                 terms += [(((d + k,), 0, j), x * c)
                           for d, x in slots.get(i, ())]
         return self.space.row(terms)
@@ -215,8 +193,7 @@ def cyclic_presentation(hom, window, expected_ann):
     computed exactly and compared with the expected right ideal, which
     exhibits the dual as the cyclic module ring/ideal.
     """
-    st = hom.structure
-    acceptance_degree = (st.ambient.degcap // 2 - 1) // 2
+    acceptance_degree = (hom.ambient.degcap // 2 - 1) // 2
     _require_window(STAGES[1], "the acceptance degree", acceptance_degree)
     space = hom.space
     basis = window.basis_rows()
@@ -233,12 +210,12 @@ def cyclic_presentation(hom, window, expected_ann):
             chosen, chosen_orbit = idx, orbit
             break
     if chosen is None:
-        return CyclicReport(st.ring.name, tuple(tried), None, 0,
+        return CyclicReport(hom.ring.name, tuple(tried), None, 0,
                             acceptance_degree, 0, False, False, False)
     ann = window.kernel(images)
     matches = ann == expected_ann
     consistent = window.dim - ann.dim == chosen_orbit.dim
-    return CyclicReport(st.ring.name, tuple(tried), chosen, chosen_orbit.dim,
+    return CyclicReport(hom.ring.name, tuple(tried), chosen, chosen_orbit.dim,
                         acceptance_degree, ann.dim, matches, consistent,
                         matches and consistent)
 
@@ -271,24 +248,23 @@ class IdealizerReport(Record):
               "product_closed", "product_pairs", "matches_predicted", "ok")
 
 
+def _survey(checks):
+    """(every check held, (checked, skipped)) over checks that are True,
+    False, or None for a pair skipped past the window, not failed."""
+    tally = Counter(checks)
+    return not tally[False], (tally[True] + tally[False], tally[None])
+
+
 def _product_stability(amb, budget, left_rows, right_rows, sub):
     """Survey a.b in sub for all degree-feasible pairs of kernel rows.
 
-    Pairs whose degree sum exceeds the budget are skipped, not failed;
-    beyond the budget a membership test against a window span would
-    produce false negatives.
+    Pairs whose degree sum exceeds the budget are skipped; beyond the
+    budget a membership test against a window span would produce false
+    negatives.
     """
-    checked = skipped = 0
-    ok = True
-    for a in left_rows:
-        for b in right_rows:
-            if amb.degree(a) + amb.degree(b) > budget:
-                skipped += 1
-                continue
-            checked += 1
-            if sub.residual(amb.mul(a, b)):
-                ok = False
-    return ok, (checked, skipped)
+    return _survey(None if amb.degree(a) + amb.degree(b) > budget
+                   else not sub.residual(amb.mul(a, b))
+                   for a in left_rows for b in right_rows)
 
 
 def _covered_through(sub, part, limit):
@@ -380,26 +356,19 @@ def end_ring(ring, window, ideal, gen):
     unital = corner_double(amb, one) == one
     kernel = domain.kernel(map(ideal.residual, images))
     witness = repr(kernel.basis_matrices()[0]) if kernel.dim else None
-    mult_ok = True
-    checked = skipped = 0
     # the degree bounds keep both sides inside the cap; two rows are equal
     # modulo the ideal when their residuals are
-    for a, ca in zip(basis, images):
-        for b, cb in zip(basis, images):
-            da, db = amb.degree(a), amb.degree(b)
-            if 2 * (da + db) + 2 > amb.degcap:
-                skipped += 1
-                continue
-            checked += 1
-            if (ideal.residual(corner_double(amb, amb.mul(a, b)))
-                    != ideal.residual(amb.mul(ca, cb))):
-                mult_ok = False
+    mult_ok, mult_pairs = _survey(
+        None if 2 * (amb.degree(a) + amb.degree(b)) + 2 > amb.degcap
+        else ideal.residual(corner_double(amb, amb.mul(a, b)))
+        == ideal.residual(amb.mul(ca, cb))
+        for a, ca in zip(basis, images) for b, cb in zip(basis, images))
     through = _covered_through(ideal.extend(images),
                                lambda m: restrict_degree(ide, m), amb.degcap)
     ok = (ide_rep.ok and unital and lands and mult_ok and not kernel.dim
           and through >= required)
     return EndRingReport(ring.name, ide_rep, dcap, unital, lands, mult_ok,
-                         (checked, skipped), not kernel.dim, witness, through,
+                         mult_pairs, not kernel.dim, witness, through,
                          required, ok)
 
 
@@ -428,9 +397,9 @@ def slot_shift(amb, space, row):
     return space.row(terms)
 
 
-def dual_identification(ring, window, ideal, left_struct):
-    """Stage (iv): present the left dual and identify it with the cyclic
-    model of the right dual.
+def dual_identification(window, ideal, hom):
+    """Stage (iv): present the left dual, hom, and identify it with the
+    cyclic model of the right dual.
 
     The left dual D1 is shown to be generated by the functionals (0, 1)
     and (0, -x) with relation module generated by (x e12, e12), through
@@ -439,20 +408,19 @@ def dual_identification(ring, window, ideal, left_struct):
     degcap // 4, compatibly with the left action transported through
     corner_double and with the right action of the diagonal subring.
     """
-    amb = ring.ambient
+    ring, amb = hom.ring, hom.ambient
     one = amb.field.one
     cap = amb.degcap
     req_p, req_o = cap // 2, cap // 4
     rho_cap = 3
     a_cap = cap - (2 * rho_cap + 1)
     _require_window(STAGES[3], "the left-action degree", a_cap)
-    hom1 = HomModule(left_struct, cap + 1)
-    space = hom1.space
+    space = hom.space
     phi1 = space.row([(((0,), 0, 1), one)])
     phi2 = space.row([(((1,), 0, 1), -one)])
     basis = window.basis_rows()
 
-    imgs = [hom1.act(phi, b) for phi in (phi1, phi2) for b in basis]
+    imgs = [hom.act(phi, b) for phi in (phi1, phi2) for b in basis]
     prefix = partial(prefix_space, space)
     presents_through = _covered_through(
         zero_space(space).extend(imgs), prefix, cap)
@@ -474,22 +442,16 @@ def dual_identification(ring, window, ideal, left_struct):
     psi_onto_through = _covered_through(
         zero_space(space).extend(psi_imgs), prefix, cap)
 
-    left_ok = True
-    checked = skipped = 0
+    # a_cap leaves room for corner_double(rho), of degree at most
+    # 2 * rho_cap + 1, so no product sig * a leaves the cap
     acts = restrict_degree(window, a_cap).basis_rows()
-    for rho in restrict_degree(window, rho_cap).basis_rows():
-        sig = corner_double(amb, rho)
-        for a in acts:
-            try:
-                prod = amb.mul(sig, a)
-            except DegreeOverflowError:
-                skipped += 1
-                continue
-            checked += 1
-            lhs = slot_shift(amb, space, prod)
-            if lhs != hom1.act(slot_shift(amb, space, a), rho):
-                left_ok = False
-    t = amb.encode_sparse(diagonal_x(amb))
+    doubled = [(rho, corner_double(amb, rho))
+               for rho in restrict_degree(window, rho_cap).basis_rows()]
+    left_ok, left_pairs = _survey(
+        slot_shift(amb, space, amb.mul(sig, a))
+        == hom.act(slot_shift(amb, space, a), rho)
+        for rho, sig in doubled for a in acts)
+    t = amb.encode_sparse(ring.el("alpha"))
     right_ok = True
     # times t, the tuple (u, f) becomes (u x, f x)
     for a in restrict_degree(window, cap - amb.degree(t)).basis_rows():
@@ -504,7 +466,7 @@ def dual_identification(ring, window, ideal, left_struct):
           and left_ok and right_ok)
     return DualIdentificationReport(
         ring.name, presents_through, kernel_matches, kills,
-        psi_kernel_matches, psi_onto_through, left_ok, (checked, skipped),
+        psi_kernel_matches, psi_onto_through, left_ok, left_pairs,
         right_ok, req_p, req_o, ok)
 
 
@@ -549,12 +511,9 @@ def verify_dualizing(ring):
     if not free_rep.ok:
         return DualizingReport(ring.name, amb.degcap, free_rep, None, None,
                                None, STAGES[0], False)
-    right_st = FreeModuleStructure(ring, "right", free_rep.right.generators)
-    left_st = FreeModuleStructure(ring, "left", free_rep.left.generators)
-
     _, gen = nilpotent_generator(ring.pres)
     ideal = right_ideal_window(amb, gen, window)
-    hom2 = HomModule(right_st, amb.degcap)
+    hom2 = HomModule(ring, "right", free_rep.right.generators, amb.degcap)
     cyc = cyclic_presentation(hom2, window, ideal)
     if not cyc.ok:
         return DualizingReport(ring.name, amb.degcap, free_rep, cyc, None,
@@ -565,7 +524,8 @@ def verify_dualizing(ring):
         return DualizingReport(ring.name, amb.degcap, free_rep, cyc, endo,
                                None, STAGES[2], False)
 
-    ident = dual_identification(ring, window, ideal, left_st)
+    hom1 = HomModule(ring, "left", free_rep.left.generators, amb.degcap + 1)
+    ident = dual_identification(window, ideal, hom1)
     aborted = None if ident.ok else STAGES[3]
     return DualizingReport(ring.name, amb.degcap, free_rep, cyc, endo,
                            ident, aborted, ident.ok)

@@ -126,9 +126,12 @@ class PrimeField:
 
 
 def field_from_name(name):
-    """Parse a field choice: "Q" or "Fp:<p>"."""
+    """The field whose name is name: "Q", or "Fp:<p>" with p spelled in
+    canonical decimal (ASCII digits, no sign, space or leading zero)."""
     if name == "Q":
         return QQ
-    if name.startswith("Fp:"):
-        return PrimeField(int(name[3:]))
+    p = name[3:]
+    if name.startswith("Fp:") and p.isascii() and p.isdigit() \
+            and p == str(int(p)):
+        return PrimeField(int(p))
     raise ValueError(f"unknown field {name!r} (expected Q or Fp:<p>)")

@@ -208,13 +208,6 @@ def make_for_depth(name, depth, degcap=None, field=QQ, slack=2):
                 field=field)
 
 
-def diagonal_embed(amb, c):
-    """Embed a one-variable polynomial as diag(c(x), c(x^2))."""
-    z = Poly.zero(c.field, c.arity)
-    return PolyMatrix([[c, z], [z, _sub_x_squared(
-        c, amb.degcap if amb.series else None)]])
-
-
 # ---------------------------------------------------------------- op twist
 
 def op_transpose(mat):

@@ -24,7 +24,7 @@ from grfilt.bimodule import (BimoduleSpec, free_rank, ModuleAction,
                              verify_rank_certificate)
 from grfilt.certifier import growth_obstruction, verify_certificate
 from grfilt.dualizing import (verify_dualizing, free_structure_report,
-                              diagonal_x, ring_window)
+                              ring_window)
 
 RIGHT_PATTERNS = (((), "alpha", ()), (("beta",), "alpha", ()),
                   (("alpha", "beta"), "alpha", ()))
@@ -47,12 +47,12 @@ def test_1_corner_ideal_is_free_of_rank_one_left_and_two_right():
 def test_2_ring_is_free_over_the_diagonal_subring_of_rank_two_and_three():
     ring = make("R_2x2", degcap=18)
     window = ring_window(ring)
-    rep = free_structure_report(ring, window, depth=8)
+    rep = free_structure_report(ring, window)
     assert rep.ok
     assert rep.left.rank == 2 and rep.right.rank == 3
     for side, sub in (("left", rep.left), ("right", rep.right)):
         action = ModuleAction("ring over diagonal", ring.ambient, window,
-                              diagonal_x(ring.ambient), side)
+                              ring.el("alpha"), side)
         assert verify_rank_certificate(action, sub)
 
 

@@ -20,11 +20,11 @@ from grfilt.poly import Poly, PolyMatrix
 from grfilt.linalg import combine_rows
 from grfilt.linspace import Ambient, DegreeOverflowError, restrict_degree
 from grfilt.workbench import make
+from grfilt.bimodule import ModuleAction
 from grfilt.dualizing import (STAGES, verify_dualizing, ring_window,
-                              free_structure_report, FreeModuleStructure,
-                              HomModule, nilpotent_generator,
-                              right_ideal_window, idealizer, corner_double,
-                              slot_shift)
+                              free_structure_report, HomModule,
+                              nilpotent_generator, right_ideal_window,
+                              idealizer, corner_double, slot_shift)
 
 FIELDS = (QQ, PrimeField(2), PrimeField(101))
 
@@ -168,17 +168,49 @@ def test_slot_shift_splits_odd_part():
 def test_free_structure_from_parts():
     ring = make("R_2x2", degcap=20)
     window = ring_window(ring)
-    rep = free_structure_report(ring, window, depth=8)
+    rep = free_structure_report(ring, window)
     assert rep.ok
-    st = FreeModuleStructure(ring, "right", rep.right.generators)
-    hom = HomModule(st, ring.ambient.degcap)
+    hom = HomModule(ring, "right", rep.right.generators, ring.ambient.degcap)
     # the unit functionals, in the tuple space's slots 0, 1, 2
     assert hom.dual_basis() == [{0: QQ.one}, {1: QQ.one}, {2: QQ.one}]
     amb = ring.ambient
-    combo = st.solve(amb.mul(amb.encode_sparse(ring.el("alpha")),
-                             amb.encode_sparse(ring.el("beta"))))
+    combo = hom.solve(amb.mul(amb.encode_sparse(ring.el("alpha")),
+                              amb.encode_sparse(ring.el("beta"))))
     # alpha*beta = x e12 sits in the odd corner slot, power 0
     assert combo == {(2, 0): QQ.one}
+
+
+def test_a_side_other_than_left_or_right_is_refused():
+    ring = make("R_2x2", degcap=8)
+    side_error = "side must be 'left' or 'right'"
+    with pytest.raises(ValueError, match=side_error):
+        ModuleAction("m", ring.ambient, None, ring.el("alpha"), "middle")
+    with pytest.raises(ValueError, match=side_error):
+        HomModule(ring, "middle", [ring.el("beta")], 8)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=str)
+def test_survey_counts_add_up_to_the_pairs_surveyed(fld):
+    """Each (checked, skipped) pair of the chain sums to the pairs its
+    survey ranges over, and stage (iv)'s left survey skips none: its
+    acting window leaves room for the doubled rho."""
+    for cap in range(8, 25):
+        ring = make("R_2x2", degcap=cap, field=fld)
+        window = ring_window(ring)
+        rep = verify_dualizing(ring)
+        endo, ident = rep.endo, rep.ident
+        ide = endo.idealizer
+        domain = restrict_degree(window, endo.domain_degree)
+        # stage (iv) doubles each rho of degree <= 3 and acts on degree
+        # <= cap - 7
+        n_rho = restrict_degree(window, 3).dim
+        n_acts = restrict_degree(window, cap - 7).dim
+        assert sum(endo.multiplicative_pairs) == domain.dim ** 2
+        assert sum(ide.right_closed_pairs) == \
+            ide.ideal_dim * len(ring.pres.gen_rows)
+        assert sum(ide.product_pairs) == ide.idealizer_dim ** 2
+        assert sum(ident.left_pairs) == n_rho * n_acts
+        assert ident.left_pairs[1] == 0
 
 
 # ------------------------------------- row maps against matrix references
@@ -202,15 +234,15 @@ def ref_slot_shift(mat, field):
 def ref_act(hom, phi, a):
     """HomModule.act on Poly tuples: slot j of the image pairs phi with
     the coefficient polynomials of the translated basis element v_j."""
-    st = hom.structure
-    amb, fld = st.ambient, st.ambient.field
-    out = [Poly.zero(fld, 1)] * st.rank
-    for j, v in enumerate(st.basis):
-        w = amb.mul(a, v) if st.side == "right" else amb.mul(v, a)
-        coords = [Poly.zero(fld, 1)] * st.rank
-        for (i, k), c in st.solve(w).items():
+    amb, fld = hom.ambient, hom.ambient.field
+    rank = len(hom.basis)
+    out = [Poly.zero(fld, 1)] * rank
+    for j, v in enumerate(hom.basis):
+        w = amb.mul(a, v) if hom.side == "right" else amb.mul(v, a)
+        coords = [Poly.zero(fld, 1)] * rank
+        for (i, k), c in hom.solve(w).items():
             coords[i] = coords[i] + Poly(fld, 1, {(k,): c})
-        for i in range(st.rank):
+        for i in range(rank):
             out[j] = out[j] + phi[i] * coords[i]
     return tuple(out)
 
@@ -252,12 +284,13 @@ def test_hom_action_matches_poly_tuple_reference(fld):
     rep = free_structure_report(ring, window)
     x, one = Poly.variable(fld, 1, 0), Poly.const(fld, 1, fld.one)
     for side in ("left", "right"):
-        st = FreeModuleStructure(ring, side, getattr(rep, side).generators)
-        hom = HomModule(st, amb.degcap + 1)
-        phis = [tuple(x * x if i == k else one for i in range(st.rank))
-                for k in range(st.rank)]
+        hom = HomModule(ring, side, getattr(rep, side).generators,
+                        amb.degcap + 1)
+        rank = len(hom.basis)
+        phis = [tuple(x * x if i == k else one for i in range(rank))
+                for k in range(rank)]
         phis += [tuple(Poly.zero(fld, 1) if i else -x - Poly.const(fld, 1, fld.of(3))
-                       for i in range(st.rank))]
+                       for i in range(rank))]
         rows = restrict_degree(window, 6).basis_rows()
         # and one combination, so that solve's coefficients are not units
         rows += [combine_rows({i: fld.of(i + 2) for i in range(len(rows))},

@@ -1,4 +1,4 @@
-"""Primality of the prime-field characteristic.
+"""Primality of the prime-field characteristic, and field names.
 
 _is_prime is deterministic Miller-Rabin; trial division is the reference
 on every n it can reach quickly, and the composites below are the strong
@@ -8,7 +8,8 @@ pseudoprimes that fool shorter base lists.
 import pytest
 
 from grfilt.cli import main
-from grfilt.fields import MR_EXACT_BELOW, PrimeField, _is_prime
+from grfilt.fields import (MR_EXACT_BELOW, PrimeField, _is_prime,
+                           field_from_name)
 
 # the primes the benchmark's fp workload draws from, just below 2^31
 FP_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
@@ -52,3 +53,13 @@ def test_beyond_the_exact_range_is_refused(capsys):
         PrimeField(MR_EXACT_BELOW + 1)
     assert main(["--field", f"Fp:{MR_EXACT_BELOW + 1}", "hilbert"]) == 3
     assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["Fp:1_1", "Fp: 7", "Fp:+7", "Fp:07",
+                                  "Fp:\u0667", "Fp:x", "Fp:", "Fp:7 "])
+def test_a_field_name_is_exactly_the_name_a_field_carries(name, capsys):
+    # int() alone would read the first five as 11 or 7
+    with pytest.raises(ValueError, match="unknown field"):
+        field_from_name(name)
+    assert main(["--field", name, "hilbert"]) == 3
+    assert "(expected Q or Fp:<p>)" in capsys.readouterr().err

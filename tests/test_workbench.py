@@ -5,7 +5,7 @@ import pytest
 from grfilt import workbench
 from grfilt.fields import QQ, PrimeField
 from grfilt.linspace import Ambient, QuotientContext, zero_space
-from grfilt.workbench import (make, make_for_depth, CATALOG, diagonal_embed, op_transpose,
+from grfilt.workbench import (make, make_for_depth, CATALOG, op_transpose,
                               op_involution_report, y_kill,
                               collapse_to_one_variable,
                               quotient_iso_check, staircase_mod_y,
@@ -51,12 +51,9 @@ def test_make_for_depth_builds_the_sized_ring_once(monkeypatch, name, depth):
 
 def test_shape_rejects_outsiders():
     ring = make("R_2x2")
-    amb = ring.ambient
     x = Poly.variable(QQ, 1, 0)
-    bad = diagonal_embed(amb, x)
-    rows = [list(r) for r in bad.rows]
+    rows = [list(r) for r in ring.el("alpha").rows]
     rows[1][1] = x  # diag(x, x), breaking the f(x^2) tie
-    from grfilt.poly import PolyMatrix
     assert not ring.shape_member(PolyMatrix(rows))
     lower = PolyMatrix([[Poly.zero(QQ, 1), Poly.zero(QQ, 1)], [x, Poly.zero(QQ, 1)]])
     assert not ring.shape_member(lower)
@@ -64,11 +61,10 @@ def test_shape_rejects_outsiders():
 
 def test_c_diag_shape_rejects_the_corner_and_a_broken_tie():
     ring = make("C_diag")
-    amb = ring.ambient
-    x = Poly.variable(QQ, 1, 0)
-    assert ring.shape_member(diagonal_embed(amb, x * x + x))
+    x, c = Poly.variable(QQ, 1, 0), ring.el("c")
+    assert ring.shape_member(c * c + c)
     assert not ring.shape_member(make("R_2x2").el("e12"))
-    bad = [list(r) for r in diagonal_embed(amb, x).rows]
+    bad = [list(r) for r in c.rows]
     bad[1][1] = x  # diag(x, x), breaking the f(x^2) tie
     assert not ring.shape_member(PolyMatrix(bad))
 
@@ -89,15 +85,6 @@ def test_perturbed_ring_excluded_from_catalog():
     assert "R_perturbed" not in CATALOG
     with pytest.raises(KeyError):
         make("no_such_ring")
-
-
-def test_diagonal_embed_multiplication():
-    amb = make("R_2x2").ambient
-    x = Poly.variable(QQ, 1, 0)
-    c1 = diagonal_embed(amb, x)
-    c2 = diagonal_embed(amb, x * x + x)
-    assert amb.mul(amb.encode_sparse(c1), amb.encode_sparse(c2)) == \
-        amb.encode_sparse(diagonal_embed(amb, x * (x * x + x)))
 
 
 def test_op_twist_fixes_staircase_but_not_triangular():

@@ -30,6 +30,9 @@ EDGE_JOBS = (
     "hilbert --kind weak-adic",
     "hilbert --depth -1",
     "hilbert --quotient nope",
+    "dualize --degcap 2",
+    "dualize --degcap 5",
+    "dualize --degcap 7",
 )
 # reads a JSON list of argvs on stdin, writes [code, stdout sha256,
 # stderr sha256] for each
