@@ -14,10 +14,11 @@ therefore exposed as a probe with the correction factor spelled out, never
 as the rank itself.
 """
 
+from bisect import bisect_right
 from functools import cached_property
 
 from .linalg import SpanTracker, combine_rows
-from .linspace import (restrict_degree, sum_spaces, zero_space,
+from .linspace import (degree_cuts, restrict_degree, sum_spaces, zero_space,
                        DegreeOverflowError)
 from .filtration import WindowExceeded, two_sided_closure
 from .record import Record
@@ -235,9 +236,10 @@ def slope_table(action, depth):
     if depth < 1:
         raise WindowExceeded(f"slope table needs depth >= 1, got {depth}")
     step = max(action.effective_step(), 1)
+    degrees = list(map(action.ambient.degree, degree_cuts(action.carrier)))
     rows = []
     for n in range(1, depth + 1):
-        dim_n = restrict_degree(action.carrier, n).dim
+        dim_n = bisect_right(degrees, n)
         raw = dim_n / (n + 1)
         rows.append({"n": n, "carrier_dim": dim_n,
                      "raw_slope": round(raw, 4),

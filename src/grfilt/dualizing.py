@@ -37,11 +37,10 @@ verified, and for the control every cap below 6.
 """
 
 from collections import Counter
-from functools import partial
 
 from .linalg import SpanTracker, joint_kernel, joint_row, row_echelon
-from .linspace import (Ambient, DegreeOverflowError, prefix_space,
-                       restrict_degree, zero_space)
+from .linspace import (Ambient, DegreeOverflowError, degree_cuts,
+                       prefix_space, restrict_degree, zero_space)
 from .filtration import WindowExceeded
 from .bimodule import ModuleAction, free_rank
 from .record import Record, jsonable
@@ -268,12 +267,12 @@ def _product_stability(amb, budget, left_rows, right_rows, sub):
 
 
 def _covered_through(sub, part, limit):
-    """Largest m <= limit with part(0), ..., part(m) inside sub; -1 when
-    part(0) is not."""
-    for m in range(limit + 1):
-        if not sub.contains(part(m)):
-            return m - 1
-    return limit
+    """Largest m <= limit with the elements of part of degree <= m inside
+    sub; -1 when its constants are not: one below the lowest degree cut
+    of part outside sub."""
+    degree = part.ambient.degree
+    outside = (degree(r) for r in degree_cuts(part) if sub.residual(r))
+    return min(limit, next(outside, limit + 1) - 1)
 
 
 def idealizer(ring, window, ideal, gen):
@@ -363,8 +362,7 @@ def end_ring(ring, window, ideal, gen):
         else ideal.residual(corner_double(amb, amb.mul(a, b)))
         == ideal.residual(amb.mul(ca, cb))
         for a, ca in zip(basis, images) for b, cb in zip(basis, images))
-    through = _covered_through(ideal.extend(images),
-                               lambda m: restrict_degree(ide, m), amb.degcap)
+    through = _covered_through(ideal.extend(images), ide, amb.degcap)
     ok = (ide_rep.ok and unital and lands and mult_ok and not kernel.dim
           and through >= required)
     return EndRingReport(ring.name, ide_rep, dcap, unital, lands, mult_ok,
@@ -421,7 +419,7 @@ def dual_identification(window, ideal, hom):
     basis = window.basis_rows()
 
     imgs = [hom.act(phi, b) for phi in (phi1, phi2) for b in basis]
-    prefix = partial(prefix_space, space)
+    prefix = prefix_space(space, cap)
     presents_through = _covered_through(
         zero_space(space).extend(imgs), prefix, cap)
 

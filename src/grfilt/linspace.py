@@ -31,8 +31,8 @@ truncation.
 """
 
 from .fields import QQ
-from .linalg import (dense_row, insert_row, joint_kernel, reduce_row, rref,
-                     sparse_row)
+from .linalg import (dense_row, insert_row, joint_kernel, reduce_row,
+                     row_echelon, rref, sparse_row)
 from .poly import Poly, PolyMatrix
 
 
@@ -335,15 +335,25 @@ def prefix_space(ambient, maxdeg):
                               for k in range(ambient.prefix_dim(maxdeg))})
 
 
+def degree_cuts(u):
+    """A basis of u by increasing highest column, each row's pivot 1 there:
+    u's canonical echelon with the columns reversed.  Coordinates are
+    degree-major, so its rows of degree <= d span restrict_degree(u, d)
+    for every d at once."""
+    last = u.ambient.dim - 1
+    echelon = row_echelon(({last - j: x for j, x in r.items()}
+                           for r in u.echelon.values()), u._p)
+    return [{last - j: x for j, x in echelon[q].items()}
+            for q in sorted(echelon, reverse=True)]
+
+
 def restrict_degree(u, maxdeg):
-    """Subspace of elements of u with entry degrees <= maxdeg: the kernel
-    of cutting u's basis rows down to their columns of higher degree."""
-    k = u.ambient.prefix_dim(maxdeg)
-    tails = [{j: x for j, x in u.echelon[q].items() if j >= k}
-             for q in u.pivots]
-    if not any(tails):
+    """Subspace of elements of u with entry degrees <= maxdeg: the span
+    of its degree cuts of degree <= maxdeg."""
+    if u.maxdeg() <= maxdeg:
         return u
-    return u.kernel(tails)
+    return zero_space(u.ambient).extend(
+        r for r in degree_cuts(u) if u.ambient.degree(r) <= maxdeg)
 
 
 def complement_section(sup, sub):

@@ -9,7 +9,7 @@ from grfilt.bimodule import (ModuleAction, BimoduleSpec, free_rank,
                              verify_rank_certificate, torsion_window,
                              slope_table, goldie_rank,
                              verify_goldie_certificate, bimodule_ranks,
-                             GoldieReport, _KERNEL_VERDICT)
+                             GoldieReport, _KERNEL_VERDICT, corner_ideal)
 from grfilt.linspace import (span, restrict_degree, intersect, sum_spaces,
                              zero_space)
 
@@ -105,6 +105,20 @@ def test_slope_probe_shows_twist_factor(corner_spec):
     assert tab["effective_step"] == 2
     last = tab["rows"][-1]
     assert last["raw_slope"] == 1.0 and last["twist_corrected"] == 2.0
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=str)
+def test_slope_table_counts_each_degree_cut(field):
+    # depth runs past the window's cap, where every cut is the carrier
+    ring, spec, _ = corner_ideal("corner", 10, field)
+    depth = ring.ambient.degcap + 2
+    for side in ("left", "right"):
+        action = spec.action(side)
+        rows = slope_table(action, depth)["rows"]
+        ns = range(1, depth + 1)
+        assert [r["n"] for r in rows] == list(ns)
+        assert [r["carrier_dim"] for r in rows] == [
+            restrict_degree(action.carrier, n).dim for n in ns]
 
 
 def test_goldie_ranks_and_certificates(corner_spec):

@@ -8,23 +8,27 @@ the functional (0, -x) is (0, x), yet every stage reads the same.
 
 The matrix and Poly-tuple forms of corner_double, slot_shift and
 HomModule.act are kept here as reference functions, and the kernel-row
-maps are checked against them.
+maps are checked against them; so is the per-degree coverage loop that
+_covered_through's one pass over the degree cuts replaced.
 """
 
 import json
+import random
 
 import pytest
 
 from grfilt.fields import QQ, PrimeField
 from grfilt.poly import Poly, PolyMatrix
 from grfilt.linalg import combine_rows
-from grfilt.linspace import Ambient, DegreeOverflowError, restrict_degree
+from grfilt.linspace import (Ambient, DegreeOverflowError, prefix_space,
+                             restrict_degree, zero_space)
 from grfilt.workbench import make
 from grfilt.bimodule import ModuleAction
 from grfilt.dualizing import (STAGES, verify_dualizing, ring_window,
                               free_structure_report, HomModule,
                               nilpotent_generator, right_ideal_window,
-                              idealizer, corner_double, slot_shift)
+                              idealizer, corner_double, slot_shift,
+                              _covered_through)
 
 FIELDS = (QQ, PrimeField(2), PrimeField(101))
 
@@ -312,3 +316,74 @@ def test_tuple_row_applies_the_cap_and_reduces_mod_p():
                    (((6,), 0, 0), 51)]) == {}
     assert sp.row([(((1,), 0, 1), 3), (((1,), 0, 1), -1),
                    (((0,), 0, 0), 102)]) == {1 * 2 + 1: 2, 0: 1}
+
+
+# ------------------------------------- coverage scan against its old loop
+
+def covered_through_reference(sub, part, limit):
+    """Largest m <= limit with the cuts of part through degree 0, ..., m
+    inside sub, one restrict_degree per m; -1 when degree 0's is not."""
+    for m in range(limit + 1):
+        if not sub.contains(restrict_degree(part, m)):
+            return m - 1
+    return limit
+
+
+def random_space(amb, rng, nrows):
+    """The span of nrows sparse rows with small nonzero coefficients."""
+    return zero_space(amb).extend(
+        amb.row((amb.coords[rng.randrange(amb.dim)], rng.choice((-2, 1, 3)))
+                for _ in range(rng.randint(1, 3)))
+        for _ in range(nrows))
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(101)],
+                         ids=str)
+def test_covered_through_matches_the_per_degree_loop(fld):
+    rng = random.Random(29)
+    for shape in ("ring", "tuple"):
+        amb = Ambient(2, 1, 5, fld, rows=None if shape == "ring" else 1)
+        zero = zero_space(amb)
+        cases = [(zero, zero), (zero, prefix_space(amb, 5)),
+                 (prefix_space(amb, 2), prefix_space(amb, 5)),
+                 (prefix_space(amb, 5), prefix_space(amb, 3))]
+        for _ in range(40):
+            part = random_space(amb, rng, rng.randint(0, 8))
+            sub = random_space(amb, rng, rng.randint(0, 12))
+            cases += [(sub, part), (sub.extend(
+                restrict_degree(part, rng.randint(0, 4)).basis_rows()),
+                part)]
+        results = set()
+        for sub, part in cases:
+            # limits below, at and past the part's top degree
+            for limit in range(-1, amb.degcap + 2):
+                got = _covered_through(sub, part, limit)
+                assert got == covered_through_reference(sub, part, limit)
+                results.add(got)
+        assert -1 in results and amb.degcap in results
+        assert set(range(amb.degcap)) <= results
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=str)
+def test_chain_coverage_matches_the_per_degree_loop(fld):
+    # end_ring's idealizer cut and dual_identification's prefix spaces,
+    # as the chain builds them
+    ring = make("R_2x2", degcap=12, field=fld)
+    amb = ring.ambient
+    window = ring_window(ring)
+    _, gen = nilpotent_generator(ring.pres)
+    ideal = right_ideal_window(amb, gen, window)
+    _, ide = idealizer(ring, window, ideal, gen)
+    dcap = (amb.degcap - gen.degree() - 1) // 2
+    images = ideal.extend(corner_double(amb, b) for b in
+                          restrict_degree(window, dcap).basis_rows())
+    rep = free_structure_report(ring, window)
+    hom = HomModule(ring, "left", rep.left.generators, amb.degcap + 1)
+    space = hom.space
+    psi = zero_space(space).extend(
+        slot_shift(amb, space, b) for b in window.basis_rows())
+    for sub, part in ((images, ide), (ideal, ide),
+                      (psi, prefix_space(space, amb.degcap))):
+        for limit in (amb.degcap // 4, amb.degcap):
+            assert _covered_through(sub, part, limit) == \
+                covered_through_reference(sub, part, limit)

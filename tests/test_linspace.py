@@ -11,7 +11,7 @@ from grfilt.linspace import (Ambient, Subspace,
                              DegreeOverflowError, ContainmentError,
                              QuotientContext, span, zero_space, sum_spaces,
                              intersect, subspace_product, quotient_dim,
-                             prefix_space, restrict_degree,
+                             prefix_space, restrict_degree, degree_cuts,
                              complement_section)
 from grfilt.workbench import CATALOG, make
 
@@ -199,13 +199,62 @@ def span_pairs(draw):
 @given(span_pairs())
 def test_degree_cut_intersection_and_sum_agree(case):
     amb, u, v = case
-    # two routes to the same space: a kernel of cut tails, and a
-    # Zassenhaus intersection with the degree prefix
+    # two routes to the same space: the degree cuts, and a Zassenhaus
+    # intersection with the degree prefix
     for m in range(-1, amb.degcap + 1):
         assert restrict_degree(u, m) == intersect(u, prefix_space(amb, m))
     meet = intersect(u, v)
     assert u.contains(meet) and v.contains(meet)
     assert meet.dim + sum_spaces(u, v).dim == u.dim + v.dim
+
+
+def restrict_degree_reference(u, maxdeg):
+    """The elements of u of degree <= maxdeg as the kernel of cutting u's
+    basis rows down to their columns of higher degree."""
+    k = u.ambient.prefix_dim(maxdeg)
+    tails = [{j: x for j, x in u.echelon[q].items() if j >= k}
+             for q in u.pivots]
+    if not any(tails):
+        return u
+    return u.kernel(tails)
+
+
+@st.composite
+def cut_cases(draw):
+    """A subspace of a polynomial, series or 1 x r tuple ambient over Q,
+    F_7 or F_101, spanned by sparse rows, some of them sums of others."""
+    fld = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(101)]))
+    degcap = draw(st.integers(0, 4))
+    shape = draw(st.sampled_from(("poly", "series", "tuple")))
+    if shape == "tuple":
+        amb = Ambient(draw(st.integers(1, 3)), 1, degcap, fld, rows=1)
+    else:
+        amb = Ambient(2, 1, degcap, fld, series=shape == "series")
+    entry = st.tuples(st.integers(0, amb.dim - 1),
+                      st.integers(-3, 3).filter(bool))
+    rows = [amb.row((amb.coords[j], c) for j, c in terms)
+            for terms in draw(st.lists(st.lists(entry, max_size=4),
+                                       max_size=6))]
+    rows += [amb.row((amb.coords[j], c) for r in rows[:2]
+                     for j, c in r.items())]
+    return amb, zero_space(amb).extend(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut_cases())
+def test_degree_cuts_give_every_restriction(case):
+    amb, u = case
+    for v in (u, zero_space(amb)):
+        cuts = degree_cuts(v)
+        degrees = [amb.degree(r) for r in cuts]
+        assert degrees == sorted(degrees)
+        assert len(cuts) == v.dim and zero_space(amb).extend(cuts) == v
+        for r in cuts:
+            top = max(r)
+            assert r[top] == 1
+            assert not any(top in other for other in cuts if other is not r)
+        for d in range(-1, amb.degcap + 2):
+            assert restrict_degree(v, d) == restrict_degree_reference(v, d)
 
 
 def test_complement_section_pivots(amb):
