@@ -231,9 +231,9 @@ def cmd_dualize(args):
     lines = [f"dualizing chain for {rep.ring}, degree cap {rep.degcap}"]
     ok = rep.ok
     if args.control:
-        ok = rep.aborted_at == "endomorphism-ring"
+        ok = rep.aborted_at == dualizing.STAGES[2]
         lines.append("control run: the perturbed ring must abort at the "
-                     "endomorphism-ring stage")
+                     f"{dualizing.STAGES[2]} stage")
     for name, state in rep.stage_results():
         lines.append(f"  {name}: {state}")
     lines.append(f"aborted at: {rep.aborted_at}")

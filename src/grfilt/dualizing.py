@@ -25,10 +25,12 @@ degree window:
         with the expected relation module, and the slot-rearranging map
         Psi identifies D2 with D1 compatibly with both actions.
 
-Each stage either verifies its claim on the window or aborts the chain,
-and the report records the stage name it stopped at.  The perturbed ring
-(corner generator moved up one degree) is the intended control: it passes
-(i) and (ii) with shifted data and fails (iii).
+The window is grown from the presentation, and the predictions of
+stages (iii) and (iv) read its corner.  Each stage either verifies its
+claim on the window or aborts the chain, and the report records the
+stage name it stopped at.  The perturbed ring (corner generator moved up
+one degree) is the intended control: it passes (i) and (ii) with shifted
+data and fails (iii).
 
 A stage whose own degree window holds only constants (its bound is below
 1), or whose rank scan is inconclusive, raises WindowExceeded instead of
@@ -41,15 +43,12 @@ from collections import Counter
 from .linalg import SpanTracker, joint_kernel, joint_row, row_echelon
 from .linspace import (Ambient, DegreeOverflowError, degree_cuts,
                        prefix_space, restrict_degree, zero_space)
-from .filtration import WindowExceeded
+from .filtration import WindowExceeded, two_sided_closure
 from .bimodule import ModuleAction, free_rank
 from .record import Record, jsonable
 
 STAGES = ("free-module-structure", "cyclic-dual-generator",
           "endomorphism-ring", "dual-identification")
-
-# rings the window recipe knows; the value is the lowest corner degree
-_CORNER_LO = {"R_2x2": 0, "R_perturbed": 1}
 
 
 def _require_window(stage, what, bound):
@@ -60,34 +59,24 @@ def _require_window(stage, what, bound):
             f"{stage}: {what} is {bound}, below 1; raise the degree cap")
 
 
-def _basis_sum(amb, *coords):
-    """The kernel row of the sum of the basis elements x^e E_ij named by
-    their coordinates (e, i, j)."""
-    return amb.row((c, amb.field.one) for c in coords)
-
-
-def _diagonal_corner_span(ring, step):
-    """Span of diag(x^(step k), x^(2 step k)) for every k that fits the
-    cap and of the whole corner the ring allows."""
-    amb = ring.ambient
-    if ring.name not in _CORNER_LO:
-        raise KeyError(f"no window recipe for {ring.name!r}")
-    if amb.series:
-        raise ValueError("dualizing chain runs in polynomial mode only")
-    rows = [_basis_sum(amb, ((step * k,), 0, 0), ((2 * step * k,), 1, 1))
-            for k in range(amb.degcap // (2 * step) + 1)]
-    rows += [_basis_sum(amb, ((j,), 0, 1))
-             for j in range(_CORNER_LO[ring.name], amb.degcap + 1)]
-    return zero_space(amb).extend(rows)
-
-
 def ring_window(ring):
-    """Every shape element of the ring whose encoding fits the cap.
+    """Every element of the ring whose encoding fits the cap: the unit's
+    two-sided closure under the generators, inside the cap.
 
-    Knows R_2x2 (corner k[x] e12) and R_perturbed (corner x k[x] e12).
-    The diagonal part diag(f, f(x^2)) fits only for deg f <= cap/2.
+    The closure skips products past the cap, yet for the triangular rings
+    it is the whole window: every element of degree <= cap is reached
+    through products of degree <= cap, because alpha (x^j e12) =
+    x^(j+1) e12 and alpha^k = diag(x^k, x^(2k)) has degree 2k.
     """
-    return _diagonal_corner_span(ring, 1)
+    return two_sided_closure(ring.pres, [ring.ambient.one()])[0]
+
+
+def _corner_rows(window):
+    """The window's basis rows supported on the e12 entry: its corner, as
+    no diagonal row of the canonical echelon has an e12 term."""
+    coords = window.ambient.coords
+    return [r for r in window.basis_rows()
+            if all(coords[k][1:] == (0, 1) for k in r)]
 
 
 # ------------------------------------------------------- free C-structure
@@ -198,7 +187,6 @@ def cyclic_presentation(hom, window, expected_ann):
     basis = window.basis_rows()
     target = prefix_space(space, acceptance_degree)
     tried = []
-    chosen = chosen_orbit = None
     for idx, phi in enumerate(hom.dual_basis()):
         images = [hom.act(phi, b) for b in basis]
         orbit = zero_space(space).extend(images)
@@ -206,15 +194,14 @@ def cyclic_presentation(hom, window, expected_ann):
         tried.append({"candidate": idx, "orbit_dim": orbit.dim,
                       "target_dim": target.dim, "accepted": hit})
         if hit:
-            chosen, chosen_orbit = idx, orbit
             break
-    if chosen is None:
+    else:
         return CyclicReport(hom.ring.name, tuple(tried), None, 0,
                             acceptance_degree, 0, False, False, False)
     ann = window.kernel(images)
     matches = ann == expected_ann
-    consistent = window.dim - ann.dim == chosen_orbit.dim
-    return CyclicReport(hom.ring.name, tuple(tried), chosen, chosen_orbit.dim,
+    consistent = window.dim - ann.dim == orbit.dim
+    return CyclicReport(hom.ring.name, tuple(tried), idx, orbit.dim,
                         acceptance_degree, ann.dim, matches, consistent,
                         matches and consistent)
 
@@ -232,7 +219,13 @@ def right_ideal_window(amb, gen, window):
 
 
 def nilpotent_generator(pres):
-    """The presentation generator with zero diagonal (the corner seed)."""
+    """The presentation generator with zero diagonal (the corner seed).
+    ValueError for a presentation the chain cannot read: one not 2x2
+    over k[x] in polynomial mode, or without such a generator."""
+    amb = pres.ambient
+    if (amb.n, amb.arity, amb.series) != (2, 1, False):
+        raise ValueError(f"the dualizing chain reads 2x2 rings over k[x] "
+                         f"in polynomial mode, not {amb!r}")
     for name, mat in pres.gens:
         if mat.entry(0, 0).is_zero() and mat.entry(1, 1).is_zero():
             return name, mat
@@ -261,9 +254,11 @@ def _product_stability(amb, budget, left_rows, right_rows, sub):
     budget a membership test against a window span would produce false
     negatives.
     """
-    return _survey(None if amb.degree(a) + amb.degree(b) > budget
+    left, right = ([(amb.degree(r), r) for r in rows]
+                   for rows in (left_rows, right_rows))
+    return _survey(None if da + db > budget
                    else not sub.residual(amb.mul(a, b))
-                   for a in left_rows for b in right_rows)
+                   for da, a in left for db, b in right)
 
 
 def _covered_through(sub, part, limit):
@@ -281,7 +276,7 @@ def idealizer(ring, window, ideal, gen):
     For the right ideal gen * ring, testing gen suffices: r(gs) = (rg)s
     stays inside once rg does, and right-closedness of the ideal window
     is surveyed separately, and the result compared with
-    predicted_idealizer(ring).  Returns (report, subspace).
+    predicted_idealizer(window).  Returns (report, subspace).
     """
     amb = ring.ambient
     wcap = amb.degcap - gen.degree()
@@ -294,16 +289,20 @@ def idealizer(ring, window, ideal, gen):
         amb, amb.degcap, ideal.basis_rows(), ring.pres.gen_rows, ideal)
     closed, pc_pairs = _product_stability(
         amb, wcap, ide.basis_rows(), ide.basis_rows(), ide)
-    matches = ide == restrict_degree(predicted_idealizer(ring), wcap)
+    matches = ide == restrict_degree(predicted_idealizer(window), wcap)
     ok = inside and right_closed and closed and matches
     return IdealizerReport(ring.name, wcap, ideal.dim, ide.dim, inside,
                            right_closed, rc_pairs, closed, pc_pairs,
                            matches, ok), ide
 
 
-def predicted_idealizer(ring):
-    """Even diagonal part, arbitrary corner: [[h(x^2), g], [0, h(x^4)]]."""
-    return _diagonal_corner_span(ring, 2)
+def predicted_idealizer(window):
+    """Even diagonal part and the window's whole corner: [[h(x^2), g],
+    [0, h(x^4)]] for every g of the ring."""
+    amb = window.ambient
+    return zero_space(amb).extend(
+        [amb.row([(((2 * k,), 0, 0), 1), (((4 * k,), 1, 1), 1)])
+         for k in range(amb.degcap // 4 + 1)] + _corner_rows(window))
 
 
 def corner_double(amb, row):
@@ -357,11 +356,12 @@ def end_ring(ring, window, ideal, gen):
     witness = repr(kernel.basis_matrices()[0]) if kernel.dim else None
     # the degree bounds keep both sides inside the cap; two rows are equal
     # modulo the ideal when their residuals are
+    graded = [(amb.degree(a), a, ca) for a, ca in zip(basis, images)]
     mult_ok, mult_pairs = _survey(
-        None if 2 * (amb.degree(a) + amb.degree(b)) + 2 > amb.degcap
+        None if 2 * (da + db) + 2 > amb.degcap
         else ideal.residual(corner_double(amb, amb.mul(a, b)))
         == ideal.residual(amb.mul(ca, cb))
-        for a, ca in zip(basis, images) for b, cb in zip(basis, images))
+        for da, a, ca in graded for db, b, cb in graded)
     through = _covered_through(ideal.extend(images), ide, amb.degcap)
     ok = (ide_rep.ok and unital and lands and mult_ok and not kernel.dim
           and through >= required)
@@ -407,15 +407,14 @@ def dual_identification(window, ideal, hom):
     corner_double and with the right action of the diagonal subring.
     """
     ring, amb = hom.ring, hom.ambient
-    one = amb.field.one
     cap = amb.degcap
     req_p, req_o = cap // 2, cap // 4
     rho_cap = 3
     a_cap = cap - (2 * rho_cap + 1)
     _require_window(STAGES[3], "the left-action degree", a_cap)
     space = hom.space
-    phi1 = space.row([(((0,), 0, 1), one)])
-    phi2 = space.row([(((1,), 0, 1), -one)])
+    phi1 = space.row([(((0,), 0, 1), 1)])
+    phi2 = space.row([(((1,), 0, 1), -1)])
     basis = window.basis_rows()
 
     imgs = [hom.act(phi, b) for phi in (phi1, phi2) for b in basis]
@@ -423,16 +422,12 @@ def dual_identification(window, ideal, hom):
     presents_through = _covered_through(
         zero_space(space).extend(imgs), prefix, cap)
 
-    # the relation module (kernel of (b, 0) -> b.phi1, (0, b) -> b.phi2)
-    # against the span of the (x^(j+1) e12, x^j e12), as canonical echelons
-    p, n = amb.field.p, amb.dim
+    # the relation module, kernel of (b, 0) -> b.phi1, (0, b) -> b.phi2
     kernel = joint_kernel(
-        zip(imgs, basis + [joint_row({}, r, n) for r in basis]), p)
-    expected = row_echelon(
-        (joint_row(_basis_sum(amb, ((j + 1,), 0, 1)),
-                   _basis_sum(amb, ((j,), 0, 1)), n)
-         for j in range(_CORNER_LO[ring.name], cap)), p)
-    kernel_matches = kernel == expected
+        zip(imgs, basis + [joint_row({}, r, amb.dim) for r in basis]),
+        amb.field.p)
+    t = amb.encode_sparse(ring.el("alpha"))
+    kernel_matches = kernel == _corner_relations(window, t)
 
     kills = not any(slot_shift(amb, space, b) for b in ideal.basis_rows())
     psi_imgs = [slot_shift(amb, space, b) for b in basis]
@@ -449,16 +444,13 @@ def dual_identification(window, ideal, hom):
         slot_shift(amb, space, amb.mul(sig, a))
         == hom.act(slot_shift(amb, space, a), rho)
         for rho, sig in doubled for a in acts)
-    t = amb.encode_sparse(ring.el("alpha"))
-    right_ok = True
     # times t, the tuple (u, f) becomes (u x, f x)
-    for a in restrict_degree(window, cap - amb.degree(t)).basis_rows():
-        lhs = slot_shift(amb, space, amb.mul(a, t))
-        rhs = space.row((((d + 1,), 0, s), c)
-                        for k, c in slot_shift(amb, space, a).items()
-                        for (d,), _, s in [space.coords[k]])
-        if lhs != rhs:
-            right_ok = False
+    right_ok = all(
+        slot_shift(amb, space, amb.mul(a, t))
+        == space.row((((d + 1,), 0, s), c)
+                     for k, c in slot_shift(amb, space, a).items()
+                     for (d,), _, s in [space.coords[k]])
+        for a in restrict_degree(window, cap - amb.degree(t)).basis_rows())
     ok = (presents_through >= req_p and kernel_matches and kills
           and psi_kernel_matches and psi_onto_through >= req_o
           and left_ok and right_ok)
@@ -468,6 +460,16 @@ def dual_identification(window, ideal, hom):
         right_ok, req_p, req_o, ok)
 
 
+def _corner_relations(window, t):
+    """Stage (iv)'s expected relation module as a canonical echelon: the
+    joint rows (t c, c) = (x c, c), t = alpha, over the corner rows c of
+    degree below the cap."""
+    amb = window.ambient
+    return row_echelon((joint_row(amb.mul(t, c), c, amb.dim)
+                        for c in _corner_rows(window)
+                        if amb.degree(c) < amb.degcap), amb.field.p)
+
+
 # ------------------------------------------------------------ full chain
 
 class DualizingReport(Record):
@@ -475,13 +477,9 @@ class DualizingReport(Record):
               "aborted_at", "ok")
 
     def stage_results(self):
-        out = []
-        for name, rep in zip(STAGES, (self.free, self.cyclic,
-                                      self.endo, self.ident)):
-            state = "skipped" if rep is None else \
-                ("ok" if rep.ok else "failed")
-            out.append((name, state))
-        return out
+        return [(name, "skipped" if rep is None else
+                 "ok" if rep.ok else "failed") for name, rep in
+                zip(STAGES, (self.free, self.cyclic, self.endo, self.ident))]
 
     def to_json(self):
         stages = {"free": self.free, "cyclic": self.cyclic,
@@ -494,8 +492,8 @@ class DualizingReport(Record):
 
 def verify_dualizing(ring):
     """Run the four-stage chain on the ring, make("R_2x2") or
-    make("R_perturbed") at some degree cap; stop at the first failing
-    stage.
+    make("R_perturbed") at some degree cap, stopping at the first
+    failing stage; a ring it cannot read raises ValueError first.
 
     The triangular ring verifies at a window wide enough for every
     stage's degree bookkeeping (the command line's default cap is 20).
@@ -503,13 +501,13 @@ def verify_dualizing(ring):
     candidate map collapses the corner classes into the ideal.
     """
     amb = ring.ambient
+    _, gen = nilpotent_generator(ring.pres)
     window = ring_window(ring)
 
     free_rep = free_structure_report(ring, window)
     if not free_rep.ok:
         return DualizingReport(ring.name, amb.degcap, free_rep, None, None,
                                None, STAGES[0], False)
-    _, gen = nilpotent_generator(ring.pres)
     ideal = right_ideal_window(amb, gen, window)
     hom2 = HomModule(ring, "right", free_rep.right.generators, amb.degcap)
     cyc = cyclic_presentation(hom2, window, ideal)

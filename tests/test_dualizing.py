@@ -9,7 +9,9 @@ the functional (0, -x) is (0, x), yet every stage reads the same.
 The matrix and Poly-tuple forms of corner_double, slot_shift and
 HomModule.act are kept here as reference functions, and the kernel-row
 maps are checked against them; so is the per-degree coverage loop that
-_covered_through's one pass over the degree cuts replaced.
+_covered_through's one pass over the degree cuts replaced, and so are
+the window recipes, keyed by ring name, that the window grown from the
+presentation and the predictions read off its corner replaced.
 """
 
 import json
@@ -19,15 +21,17 @@ import pytest
 
 from grfilt.fields import QQ, PrimeField
 from grfilt.poly import Poly, PolyMatrix
-from grfilt.linalg import combine_rows
+from grfilt.linalg import combine_rows, joint_row, row_echelon
 from grfilt.linspace import (Ambient, DegreeOverflowError, prefix_space,
                              restrict_degree, zero_space)
 from grfilt.workbench import make
 from grfilt.bimodule import ModuleAction
+from grfilt import dualizing
 from grfilt.dualizing import (STAGES, verify_dualizing, ring_window,
                               free_structure_report, HomModule,
                               nilpotent_generator, right_ideal_window,
-                              idealizer, corner_double, slot_shift,
+                              idealizer, predicted_idealizer, corner_double,
+                              slot_shift, _corner_relations,
                               _covered_through)
 
 FIELDS = (QQ, PrimeField(2), PrimeField(101))
@@ -387,3 +391,74 @@ def test_chain_coverage_matches_the_per_degree_loop(fld):
         for limit in (amb.degcap // 4, amb.degcap):
             assert _covered_through(sub, part, limit) == \
                 covered_through_reference(sub, part, limit)
+
+
+# ---------------------------------- window recipes against the grown window
+
+CORNER_LO = {"R_2x2": 0, "R_perturbed": 1}
+
+
+def recipe_span(ring, step):
+    """The span the chain once listed by ring name: diag(x^(step k),
+    x^(2 step k)) for every k that fits the cap, and x^j e12 from the
+    ring's lowest corner degree up to the cap.  Step 1 was the window,
+    step 2 the predicted idealizer."""
+    amb = ring.ambient
+    rows = [amb.row([(((step * k,), 0, 0), 1), (((2 * step * k,), 1, 1), 1)])
+            for k in range(amb.degcap // (2 * step) + 1)]
+    rows += [amb.row([(((j,), 0, 1), 1)])
+             for j in range(CORNER_LO[ring.name], amb.degcap + 1)]
+    return zero_space(amb).extend(rows)
+
+
+def recipe_relations(ring):
+    """Stage (iv)'s relation module as once listed by ring name: the
+    joint rows (x^(j+1) e12, x^j e12) from the lowest corner degree."""
+    amb = ring.ambient
+    return row_echelon(
+        (joint_row(amb.row([(((j + 1,), 0, 1), 1)]),
+                   amb.row([(((j,), 0, 1), 1)]), amb.dim)
+         for j in range(CORNER_LO[ring.name], amb.degcap)), amb.field.p)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+def test_grown_window_equals_the_named_recipe(fld):
+    for name in CORNER_LO:
+        for cap in range(2, 41):
+            ring = make(name, degcap=cap, field=fld)
+            assert ring_window(ring) == recipe_span(ring, 1), (name, cap)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+def test_corner_predictions_equal_the_named_recipe(fld):
+    for name in CORNER_LO:
+        for cap in range(8, 41):
+            ring = make(name, degcap=cap, field=fld)
+            window = ring_window(ring)
+            t = ring.ambient.encode_sparse(ring.el("alpha"))
+            assert predicted_idealizer(window) == recipe_span(ring, 2)
+            assert _corner_relations(window, t) == recipe_relations(ring)
+
+
+def test_a_renamed_ring_runs_the_same_chain(full_report):
+    copy = verify_dualizing(make("R_2x2", degcap=20).replace(name="R_copy"))
+    assert copy.ok and copy.ring == "R_copy"
+    assert copy.stage_results() == full_report[0].stage_results()
+    blob = json.dumps(copy.to_json())
+    assert "R_2x2" not in blob
+    assert blob.replace("R_copy", "R_2x2") == \
+        json.dumps(full_report[0].to_json())
+
+
+@pytest.mark.parametrize("name, why", [
+    ("S", "2x2 rings over k"), ("T", "2x2 rings over k"),
+    ("R_prime", "polynomial mode"), ("C_diag", "no strictly upper")])
+def test_a_ring_the_chain_cannot_read_is_refused_first(name, why,
+                                                       monkeypatch):
+    def stage(*args):
+        raise AssertionError("a stage ran")
+    for fn in ("ring_window", "free_structure_report", "cyclic_presentation",
+               "end_ring", "dual_identification"):
+        monkeypatch.setattr(dualizing, fn, stage)
+    with pytest.raises(ValueError, match=why):
+        verify_dualizing(make(name))

@@ -20,7 +20,9 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIELDS = ("Q", "Fp:101", "Fp:2147483629", "Fp:7")
 # runs that fail (1), are inconclusive (2) or misuse the command line (3),
-# then two that pass with more degree cuts than any workload job makes
+# then two that pass with more degree cuts than any workload job makes,
+# and the control, whose corner starts at degree 1, at the smallest cap
+# that decides it and at a wide one
 EDGE_JOBS = (
     "chain --side right --steps 4",
     "chain --kind weak-adic --side left --steps 4",
@@ -36,6 +38,8 @@ EDGE_JOBS = (
     "dualize --degcap 7",
     "dualize --degcap 48",
     "ranks --depth 24",
+    "dualize --control --degcap 6",
+    "dualize --control --degcap 48",
 )
 # reads a JSON list of argvs on stdin, writes [code, stdout sha256,
 # stderr sha256] for each
