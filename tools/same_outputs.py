@@ -22,7 +22,9 @@ FIELDS = ("Q", "Fp:101", "Fp:2147483629", "Fp:7")
 # runs that fail (1), are inconclusive (2) or misuse the command line (3),
 # then two that pass with more degree cuts than any workload job makes,
 # and the control, whose corner starts at degree 1, at the smallest cap
-# that decides it and at a wide one
+# that decides it and at a wide one; then the catalog rings no workload
+# job builds or lists, each run once and each asked for an element it
+# lacks, whose usage error lists the ring's elements
 EDGE_JOBS = (
     "chain --side right --steps 4",
     "chain --kind weak-adic --side left --steps 4",
@@ -40,6 +42,14 @@ EDGE_JOBS = (
     "ranks --depth 24",
     "dualize --control --degcap 6",
     "dualize --control --degcap 48",
+    "hilbert --ring R_hat --kind weak-adic --depth 6 --quotient beta",
+    "gr --ring C_diag --depth 6",
+    "gr --ring S --depth 4",
+    "hilbert --ring T --depth 4 --quotient e13,e23",
+    "hilbert --ring S --quotient nope",
+    "hilbert --ring T --quotient nope",
+    "hilbert --ring C_diag --quotient nope",
+    "hilbert --ring R_hat --kind weak-adic --quotient nope",
 )
 # reads a JSON list of argvs on stdin, writes [code, stdout sha256,
 # stderr sha256] for each
