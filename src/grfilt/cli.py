@@ -28,7 +28,7 @@ import sys
 
 from .fields import field_from_name
 from .linspace import Inconclusive, QuotientContext, zero_space
-from .workbench import (make, make_for_depth, CATALOG,
+from .workbench import (make, make_for_depth, CATALOG, SERIES_RINGS,
                         staircase_quotient_context, quotient_iso_check)
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
                          induced_quotient_filtration)
@@ -54,7 +54,7 @@ def _base_filtration(ring, kind, depth):
             raise UsageError(
                 f"{ring.name} is a polynomial-mode ring; the weak-adic "
                 f"filtration needs one of the series models "
-                f"(R_prime, R_hat)")
+                f"({', '.join(SERIES_RINGS)})")
         return weak_adic_filtration(ring.pres, depth)
     return standard_filtration(ring.pres, depth)
 

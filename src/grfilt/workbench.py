@@ -1,14 +1,20 @@
 """Catalog of the worked example rings and their structural checks.
 
-Every ring here is a subalgebra of a matrix ring over k[x] or k[x,y],
-described by generators plus a closed-form shape predicate.  The shape is
-what the generators are supposed to span in each degree; tests confirm the
-two views agree on truncated windows.
+The catalog is a table of presentations, one row per ring: a generator
+builder and its argument, the series flag, the default degree cap, the
+description and the shape predicate, what the generators are supposed
+to span in each degree (tests confirm the two views agree on truncated
+windows).  _triangular builds alpha = diag(x, x^2) with a corner x^k e12
+(R_2x2, R_perturbed, R_prime, R_hat) or without one (C_diag);
+_staircase adds y-multiples over k[x,y] (S, T).  make_for_depth sizes a
+row's cap from its generators and the depth.
 
 Series-mode entries model the x-adically truncated ring: an ambient with
 series=True and degree cap d is M_n(k[x]/(x^(d+1))), so products reduce
 modulo x^(d+1) by ring structure rather than by silent truncation.
 """
+
+from functools import partial
 
 from .fields import QQ
 from .linalg import insert_row, joint_row, row_echelon, split_joint
@@ -19,14 +25,13 @@ from .poly import Poly, PolyMatrix
 from .record import Record
 
 
-CATALOG = ("R_2x2", "S", "T", "R_prime", "R_hat", "C_diag")
-
-
-def _unit_mat(n, arity, i, j, p):
-    z = Poly.zero(p.field, arity)
-    rows = [[z] * n for _ in range(n)]
-    rows[i][j] = p
-    return PolyMatrix(rows)
+def _matrix(n, entries):
+    """The n x n matrix with the given {(i, j): polynomial} entries and 0
+    elsewhere."""
+    p = next(iter(entries.values()))
+    z = Poly.zero(p.field, p.arity)
+    return PolyMatrix([[entries.get((i, j), z) for j in range(n)]
+                       for i in range(n)])
 
 
 def _y0_part(p):
@@ -40,12 +45,44 @@ def _sub_x_squared(p, series_cap=None):
     return q if series_cap is None else q.truncate(series_cap)
 
 
-class ExampleRing(Record):
-    fields = ("name", "ambient", "pres", "description", "elements",
-              "shape_member")
+def _x_power(j):
+    """x^j as an element's name spells it: "", "x", "x2", ..."""
+    return "x" * j if j < 2 else f"x{j}"
 
-    def el(self, name):
-        return self.elements[name]
+
+def _triangular(field, row):
+    """alpha = diag(x, x^2) and the corner generator x^k e12, k = row.arg,
+    or alpha alone, named c, when row.arg is None.  The elements add e12,
+    also named beta, and in a polynomial window x^j e12 for j up to
+    k + 1, one degree past the corner generator."""
+    x, k = Poly.variable(field, 1, 0), row.arg
+    alpha = _matrix(2, {(0, 0): x, (1, 1): x * x})
+    if k is None:
+        return (("c", alpha),), {"c": alpha}
+    xj = [Poly.const(field, 1, field.one)]
+    while len(xj) <= k + (not row.series):
+        xj.append(xj[-1] * x)
+    units = [_matrix(2, {(0, 1): p}) for p in xj]
+    gens = (("alpha", alpha), (_x_power(k) + "beta", units[k]))
+    return gens, {"alpha": alpha, "beta": units[0],
+                  **{_x_power(j) + "e12": u for j, u in enumerate(units)}}
+
+
+def _staircase(field, row):
+    """The n x n staircase over k[x,y], n = row.arg: alpha = diag(x, x^2,
+    x, ...), the strictly upper units (the 2x2 one named beta, as in R)
+    and every y e_ij.  Its elements are its generators."""
+    n = row.arg
+    x, y = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1)
+    one = Poly.const(field, 2, field.one)
+    alpha = _matrix(n, {(i, i): x * x if i == 1 else x for i in range(n)})
+    upper = [("beta", _matrix(2, {(0, 1): one}))] if n == 2 else [
+        (f"e{i + 1}{j + 1}", _matrix(n, {(i, j): one}))
+        for i in range(n) for j in range(i + 1, n)]
+    gens = (("alpha", alpha), *upper,
+            *((f"ye{i + 1}{j + 1}", _matrix(n, {(i, j): y}))
+              for i in range(n) for j in range(n)))
+    return gens, dict(gens)
 
 
 def _shape_triangular(amb, corner=True):
@@ -65,133 +102,87 @@ def _shape_triangular(amb, corner=True):
     return check
 
 
-def _shape_s(amb):
-    """R-shape modulo y: arbitrary y-multiples are allowed everywhere."""
+def _shape_staircase(amb, squared):
+    """The y-free part is upper triangular, with diagonal f(x) except
+    f(x^2) at the indices in squared; y-multiples are free everywhere."""
     def check(mat):
-        if not _y0_part(mat.entry(1, 0)).is_zero():
-            return False
-        f = _y0_part(mat.entry(0, 0))
-        return _y0_part(mat.entry(1, 1)) == _sub_x_squared(f)
+        m = y_kill(mat)
+        f = m.entry(0, 0)
+        return (all(m.entry(i, j).is_zero()
+                    for i in range(amb.n) for j in range(i))
+                and all(m.entry(i, i) == (_sub_x_squared(f) if i in squared
+                                          else f)
+                        for i in range(1, amb.n)))
     return check
 
 
-def _shape_t(amb):
-    """y-free part must be [[f, g, h], [0, f(x^2), l], [0, 0, f]]."""
-    def check(mat):
-        for (i, j) in ((1, 0), (2, 0), (2, 1)):
-            if not _y0_part(mat.entry(i, j)).is_zero():
-                return False
-        f = _y0_part(mat.entry(0, 0))
-        if _y0_part(mat.entry(2, 2)) != f:
-            return False
-        return _y0_part(mat.entry(1, 1)) == _sub_x_squared(f)
-    return check
+class _Row(Record):
+    """build(field, row) gives the generators and named elements; the
+    ambient's size and variables are the generators', and shape(ambient)
+    is the membership predicate."""
+    fields = ("build", "arg", "series", "cap", "shape", "description")
 
 
-def _cap(degcap, default, gens):
-    """A polynomial window's degree cap: the catalog default for None, a
-    function's value at the top generator degree, or degcap itself."""
-    if degcap is None:
-        return default
-    if callable(degcap):
-        return degcap(max([g.degree() for _, g in gens] + [1]))
-    return degcap
+_TABLE = {
+    "R_2x2": _Row(
+        _triangular, 0, False, 12, _shape_triangular,
+        "triangular subring {[[f(x), g(x)], [0, f(x^2)]]} of M_2(k[x]); "
+        "generators alpha = diag(x, x^2) and beta = e12"),
+    "R_perturbed": _Row(
+        _triangular, 1, False, 12, _shape_triangular,
+        "same shape with the nilpotent generator moved up one degree: "
+        "generators alpha and x*e12; misses the constant at e12"),
+    "S": _Row(
+        _staircase, 2, False, 6, partial(_shape_staircase, squared=(1,)),
+        "two-variable thickening: triangular x-shape plus y*M_2(k[x,y])"),
+    "T": _Row(
+        _staircase, 3, False, 6, partial(_shape_staircase, squared=(1,)),
+        "3x3 staircase: diag(f(x), f(x^2), f(x)) plus free upper triangle "
+        "over k[x], plus y*M_3(k[x,y])"),
+    "R_prime": _Row(
+        _triangular, 0, True, 9, _shape_triangular,
+        "triangular ring localized at the ideal (alpha, beta)"),
+    "R_hat": _Row(_triangular, 0, True, 9, _shape_triangular,
+                  "triangular ring x-adically completed"),
+    "C_diag": _Row(
+        _triangular, None, False, 12,
+        partial(_shape_triangular, corner=False),
+        "commutative diagonal subring {diag(c(x), c(x^2))}, isomorphic to "
+        "k[x]; the triangular ring is module-finite over it"),
+}
+# R_perturbed is the dualizing chain's control, built by name only
+CATALOG = tuple(name for name in _TABLE if name != "R_perturbed")
+SERIES_RINGS = tuple(name for name, row in _TABLE.items() if row.series)
+
+
+class ExampleRing(Record):
+    """A built catalog ring.  Its name and ambient are its presentation's,
+    so a renamed copy is ring.replace(pres=ring.pres.replace(name=...))."""
+    fields = ("pres", "description", "elements", "shape_member")
+
+    name = property(lambda self: self.pres.name)
+    ambient = property(lambda self: self.pres.ambient)
+
+    def el(self, name):
+        return self.elements[name]
 
 
 def make(name, degcap=None, field=QQ):
-    """Build a catalog ring.  degcap defaults to a size adequate for the
-    standard windows used in the tests and reports; a function of the top
-    generator degree sizes a polynomial window from its generators."""
-    if name in ("R_2x2", "R_perturbed"):
-        x, z = Poly.variable(field, 1, 0), Poly.zero(field, 1)
-        alpha = PolyMatrix([[x, z], [z, x * x]])
-        beta = _unit_mat(2, 1, 0, 1, Poly.const(field, 1, field.one))
-        xbeta = _unit_mat(2, 1, 0, 1, x)
-        gens = (("alpha", alpha),
-                ("beta", beta) if name == "R_2x2" else ("xbeta", xbeta))
-        amb = Ambient(2, 1, _cap(degcap, 12, gens), field)
-        pres = AlgebraPresentation(name, amb, gens)
-        if name == "R_2x2":
-            return ExampleRing(
-                name, amb, pres,
-                "triangular subring {[[f(x), g(x)], [0, f(x^2)]]} of "
-                "M_2(k[x]); generators alpha = diag(x, x^2) and beta = e12",
-                {"alpha": alpha, "beta": beta, "e12": beta, "xe12": xbeta},
-                _shape_triangular(amb))
-        return ExampleRing(
-            name, amb, pres,
-            "same shape with the nilpotent generator moved up one degree: "
-            "generators alpha and x*e12; misses the constant at e12",
-            {"alpha": alpha, "beta": beta, "e12": beta, "xe12": xbeta,
-             "x2e12": _unit_mat(2, 1, 0, 1, x * x)},
-            _shape_triangular(amb))
-    if name == "S":
-        x, y = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1)
-        z = Poly.zero(field, 2)
-        alpha = PolyMatrix([[x, z], [z, x * x]])
-        beta = _unit_mat(2, 2, 0, 1, Poly.const(field, 2, field.one))
-        ygens = [(f"ye{i + 1}{j + 1}", _unit_mat(2, 2, i, j, y))
-                 for i in range(2) for j in range(2)]
-        gens = (("alpha", alpha), ("beta", beta)) + tuple(ygens)
-        amb = Ambient(2, 2, _cap(degcap, 6, gens), field)
-        pres = AlgebraPresentation("S", amb, gens)
-        return ExampleRing(
-            name, amb, pres,
-            "two-variable thickening: triangular x-shape plus y*M_2(k[x,y])",
-            {"alpha": alpha, "beta": beta, **dict(ygens)},
-            _shape_s(amb))
-    if name == "T":
-        x, y = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1)
-        z = Poly.zero(field, 2)
-        alpha = PolyMatrix([[x, z, z], [z, x * x, z], [z, z, x]])
-        one2 = Poly.const(field, 2, field.one)
-        eij = {(i, j): _unit_mat(3, 2, i, j, one2)
-               for (i, j) in ((0, 1), (0, 2), (1, 2))}
-        ygens = [(f"ye{i + 1}{j + 1}", _unit_mat(3, 2, i, j, y))
-                 for i in range(3) for j in range(3)]
-        gens = (("alpha", alpha), ("e12", eij[(0, 1)]), ("e13", eij[(0, 2)]),
-                ("e23", eij[(1, 2)])) + tuple(ygens)
-        amb = Ambient(3, 2, _cap(degcap, 6, gens), field)
-        pres = AlgebraPresentation("T", amb, gens)
-        return ExampleRing(
-            name, amb, pres,
-            "3x3 staircase: diag(f(x), f(x^2), f(x)) plus free upper "
-            "triangle over k[x], plus y*M_3(k[x,y])",
-            {"alpha": alpha, "e12": eij[(0, 1)], "e13": eij[(0, 2)],
-             "e23": eij[(1, 2)], **dict(ygens)},
-            _shape_t(amb))
-    if name in ("R_prime", "R_hat"):
-        # a series window truncates instead of overflowing, so a sizing
-        # function leaves it at its default
-        cap = 9 if degcap is None or callable(degcap) else degcap
-        amb = Ambient(2, 1, cap, field, series=True)
-        x, z = Poly.variable(field, 1, 0), Poly.zero(field, 1)
-        alpha = PolyMatrix([[x, z], [z, x * x]])
-        beta = _unit_mat(2, 1, 0, 1, Poly.const(field, 1, field.one))
-        pres = AlgebraPresentation(name, amb, (("alpha", alpha),
-                                               ("beta", beta)))
-        what = ("localized at the ideal (alpha, beta)"
-                if name == "R_prime" else "x-adically completed")
-        return ExampleRing(
-            name, amb, pres,
-            f"triangular ring {what}, modeled as the finite quotient over "
-            f"k[x]/(x^{cap + 1})",
-            {"alpha": alpha, "beta": beta, "e12": beta},
-            _shape_triangular(amb))
-    if name == "C_diag":
-        x, z = Poly.variable(field, 1, 0), Poly.zero(field, 1)
-        c = PolyMatrix([[x, z], [z, x * x]])
-        gens = (("c", c),)
-        amb = Ambient(2, 1, _cap(degcap, 12, gens), field)
-        pres = AlgebraPresentation("C_diag", amb, gens)
-        return ExampleRing(
-            name, amb, pres,
-            "commutative diagonal subring {diag(c(x), c(x^2))}, isomorphic "
-            "to k[x]; the triangular ring is module-finite over it",
-            {"c": c},
-            _shape_triangular(amb, corner=False))
-    raise KeyError(f"unknown example ring {name!r}; "
-                   f"catalog: {', '.join(CATALOG)} (+ R_perturbed)")
+    """Build a catalog ring from its row, at the row's degree cap unless
+    degcap is given."""
+    if name not in _TABLE:
+        raise KeyError(f"unknown example ring {name!r}; "
+                       f"catalog: {', '.join(CATALOG)} (+ R_perturbed)")
+    row = _TABLE[name]
+    gens, elements = row.build(field, row)
+    cap = row.cap if degcap is None else degcap
+    first = gens[0][1]
+    amb = Ambient(first.n, first.arity, cap, field, series=row.series)
+    description = row.description + (
+        f", modeled as the finite quotient over k[x]/(x^{cap + 1})"
+        if row.series else "")
+    return ExampleRing(AlgebraPresentation(name, amb, gens), description,
+                       elements, row.shape(amb))
 
 
 def make_for_depth(name, depth, degcap=None, field=QQ, slack=2):
@@ -202,10 +193,11 @@ def make_for_depth(name, depth, degcap=None, field=QQ, slack=2):
     products overflow.  Series windows truncate instead of overflowing
     and keep their catalog default.  An explicit degcap always wins.
     """
-    def sized(step):
-        return step * depth + slack
-    return make(name, degcap=sized if degcap is None else degcap,
-                field=field)
+    row = _TABLE.get(name)    # an unknown name is make's to refuse
+    if degcap is None and row and not row.series:
+        gens, _ = row.build(field, row)
+        degcap = max(g.degree() for _, g in gens) * depth + slack
+    return make(name, degcap=degcap, field=field)
 
 
 # ---------------------------------------------------------------- op twist

@@ -24,6 +24,7 @@ from grfilt.poly import Poly, PolyMatrix
 from grfilt.linalg import combine_rows, joint_row, row_echelon
 from grfilt.linspace import (Ambient, DegreeOverflowError, prefix_space,
                              restrict_degree, zero_space)
+from grfilt.filtration import hilbert, standard_filtration
 from grfilt.workbench import make
 from grfilt.bimodule import ModuleAction
 from grfilt import dualizing
@@ -441,7 +442,12 @@ def test_corner_predictions_equal_the_named_recipe(fld):
 
 
 def test_a_renamed_ring_runs_the_same_chain(full_report):
-    copy = verify_dualizing(make("R_2x2", degcap=20).replace(name="R_copy"))
+    ring = make("R_2x2", degcap=20)
+    ring = ring.replace(pres=ring.pres.replace(name="R_copy"))
+    assert ring.name == "R_copy"
+    filt = standard_filtration(ring.pres, 3)
+    assert filt.name == hilbert(filt).name == "standard:R_copy"
+    copy = verify_dualizing(ring)
     assert copy.ok and copy.ring == "R_copy"
     assert copy.stage_results() == full_report[0].stage_results()
     blob = json.dumps(copy.to_json())

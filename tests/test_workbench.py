@@ -81,6 +81,18 @@ def test_diagonal_shape_truncates_in_series_mode():
     assert not check(PolyMatrix([[f, x], [z, x * x]]))
 
 
+def test_a_ring_holds_its_name_and_ambient_once():
+    ring = make("R_2x2", degcap=8)
+    assert (ring.name, ring.ambient) == ("R_2x2", ring.pres.ambient)
+    with pytest.raises(TypeError):
+        ring.replace(name="R_copy")
+    with pytest.raises(TypeError):
+        ring.replace(ambient=make("R_2x2").ambient)
+    copy = ring.replace(pres=ring.pres.replace(name="R_copy"))
+    assert (copy.name, copy.pres.name, copy.ambient) == \
+        ("R_copy", "R_copy", ring.ambient)
+
+
 def test_perturbed_ring_excluded_from_catalog():
     assert "R_perturbed" not in CATALOG
     with pytest.raises(KeyError):

@@ -22,9 +22,9 @@ FIELDS = ("Q", "Fp:101", "Fp:2147483629", "Fp:7")
 # runs that fail (1), are inconclusive (2) or misuse the command line (3),
 # then two that pass with more degree cuts than any workload job makes,
 # and the control, whose corner starts at degree 1, at the smallest cap
-# that decides it and at a wide one; then the catalog rings no workload
-# job builds or lists, each run once and each asked for an element it
-# lacks, whose usage error lists the ring's elements
+# that decides it and at a wide one; then R_hat, C_diag, gr on S and a
+# quotient of T, which no workload job runs, and an element that S, T,
+# C_diag and R_hat lack, whose usage error lists the ring's elements
 EDGE_JOBS = (
     "chain --side right --steps 4",
     "chain --kind weak-adic --side left --steps 4",
