@@ -102,16 +102,15 @@ def _shape_triangular(amb, corner=True):
     return check
 
 
-def _shape_staircase(amb, squared):
+def _shape_staircase(amb):
     """The y-free part is upper triangular, with diagonal f(x) except
-    f(x^2) at the indices in squared; y-multiples are free everywhere."""
+    f(x^2) at index 1, as in alpha; y-multiples are free everywhere."""
     def check(mat):
         m = y_kill(mat)
         f = m.entry(0, 0)
         return (all(m.entry(i, j).is_zero()
                     for i in range(amb.n) for j in range(i))
-                and all(m.entry(i, i) == (_sub_x_squared(f) if i in squared
-                                          else f)
+                and all(m.entry(i, i) == (_sub_x_squared(f) if i == 1 else f)
                         for i in range(1, amb.n)))
     return check
 
@@ -133,10 +132,10 @@ _TABLE = {
         "same shape with the nilpotent generator moved up one degree: "
         "generators alpha and x*e12; misses the constant at e12"),
     "S": _Row(
-        _staircase, 2, False, 6, partial(_shape_staircase, squared=(1,)),
+        _staircase, 2, False, 6, _shape_staircase,
         "two-variable thickening: triangular x-shape plus y*M_2(k[x,y])"),
     "T": _Row(
-        _staircase, 3, False, 6, partial(_shape_staircase, squared=(1,)),
+        _staircase, 3, False, 6, _shape_staircase,
         "3x3 staircase: diag(f(x), f(x^2), f(x)) plus free upper triangle "
         "over k[x], plus y*M_3(k[x,y])"),
     "R_prime": _Row(
