@@ -5,7 +5,9 @@ element acting by left or right multiplication; the subring k[t] it
 generates is the coefficient ring.  Everything is decided on the computed
 degree window and reported as an explicit certificate, with three honest
 outcomes: free of a definite rank, not free (with a relation witness), or
-inconclusive at the probed depth.
+inconclusive at the probed depth.  A rank report keeps, off its payload,
+the generators as kernel rows and the scan's tagged span of their
+orbits, from which grfilt.dualizing reads each side's free C-structure.
 
 The naive growth slope dim M_{<=n} / dim k[t]_{<=n} misrepresents twisted
 actions: an actor can raise carrier degree by more than one step, in which
@@ -80,10 +82,13 @@ class ModuleAction(Record):
 
 
 class RankReport(Record):
+    """generators holds kernel rows and span the SpanTracker of the scan,
+    whose tag (i, k) labels t^k applied to generator i.  A span equals
+    only itself, so two scans' reports compare by their to_json()."""
     fields = ("name", "side", "verdict", "rank", "depth", "effective_step",
               "generator_degrees", "generators", "relation",
-              "spanned_through")
-    hidden = ("generators",)
+              "spanned_through", "span")
+    hidden = ("generators", "span")
 
 
 def free_rank(action, depth):
@@ -131,8 +136,8 @@ def free_rank(action, depth):
     else:
         verdict, rank = "free", len(gens)
     return RankReport(action.name, action.side, verdict, rank, depth,
-                      step, tuple(map(amb.degree, gens)),
-                      tuple(map(amb.decode_sparse, gens)), relation, depth)
+                      step, tuple(map(amb.degree, gens)), tuple(gens),
+                      relation, depth, tracker)
 
 
 def _scan_basis(action, depth):
@@ -153,7 +158,7 @@ def verify_rank_certificate(action, report):
     if (report.verdict, report.rank) not in (
             ("free", len(report.generators)), ("not free", None)):
         return False
-    gens = [amb.encode_sparse(g) for g in report.generators]
+    gens = report.generators
     if report.verdict == "not free":
         rel = _read_relation(report.relation, amb.field, len(gens))
         if rel is None:
@@ -209,26 +214,6 @@ def _read_relation(rel, field, ngens):
     return rel["kind"], gi, k, terms
 
 
-def torsion_window(action, max_power=None):
-    """Window part of the torsion submodule: elements killed by t^K.
-
-    K defaults to the deepest power budget the degree cap allows."""
-    amb = action.ambient
-    dt = max(action.actor.degree(), 1)
-    if max_power is None:
-        max_power = max(amb.degcap // dt, 1)
-    domain = restrict_degree(action.carrier, amb.degcap - max_power * dt) \
-        if not amb.series else action.carrier
-    if domain.dim == 0:
-        return zero_space(amb)
-    images = []
-    for m in domain.basis_rows():
-        for _ in range(max_power):
-            m = action.apply(m)
-        images.append(m)
-    return domain.kernel(images)
-
-
 def slope_table(action, depth):
     """Probe table: window dimension against k[t]-budget, with the twist
     correction made explicit.  Not a rank; see free_rank / goldie_rank.
@@ -261,14 +246,18 @@ _KERNEL_VERDICT = "not certified: actor has a kernel on the window"
 
 def _has_kernel(action):
     """Whether the actor kills some carrier element of the window where
-    its products fit the degree cap.  Series ambients are refused:
+    its products fit the degree cap: of degree at most the cap less the
+    actor's degree (at least 1).  Series ambients are refused:
     truncation makes every element nilpotent under the action, so no
     uniform-rank statement about the untruncated module can come out."""
-    if action.ambient.series:
+    amb = action.ambient
+    if amb.series:
         raise ValueError(
             "a uniform-rank certificate needs polynomial mode; in a series "
             "ambient every element is torsion by truncation")
-    return bool(torsion_window(action, 1).dim)
+    domain = restrict_degree(action.carrier,
+                             amb.degcap - max(action.actor.degree(), 1))
+    return bool(domain.kernel(map(action.apply, domain.basis_rows())).dim)
 
 
 def goldie_rank(action, depth):

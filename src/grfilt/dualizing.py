@@ -15,7 +15,8 @@ carry the whole story.  The chain below verifies, inside an exact finite
 degree window:
 
   (i)   free-module-structure: R is free over C on both sides, with the
-        bases found by the greedy rank scan;
+        bases found by the greedy rank scan, whose tagged span of their
+        alpha-orbits is each dual's coordinate solver (HomModule);
   (ii)  cyclic-dual-generator: D2 is cyclic, generated by the last dual
         basis functional, and its annihilator is the right ideal
         generated by the corner generator, so D2 = R/K for that ideal K;
@@ -40,7 +41,7 @@ verified, and for the control every cap below 6.
 
 from collections import Counter
 
-from .linalg import SpanTracker, joint_kernel, joint_row, row_echelon
+from .linalg import joint_kernel, joint_row, row_echelon
 from .linspace import (Ambient, DegreeOverflowError, degree_cuts,
                        prefix_space, restrict_degree, zero_space)
 from .filtration import WindowExceeded, two_sided_closure
@@ -104,14 +105,13 @@ def free_structure_report(ring, window):
 
 
 class HomModule:
-    """C-linear dual Hom_C(M, C) of the ring window M, free over C on an
-    explicit ordered basis, as tuple rows.
+    """C-linear dual Hom_C(M, C) of the ring window M, free over C on the
+    basis of a free stage (i) rank report, as kernel rows.
 
-    side "left" decomposes elements of M as sum c_i(alpha) * v_i, side
-    "right" as sum v_i * c_i(alpha); solve() recovers the coefficients
-    from the tagged span of the ladders v_i and alpha^k, and covers the
-    whole window exactly when the basis passed the stage (i) scan.  The
-    basis is given as matrices and kept as kernel rows.
+    The report's side "left" decomposes elements of M as sum c_i(alpha) *
+    v_i, side "right" as sum v_i * c_i(alpha); solve() recovers the
+    coefficients from the report's span, the scan's tagged span of the
+    orbits alpha^k v_i (or v_i alpha^k), which covers the whole window.
 
     An element of the dual is (phi(v_1), ..., phi(v_r)) in k[x]^r, held
     as a kernel row of `space`, the Ambient of 1 x r tuples: x^d in slot
@@ -122,18 +122,14 @@ class HomModule:
     phi's terms in slot i; a is a kernel row of the ring's ambient.
     """
 
-    def __init__(self, ring, side, basis, space_cap):
+    def __init__(self, ring, report, space_cap):
         self.ring = ring
-        self.ambient = amb = ring.ambient
-        ladder = ModuleAction("ladder", amb, None, ring.el("alpha"), side)
-        self.side = side
-        self.basis = tuple(map(amb.encode_sparse, basis))
-        self._tracker = SpanTracker(amb.field, amb.dim)
-        for i, v in enumerate(self.basis):
-            for k, w in enumerate(ladder.power_orbit(v)):
-                self._tracker.add(w, (i, k))
-        self.space = Ambient(len(self.basis), 1, space_cap, amb.field,
-                             rows=1)
+        self.ambient = ring.ambient
+        self.side = report.side
+        self.basis = report.generators
+        self._tracker = report.span
+        self.space = Ambient(len(self.basis), 1, space_cap,
+                             ring.ambient.field, rows=1)
 
     def solve(self, row):
         """The combination {(slot, power): c} of a kernel row: the row is
@@ -509,7 +505,7 @@ def verify_dualizing(ring):
         return DualizingReport(ring.name, amb.degcap, free_rep, None, None,
                                None, STAGES[0], False)
     ideal = right_ideal_window(amb, gen, window)
-    hom2 = HomModule(ring, "right", free_rep.right.generators, amb.degcap)
+    hom2 = HomModule(ring, free_rep.right, amb.degcap)
     cyc = cyclic_presentation(hom2, window, ideal)
     if not cyc.ok:
         return DualizingReport(ring.name, amb.degcap, free_rep, cyc, None,
@@ -520,7 +516,7 @@ def verify_dualizing(ring):
         return DualizingReport(ring.name, amb.degcap, free_rep, cyc, endo,
                                None, STAGES[2], False)
 
-    hom1 = HomModule(ring, "left", free_rep.left.generators, amb.degcap + 1)
+    hom1 = HomModule(ring, free_rep.left, amb.degcap + 1)
     ident = dual_identification(window, ideal, hom1)
     aborted = None if ident.ok else STAGES[3]
     return DualizingReport(ring.name, amb.degcap, free_rep, cyc, endo,

@@ -85,40 +85,34 @@ def _staircase(field, row):
     return gens, dict(gens)
 
 
-def _shape_triangular(amb, corner=True):
+def _shape_triangular(amb, mat, corner=True):
     """Membership in {[[f(x), g(x)], [0, f(x^2)]]}; without corner, g is
     0 as well."""
+    if not mat.entry(1, 0).is_zero():
+        return False
+    if not (corner or mat.entry(0, 1).is_zero()):
+        return False
     cap = amb.degcap if amb.series else None
-
-    def check(mat):
-        if not mat.entry(1, 0).is_zero():
-            return False
-        if not (corner or mat.entry(0, 1).is_zero()):
-            return False
-        f = mat.entry(0, 0)
-        d = mat.entry(1, 1).truncate(cap) if cap is not None else \
-            mat.entry(1, 1)
-        return d == _sub_x_squared(f, cap)
-    return check
+    f = mat.entry(0, 0)
+    d = mat.entry(1, 1).truncate(cap) if cap is not None else mat.entry(1, 1)
+    return d == _sub_x_squared(f, cap)
 
 
-def _shape_staircase(amb):
+def _shape_staircase(amb, mat):
     """The y-free part is upper triangular, with diagonal f(x) except
     f(x^2) at index 1, as in alpha; y-multiples are free everywhere."""
-    def check(mat):
-        m = y_kill(mat)
-        f = m.entry(0, 0)
-        return (all(m.entry(i, j).is_zero()
-                    for i in range(amb.n) for j in range(i))
-                and all(m.entry(i, i) == (_sub_x_squared(f) if i == 1 else f)
-                        for i in range(1, amb.n)))
-    return check
+    m = y_kill(mat)
+    f = m.entry(0, 0)
+    return (all(m.entry(i, j).is_zero()
+                for i in range(amb.n) for j in range(i))
+            and all(m.entry(i, i) == (_sub_x_squared(f) if i == 1 else f)
+                    for i in range(1, amb.n)))
 
 
 class _Row(Record):
     """build(field, row) gives the generators and named elements; the
-    ambient's size and variables are the generators', and shape(ambient)
-    is the membership predicate."""
+    ambient's size and variables are the generators', and shape(ambient,
+    mat) is the membership predicate."""
     fields = ("build", "arg", "series", "cap", "shape", "description")
 
 
@@ -156,14 +150,18 @@ SERIES_RINGS = tuple(name for name, row in _TABLE.items() if row.series)
 
 class ExampleRing(Record):
     """A built catalog ring.  Its name and ambient are its presentation's,
-    so a renamed copy is ring.replace(pres=ring.pres.replace(name=...))."""
-    fields = ("pres", "description", "elements", "shape_member")
+    so a renamed copy is ring.replace(pres=ring.pres.replace(name=...)).
+    shape is its table row's rule, so a ring equals itself rebuilt."""
+    fields = ("pres", "description", "elements", "shape")
 
     name = property(lambda self: self.pres.name)
     ambient = property(lambda self: self.pres.ambient)
 
     def el(self, name):
         return self.elements[name]
+
+    def shape_member(self, mat):
+        return self.shape(self.ambient, mat)
 
 
 def make(name, degcap=None, field=QQ):
@@ -181,7 +179,7 @@ def make(name, degcap=None, field=QQ):
         f", modeled as the finite quotient over k[x]/(x^{cap + 1})"
         if row.series else "")
     return ExampleRing(AlgebraPresentation(name, amb, gens), description,
-                       elements, row.shape(amb))
+                       elements, row.shape)
 
 
 def make_for_depth(name, depth, degcap=None, field=QQ, slack=2):
@@ -212,20 +210,19 @@ def op_transpose(mat):
                        for i in range(n)])
 
 
-def op_involution_report(ring, word_len=3):
-    """Check tau preserves the shape on all words of length <= word_len
-    and reverses products on all generator pairs.  The words span the
-    standard layer Gamma_word_len and the shape and tau are linear, so
-    the shape is checked on its basis; words_checked counts the words."""
+def op_involution_report(ring):
+    """Check tau preserves the shape on all words of length <= 3 and
+    reverses products on all generator pairs.  The words span the
+    standard layer Gamma_3 and the shape and tau are linear, so the
+    shape is checked on its basis; words_checked counts the words."""
     gens = ring.pres.gen_mats()
-    layer = standard_filtration(ring.pres, word_len).layer(word_len)
+    layer = standard_filtration(ring.pres, 3).layer(3)
     shape_ok = all(ring.shape_member(op_transpose(m))
                    for m in layer.basis_matrices())
     anti_ok = all(op_transpose(a * b) == op_transpose(b) * op_transpose(a)
                   for a in gens for b in gens)
     return {"shape_preserved": shape_ok, "anti_multiplicative": anti_ok,
-            "words_checked": sum(len(gens) ** k
-                                 for k in range(word_len + 1))}
+            "words_checked": sum(len(gens) ** k for k in range(4))}
 
 
 # ------------------------------------------------- quotient comparison kit

@@ -1,4 +1,8 @@
-"""One-sided rank certificates over k[t] windows."""
+"""One-sided rank certificates over k[t] windows.
+
+torsion_window_reference is the torsion window that _has_kernel reads
+at power 1, as bimodule once computed it for any power; _has_kernel is
+checked against it."""
 
 import pytest
 
@@ -6,12 +10,30 @@ from grfilt.fields import QQ, PrimeField
 from grfilt.workbench import make
 from grfilt.filtration import two_sided_closure, WindowExceeded
 from grfilt.bimodule import (ModuleAction, BimoduleSpec, free_rank,
-                             verify_rank_certificate, torsion_window,
+                             verify_rank_certificate, _has_kernel,
                              slope_table, goldie_rank,
                              verify_goldie_certificate, bimodule_ranks,
                              GoldieReport, _KERNEL_VERDICT, corner_ideal)
 from grfilt.linspace import (span, restrict_degree, intersect, sum_spaces,
                              zero_space)
+from grfilt.dualizing import ring_window
+
+
+def torsion_window_reference(action, max_power):
+    """Window part of the torsion submodule: elements killed by t^K, K =
+    max_power, among the carrier elements whose K products fit the cap."""
+    amb = action.ambient
+    dt = max(action.actor.degree(), 1)
+    domain = restrict_degree(action.carrier, amb.degcap - max_power * dt) \
+        if not amb.series else action.carrier
+    if domain.dim == 0:
+        return zero_space(amb)
+    images = []
+    for m in domain.basis_rows():
+        for _ in range(max_power):
+            m = action.apply(m)
+        images.append(m)
+    return domain.kernel(images)
 
 
 @pytest.fixture(scope="module")
@@ -79,10 +101,8 @@ def test_verifier_rejects_tampered_rank(corner_spec):
     ring, spec = corner_spec
     act = spec.action("left")
     rep = free_rank(act, 8)
-    forged = type(rep)(rep.name, rep.side, rep.verdict, rep.rank, rep.depth,
-                       rep.effective_step, rep.generator_degrees,
-                       rep.generators + (ring.el("xe12"),), rep.relation,
-                       rep.spanned_through)
+    forged = rep.replace(generators=rep.generators + (
+        ring.ambient.encode_sparse(ring.el("xe12")),))
     assert not verify_rank_certificate(act, forged)
 
 
@@ -92,11 +112,32 @@ def test_torsion_window_under_corner_action(corner_spec):
     # right multiplication by beta kills the whole corner
     act = ModuleAction("corner-killed", amb, spec.carrier,
                        ring.el("beta"), "right")
-    tor = torsion_window(act, max_power=1)
+    tor = torsion_window_reference(act, 1)
     assert tor.dim == restrict_degree(spec.carrier,
                                       amb.degcap - 1).dim
+    assert _has_kernel(act)
     # the alpha action is torsion free
-    assert torsion_window(spec.action("right"), max_power=2).dim == 0
+    assert not _has_kernel(spec.action("right"))
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=str)
+def test_has_kernel_reads_the_power_one_torsion_window(field):
+    # the corner ideal and the ring window, acted on by alpha (the
+    # diagonal action) and by beta, which kills the corner
+    seen = set()
+    for cap in (4, 9, 14):
+        ring = make("R_2x2", degcap=cap, field=field)
+        amb = ring.ambient
+        carrier, _ = two_sided_closure(ring.pres, [ring.el("beta")])
+        for space in (carrier, ring_window(ring)):
+            for actor in ("alpha", "beta"):
+                for side in ("left", "right"):
+                    act = ModuleAction("probe", amb, space,
+                                       ring.el(actor), side)
+                    got = _has_kernel(act)
+                    assert got == bool(torsion_window_reference(act, 1).dim)
+                    seen.add((actor, got))
+    assert seen == {("alpha", False), ("beta", True)}
 
 
 def test_slope_probe_shows_twist_factor(corner_spec):
@@ -162,9 +203,7 @@ def test_verifier_rejects_relation_outside_scan_order(corner_spec, combo):
     rep = free_rank(act, 8)
     relation = {"kind": "collision", "generator": 0, "power": 0,
                 "combo": combo}
-    forged = type(rep)(rep.name, rep.side, "not free", None, rep.depth,
-                       rep.effective_step, rep.generator_degrees,
-                       rep.generators, relation, rep.spanned_through)
+    forged = rep.replace(verdict="not free", rank=None, relation=relation)
     assert not verify_rank_certificate(act, forged)
 
 
@@ -183,9 +222,7 @@ def test_verifier_rejects_relation_naming_no_orbit_vector(corner_spec,
     assert rep.rank == 2
     relation = {"kind": "collision", "generator": 1, "power": 0,
                 "combo": combo}
-    forged = type(rep)(rep.name, rep.side, "not free", None, rep.depth,
-                       rep.effective_step, rep.generator_degrees,
-                       rep.generators, relation, rep.spanned_through)
+    forged = rep.replace(verdict="not free", rank=None, relation=relation)
     assert not verify_rank_certificate(act, forged)
 
 
@@ -202,9 +239,7 @@ def test_verifier_rejects_malformed_relation(corner_spec, change):
     rep = free_rank(act, 8)
     relation = {"kind": "collision", "generator": 1, "power": 0,
                 "combo": [[0, 0, "1"]], **change}
-    forged = type(rep)(rep.name, rep.side, "not free", None, rep.depth,
-                       rep.effective_step, rep.generator_degrees,
-                       rep.generators, relation, rep.spanned_through)
+    forged = rep.replace(verdict="not free", rank=None, relation=relation)
     assert not verify_rank_certificate(act, forged)
 
 

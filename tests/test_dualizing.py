@@ -8,7 +8,9 @@ the functional (0, -x) is (0, x), yet every stage reads the same.
 
 The matrix and Poly-tuple forms of corner_double, slot_shift and
 HomModule.act are kept here as reference functions, and the kernel-row
-maps are checked against them; so is the per-degree coverage loop that
+maps are checked against them; so is the span HomModule once rebuilt
+from a report's generators, which it now reads off the stage (i) scan,
+and so is the per-degree coverage loop that
 _covered_through's one pass over the degree cuts replaced, and so are
 the window recipes, keyed by ring name, that the window grown from the
 presentation and the predictions read off its corner replaced.
@@ -21,7 +23,7 @@ import pytest
 
 from grfilt.fields import QQ, PrimeField
 from grfilt.poly import Poly, PolyMatrix
-from grfilt.linalg import combine_rows, joint_row, row_echelon
+from grfilt.linalg import SpanTracker, combine_rows, joint_row, row_echelon
 from grfilt.linspace import (Ambient, DegreeOverflowError, prefix_space,
                              restrict_degree, zero_space)
 from grfilt.filtration import hilbert, standard_filtration
@@ -179,7 +181,7 @@ def test_free_structure_from_parts():
     window = ring_window(ring)
     rep = free_structure_report(ring, window)
     assert rep.ok
-    hom = HomModule(ring, "right", rep.right.generators, ring.ambient.degcap)
+    hom = HomModule(ring, rep.right, ring.ambient.degcap)
     # the unit functionals, in the tuple space's slots 0, 1, 2
     assert hom.dual_basis() == [{0: QQ.one}, {1: QQ.one}, {2: QQ.one}]
     amb = ring.ambient
@@ -194,8 +196,6 @@ def test_a_side_other_than_left_or_right_is_refused():
     side_error = "side must be 'left' or 'right'"
     with pytest.raises(ValueError, match=side_error):
         ModuleAction("m", ring.ambient, None, ring.el("alpha"), "middle")
-    with pytest.raises(ValueError, match=side_error):
-        HomModule(ring, "middle", [ring.el("beta")], 8)
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=str)
@@ -293,8 +293,7 @@ def test_hom_action_matches_poly_tuple_reference(fld):
     rep = free_structure_report(ring, window)
     x, one = Poly.variable(fld, 1, 0), Poly.const(fld, 1, fld.one)
     for side in ("left", "right"):
-        hom = HomModule(ring, side, getattr(rep, side).generators,
-                        amb.degcap + 1)
+        hom = HomModule(ring, getattr(rep, side), amb.degcap + 1)
         rank = len(hom.basis)
         phis = [tuple(x * x if i == k else one for i in range(rank))
                 for k in range(rank)]
@@ -321,6 +320,36 @@ def test_tuple_row_applies_the_cap_and_reduces_mod_p():
                    (((6,), 0, 0), 51)]) == {}
     assert sp.row([(((1,), 0, 1), 3), (((1,), 0, 1), -1),
                    (((0,), 0, 0), 102)]) == {1 * 2 + 1: 2, 0: 1}
+
+
+# ------------------------------------- the dual's span against its rebuild
+
+def hom_span_reference(ring, side, basis):
+    """The tagged span HomModule built from a basis of matrices: each
+    basis element re-encoded, and its alpha-ladder on the given side
+    added under the tag (slot, power)."""
+    amb = ring.ambient
+    ladder = ModuleAction("ladder", amb, None, ring.el("alpha"), side)
+    tracker = SpanTracker(amb.field, amb.dim)
+    for i, v in enumerate(map(amb.encode_sparse, basis)):
+        for k, w in enumerate(ladder.power_orbit(v)):
+            tracker.add(w, (i, k))
+    return tracker
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+def test_the_scan_span_is_the_rebuilt_span(fld):
+    for name in ("R_2x2", "R_perturbed"):
+        for cap in range(8, 41):
+            ring = make(name, degcap=cap, field=fld)
+            rep = free_structure_report(ring, ring_window(ring))
+            for side in ("left", "right"):
+                sub = getattr(rep, side)
+                assert HomModule(ring, sub, cap)._tracker is sub.span
+                basis = map(ring.ambient.decode_sparse, sub.generators)
+                ref = hom_span_reference(ring, side, basis)
+                assert (sub.span.rows, sub.span.tags) == \
+                    (ref.rows, ref.tags), (name, cap, side)
 
 
 # ------------------------------------- coverage scan against its old loop
@@ -383,7 +412,7 @@ def test_chain_coverage_matches_the_per_degree_loop(fld):
     images = ideal.extend(corner_double(amb, b) for b in
                           restrict_degree(window, dcap).basis_rows())
     rep = free_structure_report(ring, window)
-    hom = HomModule(ring, "left", rep.left.generators, amb.degcap + 1)
+    hom = HomModule(ring, rep.left, amb.degcap + 1)
     space = hom.space
     psi = zero_space(space).extend(
         slot_shift(amb, space, b) for b in window.basis_rows())

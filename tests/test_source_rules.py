@@ -61,20 +61,27 @@ SEEDED = {
     }, ["src/grfilt/m.py:3: dead", "src/grfilt/m.py:18: mul",
         "src/grfilt/m.py:20: tested", "src/grfilt/m.py:8: bare",
         "src/grfilt/m.py:16: lift"]),
+    # a call in scripts/ or a partial counts; a call in tests/ does not
     "unturned-defaults": ({
         "src/grfilt/m.py": (
+            "from functools import partial\n"
             "def f(a, b=1, *, c=2, d=3):\n    return a\n"
             "class K:\n"
             "    def __init__(self, x=0):\n        pass\n"
             "    @staticmethod\n"
             "    def s(y=0):\n        pass\n"
+            "    def t(self, z=0):\n        pass\n"
             "f(0, d=1)\n"
-            "K(5)\n"),
+            "K(5)\n"
+            "h = partial(K.s, y=2)\n"),
+        "scripts/s.py": (
+            "from grfilt.m import f as g\n"
+            "g(0, c=5)\n"),
         "tests/test_m.py": (
-            "from grfilt.m import f as g, K\n"
-            "g(0, c=5)\n"
-            "K.s(1)\n"),
-    }, ["src/grfilt/m.py:1: f(b=...)"]),
+            "from grfilt.m import f, K\n"
+            "f(0, 1)\n"
+            "K().t(z=1)\n"),
+    }, ["src/grfilt/m.py:2: f(b=...)", "src/grfilt/m.py:10: t(z=...)"]),
     "independent-oracle": ({
         "tests/oracle.py": (
             "import itertools\n"

@@ -1,5 +1,7 @@
 """Catalog rings, shape predicates, op twist, staircase quotient."""
 
+from functools import partial
+
 import pytest
 
 from grfilt import workbench
@@ -73,12 +75,18 @@ def test_diagonal_shape_truncates_in_series_mode():
     # over k[x]/(x^6), f(x^2) is compared modulo x^6 as well
     amb = Ambient(2, 1, 5, QQ, series=True)
     x, z = Poly.variable(QQ, 1, 0), Poly.zero(QQ, 1)
-    check = workbench._shape_triangular(amb, corner=False)
+    check = partial(workbench._shape_triangular, amb, corner=False)
     f = x * x * x + x
     assert check(PolyMatrix([[f, z], [z, x * x]]))
     assert check(PolyMatrix([[f, z], [z, f.dilate(2)]]))
     assert not check(PolyMatrix([[f, z], [z, x]]))
     assert not check(PolyMatrix([[f, x], [z, x * x]]))
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=str)
+@pytest.mark.parametrize("name", CATALOG + ("R_perturbed",))
+def test_a_ring_equals_itself_rebuilt(name, field):
+    assert make(name, field=field) == make(name, field=field)
 
 
 def test_a_ring_holds_its_name_and_ambient_once():
@@ -100,10 +108,10 @@ def test_perturbed_ring_excluded_from_catalog():
 
 
 def test_op_twist_fixes_staircase_but_not_triangular():
-    rep = op_involution_report(make("T"), word_len=3)
+    rep = op_involution_report(make("T"))
     assert rep["shape_preserved"] and rep["anti_multiplicative"]
     # the 2x2 ring is not tau-stable: tau(alpha) = diag(x^2, x)
-    rep2 = op_involution_report(make("R_2x2"), word_len=2)
+    rep2 = op_involution_report(make("R_2x2"))
     assert rep2["anti_multiplicative"] and not rep2["shape_preserved"]
 
 

@@ -96,21 +96,28 @@ def dead_definitions(src):
 
 
 def unturned_defaults(src):
-    """A default that no call changes is a constant in disguise: each
-    defaulted parameter of a src/ function must be passed, by keyword or
-    by position, by some call in a file of the Source; a call is
+    """A default that no call changes is a constant in disguise, and a
+    value only tests change does not justify an option: each defaulted
+    parameter of a src/ function must be passed, by keyword or by
+    position, by some call in a file of src/ or scripts/.  A call is
     matched by its name (after "import ... as" aliases) or attribute, a
-    class call by its __init__, and *args or **kwargs pass everything."""
+    class call by its __init__, partial(f, ...) is a call of f, and
+    *args or **kwargs pass everything."""
     passed = {}     # callee name -> [(positional count or None, keywords)]
-    for nodes in src.nodes.values():
-        alias = {a.asname: a.name.split(".")[-1] for n in nodes
+    for p in src.under("src", "scripts"):
+        alias = {a.asname: a.name.split(".")[-1] for n in src.nodes[p]
                  if isinstance(n, (ast.Import, ast.ImportFrom))
                  for a in n.names if a.asname}
-        for n in (n for n in nodes if isinstance(n, ast.Call)):
-            name = (alias.get(n.func.id, n.func.id) if isinstance(
-                n.func, ast.Name) else getattr(n.func, "attr", None))
+
+        def callee(f):
+            return (alias.get(f.id, f.id) if isinstance(f, ast.Name)
+                    else getattr(f, "attr", None))
+        for n in (n for n in src.nodes[p] if isinstance(n, ast.Call)):
+            name, args = callee(n.func), n.args
+            if name == "partial" and args:
+                name, args = callee(args[0]), args[1:]
             npos = None if any(isinstance(a, ast.Starred)
-                               for a in n.args) else len(n.args)
+                               for a in args) else len(args)
             passed.setdefault(name, []).append(
                 (npos, {k.arg for k in n.keywords}))
     bad = []
