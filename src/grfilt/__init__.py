@@ -25,8 +25,8 @@ from .filtration import (Filtration, HilbertTable, hilbert,
 
 _ON_DEMAND = {
     "graded": ("GradedTrunc", "ideal_chain_witness", "verify_chain_report"),
-    "bimodule": ("ModuleAction", "BimoduleSpec", "free_rank", "goldie_rank",
-                 "slope_table", "bimodule_ranks"),
+    "bimodule": ("ModuleAction", "free_rank", "goldie_rank", "slope_table",
+                 "bimodule_ranks"),
     "certifier": ("assemble_growth_dossier", "verify_certificate",
                   "GrowthCertificate"),
     "dualizing": ("verify_dualizing", "DualizingReport"),

@@ -1,13 +1,16 @@
 """Rank certificates for one-sided k[t]-actions on matrix carriers.
 
-A ModuleAction is a subspace window of an ambient together with a ring
-element acting by left or right multiplication; the subring k[t] it
-generates is the coefficient ring.  Everything is decided on the computed
-degree window and reported as an explicit certificate, with three honest
-outcomes: free of a definite rank, not free (with a relation witness), or
-inconclusive at the probed depth.  A rank report keeps, off its payload,
-the generators as kernel rows and the scan's tagged span of their
-orbits, from which grfilt.dualizing reads each side's free C-structure.
+A ModuleAction is a subspace window together with a ring element acting
+by left or right multiplication; the subring k[t] it generates is the
+coefficient ring, and the ambient is the window's own.  The corner ideal
+is a bimodule as two such actions, left and right, of one actor on one
+carrier.  Everything is decided on the computed degree window and
+reported as an explicit certificate, with three honest outcomes: free of
+a definite rank, not free (with a relation witness), or inconclusive at
+the probed depth.  A rank report keeps, off its payload, the generators
+as kernel rows and the scan's tagged span of their orbits, from which
+grfilt.dualizing reads each side's free C-structure; a uniform-rank
+report keeps its family as kernel rows too.
 
 The naive growth slope dim M_{<=n} / dim k[t]_{<=n} misrepresents twisted
 actions: an actor can raise carrier degree by more than one step, in which
@@ -29,8 +32,11 @@ from .workbench import make_for_depth
 
 class ModuleAction(Record):
     """A k[t]-action on a carrier; the actor t is a matrix, and apply and
-    power_orbit take and give kernel rows."""
-    fields = ("name", "ambient", "carrier", "actor", "side")
+    power_orbit take and give kernel rows.  The ambient is read through
+    the carrier, so replace(ambient=...) raises TypeError."""
+    fields = ("name", "carrier", "actor", "side")
+
+    ambient = property(lambda self: self.carrier.ambient)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -293,8 +299,7 @@ def goldie_rank(action, depth):
     verdict = "certified" if (essential_ok and budget_ok) else "inconclusive"
     return GoldieReport(action.name, action.side, verdict,
                         len(family) if verdict == "certified" else None,
-                        tuple(map(amb.degree, family)),
-                        tuple(map(amb.decode_sparse, family)),
+                        tuple(map(amb.degree, family)), tuple(family),
                         essential_ok, budget_ok, True, depth,
                         slope_table(action, depth))
 
@@ -316,14 +321,13 @@ def verify_goldie_certificate(action, report):
         return False
     amb = action.ambient
     if report.rank != len(report.family) or not all(
-            m.degree() <= report.depth and action.carrier.member(m)
+            amb.degree(m) <= report.depth and not action.carrier.residual(m)
             for m in report.family):
         return False
     # an orbit span meets total trivially exactly when the sum is direct
     total = zero_space(amb)
     for m in report.family:
-        sb = zero_space(amb).extend(
-            action.power_orbit(amb.encode_sparse(m)))
+        sb = zero_space(amb).extend(action.power_orbit(m))
         grown = sum_spaces(total, sb)
         if grown.dim != total.dim + sb.dim:
             return False
@@ -335,35 +339,26 @@ def verify_goldie_certificate(action, report):
     return True
 
 
-class BimoduleSpec(Record):
-    """A carrier with commuting left and right k[t]-actions."""
-    fields = ("name", "ambient", "carrier", "left_actor", "right_actor")
-
-    def action(self, side):
-        actor = self.left_actor if side == "left" else self.right_actor
-        return ModuleAction(f"{self.name}:{side}", self.ambient,
-                            self.carrier, actor, side)
-
-
 def corner_ideal(name, depth, field):
-    """The corner ideal of R_2x2, the two-sided ideal beta generates, as
-    a bimodule with alpha acting on both sides, on the window that holds
-    depth-n layers.  Returns the ring, the spec and the degree through
+    """The corner ideal of R_2x2, the two-sided ideal beta generates, on
+    the window that holds depth-n layers, as a bimodule: alpha acting on
+    it from the left and from the right.  Returns the ring, the actions
+    {"left": ..., "right": ...} (named name:side) and the degree through
     which the ideal is exact."""
     ring = make_for_depth("R_2x2", depth, field=field)
     carrier, closed = two_sided_closure(ring.pres, [ring.el("beta")])
     alpha = ring.el("alpha")
-    spec = BimoduleSpec(name, ring.ambient, carrier, alpha, alpha)
-    return ring, spec, closed
+    actions = {side: ModuleAction(f"{name}:{side}", carrier, alpha, side)
+               for side in ("left", "right")}
+    return ring, actions, closed
 
 
-def bimodule_ranks(spec, depth):
+def bimodule_ranks(actions, depth):
     """Free-rank reports for both actions, plus the commuting check
     (t_left (m) t_right) computed both ways on the carrier basis."""
-    left = spec.action("left")
-    right = spec.action("right")
+    left, right = actions["left"], actions["right"]
     commute_ok = True
-    for b in spec.carrier.basis_rows():
+    for b in left.carrier.basis_rows():
         try:
             one_way = right.apply(left.apply(b))
             other = left.apply(right.apply(b))

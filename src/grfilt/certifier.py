@@ -153,9 +153,9 @@ def _triangular_rank_pair(depth, field):
     certified on the polynomial model (series truncation cannot carry a
     rank certificate).  An inconclusive rank raises WindowExceeded; a
     side that is not free is a failure."""
-    ring, spec, _ = corner_ideal("nilpotent-ideal", depth, field)
-    left = free_rank(spec.action("left"), depth)
-    right = free_rank(spec.action("right"), depth)
+    ring, actions, _ = corner_ideal("nilpotent-ideal", depth, field)
+    left = free_rank(actions["left"], depth)
+    right = free_rank(actions["right"], depth)
     verdicts = (left.verdict, right.verdict)
     if "inconclusive" in verdicts:
         raise WindowExceeded("rank pair not certified at this depth")

@@ -116,9 +116,9 @@ def cmd_gr(args):
 
 
 def cmd_ranks(args):
-    _, spec, closed = bimodule.corner_ideal("corner-ideal", args.depth,
-                                            args.field)
-    both = bimodule.bimodule_ranks(spec, args.depth)
+    _, actions, closed = bimodule.corner_ideal("corner-ideal", args.depth,
+                                               args.field)
+    both = bimodule.bimodule_ranks(actions, args.depth)
     lines = [f"corner ideal of R_2x2 over {args.field.name}, depth "
              f"{args.depth} (ideal exact through degree {closed})"]
     payload = {"ring": "R_2x2", "field": args.field.name, "depth": args.depth,
@@ -126,7 +126,7 @@ def cmd_ranks(args):
     verdicts, refuted = [], []
     for side in ("left", "right"):
         rep = both[side]
-        action = spec.action(side)
+        action = actions[side]
         gold = bimodule.goldie_rank(action, args.depth)
         slopes = gold.slope
         lines.append(
@@ -251,7 +251,7 @@ def cmd_quotient_iso(args):
     pres, ctx, closed = staircase_quotient_context(make("T", field=args.field),
                                                    args.degcap)
     ring_r = make("R_2x2", degcap=args.degcap, field=args.field)
-    plain = QuotientContext(ring_r.ambient, zero_space(ring_r.ambient))
+    plain = QuotientContext(zero_space(ring_r.ambient))
     pairs = [(pres.gen("alpha"), ring_r.el("alpha")),
              (pres.gen("e12"), ring_r.el("beta"))]
     rep = quotient_iso_check(ctx, plain, pairs, max_len=args.max_len)

@@ -94,7 +94,7 @@ def free_structure_report(ring, window):
     amb = ring.ambient
     reps = {}
     for side in ("left", "right"):
-        act = ModuleAction(f"{ring.name} over diagonal", amb, window,
+        act = ModuleAction(f"{ring.name} over diagonal", window,
                            ring.el("alpha"), side)
         reps[side] = free_rank(act, amb.degcap)
         if reps[side].verdict == "inconclusive":
@@ -202,8 +202,9 @@ def cyclic_presentation(hom, window, expected_ann):
                         matches and consistent)
 
 
-def right_ideal_window(amb, gen, window):
+def right_ideal_window(gen, window):
     """Window of the right ideal gen * ring (products that fit the cap)."""
+    amb = window.ambient
     g = amb.encode_sparse(gen)
     rows = []
     for b in window.basis_rows():
@@ -243,13 +244,14 @@ def _survey(checks):
     return not tally[False], (tally[True] + tally[False], tally[None])
 
 
-def _product_stability(amb, budget, left_rows, right_rows, sub):
+def _product_stability(budget, left_rows, right_rows, sub):
     """Survey a.b in sub for all degree-feasible pairs of kernel rows.
 
     Pairs whose degree sum exceeds the budget are skipped; beyond the
     budget a membership test against a window span would produce false
     negatives.
     """
+    amb = sub.ambient
     left, right = ([(amb.degree(r), r) for r in rows]
                    for rows in (left_rows, right_rows))
     return _survey(None if da + db > budget
@@ -282,9 +284,9 @@ def idealizer(ring, window, ideal, gen):
                         for b in domain.basis_rows())
     inside = ide.contains(restrict_degree(ideal, wcap))
     right_closed, rc_pairs = _product_stability(
-        amb, amb.degcap, ideal.basis_rows(), ring.pres.gen_rows, ideal)
+        amb.degcap, ideal.basis_rows(), ring.pres.gen_rows, ideal)
     closed, pc_pairs = _product_stability(
-        amb, wcap, ide.basis_rows(), ide.basis_rows(), ide)
+        wcap, ide.basis_rows(), ide.basis_rows(), ide)
     matches = ide == restrict_degree(predicted_idealizer(window), wcap)
     ok = inside and right_closed and closed and matches
     return IdealizerReport(ring.name, wcap, ideal.dim, ide.dim, inside,
@@ -504,7 +506,7 @@ def verify_dualizing(ring):
     if not free_rep.ok:
         return DualizingReport(ring.name, amb.degcap, free_rep, None, None,
                                None, STAGES[0], False)
-    ideal = right_ideal_window(amb, gen, window)
+    ideal = right_ideal_window(gen, window)
     hom2 = HomModule(ring, free_rep.right, amb.degcap)
     cyc = cyclic_presentation(hom2, window, ideal)
     if not cyc.ok:

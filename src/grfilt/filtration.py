@@ -12,7 +12,7 @@ degrees are the window's ring-side indices, the n with sign * n >= 0; and
 known(n) holds in the window and past its outer edge, where an ascending
 filtration is zero (below lo) and a weak-adic one is R (above 0).  Every
 other reader takes these; only hilbert and the input dispatchers name a
-kind.
+kind.  A Filtration takes no ambient: it reads its layers'.
 
 Layers are grown, not rebuilt.  The standard layers satisfy
 
@@ -80,11 +80,10 @@ class AlgebraPresentation(Record):
 
 
 class Filtration:
-    def __init__(self, kind, ambient, layers, name=""):
+    def __init__(self, kind, layers, name=""):
         if kind not in ("ascending", "weak-adic"):
             raise ValueError(f"unknown filtration kind {kind!r}")
         self.kind = kind
-        self.ambient = ambient
         self.layers = dict(layers)
         self.name = name
         idx = sorted(self.layers)
@@ -95,6 +94,8 @@ class Filtration:
             raise ValueError("layer indices must be contiguous")
         if kind == "weak-adic" and self.hi != 0:
             raise ValueError("weak-adic layers are indexed lo..0")
+
+    ambient = property(lambda self: self.layers[self.lo].ambient)
 
     @property
     def sign(self):
@@ -185,7 +186,7 @@ def standard_filtration(pres, upto):
     for n in range(1, upto + 1):
         layers[n] = _next_layer(layers.get(n - 2, zero), layers[n - 1],
                                 pres.times_gens)
-    return Filtration("ascending", amb, layers, name=f"standard:{pres.name}")
+    return Filtration("ascending", layers, name=f"standard:{pres.name}")
 
 
 def full_span(pres):
@@ -207,15 +208,14 @@ def weak_adic_filtration(pres, depth):
     generated by the presentation's generators.
 
     Built over a series ambient only.  The ideal is assembled as the left
-    ideal m = sum(R g) and then checked to be closed under right
-    multiplication by the generators; a failure raises ValueError.  Since
-    R is spanned by words in the generators, that check makes m a right
-    ideal, and then so is every power m^{i-1} = m^{i-2} m.  As m = R G
-    with 1 in R, the powers are built as
+    ideal m = R G.  As R is spanned by words in the generators, m is also
+    a right ideal, and with 1 in R the powers are built as
 
         m^i = m^{i-1} m = (m^{i-1} R) G = span(m^{i-1} G),
 
-    multiplying by the generators and not by the whole basis of m.
+    multiplying by the generators and not by the whole basis of m.  The
+    first, m^2 = span(m G), is also checked to lie in m; only an engine
+    fault can fail that check, which raises ValueError.
 
     The series window models a ring whose powers m^i never vanish, so a
     zero m^i with i <= depth is the truncation speaking: the window is
@@ -226,24 +226,22 @@ def weak_adic_filtration(pres, depth):
     if not amb.series:
         raise ValueError("weak-adic filtrations need a series ambient")
     ring = full_span(pres)
-    gens = pres.gen_rows
     m1 = _times_gens(pres, ring)
-    for b in m1.basis_rows():
-        for g in gens:
-            if m1.residual(amb.mul(b, g)):
-                raise ValueError("generated left ideal is not two-sided")
+    m2 = _times_gens(pres, m1)
+    if not m1.contains(m2):
+        raise ValueError("generated left ideal is not two-sided")
+    powers = [ring, m1, m2]
+    while len(powers) <= depth:
+        powers.append(_times_gens(pres, powers[-1]))
     # the window is -depth..0, so depth 0 keeps only R
-    layers = {0: ring, -1: m1} if depth else {0: ring}
-    for i in range(2, depth + 1):
-        layers[-i] = _times_gens(pres, layers[-(i - 1)])
+    layers = {-i: powers[i] for i in range(depth + 1)}
     zero = [i for i in range(1, depth + 1) if not layers[-i].dim]
     if zero:
         raise WindowExceeded(
             f"m^{zero[0]} is zero in the series window of degree cap "
             f"{amb.degcap}, by truncation and not in the ring; raise the "
             f"degree cap for depth {depth}")
-    return Filtration("weak-adic", amb, layers,
-                      name=f"weak-adic:{pres.name}")
+    return Filtration("weak-adic", layers, name=f"weak-adic:{pres.name}")
 
 
 def two_sided_closure(pres, seeds):
@@ -286,7 +284,7 @@ def induced_quotient_filtration(pres, seeds, base):
     TruncationError rather than reporting an unreliable dimension.
     """
     ideal, closed_degree = two_sided_closure(pres, seeds)
-    ctx = QuotientContext(pres.ambient, ideal)
+    ctx = QuotientContext(ideal)
     layers = {}
     for n in range(base.lo, base.hi + 1):
         lay = base.layer(n)
@@ -296,8 +294,7 @@ def induced_quotient_filtration(pres, seeds, base):
                 f"ideal is only saturated through degree {closed_degree}; "
                 f"rebuild with a larger degree cap")
         layers[n] = ctx.image(lay)
-    out = Filtration(base.kind, pres.ambient, layers,
-                     name=f"quotient:{pres.name}")
+    out = Filtration(base.kind, layers, name=f"quotient:{pres.name}")
     return QuotientFiltration(out, ideal, closed_degree)
 
 
@@ -317,7 +314,7 @@ def induced_good_filtration(ring_filt, generators, side, name=""):
             amb.mul(b, m) if side == "left" else amb.mul(m, b)
             for m, shift in rows
             for b in ring_filt.layer(n - shift).basis_rows())
-    return Filtration(ring_filt.kind, amb, layers, name=name)
+    return Filtration(ring_filt.kind, layers, name=name)
 
 
 def intrinsic_module_filtration(module_span, ring_filt, name=""):
@@ -325,7 +322,7 @@ def intrinsic_module_filtration(module_span, ring_filt, name=""):
     on ring_filt's window."""
     layers = {n: intersect(module_span, ring_filt.layer(n))
               for n in range(ring_filt.lo, ring_filt.hi + 1)}
-    return Filtration(ring_filt.kind, ring_filt.ambient, layers, name=name)
+    return Filtration(ring_filt.kind, layers, name=name)
 
 
 class OffsetReport(Record):

@@ -23,6 +23,9 @@ ambient by index arithmetic, x^e E_ij * x^f E_jl = x^(e+f) E_il, with no
 matrix built.  Subspaces store their reduced-row-echelon basis as the
 kernel's sparse echelon and grow by inserting rows into a copy of its
 dict; two subspaces are equal iff their canonical echelons are equal.
+A subspace holds its ambient, so what is built on one (a quotient
+context here, a filtration or a module action elsewhere) reads the
+ambient off it rather than taking it beside it.
 
 Degree-cap overflow is a hard error in polynomial mode.  In series mode the
 ambient is the quotient ring modulo all monomials of degree > degcap, so
@@ -372,13 +375,12 @@ class QuotientContext:
     """Projection along an ideal: canonical representatives, image spaces,
     and reduced multiplication.  Representatives are kernel rows with the
     ideal's pivot coordinates cleared, so images of equal cosets are equal
-    rows."""
+    rows.  The ambient is the ideal's."""
 
-    def __init__(self, ambient, ideal):
-        if ideal.ambient != ambient:
-            raise ValueError("ideal lives in a different ambient")
-        self.ambient = ambient
+    def __init__(self, ideal):
         self.ideal = ideal
+
+    ambient = property(lambda self: self.ideal.ambient)
 
     def image(self, sub):
         return zero_space(self.ambient).extend(

@@ -3,7 +3,7 @@
 A Record subclass declares its fields once, in `fields`.  That tuple is
 the constructor's argument order, the key order of to_json(), and what
 equality, hashing and repr compare.  `hidden` names fields that stay
-off the payload (matrices a verifier reads back, say).  Setting an
+off the payload (kernel rows a verifier reads back, say).  Setting an
 attribute raises; replace() builds a changed copy.
 
 jsonable() is the only place that decides the encoding: a record becomes

@@ -324,4 +324,4 @@ def staircase_quotient_context(ring_t, degcap):
     pres = staircase_mod_y(ring_t, degcap)
     ideal, closed = two_sided_closure(
         pres, [pres.gen("e13"), pres.gen("e23")])
-    return pres, QuotientContext(pres.ambient, ideal), closed
+    return pres, QuotientContext(ideal), closed

@@ -20,8 +20,7 @@ from grfilt.filtration import (standard_filtration, weak_adic_filtration,
                                two_sided_closure)
 from grfilt.graded import (GradedTrunc, ideal_chain_witness,
                            verify_chain_report)
-from grfilt.bimodule import (BimoduleSpec, free_rank, ModuleAction,
-                             verify_rank_certificate)
+from grfilt.bimodule import free_rank, ModuleAction, verify_rank_certificate
 from grfilt.certifier import growth_obstruction, verify_certificate
 from grfilt.dualizing import (verify_dualizing, free_structure_report,
                               ring_window)
@@ -33,11 +32,10 @@ RIGHT_PATTERNS = (((), "alpha", ()), (("beta",), "alpha", ()),
 def test_1_corner_ideal_is_free_of_rank_one_left_and_two_right():
     ring = make("R_2x2", degcap=18)
     carrier, _ = two_sided_closure(ring.pres, [ring.el("beta")])
-    spec = BimoduleSpec("corner-ideal", ring.ambient, carrier,
-                        ring.el("alpha"), ring.el("alpha"))
     expected = {"left": 1, "right": 2}
     for side in ("left", "right"):
-        action = spec.action(side)
+        action = ModuleAction(f"corner-ideal:{side}", carrier,
+                              ring.el("alpha"), side)
         rep = free_rank(action, 8)
         assert rep.verdict == "free"
         assert rep.rank == expected[side]
@@ -51,7 +49,7 @@ def test_2_ring_is_free_over_the_diagonal_subring_of_rank_two_and_three():
     assert rep.ok
     assert rep.left.rank == 2 and rep.right.rank == 3
     for side, sub in (("left", rep.left), ("right", rep.right)):
-        action = ModuleAction("ring over diagonal", ring.ambient, window,
+        action = ModuleAction("ring over diagonal", window,
                               ring.el("alpha"), side)
         assert verify_rank_certificate(action, sub)
 
@@ -139,7 +137,7 @@ def test_8_staircase_quotient_matches_the_triangular_ring():
     ring_r = make("R_2x2", degcap=12)
     pairs = [(pres.gen("alpha"), ring_r.el("alpha")),
              (pres.gen("e12"), ring_r.el("beta"))]
-    plain = QuotientContext(ring_r.ambient, zero_space(ring_r.ambient))
+    plain = QuotientContext(zero_space(ring_r.ambient))
     rep = quotient_iso_check(ctx, plain, pairs, max_len=4)
     assert rep.consistent
     assert rep.dim_a == rep.dim_b == rep.dim_joint

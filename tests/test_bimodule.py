@@ -9,7 +9,7 @@ import pytest
 from grfilt.fields import QQ, PrimeField
 from grfilt.workbench import make
 from grfilt.filtration import two_sided_closure, WindowExceeded
-from grfilt.bimodule import (ModuleAction, BimoduleSpec, free_rank,
+from grfilt.bimodule import (ModuleAction, free_rank,
                              verify_rank_certificate, _has_kernel,
                              slope_table, goldie_rank,
                              verify_goldie_certificate, bimodule_ranks,
@@ -37,17 +37,35 @@ def torsion_window_reference(action, max_power):
 
 
 @pytest.fixture(scope="module")
-def corner_spec():
-    ring = make("R_2x2", degcap=18)
-    carrier, _ = two_sided_closure(ring.pres, [ring.el("beta")])
-    return ring, BimoduleSpec("corner", ring.ambient, carrier,
-                              ring.el("alpha"), ring.el("alpha"))
+def corner():
+    ring, actions, _ = corner_ideal("corner", 8, QQ)
+    assert ring.ambient.degcap == 18
+    return ring, actions
 
 
-def test_corner_ranks_one_and_two(corner_spec):
-    ring, spec = corner_spec
-    left = free_rank(spec.action("left"), 8)
-    right = free_rank(spec.action("right"), 8)
+def test_an_action_reads_its_ambient_off_its_carrier(corner):
+    ring, actions = corner
+    act = actions["left"]
+    assert act.ambient is act.carrier.ambient
+    with pytest.raises(TypeError):
+        act.replace(ambient=make("R_2x2").ambient)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=str)
+def test_corner_ideal_is_one_actor_on_one_carrier_from_both_sides(field):
+    ring, actions, _ = corner_ideal("corner", 6, field)
+    left, right = actions["left"], actions["right"]
+    assert (left.name, left.side) == ("corner:left", "left")
+    assert (right.name, right.side) == ("corner:right", "right")
+    assert left.carrier is right.carrier
+    assert left.actor is right.actor
+    assert left.actor == ring.el("alpha")
+
+
+def test_corner_ranks_one_and_two(corner):
+    ring, actions = corner
+    left = free_rank(actions["left"], 8)
+    right = free_rank(actions["right"], 8)
     assert (left.verdict, left.rank) == ("free", 1)
     assert (right.verdict, right.rank) == ("free", 2)
     assert list(left.generator_degrees) == [0]
@@ -56,40 +74,40 @@ def test_corner_ranks_one_and_two(corner_spec):
     assert left.effective_step == 1 and right.effective_step == 2
 
 
-def test_rank_certificates_reverify(corner_spec):
-    ring, spec = corner_spec
+def test_rank_certificates_reverify(corner):
+    ring, actions = corner
     for side in ("left", "right"):
-        act = spec.action(side)
+        act = actions[side]
         rep = free_rank(act, 8)
         assert verify_rank_certificate(act, rep)
 
 
-def test_shallow_depth_is_inconclusive(corner_spec):
-    ring, spec = corner_spec
-    rep = free_rank(spec.action("right"), 1)
+def test_shallow_depth_is_inconclusive(corner):
+    ring, actions = corner
+    rep = free_rank(actions["right"], 1)
     assert rep.verdict == "inconclusive" and rep.rank is None
 
 
-def test_nilpotent_actor_gives_not_free(corner_spec):
-    ring, spec = corner_spec
+def test_nilpotent_actor_gives_not_free(corner):
+    ring, actions = corner
     amb = ring.ambient
-    act = ModuleAction("corner-by-beta", amb,
-                       span(amb, [amb.one()]), ring.el("beta"), "right")
+    act = ModuleAction("corner-by-beta", span(amb, [amb.one()]),
+                       ring.el("beta"), "right")
     rep = free_rank(act, 4)
     assert rep.verdict == "not free"
     assert rep.relation["kind"] == "nilpotent"
     assert verify_rank_certificate(act, rep)
 
 
-def test_collision_relation_is_caught(corner_spec):
-    ring, spec = corner_spec
+def test_collision_relation_is_caught(corner):
+    ring, actions = corner
     amb = ring.ambient
     fld = amb.field
     # t = 2 + beta satisfies (t - 2)^2 = 0, so t^2 = 4t - 4 and the orbit
     # of 1 collides at the second power
     actor = amb.one() + amb.one() + ring.el("beta")
-    act = ModuleAction("unipotent-shift", amb,
-                       span(amb, [amb.one()]), actor, "left")
+    act = ModuleAction("unipotent-shift", span(amb, [amb.one()]), actor,
+                       "left")
     rep = free_rank(act, 6)
     assert rep.verdict == "not free"
     assert rep.relation["kind"] == "collision"
@@ -97,27 +115,27 @@ def test_collision_relation_is_caught(corner_spec):
     assert verify_rank_certificate(act, rep)
 
 
-def test_verifier_rejects_tampered_rank(corner_spec):
-    ring, spec = corner_spec
-    act = spec.action("left")
+def test_verifier_rejects_tampered_rank(corner):
+    ring, actions = corner
+    act = actions["left"]
     rep = free_rank(act, 8)
     forged = rep.replace(generators=rep.generators + (
         ring.ambient.encode_sparse(ring.el("xe12")),))
     assert not verify_rank_certificate(act, forged)
 
 
-def test_torsion_window_under_corner_action(corner_spec):
-    ring, spec = corner_spec
+def test_torsion_window_under_corner_action(corner):
+    ring, actions = corner
     amb = ring.ambient
     # right multiplication by beta kills the whole corner
-    act = ModuleAction("corner-killed", amb, spec.carrier,
+    act = ModuleAction("corner-killed", actions["right"].carrier,
                        ring.el("beta"), "right")
     tor = torsion_window_reference(act, 1)
-    assert tor.dim == restrict_degree(spec.carrier,
+    assert tor.dim == restrict_degree(actions["right"].carrier,
                                       amb.degcap - 1).dim
     assert _has_kernel(act)
     # the alpha action is torsion free
-    assert not _has_kernel(spec.action("right"))
+    assert not _has_kernel(actions["right"])
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=str)
@@ -132,7 +150,7 @@ def test_has_kernel_reads_the_power_one_torsion_window(field):
         for space in (carrier, ring_window(ring)):
             for actor in ("alpha", "beta"):
                 for side in ("left", "right"):
-                    act = ModuleAction("probe", amb, space,
+                    act = ModuleAction("probe", space,
                                        ring.el(actor), side)
                     got = _has_kernel(act)
                     assert got == bool(torsion_window_reference(act, 1).dim)
@@ -140,9 +158,9 @@ def test_has_kernel_reads_the_power_one_torsion_window(field):
     assert seen == {("alpha", False), ("beta", True)}
 
 
-def test_slope_probe_shows_twist_factor(corner_spec):
-    ring, spec = corner_spec
-    tab = slope_table(spec.action("right"), 8)
+def test_slope_probe_shows_twist_factor(corner):
+    ring, actions = corner
+    tab = slope_table(actions["right"], 8)
     assert tab["effective_step"] == 2
     last = tab["rows"][-1]
     assert last["raw_slope"] == 1.0 and last["twist_corrected"] == 2.0
@@ -151,10 +169,10 @@ def test_slope_probe_shows_twist_factor(corner_spec):
 @pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=str)
 def test_slope_table_counts_each_degree_cut(field):
     # depth runs past the window's cap, where every cut is the carrier
-    ring, spec, _ = corner_ideal("corner", 10, field)
+    ring, actions, _ = corner_ideal("corner", 10, field)
     depth = ring.ambient.degcap + 2
     for side in ("left", "right"):
-        action = spec.action(side)
+        action = actions[side]
         rows = slope_table(action, depth)["rows"]
         ns = range(1, depth + 1)
         assert [r["n"] for r in rows] == list(ns)
@@ -162,19 +180,28 @@ def test_slope_table_counts_each_degree_cut(field):
             restrict_degree(action.carrier, n).dim for n in ns]
 
 
-def test_goldie_ranks_and_certificates(corner_spec):
-    ring, spec = corner_spec
+def test_goldie_ranks_and_certificates(corner):
+    ring, actions = corner
     for side, expected in (("left", 1), ("right", 2)):
-        act = spec.action(side)
+        act = actions[side]
         rep = goldie_rank(act, 8)
         assert rep.verdict == "certified" and rep.rank == expected
         assert verify_goldie_certificate(act, rep)
 
 
+def test_a_goldie_family_is_kernel_rows_of_the_carrier(corner):
+    ring, actions = corner
+    for act in actions.values():
+        rep = goldie_rank(act, 8)
+        assert rep.family and not any(map(act.carrier.residual, rep.family))
+        assert rep.family_degrees == tuple(map(ring.ambient.degree,
+                                               rep.family))
+
+
 def test_goldie_refuses_series_mode():
     ring = make("R_prime")
     carrier, _ = two_sided_closure(ring.pres, [ring.el("beta")])
-    act = ModuleAction("series-corner", ring.ambient, carrier,
+    act = ModuleAction("series-corner", carrier,
                        ring.el("alpha"), "right")
     with pytest.raises(ValueError, match="polynomial mode"):
         goldie_rank(act, 4)
@@ -186,20 +213,20 @@ def test_goldie_refuses_series_mode():
             verify_goldie_certificate(act, report)
 
 
-def test_bimodule_ranks_bundle(corner_spec):
-    ring, spec = corner_spec
-    both = bimodule_ranks(spec, 8)
+def test_bimodule_ranks_bundle(corner):
+    ring, actions = corner
+    both = bimodule_ranks(actions, 8)
     assert both["actions_commute"]
     assert both["left"].rank == 1 and both["right"].rank == 2
 
 
 @pytest.mark.parametrize("combo", [[[0, 0, "1"]], [[0, -1, "1"]]],
                          ids=["self", "negative-power"])
-def test_verifier_rejects_relation_outside_scan_order(corner_spec, combo):
+def test_verifier_rejects_relation_outside_scan_order(corner, combo):
     # "g = g" is no relation: a combo may only use orbit vectors the scan
     # met before the colliding one
-    ring, spec = corner_spec
-    act = spec.action("left")
+    ring, actions = corner
+    act = actions["left"]
     rep = free_rank(act, 8)
     relation = {"kind": "collision", "generator": 0, "power": 0,
                 "combo": combo}
@@ -211,13 +238,13 @@ def test_verifier_rejects_relation_outside_scan_order(corner_spec, combo):
                                    [[0, 0, "1/0"]]],
                          ids=["power-past-orbit", "unreadable-coefficient",
                               "zero-denominator"])
-def test_verifier_rejects_relation_naming_no_orbit_vector(corner_spec,
+def test_verifier_rejects_relation_naming_no_orbit_vector(corner,
                                                           combo):
     # the terms come before (1, 0) in scan order, but the first names a
     # power the orbit of generator 0 never reaches and the others a
     # coefficient that spells no field element: False, not an exception
-    ring, spec = corner_spec
-    act = spec.action("right")
+    ring, actions = corner
+    act = actions["right"]
     rep = free_rank(act, 8)
     assert rep.rank == 2
     relation = {"kind": "collision", "generator": 1, "power": 0,
@@ -231,11 +258,11 @@ def test_verifier_rejects_relation_naming_no_orbit_vector(corner_spec,
     {"power": "0"}, {"combo": "x"}],
     ids=["text-generator", "text-term-index", "short-term", "text-power",
          "text-combo"])
-def test_verifier_rejects_malformed_relation(corner_spec, change):
+def test_verifier_rejects_malformed_relation(corner, change):
     # keys of the wrong type or terms of the wrong shape: False, not an
     # exception from the scan-order check or from unpacking
-    ring, spec = corner_spec
-    act = spec.action("right")
+    ring, actions = corner
+    act = actions["right"]
     rep = free_rank(act, 8)
     relation = {"kind": "collision", "generator": 1, "power": 0,
                 "combo": [[0, 0, "1"]], **change}
@@ -249,7 +276,7 @@ def fp_collision():
     ring = make("R_2x2", degcap=18, field=PrimeField(101))
     amb = ring.ambient
     actor = amb.one() + amb.one() + ring.el("beta")
-    act = ModuleAction("unipotent-shift", amb, span(amb, [amb.one()]),
+    act = ModuleAction("unipotent-shift", span(amb, [amb.one()]),
                        actor, "left")
     return act, free_rank(act, 6)
 
@@ -269,30 +296,30 @@ def test_verifier_rejects_misspelled_prime_coefficient(fp_collision, text):
     assert not verify_rank_certificate(act, forged)
 
 
-def test_goldie_verifier_rejects_wrong_rank_and_foreign_family(corner_spec):
-    ring, spec = corner_spec
-    act = spec.action("left")
+def test_goldie_verifier_rejects_wrong_rank_and_foreign_family(corner):
+    ring, actions = corner
+    act = actions["left"]
     rep = goldie_rank(act, 8)
     assert verify_goldie_certificate(act, rep)
 
     def forged(rank, family):
         return type(rep)(rep.name, rep.side, rep.verdict, rank,
-                         tuple(m.degree() for m in family), family,
+                         tuple(map(ring.ambient.degree, family)), family,
                          rep.essential_ok, rep.budget_ok, rep.regular_ok,
                          rep.depth, rep.slope)
 
     assert not verify_goldie_certificate(act, forged(7, rep.family))
     # the identity is not in the corner ideal
-    outside = (ring.ambient.one(),) + rep.family
+    outside = (ring.ambient.encode_sparse(ring.ambient.one()),) + rep.family
     assert not verify_goldie_certificate(act, forged(len(outside), outside))
 
 
 @pytest.mark.parametrize("side", ("left", "right"))
-def test_verifiers_refuse_forged_verdicts_and_ranks(corner_spec, side):
+def test_verifiers_refuse_forged_verdicts_and_ranks(corner, side):
     # a verdict the producer never writes, or a rank that does not fit
     # its verdict, is a false claim
-    ring, spec = corner_spec
-    act = spec.action(side)
+    ring, actions = corner
+    act = actions[side]
     rep = free_rank(act, 8)
     assert verify_rank_certificate(act, rep)
     assert not verify_rank_certificate(act, rep.replace(verdict="Free",
@@ -304,22 +331,22 @@ def test_verifiers_refuse_forged_verdicts_and_ranks(corner_spec, side):
         act, gold.replace(verdict="Certified", rank=42))
 
 
-def test_verifier_refuses_a_rank_beside_not_free(corner_spec):
-    ring, spec = corner_spec
+def test_verifier_refuses_a_rank_beside_not_free(corner):
+    ring, actions = corner
     amb = ring.ambient
-    act = ModuleAction("corner-by-beta", amb,
-                       span(amb, [amb.one()]), ring.el("beta"), "right")
+    act = ModuleAction("corner-by-beta", span(amb, [amb.one()]),
+                       ring.el("beta"), "right")
     rep = free_rank(act, 4)
     assert rep.verdict == "not free" and verify_rank_certificate(act, rep)
     assert not verify_rank_certificate(act, rep.replace(rank=1))
 
 
-def test_goldie_kernel_verdict_is_recomputed(corner_spec):
-    ring, spec = corner_spec
+def test_goldie_kernel_verdict_is_recomputed(corner):
+    ring, actions = corner
     # right multiplication by beta kills the whole corner
-    killed = ModuleAction("corner-killed", ring.ambient, spec.carrier,
+    killed = ModuleAction("corner-killed", actions["right"].carrier,
                           ring.el("beta"), "right")
-    regular = spec.action("right")
+    regular = actions["right"]
     kernel, cert = goldie_rank(killed, 8), goldie_rank(regular, 8)
     assert kernel.verdict.startswith("not certified")
     assert verify_goldie_certificate(killed, kernel)
@@ -339,7 +366,7 @@ def goldie_by_intersect(action, report):
         return zero_space(amb).extend(action.power_orbit(row))
     total = zero_space(amb)
     for m in report.family:
-        sb = orbit_span(amb.encode_sparse(m))
+        sb = orbit_span(m)
         if intersect(total, sb).dim:
             return False
         total = sum_spaces(total, sb)
@@ -355,13 +382,11 @@ def test_goldie_verifier_refuses_a_family_not_direct_or_not_essential(
         side, field):
     # the verifier tests by the dimension of a sum what the intersections
     # tested; every forged family is refused by both
-    ring = make("R_2x2", degcap=18, field=field)
-    carrier, _ = two_sided_closure(ring.pres, [ring.el("beta")])
-    act = BimoduleSpec("corner", ring.ambient, carrier, ring.el("alpha"),
-                       ring.el("alpha")).action(side)
+    ring, actions, _ = corner_ideal("corner", 8, field)
+    act = actions[side]
     rep = goldie_rank(act, 8)
     first = rep.family[0]
-    moved = act.actor * first if side == "left" else first * act.actor
+    moved = act.apply(first)
     families = {"stored": (rep.family, True),
                 "repeated": (rep.family + (first,), False),
                 "inside an orbit": (rep.family + (moved,), False),
@@ -369,14 +394,14 @@ def test_goldie_verifier_refuses_a_family_not_direct_or_not_essential(
     for name, (family, holds) in families.items():
         forged = rep.replace(rank=len(family), family=family,
                              family_degrees=tuple(
-                                 m.degree() for m in family))
+                                 map(act.ambient.degree, family)))
         assert verify_goldie_certificate(act, forged) is holds, name
         assert goldie_by_intersect(act, forged) is holds, name
 
 
-def test_verifiers_refuse_an_inconclusive_report(corner_spec):
-    ring, spec = corner_spec
-    act = spec.action("right")
+def test_verifiers_refuse_an_inconclusive_report(corner):
+    ring, actions = corner
+    act = actions["right"]
     rep = free_rank(act, 1)
     assert rep.verdict == "inconclusive"
     with pytest.raises(WindowExceeded):

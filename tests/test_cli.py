@@ -407,8 +407,8 @@ def test_ranks_failure_is_not_masked_by_an_inconclusive_side(
     import grfilt.bimodule
     real = grfilt.bimodule.bimodule_ranks
 
-    def mixed(spec, depth):
-        both = real(spec, depth)
+    def mixed(actions, depth):
+        both = real(actions, depth)
         return {**both,
                 "left": both["left"].replace(verdict="not free"),
                 "right": both["right"].replace(verdict="inconclusive")}
@@ -425,8 +425,8 @@ def test_ranks_refutes_a_forged_definite_report(capsys, monkeypatch, forge):
     real_ranks = grfilt.bimodule.bimodule_ranks
     real_goldie = grfilt.bimodule.goldie_rank
 
-    def forged_ranks(spec, depth):
-        both = real_ranks(spec, depth)
+    def forged_ranks(actions, depth):
+        both = real_ranks(actions, depth)
         return {**both, "right": both["right"].replace(rank=99)}
 
     def forged_goldie(action, depth):

@@ -83,7 +83,7 @@ def test_idealizer_matches_predicted_shape():
     ring = make("R_2x2", degcap=20)
     window = ring_window(ring)
     _, gen = nilpotent_generator(ring.pres)
-    ideal = right_ideal_window(ring.ambient, gen, window)
+    ideal = right_ideal_window(gen, window)
     rep, ide = idealizer(ring, window, ideal, gen)
     assert rep.ok and rep.matches_predicted
     # diag(h(x^2), h(x^4)) block: 6 dims, plus all 21 corner dims
@@ -195,7 +195,7 @@ def test_a_side_other_than_left_or_right_is_refused():
     ring = make("R_2x2", degcap=8)
     side_error = "side must be 'left' or 'right'"
     with pytest.raises(ValueError, match=side_error):
-        ModuleAction("m", ring.ambient, None, ring.el("alpha"), "middle")
+        ModuleAction("m", None, ring.el("alpha"), "middle")
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=str)
@@ -329,7 +329,7 @@ def hom_span_reference(ring, side, basis):
     basis element re-encoded, and its alpha-ladder on the given side
     added under the tag (slot, power)."""
     amb = ring.ambient
-    ladder = ModuleAction("ladder", amb, None, ring.el("alpha"), side)
+    ladder = ModuleAction("ladder", zero_space(amb), ring.el("alpha"), side)
     tracker = SpanTracker(amb.field, amb.dim)
     for i, v in enumerate(map(amb.encode_sparse, basis)):
         for k, w in enumerate(ladder.power_orbit(v)):
@@ -406,7 +406,7 @@ def test_chain_coverage_matches_the_per_degree_loop(fld):
     amb = ring.ambient
     window = ring_window(ring)
     _, gen = nilpotent_generator(ring.pres)
-    ideal = right_ideal_window(amb, gen, window)
+    ideal = right_ideal_window(gen, window)
     _, ide = idealizer(ring, window, ideal, gen)
     dcap = (amb.degcap - gen.degree() - 1) // 2
     images = ideal.extend(corner_double(amb, b) for b in

@@ -14,7 +14,7 @@ from grfilt.filtration import (standard_filtration, weak_adic_filtration,
                                intrinsic_module_filtration,
                                equivalence_offset, Filtration,
                                TruncationError, WindowExceeded)
-from grfilt.linspace import DegreeOverflowError, zero_space
+from grfilt.linspace import DegreeOverflowError, span, zero_space
 from paper_checks import is_good, verify_filtration_axioms
 
 
@@ -115,6 +115,19 @@ def test_weak_adic_needs_series_ambient():
         weak_adic_filtration(ring.pres, 4)
 
 
+@pytest.mark.parametrize("depth", (0, 1, 4))
+def test_weak_adic_refuses_a_one_sided_ideal(rprime, monkeypatch, depth):
+    # only an engine fault leaves R G one-sided; with the unit's span in
+    # place of R, m = span(G) misses alpha^2, at every depth
+    import grfilt.filtration
+    amb = rprime.ambient
+    monkeypatch.setattr(grfilt.filtration, "full_span",
+                        lambda pres: span(amb, [amb.one()]))
+    with pytest.raises(ValueError,
+                       match="generated left ideal is not two-sided"):
+        weak_adic_filtration(rprime.pres, depth)
+
+
 def test_full_span_stabilizes_in_series_mode(rprime):
     ring = full_span(rprime.pres)
     assert ring.dim == 20
@@ -129,16 +142,25 @@ def test_axioms_hold_for_both_kinds(filt12, adic10):
 def test_axiom_checker_catches_broken_nesting(ring_r, filt12):
     amb = ring_r.ambient
     layers = {0: filt12.layer(1), 1: zero_space(amb), 2: filt12.layer(2)}
-    rep = verify_filtration_axioms(Filtration("ascending", amb, layers))
+    rep = verify_filtration_axioms(Filtration("ascending", layers))
     assert not rep.nested_ok and not rep.ok
 
 
+def test_a_filtration_reads_its_ambient_off_its_layers(ring_r, filt12,
+                                                       adic10):
+    for filt in (filt12, adic10):
+        assert filt.ambient is filt.layer(filt.lo).ambient
+    shifted = Filtration("ascending",
+                         {n: filt12.layer(n + 2) for n in range(-2, 4)})
+    assert shifted.ambient is filt12.layer(0).ambient
+    # below the window an ascending filtration is zero in that ambient
+    assert shifted.layer(-3) == zero_space(ring_r.ambient)
+
+
 def test_equivalence_offset_finds_shift(ring_r, filt12):
-    shifted = Filtration("ascending", ring_r.ambient,
-                         {n: filt12.layer(min(n + 2, 12))
-                          for n in range(11)}, name="shifted")
-    base = Filtration("ascending", ring_r.ambient,
-                      {n: filt12.layer(n) for n in range(11)})
+    shifted = Filtration("ascending", {n: filt12.layer(min(n + 2, 12))
+                                       for n in range(11)}, name="shifted")
+    base = Filtration("ascending", {n: filt12.layer(n) for n in range(11)})
     rep = equivalence_offset(base, shifted, max_offset=3)
     assert rep.equivalent and rep.a_in_b == 0 and rep.b_in_a == 2
     assert rep.offset == 2

@@ -159,13 +159,13 @@ def good_reference(ring_filt, generators, side, lo, hi, name):
             amb.mul(b, m) if side == "left" else amb.mul(m, b)
             for m, shift in rows
             for b in ring_filt.layer(n - shift).basis_rows())
-    return Filtration(ring_filt.kind, amb, layers, name=name)
+    return Filtration(ring_filt.kind, layers, name=name)
 
 
 def intrinsic_reference(module_span, ring_filt, lo, hi, name):
     layers = {n: intersect(module_span, ring_filt.layer(n))
               for n in range(lo, hi + 1)}
-    return Filtration(ring_filt.kind, ring_filt.ambient, layers, name=name)
+    return Filtration(ring_filt.kind, layers, name=name)
 
 
 def chain_reference(kind, steps):
@@ -202,7 +202,7 @@ def build(case, rings):
         layers = {n: std.layer(n + 2) for n in range(-2, DEPTH - 1)}
     else:
         layers = {n: std.layer(n) for n in range(2, DEPTH + 1)}
-    return poly, Filtration("ascending", poly.ambient, layers, name=case)
+    return poly, Filtration("ascending", layers, name=case)
 
 
 def module_filtrations(ring, filt):

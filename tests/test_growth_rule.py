@@ -136,7 +136,7 @@ def _staircase_quotients(cap, fld):
                   (pres.gen("e12"), r.el("alpha"))],
                  [(pres.gen("alpha"), r.el("alpha")),
                   (pres.gen("alpha"), r.el("beta"))]]
-    return (ctx, QuotientContext(r.ambient, zero_space(r.ambient)),
+    return (ctx, QuotientContext(zero_space(r.ambient)),
             right, swapped, collapsed)
 
 

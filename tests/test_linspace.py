@@ -268,7 +268,7 @@ def test_complement_section_pivots(amb):
 
 def test_quotient_context_canonical_representatives(amb):
     ideal = span(amb, [corner(xp(k)) for k in range(7)])
-    ctx = QuotientContext(amb, ideal)
+    ctx = QuotientContext(ideal)
     a = PolyMatrix([[xp(1), xp(3)], [Poly.zero(QQ, 1), xp(2)]])
     b = PolyMatrix([[xp(1), xp(5)], [Poly.zero(QQ, 1), xp(2)]])
     # equal cosets reduce to identical representative rows
@@ -276,6 +276,11 @@ def test_quotient_context_canonical_representatives(amb):
     assert ctx.mul(amb.encode_sparse(a), one) == \
         ctx.mul(amb.encode_sparse(b), one)
     assert ctx.image(span(amb, [a, b])).dim == 1
+
+
+def test_quotient_context_reads_its_ambient_off_the_ideal(amb):
+    ideal = span(amb, [corner(xp(k)) for k in range(7)])
+    assert QuotientContext(ideal).ambient is ideal.ambient
 
 
 def tuple_ambient(r, degcap, field=QQ, series=False):

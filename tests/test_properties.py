@@ -93,8 +93,8 @@ def test_layers_are_linear_windows(m, n, c, data):
 
 
 def shifted_by(q, name):
-    return Filtration("ascending", AMB,
-                      {n: FILT.layer(n - q) for n in range(13)}, name=name)
+    return Filtration("ascending", {n: FILT.layer(n - q) for n in range(13)},
+                      name=name)
 
 
 @common
@@ -137,7 +137,7 @@ def test_corner_rank_certificates_reverify(side, k, depth, c):
     actor = RING.el("alpha")
     for _ in range(k - 1):
         actor = actor * RING.el("alpha")
-    action = ModuleAction("corner scan", AMB, CORNER,
+    action = ModuleAction("corner scan", CORNER,
                           scaled(actor, FLD.of(c)), side)
     rep = free_rank(action, depth)
     assert rep.verdict == "free"
@@ -152,7 +152,7 @@ def test_corner_rank_certificates_reverify(side, k, depth, c):
        st.sampled_from(("left", "right")), st.integers(2, 8))
 def test_random_action_reports_reverify(seed_idx, actor_idx, side, depth):
     carrier = span(AMB, [SEED_POOL[i] for i in sorted(seed_idx)])
-    action = ModuleAction("random scan", AMB, carrier,
+    action = ModuleAction("random scan", carrier,
                           ACTOR_POOL[actor_idx], side)
     rep = free_rank(action, depth)
     assert rep.verdict in ("free", "not free", "inconclusive")

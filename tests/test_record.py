@@ -64,9 +64,9 @@ def test_hidden_fields_are_off_the_payload_in_declared_order():
 
 def test_module_action_still_checks_its_side():
     with pytest.raises(ValueError):
-        ModuleAction("m", None, None, None, side="up")
+        ModuleAction("m", None, None, side="up")
     with pytest.raises(ValueError):
-        ModuleAction("m", None, None, None, "left").replace(side="up")
+        ModuleAction("m", None, None, "left").replace(side="up")
 
 
 def test_jsonable_reaches_records_inside_tuples_and_dicts():

@@ -88,7 +88,7 @@ def test_no_engine_call_changes_a_row_it_was_handed_or_holds(case):
         assert intersect(x, y) == intersect(y, x)
     assert u.contains(u) and v.contains(v)
     u.kernel([held[i % len(held)] for i in range(u.dim)])
-    QuotientContext(amb, ideal).image(u)
+    QuotientContext(ideal).image(u)
     for r in held:
         insert_row(grown, r, p)
     tracker = SpanTracker(fld, amb.dim)

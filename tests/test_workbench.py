@@ -147,7 +147,7 @@ def test_quotient_iso_holds_on_word_span():
     pres, ctx, closed = staircase_quotient_context(ring_t, degcap=12)
     r = make("R_2x2", degcap=12)
     rep = quotient_iso_check(
-        ctx, QuotientContext(r.ambient, zero_space(r.ambient)),
+        ctx, QuotientContext(zero_space(r.ambient)),
         [(pres.gen("alpha"), r.el("alpha")), (pres.gen("e12"), r.el("beta"))],
         max_len=4)
     assert rep.consistent
@@ -159,7 +159,7 @@ def test_quotient_iso_detects_wrong_pairing():
     pres, ctx, closed = staircase_quotient_context(ring_t, degcap=12)
     r = make("R_2x2", degcap=12)
     rep = quotient_iso_check(
-        ctx, QuotientContext(r.ambient, zero_space(r.ambient)),
+        ctx, QuotientContext(zero_space(r.ambient)),
         [(pres.gen("alpha"), r.el("beta")), (pres.gen("e12"), r.el("alpha"))],
         max_len=3)
     assert not rep.consistent
@@ -173,7 +173,7 @@ def test_staircase_quotient_reads_the_field_of_its_ring(fld):
     assert closed == 10
     r = make("R_2x2", degcap=12, field=fld)
     rep = quotient_iso_check(
-        ctx, QuotientContext(r.ambient, zero_space(r.ambient)),
+        ctx, QuotientContext(zero_space(r.ambient)),
         [(pres.gen("alpha"), r.el("alpha")), (pres.gen("e12"), r.el("beta"))],
         max_len=4)
     assert rep.consistent

@@ -23,8 +23,9 @@ FIELDS = ("Q", "Fp:101", "Fp:2147483629", "Fp:7")
 # then two that pass with more degree cuts than any workload job makes,
 # and the control, whose corner starts at degree 1, at the smallest cap
 # that decides it and at a wide one; then R_hat, C_diag, gr on S and a
-# quotient of T, which no workload job runs, and an element that S, T,
-# C_diag and R_hat lack, whose usage error lists the ring's elements
+# quotient of T, which no workload job runs, an element that S, T,
+# C_diag and R_hat lack, whose usage error lists the ring's elements, and
+# the weak-adic windows of depth 0 and 1, which keep no m^2 layer
 EDGE_JOBS = (
     "chain --side right --steps 4",
     "chain --kind weak-adic --side left --steps 4",
@@ -50,6 +51,8 @@ EDGE_JOBS = (
     "hilbert --ring T --quotient nope",
     "hilbert --ring C_diag --quotient nope",
     "hilbert --ring R_hat --kind weak-adic --quotient nope",
+    "hilbert --ring R_prime --kind weak-adic --depth 0",
+    "hilbert --ring R_prime --kind weak-adic --depth 1",
 )
 # reads a JSON list of argvs on stdin, writes [code, stdout sha256,
 # stderr sha256] for each
