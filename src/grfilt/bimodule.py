@@ -27,7 +27,7 @@ from .linspace import (degree_cuts, restrict_degree, sum_spaces, zero_space,
                        DegreeOverflowError)
 from .filtration import WindowExceeded, two_sided_closure
 from .record import Record
-from .workbench import make_for_depth
+from .workbench import make
 
 
 class ModuleAction(Record):
@@ -345,7 +345,7 @@ def corner_ideal(name, depth, field):
     it from the left and from the right.  Returns the ring, the actions
     {"left": ..., "right": ...} (named name:side) and the degree through
     which the ideal is exact."""
-    ring = make_for_depth("R_2x2", depth, field=field)
+    ring = make("R_2x2", field=field, depth=depth)
     carrier, closed = two_sided_closure(ring.pres, [ring.el("beta")])
     alpha = ring.el("alpha")
     actions = {side: ModuleAction(f"{name}:{side}", carrier, alpha, side)

@@ -28,7 +28,7 @@ import sys
 
 from .fields import field_from_name
 from .linspace import Inconclusive, QuotientContext, zero_space
-from .workbench import (make, make_for_depth, CATALOG, SERIES_RINGS,
+from .workbench import (make, CATALOG, SERIES_RINGS,
                         staircase_quotient_context, quotient_iso_check)
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
                          induced_quotient_filtration)
@@ -67,8 +67,8 @@ def _fmt_dims(dims):
 
 def cmd_hilbert(args):
     # quotient runs also need the ideal saturated past the deepest layer
-    ring = make_for_depth(args.ring, args.depth, args.degcap, args.field,
-                          slack=4 if args.quotient else 2)
+    ring = make(args.ring, args.degcap, args.field, depth=args.depth,
+                slack=4 if args.quotient else 2)
     filt = _base_filtration(ring, args.kind, args.depth)
     lines = [f"{ring.name} over {args.field.name}, {args.kind} filtration, "
              f"depth {args.depth}"]
@@ -100,7 +100,7 @@ def cmd_hilbert(args):
 
 
 def cmd_gr(args):
-    ring = make_for_depth(args.ring, args.depth, args.degcap, args.field)
+    ring = make(args.ring, args.degcap, args.field, depth=args.depth)
     filt = _base_filtration(ring, args.kind, args.depth)
     gr = graded.GradedTrunc(filt)
     classes = gr.generator_classes(ring.pres)
@@ -204,7 +204,7 @@ def cmd_certify(args):
 
 def cmd_chain(args):
     if args.kind == "standard":
-        ring = make_for_depth("R_2x2", args.depth, field=args.field)
+        ring = make("R_2x2", field=args.field, depth=args.depth)
     else:
         ring = make("R_prime", degcap=args.depth + 2, field=args.field)
     filt = _base_filtration(ring, args.kind, args.depth)

@@ -471,13 +471,22 @@ def _corner_relations(window, t):
 # ------------------------------------------------------------ full chain
 
 class DualizingReport(Record):
-    fields = ("ring", "degcap", "free", "cyclic", "endo", "ident",
-              "aborted_at", "ok")
+    """Each stage's report, None after the first that failed."""
+    fields = ("ring", "degcap", "free", "cyclic", "endo", "ident")
 
     def stage_results(self):
         return [(name, "skipped" if rep is None else
                  "ok" if rep.ok else "failed") for name, rep in
                 zip(STAGES, (self.free, self.cyclic, self.endo, self.ident))]
+
+    @property
+    def aborted_at(self):
+        return next((name for name, state in self.stage_results()
+                     if state == "failed"), None)
+
+    @property
+    def ok(self):
+        return self.ident is not None and self.ident.ok
 
     def to_json(self):
         stages = {"free": self.free, "cyclic": self.cyclic,
@@ -486,6 +495,21 @@ class DualizingReport(Record):
                 "stages": jsonable(stages),
                 "stage_results": jsonable(self.stage_results()),
                 "aborted_at": self.aborted_at, "ok": self.ok}
+
+
+def _stage_reports(ring):
+    """The four stages' reports, in order, each computed when asked."""
+    amb = ring.ambient
+    _, gen = nilpotent_generator(ring.pres)
+    window = ring_window(ring)
+    free_rep = free_structure_report(ring, window)
+    yield free_rep
+    ideal = right_ideal_window(gen, window)
+    yield cyclic_presentation(HomModule(ring, free_rep.right, amb.degcap),
+                              window, ideal)
+    yield end_ring(ring, window, ideal, gen)
+    yield dual_identification(window, ideal,
+                              HomModule(ring, free_rep.left, amb.degcap + 1))
 
 
 def verify_dualizing(ring):
@@ -498,28 +522,10 @@ def verify_dualizing(ring):
     The perturbed ring is the control: stage (iii) fails, as its corner
     candidate map collapses the corner classes into the ideal.
     """
-    amb = ring.ambient
-    _, gen = nilpotent_generator(ring.pres)
-    window = ring_window(ring)
-
-    free_rep = free_structure_report(ring, window)
-    if not free_rep.ok:
-        return DualizingReport(ring.name, amb.degcap, free_rep, None, None,
-                               None, STAGES[0], False)
-    ideal = right_ideal_window(gen, window)
-    hom2 = HomModule(ring, free_rep.right, amb.degcap)
-    cyc = cyclic_presentation(hom2, window, ideal)
-    if not cyc.ok:
-        return DualizingReport(ring.name, amb.degcap, free_rep, cyc, None,
-                               None, STAGES[1], False)
-
-    endo = end_ring(ring, window, ideal, gen)
-    if not endo.ok:
-        return DualizingReport(ring.name, amb.degcap, free_rep, cyc, endo,
-                               None, STAGES[2], False)
-
-    hom1 = HomModule(ring, free_rep.left, amb.degcap + 1)
-    ident = dual_identification(window, ideal, hom1)
-    aborted = None if ident.ok else STAGES[3]
-    return DualizingReport(ring.name, amb.degcap, free_rep, cyc, endo,
-                           ident, aborted, ident.ok)
+    reports = []
+    for rep in _stage_reports(ring):
+        reports.append(rep)
+        if not rep.ok:
+            break
+    reports += [None] * (len(STAGES) - len(reports))
+    return DualizingReport(ring.name, ring.ambient.degcap, *reports)

@@ -6,8 +6,8 @@ description and the shape predicate, what the generators are supposed
 to span in each degree (tests confirm the two views agree on truncated
 windows).  _triangular builds alpha = diag(x, x^2) with a corner x^k e12
 (R_2x2, R_perturbed, R_prime, R_hat) or without one (C_diag);
-_staircase adds y-multiples over k[x,y] (S, T).  make_for_depth sizes a
-row's cap from its generators and the depth.
+_staircase adds y-multiples over k[x,y] (S, T).  make sizes a
+polynomial row's cap from its generators and a depth.
 
 Series-mode entries model the x-adically truncated ring: an ambient with
 series=True and degree cap d is M_n(k[x]/(x^(d+1))), so products reduce
@@ -164,15 +164,21 @@ class ExampleRing(Record):
         return self.shape(self.ambient, mat)
 
 
-def make(name, degcap=None, field=QQ):
-    """Build a catalog ring from its row, at the row's degree cap unless
-    degcap is given."""
+def make(name, degcap=None, field=QQ, depth=None, slack=2):
+    """Build a catalog ring from its row, at degcap when given.  Else a
+    depth sizes a polynomial window for depth-n layers, which hold words
+    of n generators: n times the top degree of the generators just
+    built, plus slack, or the products overflow.  Series windows
+    truncate instead, so a series row keeps its own cap, as does every
+    row built without a depth."""
     if name not in _TABLE:
         raise KeyError(f"unknown example ring {name!r}; "
                        f"catalog: {', '.join(CATALOG)} (+ R_perturbed)")
     row = _TABLE[name]
     gens, elements = row.build(field, row)
-    cap = row.cap if degcap is None else degcap
+    cap = (degcap if degcap is not None else
+           row.cap if depth is None or row.series else
+           max(g.degree() for _, g in gens) * depth + slack)
     first = gens[0][1]
     amb = Ambient(first.n, first.arity, cap, field, series=row.series)
     description = row.description + (
@@ -180,21 +186,6 @@ def make(name, degcap=None, field=QQ):
         if row.series else "")
     return ExampleRing(AlgebraPresentation(name, amb, gens), description,
                        elements, row.shape)
-
-
-def make_for_depth(name, depth, degcap=None, field=QQ, slack=2):
-    """Build a catalog ring whose window holds depth-n filtration layers.
-
-    Depth-n layers hold words of n generators, so a polynomial window's
-    cap has to reach n times the top generator degree, plus slack, or the
-    products overflow.  Series windows truncate instead of overflowing
-    and keep their catalog default.  An explicit degcap always wins.
-    """
-    row = _TABLE.get(name)    # an unknown name is make's to refuse
-    if degcap is None and row and not row.series:
-        gens, _ = row.build(field, row)
-        degcap = max(g.degree() for _, g in gens) * depth + slack
-    return make(name, degcap=degcap, field=field)
 
 
 # ---------------------------------------------------------------- op twist

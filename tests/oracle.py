@@ -66,23 +66,39 @@ def mat_coords(m):
     return vec
 
 
-class Echelon:
-    """Row space accumulator keyed by arbitrary orderable coordinates."""
+def _mod(v, p):
+    """An int or Fraction v as an int mod the prime p."""
+    v = Fraction(v)
+    return v.numerator * pow(v.denominator, -1, p) % p
 
-    def __init__(self):
+
+class Echelon:
+    """Row space accumulator keyed by arbitrary orderable coordinates,
+    over Q, or over F_p when a prime p is given: values then come in as
+    ints or Fractions and are held as ints mod p."""
+
+    def __init__(self, p=None):
         self.rows = {}
+        self.p = p
 
     def add(self, vec):
-        vec = dict(vec)
+        p = self.p
+        if p is None:
+            vec = dict(vec)
+        else:
+            vec = {k: m for k, v in vec.items() if (m := _mod(v, p))}
         while vec:
             piv = max(vec)
             if piv not in self.rows:
-                inv = ONE / vec[piv]
-                self.rows[piv] = {k: v * inv for k, v in vec.items()}
+                inv = ONE / vec[piv] if p is None else pow(vec[piv], -1, p)
+                self.rows[piv] = {k: v * inv if p is None else v * inv % p
+                                  for k, v in vec.items()}
                 return True
             coef = vec[piv]
             for k, v in self.rows[piv].items():
                 s = vec.get(k, 0) - coef * v
+                if p is not None:
+                    s %= p
                 if s:
                     vec[k] = s
                 else:
@@ -117,14 +133,17 @@ def words_by_length(gens, n, arity, upto, maxdeg=None):
     return levels
 
 
-def word_span_dims(gens, n, arity, upto, maxdeg=None, project=None):
-    """dim span(words of length <= L) for L = 0..upto.
+def word_span_dims(gens, n, arity, upto, maxdeg=None, project=None,
+                   p=None):
+    """dim span(words of length <= L) for L = 0..upto, over Q, or over
+    F_p when a prime p is given (the words' rational coefficients are
+    reduced mod p).
 
     project, if given, maps a coordinate vector to another vector before
     accumulation (used for quotient dimensions).
     """
     dims = []
-    ech = Echelon()
+    ech = Echelon(p)
     level = [identity(n, arity)]
     for length in range(upto + 1):
         if length > 0:
@@ -211,9 +230,10 @@ def gamma1_products_dim():
 
 # ------------------------------------------------- truncated series version
 
-def series_full_span(gens, n, arity, maxdeg):
-    """Echelon basis of the whole truncated subalgebra (word closure)."""
-    ech = Echelon()
+def series_full_span(gens, n, arity, maxdeg, p=None):
+    """Echelon basis of the whole truncated subalgebra (word closure),
+    over Q, or over F_p when a prime p is given."""
+    ech = Echelon(p)
     mats = [identity(n, arity)]
     for m in mats:
         ech.add(mat_coords(m))

@@ -3,11 +3,11 @@
 reference_make below is the catalog as it was written before the table:
 one branch per ring, each building x, alpha and the corner itself, and a
 degcap that may be a function of the top generator degree, which is how
-reference_make_for_depth sized a polynomial window.  The tests compare
-every row, the off-catalog control included, with it: the name, the
-ambient, the generators in order, the named elements, the description,
-and the shape verdicts on a depth-2 layer's basis, on the elements and
-on matrices outside the ring.
+reference_make_sized sizes a polynomial window for a depth.  The tests
+compare every row, the off-catalog control included, with it: the name,
+the ambient, the generators in order, the named elements, the
+description, and the shape verdicts on a depth-2 layer's basis, on the
+elements and on matrices outside the ring.
 """
 
 from collections import namedtuple
@@ -18,7 +18,7 @@ from grfilt.fields import QQ, PrimeField
 from grfilt.filtration import AlgebraPresentation, standard_filtration
 from grfilt.linspace import Ambient
 from grfilt.poly import Poly, PolyMatrix
-from grfilt.workbench import CATALOG, SERIES_RINGS, make, make_for_depth
+from grfilt.workbench import CATALOG, SERIES_RINGS, make
 
 FIELDS = (QQ, PrimeField(2), PrimeField(101))
 ROWS = CATALOG + ("R_perturbed",)
@@ -181,7 +181,7 @@ def reference_make(name, degcap=None, field=QQ):
                    f"catalog: {', '.join(CATALOG)} (+ R_perturbed)")
 
 
-def reference_make_for_depth(name, depth, degcap=None, field=QQ, slack=2):
+def reference_make_sized(name, depth, degcap=None, field=QQ, slack=2):
     def sized(step):
         return step * depth + slack
     return reference_make(name, degcap=sized if degcap is None else degcap,
@@ -237,19 +237,19 @@ def test_every_row_builds_the_ring_the_branches_built(name, cap, fld):
 def test_make_for_depth_sizes_as_the_sizing_function_did(name, fld):
     for depth in range(8):
         for slack in (2, 4):
-            assert described(make_for_depth(name, depth, field=fld,
-                                            slack=slack)) == \
-                described(reference_make_for_depth(name, depth, field=fld,
-                                                   slack=slack))
+            assert described(make(name, field=fld, depth=depth,
+                                  slack=slack)) == \
+                described(reference_make_sized(name, depth, field=fld,
+                                               slack=slack))
     # an explicit cap wins, series or not
-    assert described(make_for_depth(name, 3, degcap=7, field=fld)) == \
+    assert described(make(name, degcap=7, field=fld, depth=3)) == \
         described(reference_make(name, degcap=7, field=fld))
 
 
 def test_an_unknown_name_is_refused_with_the_catalog():
     with pytest.raises(KeyError) as old:
         reference_make("nope")
-    for build in (lambda: make("nope"), lambda: make_for_depth("nope", 3)):
+    for build in (lambda: make("nope"), lambda: make("nope", depth=3)):
         with pytest.raises(KeyError) as new:
             build()
         assert str(new.value) == str(old.value)

@@ -133,6 +133,37 @@ def test_perturbed_ring_breaks_at_endomorphisms(perturbed_report):
         assert states["dual-identification"] == "skipped"
 
 
+@pytest.mark.parametrize("failing", range(len(STAGES)))
+def test_the_verdict_is_read_off_the_first_failed_stage(failing, full_report,
+                                                        monkeypatch):
+    fn = ("free_structure_report", "cyclic_presentation", "end_ring",
+          "dual_identification")[failing]
+    real = getattr(dualizing, fn)
+    monkeypatch.setattr(dualizing, fn,
+                        lambda *args: real(*args).replace(ok=False))
+    rep = verify_dualizing(make("R_2x2", degcap=20))
+    assert not rep.ok and rep.aborted_at == STAGES[failing]
+    stages = (rep.free, rep.cyclic, rep.endo, rep.ident)
+    passed = (full_report[0].free, full_report[0].cyclic,
+              full_report[0].endo, full_report[0].ident)
+    assert [r.to_json() for r in stages[:failing]] == \
+        [r.to_json() for r in passed[:failing]]
+    assert stages[failing].to_json() == \
+        passed[failing].replace(ok=False).to_json()
+    assert stages[failing + 1:] == (None,) * (len(STAGES) - failing - 1)
+    assert [s for _, s in rep.stage_results()] == \
+        ["ok"] * failing + ["failed"] + \
+        ["skipped"] * (len(STAGES) - failing - 1)
+    payload = rep.to_json()
+    assert list(payload) == ["ring", "degcap", "stages", "stage_results",
+                             "aborted_at", "ok"]
+    assert (payload["aborted_at"], payload["ok"]) == (STAGES[failing], False)
+    # the verdict is read off the stages, never stored beside them
+    for field in ("aborted_at", "ok"):
+        with pytest.raises(TypeError):
+            rep.replace(**{field: None})
+
+
 def test_perturbed_module_structure(perturbed_report):
     for rep in perturbed_report:
         # right basis climbs to degree 2: {1, x e12, x^2 e12}

@@ -7,7 +7,7 @@ import pytest
 from grfilt import workbench
 from grfilt.fields import QQ, PrimeField
 from grfilt.linspace import Ambient, QuotientContext, zero_space
-from grfilt.workbench import (make, make_for_depth, CATALOG, op_transpose,
+from grfilt.workbench import (make, CATALOG, op_transpose,
                               op_involution_report, y_kill,
                               collapse_to_one_variable,
                               quotient_iso_check, staircase_mod_y,
@@ -31,18 +31,21 @@ def test_generators_and_short_words_satisfy_shape(name):
 @pytest.mark.parametrize("depth", range(7))
 @pytest.mark.parametrize("name", CATALOG)
 def test_make_for_depth_builds_the_sized_ring_once(monkeypatch, name, depth):
-    built = []
+    """make(name, depth=d) runs its row's builder once and reads the cap
+    off the generators it built: d times their top degree plus slack for
+    a polynomial row, the row's own cap for a series row."""
+    row, built = workbench._TABLE[name], []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         built.append(args)
-        return Ambient(*args, **kwargs)
+        return row.build(*args)
     for slack in (2, 4):
         expected = make(name)
         if not expected.ambient.series:
             step = max(g.degree() for g in expected.pres.gen_mats())
             expected = make(name, degcap=step * depth + slack)
-        monkeypatch.setattr(workbench, "Ambient", counted)
-        ring = make_for_depth(name, depth, slack=slack)
+        monkeypatch.setitem(workbench._TABLE, name, row.replace(build=counted))
+        ring = make(name, depth=depth, slack=slack)
         monkeypatch.undo()
         assert len(built) == 1
         built.clear()

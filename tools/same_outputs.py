@@ -25,7 +25,9 @@ FIELDS = ("Q", "Fp:101", "Fp:2147483629", "Fp:7")
 # that decides it and at a wide one; then R_hat, C_diag, gr on S and a
 # quotient of T, which no workload job runs, an element that S, T,
 # C_diag and R_hat lack, whose usage error lists the ring's elements, and
-# the weak-adic windows of depth 0 and 1, which keep no m^2 layer
+# the weak-adic windows of depth 0 and 1, which keep no m^2 layer; then
+# polynomial windows sized from depth 0 and 1, where the cap is the slack
+# alone or one generator degree plus slack 2 or 4
 EDGE_JOBS = (
     "chain --side right --steps 4",
     "chain --kind weak-adic --side left --steps 4",
@@ -53,6 +55,9 @@ EDGE_JOBS = (
     "hilbert --ring R_hat --kind weak-adic --quotient nope",
     "hilbert --ring R_prime --kind weak-adic --depth 0",
     "hilbert --ring R_prime --kind weak-adic --depth 1",
+    "hilbert --ring T --depth 0",
+    "hilbert --ring S --depth 1",
+    "hilbert --ring R_2x2 --depth 1 --quotient beta",
 )
 # reads a JSON list of argvs on stdin, writes [code, stdout sha256,
 # stderr sha256] for each
