@@ -342,15 +342,15 @@ def verify_goldie_certificate(action, report):
 def corner_ideal(name, depth, field):
     """The corner ideal of R_2x2, the two-sided ideal beta generates, on
     the window that holds depth-n layers, as a bimodule: alpha acting on
-    it from the left and from the right.  Returns the ring, the actions
-    {"left": ..., "right": ...} (named name:side) and the degree through
-    which the ideal is exact."""
+    it from the left and from the right.  Returns the ring and the
+    actions {"left": ..., "right": ...} (named name:side) on the one
+    carrier; the ideal is exact through ring.pres.closed_degree."""
     ring = make("R_2x2", field=field, depth=depth)
-    carrier, closed = two_sided_closure(ring.pres, [ring.el("beta")])
+    carrier = two_sided_closure(ring.pres, [ring.el("beta")])
     alpha = ring.el("alpha")
     actions = {side: ModuleAction(f"{name}:{side}", carrier, alpha, side)
                for side in ("left", "right")}
-    return ring, actions, closed
+    return ring, actions
 
 
 def bimodule_ranks(actions, depth):

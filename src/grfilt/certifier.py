@@ -25,9 +25,9 @@ WindowExceeded (an Inconclusive) rather than returning a dossier.
 
 from .fields import QQ
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
-                         induced_quotient_filtration, induced_good_filtration,
-                         intrinsic_module_filtration, equivalence_offset,
-                         WindowExceeded)
+                         two_sided_closure, induced_quotient_filtration,
+                         induced_good_filtration, intrinsic_module_filtration,
+                         equivalence_offset, WindowExceeded)
 from .graded import chain_sides, checked_chain
 from .bimodule import corner_ideal, free_rank
 from .workbench import make
@@ -151,9 +151,11 @@ class ObstructionDossier(Record):
 def _triangular_rank_pair(depth, field):
     """One-sided ranks of the nilpotent ideal over the diagonal image,
     certified on the polynomial model (series truncation cannot carry a
-    rank certificate).  An inconclusive rank raises WindowExceeded; a
-    side that is not free is a failure."""
-    ring, actions, _ = corner_ideal("nilpotent-ideal", depth, field)
+    rank certificate).  Returns the ring, the ideal beta generates (the
+    actions' one carrier) and the two free-rank reports.  An
+    inconclusive rank raises WindowExceeded; a side that is not free is
+    a failure."""
+    ring, actions = corner_ideal("nilpotent-ideal", depth, field)
     left = free_rank(actions["left"], depth)
     right = free_rank(actions["right"], depth)
     verdicts = (left.verdict, right.verdict)
@@ -162,7 +164,7 @@ def _triangular_rank_pair(depth, field):
     if verdicts != ("free", "free"):
         raise ValueError(f"rank pair is not free: left {left.verdict}, "
                          f"right {right.verdict}")
-    return ring, left, right
+    return ring, actions["left"].carrier, left, right
 
 
 def assemble_growth_dossier(case, depth=8, field=QQ, rank_pair=None):
@@ -173,28 +175,27 @@ def assemble_growth_dossier(case, depth=8, field=QQ, rank_pair=None):
         return assemble_two_sided(depth, field)
     if case not in ("ascending", "weak-adic"):
         raise ValueError(f"unknown case {case!r}")
-    ring_poly, left, right = rank_pair or _triangular_rank_pair(depth, field)
+    ring, ideal, left, right = (rank_pair
+                                or _triangular_rank_pair(depth, field))
     s, t = left.rank, right.rank
     ranks = {"left": left, "right": right}
     if case == "ascending":
-        ring = ring_poly
         filt = standard_filtration(ring.pres, depth)
         max_p = depth // 2
     else:
         ring = make("R_prime", degcap=depth + 2, field=field)
         filt = weak_adic_filtration(ring.pres, depth)
+        ideal = two_sided_closure(ring.pres, [ring.el("beta")])
         max_p = (depth - 1) // 2
     diverging_side, matching_side = chain_sides(filt)
     alpha, beta = ring.el("alpha"), ring.el("beta")
-    quo = induced_quotient_filtration(ring.pres, [beta], filt)
-    table = hilbert(quo.filtration)
+    table = hilbert(induced_quotient_filtration(ring.pres, ideal, filt))
     cert = growth_obstruction(table.values, s, t, max_p, case=case)
     # the module generators sit at depths 1 and 2
     gens = [(beta, filt.sign), (alpha * beta, 2 * filt.sign)]
     goods = {sd: induced_good_filtration(filt, gens, sd, name=f"{sd}-good")
              for sd in ("left", "right")}
-    intrinsic = intrinsic_module_filtration(quo.ideal, filt,
-                                            name="intrinsic")
+    intrinsic = intrinsic_module_filtration(ideal, filt, name="intrinsic")
     eq_bound = max((depth - 3) // 2, 1)
     div = equivalence_offset(goods[diverging_side], intrinsic,
                              max_offset=eq_bound)

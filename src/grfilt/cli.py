@@ -31,7 +31,7 @@ from .linspace import Inconclusive, QuotientContext, zero_space
 from .workbench import (make, CATALOG, SERIES_RINGS,
                         staircase_quotient_context, quotient_iso_check)
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
-                         induced_quotient_filtration)
+                         two_sided_closure, induced_quotient_filtration)
 from . import graded, bimodule, certifier, dualizing
 
 EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
@@ -82,13 +82,13 @@ def cmd_hilbert(args):
                     f"{ring.name} has no element {nm!r}; available: "
                     f"{', '.join(sorted(ring.elements))}")
             seeds.append(ring.el(nm))
-        quo = induced_quotient_filtration(ring.pres, seeds, filt)
-        filt = quo.filtration
+        filt = induced_quotient_filtration(
+            ring.pres, two_sided_closure(ring.pres, seeds), filt)
         lines.append(f"quotient by the two-sided ideal of "
                      f"({args.quotient}), exact through degree "
-                     f"{quo.closed_degree}")
+                     f"{ring.pres.closed_degree}")
         payload["quotient"] = {"seeds": args.quotient.split(","),
-                               "closed_degree": quo.closed_degree,
+                               "closed_degree": ring.pres.closed_degree,
                                "filtration": filt.to_json()}
     table = hilbert(filt)
     lines.append("layer dims: " + _fmt_dims(filt.dims()))
@@ -116,11 +116,12 @@ def cmd_gr(args):
 
 
 def cmd_ranks(args):
-    _, actions, closed = bimodule.corner_ideal("corner-ideal", args.depth,
-                                               args.field)
+    ring, actions = bimodule.corner_ideal("corner-ideal", args.depth,
+                                          args.field)
     both = bimodule.bimodule_ranks(actions, args.depth)
     lines = [f"corner ideal of R_2x2 over {args.field.name}, depth "
-             f"{args.depth} (ideal exact through degree {closed})"]
+             f"{args.depth} (ideal exact through degree "
+             f"{ring.pres.closed_degree})"]
     payload = {"ring": "R_2x2", "field": args.field.name, "depth": args.depth,
                "actions_commute": both["actions_commute"], "sides": {}}
     verdicts, refuted = [], []
@@ -248,8 +249,8 @@ def cmd_dualize(args):
 
 
 def cmd_quotient_iso(args):
-    pres, ctx, closed = staircase_quotient_context(make("T", field=args.field),
-                                                   args.degcap)
+    pres, ctx = staircase_quotient_context(make("T", field=args.field),
+                                           args.degcap)
     ring_r = make("R_2x2", degcap=args.degcap, field=args.field)
     plain = QuotientContext(zero_space(ring_r.ambient))
     pairs = [(pres.gen("alpha"), ring_r.el("alpha")),
@@ -258,12 +259,13 @@ def cmd_quotient_iso(args):
     lines = [f"staircase model mod y, then mod (e13, e23), against the "
              f"triangular ring (cap {args.degcap}, words up to length "
              f"{args.max_len})",
-             f"ideal exact through degree {closed}; quotient span "
-             f"{rep.dim_a}, target span {rep.dim_b}, joint {rep.dim_joint}",
+             f"ideal exact through degree {pres.closed_degree}; quotient "
+             f"span {rep.dim_a}, target span {rep.dim_b}, joint "
+             f"{rep.dim_joint}",
              f"consistent with an isomorphism on the word span: "
              f"{rep.consistent}"]
     payload = rep.to_json()
-    payload.update({"closed_degree": closed, "degcap": args.degcap})
+    payload.update(closed_degree=pres.closed_degree, degcap=args.degcap)
     return (EXIT_OK if rep.consistent else EXIT_FAIL), payload, lines
 
 

@@ -69,7 +69,7 @@ def ring_window(ring):
     through products of degree <= cap, because alpha (x^j e12) =
     x^(j+1) e12 and alpha^k = diag(x^k, x^(2k)) has degree 2k.
     """
-    return two_sided_closure(ring.pres, [ring.ambient.one()])[0]
+    return two_sided_closure(ring.pres, [ring.ambient.one()])
 
 
 def _corner_rows(window):

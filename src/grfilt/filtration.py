@@ -11,8 +11,8 @@ weak-adic, the degree of a generator, so depth n is layer sign * n;
 degrees are the window's ring-side indices, the n with sign * n >= 0; and
 known(n) holds in the window and past its outer edge, where an ascending
 filtration is zero (below lo) and a weak-adic one is R (above 0).  Every
-other reader takes these; only hilbert and the input dispatchers name a
-kind.  A Filtration takes no ambient: it reads its layers'.
+other reader takes these; only the input dispatchers name a kind.  A
+Filtration takes no ambient: it reads its layers'.
 
 Layers are grown, not rebuilt.  The standard layers satisfy
 
@@ -30,15 +30,17 @@ weak-adic powers satisfy m^i = span(m^{i-1} G); see weak_adic_filtration.
 
 Layers outside the computed window are reported honestly: below an
 ascending window they are zero, above it (or below a weak-adic window) the
-accessor raises WindowExceeded rather than guessing.  Quotient layers that
-would need ideal saturation beyond the trusted degree raise
-TruncationError; rebuild with a larger degree cap.
+accessor raises WindowExceeded rather than guessing.  An ideal is a plain
+Subspace; quotient layers that would need it saturated past the
+presentation's closed_degree raise TruncationError; rebuild with a
+larger degree cap.
 """
 
 from functools import cached_property
 
 from .linspace import (span, zero_space, intersect, quotient_dim,
-                       QuotientContext, DegreeOverflowError, Inconclusive)
+                       subspace_product, QuotientContext,
+                       DegreeOverflowError, Inconclusive)
 from .record import Record
 
 
@@ -64,6 +66,16 @@ class AlgebraPresentation(Record):
     def gen_rows(self):
         """The generators as kernel rows, encoded once."""
         return [self.ambient.encode_sparse(g) for _, g in self.gens]
+
+    @cached_property
+    def closed_degree(self):
+        """The degree through which a two-sided closure inside the cap is
+        exact (see two_sided_closure): the cap less the top generator
+        degree, or the whole cap in series mode."""
+        amb = self.ambient
+        if amb.series:
+            return amb.degcap
+        return amb.degcap - max(map(amb.degree, self.gen_rows))
 
     def times_gens(self, row):
         """The products row g of a kernel row by the generator rows g."""
@@ -147,7 +159,7 @@ def hilbert(filt):
     Ascending: H(n) = dim Gamma_n.  Weak-adic: H(n) = dim Gamma_0/Gamma_{-n},
     so H(0) = 0 and H grows with the codimension of the ideal powers.
     """
-    if filt.kind == "ascending":
+    if filt.sign > 0:
         vals = [filt.layer(n).dim for n in range(filt.hi + 1)]
     else:
         vals = [quotient_dim(filt.layer(0), filt.layer(-n))
@@ -197,12 +209,6 @@ def full_span(pres):
                     pres.times_gens)
 
 
-def _times_gens(pres, sub):
-    """span(sub G), the products of its basis and generator rows."""
-    return zero_space(pres.ambient).extend(
-        r for b in sub.basis_rows() for r in pres.times_gens(b))
-
-
 def weak_adic_filtration(pres, depth):
     """Gamma_0 = R, Gamma_{-i} = m^i where m is the two-sided ideal
     generated by the presentation's generators.
@@ -213,9 +219,9 @@ def weak_adic_filtration(pres, depth):
 
         m^i = m^{i-1} m = (m^{i-1} R) G = span(m^{i-1} G),
 
-    multiplying by the generators and not by the whole basis of m.  The
-    first, m^2 = span(m G), is also checked to lie in m; only an engine
-    fault can fail that check, which raises ValueError.
+    the subspace_product of m^{i-1} and span(G), so not by the whole
+    basis of m.  The first, m^2 = span(m G), is also checked to lie in m;
+    only an engine fault can fail that check, which raises ValueError.
 
     The series window models a ring whose powers m^i never vanish, so a
     zero m^i with i <= depth is the truncation speaking: the window is
@@ -226,13 +232,14 @@ def weak_adic_filtration(pres, depth):
     if not amb.series:
         raise ValueError("weak-adic filtrations need a series ambient")
     ring = full_span(pres)
-    m1 = _times_gens(pres, ring)
-    m2 = _times_gens(pres, m1)
+    gens = zero_space(amb).extend(pres.gen_rows)
+    m1 = subspace_product(ring, gens)
+    m2 = subspace_product(m1, gens)
     if not m1.contains(m2):
         raise ValueError("generated left ideal is not two-sided")
     powers = [ring, m1, m2]
     while len(powers) <= depth:
-        powers.append(_times_gens(pres, powers[-1]))
+        powers.append(subspace_product(powers[-1], gens))
     # the window is -depth..0, so depth 0 keeps only R
     layers = {-i: powers[i] for i in range(depth + 1)}
     zero = [i for i in range(1, depth + 1) if not layers[-i].dim]
@@ -247,18 +254,17 @@ def weak_adic_filtration(pres, depth):
 def two_sided_closure(pres, seeds):
     """Two-sided ideal generated by the seed matrices, as a subspace.
 
-    Returns (ideal, closed_degree).  The ideal is the _closure of the
-    seeds under m -> g m, m g over the generator rows g, skipping products
-    that would exceed the degree cap, so it is exact only through
-    closed_degree = degcap - max generator degree (everything in series
-    mode); it is a genuine subset of the ideal in all degrees.  Exactness
-    through closed_degree additionally needs the ideal to be spanned
-    degreewise by generator-times-word products of no larger degree, which
-    holds for the monomial-shaped ideals this toolkit works with.
+    The ideal is the _closure of the seeds under m -> g m, m g over the
+    generator rows g, skipping products that would exceed the degree cap,
+    so it is exact only through pres.closed_degree = degcap - max
+    generator degree (everything in series mode); it is a genuine subset
+    of the ideal in all degrees.  Exactness through closed_degree
+    additionally needs the ideal to be spanned degreewise by
+    generator-times-word products of no larger degree, which holds for
+    the monomial-shaped ideals this toolkit works with.
     """
     amb = pres.ambient
     gens = pres.gen_rows
-    gmax = max(amb.degree(g) for g in gens)
 
     def step(m):
         for g in gens:
@@ -267,35 +273,29 @@ def two_sided_closure(pres, seeds):
                     yield amb.mul(left, right)
                 except DegreeOverflowError:
                     pass
-    closed_degree = amb.degcap if amb.series else amb.degcap - gmax
-    return _closure(span(amb, seeds), step), closed_degree
+    return _closure(span(amb, seeds), step)
 
 
-class QuotientFiltration(Record):
-    fields = ("filtration", "ideal", "closed_degree")
-
-
-def induced_quotient_filtration(pres, seeds, base):
-    """Image of the filtration base of R in R/(two-sided ideal of seeds),
-    on base's window lo..hi and of base's kind.
+def induced_quotient_filtration(pres, ideal, base):
+    """Image of the filtration base of R in R/ideal, on base's window
+    lo..hi and of base's kind; ideal is a two-sided ideal of R, as
+    two_sided_closure(pres, seeds) returns it.
 
     Layer images are canonical representatives inside the same ambient.  A
-    layer whose basis reaches beyond the ideal's trusted degree raises
+    layer whose basis reaches beyond pres.closed_degree raises
     TruncationError rather than reporting an unreliable dimension.
     """
-    ideal, closed_degree = two_sided_closure(pres, seeds)
     ctx = QuotientContext(ideal)
     layers = {}
     for n in range(base.lo, base.hi + 1):
         lay = base.layer(n)
-        if lay.maxdeg() > closed_degree:
+        if lay.maxdeg() > pres.closed_degree:
             raise TruncationError(
                 f"quotient layer {n} reaches degree {lay.maxdeg()} but the "
-                f"ideal is only saturated through degree {closed_degree}; "
-                f"rebuild with a larger degree cap")
+                f"ideal is only saturated through degree "
+                f"{pres.closed_degree}; rebuild with a larger degree cap")
         layers[n] = ctx.image(lay)
-    out = Filtration(base.kind, layers, name=f"quotient:{pres.name}")
-    return QuotientFiltration(out, ideal, closed_degree)
+    return Filtration(base.kind, layers, name=f"quotient:{pres.name}")
 
 
 def induced_good_filtration(ring_filt, generators, side, name=""):

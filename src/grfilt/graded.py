@@ -1,14 +1,16 @@
 """Associated graded of a filtration, truncated to the computed window.
 
-The degree-m piece is Gamma_m / Gamma_{m-1}.  Cosets are represented by
-canonical coordinates: reduce a layer element's kernel row against the
-echelon of the layer below, and read the remainder's entries at the
-pivots of that layer's echelon complement.  Two elements of the same
-coset always produce identical coordinates, so piece arithmetic is exact.
-The coordinates are a kernel row {i: c}, and GrElement.coords holds the
-same row frozen as its (i, c) pairs sorted by i, every c nonzero (ints
-or Fractions in lowest form over Q, ints in [0, p) over F_p); equal
-cosets have equal GrElements, and dict(el.coords) is the row again.
+The degree-m piece is Gamma_m / Gamma_{m-1}.  A coset is its canonical
+representative row, exactly as QuotientContext represents one: the
+residual of a layer element's kernel row modulo the echelon of the layer
+below, which is cleared at that layer's pivots and so is a combination
+of the rows of the piece's complement section (whose rows are the
+piece's basis cosets).  Two elements of the same coset always produce
+the same row, so piece arithmetic is exact.  GrElement.coords holds
+that row frozen as its (column, c) pairs sorted by column, every c
+nonzero (ints or Fractions in lowest form over Q, ints in [0, p) over
+F_p); equal cosets have equal GrElements, and dict(el.coords) is the
+row again.
 
 Products of pieces land in the piece at the summed degree.  Asking for a
 product outside the window raises WindowExceeded rather than truncating.
@@ -17,8 +19,8 @@ There are two product paths with equal values.  lift_mul is the
 definition: lift both cosets to their canonical representative matrices,
 multiply them as matrices (PolyMatrix's own product), and take the class
 of the product.  mul stays on kernel rows: it multiplies the two
-canonical representative rows once with Ambient.mul and takes the coset
-of the product.  Nothing is cached, so a GradedTrunc never changes once
+representative rows once with Ambient.mul and takes the coset of the
+product.  Nothing is cached, so a GradedTrunc never changes once
 built.
 
 ideal_chain_witness builds its ideals with mul and grows one echelon per
@@ -28,7 +30,7 @@ producer cannot vouch for itself: a certificate is rechecked by a path
 other than the one that produced it, down to the product of the ring.
 """
 
-from .linalg import combine_rows, insert_row, reduce_row
+from .linalg import insert_row, reduce_row
 from .linspace import complement_section
 from .filtration import WindowExceeded
 from .record import Record
@@ -61,8 +63,8 @@ class GradedTrunc:
         return {m: self.sections[m].dim for m in self.degrees}
 
     def piece_basis(self, m):
-        one = self.ambient.field.one
-        return [self._element(m, {i: one}) for i in range(self.piece(m).dim)]
+        """The basis cosets of piece m: its complement section's rows."""
+        return [self._element(m, r) for r in self.piece(m).basis_rows()]
 
     def class_of(self, mat, m):
         """Coset of a layer-m element in the degree-m piece."""
@@ -70,27 +72,20 @@ class GradedTrunc:
             self.ambient.encode_sparse(mat), m))
 
     def _coset(self, row, m):
-        """Coset coordinates {i: c} in piece m of a layer-m kernel row:
-        its remainder modulo layer m - 1 is the combination of the
-        complement's rows with its own entries at their pivots."""
+        """The coset in piece m of a layer-m kernel row: its residual
+        modulo layer m - 1."""
         if self.filt.layer(m).residual(row):
             raise ValueError(f"element does not lie in layer {m}")
-        rem = self.filt.layer(m - 1).residual(row)
-        return {i: rem[q] for i, q in enumerate(self.piece(m).pivots)
-                if q in rem}
+        self.piece(m)
+        return self.filt.layer(m - 1).residual(row)
 
     def _element(self, m, row):
         return GrElement(m, tuple(sorted(row.items())))
 
-    def _rep(self, el):
-        """Canonical representative of a coset, as a kernel row."""
-        sec = self.piece(el.degree)
-        return combine_rows({sec.pivots[i]: c for i, c in el.coords},
-                            sec.echelon, self._p)
-
     def lift(self, el):
         """Canonical representative matrix of a coset."""
-        return self.ambient.decode_sparse(self._rep(el))
+        self.piece(el.degree)
+        return self.ambient.decode_sparse(dict(el.coords))
 
     def lift_mul(self, e1, e2):
         """Product by definition: lift, multiply the matrices, reduce.
@@ -104,8 +99,8 @@ class GradedTrunc:
         Ambient.mul (same values as lift_mul)."""
         target = e1.degree + e2.degree
         self.piece(target)
-        return self._element(target, self._coset(
-            self.ambient.mul(self._rep(e1), self._rep(e2)), target))
+        return self._element(target, self._coset(self.ambient.mul(
+            dict(e1.coords), dict(e2.coords)), target))
 
     def generator_classes(self, pres):
         """Principal symbols of the presentation's generators."""

@@ -20,7 +20,8 @@ joint_kernel is the one kernel route: it inserts the joint rows (a_i,
 b_i), split one past the last column of any a_i, into one insert_row
 echelon and reads the canonical echelon of {sum c_i b_i : sum c_i a_i =
 0} off the rows whose pivot lies in the second part.  joint_row and
-split_joint are the one place that knows the joint-row layout.
+split_joint know the joint-row layout; SpanTracker's tag columns are the
+one other place that writes it, by hand.
 
 The echelon insert_row keeps is the canonical reduced row echelon form
 (pivot entries 1, pivot columns cleared), which is what makes Subspace

@@ -309,10 +309,9 @@ def staircase_quotient_context(ring_t, degcap):
     """Quotient of T0 (staircase_mod_y) by the two-sided ideal generated
     by e13 and e23.
 
-    Returns (presentation of T0, quotient context, closed_degree); the
-    ideal is the context's ctx.ideal.
+    Returns (presentation of T0, quotient context); the ideal is the
+    context's ctx.ideal, exact through pres.closed_degree.
     """
     pres = staircase_mod_y(ring_t, degcap)
-    ideal, closed = two_sided_closure(
-        pres, [pres.gen("e13"), pres.gen("e23")])
-    return pres, QuotientContext(ideal), closed
+    return pres, QuotientContext(two_sided_closure(
+        pres, [pres.gen("e13"), pres.gen("e23")]))

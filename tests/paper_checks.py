@@ -114,8 +114,8 @@ def verify_filtration_axioms(filt):
 
 def check_relation(gr, classes, word_a, word_b=None):
     """Whether two words in the symbols agree (or word_a vanishes).
-    Coset coordinates are canonical, so agreeing is being equal, and the
-    zero coset is the one with no coordinates."""
+    Coset rows are canonical, so agreeing is being equal, and the zero
+    coset is the empty row."""
     ea = gr.word(classes, list(word_a))
     if word_b is None:
         return not ea.coords

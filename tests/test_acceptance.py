@@ -31,7 +31,7 @@ RIGHT_PATTERNS = (((), "alpha", ()), (("beta",), "alpha", ()),
 
 def test_1_corner_ideal_is_free_of_rank_one_left_and_two_right():
     ring = make("R_2x2", degcap=18)
-    carrier, _ = two_sided_closure(ring.pres, [ring.el("beta")])
+    carrier = two_sided_closure(ring.pres, [ring.el("beta")])
     expected = {"left": 1, "right": 2}
     for side in ("left", "right"):
         action = ModuleAction(f"corner-ideal:{side}", carrier,
@@ -60,8 +60,9 @@ def test_3_hilbert_values_match_the_independent_oracle():
     vals = list(hilbert(filt).values)
     assert vals == [1] + [3 * n for n in range(1, 13)]
     assert vals == oracle.r2x2_standard_dims(12)
-    quo = induced_quotient_filtration(ring.pres, [ring.el("beta")], filt)
-    qvals = list(hilbert(quo.filtration).values)
+    quo = induced_quotient_filtration(
+        ring.pres, two_sided_closure(ring.pres, [ring.el("beta")]), filt)
+    qvals = list(hilbert(quo).values)
     assert qvals == [n + 1 for n in range(13)]
     assert qvals == oracle.r2x2_quotient_dims(12)
 
@@ -81,9 +82,10 @@ def test_4_graded_relations_hold_and_three_families_span():
 def test_5_growth_obstruction_certified_for_every_offset_through_ten():
     ring = make("R_2x2", degcap=44)
     filt = standard_filtration(ring.pres, 21)
-    quo = induced_quotient_filtration(ring.pres, [ring.el("beta")], filt)
-    assert quo.closed_degree >= 2 * 21
-    vals = list(hilbert(quo.filtration).values)
+    quo = induced_quotient_filtration(
+        ring.pres, two_sided_closure(ring.pres, [ring.el("beta")]), filt)
+    assert ring.pres.closed_degree >= 2 * 21
+    vals = list(hilbert(quo).values)
     assert vals == [n + 1 for n in range(22)]
     cert = growth_obstruction(vals, 1, 2, 10)
     assert hasattr(cert, "rows")
@@ -133,7 +135,7 @@ def test_7_dualizing_chain_verifies_and_the_perturbed_control_aborts():
 
 def test_8_staircase_quotient_matches_the_triangular_ring():
     ring_t = make("T")
-    pres, ctx, closed = staircase_quotient_context(ring_t, degcap=12)
+    pres, ctx = staircase_quotient_context(ring_t, degcap=12)
     ring_r = make("R_2x2", degcap=12)
     pairs = [(pres.gen("alpha"), ring_r.el("alpha")),
              (pres.gen("e12"), ring_r.el("beta"))]

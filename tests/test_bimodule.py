@@ -38,7 +38,7 @@ def torsion_window_reference(action, max_power):
 
 @pytest.fixture(scope="module")
 def corner():
-    ring, actions, _ = corner_ideal("corner", 8, QQ)
+    ring, actions = corner_ideal("corner", 8, QQ)
     assert ring.ambient.degcap == 18
     return ring, actions
 
@@ -53,7 +53,7 @@ def test_an_action_reads_its_ambient_off_its_carrier(corner):
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=str)
 def test_corner_ideal_is_one_actor_on_one_carrier_from_both_sides(field):
-    ring, actions, _ = corner_ideal("corner", 6, field)
+    ring, actions = corner_ideal("corner", 6, field)
     left, right = actions["left"], actions["right"]
     assert (left.name, left.side) == ("corner:left", "left")
     assert (right.name, right.side) == ("corner:right", "right")
@@ -146,7 +146,7 @@ def test_has_kernel_reads_the_power_one_torsion_window(field):
     for cap in (4, 9, 14):
         ring = make("R_2x2", degcap=cap, field=field)
         amb = ring.ambient
-        carrier, _ = two_sided_closure(ring.pres, [ring.el("beta")])
+        carrier = two_sided_closure(ring.pres, [ring.el("beta")])
         for space in (carrier, ring_window(ring)):
             for actor in ("alpha", "beta"):
                 for side in ("left", "right"):
@@ -169,7 +169,7 @@ def test_slope_probe_shows_twist_factor(corner):
 @pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=str)
 def test_slope_table_counts_each_degree_cut(field):
     # depth runs past the window's cap, where every cut is the carrier
-    ring, actions, _ = corner_ideal("corner", 10, field)
+    ring, actions = corner_ideal("corner", 10, field)
     depth = ring.ambient.degcap + 2
     for side in ("left", "right"):
         action = actions[side]
@@ -200,7 +200,7 @@ def test_a_goldie_family_is_kernel_rows_of_the_carrier(corner):
 
 def test_goldie_refuses_series_mode():
     ring = make("R_prime")
-    carrier, _ = two_sided_closure(ring.pres, [ring.el("beta")])
+    carrier = two_sided_closure(ring.pres, [ring.el("beta")])
     act = ModuleAction("series-corner", carrier,
                        ring.el("alpha"), "right")
     with pytest.raises(ValueError, match="polynomial mode"):
@@ -382,7 +382,7 @@ def test_goldie_verifier_refuses_a_family_not_direct_or_not_essential(
         side, field):
     # the verifier tests by the dimension of a sum what the intersections
     # tested; every forged family is refused by both
-    ring, actions, _ = corner_ideal("corner", 8, field)
+    ring, actions = corner_ideal("corner", 8, field)
     act = actions[side]
     rep = goldie_rank(act, 8)
     first = rep.family[0]

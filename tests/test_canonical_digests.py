@@ -110,7 +110,7 @@ def spaces_of(what, n, fld):
         return {0: full_span(make(words[1], degcap=n, field=fld).pres)}
     if words[0] == "closure":
         ring = make(words[2], degcap=n, field=fld)
-        ideal, _ = two_sided_closure(ring.pres, [ring.el(words[1])])
+        ideal = two_sided_closure(ring.pres, [ring.el(words[1])])
         return {0: ideal}
     return sized_filtration(what, n, fld).layers
 

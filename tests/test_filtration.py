@@ -4,9 +4,12 @@ Dimension literals were frozen from the brute-force word-span oracle
 (tests/oracle.py) before this suite was written.
 """
 
+import random
+
 import pytest
 
-from grfilt.workbench import make
+from grfilt.fields import QQ, PrimeField
+from grfilt.workbench import make, staircase_mod_y
 from grfilt.filtration import (standard_filtration, weak_adic_filtration,
                                hilbert, two_sided_closure, full_span,
                                induced_quotient_filtration,
@@ -14,7 +17,8 @@ from grfilt.filtration import (standard_filtration, weak_adic_filtration,
                                intrinsic_module_filtration,
                                equivalence_offset, Filtration,
                                TruncationError, WindowExceeded)
-from grfilt.linspace import DegreeOverflowError, span, zero_space
+from grfilt.linspace import (DegreeOverflowError, restrict_degree, span,
+                             zero_space)
 from paper_checks import is_good, verify_filtration_axioms
 
 
@@ -34,18 +38,20 @@ def test_hilbert_reads_its_depth_from_the_window(ring_r, rprime, depth):
             (ring_r.pres, standard_filtration(ring_r.pres, depth)),
             (rprime.pres, weak_adic_filtration(rprime.pres, depth))):
         assert (-filt.lo, filt.hi) in ((0, depth), (depth, 0))
-        quo = induced_quotient_filtration(pres, [pres.gen("beta")], filt)
+        quo = induced_quotient_filtration(
+            pres, two_sided_closure(pres, [pres.gen("beta")]), filt)
         assert len(hilbert(filt).values) == depth + 1
-        assert len(hilbert(quo.filtration).values) == depth + 1
+        assert len(hilbert(quo).values) == depth + 1
 
 
 def test_quotient_of_a_weak_adic_base_keeps_its_window(rprime, adic10):
-    quo = induced_quotient_filtration(rprime.pres, [rprime.el("beta")],
-                                      adic10)
-    assert quo.filtration.kind == "weak-adic"
-    assert (quo.filtration.lo, quo.filtration.hi) == (-10, 0)
+    quo = induced_quotient_filtration(
+        rprime.pres, two_sided_closure(rprime.pres, [rprime.el("beta")]),
+        adic10)
+    assert quo.kind == "weak-adic"
+    assert (quo.lo, quo.hi) == (-10, 0)
     # R_prime mod its corner is k[[x]]: H(n) = n
-    assert list(hilbert(quo.filtration).values) == list(range(11))
+    assert list(hilbert(quo).values) == list(range(11))
 
 
 def test_layer_outside_window(filt12):
@@ -55,26 +61,74 @@ def test_layer_outside_window(filt12):
 
 
 def test_quotient_filtration_dims(ring_r, filt12):
-    quo = induced_quotient_filtration(ring_r.pres, [ring_r.el("beta")],
-                                      filt12)
-    assert list(quo.filtration.dims().values()) == list(range(1, 14))
-    assert quo.closed_degree == 24
+    quo = induced_quotient_filtration(
+        ring_r.pres, two_sided_closure(ring_r.pres, [ring_r.el("beta")]),
+        filt12)
+    assert list(quo.dims().values()) == list(range(1, 14))
+    assert ring_r.pres.closed_degree == 24
 
 
 def test_quotient_truncation_is_refused():
     ring = make("R_2x2", degcap=8)
     # layer 4 of the standard filtration reaches degree 8 > closed 6
     with pytest.raises(TruncationError):
-        induced_quotient_filtration(ring.pres, [ring.el("beta")],
-                                    standard_filtration(ring.pres, 4))
+        induced_quotient_filtration(
+            ring.pres, two_sided_closure(ring.pres, [ring.el("beta")]),
+            standard_filtration(ring.pres, 4))
 
 
 def test_two_sided_closure_of_corner(ring_r):
-    ideal, closed = two_sided_closure(ring_r.pres, [ring_r.el("beta")])
-    assert closed == 24
+    ideal = two_sided_closure(ring_r.pres, [ring_r.el("beta")])
+    assert ring_r.pres.closed_degree == 24
     # all corner polynomials up to the cap: beta, alpha*beta, beta*alpha, ...
     assert ideal.dim == ring_r.ambient.degcap + 1
     assert ideal.member(ring_r.el("xe12"))
+
+
+def test_closed_degree_is_derived_from_the_presentation(ring_r, rprime):
+    # the cap less the top generator degree (alpha's 2), or the whole cap
+    # of a series window
+    assert ring_r.pres.closed_degree == 26 - 2
+    assert rprime.pres.closed_degree == rprime.ambient.degcap
+    with pytest.raises(TypeError):
+        ring_r.pres.replace(closed_degree=26)
+
+
+POLYNOMIAL_ROWS = ("R_2x2", "R_perturbed", "S", "T", "C_diag")
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=str)
+@pytest.mark.parametrize("cap", (6, 9))
+def test_closure_is_exact_through_the_closed_degree(fld, cap):
+    """Inside cap, the two-sided closure agrees degree by degree, through
+    pres.closed_degree, with the closure of the same seeds at cap + 6:
+    one named element sampled per polynomial-mode row, and T0 (the
+    staircase mod y) with e13, e23.  Series rows are left out: there the
+    closure is the ideal of the truncated ring R/x^(cap+1), whose degree
+    cuts need not match a wider window's.  On these rows the two closures
+    agree through the whole cap (every element, both caps, both fields),
+    so this pins the claim but cannot catch a closed degree that is too
+    large."""
+    rng = random.Random(f"{fld.name}:{cap}")
+    cases = []
+    for name in POLYNOMIAL_ROWS:
+        narrow, wide = (make(name, degcap=c, field=fld)
+                        for c in (cap, cap + 6))
+        el = rng.choice(sorted(narrow.elements))
+        cases.append((narrow.pres, [narrow.el(el)], wide.pres,
+                      [wide.el(el)]))
+    narrow, wide = (staircase_mod_y(make("T", field=fld), c)
+                    for c in (cap, cap + 6))
+    cases.append((narrow, [narrow.gen("e13"), narrow.gen("e23")],
+                  wide, [wide.gen("e13"), wide.gen("e23")]))
+    for narrow, seeds, wide, wide_seeds in cases:
+        assert narrow.closed_degree == cap - 2
+        ideals = (two_sided_closure(narrow, seeds),
+                  two_sided_closure(wide, wide_seeds))
+        dims = [[restrict_degree(ideal, d).dim
+                 for d in range(narrow.closed_degree + 1)]
+                for ideal in ideals]
+        assert dims[0] == dims[1], (narrow.name, seeds)
 
 
 @pytest.mark.parametrize("name, cap, depth", [
@@ -183,7 +237,7 @@ def test_good_filtration_divergence(ring_r, filt12):
     the intrinsic one, with no uniform catch-up offset in the window."""
     beta = ring_r.el("beta")
     albe = ring_r.el("alpha") * beta
-    carrier, _ = two_sided_closure(ring_r.pres, [beta])
+    carrier = two_sided_closure(ring_r.pres, [beta])
     gens = [(beta, 1), (albe, 2)]
     left = induced_good_filtration(filt12, gens, "left",
                                    name="left-good")

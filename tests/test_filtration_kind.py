@@ -211,7 +211,7 @@ def module_filtrations(ring, filt):
     beta = ring.el("beta")
     sign = 1 if filt.kind == "ascending" else -1
     gens = [(beta, sign), (ring.el("alpha") * beta, 2 * sign)]
-    ideal, _ = two_sided_closure(ring.pres, [beta])
+    ideal = two_sided_closure(ring.pres, [beta])
     new = {sd: induced_good_filtration(filt, gens, sd, name=f"{sd}-good")
            for sd in ("left", "right")}
     new["intrinsic"] = intrinsic_module_filtration(ideal, filt,

@@ -10,7 +10,7 @@ from grfilt.filtration import (WindowExceeded, standard_filtration,
                                weak_adic_filtration)
 from grfilt.graded import (GradedTrunc, GrElement, ideal_chain_witness,
                            verify_chain_report, ChainReport, chain_words)
-from grfilt.linalg import dense_row, reduce_by_rref, rref
+from grfilt.linalg import combine_rows, dense_row, reduce_by_rref, rref
 from grfilt.workbench import make
 from paper_checks import (check_relation, rees_dims, sandwich_zero_sweep,
                           spanning_check)
@@ -57,6 +57,16 @@ def test_product_outside_window_raises(gr12, classes12):
     deep = gr12.word(classes12, ["alpha"] * 12)
     with pytest.raises(WindowExceeded):
         gr12.mul(deep, classes12["alpha"])
+
+
+def test_lift_outside_the_window_raises(gr12, classes12):
+    # a coset of the top piece carried to the degree past the window
+    top = gr12.word(classes12, ["alpha"] * 12)
+    assert gr12.filt.layer(12).member(gr12.lift(top))
+    with pytest.raises(WindowExceeded):
+        gr12.lift(top.replace(degree=13))
+    with pytest.raises(WindowExceeded):
+        gr12.lift(top.replace(degree=-1))
 
 
 def test_piece_outside_an_empty_window_raises(rprime):
@@ -144,10 +154,13 @@ def test_classes_hash_and_match_products(gr12, classes12, ring_r):
 
 # ---------------------------------------- product table against lifting
 
-def coset(m, values):
-    """The GrElement of piece m with dense coordinates values: its coords
-    are the (index, value) pairs of the nonzero values, sorted."""
-    return GrElement(m, tuple((i, c) for i, c in enumerate(values) if c))
+def coset(gr, m, values):
+    """The GrElement of piece m with coefficients values on its basis
+    cosets: the combination of the complement section's rows, frozen as
+    its (column, value) pairs, sorted."""
+    row = combine_rows({i: c for i, c in enumerate(values) if c},
+                       gr.piece(m).basis_rows(), gr.ambient.field.p)
+    return GrElement(m, tuple(sorted(row.items())))
 
 
 @lru_cache(maxsize=None)
@@ -168,8 +181,8 @@ def coset_pairs(draw):
 
     def draw_coset():
         m = draw(st.sampled_from(gr.degrees))
-        return coset(m, [fld.of(draw(st.integers(-3, 3)))
-                         for _ in range(gr.piece(m).dim)])
+        return coset(gr, m, [fld.of(draw(st.integers(-3, 3)))
+                             for _ in range(gr.piece(m).dim)])
     return gr, draw_coset(), draw_coset()
 
 
@@ -196,8 +209,8 @@ def coset_families(draw):
     gr = small_gr(draw(st.sampled_from(("Q", "Fp:101"))),
                   draw(st.sampled_from(("standard", "weak-adic"))))
     fld = gr.ambient.field
-    return gr, [coset(m, [fld.of(draw(st.integers(-60, 60)))
-                          for _ in range(gr.piece(m).dim)])
+    return gr, [coset(gr, m, [fld.of(draw(st.integers(-60, 60)))
+                              for _ in range(gr.piece(m).dim)])
                 for m in gr.degrees]
 
 
@@ -228,7 +241,7 @@ def rebuilt_pieces(gr, gens, side):
                 prod = gr.lift_mul(u, g) if side == "left" \
                     else gr.lift_mul(g, u)
                 vecs.append(dense_row(dict(prod.coords),
-                                      gr.piece(m).dim, gr.ambient.field))
+                                      gr.ambient.dim, gr.ambient.field))
         if vecs:
             rows, pivots = rref(vecs, gr.ambient.field)
         else:
@@ -246,8 +259,7 @@ def rebuilt_chain(gr, classes, words, side):
         if k > 0:
             rows, pivots = prev[gens[k].degree]
             fld = gr.ambient.field
-            vec = dense_row(dict(gens[k].coords),
-                            gr.piece(gens[k].degree).dim, fld)
+            vec = dense_row(dict(gens[k].coords), gr.ambient.dim, fld)
             if not any(reduce_by_rref(vec, rows, pivots, fld)):
                 strict = False
             else:

@@ -119,13 +119,13 @@ def test_ideal_closure_matches_the_frontier_loop(name, fld):
     ring = make(name, field=fld)
     # the staircase ring's 78 paired seeds are compared over F_101 only
     for seeds in seed_sets(ring, pairs=name != "T" or fld.p == 101):
-        assert (two_sided_closure(ring.pres, seeds)
+        assert ((two_sided_closure(ring.pres, seeds),
+                 ring.pres.closed_degree)
                 == closure_reference(ring.pres, seeds))
 
 
 def _staircase_quotients(cap, fld):
-    pres, ctx, _ = staircase_quotient_context(make("T", field=fld),
-                                              degcap=cap)
+    pres, ctx = staircase_quotient_context(make("T", field=fld), degcap=cap)
     r = make("R_2x2", degcap=cap, field=fld)
     right = [(pres.gen("alpha"), r.el("alpha")),
              (pres.gen("e12"), r.el("beta"))]

@@ -33,7 +33,7 @@ FLD = AMB.field
 FILT = standard_filtration(RING.pres, 12)
 GR = GradedTrunc(FILT)
 HVALS = list(hilbert(FILT).values)
-CORNER, _ = two_sided_closure(RING.pres, [RING.el("beta")])
+CORNER = two_sided_closure(RING.pres, [RING.el("beta")])
 
 # pool of carrier seeds and actors for the random-action family; degrees
 # stay small so power orbits run long before hitting the degree cap

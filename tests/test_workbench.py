@@ -147,7 +147,7 @@ def test_staircase_mod_y_presents_three_nilpotents():
 
 def test_quotient_iso_holds_on_word_span():
     ring_t = make("T")
-    pres, ctx, closed = staircase_quotient_context(ring_t, degcap=12)
+    pres, ctx = staircase_quotient_context(ring_t, degcap=12)
     r = make("R_2x2", degcap=12)
     rep = quotient_iso_check(
         ctx, QuotientContext(zero_space(r.ambient)),
@@ -159,7 +159,7 @@ def test_quotient_iso_holds_on_word_span():
 
 def test_quotient_iso_detects_wrong_pairing():
     ring_t = make("T")
-    pres, ctx, closed = staircase_quotient_context(ring_t, degcap=12)
+    pres, ctx = staircase_quotient_context(ring_t, degcap=12)
     r = make("R_2x2", degcap=12)
     rep = quotient_iso_check(
         ctx, QuotientContext(zero_space(r.ambient)),
@@ -170,10 +170,9 @@ def test_quotient_iso_detects_wrong_pairing():
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=str)
 def test_staircase_quotient_reads_the_field_of_its_ring(fld):
-    pres, ctx, closed = staircase_quotient_context(make("T", field=fld),
-                                                   degcap=12)
+    pres, ctx = staircase_quotient_context(make("T", field=fld), degcap=12)
     assert pres.ambient.field == ctx.ambient.field == fld
-    assert closed == 10
+    assert pres.closed_degree == 10
     r = make("R_2x2", degcap=12, field=fld)
     rep = quotient_iso_check(
         ctx, QuotientContext(zero_space(r.ambient)),

@@ -27,7 +27,8 @@ FIELDS = ("Q", "Fp:101", "Fp:2147483629", "Fp:7")
 # C_diag and R_hat lack, whose usage error lists the ring's elements, and
 # the weak-adic windows of depth 0 and 1, which keep no m^2 layer; then
 # polynomial windows sized from depth 0 and 1, where the cap is the slack
-# alone or one generator degree plus slack 2 or 4
+# alone or one generator degree plus slack 2 or 4; then graded cosets on
+# the 3x3 staircase over k[x,y] and on R_hat, off R_2x2 and R_prime
 EDGE_JOBS = (
     "chain --side right --steps 4",
     "chain --kind weak-adic --side left --steps 4",
@@ -58,6 +59,8 @@ EDGE_JOBS = (
     "hilbert --ring T --depth 0",
     "hilbert --ring S --depth 1",
     "hilbert --ring R_2x2 --depth 1 --quotient beta",
+    "gr --ring T --depth 3",
+    "gr --ring R_hat --kind weak-adic --depth 5",
 )
 # reads a JSON list of argvs on stdin, writes [code, stdout sha256,
 # stderr sha256] for each

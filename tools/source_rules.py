@@ -168,11 +168,11 @@ def exact_arithmetic(src):
 def filtration_kind(src):
     """A filtration's kind is read in one place: class Filtration gives
     sign, degrees and known, so no src/ code compares a value with
-    "ascending" or "weak-adic" outside that class, filtration.hilbert
-    (which measures the two kinds differently) and the two input
+    "ascending" or "weak-adic" outside that class and the two input
     dispatchers, cli._base_filtration and
-    certifier.assemble_growth_dossier."""
-    allowed = {("filtration", "Filtration"), ("filtration", "hilbert"),
+    certifier.assemble_growth_dossier; filtration.hilbert branches on
+    sign."""
+    allowed = {("filtration", "Filtration"),
                ("cli", "_base_filtration"),
                ("certifier", "assemble_growth_dossier")}
     return [f"{p}:{n.lineno}: compares a filtration kind"
