@@ -19,14 +19,18 @@ Layers are grown, not rebuilt.  The standard layers satisfy
     Gamma_n = Gamma_{n-1} + C_{n-1} G,
 
 where G is the generator set and C_{n-1} the canonical basis rows of
-Gamma_{n-1} whose pivots Gamma_{n-2} lacks: Gamma_{n-1} is Gamma_{n-2}
-plus the span of C_{n-1}, and Gamma_{n-2} G already lies in Gamma_{n-1}.
-So each layer multiplies only the new part of the one before and inserts
-the products into a copy of that layer's sparse echelon.  The same rule,
-repeated by _closure until a round adds nothing, grows the word span
-(full_span) and the two-sided ideal of seeds (two_sided_closure, whose
-step multiplies by G on both sides and skips products past the cap).  The
-weak-adic powers satisfy m^i = span(m^{i-1} G); see weak_adic_filtration.
+Gamma_{n-1} whose pivots Gamma_{n-2} lacks (linalg.new_rows): Gamma_{n-1}
+is Gamma_{n-2} plus the span of C_{n-1}, and Gamma_{n-2} G already lies
+in Gamma_{n-1}.  So each layer multiplies only the new part of the one
+before and inserts the products into a copy of that layer's sparse
+echelon; linalg.grow runs these rounds, and standard_filtration takes
+upto of them.  _closure takes them until a round adds nothing, which
+grows the word span (full_span) and the two-sided ideal of seeds
+(two_sided_closure, whose step multiplies by G on both sides and skips
+products past the cap).  A good module filtration grows from the same new
+parts: Omega_n = Omega_{n-1} + sum_i C_{n-s_i} m_i (see
+induced_good_filtration).  The weak-adic powers, which descend, satisfy
+m^i = span(m^{i-1} G); see weak_adic_filtration.
 
 Layers outside the computed window are reported honestly: below an
 ascending window they are zero, above it (or below a weak-adic window) the
@@ -37,8 +41,10 @@ larger degree cap.
 """
 
 from functools import cached_property
+from itertools import islice
 
-from .linspace import (span, zero_space, intersect, quotient_dim,
+from .linalg import grow, new_rows
+from .linspace import (Subspace, span, zero_space, intersect, quotient_dim,
                        subspace_product, QuotientContext,
                        DegreeOverflowError, Inconclusive)
 from .record import Record
@@ -167,37 +173,26 @@ def hilbert(filt):
     return HilbertTable(filt.kind, filt.name, tuple(vals))
 
 
-def _next_layer(before, cur, step):
-    """cur plus step(row) for each row of cur whose pivot before lacks.
-
-    With before = Gamma_{n-1}, cur = Gamma_n and step row -> row G this
-    is Gamma_{n+1}: cur is before plus those new rows, and step(before)
-    lies in cur.  A step that overflows the degree cap on cur does so on
-    a new row, as the part past the cap is linear in the row."""
-    new = [row for q, row in cur.echelon.items() if q not in before.echelon]
-    return cur.extend(out for row in new for out in step(row))
-
-
 def _closure(cur, step):
-    """The least span holding cur and closed under step: _next_layer
-    repeated until a round adds nothing.  It ends, because every round
-    but the last raises the dimension."""
-    before = zero_space(cur.ambient)
-    while True:
-        before, cur = cur, _next_layer(before, cur, step)
-        if cur.dim == before.dim:
-            return cur
+    """The least span holding cur and closed under step: linalg.grow's
+    rounds until one adds nothing.  They end, because every round but the
+    last raises the dimension."""
+    last = cur.echelon
+    for echelon in grow(last, step, cur.ambient.field.p):
+        if len(echelon) == len(last):
+            return Subspace(cur.ambient, echelon)
+        last = echelon
 
 
 def standard_filtration(pres, upto):
     """Gamma_n = span of products of at most n generators (Gamma_0 = k),
     grown as Gamma_n = Gamma_{n-1} + C_{n-1} G (see the module notes)."""
     amb = pres.ambient
-    zero = zero_space(amb)
-    layers = {0: span(amb, [amb.one()])}
-    for n in range(1, upto + 1):
-        layers[n] = _next_layer(layers.get(n - 2, zero), layers[n - 1],
-                                pres.times_gens)
+    one = span(amb, [amb.one()])
+    rounds = grow(one.echelon, pres.times_gens, amb.field.p)
+    layers = {0: one}
+    layers.update((n, Subspace(amb, echelon))
+                  for n, echelon in enumerate(islice(rounds, upto), 1))
     return Filtration("ascending", layers, name=f"standard:{pres.name}")
 
 
@@ -305,15 +300,26 @@ def induced_good_filtration(ring_filt, generators, side, name=""):
     acts on the left, so Omega_n collects Gamma_{n-s} * m; 'right' collects
     m * Gamma_{n-s}.  The window lo..hi and the ring layers are
     ring_filt's; asking beyond its window raises WindowExceeded.
+
+    The layers grow from their new part: Omega_lo takes all of each
+    Gamma_{lo-s_i} (on the weak-adic side the layer below lo is not
+    zero), and then Omega_n = Omega_{n-1} + sum_i C_{n-s_i} m_i, where
+    C_k is linalg.new_rows of Gamma_k over Gamma_{k-1}.
     """
-    amb = ring_filt.ambient
+    amb, lo = ring_filt.ambient, ring_filt.lo
     rows = [(amb.encode_sparse(mat), shift) for mat, shift in generators]
-    layers = {}
-    for n in range(ring_filt.lo, ring_filt.hi + 1):
-        layers[n] = zero_space(amb).extend(
+
+    def part(n, shift):
+        """Gamma_{n-s}'s new part over Gamma_{n-s-1}, whose products
+        Omega_{n-1} holds; all of Gamma_{n-s} at lo."""
+        return new_rows(ring_filt.layer(n - shift).echelon,
+                        ring_filt.layer(n - shift - 1).echelon
+                        if n > lo else {}).values()
+    layers, below = {}, zero_space(amb)
+    for n in range(lo, ring_filt.hi + 1):
+        below = layers[n] = below.extend(
             amb.mul(b, m) if side == "left" else amb.mul(m, b)
-            for m, shift in rows
-            for b in ring_filt.layer(n - shift).basis_rows())
+            for m, shift in rows for b in part(n, shift))
     return Filtration(ring_filt.kind, layers, name=name)
 
 

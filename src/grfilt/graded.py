@@ -28,6 +28,7 @@ degree as generators are added.  verify_chain_report uses lift_mul alone
 and keeps pieces of its own, so a slip in the row product or in the
 producer cannot vouch for itself: a certificate is rechecked by a path
 other than the one that produced it, down to the product of the ring.
+Each reads every piece's basis cosets once, at its start.
 """
 
 from .linalg import insert_row, reduce_row
@@ -147,15 +148,13 @@ def chain_words(side, steps):
             else ["alpha"] * i + ["beta"] for i in range(steps)]
 
 
-def _generator_products(gr, g, side, m, product):
+def _generator_products(bases, g, side, m, product):
     """Coset rows of u*g (left) or g*u (right) in piece m, for u over the
-    basis cosets of the piece that lands these products in degree m."""
-    rest = m - g.degree
-    if rest not in gr.sections:
-        return []
+    basis cosets, in bases, of the piece that lands these products in
+    degree m; none when that piece is outside the window."""
     return [dict((product(u, g) if side == "left"
                   else product(g, u)).coords)
-            for u in gr.piece_basis(rest)]
+            for u in bases.get(m - g.degree, ())]
 
 
 def ideal_chain_witness(gr, classes, words, side="left"):
@@ -174,6 +173,7 @@ def ideal_chain_witness(gr, classes, words, side="left"):
             f"a chain needs at least 2 words to ascend, got {len(words)}")
     gens = [gr.word(classes, list(w)) for w in words]
     p = gr._p
+    bases = {m: gr.piece_basis(m) for m in gr.degrees}
     pieces = {m: {} for m in gr.degrees}    # degree -> echelon
     dims = []
     witnesses = []
@@ -186,7 +186,7 @@ def ideal_chain_witness(gr, classes, words, side="left"):
                 witnesses.append({"step": k, "degree": g.degree,
                                   "word": list(words[k])})
         for m, piece in pieces.items():
-            for row in _generator_products(gr, g, side, m, gr.mul):
+            for row in _generator_products(bases, g, side, m, gr.mul):
                 insert_row(piece, row, p)
         dims.append(sum(map(len, pieces.values())))
     return ChainReport(side, tuple(tuple(w) for w in words), tuple(dims),
@@ -209,6 +209,7 @@ def verify_chain_report(gr, classes, report):
     if report.strictly_ascending and steps != list(range(1, len(gens))):
         return False
     p = gr._p
+    bases = {m: gr.piece_basis(m) for m in gr.degrees}
     pieces = {}     # degree -> (echelon, generators inserted so far)
     last = 0
     for wit in report.witnesses:
@@ -223,7 +224,7 @@ def verify_chain_report(gr, classes, report):
         piece, done = pieces.get(g.degree, ({}, 0))
         for i in range(done, k):
             for row in _generator_products(
-                    gr, gens[i], report.side, g.degree, gr.lift_mul):
+                    bases, gens[i], report.side, g.degree, gr.lift_mul):
                 insert_row(piece, row, p)
         pieces[g.degree] = (piece, k)
         if not reduce_row(dict(g.coords), piece, p):

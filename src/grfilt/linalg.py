@@ -9,12 +9,15 @@ row, touching only the other row's nonzeros, and keeping the form), does
 all the elimination, and one engine built on it, insert_row with
 reduce_row, grows a canonical echelon {pivot column: row} by one row.
 row_echelon inserts rows into an empty echelon; combine_rows forms the
-combination sum c * rows[i] of a coefficient row {i: c}.  SpanTracker is
-the same echelon with one more column per tag: the row added under a tag
-is held as (row, unit at the tag's column), so reducing a member leaves
-minus its combination in the tag columns.  Kernel rows are values: no
-function changes a row it did not just make, so callers and echelons
-share rows freely and none copies a row to protect it.
+combination sum c * rows[i] of a coefficient row {i: c}.  grow runs the
+one growth rule for every span grown round by round by products: each
+round inserts the images of only the rows the round before added, the
+new_rows of one echelon over another.  SpanTracker is the same echelon
+with one more column per tag: the row added under a tag is held as (row,
+unit at the tag's column), so reducing a member leaves minus its
+combination in the tag columns.  Kernel rows are values: no function
+changes a row it did not just make, so callers and echelons share rows
+freely and none copies a row to protect it.
 
 joint_kernel is the one kernel route: it inserts the joint rows (a_i,
 b_i), split one past the last column of any a_i, into one insert_row
@@ -152,6 +155,33 @@ def row_echelon(rows, p, ncols=None):
         if len(echelon) == ncols:
             break
     return echelon
+
+
+def new_rows(echelon, before):
+    """The new part of echelon over before, as an echelon: its rows whose
+    pivots before lacks.  With before's span inside echelon's, these
+    rows and before span echelon's."""
+    return {q: row for q, row in echelon.items() if q not in before}
+
+
+def grow(echelon, step, p):
+    """The rounds of growth from an echelon: each yields a fresh echelon,
+    the one before with step(row) inserted for each of its new_rows over
+    the one before that (every row, in the first round).
+
+    With step row -> row G, round n from Gamma_0 is Gamma_n = Gamma_{n-1}
+    + C_{n-1} G, since Gamma_{n-2} G lies in Gamma_{n-1}.  A step whose
+    part past a degree cap is linear in the row overflows on some new
+    row whenever it would on the span, so rounds fail where a rebuild
+    would."""
+    before = {}
+    while True:
+        cur = dict(echelon)
+        for row in new_rows(echelon, before).values():
+            for out in step(row):
+                insert_row(cur, out, p)
+        before, echelon = echelon, cur
+        yield echelon
 
 
 def rref(rows, field):

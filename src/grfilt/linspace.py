@@ -34,8 +34,8 @@ truncation.
 """
 
 from .fields import QQ
-from .linalg import (dense_row, insert_row, joint_kernel, reduce_row,
-                     row_echelon, rref, sparse_row)
+from .linalg import (dense_row, insert_row, joint_kernel, new_rows,
+                     reduce_row, row_echelon, rref, sparse_row)
 from .poly import Poly, PolyMatrix
 
 
@@ -363,12 +363,12 @@ def complement_section(sup, sub):
     """Canonical complement of sub inside sup (echelon section).
 
     Pivot columns of sub are always pivot columns of sup, so the rows of
-    sup's basis with the remaining pivots span a complement.
+    sup's basis with the remaining pivots, its new_rows over sub, span a
+    complement.
     """
     if not sup.contains(sub):
         raise ContainmentError("section: second space not inside first")
-    return Subspace(sup.ambient, {q: r for q, r in sup.echelon.items()
-                                  if q not in sub.echelon})
+    return Subspace(sup.ambient, new_rows(sup.echelon, sub.echelon))
 
 
 class QuotientContext:

@@ -15,9 +15,10 @@ modulo x^(d+1) by ring structure rather than by silent truncation.
 """
 
 from functools import partial
+from itertools import islice
 
 from .fields import QQ
-from .linalg import insert_row, joint_row, row_echelon, split_joint
+from .linalg import grow, joint_row, row_echelon, split_joint
 from .linspace import Ambient, QuotientContext
 from .filtration import (AlgebraPresentation, standard_filtration,
                          two_sided_closure, WindowExceeded)
@@ -249,10 +250,10 @@ def quotient_iso_check(ctx_a, ctx_b, pairs, max_len=4):
     multiplies canonical representatives; a plain ring is its quotient by
     zero_space.  The span of the joint kernel rows (value in A
     concatenated with value in B) of the words of length <= max_len in
-    the generator pairs, given as matrices, grows by the rule of
-    grfilt.filtration: each of max_len rounds multiplies only the rows
-    the round before added, read as they stood when the round began.
-    A word overflows the degree cap exactly when some such row does.
+    the generator pairs, given as matrices, is max_len rounds of
+    linalg.grow from the unit's row: each round multiplies only the rows
+    the round before added, each half in its own quotient.  A word
+    overflows the degree cap exactly when some such row does.
     The correspondence extends to a well-defined bijective multiplicative
     linear map between the word spans iff the joint span has the same
     dimension as each side alone; words_checked counts the words.  With
@@ -271,17 +272,13 @@ def quotient_iso_check(ctx_a, ctx_b, pairs, max_len=4):
     p, width = amb_a.field.p, amb_a.dim
     one_a, one_b = (ctx.ideal.residual(amb.encode_sparse(amb.one()))
                     for ctx, amb in ((ctx_a, amb_a), (ctx_b, amb_b)))
-    echelon = {}
-    insert_row(echelon, joint_row(one_a, one_b, width), p)
-    new = list(echelon)
-    for _ in range(max_len):
-        halves = [split_joint(echelon[q], width) for q in new]
-        before = set(echelon)
-        for a, b in halves:
-            for ga, gb in pairs:
-                insert_row(echelon, joint_row(ctx_a.mul(a, ga),
-                                              ctx_b.mul(b, gb), width), p)
-        new = [q for q in echelon if q not in before]
+
+    def step(row):
+        a, b = split_joint(row, width)
+        return (joint_row(ctx_a.mul(a, ga), ctx_b.mul(b, gb), width)
+                for ga, gb in pairs)
+    rounds = grow(row_echelon([joint_row(one_a, one_b, width)], p), step, p)
+    echelon = next(islice(rounds, max_len - 1, None))   # round max_len
     dim_a = sum(q < width for q in echelon)
     dim_b = len(row_echelon(
         (split_joint(r, width)[1] for r in echelon.values()), p))

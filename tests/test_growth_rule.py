@@ -1,12 +1,18 @@
 """The one growth rule for spans closed under generator products.
 
-two_sided_closure, full_span, quotient_iso_check and op_involution_report
-grow their spans by multiplying only each round's new rows (see
-grfilt.filtration).  The reference functions below are the direct loops
-that rule replaces: a frontier closure over raw products, the evaluation
-of every word in both quotients, and the shape check on every word.  The
-tests compare the grown spans with them, exceptions included, and count
-the products the grown comparison makes.
+linalg.grow runs it: each round multiplies only the rows the round before
+added, its new_rows.  standard_filtration takes its rounds, _closure
+(under full_span and two_sided_closure) takes them until one adds
+nothing, quotient_iso_check takes max_len of them on joint rows, and
+op_involution_report checks the standard layer of length-3 words;
+induced_good_filtration grows each layer from the new parts of the ring
+layers.  The reference functions below are the loops those replace: the
+round written out on Subspaces (next_layer, as filtration._next_layer
+had it), the good filtration rebuilt from whole ring layers, a frontier
+closure over raw products, the evaluation of every word in both
+quotients, and the shape check on every word.  The tests compare the
+grown spans with them, echelon by echelon and exceptions included, and
+count the products the grown comparison makes.
 """
 
 from itertools import combinations
@@ -17,8 +23,10 @@ from grfilt.fields import QQ, PrimeField
 from grfilt.linalg import joint_row, row_echelon
 from grfilt.linspace import (DegreeOverflowError, QuotientContext, span,
                              zero_space)
-from grfilt.filtration import (full_span, standard_filtration,
-                               two_sided_closure, WindowExceeded)
+from grfilt.filtration import (Filtration, full_span,
+                               induced_good_filtration, standard_filtration,
+                               two_sided_closure, weak_adic_filtration,
+                               WindowExceeded)
 from grfilt.workbench import (CATALOG, IsoReport, make,
                               op_involution_report, op_transpose,
                               quotient_iso_check, staircase_quotient_context)
@@ -27,6 +35,45 @@ FIELDS = (QQ, PrimeField(7), PrimeField(101))
 
 
 # ------------------------------------------------------------ references
+
+def next_layer(before, cur, step):
+    """One round on Subspaces: cur plus step(row) for each row of cur
+    whose pivot before lacks."""
+    new = [row for q, row in cur.echelon.items() if q not in before.echelon]
+    return cur.extend(out for row in new for out in step(row))
+
+
+def standard_reference(pres):
+    """Gamma_0, Gamma_1, ... one next_layer at a time, without end."""
+    amb = pres.ambient
+    before, cur = zero_space(amb), span(amb, [amb.one()])
+    while True:
+        yield cur
+        before, cur = cur, next_layer(before, cur, pres.times_gens)
+
+
+def closure_rounds_reference(cur, step):
+    """next_layer repeated until a round adds nothing."""
+    before = zero_space(cur.ambient)
+    while True:
+        before, cur = cur, next_layer(before, cur, step)
+        if cur.dim == before.dim:
+            return cur
+
+
+def good_reference(ring_filt, generators, side, name=""):
+    """Omega_n = sum_i Gamma_{n-s_i} m_i, each layer rebuilt from the
+    whole of every Gamma_{n-s_i}."""
+    amb = ring_filt.ambient
+    rows = [(amb.encode_sparse(mat), shift) for mat, shift in generators]
+    layers = {}
+    for n in range(ring_filt.lo, ring_filt.hi + 1):
+        layers[n] = zero_space(amb).extend(
+            amb.mul(b, m) if side == "left" else amb.mul(m, b)
+            for m, shift in rows
+            for b in ring_filt.layer(n - shift).basis_rows())
+    return Filtration(ring_filt.kind, layers, name=name)
+
 
 def closure_reference(pres, seeds):
     """The ideal of the seeds by a frontier loop: multiply every fresh
@@ -198,3 +245,118 @@ def test_quotient_comparison_multiplies_only_new_rows():
     assert rep.consistent and rep.dim_joint == 27
     # all words would take 2 + 4 + ... + 2^9 = 1022 products per quotient
     assert 0 < calls["a"] == calls["b"] <= len(right) * rep.dim_joint
+
+
+# ------------------------------------------- grown layers against rounds
+
+def error(fn, *args):
+    """(type, message) of the Inconclusive fn raises, or None."""
+    try:
+        fn(*args)
+    except (DegreeOverflowError, WindowExceeded) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def echelon_or_error(fn, *args):
+    """The echelon of the span fn returns, or error's pair."""
+    try:
+        return fn(*args).echelon
+    except (DegreeOverflowError, WindowExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+@pytest.mark.parametrize("name", CATALOG)
+def test_standard_layers_match_next_layer_rounds(name, fld):
+    """Every layer's echelon through depth 8, and at the default cap of a
+    polynomial row the same DegreeOverflowError at the same layer."""
+    pres = make(name, field=fld, depth=8).pres
+    got = standard_filtration(pres, 8)
+    for n, want in zip(range(9), standard_reference(pres)):
+        assert got.layer(n).echelon == want.echelon, n
+    # a polynomial word span overflows any cap
+    assert echelon_or_error(full_span, pres) == echelon_or_error(
+        closure_rounds_reference, span(pres.ambient, [pres.ambient.one()]),
+        pres.times_gens)
+    if pres.ambient.series:
+        return
+    pres = make(name, field=fld).pres
+    ref = standard_reference(pres)
+    for top in range(pres.ambient.degcap + 2):
+        try:
+            want = next(ref)
+        except DegreeOverflowError as exc:
+            assert error(standard_filtration, pres, top) == (
+                DegreeOverflowError, str(exc))
+            return
+        assert standard_filtration(pres, top).layer(top) == want
+    pytest.fail("the default cap never overflowed")
+
+
+def _good_case(kind, depth, fld):
+    """(ring, filtration) of the certificate case of that kind at depth."""
+    if kind == "ascending":
+        ring = make("R_2x2", field=fld, depth=depth)
+        return ring, standard_filtration(ring.pres, depth)
+    ring = make("R_prime", degcap=depth + 2, field=fld)
+    return ring, weak_adic_filtration(ring.pres, depth)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+@pytest.mark.parametrize("kind", ("ascending", "weak-adic"))
+def test_good_filtration_matches_the_rebuild(kind, fld):
+    """The corner ideal's generators at the certificates' shifts, and at
+    shifts 0 and 3 along the kind, on both sides at depths 2-20."""
+    for depth in range(2, 21):
+        ring, filt = _good_case(kind, depth, fld)
+        beta = ring.el("beta")
+        alpha_beta = ring.el("alpha") * beta
+        for shifts in ((1, 2), (0, 3)):
+            gens = [(beta, shifts[0] * filt.sign),
+                    (alpha_beta, shifts[1] * filt.sign)]
+            for side in ("left", "right"):
+                got = induced_good_filtration(filt, gens, side, name=side)
+                want = good_reference(filt, gens, side, name=side)
+                assert got.name == want.name and got.kind == want.kind
+                assert ({n: lay.echelon for n, lay in got.layers.items()}
+                        == {n: lay.echelon
+                            for n, lay in want.layers.items()}), (depth,
+                                                                   shifts)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+@pytest.mark.parametrize("kind", ("ascending", "weak-adic"))
+def test_good_filtration_refuses_a_shift_past_the_window_alike(kind, fld):
+    """A shift against the kind reaches past the window's inner edge:
+    the same WindowExceeded, by message, as the rebuild, whether the
+    first generator or only the second reaches out."""
+    ring, filt = _good_case(kind, 6, fld)
+    beta = ring.el("beta")
+    for shifts in ((-1, 2), (1, -2), (1, -7)):
+        gens = [(beta, shifts[0] * filt.sign),
+                (ring.el("alpha") * beta, shifts[1] * filt.sign)]
+        for side in ("left", "right"):
+            want = error(good_reference, filt, gens, side)
+            assert want is not None and want[0] is WindowExceeded
+            assert error(induced_good_filtration, filt, gens, side) == want
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+def test_good_filtration_overflows_alike(fld):
+    """In a polynomial window too small for the products, the same
+    DegreeOverflowError as the rebuild, and on a window that holds them
+    the same layers."""
+    ring = make("R_2x2", degcap=6, field=fld)
+    filt = Filtration("ascending", {
+        n: lay for n, lay in standard_filtration(ring.pres, 3).layers.items()
+        if n >= 1})
+    beta = ring.el("beta")
+    for shift in range(-3, 4):
+        gens = [(beta, 0), (ring.el("alpha") * ring.el("alpha") * beta, shift)]
+        for side in ("left", "right"):
+            want = error(good_reference, filt, gens, side)
+            assert error(induced_good_filtration, filt, gens, side) == want
+            if want is None:
+                assert (induced_good_filtration(filt, gens, side).layers
+                        == good_reference(filt, gens, side).layers)

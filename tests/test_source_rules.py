@@ -112,6 +112,33 @@ SEEDED = {
             "    return kind == 'weak-adic'\n"),
     }, ["src/grfilt/filtration.py:5: compares a filtration kind",
         "src/grfilt/filtration.py:7: compares a filtration kind"]),
+    # like the round loop quotient_iso_check once wrote by hand; only
+    # Subspace.extend of linspace's functions may insert, and tests may
+    "echelon-writers": ({
+        "src/grfilt/linalg.py": (
+            "def row_echelon(rows, p):\n"
+            "    e = {}\n"
+            "    for r in rows:\n"
+            "        insert_row(e, r, p)\n"),
+        "src/grfilt/linspace.py": (
+            "from . import linalg\n"
+            "class Subspace:\n"
+            "    def extend(self, rows):\n"
+            "        insert_row(self.e, rows, 0)\n"
+            "def sum_spaces(u, v):\n"
+            "    linalg.insert_row(u.e, v, 0)\n"),
+        "src/grfilt/graded.py": (
+            "def ideal_chain_witness(piece, row):\n"
+            "    insert_row(piece, row, 0)\n"
+            "def verify_chain_report(piece, row):\n"
+            "    insert_row(piece, row, 0)\n"),
+        "src/grfilt/workbench.py": (
+            "def quotient_iso_check(echelon, rows):\n"
+            "    for r in rows:\n"
+            "        insert_row(echelon, r, 0)\n"),
+        "tests/test_m.py": "insert_row({}, {0: 1}, None)\n",
+    }, ["src/grfilt/linspace.py:6: calls insert_row",
+        "src/grfilt/workbench.py:3: calls insert_row"]),
 }
 
 

@@ -28,7 +28,10 @@ FIELDS = ("Q", "Fp:101", "Fp:2147483629", "Fp:7")
 # the weak-adic windows of depth 0 and 1, which keep no m^2 layer; then
 # polynomial windows sized from depth 0 and 1, where the cap is the slack
 # alone or one generator degree plus slack 2 or 4; then graded cosets on
-# the 3x3 staircase over k[x,y] and on R_hat, off R_2x2 and R_prime
+# the 3x3 staircase over k[x,y] and on R_hat, off R_2x2 and R_prime; then
+# grown layers, good filtrations and a joint word span deeper than any
+# workload job grows them: both certificate kinds, and the word
+# comparison the installed package runs in CI
 EDGE_JOBS = (
     "chain --side right --steps 4",
     "chain --kind weak-adic --side left --steps 4",
@@ -61,6 +64,9 @@ EDGE_JOBS = (
     "hilbert --ring R_2x2 --depth 1 --quotient beta",
     "gr --ring T --depth 3",
     "gr --ring R_hat --kind weak-adic --depth 5",
+    "certify --case ascending --depth 30",
+    "certify --case weak-adic --depth 24",
+    "quotient-iso --degcap 64 --max-len 30",
 )
 # reads a JSON list of argvs on stdin, writes [code, stdout sha256,
 # stderr sha256] for each

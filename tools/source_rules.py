@@ -183,9 +183,23 @@ def filtration_kind(src):
                     for e in (n.left, *n.comparators) for c in ast.walk(e))]
 
 
+def echelon_writers(src):
+    """Spans closed under products grow by one rule, linalg.grow, so a
+    hand-written growth loop must not come back: src/ calls insert_row
+    only in linalg.py, in Subspace.extend, and in graded's two chain
+    builders, which grow one echelon per degree as generators arrive."""
+    allowed = {("linspace", "extend"), ("graded", "ideal_chain_witness"),
+               ("graded", "verify_chain_report")}
+    return [f"{p}:{n.lineno}: calls insert_row"
+            for p, n in _outside(src, ast.FunctionDef, allowed)
+            if p.stem != "linalg" and isinstance(n, ast.Call)
+            and "insert_row" in (getattr(n.func, "id", None),
+                                 getattr(n.func, "attr", None))]
+
+
 RULES = {f.__name__.replace("_", "-"): f for f in (
     line_length, unused_imports, dead_definitions, unturned_defaults,
-    independent_oracle, exact_arithmetic, filtration_kind)}
+    independent_oracle, exact_arithmetic, filtration_kind, echelon_writers)}
 
 if __name__ == "__main__":
     names = sys.argv[1:] or list(RULES)
