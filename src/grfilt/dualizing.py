@@ -41,7 +41,7 @@ verified, and for the control every cap below 6.
 
 from collections import Counter
 
-from .linalg import joint_kernel, joint_row, row_echelon
+from .linalg import Echelon, joint_kernel, joint_row
 from .linspace import (Ambient, DegreeOverflowError, degree_cuts,
                        prefix_space, restrict_degree, zero_space)
 from .filtration import WindowExceeded, two_sided_closure
@@ -463,9 +463,9 @@ def _corner_relations(window, t):
     joint rows (t c, c) = (x c, c), t = alpha, over the corner rows c of
     degree below the cap."""
     amb = window.ambient
-    return row_echelon((joint_row(amb.mul(t, c), c, amb.dim)
-                        for c in _corner_rows(window)
-                        if amb.degree(c) < amb.degcap), amb.field.p)
+    return Echelon(amb.field.p, (joint_row(amb.mul(t, c), c, amb.dim)
+                                 for c in _corner_rows(window)
+                                 if amb.degree(c) < amb.degcap))
 
 
 # ------------------------------------------------------------ full chain

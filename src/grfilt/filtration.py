@@ -178,7 +178,7 @@ def _closure(cur, step):
     rounds until one adds nothing.  They end, because every round but the
     last raises the dimension."""
     last = cur.echelon
-    for echelon in grow(last, step, cur.ambient.field.p):
+    for echelon in grow(last, step):
         if len(echelon) == len(last):
             return Subspace(cur.ambient, echelon)
         last = echelon
@@ -189,7 +189,7 @@ def standard_filtration(pres, upto):
     grown as Gamma_n = Gamma_{n-1} + C_{n-1} G (see the module notes)."""
     amb = pres.ambient
     one = span(amb, [amb.one()])
-    rounds = grow(one.echelon, pres.times_gens, amb.field.p)
+    rounds = grow(one.echelon, pres.times_gens)
     layers = {0: one}
     layers.update((n, Subspace(amb, echelon))
                   for n, echelon in enumerate(islice(rounds, upto), 1))
@@ -314,7 +314,7 @@ def induced_good_filtration(ring_filt, generators, side, name=""):
         Omega_{n-1} holds; all of Gamma_{n-s} at lo."""
         return new_rows(ring_filt.layer(n - shift).echelon,
                         ring_filt.layer(n - shift - 1).echelon
-                        if n > lo else {}).values()
+                        if n > lo else {})
     layers, below = {}, zero_space(amb)
     for n in range(lo, ring_filt.hi + 1):
         below = layers[n] = below.extend(

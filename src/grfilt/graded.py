@@ -23,7 +23,7 @@ representative rows once with Ambient.mul and takes the coset of the
 product.  Nothing is cached, so a GradedTrunc never changes once
 built.
 
-ideal_chain_witness builds its ideals with mul and grows one echelon per
+ideal_chain_witness builds its ideals with mul and grows one Echelon per
 degree as generators are added.  verify_chain_report uses lift_mul alone
 and keeps pieces of its own, so a slip in the row product or in the
 producer cannot vouch for itself: a certificate is rechecked by a path
@@ -31,7 +31,7 @@ other than the one that produced it, down to the product of the ring.
 Each reads every piece's basis cosets once, at its start.
 """
 
-from .linalg import insert_row, reduce_row
+from .linalg import Echelon
 from .linspace import complement_section
 from .filtration import WindowExceeded
 from .record import Record
@@ -51,7 +51,6 @@ class GradedTrunc:
         self.sections = {m: complement_section(filt.layer(m),
                                                filt.layer(m - 1))
                          for m in self.degrees}
-        self._p = self.ambient.field.p
 
     def piece(self, m):
         if m not in self.sections:
@@ -172,22 +171,21 @@ def ideal_chain_witness(gr, classes, words, side="left"):
         raise WindowExceeded(
             f"a chain needs at least 2 words to ascend, got {len(words)}")
     gens = [gr.word(classes, list(w)) for w in words]
-    p = gr._p
     bases = {m: gr.piece_basis(m) for m in gr.degrees}
-    pieces = {m: {} for m in gr.degrees}    # degree -> echelon
+    pieces = {m: Echelon(gr.ambient.field.p) for m in gr.degrees}
     dims = []
     witnesses = []
     strict = True
     for k, g in enumerate(gens):
         if k > 0:
-            if not reduce_row(dict(g.coords), pieces[g.degree], p):
+            if not pieces[g.degree].reduce(dict(g.coords)):
                 strict = False
             else:
                 witnesses.append({"step": k, "degree": g.degree,
                                   "word": list(words[k])})
         for m, piece in pieces.items():
             for row in _generator_products(bases, g, side, m, gr.mul):
-                insert_row(piece, row, p)
+                piece.insert(row)
         dims.append(sum(map(len, pieces.values())))
     return ChainReport(side, tuple(tuple(w) for w in words), tuple(dims),
                        strict, tuple(witnesses),
@@ -208,9 +206,8 @@ def verify_chain_report(gr, classes, report):
     steps = [wit["step"] for wit in report.witnesses]
     if report.strictly_ascending and steps != list(range(1, len(gens))):
         return False
-    p = gr._p
     bases = {m: gr.piece_basis(m) for m in gr.degrees}
-    pieces = {}     # degree -> (echelon, generators inserted so far)
+    pieces = {}     # degree -> (Echelon, generators inserted so far)
     last = 0
     for wit in report.witnesses:
         k = wit["step"]
@@ -221,13 +218,13 @@ def verify_chain_report(gr, classes, report):
         if (wit["degree"] != g.degree
                 or list(wit["word"]) != list(report.words[k])):
             return False
-        piece, done = pieces.get(g.degree, ({}, 0))
+        piece, done = pieces.get(g.degree, (Echelon(gr.ambient.field.p), 0))
         for i in range(done, k):
             for row in _generator_products(
                     bases, gens[i], report.side, g.degree, gr.lift_mul):
-                insert_row(piece, row, p)
+                piece.insert(row)
         pieces[g.degree] = (piece, k)
-        if not reduce_row(dict(g.coords), piece, p):
+        if not piece.reduce(dict(g.coords)):
             return False
     return True
 

@@ -2,13 +2,14 @@
 
 A row is a kernel row: a dict {column: value} holding only its nonzero
 entries.  The values are the field's own elements (grfilt.fields): ints
-in [0, p) over F_p, lowest-form ints or Fractions over Q; the functions
-here take field.p, None over Q, to say which.  Kernel rows are the one
-row format between grfilt's modules.  One step, _axpy (row -= c * other
-row, touching only the other row's nonzeros, and keeping the form), does
-all the elimination, and one engine built on it, insert_row with
-reduce_row, grows a canonical echelon {pivot column: row} by one row.
-row_echelon inserts rows into an empty echelon; combine_rows forms the
+in [0, p) over F_p, lowest-form ints or Fractions over Q; field.p, None
+over Q, says which, and every Echelon carries its own.  Kernel rows are
+the one row format between grfilt's modules.  One step, _axpy (row -=
+c * other row, touching only the other row's nonzeros, and keeping the
+form), does all the elimination, and one engine built on it, Echelon, is
+a canonical echelon {pivot column: row} that grows by one row with
+insert and reduces a row with reduce.  Every echelon is an Echelon built
+by insertion, so the type owns the invariant; combine_rows forms the
 combination sum c * rows[i] of a coefficient row {i: c}.  grow runs the
 one growth rule for every span grown round by round by products: each
 round inserts the images of only the rows the round before added, the
@@ -20,20 +21,20 @@ changes a row it did not just make, so callers and echelons share rows
 freely and none copies a row to protect it.
 
 joint_kernel is the one kernel route: it inserts the joint rows (a_i,
-b_i), split one past the last column of any a_i, into one insert_row
-echelon and reads the canonical echelon of {sum c_i b_i : sum c_i a_i =
-0} off the rows whose pivot lies in the second part.  joint_row and
-split_joint know the joint-row layout; SpanTracker's tag columns are the
-one other place that writes it, by hand.
+b_i), split one past the last column of any a_i, into one Echelon and
+reads the canonical echelon of {sum c_i b_i : sum c_i a_i = 0} off the
+rows whose pivot lies in the second part.  joint_row and split_joint know
+the joint-row layout; SpanTracker's tag columns are the one other place
+that writes it, by hand.
 
-The echelon insert_row keeps is the canonical reduced row echelon form
+The echelon an Echelon keeps is the canonical reduced row echelon form
 (pivot entries 1, pivot columns cleared), which is what makes Subspace
 equality a plain comparison.  That form is unique for the row space, so
 it does not depend on the order of elimination or of insertion.
 
 Dense rows (sequences of field elements, field.zero in every zero
 position) enter and leave only through sparse_row and dense_row.  rref,
-the dense face of row_echelon, returns dense rows sorted by pivot;
+the dense face of Echelon, returns dense rows sorted by pivot;
 reduce_by_rref and coords_in_rref query them, and kernel_rows,
 kernel_combos and nullspace are dense faces of joint_kernel.
 """
@@ -106,65 +107,71 @@ def combine_rows(coeffs, rows, p):
     return acc
 
 
-def reduce_row(vec, echelon, p):
-    """vec modulo a canonical echelon {pivot: row}: vec itself when no
-    pivot column meets it, else a new row.
+class Echelon(dict):
+    """The canonical echelon {pivot: row} of the kernel rows inserted
+    into it, over the field of p (None over Q); readers see a plain dict.
 
-    One pass over the pivot columns vec starts with suffices: entries of
-    vec at pivot columns do not change while reducing, because every held
-    row is zero at every other pivot column."""
-    hits = [j for j in vec if j in echelon]
-    out = dict(vec) if hits else vec
-    for j in hits:
-        _axpy(out, vec[j], echelon[j], p)
-    return out
+    insert is Gauss-Jordan: it reduces the row, scales it to 1 at its
+    lowest column and replaces each held row meeting that column by a
+    copy with it cleared.  A held row changes only by reduction against
+    an inserted row, so cols, the columns of the rows inserted, covers
+    every held row, and the clearing scan runs only when the new pivot
+    lies in cols: never, when the rows inserted are already canonical."""
 
+    __slots__ = ("p", "cols")
 
-def insert_row(echelon, vec, p):
-    """Insert the kernel row vec into the canonical echelon {pivot: row},
-    in place.  True if it enlarged the span.
+    def __init__(self, p, rows=()):
+        self.p = p
+        self.cols = set()
+        for row in rows:
+            self.insert(row)
 
-    Gauss-Jordan: vec is reduced against the held rows and scaled to 1 at
-    its lowest column, and each held row meeting that column is replaced
-    by a copy with it cleared, so the echelon stays fully reduced."""
-    vec = reduce_row(vec, echelon, p)
-    if vec:
-        _place(echelon, vec, p)
-    return bool(vec)
+    def copy(self):
+        """A new Echelon sharing the rows, with its own cols."""
+        out = Echelon(self.p)
+        out.update(self)
+        out.cols = set(self.cols)
+        return out
 
+    def reduce(self, vec):
+        """vec modulo the echelon: vec itself when no pivot column meets
+        it, else a new row.
 
-def _place(echelon, vec, p):
-    """insert_row past the reduction: vec is nonzero and reduced."""
-    lead = min(vec)
-    if vec[lead] != 1:
-        vec = _normalize(vec, vec[lead], p)
-    for q in [q for q, held in echelon.items() if lead in held]:
-        held = dict(echelon[q])
-        _axpy(held, held[lead], vec, p)
-        echelon[q] = held
-    echelon[lead] = vec
+        One pass over the pivot columns vec starts with suffices: entries
+        of vec at pivot columns do not change while reducing, because
+        every held row is zero at every other pivot column."""
+        hits = [j for j in vec if j in self]
+        out = dict(vec) if hits else vec
+        for j in hits:
+            _axpy(out, vec[j], self[j], self.p)
+        return out
 
-
-def row_echelon(rows, p, ncols=None):
-    """The canonical echelon {pivot: row} of the kernel rows, inserted
-    one at a time; insertion stops once ncols pivots are held, so len()
-    of it is the rank."""
-    echelon = {}
-    for vec in rows:
-        insert_row(echelon, vec, p)
-        if len(echelon) == ncols:
-            break
-    return echelon
+    def insert(self, vec):
+        """Insert the kernel row vec; True if it enlarged the span."""
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        p, lead = self.p, min(vec)
+        if vec[lead] != 1:
+            vec = _normalize(vec, vec[lead], p)
+        if lead in self.cols:
+            for q in [q for q, held in self.items() if lead in held]:
+                held = dict(self[q])
+                _axpy(held, held[lead], vec, p)
+                self[q] = held
+        self.cols.update(vec)
+        self[lead] = vec
+        return True
 
 
 def new_rows(echelon, before):
-    """The new part of echelon over before, as an echelon: its rows whose
-    pivots before lacks.  With before's span inside echelon's, these
-    rows and before span echelon's."""
-    return {q: row for q, row in echelon.items() if q not in before}
+    """The new part of echelon over before: its rows whose pivots before
+    lacks, a canonical echelon's rows.  With before's span inside
+    echelon's, these rows and before span echelon's."""
+    return [row for q, row in echelon.items() if q not in before]
 
 
-def grow(echelon, step, p):
+def grow(echelon, step):
     """The rounds of growth from an echelon: each yields a fresh echelon,
     the one before with step(row) inserted for each of its new_rows over
     the one before that (every row, in the first round).
@@ -176,10 +183,10 @@ def grow(echelon, step, p):
     would."""
     before = {}
     while True:
-        cur = dict(echelon)
-        for row in new_rows(echelon, before).values():
+        cur = echelon.copy()
+        for row in new_rows(echelon, before):
             for out in step(row):
-                insert_row(cur, out, p)
+                cur.insert(out)
         before, echelon = echelon, cur
         yield echelon
 
@@ -188,8 +195,7 @@ def rref(rows, field):
     """Canonical RREF of a list of dense rows.  Returns (rows, pivots),
     rows sorted by pivot column."""
     ncols = len(rows[0]) if rows else 0
-    echelon = row_echelon((sparse_row(r, field) for r in rows), field.p,
-                          ncols)
+    echelon = Echelon(field.p, (sparse_row(r, field) for r in rows))
     pivots = sorted(echelon)
     return ([tuple(dense_row(echelon[j], ncols, field)) for j in pivots],
             pivots)
@@ -233,17 +239,17 @@ def split_joint(row, width):
 
 def joint_kernel(pairs, p):
     """{sum c_i b_i : sum c_i a_i = 0} for kernel-row pairs (a_i, b_i),
-    as its canonical echelon {pivot: row}, keyed in increasing order.
+    as its Echelon, keyed in increasing order.
 
-    The joint rows (a_i, b_i) go into one insert_row echelon, split one
-    past the last column of any a_i; any later split gives the same
-    kernel.  Its rows with pivot at or past the split are zero in the
-    first part, and their second parts span the kernel, fully reduced."""
+    The joint rows (a_i, b_i) go into one Echelon, split one past the
+    last column of any a_i; any later split gives the same kernel.  Its
+    rows with pivot at or past the split are zero in the first part, and
+    their second parts are the kernel's rows, already canonical."""
     pairs = list(pairs)
     width = max((max(a) + 1 for a, _ in pairs if a), default=0)
-    echelon = row_echelon((joint_row(a, b, width) for a, b in pairs), p)
-    return {q - width: split_joint(echelon[q], width)[1]
-            for q in sorted(echelon) if q >= width}
+    echelon = Echelon(p, (joint_row(a, b, width) for a, b in pairs))
+    return Echelon(p, (split_joint(echelon[q], width)[1]
+                       for q in sorted(echelon) if q >= width))
 
 
 def kernel_rows(images, rows, field):
@@ -280,35 +286,32 @@ class SpanTracker:
     combinations.
 
     A tagged echelon: the row v added under the i-th tag is held as the
-    row (v, e_i) of an insert_row echelon, e_i the unit in column
-    ncols + i.  add() stores a row only if something below ncols survives
-    its reduction, so every pivot lies below ncols, and express(w) is one
-    reduce_row of (w, 0), which leaves (0, -c) exactly when w = sum c_i
-    v_i.  The held rows are independent, so c is unique.  Tags must be
-    distinct."""
+    row (v, e_i) of an Echelon, e_i the unit in column ncols + i.  add()
+    stores a row only if something below ncols survives its reduction,
+    so every pivot lies below ncols, and express(w) is one reduce of
+    (w, 0), which leaves (0, -c) exactly when w = sum c_i v_i.  The held
+    rows are independent, so c is unique.  Tags must be distinct."""
 
     def __init__(self, field, ncols):
         self.ncols = ncols
-        self._p = field.p
         self._one = field.one
-        self.rows = {}      # pivot column (< ncols) -> tagged kernel row
+        self.rows = Echelon(field.p)    # pivots below ncols
         self.tags = []      # tags[i] labels column ncols + i
 
     def add(self, vec, tag):
         """Insert a tagged kernel row; True if it enlarged the span."""
-        p = self._p
-        row = reduce_row({**vec, self.ncols + len(self.tags): self._one},
-                         self.rows, p)
+        row = self.rows.reduce(
+            {**vec, self.ncols + len(self.tags): self._one})
         if min(row) >= self.ncols:
             return False
         self.tags.append(tag)
-        _place(self.rows, row, p)
+        self.rows.insert(row)
         return True
 
     def express(self, vec):
         """{tag: coeff} with vec = sum coeff * tagged row, or None."""
-        p = self._p
-        row = reduce_row(vec, self.rows, p)
+        p = self.rows.p
+        row = self.rows.reduce(vec)
         n = self.ncols
         if row and min(row) < n:
             return None

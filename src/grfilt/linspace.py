@@ -21,8 +21,8 @@ call to row, and decode_sparse).  The coordinate (e, i, j) is the basis
 element x^e E_ij, so Ambient.mul multiplies two kernel rows of a square
 ambient by index arithmetic, x^e E_ij * x^f E_jl = x^(e+f) E_il, with no
 matrix built.  Subspaces store their reduced-row-echelon basis as the
-kernel's sparse echelon and grow by inserting rows into a copy of its
-dict; two subspaces are equal iff their canonical echelons are equal.
+kernel's Echelon and grow by inserting rows into a copy of it; two
+subspaces are equal iff their canonical echelons are equal.
 A subspace holds its ambient, so what is built on one (a quotient
 context here, a filtration or a module action elsewhere) reads the
 ambient off it rather than taking it beside it.
@@ -34,8 +34,8 @@ truncation.
 """
 
 from .fields import QQ
-from .linalg import (dense_row, insert_row, joint_kernel, new_rows,
-                     reduce_row, row_echelon, rref, sparse_row)
+from .linalg import (Echelon, dense_row, joint_kernel, new_rows, rref,
+                     sparse_row)
 from .poly import Poly, PolyMatrix
 
 
@@ -215,34 +215,32 @@ class Ambient:
 class Subspace:
     """Canonical subspace of an ambient coordinate space.
 
-    The basis is held as the kernel's canonical sparse echelon, echelon =
-    {pivot: row} (see grfilt.linalg); every query reduces against it, and
-    equality compares it, since it is unique for the span.  A Subspace is
-    never changed once built: extend() inserts into a new echelon dict.
-    Queries and extend take kernel rows; from_vectors, and span on top of
-    it, are the one dense entry, through rref.
+    The basis is held as the kernel's canonical Echelon {pivot: row} (see
+    grfilt.linalg); every query reduces against it, and equality compares
+    it, since it is unique for the span.  A Subspace is never changed
+    once built: extend() inserts into a copy of its Echelon.  Queries and
+    extend take kernel rows; from_vectors, and span on top of it, are the
+    one dense entry, through rref.
     """
 
     def __init__(self, ambient, echelon):
         self.ambient = ambient
         self.echelon = echelon
         self.pivots = tuple(sorted(echelon))
-        self._p = ambient.field.p
 
     @classmethod
     def from_vectors(cls, ambient, vectors):
         field = ambient.field
-        rows, pivots = rref(list(vectors), field)
-        return cls(ambient, {q: sparse_row(r, field)
-                             for q, r in zip(pivots, rows)})
+        rows, _ = rref(list(vectors), field)
+        return cls(ambient, Echelon(field.p, (sparse_row(r, field)
+                                              for r in rows)))
 
     def extend(self, rows):
         """Span of this subspace and the given kernel rows, built by
-        inserting them into a copy of this echelon dict."""
-        p = self._p
-        echelon = dict(self.echelon)
+        inserting them into a copy of this Echelon."""
+        echelon = self.echelon.copy()
         for row in rows:
-            insert_row(echelon, row, p)
+            echelon.insert(row)
         return Subspace(self.ambient, echelon)
 
     @property
@@ -251,7 +249,7 @@ class Subspace:
 
     def residual(self, row):
         """A kernel row modulo this subspace."""
-        return reduce_row(row, self.echelon, self._p)
+        return self.echelon.reduce(row)
 
     def member(self, mat):
         return not self.residual(self.ambient.encode_sparse(mat))
@@ -266,7 +264,8 @@ class Subspace:
         pivot order, to the kernel row images[i], read off one
         joint_kernel."""
         return Subspace(self.ambient, joint_kernel(
-            zip(images, map(self.echelon.get, self.pivots)), self._p))
+            zip(images, map(self.echelon.get, self.pivots)),
+            self.echelon.p))
 
     def basis_rows(self):
         """The canonical basis in pivot order: the echelon's own rows."""
@@ -297,7 +296,7 @@ def span(ambient, mats):
 
 
 def zero_space(ambient):
-    return Subspace(ambient, {})
+    return Subspace(ambient, Echelon(ambient.field.p))
 
 
 def sum_spaces(u, v):
@@ -312,7 +311,7 @@ def intersect(u, v):
     _match(u, v)
     pairs = [(r, r) for r in u.echelon.values()]
     pairs += [(r, {}) for r in v.echelon.values()]
-    return Subspace(u.ambient, joint_kernel(pairs, u._p))
+    return Subspace(u.ambient, joint_kernel(pairs, u.echelon.p))
 
 
 def subspace_product(u, v):
@@ -334,8 +333,8 @@ def quotient_dim(u, v):
 def prefix_space(ambient, maxdeg):
     """All matrices with entries of total degree <= maxdeg."""
     one = ambient.field.one
-    return Subspace(ambient, {k: {k: one}
-                              for k in range(ambient.prefix_dim(maxdeg))})
+    return zero_space(ambient).extend(
+        {k: one} for k in range(ambient.prefix_dim(maxdeg)))
 
 
 def degree_cuts(u):
@@ -344,8 +343,8 @@ def degree_cuts(u):
     degree-major, so its rows of degree <= d span restrict_degree(u, d)
     for every d at once."""
     last = u.ambient.dim - 1
-    echelon = row_echelon(({last - j: x for j, x in r.items()}
-                           for r in u.echelon.values()), u._p)
+    echelon = Echelon(u.echelon.p, ({last - j: x for j, x in r.items()}
+                                    for r in u.echelon.values()))
     return [{last - j: x for j, x in echelon[q].items()}
             for q in sorted(echelon, reverse=True)]
 
@@ -368,7 +367,8 @@ def complement_section(sup, sub):
     """
     if not sup.contains(sub):
         raise ContainmentError("section: second space not inside first")
-    return Subspace(sup.ambient, new_rows(sup.echelon, sub.echelon))
+    return Subspace(sup.ambient, Echelon(
+        sup.echelon.p, new_rows(sup.echelon, sub.echelon)))
 
 
 class QuotientContext:

@@ -18,7 +18,7 @@ from functools import partial
 from itertools import islice
 
 from .fields import QQ
-from .linalg import grow, joint_row, row_echelon, split_joint
+from .linalg import Echelon, grow, joint_row, split_joint
 from .linspace import Ambient, QuotientContext
 from .filtration import (AlgebraPresentation, standard_filtration,
                          two_sided_closure, WindowExceeded)
@@ -277,11 +277,11 @@ def quotient_iso_check(ctx_a, ctx_b, pairs, max_len=4):
         a, b = split_joint(row, width)
         return (joint_row(ctx_a.mul(a, ga), ctx_b.mul(b, gb), width)
                 for ga, gb in pairs)
-    rounds = grow(row_echelon([joint_row(one_a, one_b, width)], p), step, p)
+    rounds = grow(Echelon(p, [joint_row(one_a, one_b, width)]), step)
     echelon = next(islice(rounds, max_len - 1, None))   # round max_len
     dim_a = sum(q < width for q in echelon)
-    dim_b = len(row_echelon(
-        (split_joint(r, width)[1] for r in echelon.values()), p))
+    dim_b = len(Echelon(
+        p, (split_joint(r, width)[1] for r in echelon.values())))
     return IsoReport(len(echelon) == dim_a == dim_b, dim_a, dim_b,
                      len(echelon),
                      sum(len(pairs) ** k for k in range(max_len + 1)),

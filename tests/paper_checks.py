@@ -10,7 +10,7 @@ staircase ring T, whose right ideal e13*T + e23*T is not a left ideal.
 
 from itertools import accumulate
 
-from grfilt.linalg import row_echelon
+from grfilt.linalg import Echelon
 from grfilt.linspace import subspace_product
 from grfilt.record import Record
 
@@ -169,8 +169,7 @@ def spanning_check(gr, classes, patterns):
             if el.degree != m:
                 raise ValueError("pattern degree bookkeeping is off")
             vecs.append(dict(el.coords))
-        covered.append(len(row_echelon(vecs, gr.ambient.field.p, sec.dim))
-                       == sec.dim)
+        covered.append(len(Echelon(gr.ambient.field.p, vecs)) == sec.dim)
     return SpanningReport(tuple(tuple(map(tuple, p)) for p in patterns),
                           tuple(gr.degrees), tuple(covered), all(covered))
 

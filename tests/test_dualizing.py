@@ -23,7 +23,7 @@ import pytest
 
 from grfilt.fields import QQ, PrimeField
 from grfilt.poly import Poly, PolyMatrix
-from grfilt.linalg import SpanTracker, combine_rows, joint_row, row_echelon
+from grfilt.linalg import Echelon, SpanTracker, combine_rows, joint_row
 from grfilt.linspace import (Ambient, DegreeOverflowError, prefix_space,
                              restrict_degree, zero_space)
 from grfilt.filtration import hilbert, standard_filtration
@@ -476,10 +476,10 @@ def recipe_relations(ring):
     """Stage (iv)'s relation module as once listed by ring name: the
     joint rows (x^(j+1) e12, x^j e12) from the lowest corner degree."""
     amb = ring.ambient
-    return row_echelon(
-        (joint_row(amb.row([(((j + 1,), 0, 1), 1)]),
-                   amb.row([(((j,), 0, 1), 1)]), amb.dim)
-         for j in range(CORNER_LO[ring.name], amb.degcap)), amb.field.p)
+    return Echelon(amb.field.p, (
+        joint_row(amb.row([(((j + 1,), 0, 1), 1)]),
+                  amb.row([(((j,), 0, 1), 1)]), amb.dim)
+        for j in range(CORNER_LO[ring.name], amb.degcap)))
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=str)

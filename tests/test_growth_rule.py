@@ -20,7 +20,7 @@ from itertools import combinations
 import pytest
 
 from grfilt.fields import QQ, PrimeField
-from grfilt.linalg import joint_row, row_echelon
+from grfilt.linalg import Echelon, joint_row
 from grfilt.linspace import (DegreeOverflowError, QuotientContext, span,
                              zero_space)
 from grfilt.filtration import (Filtration, full_span,
@@ -118,10 +118,10 @@ def iso_reference(ctx_a, ctx_b, pairs, max_len):
                  for (a, b) in level for (ga, gb) in pairs]
         words.extend(level)
     p = amb_a.field.p
-    dim_a = len(row_echelon((a for a, _ in words), p))
-    dim_b = len(row_echelon((b for _, b in words), p))
-    dim_joint = len(row_echelon(
-        (joint_row(a, b, amb_a.dim) for a, b in words), p))
+    dim_a = len(Echelon(p, (a for a, _ in words)))
+    dim_b = len(Echelon(p, (b for _, b in words)))
+    dim_joint = len(Echelon(
+        p, (joint_row(a, b, amb_a.dim) for a, b in words)))
     return IsoReport(dim_joint == dim_a == dim_b, dim_a, dim_b, dim_joint,
                      len(words), max_len)
 

@@ -13,10 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from grfilt.fields import QQ, PrimeField
-from grfilt.linalg import (SpanTracker, combine_rows, coords_in_rref,
-                           dense_row, joint_kernel, kernel_combos,
-                           kernel_rows, nullspace, reduce_by_rref,
-                           row_echelon, rref, sparse_row)
+from grfilt.linalg import (Echelon, SpanTracker, combine_rows,
+                           coords_in_rref, dense_row, joint_kernel,
+                           kernel_combos, kernel_rows, nullspace,
+                           reduce_by_rref, rref, sparse_row)
 from test_scalars import in_canonical_form
 
 FIELDS = [QQ, PrimeField(101), PrimeField(2147483647)]
@@ -190,8 +190,8 @@ def joint_kernel_reference(pairs, width, p):
     part: the joint rows (a, b shifted by width) go into one echelon, and
     the second parts of the rows that pivot at or past width, re-keyed,
     are the kernel's echelon."""
-    echelon = row_echelon(
-        ({**a, **{width + j: x for j, x in b.items()}} for a, b in pairs), p)
+    echelon = Echelon(
+        p, ({**a, **{width + j: x for j, x in b.items()}} for a, b in pairs))
     return {q - width: {j - width: x for j, x in echelon[q].items()}
             for q in sorted(echelon) if q >= width}
 
@@ -228,7 +228,7 @@ def test_joint_kernel_finds_its_own_split(case):
     for width in range(derived, na + 3):
         assert joint_kernel_reference(pairs, width, fld.p) == kernel
     if not any(a for a, _ in pairs):
-        assert kernel == row_echelon((b for _, b in pairs), fld.p)
+        assert kernel == Echelon(fld.p, (b for _, b in pairs))
 
 
 @common
@@ -296,13 +296,10 @@ def test_combine_rows_matches_dense_accumulation(case, data):
 def test_row_echelon_is_the_rref(case):
     fld, rows = case
     ncols = len(rows[0]) if rows else 0
-    echelon = row_echelon([sparse_row(r, fld) for r in rows], fld.p)
+    echelon = Echelon(fld.p, [sparse_row(r, fld) for r in rows])
     red, pivots = rref(rows, fld)
     assert sorted(echelon) == pivots
     assert [tuple(dense_row(echelon[q], ncols, fld)) for q in pivots] == red
-    # stopping once ncols pivots are held leaves the rank unchanged
-    assert len(row_echelon([sparse_row(r, fld) for r in rows],
-                           fld.p, ncols)) == len(pivots)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
@@ -327,4 +324,4 @@ def test_edge_cases(fld):
     assert tracker.add(sparse_row((fld.of(2),), fld), "a")
     assert tracker.express(sparse_row((fld.of(6),), fld)) == {"a": fld.of(3)}
     assert combine_rows({}, [], fld.p) == {}
-    assert row_echelon([], fld.p) == {}
+    assert Echelon(fld.p) == {}

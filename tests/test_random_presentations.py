@@ -36,7 +36,7 @@ from grfilt.fields import QQ, PrimeField
 from grfilt.filtration import (AlgebraPresentation, full_span, hilbert,
                                standard_filtration)
 from grfilt.graded import GradedTrunc, GrElement
-from grfilt.linalg import combine_rows, row_echelon
+from grfilt.linalg import Echelon, combine_rows
 from grfilt.linspace import (Ambient, intersect, restrict_degree,
                              subspace_product, sum_spaces, zero_space)
 from grfilt.poly import Poly, PolyMatrix
@@ -168,7 +168,7 @@ def test_layer_arithmetic_on_drawn_presentations(field, drawn):
                         == u.dim + v.dim)
             images = [amb.mul(b, g) for b in layer.basis_rows()]
             kernel = layer.kernel(images)
-            assert kernel.dim + len(row_echelon(images, field.p)) \
+            assert kernel.dim + len(Echelon(field.p, images)) \
                 == layer.dim
             assert layer.contains(kernel)
             assert not any(amb.mul(k, g) for k in kernel.basis_rows())

@@ -2,9 +2,10 @@
 
 Every row handed to the echelon engine and every row an echelon holds is
 snapshot deeply before the engine runs, and must equal its snapshot after
-reduce_row, insert_row, row_echelon, Subspace.extend, residual, contains
-and kernel, sum_spaces, intersect, QuotientContext.image and
-SpanTracker.add and express have read it, over Q, F_7 and F_101.
+Echelon's reduce, insert, copy and constructor, Subspace.extend,
+residual, contains and kernel, sum_spaces, intersect,
+QuotientContext.image and SpanTracker.add and express have read it, over
+Q, F_7 and F_101.
 """
 
 import copy
@@ -13,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from grfilt.fields import QQ, PrimeField
-from grfilt.linalg import SpanTracker, insert_row, reduce_row, row_echelon
+from grfilt.linalg import Echelon, SpanTracker
 from grfilt.linspace import (Ambient, QuotientContext, intersect,
                              sum_spaces, zero_space)
 
@@ -73,13 +74,13 @@ def test_no_engine_call_changes_a_row_it_was_handed_or_holds(case):
     handed = rows_a + rows_b + rows_c + held
 
     for r in handed:
-        reduce_row(r, u.echelon, p)
+        u.echelon.reduce(r)
         u.residual(r)
-    grown = dict(v.echelon)
+    grown = v.echelon.copy()
     for r in handed:
-        insert_row(grown, r, p)
+        grown.insert(r)
     snaps.take(*grown.values())
-    row_echelon(handed, p)
+    Echelon(p, handed)
     u.extend(handed)
     v.extend(u.echelon.values())
     for x, y in ((u, v), (v, u), (v, ideal)):
@@ -90,7 +91,7 @@ def test_no_engine_call_changes_a_row_it_was_handed_or_holds(case):
     u.kernel([held[i % len(held)] for i in range(u.dim)])
     QuotientContext(ideal).image(u)
     for r in held:
-        insert_row(grown, r, p)
+        grown.insert(r)
     tracker = SpanTracker(fld, amb.dim)
     for i, r in enumerate(handed):
         tracker.add(r, i)
@@ -118,8 +119,8 @@ def test_a_row_a_subspace_holds_survives_an_insert():
     amb = ambient(QQ)
     r = {0: 1, 5: 1}
     u = zero_space(amb).extend([r])
-    echelon = {5: {5: 1}}
-    assert insert_row(echelon, r, None)
+    echelon = Echelon(None, [{5: 1}])
+    assert echelon.insert(r)
     assert echelon == {0: {0: 1}, 5: {5: 1}}
     assert u.echelon == {0: {0: 1, 5: 1}}
 

@@ -2,7 +2,7 @@
 values are Python rationals in lowest form, an int when integral and
 otherwise a Fraction with denominator > 1.
 
-Poly terms, kernel rows from encode_sparse, Ambient.mul and insert_row,
+Poly terms, kernel rows from encode_sparse, Ambient.mul and Echelon,
 and dense rows from rref and dense_row all hold plain ints reduced mod p
 over F_p; over Q the same values, joint_kernel echelons and
 SpanTracker.express results are in lowest form.  No field takes a float.
@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grfilt.fields import QQ, PrimeField
-from grfilt.linalg import (SpanTracker, dense_row, insert_row,
-                           joint_kernel, rref)
+from grfilt.linalg import (Echelon, SpanTracker, dense_row, joint_kernel,
+                           rref)
 from grfilt.linspace import Ambient, Subspace
 from grfilt.poly import Poly, PolyMatrix
 
@@ -104,9 +104,9 @@ def test_kernel_and_dense_rows_hold_reduced_ints(case):
     for a in rows:
         for b in rows:
             assert_reduced(amb.mul(a, b).values(), p)
-    echelon = {}
+    echelon = Echelon(p)
     for row in rows:
-        insert_row(echelon, row, p)
+        echelon.insert(row)
         for held in echelon.values():
             assert_reduced(held.values(), p)
     dense = [dense_row(row, amb.dim, amb.field) for row in rows]
@@ -156,10 +156,10 @@ def test_rational_rows_and_echelons_are_in_lowest_form(entries):
     for a in rows:
         for b in rows:
             assert_lowest(amb.mul(a, b).values())
-    echelon = {}
+    echelon = Echelon(None)
     tracker = SpanTracker(QQ, amb.dim)
     for i, row in enumerate(rows):
-        insert_row(echelon, row, None)
+        echelon.insert(row)
         tracker.add(row, i)
         for held in echelon.values():
             assert_lowest(held.values())

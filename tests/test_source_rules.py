@@ -112,33 +112,50 @@ SEEDED = {
             "    return kind == 'weak-adic'\n"),
     }, ["src/grfilt/filtration.py:5: compares a filtration kind",
         "src/grfilt/filtration.py:7: compares a filtration kind"]),
-    # like the round loop quotient_iso_check once wrote by hand; only
-    # Subspace.extend of linspace's functions may insert, and tests may
+    # like the round loop quotient_iso_check once wrote by hand, and the
+    # dicts zero_space, prefix_space and from_vectors once handed
+    # Subspace; only Subspace.extend of linspace's functions may insert,
+    # a plain function may return a dict, and tests may do either
     "echelon-writers": ({
         "src/grfilt/linalg.py": (
             "def row_echelon(rows, p):\n"
-            "    e = {}\n"
+            "    e = Echelon(p)\n"
             "    for r in rows:\n"
-            "        insert_row(e, r, p)\n"),
+            "        e.insert(r)\n"),
         "src/grfilt/linspace.py": (
             "from . import linalg\n"
             "class Subspace:\n"
             "    def extend(self, rows):\n"
-            "        insert_row(self.e, rows, 0)\n"
+            "        self.e.insert(rows)\n"
+            "    @classmethod\n"
+            "    def from_vectors(cls, a, rows):\n"
+            "        return cls(a, {q: r for q, r in rows})\n"
             "def sum_spaces(u, v):\n"
-            "    linalg.insert_row(u.e, v, 0)\n"),
+            "    u.echelon.insert(v)\n"
+            "def zero_space(ambient):\n"
+            "    return Subspace(ambient, {})\n"
+            "def prefix_space(ambient, n):\n"
+            "    return Subspace(ambient, echelon={k: {k: 1} for k in n})\n"
+            "def span(ambient, rows):\n"
+            "    return Subspace(ambient, linalg.Echelon(None, rows))\n"
+            "def poly(field):\n"
+            "    return cls(field, 1, {})\n"),
         "src/grfilt/graded.py": (
             "def ideal_chain_witness(piece, row):\n"
-            "    insert_row(piece, row, 0)\n"
+            "    piece.insert(row)\n"
             "def verify_chain_report(piece, row):\n"
-            "    insert_row(piece, row, 0)\n"),
+            "    piece.insert(row)\n"),
         "src/grfilt/workbench.py": (
             "def quotient_iso_check(echelon, rows):\n"
             "    for r in rows:\n"
-            "        insert_row(echelon, r, 0)\n"),
-        "tests/test_m.py": "insert_row({}, {0: 1}, None)\n",
-    }, ["src/grfilt/linspace.py:6: calls insert_row",
-        "src/grfilt/workbench.py:3: calls insert_row"]),
+            "        echelon.insert(r)\n"),
+        "tests/test_m.py": ("Echelon(None).insert({0: 1})\n"
+                            "Subspace(None, {})\n"),
+    }, ["src/grfilt/linspace.py:9: calls insert",
+        "src/grfilt/workbench.py:3: calls insert",
+        "src/grfilt/linspace.py:11: hands Subspace a dict",
+        "src/grfilt/linspace.py:13: hands Subspace a dict",
+        "src/grfilt/linspace.py:7: hands Subspace a dict"]),
 }
 
 

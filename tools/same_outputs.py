@@ -31,7 +31,9 @@ FIELDS = ("Q", "Fp:101", "Fp:2147483629", "Fp:7")
 # the 3x3 staircase over k[x,y] and on R_hat, off R_2x2 and R_prime; then
 # grown layers, good filtrations and a joint word span deeper than any
 # workload job grows them: both certificate kinds, and the word
-# comparison the installed package runs in CI
+# comparison the installed package runs in CI; then the largest echelons:
+# a staircase window of thousands of inserts whose new pivots meet no
+# held row, and dualizing tuple spaces whose new pivots do
 EDGE_JOBS = (
     "chain --side right --steps 4",
     "chain --kind weak-adic --side left --steps 4",
@@ -67,6 +69,8 @@ EDGE_JOBS = (
     "certify --case ascending --depth 30",
     "certify --case weak-adic --depth 24",
     "quotient-iso --degcap 64 --max-len 30",
+    "hilbert --ring T --depth 12",
+    "dualize --degcap 120",
 )
 # reads a JSON list of argvs on stdin, writes [code, stdout sha256,
 # stderr sha256] for each

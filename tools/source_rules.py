@@ -184,17 +184,30 @@ def filtration_kind(src):
 
 
 def echelon_writers(src):
-    """Spans closed under products grow by one rule, linalg.grow, so a
-    hand-written growth loop must not come back: src/ calls insert_row
-    only in linalg.py, in Subspace.extend, and in graded's two chain
-    builders, which grow one echelon per degree as generators arrive."""
+    """Echelons are linalg.Echelons built by insertion, and spans closed
+    under products grow by one rule, linalg.grow, so neither a hand-built
+    echelon nor a hand-written growth loop may come back: src/ calls a
+    method spelled insert only in linalg.py, in Subspace.extend and in
+    graded's two chain builders, which grow one Echelon per degree as
+    generators arrive; and no call of Subspace, or of cls inside class
+    Subspace, passes a dict display or comprehension as the echelon."""
     allowed = {("linspace", "extend"), ("graded", "ideal_chain_witness"),
                ("graded", "verify_chain_report")}
-    return [f"{p}:{n.lineno}: calls insert_row"
-            for p, n in _outside(src, ast.FunctionDef, allowed)
-            if p.stem != "linalg" and isinstance(n, ast.Call)
-            and "insert_row" in (getattr(n.func, "id", None),
-                                 getattr(n.func, "attr", None))]
+    bad = [f"{p}:{n.lineno}: calls insert"
+           for p, n in _outside(src, ast.FunctionDef, allowed)
+           if p.stem != "linalg" and isinstance(n, ast.Call)
+           and getattr(n.func, "attr", None) == "insert"]
+    for p in src.under("src"):
+        own = {id(n) for c in src.nodes[p] if isinstance(c, ast.ClassDef)
+               and c.name == "Subspace" for n in ast.walk(c)}
+        bad += [f"{p}:{n.lineno}: hands Subspace a dict"
+                for n in src.nodes[p] if isinstance(n, ast.Call)
+                and getattr(n.func, "id", None) in (
+                    ("Subspace", "cls") if id(n) in own else ("Subspace",))
+                and any(isinstance(e, (ast.Dict, ast.DictComp))
+                        for e in n.args[1:2] + [k.value for k in n.keywords
+                                                if k.arg == "echelon"])]
+    return bad
 
 
 RULES = {f.__name__.replace("_", "-"): f for f in (
