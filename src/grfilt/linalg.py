@@ -192,10 +192,14 @@ def grow(echelon, step):
 
 
 def rref(rows, field):
-    """Canonical RREF of a list of dense rows.  Returns (rows, pivots),
-    rows sorted by pivot column."""
+    """Canonical RREF of a list of dense rows, inserted until ncols
+    pivots are held.  Returns (rows, pivots), sorted by pivot column."""
     ncols = len(rows[0]) if rows else 0
-    echelon = Echelon(field.p, (sparse_row(r, field) for r in rows))
+    echelon = Echelon(field.p)
+    for r in rows:
+        echelon.insert(sparse_row(r, field))
+        if len(echelon) == ncols:
+            break
     pivots = sorted(echelon)
     return ([tuple(dense_row(echelon[j], ncols, field)) for j in pivots],
             pivots)
@@ -290,7 +294,8 @@ class SpanTracker:
     stores a row only if something below ncols survives its reduction,
     so every pivot lies below ncols, and express(w) is one reduce of
     (w, 0), which leaves (0, -c) exactly when w = sum c_i v_i.  The held
-    rows are independent, so c is unique.  Tags must be distinct."""
+    rows are independent, so c is unique.  Tags must be distinct.  insert
+    reduces again the row add() reduced, a spare pass that finds no pivot."""
 
     def __init__(self, field, ncols):
         self.ncols = ncols
@@ -305,14 +310,11 @@ class SpanTracker:
         if min(row) >= self.ncols:
             return False
         self.tags.append(tag)
-        self.rows.insert(row)
-        return True
+        return self.rows.insert(row)
 
     def express(self, vec):
         """{tag: coeff} with vec = sum coeff * tagged row, or None."""
-        p = self.rows.p
-        row = self.rows.reduce(vec)
-        n = self.ncols
+        row, n, p = self.rows.reduce(vec), self.ncols, self.rows.p
         if row and min(row) < n:
             return None
         return {self.tags[j - n]: -c % p if p else -c

@@ -231,9 +231,8 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient, vectors):
         field = ambient.field
-        rows, _ = rref(list(vectors), field)
-        return cls(ambient, Echelon(field.p, (sparse_row(r, field)
-                                              for r in rows)))
+        return cls(ambient, Echelon(field.p, (
+            sparse_row(r, field) for r in rref(list(vectors), field)[0])))
 
     def extend(self, rows):
         """Span of this subspace and the given kernel rows, built by
@@ -263,9 +262,8 @@ class Subspace:
         """Kernel of the map sending the i-th canonical basis row, in
         pivot order, to the kernel row images[i], read off one
         joint_kernel."""
-        return Subspace(self.ambient, joint_kernel(
-            zip(images, map(self.echelon.get, self.pivots)),
-            self.echelon.p))
+        return Subspace(self.ambient, joint_kernel(zip(
+            images, map(self.echelon.get, self.pivots)), self.echelon.p))
 
     def basis_rows(self):
         """The canonical basis in pivot order: the echelon's own rows."""

@@ -169,7 +169,12 @@ def spanning_check(gr, classes, patterns):
             if el.degree != m:
                 raise ValueError("pattern degree bookkeeping is off")
             vecs.append(dict(el.coords))
-        covered.append(len(Echelon(gr.ambient.field.p, vecs)) == sec.dim)
+        echelon = Echelon(gr.ambient.field.p)
+        for vec in vecs:
+            echelon.insert(vec)
+            if len(echelon) == sec.dim:
+                break
+        covered.append(len(echelon) == sec.dim)
     return SpanningReport(tuple(tuple(map(tuple, p)) for p in patterns),
                           tuple(gr.degrees), tuple(covered), all(covered))
 

@@ -300,6 +300,10 @@ def test_row_echelon_is_the_rref(case):
     red, pivots = rref(rows, fld)
     assert sorted(echelon) == pivots
     assert [tuple(dense_row(echelon[q], ncols, fld)) for q in pivots] == red
+    # rref stops once ncols pivots are held: the rank, and the rows, of
+    # the full Echelon above; a row past that point is never read
+    if rows and len(pivots) == ncols:
+        assert rref(list(rows) + [None], fld) == (red, pivots)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)

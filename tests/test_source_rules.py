@@ -115,7 +115,8 @@ SEEDED = {
     # like the round loop quotient_iso_check once wrote by hand, and the
     # dicts zero_space, prefix_space and from_vectors once handed
     # Subspace; only Subspace.extend of linspace's functions may insert,
-    # a plain function may return a dict, and tests may do either
+    # a list's two-argument insert is no echelon's, a plain function may
+    # return a dict, and tests may do either
     "echelon-writers": ({
         "src/grfilt/linalg.py": (
             "def row_echelon(rows, p):\n"
@@ -148,7 +149,8 @@ SEEDED = {
         "src/grfilt/workbench.py": (
             "def quotient_iso_check(echelon, rows):\n"
             "    for r in rows:\n"
-            "        echelon.insert(r)\n"),
+            "        echelon.insert(r)\n"
+            "        rows.insert(0, r)\n"),
         "tests/test_m.py": ("Echelon(None).insert({0: 1})\n"
                             "Subspace(None, {})\n"),
     }, ["src/grfilt/linspace.py:9: calls insert",

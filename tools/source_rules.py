@@ -186,17 +186,21 @@ def filtration_kind(src):
 def echelon_writers(src):
     """Echelons are linalg.Echelons built by insertion, and spans closed
     under products grow by one rule, linalg.grow, so neither a hand-built
-    echelon nor a hand-written growth loop may come back: src/ calls a
-    method spelled insert only in linalg.py, in Subspace.extend and in
-    graded's two chain builders, which grow one Echelon per degree as
-    generators arrive; and no call of Subspace, or of cls inside class
-    Subspace, passes a dict display or comprehension as the echelon."""
+    echelon nor a hand-written growth loop may come back: src/ calls
+    insert with one argument, as Echelon.insert takes it (list.insert
+    takes two), only in linalg.py, in Subspace.extend and in graded's two
+    chain builders, which grow one Echelon per degree as generators
+    arrive; and no call of Subspace, or of cls inside class Subspace,
+    passes a dict display or comprehension as the echelon.  That half
+    only flags the plain slips: the real guard on a Subspace's echelon is
+    tests/test_echelon.py, which finds an Echelon in every catalog one."""
     allowed = {("linspace", "extend"), ("graded", "ideal_chain_witness"),
                ("graded", "verify_chain_report")}
     bad = [f"{p}:{n.lineno}: calls insert"
            for p, n in _outside(src, ast.FunctionDef, allowed)
            if p.stem != "linalg" and isinstance(n, ast.Call)
-           and getattr(n.func, "attr", None) == "insert"]
+           and getattr(n.func, "attr", None) == "insert"
+           and len(n.args) + len(n.keywords) == 1]
     for p in src.under("src"):
         own = {id(n) for c in src.nodes[p] if isinstance(c, ast.ClassDef)
                and c.name == "Subspace" for n in ast.walk(c)}
