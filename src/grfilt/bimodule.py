@@ -115,13 +115,12 @@ def free_rank(action, depth):
     gens = []
     relation = None
     step = action.effective_step()
-    basis = _scan_basis(action, depth)
-    for b in basis:
-        if tracker.express(b) is not None:
-            continue
+    for b in _scan_basis(action, depth):
         gi = len(gens)
+        if not tracker.add(b, (gi, 0)):
+            continue
         gens.append(b)
-        for k, v in enumerate(action.power_orbit(b)):
+        for k, v in enumerate(action.power_orbit(b)[1:], 1):
             if not v:
                 relation = relation or {
                     "kind": "nilpotent", "generator": gi, "power": k,
@@ -267,41 +266,44 @@ def _has_kernel(action):
 
 
 def goldie_rank(action, depth):
-    """Uniform rank certificate: a maximal greedy family with directly
-    summed k[t]-orbits, plus the check that every window element has a
-    nonzero multiple inside the family span (essentiality).
-
-    Needs the actor to act regularly (injectively) on the window; a kernel
-    element is reported instead of a rank.  Series ambients are refused
-    (see _has_kernel).
-    """
+    """Uniform rank certificate: one pass over the window's basis keeps
+    each orbit whose sum with the family span is direct.  Each other
+    orbit meets that span, which only grows, so the family is essential
+    by construction (essential_ok, like regular_ok, is fixed by the
+    branch taken).  Needs the actor to act regularly (injectively) on
+    the window; a kernel element is reported instead of a rank.  Series
+    ambients are refused (see _has_kernel)."""
     amb = action.ambient
     if _has_kernel(action):
         return GoldieReport(action.name, action.side, _KERNEL_VERDICT,
                             None, (), (), False, False, False,
                             depth, slope_table(action, depth))
-    basis = _scan_basis(action, depth)
-    orbits = [action.power_orbit(b) for b in basis]
-    spans = [zero_space(amb).extend(orbit) for orbit in orbits]
     family = []
     total = zero_space(amb)
     budget_ok = True
-    # an orbit span meets total trivially exactly when the sum is direct
-    for b, orbit, sb in zip(basis, orbits, spans):
-        grown = sum_spaces(total, sb)
-        if grown.dim == total.dim + sb.dim:
+    for b in _scan_basis(action, depth):
+        orbit = action.power_orbit(b)
+        grown = _direct(total, orbit)
+        if grown is not None:
             family.append(b)
             total = grown
             if len(orbit) < 2:
                 budget_ok = False
-    essential_ok = all(sum_spaces(total, sb).dim < total.dim + sb.dim
-                       for sb in spans)
-    verdict = "certified" if (essential_ok and budget_ok) else "inconclusive"
+    verdict = "certified" if budget_ok else "inconclusive"
     return GoldieReport(action.name, action.side, verdict,
                         len(family) if verdict == "certified" else None,
                         tuple(map(amb.degree, family)), tuple(family),
-                        essential_ok, budget_ok, True, depth,
+                        True, budget_ok, True, depth,
                         slope_table(action, depth))
+
+
+def _direct(total, orbit):
+    """total plus the span of orbit when the two meet trivially, which is
+    exactly when the sum is direct: when the dimensions add up; None
+    otherwise."""
+    sb = zero_space(total.ambient).extend(orbit)
+    grown = sum_spaces(total, sb)
+    return grown if grown.dim == total.dim + sb.dim else None
 
 
 def verify_goldie_certificate(action, report):
@@ -324,19 +326,13 @@ def verify_goldie_certificate(action, report):
             amb.degree(m) <= report.depth and not action.carrier.residual(m)
             for m in report.family):
         return False
-    # an orbit span meets total trivially exactly when the sum is direct
     total = zero_space(amb)
     for m in report.family:
-        sb = zero_space(amb).extend(action.power_orbit(m))
-        grown = sum_spaces(total, sb)
-        if grown.dim != total.dim + sb.dim:
+        total = _direct(total, action.power_orbit(m))
+        if total is None:
             return False
-        total = grown
-    for b in _scan_basis(action, report.depth):
-        sb = zero_space(amb).extend(action.power_orbit(b))
-        if sum_spaces(total, sb).dim == total.dim + sb.dim:
-            return False
-    return True
+    return all(_direct(total, action.power_orbit(b)) is None
+               for b in _scan_basis(action, report.depth))
 
 
 def corner_ideal(name, depth, field):

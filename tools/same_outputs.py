@@ -33,7 +33,9 @@ FIELDS = ("Q", "Fp:101", "Fp:2147483629", "Fp:7")
 # workload job grows them: both certificate kinds, and the word
 # comparison the installed package runs in CI; then the largest echelons:
 # a staircase window of thousands of inserts whose new pivots meet no
-# held row, and dualizing tuple spaces whose new pivots do
+# held row, and dualizing tuple spaces whose new pivots do; last, the
+# Goldie scan and both rank verifiers on a corner window four times
+# deeper than any workload ranks job
 EDGE_JOBS = (
     "chain --side right --steps 4",
     "chain --kind weak-adic --side left --steps 4",
@@ -71,6 +73,7 @@ EDGE_JOBS = (
     "quotient-iso --degcap 64 --max-len 30",
     "hilbert --ring T --depth 12",
     "dualize --degcap 120",
+    "ranks --depth 60",
 )
 # reads a JSON list of argvs on stdin, writes [code, stdout sha256,
 # stderr sha256] for each
