@@ -106,9 +106,11 @@ def free_rank(action, depth):
     the span, and any linear collision among orbit vectors is a genuine
     k[t]-relation (products are computed exactly, so nothing spurious).
 
-    Verdicts: "free" when no relation appeared and generator discovery has
-    been quiet for more than effective_step degrees below depth;
-    "not free" with the relation; otherwise "inconclusive".
+    Verdicts: "not free" with the relation; "free" when none appeared and
+    the window is quiet (_quiet): generator discovery stopped more than
+    effective_step degrees below depth, and a nonzero carrier gave the
+    scan a generator; otherwise "inconclusive".  So a window with no
+    carrier row of degree <= depth certifies no rank, not rank 0.
     """
     amb = action.ambient
     tracker = SpanTracker(amb.field, amb.dim)
@@ -136,13 +138,22 @@ def free_rank(action, depth):
                 break
     if relation is not None:
         verdict, rank = "not free", None
-    elif gens and amb.degree(gens[-1]) > depth - max(step, 1):
-        verdict, rank = "inconclusive", None
-    else:
+    elif _quiet(action, gens, depth, step):
         verdict, rank = "free", len(gens)
+    else:
+        verdict, rank = "inconclusive", None
     return RankReport(action.name, action.side, verdict, rank, depth,
                       step, tuple(map(amb.degree, gens)), tuple(gens),
                       relation, depth, tracker)
+
+
+def _quiet(action, gens, depth, step):
+    """free_rank's rule for "free" once no relation appeared: the last
+    generator lies more than step degrees below depth, and there is one
+    unless the carrier is zero."""
+    if not gens:
+        return not action.carrier.dim
+    return action.ambient.degree(gens[-1]) <= depth - max(step, 1)
 
 
 def _scan_basis(action, depth):
@@ -153,10 +164,16 @@ def _scan_basis(action, depth):
 
 
 def verify_rank_certificate(action, report):
-    """Recheck a rank report's claims from its stored data.  A verdict
-    free_rank never writes, a rank other than free_rank's (the number of
-    generators, or None when not free) or a relation of the wrong shape
-    is a false claim, not an error; "inconclusive" raises WindowExceeded."""
+    """Recheck a rank report's claims from its stored data.  A report
+    that breaks a rule free_rank follows is a false claim, not an error:
+    a verdict free_rank never writes; a rank other than free_rank's (the
+    number of generators, or None when not free); generators that are
+    not carrier rows of degree <= depth in degree order, or degrees,
+    spanned_through or effective_step other than the scan's; "free"
+    outside a quiet window (_quiet, so never without a generator on a
+    nonzero carrier); "not free" with a generator, up to the relation's
+    own, inside the earlier generators' orbits, or with a relation of
+    the wrong shape.  "inconclusive" raises WindowExceeded."""
     amb = action.ambient
     if report.verdict == "inconclusive":
         raise WindowExceeded("an inconclusive report claims nothing")
@@ -164,11 +181,25 @@ def verify_rank_certificate(action, report):
             ("free", len(report.generators)), ("not free", None)):
         return False
     gens = report.generators
+    degrees = tuple(map(amb.degree, gens))
+    if not (degrees == report.generator_degrees
+            and list(degrees) == sorted(degrees)
+            and all(d <= report.depth for d in degrees)
+            and not any(map(action.carrier.residual, gens))
+            and report.spanned_through == report.depth
+            and report.effective_step == action.effective_step()):
+        return False
     if report.verdict == "not free":
         rel = _read_relation(report.relation, amb.field, len(gens))
         if rel is None:
             return False
         kind, gi, k, combo = rel
+        # free_rank adopts a row only outside the orbits before it
+        earlier = zero_space(amb)
+        for g in gens[:gi + 1]:
+            if not earlier.residual(g):
+                return False
+            earlier = earlier.extend(action.power_orbit(g))
         orbit = action.power_orbit(gens[gi], max_power=k)
         if len(orbit) <= k:
             return False
@@ -186,6 +217,8 @@ def verify_rank_certificate(action, report):
                 coeffs[len(rows)] = amb.field.of(-c)
                 rows.append(term[l])
         return not combine_rows(coeffs, rows, amb.field.p)
+    if not _quiet(action, gens, report.depth, report.effective_step):
+        return False
     # the orbits are independent exactly when their span has full dim
     rows = [v for g in gens for v in action.power_orbit(g)]
     orbits = zero_space(amb).extend(rows)
@@ -289,7 +322,9 @@ def goldie_rank(action, depth):
             total = grown
             if len(orbit) < 2:
                 budget_ok = False
-    verdict = "certified" if budget_ok else "inconclusive"
+    # a nonzero carrier with no row of degree <= depth certifies no rank
+    verdict = ("certified" if budget_ok and (family or not action.carrier.dim)
+               else "inconclusive")
     return GoldieReport(action.name, action.side, verdict,
                         len(family) if verdict == "certified" else None,
                         tuple(map(amb.degree, family)), tuple(family),
@@ -309,8 +344,9 @@ def _direct(total, orbit):
 def verify_goldie_certificate(action, report):
     """Recheck a uniform-rank report.  The kernel verdict holds when the
     recomputed kernel is nonzero; "certified" needs it zero and a stored
-    family of carrier elements of degree <= depth, as many as the rank,
-    with direct and essential orbits.  Any other verdict, or a rank
+    family of carrier elements of degree <= depth, with their degrees,
+    as many as the rank and none only on a zero carrier, with direct and
+    essential orbits.  Any other verdict, or a rank
     beside the kernel verdict, is False; "inconclusive" claims nothing
     to check and raises WindowExceeded."""
     if report.verdict == "inconclusive":
@@ -322,12 +358,15 @@ def verify_goldie_certificate(action, report):
     if report.verdict != "certified":
         return False
     amb = action.ambient
-    if report.rank != len(report.family) or not all(
-            amb.degree(m) <= report.depth and not action.carrier.residual(m)
-            for m in report.family):
+    family = report.family
+    if (report.rank != len(family)
+            or (not family and action.carrier.dim)
+            or report.family_degrees != tuple(map(amb.degree, family))
+            or not all(amb.degree(m) <= report.depth
+                       and not action.carrier.residual(m) for m in family)):
         return False
     total = zero_space(amb)
-    for m in report.family:
+    for m in family:
         total = _direct(total, action.power_orbit(m))
         if total is None:
             return False

@@ -91,14 +91,15 @@ def verify_certificate(cert):
     Anything else certifies nothing and is False: an ObstructionGap or its
     JSON, a payload without a certificate's shape (int s, t and
     max_offset, a list of int Hilbert values, and a list of rows with int
-    p, n, H_n and H_n_plus_p), and one whose max_offset is below 1."""
+    p, n, H_n and H_n_plus_p), one whose ranks are not 1 <= s < t (as
+    growth_obstruction requires) and one whose max_offset is below 1."""
     if isinstance(cert, GrowthCertificate):
         cert = cert.to_json()
     if not isinstance(cert, dict) or not _CERT_KEYS <= cert.keys():
         return False
     s, t, rows, vals = cert["s"], cert["t"], cert["rows"], cert["hilbert"]
     max_offset = cert["max_offset"]
-    if not (_ints((s, t, max_offset)) and s < t and max_offset >= 1
+    if not (_ints((s, t, max_offset)) and 1 <= s < t and max_offset >= 1
             and isinstance(vals, list) and _ints(vals)
             and isinstance(rows, list) and all(
                 isinstance(row, dict) and _ROW_KEYS <= row.keys()

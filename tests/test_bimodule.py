@@ -409,3 +409,141 @@ def test_verifiers_refuse_an_inconclusive_report(corner):
     gold = goldie_rank(act, 8).replace(verdict="inconclusive", rank=None)
     with pytest.raises(WindowExceeded):
         verify_goldie_certificate(act, gold)
+
+
+# Reports free_rank never writes.  Each forgery keeps the stored degrees
+# in step with its generators, so only the rule it names is broken.
+
+def test_verifier_refuses_a_generator_outside_the_carrier(corner):
+    ring, actions = corner
+    amb = ring.ambient
+    act = actions["left"]
+    rep = free_rank(act, 8)
+    e11 = amb.row([(((0,), 0, 0), 1)])
+    assert act.carrier.residual(e11)
+    forged = rep.replace(rank=2, generators=rep.generators + (e11,),
+                         generator_degrees=rep.generator_degrees + (0,))
+    assert not verify_rank_certificate(act, forged)
+
+
+@pytest.mark.parametrize("side", ("left", "right"))
+def test_verifier_refuses_spanned_through_other_than_depth(corner, side):
+    # restrict_degree(carrier, -1) is zero, so coverage would hold
+    ring, actions = corner
+    act = actions[side]
+    rep = free_rank(act, 8)
+    forged = rep.replace(spanned_through=-1, rank=1,
+                         generators=rep.generators[:1],
+                         generator_degrees=rep.generator_degrees[:1])
+    assert not verify_rank_certificate(act, forged)
+
+
+def test_verifier_refuses_free_outside_a_quiet_window():
+    # at depth 0 the right scan's generator sits within the step of 2
+    ring, actions = corner_ideal("corner", 0, QQ)
+    act = actions["right"]
+    rep = free_rank(act, 0)
+    assert rep.verdict == "inconclusive" and rep.generator_degrees == (0,)
+    assert not verify_rank_certificate(act,
+                                       rep.replace(verdict="free", rank=1))
+
+
+def test_verifier_refuses_a_generator_inside_earlier_orbits(corner):
+    # (b, t b) with "generator 1 is t times generator 0": free_rank never
+    # adopts t b, and the left side is free of rank 1
+    ring, actions = corner
+    act = actions["left"]
+    rep = free_rank(act, 8)
+    b = rep.generators[0]
+    gens = (b, act.apply(b))
+    relation = {"kind": "collision", "generator": 1, "power": 0,
+                "combo": [[0, 1, "1"]]}
+    forged = rep.replace(verdict="not free", rank=None, generators=gens,
+                         generator_degrees=tuple(map(ring.ambient.degree,
+                                                     gens)),
+                         relation=relation)
+    assert not verify_rank_certificate(act, forged)
+
+
+def test_verifier_refuses_generators_out_of_degree_order(corner):
+    ring, actions = corner
+    act = actions["right"]
+    rep = free_rank(act, 8)
+    assert rep.generator_degrees == (0, 1)
+    forged = rep.replace(generators=rep.generators[::-1],
+                         generator_degrees=rep.generator_degrees[::-1])
+    assert not verify_rank_certificate(act, forged)
+
+
+def test_verifier_refuses_a_generator_past_the_depth(corner):
+    ring, actions = corner
+    amb = ring.ambient
+    act = ModuleAction("corner-by-beta", span(amb, [amb.one()]),
+                       ring.el("beta"), "right")
+    rep = free_rank(act, 4)
+    assert rep.verdict == "not free" and rep.generator_degrees == (0,)
+    forged = rep.replace(depth=-1, spanned_through=-1)
+    assert not verify_rank_certificate(act, forged)
+
+
+@pytest.mark.parametrize("change", [{"generator_degrees": (5,)},
+                                    {"effective_step": 3}],
+                         ids=["degrees", "step"])
+def test_verifier_refuses_stored_numbers_the_scan_did_not_find(corner,
+                                                               change):
+    ring, actions = corner
+    act = actions["left"]
+    rep = free_rank(act, 8)
+    assert not verify_rank_certificate(act, rep.replace(**change))
+
+
+def perturbed_corner(seed, depth):
+    """R_perturbed's corner generated by seed, which starts in degree
+    1 (xe12) or 2 (x2e12), as alpha acts on it from both sides."""
+    ring = make("R_perturbed", field=QQ, depth=depth)
+    carrier = two_sided_closure(ring.pres, [ring.el(seed)])
+    return [ModuleAction(f"{seed}:{side}", carrier, ring.el("alpha"), side)
+            for side in ("left", "right")]
+
+
+def test_a_window_below_the_carrier_certifies_no_free_rank():
+    for act in perturbed_corner("xe12", 0):
+        assert act.carrier.dim
+        rep = free_rank(act, 0)
+        assert (rep.verdict, rep.rank, rep.generators) == (
+            "inconclusive", None, ())
+        forged = rep.replace(verdict="free", rank=0)
+        assert not verify_rank_certificate(act, forged)
+
+
+def test_a_window_below_the_carrier_certifies_no_uniform_rank():
+    for act in perturbed_corner("x2e12", 1):
+        gold = goldie_rank(act, 1)
+        assert (gold.verdict, gold.rank, gold.family) == (
+            "inconclusive", None, ())
+        forged = gold.replace(verdict="certified", rank=0)
+        assert not verify_goldie_certificate(act, forged)
+
+
+def test_goldie_verifier_refuses_an_empty_family_on_a_nonzero_carrier(
+        corner):
+    ring, actions = corner
+    act = actions["left"]
+    rep = goldie_rank(act, 8)
+    forged = rep.replace(depth=-1, family=(), family_degrees=(), rank=0)
+    assert not verify_goldie_certificate(act, forged)
+    assert not verify_goldie_certificate(act, rep.replace(
+        family_degrees=(3,)))
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=str)
+def test_a_zero_carrier_has_rank_zero(field):
+    ring = make("R_2x2", degcap=6, field=field)
+    for side in ("left", "right"):
+        act = ModuleAction("zero", zero_space(ring.ambient),
+                           ring.el("alpha"), side)
+        rep, gold = free_rank(act, 4), goldie_rank(act, 4)
+        assert (rep.verdict, rep.rank) == ("free", 0)
+        assert (gold.verdict, gold.rank) == ("certified", 0)
+        assert verify_rank_certificate(act, rep)
+        assert verify_goldie_certificate(act, gold)

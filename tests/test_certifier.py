@@ -201,3 +201,11 @@ def test_two_sided_dossier_computes_the_rank_pair_once(monkeypatch):
     assert (d.ascending.s, d.ascending.t) == (1, 2)
     assemble_growth_dossier("ascending", depth=6)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("s, t", [(0, 1), (-3, -1)])
+def test_ranks_below_one_certify_nothing(s, t):
+    # growth_obstruction refuses these ranks, so no certificate has them
+    cert = {"s": s, "t": t, "max_offset": 1, "hilbert": [1, 1],
+            "rows": [{"p": 1, "n": 0, "H_n": 1, "H_n_plus_p": 1}]}
+    assert not verify_certificate(cert)

@@ -162,8 +162,9 @@ def test_ring_window_scans_match_their_references(name, field):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_scans_with_relations_or_a_kernel_match_their_references(field):
     # beta is nilpotent and has a kernel, 3 + beta collides at its second
-    # power ((t - 3)^2 = 0 on every field), and alpha^2 twists by a step of 2 or 4; the scan goes on past
-    # the first relation, so later generators meet a cut-off orbit
+    # power ((t - 3)^2 = 0 on every field), and alpha^2 twists by a step
+    # of 2 or 4; the scan goes on past the first relation, so later
+    # generators meet a cut-off orbit
     ring = make("R_2x2", degcap=8, field=field)
     amb = ring.ambient
     alpha, beta, one = ring.el("alpha"), ring.el("beta"), amb.one()
