@@ -9,11 +9,19 @@ the staircase quotient comparison, and the one-sided ideal chains.  The
 staircase model's op-involution check has no subcommand; it is run
 directly and passes when both of its checks hold.
 
+After the battery, growth_tables.txt is read off hilbert_standard.json
+and growth_dossier.json as they lie on disk: the ring's layers beside
+the ascending and m-adic quotient tables, the witnesses t*H(n) >
+s*H(n+p) for the computed ranks s < t, rechecked from that JSON by
+verify_certificate, and the growth probe.
+
 summary.txt gets one line per report, with the verdict read from the
 command's exit code (0 verified, 1 FAILED, 2 inconclusive, 3 usage
-error).  The script exits with the worst code of the battery: usage
-error, then failure, then inconclusive.  Bad flags and an output directory
-that cannot be made exit 3 before anything runs.
+error); its growth_tables line is the recheck's, or the worse of the
+two reports' when either did not exit 0 (no table is then written).
+The script exits with the worst code of the battery: usage error, then
+failure, then inconclusive.  Bad flags and an output directory that
+cannot be made exit 3 before anything runs.
 
     python scripts/make_reports.py --outdir reports --depth 8
 """
@@ -23,6 +31,7 @@ import json
 import sys
 from pathlib import Path
 
+from grfilt.certifier import verify_certificate
 from grfilt.cli import (main as grfilt_main, window_arg, EXIT_OK,
                         EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE)
 from grfilt.workbench import make, op_involution_report
@@ -52,6 +61,30 @@ def reports(depth):
         ("chain_weak_adic_right", f"chain --kind weak-adic --steps "
                                   f"{max(d - 3, 0)} --depth {d}"),
     )]
+
+
+def growth_tables(outdir):
+    """EXIT_OK when growth_dossier.json's ascending certificate rechecks
+    against its quotient table, else EXIT_FAIL; writes the file either way."""
+    ring, dossier = (json.loads((outdir / f"{name}.json").read_text())
+                     for name in ("hilbert_standard", "growth_dossier"))
+    asc, madic = dossier["ascending"], dossier["weak_adic"]["hilbert"]
+    quot, cert = asc["hilbert"]["values"], asc["certificate"]
+    verified = verify_certificate(cert) and cert["hilbert"] == quot
+    lines = [f"{'n':>4} {'H_ring':>8} {'H_quot':>8} {'H_madic':>8}"] + [
+        f"{n:>4} {ring['hilbert']['values'][n]:>8} {quot[n]:>8} "
+        f"{madic['values'][n]:>8}" for n in range(len(quot))]
+    if verified:
+        lines += [f"\nobstruction witnesses, {cert['t']}*H(n) > "
+                  f"{cert['s']}*H(n+p), quotient table:"] + [
+            f"  p = {r['p']:>2}: first n = {r['n']} (H = {r['H_n']} vs "
+            f"{r['H_n_plus_p']})" for r in cert["rows"]]
+    (outdir / "growth_tables.txt").write_text("\n".join(lines + [
+        f"re-verified: {verified}",
+        "\ngrowth shape probe: max ratio {max_ratio}, fitted degree "
+        "{fitted_degree}, subexponential consistent = "
+        "{subexponential_consistent}\n".format(**asc["probe"])]))
+    return EXIT_OK if verified else EXIT_FAIL
 
 
 def main(argv=None):
@@ -85,6 +118,13 @@ def main(argv=None):
     code = (EXIT_OK if op["shape_preserved"] and op["anti_multiplicative"]
             else EXIT_FAIL)
     results.append(("op_involution", code))
+    print(f"{path}: {VERDICTS[code]}")
+    path = outdir / "growth_tables.txt"
+    path.unlink(missing_ok=True)
+    code = max(dict(results)["hilbert_standard"],
+               dict(results)["growth_dossier"], key=SEVERITY.index)
+    code = growth_tables(outdir) if code == EXIT_OK else code
+    results.append(("growth_tables", code))
     print(f"{path}: {VERDICTS[code]}")
     (outdir / "summary.txt").write_text(
         "".join(f"{name}: {VERDICTS[code]}\n" for name, code in results))

@@ -166,18 +166,20 @@ def _scan_basis(action, depth):
 def verify_rank_certificate(action, report):
     """Recheck a rank report's claims from its stored data.  A report
     that breaks a rule free_rank follows is a false claim, not an error:
-    a verdict free_rank never writes; a rank other than free_rank's (the
-    number of generators, or None when not free); generators that are
-    not carrier rows of degree <= depth in degree order, or degrees,
-    spanned_through or effective_step other than the scan's; "free"
-    outside a quiet window (_quiet, so never without a generator on a
-    nonzero carrier); "not free" with a generator, up to the relation's
-    own, inside the earlier generators' orbits, or with a relation of
-    the wrong shape.  "inconclusive" raises WindowExceeded."""
+    a side other than the action's (the name is a label, not a claim,
+    and is not compared); a verdict free_rank never writes; a rank other
+    than free_rank's (the number of generators, or None when not free);
+    generators that are not carrier rows of degree <= depth in degree
+    order, or degrees, spanned_through or effective_step other than the
+    scan's; "free" outside a quiet window (_quiet, so never without a
+    generator on a nonzero carrier); "not free" with a generator, up to
+    the relation's own, inside the earlier generators' orbits, or with a
+    relation of the wrong shape.  "inconclusive" raises
+    WindowExceeded."""
     amb = action.ambient
     if report.verdict == "inconclusive":
         raise WindowExceeded("an inconclusive report claims nothing")
-    if (report.verdict, report.rank) not in (
+    if report.side != action.side or (report.verdict, report.rank) not in (
             ("free", len(report.generators)), ("not free", None)):
         return False
     gens = report.generators
@@ -343,17 +345,24 @@ def _direct(total, orbit):
 
 def verify_goldie_certificate(action, report):
     """Recheck a uniform-rank report.  The kernel verdict holds when the
-    recomputed kernel is nonzero; "certified" needs it zero and a stored
-    family of carrier elements of degree <= depth, with their degrees,
-    as many as the rank and none only on a zero carrier, with direct and
-    essential orbits.  Any other verdict, or a rank
-    beside the kernel verdict, is False; "inconclusive" claims nothing
-    to check and raises WindowExceeded."""
+    recomputed kernel is nonzero, with no rank and all three flags
+    (essential_ok, budget_ok, regular_ok) False; "certified" needs it
+    zero, all three flags True and a stored family of carrier elements
+    of degree <= depth, with their degrees, as many as the rank and none
+    only on a zero carrier, with direct and essential orbits.  Either
+    needs the action's side (the name is a label and is not compared).
+    Any other verdict is False; "inconclusive" claims nothing to check
+    and raises WindowExceeded.  The slope table is a probe, not a
+    certified claim, and is not rechecked."""
     if report.verdict == "inconclusive":
         raise WindowExceeded("an inconclusive report claims nothing")
     if report.verdict not in ("certified", _KERNEL_VERDICT):
         return False
-    if _has_kernel(action):
+    kernel = _has_kernel(action)
+    flags = (report.essential_ok, report.budget_ok, report.regular_ok)
+    if report.side != action.side or flags != (not kernel,) * 3:
+        return False
+    if kernel:
         return report.verdict == _KERNEL_VERDICT and report.rank is None
     if report.verdict != "certified":
         return False

@@ -316,19 +316,28 @@ def test_goldie_verifier_rejects_wrong_rank_and_foreign_family(corner):
 
 @pytest.mark.parametrize("side", ("left", "right"))
 def test_verifiers_refuse_forged_verdicts_and_ranks(corner, side):
-    # a verdict the producer never writes, or a rank that does not fit
-    # its verdict, is a false claim
+    # a verdict the producer never writes, a rank that does not fit its
+    # verdict, the other side's action, or a certified uniform rank short
+    # of one of its three checks is a false claim; a name is a label
     ring, actions = corner
     act = actions[side]
+    other = "right" if side == "left" else "left"
     rep = free_rank(act, 8)
     assert verify_rank_certificate(act, rep)
+    assert verify_rank_certificate(act, rep.replace(name="renamed"))
     assert not verify_rank_certificate(act, rep.replace(verdict="Free",
                                                         rank=7))
     assert not verify_rank_certificate(act, rep.replace(rank=99))
+    assert not verify_rank_certificate(act, rep.replace(side=other))
     gold = goldie_rank(act, 8)
     assert verify_goldie_certificate(act, gold)
+    assert verify_goldie_certificate(act, gold.replace(name="renamed"))
     assert not verify_goldie_certificate(
         act, gold.replace(verdict="Certified", rank=42))
+    assert not verify_goldie_certificate(act, gold.replace(side=other))
+    for forged in ({"budget_ok": False},
+                   {"essential_ok": False, "regular_ok": False}):
+        assert not verify_goldie_certificate(act, gold.replace(**forged))
 
 
 def test_verifier_refuses_a_rank_beside_not_free(corner):
@@ -351,6 +360,11 @@ def test_goldie_kernel_verdict_is_recomputed(corner):
     assert kernel.verdict.startswith("not certified")
     assert verify_goldie_certificate(killed, kernel)
     assert not verify_goldie_certificate(killed, kernel.replace(rank=2))
+    # the kernel verdict claims none of the three checks
+    assert not verify_goldie_certificate(killed, kernel.replace(
+        essential_ok=True, budget_ok=True, regular_ok=True))
+    assert not verify_goldie_certificate(killed, kernel.replace(
+        side="left"))
     # the kernel claim is false for the regular actor, and a certificate
     # is false for an actor with a kernel
     assert not verify_goldie_certificate(regular, kernel)

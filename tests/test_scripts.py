@@ -1,9 +1,9 @@
-"""The report scripts drive the command line's own handlers.
+"""The report script drives the command line's own handlers.
 
-Both scripts run in-process through their main(argv): every make_reports
-file is the JSON that grfilt prints for the same argv, its summary reads
-verdicts off exit codes, and growth_tables prints the same tables and
-witnesses as before it took them from the hilbert handler.
+make_reports runs in-process through its main(argv): every report is the
+JSON that grfilt prints for the same argv, its summary reads verdicts off
+exit codes, and its growth tables are read back off two of those reports
+and print the same tables and witnesses as the recorded output.
 """
 
 import importlib.util
@@ -24,7 +24,6 @@ def load(name):
 
 
 make_reports = load("make_reports")
-growth_tables = load("growth_tables")
 
 
 def summary(outdir):
@@ -36,7 +35,8 @@ def test_reports_are_the_cli_payloads(tmp_path, capsys):
     assert make_reports.main(["--outdir", str(tmp_path), "--depth", "5"]) == 0
     battery = make_reports.reports(5)
     assert summary(tmp_path) == {**{name: "verified" for name, _ in battery},
-                                 "op_involution": "verified"}
+                                 "op_involution": "verified",
+                                 "growth_tables": "verified"}
     capsys.readouterr()
     for name, argv in battery:
         assert grfilt_main(["--format", "json", *argv]) == 0
@@ -45,12 +45,16 @@ def test_reports_are_the_cli_payloads(tmp_path, capsys):
 
 
 def test_inconclusive_certify_shows_in_summary_and_exit_code(tmp_path):
-    # depth 4 cannot witness the weak-adic divergence
+    # depth 4 cannot witness the weak-adic divergence, and a decided
+    # run's dossier and tables must not stand in for it
+    assert make_reports.main(["--outdir", str(tmp_path), "--depth", "8"]) == 0
     assert make_reports.main(["--outdir", str(tmp_path), "--depth", "4"]) == 2
     verdicts = summary(tmp_path)
     assert verdicts["growth_dossier"] == "inconclusive"
+    assert verdicts["growth_tables"] == "inconclusive"
     assert "FAILED" not in verdicts.values()
     assert not (tmp_path / "growth_dossier.json").exists()
+    assert not (tmp_path / "growth_tables.txt").exists()
 
 
 def test_a_shallow_battery_is_inconclusive_not_a_usage_error(tmp_path):
@@ -74,7 +78,7 @@ def test_a_failure_outranks_inconclusive(tmp_path, monkeypatch):
     assert verdicts["growth_dossier"] == "inconclusive"
 
 
-# recorded from the script before it ran the hilbert handler
+# recorded from the former scripts/growth_tables.py --depth 16
 GROWTH_TABLES_16 = """\
    n   H_ring   H_quot  H_madic
    0        1        1        0
@@ -111,55 +115,62 @@ consistent = True
 """
 
 
-def test_growth_tables_match_the_recorded_depth_16_output(capsys):
-    assert growth_tables.main(["--depth", "16"]) == 0
-    assert capsys.readouterr().out == GROWTH_TABLES_16
+def test_growth_tables_match_the_recorded_depth_16_output(tmp_path):
+    assert make_reports.main(["--outdir", str(tmp_path), "--depth", "16"]) == 0
+    assert (tmp_path / "growth_tables.txt").read_text() == GROWTH_TABLES_16
+    assert summary(tmp_path)["growth_tables"] == "verified"
 
 
-def test_growth_tables_json_and_gap_exit(tmp_path, capsys):
+def forge_witness(asc):
+    asc["certificate"]["rows"][1]["n"] += 1
+
+
+def forge_quotient_table(asc):
+    # the certificate still rechecks on its own table, but not on the
+    # quotient table printed beside it
+    asc["hilbert"]["values"][-1] += 1
+
+
+@pytest.mark.parametrize("forge", [forge_witness, forge_quotient_table])
+def test_growth_tables_recheck_the_dossier_file_not_the_run(tmp_path, forge):
     import json
-    out = tmp_path / "growth.json"
-    # s = 1, t = 2 on a linear table has a witness at every offset; a
-    # bound past the window leaves the last offsets without one
-    assert growth_tables.main(["--depth", "6", "--max-offset", "6",
-                               "--json", str(out)]) == 1
-    assert "no witness for p = " in capsys.readouterr().out
-    blob = json.loads(out.read_text())
-    assert blob["certificate"]["first_failed_p"] >= 1
-    assert blob["tables"]["quotient"] == list(range(1, 8))
+    assert make_reports.main(["--outdir", str(tmp_path), "--depth", "8"]) == 0
+    path = tmp_path / "growth_dossier.json"
+    dossier = json.loads(path.read_text())
+    forge(dossier["ascending"])
+    path.write_text(json.dumps(dossier))
+    assert make_reports.growth_tables(tmp_path) == 1
+    text = (tmp_path / "growth_tables.txt").read_text()
+    assert "re-verified: False" in text and "first n =" not in text
 
 
-def test_growth_tables_refuse_an_offset_bound_below_one(capsys):
-    # a bound of 0 certifies no shift, so the window is inconclusive
-    assert growth_tables.main(["--depth", "6", "--max-offset", "0"]) == 2
-    captured = capsys.readouterr()
-    assert "re-verified" not in captured.out
-    assert "inconclusive" in captured.err
+def test_a_failed_dossier_fails_the_growth_tables(tmp_path, monkeypatch):
+    import grfilt.certifier
+    # the dossier's own recheck refuses, so certify exits 1 and the
+    # tables take its verdict without reading a file it never wrote
+    monkeypatch.setattr(grfilt.certifier, "verify_certificate",
+                        lambda cert: False)
+    assert make_reports.main(["--outdir", str(tmp_path), "--depth", "8"]) == 1
+    verdicts = summary(tmp_path)
+    assert verdicts["growth_dossier"] == verdicts["growth_tables"] == "FAILED"
+    assert not (tmp_path / "growth_tables.txt").exists()
 
 
 def test_a_column_grfilt_cannot_compute_stops_with_its_exit_code(
-        monkeypatch, capsys):
+        tmp_path, monkeypatch):
     import grfilt.cli
     from grfilt import Inconclusive
 
     def saturated(args):
         raise Inconclusive("window saturated")
+    # the ring column is missing, so the tables take hilbert's verdict
     monkeypatch.setattr(grfilt.cli, "cmd_hilbert", saturated)
-    assert growth_tables.main(["--depth", "4"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "inconclusive at this depth: window saturated" in captured.err
-
-
-def test_growth_tables_unwritable_json_is_a_usage_error(tmp_path, capsys):
-    afile = tmp_path / "afile"
-    afile.write_text("")
-    assert growth_tables.main(["--depth", "4",
-                               "--json", str(afile / "x.json")]) == 3
-    captured = capsys.readouterr()
-    assert "usage error: cannot write " in captured.err
-    assert "Traceback" not in captured.err
-    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert make_reports.main(["--outdir", str(tmp_path), "--depth", "8"]) == 2
+    verdicts = summary(tmp_path)
+    assert verdicts["growth_dossier"] == "verified"
+    assert verdicts["hilbert_standard"] == "inconclusive"
+    assert verdicts["growth_tables"] == "inconclusive"
+    assert not (tmp_path / "growth_tables.txt").exists()
 
 
 def test_make_reports_unmakeable_outdir_is_a_usage_error(tmp_path, capsys):
@@ -176,24 +187,13 @@ def test_make_reports_unmakeable_outdir_is_a_usage_error(tmp_path, capsys):
     assert afile.read_text() == ""
 
 
-@pytest.mark.parametrize("script, argv", [
-    ("growth_tables", ["--depth", "6", "--s", "0"]),
-    ("growth_tables", ["--depth", "6", "--s", "2", "--t", "2"]),
-    ("growth_tables", ["--depth", "x"]),
-    ("growth_tables", ["--depth", "-1"]),
-    ("growth_tables", ["--max-offset", "-1"]),
-    ("make_reports", ["--depth", "x"]),
-    ("make_reports", ["--depth", "-1"]),
-])
-def test_bad_input_is_a_usage_error(script, argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["--depth", "x"], ["--depth", "-1"]])
+def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     # exit 3 before anything runs, with the script's own usage once: not
     # a traceback, not argparse's 2 (which reads as inconclusive) and not
     # the usage of the grfilt parser the script calls
-    module = {"growth_tables": growth_tables,
-              "make_reports": make_reports}[script]
-    assert module.main(["--json" if script == "growth_tables"
-                        else "--outdir", str(tmp_path / "out"),
-                        *argv]) == 3
+    assert make_reports.main(["--outdir", str(tmp_path / "out"),
+                              *argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("usage:") == 1
@@ -201,7 +201,7 @@ def test_bad_input_is_a_usage_error(script, argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", ["make_reports", "growth_tables"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.py")))
 def test_scripts_use_only_the_cli_and_the_certifier(name):
     text = (SCRIPTS / f"{name}.py").read_text()
     for module in ("filtration", "graded", "bimodule", "dualizing"):
