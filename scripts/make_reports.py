@@ -15,13 +15,13 @@ the ascending and m-adic quotient tables, the witnesses t*H(n) >
 s*H(n+p) for the computed ranks s < t, rechecked from that JSON by
 verify_certificate, and the growth probe.
 
-summary.txt gets one line per report, with the verdict read from the
-command's exit code (0 verified, 1 FAILED, 2 inconclusive, 3 usage
-error); its growth_tables line is the recheck's, or the worse of the
-two reports' when either did not exit 0 (no table is then written).
-The script exits with the worst code of the battery: usage error, then
-failure, then inconclusive.  Bad flags and an output directory that
-cannot be made exit 3 before anything runs.
+summary.txt gets one line per report: verified, FAILED, inconclusive or
+usage error, read off grfilt's exit code or the op-involution report's
+decision; the growth_tables line is the recheck's, or the worse of the
+two reports' when either did not pass (no table is then written).  The
+script exits with grfilt.cli.exit_code of them all, the worst one's;
+bad flags and an output directory that cannot be made exit 3 before
+anything runs.
 
     python scripts/make_reports.py --outdir reports --depth 8
 """
@@ -32,13 +32,14 @@ import sys
 from pathlib import Path
 
 from grfilt.certifier import verify_certificate
-from grfilt.cli import (main as grfilt_main, window_arg, EXIT_OK,
-                        EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE)
+from grfilt.cli import (main as grfilt_main, window_arg, exit_code,
+                        EXIT_CODES, OK, FAIL, INCONCLUSIVE, USAGE)
 from grfilt.workbench import make, op_involution_report
 
-VERDICTS = {EXIT_OK: "verified", EXIT_FAIL: "FAILED",
-            EXIT_INCONCLUSIVE: "inconclusive", EXIT_USAGE: "usage error"}
-SEVERITY = (EXIT_OK, EXIT_INCONCLUSIVE, EXIT_FAIL, EXIT_USAGE)
+VERDICTS = {OK: "verified", FAIL: "FAILED", INCONCLUSIVE: "inconclusive",
+            USAGE: "usage error"}
+# the outcome each exit code of grfilt reports
+OUTCOMES = {code: outcome for outcome, code in EXIT_CODES.items()}
 
 
 def reports(depth):
@@ -64,8 +65,8 @@ def reports(depth):
 
 
 def growth_tables(outdir):
-    """EXIT_OK when growth_dossier.json's ascending certificate rechecks
-    against its quotient table, else EXIT_FAIL; writes the file either way."""
+    """Exit code 0 when growth_dossier.json's ascending certificate
+    rechecks against its quotient table, else 1; writes the file."""
     ring, dossier = (json.loads((outdir / f"{name}.json").read_text())
                      for name in ("hilbert_standard", "growth_dossier"))
     asc, madic = dossier["ascending"], dossier["weak_adic"]["hilbert"]
@@ -84,7 +85,7 @@ def growth_tables(outdir):
         "\ngrowth shape probe: max ratio {max_ratio}, fitted degree "
         "{fitted_degree}, subexponential consistent = "
         "{subexponential_consistent}\n".format(**asc["probe"])]))
-    return EXIT_OK if verified else EXIT_FAIL
+    return exit_code(OK if verified else FAIL)
 
 
 def main(argv=None):
@@ -95,41 +96,39 @@ def main(argv=None):
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_OK if not exc.code else EXIT_USAGE
+        return exit_code(USAGE if exc.code else OK)
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"usage error: cannot make {outdir}: {exc.strerror}",
               file=sys.stderr)
-        return EXIT_USAGE
-    results = []
+        return exit_code(USAGE)
+    results = {}
     for name, cli_argv in reports(args.depth):
         path = outdir / f"{name}.json"
         # a stale file must not stand in for a run that wrote nothing
         path.unlink(missing_ok=True)
-        code = grfilt_main(["--format", "json", "--out", str(path),
-                            *cli_argv])
-        results.append((name, code))
-        print(f"{path}: {VERDICTS[code]} (grfilt {' '.join(cli_argv)})")
+        results[name] = OUTCOMES[grfilt_main(
+            ["--format", "json", "--out", str(path), *cli_argv])]
+        print(f"{path}: {VERDICTS[results[name]]} "
+              f"(grfilt {' '.join(cli_argv)})")
     op = op_involution_report(make("T"))
     path = outdir / "op_involution.json"
     path.write_text(json.dumps(op, indent=2) + "\n")
-    code = (EXIT_OK if op["shape_preserved"] and op["anti_multiplicative"]
-            else EXIT_FAIL)
-    results.append(("op_involution", code))
-    print(f"{path}: {VERDICTS[code]}")
+    results["op_involution"] = op.decision
+    print(f"{path}: {VERDICTS[op.decision]}")
     path = outdir / "growth_tables.txt"
     path.unlink(missing_ok=True)
-    code = max(dict(results)["hilbert_standard"],
-               dict(results)["growth_dossier"], key=SEVERITY.index)
-    code = growth_tables(outdir) if code == EXIT_OK else code
-    results.append(("growth_tables", code))
-    print(f"{path}: {VERDICTS[code]}")
+    code = exit_code(results["hilbert_standard"], results["growth_dossier"])
+    results["growth_tables"] = OUTCOMES[
+        growth_tables(outdir) if code == exit_code(OK) else code]
+    print(f"{path}: {VERDICTS[results['growth_tables']]}")
     (outdir / "summary.txt").write_text(
-        "".join(f"{name}: {VERDICTS[code]}\n" for name, code in results))
+        "".join(f"{name}: {VERDICTS[outcome]}\n"
+                for name, outcome in results.items()))
     print(f"wrote {outdir / 'summary.txt'}")
-    return max((code for _, code in results), key=SEVERITY.index)
+    return exit_code(*results.values())
 
 if __name__ == "__main__":
     sys.exit(main())

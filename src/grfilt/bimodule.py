@@ -26,7 +26,7 @@ from .linalg import SpanTracker, combine_rows
 from .linspace import (degree_cuts, restrict_degree, sum_spaces, zero_space,
                        DegreeOverflowError)
 from .filtration import WindowExceeded, two_sided_closure
-from .record import Record
+from .record import Record, OK, FAIL, INCONCLUSIVE
 from .workbench import make
 
 
@@ -95,6 +95,7 @@ class RankReport(Record):
               "generator_degrees", "generators", "relation",
               "spanned_through", "span")
     hidden = ("generators", "span")
+    decision = property(lambda self: RANK_DECISIONS.get(self.verdict, FAIL))
 
 
 def free_rank(action, depth):
@@ -137,11 +138,11 @@ def free_rank(action, depth):
                          for (j, l), c in combo.items()])}
                 break
     if relation is not None:
-        verdict, rank = "not free", None
+        verdict, rank = NOT_FREE, None
     elif _quiet(action, gens, depth, step):
-        verdict, rank = "free", len(gens)
+        verdict, rank = FREE, len(gens)
     else:
-        verdict, rank = "inconclusive", None
+        verdict, rank = UNDECIDED, None
     return RankReport(action.name, action.side, verdict, rank, depth,
                       step, tuple(map(amb.degree, gens)), tuple(gens),
                       relation, depth, tracker)
@@ -177,10 +178,10 @@ def verify_rank_certificate(action, report):
     relation of the wrong shape.  "inconclusive" raises
     WindowExceeded."""
     amb = action.ambient
-    if report.verdict == "inconclusive":
+    if report.verdict == UNDECIDED:
         raise WindowExceeded("an inconclusive report claims nothing")
     if report.side != action.side or (report.verdict, report.rank) not in (
-            ("free", len(report.generators)), ("not free", None)):
+            (FREE, len(report.generators)), (NOT_FREE, None)):
         return False
     gens = report.generators
     degrees = tuple(map(amb.degree, gens))
@@ -191,7 +192,7 @@ def verify_rank_certificate(action, report):
             and report.spanned_through == report.depth
             and report.effective_step == action.effective_step()):
         return False
-    if report.verdict == "not free":
+    if report.verdict == NOT_FREE:
         rel = _read_relation(report.relation, amb.field, len(gens))
         if rel is None:
             return False
@@ -279,9 +280,17 @@ class GoldieReport(Record):
     fields = ("name", "side", "verdict", "rank", "family_degrees", "family",
               "essential_ok", "budget_ok", "regular_ok", "depth", "slope")
     hidden = ("family",)
+    decision = property(
+        lambda self: UNIFORM_DECISIONS.get(self.verdict, FAIL))
 
 
-_KERNEL_VERDICT = "not certified: actor has a kernel on the window"
+# each scan's verdicts and their decisions; one outside its set fails
+FREE, NOT_FREE, CERTIFIED, UNDECIDED = ("free", "not free", "certified",
+                                        "inconclusive")
+KERNEL_VERDICT = "not certified: actor has a kernel on the window"
+RANK_DECISIONS = {FREE: OK, NOT_FREE: FAIL, UNDECIDED: INCONCLUSIVE}
+UNIFORM_DECISIONS = {CERTIFIED: OK, KERNEL_VERDICT: FAIL,
+                     UNDECIDED: INCONCLUSIVE}
 
 
 def _has_kernel(action):
@@ -310,7 +319,7 @@ def goldie_rank(action, depth):
     ambients are refused (see _has_kernel)."""
     amb = action.ambient
     if _has_kernel(action):
-        return GoldieReport(action.name, action.side, _KERNEL_VERDICT,
+        return GoldieReport(action.name, action.side, KERNEL_VERDICT,
                             None, (), (), False, False, False,
                             depth, slope_table(action, depth))
     family = []
@@ -325,10 +334,10 @@ def goldie_rank(action, depth):
             if len(orbit) < 2:
                 budget_ok = False
     # a nonzero carrier with no row of degree <= depth certifies no rank
-    verdict = ("certified" if budget_ok and (family or not action.carrier.dim)
-               else "inconclusive")
+    verdict = (CERTIFIED if budget_ok and (family or not action.carrier.dim)
+               else UNDECIDED)
     return GoldieReport(action.name, action.side, verdict,
-                        len(family) if verdict == "certified" else None,
+                        len(family) if verdict == CERTIFIED else None,
                         tuple(map(amb.degree, family)), tuple(family),
                         True, budget_ok, True, depth,
                         slope_table(action, depth))
@@ -354,17 +363,17 @@ def verify_goldie_certificate(action, report):
     Any other verdict is False; "inconclusive" claims nothing to check
     and raises WindowExceeded.  The slope table is a probe, not a
     certified claim, and is not rechecked."""
-    if report.verdict == "inconclusive":
+    if report.verdict == UNDECIDED:
         raise WindowExceeded("an inconclusive report claims nothing")
-    if report.verdict not in ("certified", _KERNEL_VERDICT):
+    if report.verdict not in (CERTIFIED, KERNEL_VERDICT):
         return False
     kernel = _has_kernel(action)
     flags = (report.essential_ok, report.budget_ok, report.regular_ok)
     if report.side != action.side or flags != (not kernel,) * 3:
         return False
     if kernel:
-        return report.verdict == _KERNEL_VERDICT and report.rank is None
-    if report.verdict != "certified":
+        return report.verdict == KERNEL_VERDICT and report.rank is None
+    if report.verdict != CERTIFIED:
         return False
     amb = action.ambient
     family = report.family

@@ -28,10 +28,10 @@ from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
                          two_sided_closure, induced_quotient_filtration,
                          induced_good_filtration, intrinsic_module_filtration,
                          equivalence_offset, WindowExceeded)
-from .graded import chain_sides, checked_chain
+from .graded import chain_decision, chain_sides, checked_chain
 from .bimodule import corner_ideal, free_rank
 from .workbench import make
-from .record import Record
+from .record import Record, OK, FAIL, INCONCLUSIVE
 
 
 class GrowthCertificate(Record):
@@ -144,9 +144,13 @@ def subexp_probe(values):
 
 class ObstructionDossier(Record):
     fields = ("case", "s", "t", "ranks", "hilbert", "certificate",
-              "offsets", "chain", "probe", "verdict", "chain_reverified")
-    # verify_chain_report's recheck of the chain; not part of the payload
-    hidden = ("chain_reverified",)
+              "offsets", "chain", "probe", "verdict", "chain_reverified",
+              "certificate_verified")
+    # the rechecks of the chain and of the certificate; not in the payload
+    hidden = ("chain_reverified", "certificate_verified")
+    decision = property(lambda self: OK if (
+        self.certificate_verified and self.offsets["matching"].offset == 0
+        and chain_decision(self.chain, self.chain_reverified) == OK) else FAIL)
 
 
 def _triangular_rank_pair(depth, field):
@@ -159,10 +163,10 @@ def _triangular_rank_pair(depth, field):
     ring, actions = corner_ideal("nilpotent-ideal", depth, field)
     left = free_rank(actions["left"], depth)
     right = free_rank(actions["right"], depth)
-    verdicts = (left.verdict, right.verdict)
-    if "inconclusive" in verdicts:
+    decisions = {left.decision, right.decision}
+    if INCONCLUSIVE in decisions:
         raise WindowExceeded("rank pair not certified at this depth")
-    if verdicts != ("free", "free"):
+    if decisions != {OK}:
         raise ValueError(f"rank pair is not free: left {left.verdict}, "
                          f"right {right.verdict}")
     return ring, actions["left"].carrier, left, right
@@ -222,11 +226,12 @@ def assemble_growth_dossier(case, depth=8, field=QQ, rank_pair=None):
     return ObstructionDossier(case, s, t, ranks, table, cert,
                               {"diverging": div, "matching": match}, chain,
                               subexp_probe(table.values), verdict,
-                              reverified)
+                              reverified, verify_certificate(cert))
 
 
 class TwoSidedDossier(Record):
     fields = ("ascending", "weak_adic", "consistent", "checks", "verdict")
+    decision = property(lambda self: OK if self.consistent else FAIL)
 
 
 def assemble_two_sided(depth=8, field=QQ):
@@ -239,14 +244,13 @@ def assemble_two_sided(depth=8, field=QQ):
                          if not r.equivalent} for d in (asc, adi))
     checks = {
         "same_rank_pair": (asc.s, asc.t) == (adi.s, adi.t),
-        "both_certified": all(verify_certificate(d.certificate)
-                              for d in (asc, adi)),
+        "both_certified": all(d.certificate_verified for d in (asc, adi)),
         # one good filtration diverges in each dossier, on opposite sides
         "sides_swap": (len(asc_div) == len(adi_div) == 1
                        and asc_div != adi_div),
-        "both_chains_strict": all(d.chain.strictly_ascending
-                                  and d.chain_reverified
-                                  for d in (asc, adi)),
+        "both_chains_strict": all(
+            chain_decision(d.chain, d.chain_reverified) == OK
+            for d in (asc, adi)),
         "divergence_witnessed": (not asc.offsets["diverging"].equivalent
                                  and not adi.offsets["diverging"].equivalent),
         "matching_sides_exact": (asc.offsets["matching"].offset == 0

@@ -7,11 +7,10 @@ chain, and the staircase quotient comparison.
 
 Exit codes: 0 the requested check verified (or the table was produced),
 1 a check failed or an unexpected error occurred, 2 the window or depth
-was too small to decide, 3 usage error.  Code 2 comes from two places: a
-handler raised grfilt.Inconclusive (WindowExceeded, TruncationError,
-DegreeOverflowError), or cmd_ranks returned it because a rank verdict is
-"inconclusive" and none is a definite negative; that run still prints its
-report and writes nothing to stderr.  No error text is inspected.
+was too small to decide, 3 usage error.  A handler returns the decisions
+of the reports it ran, and exit_code turns decisions into the code of the
+worst one; a raised grfilt.Inconclusive (WindowExceeded, TruncationError,
+DegreeOverflowError) decides INCONCLUSIVE.  No error text is inspected.
 
 A subcommand is one row of SUBCOMMANDS plus its cmd_* handler; the
 global flags of GLOBAL_OPTIONS are accepted before or after it.
@@ -32,9 +31,17 @@ from .workbench import (make, CATALOG, SERIES_RINGS,
                         staircase_quotient_context, quotient_iso_check)
 from .filtration import (standard_filtration, weak_adic_filtration, hilbert,
                          two_sided_closure, induced_quotient_filtration)
+from .record import OK, FAIL, INCONCLUSIVE
 from . import graded, bimodule, certifier, dualizing
 
-EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
+USAGE = "usage"
+# every outcome with its exit code, from best to worst
+EXIT_CODES = {OK: 0, INCONCLUSIVE: 2, FAIL: 1, USAGE: 3}
+
+
+def exit_code(*outcomes):
+    """The exit code of the worst outcome; 0 when none was decided."""
+    return EXIT_CODES[max(outcomes, key=list(EXIT_CODES).index, default=OK)]
 
 
 class UsageError(Exception):
@@ -96,7 +103,7 @@ def cmd_hilbert(args):
                  ", ".join(f"H({n}) = {v}"
                            for n, v in enumerate(table.values)))
     payload["hilbert"] = table.to_json()
-    return EXIT_OK, payload, lines
+    return (), payload, lines
 
 
 def cmd_gr(args):
@@ -112,7 +119,7 @@ def cmd_gr(args):
     payload = {"ring": ring.name, "field": args.field.name, "gr": gr.to_json(),
                "symbol_degree": gr.gen_degree,
                "symbols": sorted(classes)}
-    return EXIT_OK, payload, lines
+    return (), payload, lines
 
 
 def cmd_ranks(args):
@@ -124,7 +131,7 @@ def cmd_ranks(args):
              f"{ring.pres.closed_degree})"]
     payload = {"ring": "R_2x2", "field": args.field.name, "depth": args.depth,
                "actions_commute": both["actions_commute"], "sides": {}}
-    verdicts, refuted = [], []
+    decisions, refuted = [], []
     for side in ("left", "right"):
         rep = both[side]
         action = actions[side]
@@ -142,25 +149,22 @@ def cmd_ranks(args):
         payload["sides"][side] = {"free": rep.to_json(),
                                   "uniform": gold.to_json(),
                                   "slope": slopes}
-        verdicts += [rep.verdict, gold.verdict]
         # definite verdicts are rechecked; an inconclusive one claims
         # nothing, and its verifier refuses it
         for kind, verify, report in (
                 ("free", bimodule.verify_rank_certificate, rep),
                 ("uniform", bimodule.verify_goldie_certificate, gold)):
-            if (report.verdict != "inconclusive"
+            decisions.append(report.decision)
+            if (report.decision != INCONCLUSIVE
                     and not verify(action, report)):
                 refuted.append(f"{side} {kind}")
     lines.append(f"actions commute: {both['actions_commute']}")
     if refuted:
         lines.append(f"refuted on recheck: {', '.join(refuted)}")
         payload["refuted"] = refuted
-    # a definite negative on either side fails, whatever the other says
-    if (refuted or not both["actions_commute"] or set(verdicts)
-            - {"free", "certified", "inconclusive"}):
-        return EXIT_FAIL, payload, lines
-    return (EXIT_INCONCLUSIVE if "inconclusive" in verdicts else EXIT_OK,
-            payload, lines)
+    if refuted or not both["actions_commute"]:
+        decisions.append(FAIL)
+    return decisions, payload, lines
 
 
 def cmd_certify(args):
@@ -169,7 +173,6 @@ def cmd_certify(args):
     payload = dossier.to_json()
     lines = [dossier.verdict]
     if args.case == "two-sided":
-        ok = dossier.consistent
         for nm, sub in (("ascending", dossier.ascending),
                         ("weak-adic", dossier.weak_adic)):
             lines.append(f"  {nm}: {sub.verdict}")
@@ -179,10 +182,6 @@ def cmd_certify(args):
                      f"{dossier.checks['both_certified']}")
     else:
         cert = dossier.certificate
-        cert_ok = certifier.verify_certificate(cert)
-        ok = (cert_ok and dossier.offsets["matching"].offset == 0
-              and dossier.chain.strictly_ascending
-              and dossier.chain_reverified)
         lines.append(f"ranks: s = {dossier.s} (left), t = {dossier.t} "
                      f"(right)")
         lines.append("hilbert: " + ", ".join(map(str,
@@ -198,9 +197,10 @@ def cmd_certify(args):
         lines.append(f"chain ({dossier.chain.side}): dims "
                      f"{list(dossier.chain.ideal_dims)}, strict = "
                      f"{dossier.chain.strictly_ascending}")
-        lines.append(f"certificate re-verified: {cert_ok}")
-    payload["verified"] = ok
-    return (EXIT_OK if ok else EXIT_FAIL), payload, lines
+        lines.append("certificate re-verified: "
+                     f"{dossier.certificate_verified}")
+    payload["verified"] = dossier.decision == OK
+    return [dossier.decision], payload, lines
 
 
 def cmd_chain(args):
@@ -212,7 +212,6 @@ def cmd_chain(args):
     side = args.side or graded.chain_sides(filt)[0]
     report, reverified = graded.checked_chain(filt, ring.pres, side,
                                               args.steps)
-    ok = report.strictly_ascending and reverified
     lines = [f"{side} ideal chain in gr {ring.name} ({args.kind}), "
              f"{args.steps} steps",
              "words: " + "; ".join("*".join(w) for w in report.words),
@@ -222,7 +221,7 @@ def cmd_chain(args):
     payload = report.to_json()
     payload.update({"ring": ring.name, "kind": args.kind,
                     "reverified": reverified})
-    return (EXIT_OK if ok else EXIT_FAIL), payload, lines
+    return [graded.chain_decision(report, reverified)], payload, lines
 
 
 def cmd_dualize(args):
@@ -230,9 +229,9 @@ def cmd_dualize(args):
                 degcap=args.degcap, field=args.field)
     rep = dualizing.verify_dualizing(ring)
     lines = [f"dualizing chain for {rep.ring}, degree cap {rep.degcap}"]
-    ok = rep.ok
+    decision = rep.decision
     if args.control:
-        ok = rep.aborted_at == dualizing.STAGES[2]
+        decision = rep.control_decision
         lines.append("control run: the perturbed ring must abort at the "
                      f"{dualizing.STAGES[2]} stage")
     for name, state in rep.stage_results():
@@ -241,11 +240,11 @@ def cmd_dualize(args):
     if rep.endo is not None and not rep.endo.injective:
         lines.append(f"endomorphism kernel witness: "
                      f"{rep.endo.kernel_witness}")
-    lines.append(f"{'control satisfied' if args.control else 'verified'}: "
-                 f"{ok}")
     payload = rep.to_json()
-    payload["verified"] = ok
-    return (EXIT_OK if ok else EXIT_FAIL), payload, lines
+    payload["verified"] = decision == OK
+    lines.append(f"{'control satisfied' if args.control else 'verified'}: "
+                 f"{payload['verified']}")
+    return [decision], payload, lines
 
 
 def cmd_quotient_iso(args):
@@ -266,7 +265,7 @@ def cmd_quotient_iso(args):
              f"{rep.consistent}"]
     payload = rep.to_json()
     payload.update(closed_degree=pres.closed_degree, degcap=args.degcap)
-    return (EXIT_OK if rep.consistent else EXIT_FAIL), payload, lines
+    return [rep.decision], payload, lines
 
 
 # ------------------------------------------------------------- plumbing
@@ -375,21 +374,21 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_OK if not exc.code else EXIT_USAGE
+        return exit_code(USAGE if exc.code else OK)
     try:
         args.field = _field(args)
-        code, payload, lines = args.handler(args)
+        decisions, payload, lines = args.handler(args)
         _emit(args, payload, lines)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exit_code(USAGE)
     except Inconclusive as exc:
         print(f"inconclusive at this depth: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        return exit_code(INCONCLUSIVE)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    return code
+        return exit_code(FAIL)
+    return exit_code(*decisions)
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from .linspace import (Ambient, DegreeOverflowError, degree_cuts,
                        prefix_space, restrict_degree, zero_space)
 from .filtration import WindowExceeded, two_sided_closure
 from .bimodule import ModuleAction, free_rank
-from .record import Record, jsonable
+from .record import Record, jsonable, OK, FAIL, INCONCLUSIVE
 
 STAGES = ("free-module-structure", "cyclic-dual-generator",
           "endomorphism-ring", "dual-identification")
@@ -97,10 +97,10 @@ def free_structure_report(ring, window):
         act = ModuleAction(f"{ring.name} over diagonal", window,
                            ring.el("alpha"), side)
         reps[side] = free_rank(act, amb.degcap)
-        if reps[side].verdict == "inconclusive":
+        if reps[side].decision == INCONCLUSIVE:
             raise WindowExceeded(f"{STAGES[0]}: the {side} rank scan is "
                                  f"inconclusive at depth {amb.degcap}")
-    ok = all(r.verdict == "free" for r in reps.values())
+    ok = all(r.decision == OK for r in reps.values())
     return FreeStructureReport(ring.name, ok, reps["left"], reps["right"])
 
 
@@ -487,6 +487,11 @@ class DualizingReport(Record):
     @property
     def ok(self):
         return self.ident is not None and self.ident.ok
+
+    decision = property(lambda self: OK if self.ok else FAIL)
+    # the perturbed control passes when its chain aborts at stage three
+    control_decision = property(
+        lambda self: OK if self.aborted_at == STAGES[2] else FAIL)
 
     def to_json(self):
         stages = {"free": self.free, "cyclic": self.cyclic,

@@ -34,7 +34,7 @@ Each reads every piece's basis cosets once, at its start.
 from .linalg import Echelon
 from .linspace import complement_section
 from .filtration import WindowExceeded
-from .record import Record
+from .record import Record, OK, FAIL
 
 
 class GrElement(Record):
@@ -132,6 +132,11 @@ class GradedTrunc:
 class ChainReport(Record):
     fields = ("side", "words", "ideal_dims", "strictly_ascending",
               "witnesses", "window")
+
+
+def chain_decision(report, reverified):
+    """OK when strictly ascending and re-verified by verify_chain_report."""
+    return OK if report.strictly_ascending and reverified else FAIL
 
 
 def chain_sides(filt):

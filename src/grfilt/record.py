@@ -11,6 +11,9 @@ its to_json(), a tuple or list a list, a dict keeps its keys, and any
 other value passes through for json.dumps to accept or refuse.
 """
 
+# a report's decision on its claim; cli.exit_code turns it into an exit code
+OK, FAIL, INCONCLUSIVE = "ok", "fail", "inconclusive"
+
 
 class Record:
     fields = ()

@@ -23,7 +23,7 @@ from .linspace import Ambient, QuotientContext
 from .filtration import (AlgebraPresentation, standard_filtration,
                          two_sided_closure, WindowExceeded)
 from .poly import Poly, PolyMatrix
-from .record import Record
+from .record import Record, OK, FAIL
 
 
 def _matrix(n, entries):
@@ -202,6 +202,12 @@ def op_transpose(mat):
                        for i in range(n)])
 
 
+class OpInvolutionReport(dict):
+    """op_involution_report's payload; passes when both checks hold."""
+    decision = property(lambda self: OK if self["shape_preserved"]
+                        and self["anti_multiplicative"] else FAIL)
+
+
 def op_involution_report(ring):
     """Check tau preserves the shape on all words of length <= 3 and
     reverses products on all generator pairs.  The words span the
@@ -213,8 +219,9 @@ def op_involution_report(ring):
                    for m in layer.basis_matrices())
     anti_ok = all(op_transpose(a * b) == op_transpose(b) * op_transpose(a)
                   for a in gens for b in gens)
-    return {"shape_preserved": shape_ok, "anti_multiplicative": anti_ok,
-            "words_checked": sum(len(gens) ** k for k in range(4))}
+    return OpInvolutionReport(
+        shape_preserved=shape_ok, anti_multiplicative=anti_ok,
+        words_checked=sum(len(gens) ** k for k in range(4)))
 
 
 # ------------------------------------------------- quotient comparison kit
@@ -241,6 +248,7 @@ def collapse_to_one_variable(mat):
 class IsoReport(Record):
     fields = ("consistent", "dim_a", "dim_b", "dim_joint", "words_checked",
               "max_len")
+    decision = property(lambda self: OK if self.consistent else FAIL)
 
 
 def quotient_iso_check(ctx_a, ctx_b, pairs, max_len=4):

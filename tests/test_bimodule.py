@@ -13,7 +13,8 @@ from grfilt.bimodule import (ModuleAction, free_rank,
                              verify_rank_certificate, _has_kernel,
                              slope_table, goldie_rank,
                              verify_goldie_certificate, bimodule_ranks,
-                             GoldieReport, _KERNEL_VERDICT, corner_ideal)
+                             GoldieReport, corner_ideal,
+                             KERNEL_VERDICT as _KERNEL_VERDICT)
 from grfilt.linspace import (span, restrict_degree, intersect, sum_spaces,
                              zero_space)
 from grfilt.dualizing import ring_window

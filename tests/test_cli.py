@@ -10,7 +10,11 @@ import sys
 
 import pytest
 
-from grfilt.cli import main
+from grfilt import Inconclusive
+from grfilt.bimodule import RANK_DECISIONS, UNIFORM_DECISIONS
+from grfilt.cli import main, exit_code
+from grfilt.graded import chain_decision
+from grfilt.record import INCONCLUSIVE
 
 
 def run(capsys, *argv):
@@ -328,7 +332,7 @@ def test_handlers_receive_the_field_resolved_once(capsys, monkeypatch):
 
     def stand_in(args):
         seen.append(args.field)
-        return 0, {}, []
+        return (), {}, []
     monkeypatch.setattr(grfilt.cli, "cmd_gr", stand_in)
     assert run(capsys, "--field", "Fp:101", "gr")[0] == 0
     assert [(fld.name, fld.p) for fld in seen] == [("Fp:101", 101)]
@@ -487,7 +491,7 @@ def test_a_handler_rebound_after_import_is_the_one_parsed(monkeypatch):
     import grfilt.cli
 
     def stand_in(args):
-        return 0, {}, []
+        return (), {}, []
     monkeypatch.setattr(grfilt.cli, "cmd_hilbert", stand_in)
     args = grfilt.cli.build_parser().parse_args(["hilbert"])
     assert args.handler is stand_in
@@ -501,3 +505,139 @@ def test_ranks_inconclusive_verdict_exits_2_with_its_report(capsys):
     assert err == ""
     assert json.loads(out)["sides"]["right"]["free"]["verdict"] \
         == "inconclusive"
+
+
+# subcommand -> (module, name, read) for each function whose result holds
+# the reports a run decides on; read gives their decisions.  A table
+# decides nothing, so only a refusal of its filtration counts.
+PRODUCERS = {
+    "hilbert": [("grfilt.cli", "_base_filtration", lambda filt: [])],
+    "gr": [("grfilt.cli", "_base_filtration", lambda filt: [])],
+    "ranks": [("grfilt.bimodule", "bimodule_ranks",
+               lambda both: [both["left"].decision, both["right"].decision]),
+              ("grfilt.bimodule", "goldie_rank", lambda rep: [rep.decision])],
+    "certify": [("grfilt.certifier", "assemble_two_sided",
+                 lambda dossier: [dossier.decision])],
+    "chain": [("grfilt.graded", "checked_chain",
+               lambda checked: [chain_decision(*checked)])],
+    "dualize": [("grfilt.dualizing", "verify_dualizing",
+                 lambda rep: [rep.decision])],
+    "dualize --control": [("grfilt.dualizing", "verify_dualizing",
+                           lambda rep: [rep.control_decision])],
+    "quotient-iso": [("grfilt.cli", "quotient_iso_check",
+                      lambda rep: [rep.decision])],
+}
+
+
+def not_free_left(monkeypatch):
+    # the forgery of test_ranks_failure_is_not_masked_by_an_inconclusive_side
+    import grfilt.bimodule
+    real = grfilt.bimodule.bimodule_ranks
+
+    def mixed(actions, depth):
+        both = real(actions, depth)
+        return {**both,
+                "left": both["left"].replace(verdict="not free"),
+                "right": both["right"].replace(verdict="inconclusive")}
+    monkeypatch.setattr(grfilt.bimodule, "bimodule_ranks", mixed)
+
+
+def chains_refuted(monkeypatch):
+    import grfilt.graded
+    monkeypatch.setattr(grfilt.graded, "verify_chain_report",
+                        lambda gr, classes, report: False)
+
+
+def rings_swapped(monkeypatch):
+    # the triangular ring fails the control, and the perturbed ring the
+    # chain it controls
+    import grfilt.cli
+    real = grfilt.cli.make
+    other = {"R_2x2": "R_perturbed", "R_perturbed": "R_2x2"}
+    monkeypatch.setattr(grfilt.cli, "make", lambda name, **kw: real(
+        other.get(name, name), **kw))
+
+
+def targets_swapped(monkeypatch):
+    import grfilt.cli
+    real = grfilt.cli.quotient_iso_check
+
+    def swapped(ctx, plain, pairs, max_len):
+        (a, b), (c, d) = pairs
+        return real(ctx, plain, [(a, d), (c, b)], max_len=max_len)
+    monkeypatch.setattr(grfilt.cli, "quotient_iso_check", swapped)
+
+
+# (argv, forgery or None, exit code): a decided, a refuted and an
+# inconclusive run of every subcommand; a table is never refuted
+DECISION_RUNS = [
+    ("hilbert --depth 6", None, 0),
+    ("hilbert --depth 40 --degcap 12", None, 2),
+    ("gr --depth 6", None, 0),
+    ("gr --ring R_prime --kind weak-adic --depth 14", None, 2),
+    ("ranks --depth 8", None, 0),
+    ("ranks --depth 8", not_free_left, 1),
+    ("ranks --depth 2", None, 2),
+    ("certify --depth 8", None, 0),
+    ("certify --depth 8", chains_refuted, 1),
+    ("certify --depth 3", None, 2),
+    ("chain --steps 4", None, 0),
+    ("chain --side right --steps 4", None, 1),
+    ("chain --steps 1", None, 2),
+    ("dualize --degcap 12", None, 0),
+    ("dualize --degcap 12", rings_swapped, 1),
+    ("dualize --degcap 5", None, 2),
+    ("dualize --control --degcap 12", None, 0),
+    ("dualize --control --degcap 12", rings_swapped, 1),
+    ("dualize --control --degcap 5", None, 2),
+    ("quotient-iso", None, 0),
+    ("quotient-iso", targets_swapped, 1),
+    ("quotient-iso --max-len 0", None, 2),
+]
+
+
+@pytest.mark.parametrize("argv, forge, code", DECISION_RUNS)
+def test_exit_code_is_the_reports_decisions(capsys, monkeypatch, argv,
+                                            forge, code):
+    # the decisions are read off the reports the run built, and a report
+    # refused as inconclusive decides INCONCLUSIVE
+    if forge:
+        forge(monkeypatch)
+    control = " --control" if "--control" in argv else ""
+    decisions = []
+    for modname, name, read in PRODUCERS[argv.split()[0] + control]:
+        real = getattr(sys.modules[modname], name)
+
+        def spied(*args, real=real, read=read, **kwargs):
+            try:
+                result = real(*args, **kwargs)
+            except Inconclusive:
+                decisions.append(INCONCLUSIVE)
+                raise
+            decisions.extend(read(result))
+            return result
+        monkeypatch.setattr(sys.modules[modname], name, spied)
+    assert run(capsys, *argv.split())[0] == exit_code(*decisions) == code
+    assert code == 0 or decisions
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+def test_every_rank_verdict_lies_in_its_kinds_set(capsys, field):
+    # depth 0 has no slope row and is refused; at every other depth the
+    # verdicts' decisions give the exit code
+    seen = set()
+    for depth in range(25):
+        code, out, _ = run(capsys, "--field", field, "--format", "json",
+                           "ranks", "--depth", str(depth))
+        if depth == 0:
+            assert (code, out) == (2, "")
+            continue
+        sides = json.loads(out)["sides"].values()
+        free = [side["free"]["verdict"] for side in sides]
+        uniform = [side["uniform"]["verdict"] for side in sides]
+        assert set(free) <= RANK_DECISIONS.keys()
+        assert set(uniform) <= UNIFORM_DECISIONS.keys()
+        assert code == exit_code(*map(RANK_DECISIONS.get, free),
+                                 *map(UNIFORM_DECISIONS.get, uniform))
+        seen |= {(code, *free, *uniform)}
+    assert {code for code, *_ in seen} == {0, 2}

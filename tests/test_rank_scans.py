@@ -13,9 +13,10 @@ actor has no kernel.
 
 import pytest
 
-from grfilt.bimodule import (GoldieReport, RankReport, _KERNEL_VERDICT,
-                             _has_kernel, corner_ideal, free_rank,
-                             goldie_rank, slope_table, ModuleAction)
+from grfilt.bimodule import (GoldieReport, RankReport, _has_kernel,
+                             corner_ideal, free_rank, goldie_rank,
+                             slope_table, ModuleAction,
+                             KERNEL_VERDICT as _KERNEL_VERDICT)
 from grfilt.dualizing import ring_window
 from grfilt.fields import QQ, PrimeField
 from grfilt.filtration import WindowExceeded

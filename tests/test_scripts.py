@@ -66,6 +66,22 @@ def test_a_shallow_battery_is_inconclusive_not_a_usage_error(tmp_path):
     assert "usage error" not in verdicts.values()
 
 
+def test_a_failed_op_involution_shows_in_summary_and_exit_code(
+        tmp_path, monkeypatch):
+    # tau does not preserve the triangular ring's shape, so its report fails
+    import json
+    real = make_reports.op_involution_report
+    monkeypatch.setattr(make_reports, "op_involution_report",
+                        lambda ring: real(make_reports.make("R_2x2")))
+    assert make_reports.main(["--outdir", str(tmp_path), "--depth", "5"]) == 1
+    verdicts = summary(tmp_path)
+    assert verdicts.pop("op_involution") == "FAILED"
+    assert set(verdicts.values()) == {"verified"}
+    report = json.loads((tmp_path / "op_involution.json").read_text())
+    assert report["shape_preserved"] is False
+    assert report["anti_multiplicative"] is True
+
+
 def test_a_failure_outranks_inconclusive(tmp_path, monkeypatch):
     import grfilt.graded
     # the dossier's weak-adic half is inconclusive at this depth, so the

@@ -158,6 +158,31 @@ SEEDED = {
         "src/grfilt/linspace.py:11: hands Subspace a dict",
         "src/grfilt/linspace.py:13: hands Subspace a dict",
         "src/grfilt/linspace.py:7: hands Subspace a dict"]),
+    # like the verdict sets cli.cmd_ranks once subtracted and the verdicts
+    # the certifier and dualizing once compared; bimodule.py names the
+    # verdicts, a dict key or a stage state is no comparison with one, and
+    # tests may compare verdicts
+    "verdict-literals": ({
+        "src/grfilt/bimodule.py": (
+            "FREE = 'free'\n"
+            "def verify(report):\n"
+            "    return report.verdict == 'free'\n"),
+        "src/grfilt/certifier.py": (
+            "def pair(left):\n"
+            "    if left.verdict == 'inconclusive':\n"
+            "        return {'free': 1}\n"
+            "    return left.verdict in ('not free', 'x')\n"),
+        "src/grfilt/dualizing.py": (
+            "def stage(rep):\n"
+            "    return rep.state == 'failed' or rep.decision == OK\n"),
+        "src/grfilt/workbench.py": (
+            "def goldie(rep):\n"
+            "    return rep.verdict != ('not certified: actor has a kernel '\n"
+            "                           'on the window')\n"),
+        "tests/test_m.py": "assert rep.verdict == 'free'\n",
+    }, ["src/grfilt/certifier.py:2: compares a rank verdict literal",
+        "src/grfilt/certifier.py:4: compares a rank verdict literal",
+        "src/grfilt/workbench.py:2: compares a rank verdict literal"]),
 }
 
 

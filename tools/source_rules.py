@@ -34,6 +34,17 @@ def _outside(src, kinds, places):
         yield from ((p, n) for n in src.nodes[p] if id(n) not in skip)
 
 
+def _compared(src, values, allowed, what):
+    """A finding "what" at each comparison in src/ with a constant among
+    values in its operands, outside the modules named by stem in allowed
+    and the definitions named there by (module stem, name)."""
+    return [f"{p}:{n.lineno}: {what}"
+            for p, n in _outside(src, (ast.FunctionDef, ast.ClassDef), allowed)
+            if p.stem not in allowed and isinstance(n, ast.Compare)
+            and any(isinstance(c, ast.Constant) and c.value in values
+                    for e in (n.left, *n.comparators) for c in ast.walk(e))]
+
+
 def line_length(src):
     """Line count measures simplicity, so lines of src/, scripts/ and
     tools/ must not grow past 79 columns to save it."""
@@ -172,15 +183,10 @@ def filtration_kind(src):
     dispatchers, cli._base_filtration and
     certifier.assemble_growth_dossier; filtration.hilbert branches on
     sign."""
-    allowed = {("filtration", "Filtration"),
-               ("cli", "_base_filtration"),
-               ("certifier", "assemble_growth_dossier")}
-    return [f"{p}:{n.lineno}: compares a filtration kind"
-            for p, n in _outside(src, (ast.FunctionDef, ast.ClassDef), allowed)
-            if isinstance(n, ast.Compare)
-            and any(isinstance(c, ast.Constant)
-                    and c.value in {"ascending", "weak-adic"}
-                    for e in (n.left, *n.comparators) for c in ast.walk(e))]
+    return _compared(src, {"ascending", "weak-adic"}, {
+        ("filtration", "Filtration"), ("cli", "_base_filtration"),
+        ("certifier", "assemble_growth_dossier")},
+        "compares a filtration kind")
 
 
 def echelon_writers(src):
@@ -214,9 +220,20 @@ def echelon_writers(src):
     return bad
 
 
+def verdict_literals(src):
+    """A rank scan's verdicts are named once, in bimodule.py, with the
+    decision each one means, so no other src/ code compares a value with
+    a free-rank or uniform-rank verdict literal: it reads a report's
+    decision, or names the verdict."""
+    return _compared(src, {"free", "not free", "inconclusive", "certified",
+                           "not certified: actor has a kernel on the window"},
+                     {"bimodule"}, "compares a rank verdict literal")
+
+
 RULES = {f.__name__.replace("_", "-"): f for f in (
     line_length, unused_imports, dead_definitions, unturned_defaults,
-    independent_oracle, exact_arithmetic, filtration_kind, echelon_writers)}
+    independent_oracle, exact_arithmetic, filtration_kind, echelon_writers,
+    verdict_literals)}
 
 if __name__ == "__main__":
     names = sys.argv[1:] or list(RULES)
